@@ -545,6 +545,9 @@ let json_cell (e : Livermore.entry) method_ fu horizon =
         ("gc_deferred", Json.int (c "ir.gc_deferred"));
         ("gc_runs", Json.int (c "ir.gc_runs"));
         ("gc_reclaimed", Json.int (c "ir.gc_reclaimed"));
+        ("gc_candidates", Json.int (c "ir.gc_candidates"));
+        ("walk_nodes", Json.int (c "migrate.walk_nodes"));
+        ("cone_nodes", Json.int (c "migrate.cone_nodes"));
       ]
   in
   (* warm-path counters (schema /7): honest zeros offline — seeding

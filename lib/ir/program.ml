@@ -48,7 +48,10 @@
     {!gc} only removes nodes unreachable from the entry — a semantic
     no-op for every reachable-set-derived analysis — so it does NOT
     bump [version]: liveness, dominators and RPO caches stay valid
-    across collections. *)
+    across collections.  It sweeps a worklist rather than the whole
+    node table: the nodes that lost an in-edge, were created or were
+    restored since the last sweep, cascading into the successors of
+    every node it collects (DESIGN.md §19). *)
 
 type t = {
   nodes : Node.t option Itbl.t;
@@ -79,6 +82,14 @@ type t = {
   mutable reach_cache : (int * Bytes.t) option;
   mutable rpo_cache : (int * int list) option;
   mutable gc_reclaimed : int;  (** total nodes collected over the run *)
+  gc_work : Iarr.t;
+      (** sweep candidates since the last {!gc}: nodes that lost an
+          in-edge, were created or were restored *)
+  gc_marks : int Itbl.t;
+      (** node id -> [gc_epoch] while queued, so a node is queued at
+          most once per sweep *)
+  mutable gc_epoch : int;
+  mutable gc_examined : int;  (** total candidates {!gc} has examined *)
 }
 
 let touch p = p.version <- p.version + 1
@@ -141,6 +152,13 @@ let clear_seq tbl id =
   let b = Itbl.get tbl id in
   if b != Iarr.sentinel then Iarr.clear b
 
+(* Queue node [id] for the next {!gc} sweep. *)
+let gc_note p id =
+  if Itbl.get p.gc_marks id <> p.gc_epoch then begin
+    Itbl.set p.gc_marks id p.gc_epoch;
+    Iarr.push p.gc_work id
+  end
+
 (* -- predecessor-table maintenance -------------------------------------- *)
 
 (* The table mirrors the deduplicated successor sets: [q] appears at
@@ -164,7 +182,9 @@ let pred_remove p ~src ~dst =
         if v = src then Iarr.set b i (-1) else if v >= 0 then incr live
       done;
       (* keep redirect churn from growing the buffer without bound *)
-      if Iarr.length b - !live > !live + 8 then Iarr.compact_nonneg b
+      if Iarr.length b - !live > !live + 8 then Iarr.compact_nonneg b;
+      (* [dst] may have lost its last path from the entry *)
+      gc_note p dst
     end
   end
 
@@ -267,6 +287,10 @@ let create ?(first_reg = 0) () =
       reach_cache = None;
       rpo_cache = None;
       gc_reclaimed = 0;
+      gc_work = Iarr.create ();
+      gc_marks = Itbl.create 0;
+      gc_epoch = 1;
+      gc_examined = 0;
     }
   in
   let seed id =
@@ -305,8 +329,14 @@ let fresh_node p ~ops ~ctree =
   register_ops p id (Ctree.cjumps ctree);
   build_flat p n;
   link_node p n;
+  gc_note p id;
   touch p;
   n
+
+(** [node_limit p] — one past the largest node id allocated so far:
+    ids at or above a limit read earlier belong to nodes created
+    since. *)
+let node_limit p = p.next_node
 
 (* -- operation placement ----------------------------------------------- *)
 
@@ -550,10 +580,15 @@ let live_mask p =
 (** [is_live p id] — is [id] reachable from the entry?  Deferred
     garbage collection can leave dead nodes in the table between a
     mutation and the next {!gc}; traversals that must behave as if
-    collection were eager filter on this. *)
+    collection were eager filter on this.  While the sweep worklist is
+    empty no node has lost an in-edge or been created since the last
+    sweep, which left only live nodes, so the table alone answers. *)
 let is_live p id =
-  let m = live_mask p in
-  id >= 0 && id < Bytes.length m && Bytes.unsafe_get m id <> '\000'
+  if Iarr.is_empty p.gc_work then
+    match node_opt p id with Some _ -> true | None -> false
+  else
+    let m = live_mask p in
+    id >= 0 && id < Bytes.length m && Bytes.unsafe_get m id <> '\000'
 
 (** [reachable p] is the set of node ids reachable from the entry
     (treat the returned table as read-only). *)
@@ -661,38 +696,53 @@ let delete_node p id =
     operations.  Returns the number of nodes collected.  Removing
     unreachable nodes changes no reachable-set-derived result, so the
     program version is left alone and analysis caches survive.  The
-    dead nodes' flat buffers go back to the arena pool. *)
+    dead nodes' flat buffers go back to the arena pool.
+
+    Only the worklist is examined.  After a sweep every node in the
+    table is live, so a node dead now was created or restored since
+    (and queued then), or had a path from the entry that has since
+    lost an edge: the head of the last lost edge was queued and still
+    reaches the dead node along edges that exist.  Collecting a node
+    unlinks it, which queues its successors, so the sweep cascades
+    down those edges and finds every dead node. *)
 let gc p =
-  let m = live_mask p in
-  let dead =
-    fold_nodes p
-      (fun n acc ->
-        let id = n.Node.id in
-        if id < Bytes.length m && Bytes.get m id <> '\000' then acc
-        else id :: acc)
-      []
-  in
-  List.iter
-    (fun id ->
-      let n = node p id in
-      let dehome oid =
-        if Itbl.get p.op_home oid = id then Itbl.set p.op_home oid (-1)
-      in
-      iter_op_ids p id dehome;
-      unlink_node p n;
-      recycle_seq p p.preds_tbl id;
-      Itbl.set p.succs_tbl id [];
-      recycle_seq p p.ops_seq id;
-      recycle_seq p p.cjs_seq id;
-      Itbl.set p.node_counts id 0;
-      Itbl.set p.nodes id None)
-    dead;
-  let k = List.length dead in
-  p.gc_reclaimed <- p.gc_reclaimed + k;
-  k
+  let work = p.gc_work in
+  let k = ref 0 in
+  if not (Iarr.is_empty work) then begin
+    let m = live_mask p in
+    let i = ref 0 in
+    while !i < Iarr.length work do
+      let id = Iarr.unsafe_get work !i in
+      incr i;
+      match Itbl.get p.nodes id with
+      | Some n when not (id < Bytes.length m && Bytes.get m id <> '\000') ->
+          let dehome oid =
+            if Itbl.get p.op_home oid = id then Itbl.set p.op_home oid (-1)
+          in
+          iter_op_ids p id dehome;
+          unlink_node p n;
+          recycle_seq p p.preds_tbl id;
+          Itbl.set p.succs_tbl id [];
+          recycle_seq p p.ops_seq id;
+          recycle_seq p p.cjs_seq id;
+          Itbl.set p.node_counts id 0;
+          Itbl.set p.nodes id None;
+          incr k
+      | Some _ | None -> ()
+    done;
+    p.gc_examined <- p.gc_examined + Iarr.length work;
+    Iarr.clear work;
+    p.gc_epoch <- p.gc_epoch + 1
+  end;
+  p.gc_reclaimed <- p.gc_reclaimed + !k;
+  !k
 
 (** [gc_reclaimed p] — total nodes {!gc} has collected on [p]. *)
 let gc_reclaimed p = p.gc_reclaimed
+
+(** [gc_candidates p] — total worklist entries {!gc} has examined on
+    [p]. *)
+let gc_candidates p = p.gc_examined
 
 (** [snapshot p] captures the full graph state; {!restore} brings [p]
     back to it in place.  Used by the Unifiable-ops baseline, whose
@@ -735,13 +785,18 @@ let restore p s =
   Itbl.reset p.op_flags;
   Itbl.reset p.node_counts;
   p.spare <- [];
+  (* the restored graph may hold nodes that were dead when it was
+     captured: every node is a sweep candidate again *)
+  Iarr.clear p.gc_work;
+  p.gc_epoch <- p.gc_epoch + 1;
   List.iter
     (fun (id, ops, ctree) ->
       Itbl.set p.nodes id (Some (Node.make ~id ~ops ~ctree)))
     s.s_nodes;
   iter_nodes p (fun n ->
       link_node p n;
-      build_flat p n);
+      build_flat p n;
+      gc_note p n.Node.id);
   Itbl.reset p.op_home;
   List.iter (fun (k, v) -> Itbl.set p.op_home k v) s.s_homes;
   p.next_node <- s.s_next_node;

@@ -10,6 +10,12 @@
     - [scheduler.migrations / hops / reached / suspensions / barriers]
     - [scheduler.rpo_rebuilds / rpo_rebuilds_saved] (the cached
       rule-3 reverse-postorder index)
+    - [migrate.cone_nodes / walk_nodes] — nodes marked in each
+      migration's cone and nodes its walk expanded, added once per
+      walk
+    - [ir.gc_runs / gc_deferred / gc_reclaimed / gc_candidates] —
+      graph collections, the requests batched into them, nodes
+      collected and worklist entries examined (added once per sweep)
     - [hist scheduler.travel_distance] — hops per migration
     - [hist schedule.slot_occupancy] — operations per instruction of
       the final schedule
@@ -71,9 +77,11 @@ let enabled t = t.enabled
 
 let add t name k =
   if t.enabled then
-    match Hashtbl.find_opt t.counters name with
-    | Some r -> r := !r + k
-    | None -> Hashtbl.replace t.counters name (ref k)
+    (* [find], not [find_opt]: a hit allocates no option box, so a
+       counter bumped once per migration costs no garbage *)
+    match Hashtbl.find t.counters name with
+    | r -> r := !r + k
+    | exception Not_found -> Hashtbl.replace t.counters name (ref k)
 
 let incr t name = add t name 1
 let counter t name =

@@ -33,6 +33,13 @@ type t = {
       (** migration-walk visited set, epoch-stamped: a walk bumps
           [walk_stamp] instead of allocating a fresh table *)
   mutable walk_stamp : int;
+  cone_marks : int Itbl.t;
+      (** migration-cone membership, epoch-stamped like [walk_marks] *)
+  mutable cone_stamp : int;
+  mutable cone_fresh : int;
+      (** {!Program.node_limit} when the cone was marked: nodes created
+          since belong to it *)
+  cone_queue : Iarr.t;  (** explicit worklist the cone is marked with *)
   scan_marks : int Itbl.t;
       (** gap-prevention traversal visited set — separate from
           [walk_marks] because the gapless test runs inside a
@@ -99,6 +106,10 @@ let make ?(rename = true) ?(obs = Grip_obs.null) program ~machine ~exit_live =
     legality_wide = Hashtbl.create 16;
     walk_marks = Itbl.create 0;
     walk_stamp = 0;
+    cone_marks = Itbl.create 0;
+    cone_stamp = 0;
+    cone_fresh = 0;
+    cone_queue = Iarr.create ();
     scan_marks = Itbl.create 0;
     scan_stamp = 0;
     gc_depth = 0;
@@ -313,6 +324,25 @@ let legality_store t ~from_ ~to_ ~op_id verdict =
 let walk_begin t = t.walk_stamp <- t.walk_stamp + 1
 let walk_seen t id = Itbl.get t.walk_marks id = t.walk_stamp
 let walk_mark t id = Itbl.set t.walk_marks id t.walk_stamp
+
+(* The migration cone (see {!Migrate}): a stamped set plus every node
+   created after [cone_begin]. *)
+let cone_begin t =
+  t.cone_stamp <- t.cone_stamp + 1;
+  t.cone_fresh <- Program.node_limit t.program;
+  Iarr.clear t.cone_queue
+
+let in_cone t id = id >= t.cone_fresh || Itbl.get t.cone_marks id = t.cone_stamp
+
+(* Enqueue [id] unless already in the cone; shaped as a
+   {!Program.fold_preds} step so marking needs no closure. *)
+let cone_add t id =
+  if not (in_cone t id) then begin
+    Itbl.set t.cone_marks id t.cone_stamp;
+    Iarr.push t.cone_queue id
+  end;
+  t
+
 let scan_begin t = t.scan_stamp <- t.scan_stamp + 1
 let scan_seen t id = Itbl.get t.scan_marks id = t.scan_stamp
 let scan_mark t id = Itbl.set t.scan_marks id t.scan_stamp
@@ -328,10 +358,13 @@ let scan_mark t id = Itbl.set t.scan_marks id t.scan_stamp
 
 let run_gc t =
   t.gc_pending <- false;
+  let examined = Program.gc_candidates t.program in
   let reclaimed = Program.gc t.program in
   let m = t.obs.Grip_obs.metrics in
   Grip_obs.Metrics.incr m "ir.gc_runs";
-  Grip_obs.Metrics.add m "ir.gc_reclaimed" reclaimed
+  Grip_obs.Metrics.add m "ir.gc_reclaimed" reclaimed;
+  Grip_obs.Metrics.add m "ir.gc_candidates"
+    (Program.gc_candidates t.program - examined)
 
 (** [maybe_gc t] — request a collection: immediate outside a
     {!defer_gc} region, batched (and counted as [ir.gc_deferred])

@@ -6,6 +6,14 @@
     and hoists the operation one node per unwinding step with
     {!Move_op.move} / {!Move_cj.move}.
 
+    The descent is confined to the operation's {e cone}: its home and
+    every node that reaches it by a path not passing through [target]
+    ([target] included), plus every node created during the walk.
+    Unwound programs are acyclic, so a node outside the cone can never
+    become a predecessor of the operation's home, and nothing below it
+    is in the cone either: skipping it leaves every hop attempt, and
+    their order, unchanged (DESIGN.md §19).
+
     The gap-prevention behaviour of Figure 12 is injected through
     [hooks]:
     - [allow_hop] is the Gapless-move test (always true by default);
@@ -103,6 +111,7 @@ type walk = {
   mutable w_moved : int;
   mutable w_current : int;
   mutable w_failure : failure option;
+  mutable w_visits : int;  (** nodes the walk expanded *)
 }
 
 let walk_dead p nid =
@@ -114,9 +123,14 @@ let walk_dead p nid =
    [List.iter] closure per visited node. *)
 let rec walk_go w nid =
   let p = w.w_ctx.Ctx.program in
-  if w.w_hooks.early_stop ~moved:w.w_moved || Ctx.walk_seen w.w_ctx nid then ()
+  if
+    (not (Ctx.in_cone w.w_ctx nid))
+    || w.w_hooks.early_stop ~moved:w.w_moved
+    || Ctx.walk_seen w.w_ctx nid
+  then ()
   else begin
     Ctx.walk_mark w.w_ctx nid;
+    w.w_visits <- w.w_visits + 1;
     if not (walk_dead p nid) then begin
       (* Recurse first: deeper occurrences percolate up before we
          try to pull the op across this level (Figure 4). *)
@@ -146,6 +160,24 @@ and walk_pull w nid = function
          | Error msg -> w.w_failure <- Some msg);
       walk_pull w nid tl
 
+(* Mark the cone of an operation at [home]: the backward closure of
+   [home] over recorded predecessors, not expanded past [target].
+   Breadth-first over the context's queue buffer, so marking allocates
+   nothing; returns the number of nodes marked. *)
+let mark_cone (ctx : Ctx.t) ~target ~home =
+  let p = ctx.Ctx.program in
+  let q = ctx.Ctx.cone_queue in
+  Ctx.cone_begin ctx;
+  if home >= 0 then ignore (Ctx.cone_add ctx home);
+  let i = ref 0 in
+  while !i < Iarr.length q do
+    let id = Iarr.unsafe_get q !i in
+    incr i;
+    if id <> target then
+      ignore (Program.fold_preds p id ~init:ctx ~f:Ctx.cone_add)
+  done;
+  Iarr.length q
+
 (** [migrate ctx ?hooks ~target ~op_id ()] — see module comment.
     Returns how far the operation got. *)
 let migrate (ctx : Ctx.t) ?(hooks = no_hooks) ~target ~op_id () =
@@ -153,9 +185,10 @@ let migrate (ctx : Ctx.t) ?(hooks = no_hooks) ~target ~op_id () =
   (* Visited set: the context's epoch-stamped scratch table — one
      stamp bump instead of a fresh hash table per walk. *)
   Ctx.walk_begin ctx;
+  let cone = mark_cone ctx ~target ~home:(Program.home_int p op_id) in
   let w =
     { w_ctx = ctx; w_hooks = hooks; w_moved = 0; w_current = op_id;
-      w_failure = None }
+      w_failure = None; w_visits = 0 }
   in
   (* Garbage collection is deferred for the whole walk: commits mark
      nodes dead without sweeping, so [node_opt] alone no longer proves
@@ -164,6 +197,9 @@ let migrate (ctx : Ctx.t) ?(hooks = no_hooks) ~target ~op_id () =
      before the outcome is computed (a dead operation must report no
      home). *)
   Ctx.defer_gc ctx (fun () -> walk_go w target);
+  let m = ctx.Ctx.obs.Grip_obs.metrics in
+  Grip_obs.Metrics.add m "migrate.cone_nodes" cone;
+  Grip_obs.Metrics.add m "migrate.walk_nodes" w.w_visits;
   {
     moved = w.w_moved;
     reached_target = Program.home_int p w.w_current = target;

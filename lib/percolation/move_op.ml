@@ -29,16 +29,18 @@
     the operation.  When [from_] ends up empty it is deleted, as in
     Figure 2.
 
-    Legality is decided from the per-node indexes ({!Node.defs_of},
-    {!Node.uses_of}, {!Node.mem_ops}, maintained counts) in time
-    proportional to the operands involved rather than the node sizes;
-    the [*_scan] entry points keep the original list-scanning
-    implementation alive as the equivalence oracle the test suite
-    checks the indexed path against.  Negative verdicts are memoized
-    per program version in the context ({!Ctx.legality_find}): the
-    check has no effect on failure, so replaying a cached failure is
-    sound, while successful moves re-run the check because committing
-    consumes fresh names. *)
+    Legality reads the operation from the flat stores
+    ({!Program.stored_op}, {!Program.home_int}) and resource room from
+    the packed per-node counters ({!Program.counts_packed}), and scans
+    [to_]'s op list (at most the issue width) for defining operations
+    and memory conflicts and [from_]'s for readers of the destination;
+    no per-node hash index is consulted.  The [*_scan] entry points
+    keep the original list-scanning implementation alive as the
+    equivalence oracle the test suite checks {!check} against.
+    Negative verdicts are memoized per program version in the context
+    ({!Ctx.legality_find}): the check has no effect on failure, so
+    replaying a cached failure is sound, while successful moves re-run
+    the check because committing consumes fresh names. *)
 
 open Vliw_ir
 module Alias = Vliw_analysis.Alias

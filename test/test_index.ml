@@ -11,29 +11,10 @@ open Vliw_ir
 module Machine = Vliw_machine.Machine
 module Ctx = Vliw_percolation.Ctx
 module Move_op = Vliw_percolation.Move_op
+module Move_cj = Vliw_percolation.Move_cj
 module Synthetic = Workloads.Synthetic
 
-let spec_gen =
-  QCheck2.Gen.(
-    let* seed = int_range 1 1_000_000 in
-    let* n_ops = int_range 3 10 in
-    let* n_arrays = int_range 1 3 in
-    let* p_load = float_range 0.1 0.5 in
-    let* p_store = float_range 0.05 0.4 in
-    let* p_recurrence = float_range 0.0 0.5 in
-    return { Synthetic.seed; n_ops; n_arrays; p_load; p_store; p_recurrence })
-
-let print_spec (s : Synthetic.spec) =
-  Printf.sprintf "{seed=%d; n_ops=%d; n_arrays=%d; p=(%.2f,%.2f,%.2f)}"
-    s.Synthetic.seed s.Synthetic.n_ops s.Synthetic.n_arrays s.Synthetic.p_load
-    s.Synthetic.p_store s.Synthetic.p_recurrence
-
-(* deterministic per-spec rng, as in test_props *)
-let make_rng seed =
-  let rng = ref seed in
-  fun bound ->
-    rng := ((!rng * 1103515245) + 12345) land 0x3FFFFFFF;
-    !rng mod bound
+open Synthetic_gen
 
 let failure_str f = Format.asprintf "%a" Move_op.pp_failure f
 
@@ -170,7 +151,10 @@ let prop_path_memo_equiv =
    at whom; the maintained table (append + [-1] tombstones + occasional
    compaction) must agree after every batch of accepted moves — in
    content for [preds_of] (live preds) and in multiset for the raw
-   [fold_preds] enumeration vs its snapshot list. *)
+   [fold_preds] enumeration vs its snapshot list.  The same churn
+   checks the worklist collector: each batch runs with collections
+   deferred, and every [Program.gc] after it must remove exactly the
+   unreachable nodes. *)
 let naive_preds p id =
   Program.fold_nodes p
     (fun (n : Node.t) acc ->
@@ -181,6 +165,85 @@ let naive_preds p id =
       then n.Node.id :: acc
       else acc)
     []
+
+(* Every (from_, to_, cj) move of a root conditional jump. *)
+let cj_candidates p =
+  List.concat_map
+    (fun nid ->
+      if Program.is_exit p nid then []
+      else
+        List.filter_map
+          (fun s ->
+            if Program.is_exit p s then None
+            else
+              match Ctree.split_root (Program.node p s).Node.ctree with
+              | Some (cj, _, _) -> Some (s, nid, cj.Operation.id)
+              | None -> None)
+          (Program.succs p nid))
+    (Program.rpo p)
+
+(* Nodes in the table that no path from the entry reaches, by a plain
+   traversal of the successor mirror (not [Program.is_live]). *)
+let unreachable_nodes p =
+  let seen = Hashtbl.create 64 in
+  let rec go id =
+    if not (Hashtbl.mem seen id) then begin
+      Hashtbl.replace seen id ();
+      List.iter go (Program.succs p id)
+    end
+  in
+  go p.Program.entry;
+  Program.fold_nodes p
+    (fun (n : Node.t) acc ->
+      if Hashtbl.mem seen n.Node.id then acc else n.Node.id :: acc)
+    []
+
+(* [Program.is_live] must agree with the plain traversal on every node
+   in the table, dead or alive. *)
+let live_agrees p =
+  let dead = unreachable_nodes p in
+  Program.iter_nodes p (fun (n : Node.t) ->
+      let id = n.Node.id in
+      if Program.is_live p id = List.mem id dead then
+        QCheck2.Test.fail_reportf "is_live wrong for n%d" id)
+
+(* [Program.gc] must leave no unreachable node behind and report
+   exactly the number of nodes it removed. *)
+let gc_exactly p =
+  let size () = Program.fold_nodes p (fun _ k -> k + 1) 0 in
+  live_agrees p;
+  let before = size () in
+  let k = Program.gc p in
+  live_agrees p;
+  if before - size () <> k then
+    QCheck2.Test.fail_reportf "gc returned %d but removed %d node(s)" k
+      (before - size ());
+  (match unreachable_nodes p with
+  | [] -> ()
+  | id :: _ -> QCheck2.Test.fail_reportf "unreachable n%d survived gc" id);
+  k
+
+(* Orphan a short chain: point a predecessor straight past up to three
+   single-entry, single-exit nodes, as [Program.delete_node] would, but
+   leave them in the table.  Only the first loses an in-edge; the rest
+   die through it, so the sweep has to cascade to find them. *)
+let bypass_chain p next =
+  let single id =
+    id <> p.Program.entry
+    && (not (Program.is_exit p id))
+    && List.length (Program.preds_of p id) = 1
+    && List.length (Program.succs p id) = 1
+  in
+  match List.filter single (Program.rpo p) with
+  | [] -> ()
+  | heads ->
+      let id = List.nth heads (next (List.length heads)) in
+      let rec past id k =
+        let s = List.hd (Program.succs p id) in
+        if k > 1 && single s then past s (k - 1) else s
+      in
+      let q = List.hd (Program.preds_of p id) in
+      Program.redirect p ~from_:q ~old_:id ~new_:(past id 3)
 
 let prop_preds_list_model =
   QCheck2.Test.make ~name:"int-array preds == naive list model" ~count:30
@@ -216,17 +279,47 @@ let prop_preds_list_model =
                 "fold_preds order disagrees with raw snapshot at n%d" id)
           (Program.rpo p)
       in
+      let churn k =
+        for _ = 1 to k do
+          match all_candidates p, cj_candidates p with
+          | [], [] -> ()
+          | cands, cjs ->
+              if cjs <> [] && (cands = [] || next 4 = 0) then
+                let from_, to_, cj_id = List.nth cjs (next (List.length cjs)) in
+                ignore (Move_cj.move ctx ~from_ ~to_ ~cj_id)
+              else
+                let from_, to_, op_id = List.nth cands (next (List.length cands)) in
+                ignore (Move_op.move ctx ~from_ ~to_ ~op_id)
+        done
+      in
       check ();
-      for _round = 1 to 6 do
-        for _ = 1 to 8 do
-          match all_candidates p with
-          | [] -> ()
-          | cands ->
-              let from_, to_, op_id = List.nth cands (next (List.length cands)) in
-              ignore (Move_op.move ctx ~from_ ~to_ ~op_id)
-        done;
-        ignore (Program.gc p);
-        check ()
+      for round = 1 to 6 do
+        (* collections batched as in a migration walk, so the sweep
+           below finds the dead nodes the moves left behind *)
+        Ctx.defer_gc ctx (fun () ->
+            churn 8;
+            if round mod 2 = 0 then begin
+              (* snapshot with dead nodes still in the table, sweep
+                 them, churn on, then restore: the restored dead nodes
+                 must be queued for the next sweep again *)
+              bypass_chain p next;
+              let dead = List.length (unreachable_nodes p) in
+              let snap = Program.snapshot p in
+              ignore (gc_exactly p);
+              churn 4;
+              ignore (gc_exactly p);
+              Program.restore p snap;
+              let k = gc_exactly p in
+              if k <> dead then
+                QCheck2.Test.fail_reportf
+                  "restore re-queued %d dead node(s), %d were captured" k dead
+            end
+            else ignore (gc_exactly p));
+        check ();
+        match Program.check_derived_state p with
+        | None -> ()
+        | Some reason ->
+            QCheck2.Test.fail_reportf "derived state incoherent: %s" reason
       done;
       true)
 

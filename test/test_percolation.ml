@@ -11,6 +11,7 @@ module Move_op = Vliw_percolation.Move_op
 module Move_cj = Vliw_percolation.Move_cj
 module Migrate = Vliw_percolation.Migrate
 module Redundant = Vliw_percolation.Redundant
+module Synthetic = Workloads.Synthetic
 
 let reg = Reg.of_int
 let imm n = Operand.Imm (Value.I n)
@@ -490,7 +491,209 @@ let test_redundant_load_load () =
   Alcotest.(check int) "second load forwarded" 1 n;
   check_wf p
 
+(* -- walk exactness: the cone-pruned walk against a full walk --------- *)
+
+(* The migration walk without cone pruning, on the public [Migrate.hop]:
+   a post-order descent over every live node below the target, pulling
+   the operation across each level on the way back up. *)
+type full_walk = {
+  f_ctx : Ctx.t;
+  f_hooks : Migrate.hooks;
+  mutable f_moved : int;
+  mutable f_current : int;
+  mutable f_failure : Migrate.failure option;
+  mutable f_visits : int;
+}
+
+let full_dead p nid =
+  match Program.node_opt p nid with
+  | None -> true
+  | Some _ -> not (Program.is_live p nid)
+
+let rec full_go w nid =
+  let p = w.f_ctx.Ctx.program in
+  if w.f_hooks.Migrate.early_stop ~moved:w.f_moved || Ctx.walk_seen w.f_ctx nid
+  then ()
+  else begin
+    Ctx.walk_mark w.f_ctx nid;
+    w.f_visits <- w.f_visits + 1;
+    if not (full_dead p nid) then begin
+      full_descend w (Program.succs p nid);
+      if w.f_hooks.Migrate.early_stop ~moved:w.f_moved then ()
+      else if full_dead p nid then ()
+      else full_pull w nid (Program.succs p nid)
+    end
+  end
+
+and full_descend w = function
+  | [] -> ()
+  | s :: tl ->
+      if not (Program.is_exit w.f_ctx.Ctx.program s) then full_go w s;
+      full_descend w tl
+
+and full_pull w nid = function
+  | [] -> ()
+  | s :: tl ->
+      let p = w.f_ctx.Ctx.program in
+      (if (not (Program.is_exit p s)) && Program.home_int p w.f_current = s then
+         match
+           Migrate.hop w.f_ctx w.f_hooks ~from_:s ~to_:nid ~op_id:w.f_current
+         with
+         | Ok id' ->
+             w.f_moved <- w.f_moved + 1;
+             w.f_current <- id'
+         | Error f -> w.f_failure <- Some f);
+      full_pull w nid tl
+
+let full_migrate (ctx : Ctx.t) hooks ~target ~op_id =
+  let p = ctx.Ctx.program in
+  Ctx.walk_begin ctx;
+  let w =
+    { f_ctx = ctx; f_hooks = hooks; f_moved = 0; f_current = op_id;
+      f_failure = None; f_visits = 0 }
+  in
+  Ctx.defer_gc ctx (fun () -> full_go w target);
+  ( {
+      Migrate.moved = w.f_moved;
+      reached_target = Program.home_int p w.f_current = target;
+      final_id = w.f_current;
+      last_failure = w.f_failure;
+    },
+    w.f_visits )
+
+(* A deterministic veto: suspends a fixed subset of hops, journals
+   every query, and stops early like the scheduler (something moved
+   while something is suspended). *)
+let veto_hooks () =
+  let journal = ref [] and suspended = ref 0 in
+  let hooks =
+    {
+      Migrate.allow_hop =
+        (fun ~from_ ~to_ ~op ->
+          journal := (from_, to_, op.Operation.id) :: !journal;
+          ((from_ * 7) + (to_ * 13) + op.Operation.id) mod 5 <> 0);
+      on_suspend =
+        (fun op ->
+          incr suspended;
+          journal := (-1, -1, op.Operation.id) :: !journal);
+      early_stop = (fun ~moved -> moved > 0 && !suspended > 0);
+    }
+  in
+  (hooks, journal, suspended)
+
+(* An unwound random kernel with [joins] extra edges: a node's
+   loop-exit leaf is pointed at a node two or three levels below it,
+   so the graph gets multi-predecessor nodes — cones wider than a path
+   and moves that split. *)
+let joined_program spec ~joins =
+  let kern = Synthetic.generate spec in
+  let p = (Grip.Unwind.build kern ~horizon:4).Grip.Unwind.program in
+  let next = Synthetic_gen.make_rng (spec.Synthetic.seed + 5) in
+  let exit_ = p.Program.exit_id in
+  let below id =
+    List.filter (fun s -> not (Program.is_exit p s)) (Program.succs p id)
+  in
+  for _ = 1 to joins do
+    let forks =
+      List.filter
+        (fun id ->
+          (not (Program.is_exit p id))
+          && List.mem exit_ (Program.succs p id)
+          && below id <> [])
+        (Program.rpo p)
+    in
+    if forks <> [] then begin
+      let x = List.nth forks (next (List.length forks)) in
+      let rec descend id depth =
+        match below id with
+        | l when l <> [] && depth > 0 ->
+            descend (List.nth l (next (List.length l))) (depth - 1)
+        | _ -> id
+      in
+      let c = descend (List.hd (below x)) (1 + next 2) in
+      if c <> List.hd (below x) then
+        Program.redirect p ~from_:x ~old_:exit_ ~new_:c
+    end
+  done;
+  (p, Grip.Kernel.exit_live kern)
+
+let render p = Format.asprintf "%a" Program.pp p
+
+(* Two copies of one program, one migrated by [Migrate.migrate] and one
+   by the full walk, step by step over random (target, op) pairs drawn
+   from the identical graphs: outcomes, hook journals and renderings
+   must agree, and the pruned walk may only visit fewer nodes. *)
+let walks_agree ~veto spec =
+  let joins = spec.Synthetic.n_ops mod 4 in
+  let pa, exit_live = joined_program spec ~joins in
+  let pb, _ = joined_program spec ~joins in
+  let width = if spec.Synthetic.seed mod 2 = 0 then 2 else 4 in
+  let machine = Machine.homogeneous width in
+  let metrics = Grip_obs.Metrics.create () in
+  let ca = Ctx.make ~obs:(Grip_obs.make ~metrics ()) pa ~machine ~exit_live in
+  let cb = Ctx.make pb ~machine ~exit_live in
+  let (ha, ja, sa), (hb, jb, sb) =
+    if veto then (veto_hooks (), veto_hooks ())
+    else
+      ( (Migrate.no_hooks, ref [], ref 0),
+        (Migrate.no_hooks, ref [], ref 0) )
+  in
+  let next = Synthetic_gen.make_rng spec.Synthetic.seed in
+  if render pa <> render pb then
+    QCheck2.Test.fail_report "copies differ before migrating";
+  for step = 1 to 24 do
+    let order = Program.rpo pa in
+    let ops = Program.all_ops pa in
+    if ops <> [] then begin
+      let op = List.nth ops (next (List.length ops)) in
+      let home = Program.home_int pa op.Operation.id in
+      let rec index i = function
+        | [] -> 0
+        | id :: tl -> if id = home then i else index (i + 1) tl
+      in
+      let above = index 0 order in
+      let target = if above = 0 then home else List.nth order (next above) in
+      let op_id = op.Operation.id in
+      let walked0 = Grip_obs.Metrics.counter metrics "migrate.walk_nodes" in
+      let ra = Migrate.migrate ca ~hooks:ha ~target ~op_id () in
+      let rb, full_visits = full_migrate cb hb ~target ~op_id in
+      let walked =
+        Grip_obs.Metrics.counter metrics "migrate.walk_nodes" - walked0
+      in
+      if ra <> rb then
+        QCheck2.Test.fail_reportf
+          "step %d (op %d -> n%d): outcomes differ (moved %d vs %d)" step op_id
+          target ra.Migrate.moved rb.Migrate.moved;
+      if !ja <> !jb then
+        QCheck2.Test.fail_reportf "step %d: hook journals differ" step;
+      if render pa <> render pb then
+        QCheck2.Test.fail_reportf "step %d (op %d -> n%d): programs differ" step
+          op_id target;
+      if walked > full_visits then
+        QCheck2.Test.fail_reportf "step %d: pruned walk visited %d > %d" step
+          walked full_visits;
+      (match Program.check_derived_state pa with
+      | None -> ()
+      | Some reason -> QCheck2.Test.fail_reportf "step %d: %s" step reason);
+      (* progress lifts every suspension, as in the scheduler *)
+      if ra.Migrate.moved > 0 then begin
+        sa := 0;
+        sb := 0
+      end
+    end
+  done;
+  true
+
+let prop_walk_exact ~veto =
+  QCheck2.Test.make
+    ~name:
+      (if veto then "cone walk == full walk (veto hooks)"
+       else "cone walk == full walk (no hooks)")
+    ~count:40 ~print:Synthetic_gen.print_spec Synthetic_gen.spec_gen
+    (walks_agree ~veto)
+
 let () =
+  if Sys.getenv_opt "QCHECK_SEED" = None then Unix.putenv "QCHECK_SEED" "20261017";
   Alcotest.run "vliw_percolation"
     [
       ( "move-op",
@@ -518,6 +721,9 @@ let () =
           Alcotest.test_case "full chain" `Quick test_migrate_full_chain;
           Alcotest.test_case "respects dependence" `Quick test_migrate_respects_dependence;
         ] );
+      ( "walk",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_walk_exact ~veto:false; prop_walk_exact ~veto:true ] );
       ( "redundant",
         [
           Alcotest.test_case "dead copy" `Quick test_redundant_dead_copy;
