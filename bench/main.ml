@@ -485,7 +485,7 @@ let ablation ~pool () =
 module Json = Grip_obs.Json
 module Obs = Grip_obs
 
-let table1_schema = "grip.bench.table1/7"
+let table1_schema = "grip.bench.table1/8"
 
 (* One (loop, technique, width) measurement with its scheduler stats,
    per-phase wall-clock breakdown and bottleneck verdict — the
@@ -540,29 +540,12 @@ let json_cell (e : Livermore.entry) method_ fu horizon =
         ("cache_hits", Json.int hits);
         ("cache_misses", Json.int misses);
         ("cache_hit_rate", Json.Num rate);
-        ("index_hits", Json.int (c "ir.index_reuses"));
-        ("index_misses", Json.int (c "ir.index_builds"));
         ("gc_deferred", Json.int (c "ir.gc_deferred"));
         ("gc_runs", Json.int (c "ir.gc_runs"));
         ("gc_reclaimed", Json.int (c "ir.gc_reclaimed"));
         ("gc_candidates", Json.int (c "ir.gc_candidates"));
         ("walk_nodes", Json.int (c "migrate.walk_nodes"));
         ("cone_nodes", Json.int (c "migrate.cone_nodes"));
-      ]
-  in
-  (* warm-path counters (schema /7): honest zeros offline — seeding
-     and capture only happen under the daemon's tier-2 store — but the
-     block keeps offline and served cells structurally comparable *)
-  let cache =
-    let c name = Obs.Metrics.counter metrics name in
-    Json.Obj
-      [
-        ("memo_captured", Json.int (c "legality.memo_captured"));
-        ("memo_seeded", Json.int (c "legality.memo_seeded"));
-        ("memo_reused", Json.int (c "legality.memo_reused"));
-        ("memo_invalidated", Json.int (c "legality.memo_invalidated"));
-        ("dom_seeded", Json.int (c "legality.dom_seeded"));
-        ("warm_restores", Json.int (c "pipeline.warm_restores"));
       ]
   in
   Json.Obj
@@ -576,7 +559,6 @@ let json_cell (e : Livermore.entry) method_ fu horizon =
       ("stats", Pipeline.stats_json o.Pipeline.stats);
       ("phase_seconds", Pipeline.phase_seconds_json o.Pipeline.phase_seconds);
       ("legality", legality);
-      ("cache", cache);
       ("gc", gc);
       ( "bottleneck",
         Obs.Bottleneck.to_json (Grip.Explain.report ~prov o) );
@@ -767,32 +749,11 @@ let json_validate file =
                           "cache_hits";
                           "cache_misses";
                           "cache_hit_rate";
-                          "index_hits";
-                          "index_misses";
                           "gc_deferred";
                           "gc_runs";
                           "gc_reclaimed";
                         ]
                   | None -> fail "%s/fu%d/%s: missing legality block" name fu tech);
-                  (match Json.member "cache" c with
-                  | Some cb ->
-                      List.iter
-                        (fun field ->
-                          if
-                            Option.bind (Json.member field cb) Json.to_float
-                            = None
-                          then
-                            fail "%s/fu%d/%s: cache missing numeric %s" name fu
-                              tech field)
-                        [
-                          "memo_captured";
-                          "memo_seeded";
-                          "memo_reused";
-                          "memo_invalidated";
-                          "dom_seeded";
-                          "warm_restores";
-                        ]
-                  | None -> fail "%s/fu%d/%s: missing cache block" name fu tech);
                   (match Json.member "gc" c with
                   | Some g ->
                       List.iter

@@ -1062,15 +1062,13 @@ let port_arg =
 let addr_of socket port =
   match port with Some p -> Serve.Tcp p | None -> Serve.Unix_sock socket
 
-let serve_run socket port jobs queue deadline_ms retries cache analysis_mb
-    gap_ms trace_file =
+let serve_run socket port jobs queue deadline_ms retries cache gap_ms
+    trace_file =
   let jobs = validate_jobs jobs in
   let deadline = validate_deadline_ms deadline_ms in
   let retries = validate_retries retries in
   let queue = validate_queue queue in
   if cache < 1 then invalid "--cache must be at least 1 (got %d)" cache;
-  if analysis_mb < 0 then
-    invalid "--analysis-cache-mb must be non-negative (got %d)" analysis_mb;
   if Float.is_nan gap_ms || gap_ms < 0.0 then
     invalid "--gap-ms must be non-negative (got %g)" gap_ms;
   let config =
@@ -1081,7 +1079,6 @@ let serve_run socket port jobs queue deadline_ms retries cache analysis_mb
       deadline;
       retries;
       cache_capacity = cache;
-      analysis_cache_mb = analysis_mb;
       gap_threshold = (if gap_ms = 0.0 then None else Some (gap_ms /. 1e3));
       trace_file;
     }
@@ -1101,14 +1098,6 @@ let serve_cmd =
     let doc = "Capacity of the content-addressed schedule cache (LRU)." in
     Arg.(value & opt int 256 & info [ "cache" ] ~docv:"N" ~doc)
   in
-  let analysis_cache_mb_arg =
-    let doc =
-      "Byte budget (MB) of the tier-2 analysis store: cross-request reuse \
-       of parsed/lowered programs, ranked DDG closures, dominator arenas \
-       and legality-memo snapshots across FU counts. 0 disables tier 2."
-    in
-    Arg.(value & opt int 64 & info [ "analysis-cache-mb" ] ~docv:"MB" ~doc)
-  in
   let gap_ms_arg =
     let doc =
       "Starvation-gap watchdog threshold in milliseconds (0 disables it); \
@@ -1120,14 +1109,13 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the scheduling daemon: framed requests on a loopback socket, \
-          dispatched through the supervised pool with a tiered \
-          content-addressed cache (finished schedules plus a cross-FU \
-          analysis store), HDR latency histograms and an OpenMetrics \
+          dispatched through the supervised pool with a content-addressed \
+          schedule cache, HDR latency histograms and an OpenMetrics \
           exposition")
     Term.(
       const serve_run $ socket_arg $ port_arg $ jobs_arg $ queue_arg
-      $ deadline_ms_arg $ retries_arg ~default:1 $ cache_arg
-      $ analysis_cache_mb_arg $ gap_ms_arg $ trace_arg)
+      $ deadline_ms_arg $ retries_arg ~default:1 $ cache_arg $ gap_ms_arg
+      $ trace_arg)
 
 (* A loadgen kernel argument is a built-in name (sent by name) or a
    minic file (sent as inline source). *)
@@ -1248,7 +1236,7 @@ let loadgen_cmd =
     let doc =
       "Template popularity: 'uniform' cycles round-robin; 'zipf:S' draws \
        template ranks from a Zipf law with exponent S (deterministic, \
-       fixed-seed), so the burst exercises realistic tier-1/tier-2/cold \
+       fixed-seed), so the burst exercises realistic cache hit/miss \
        ratios."
     in
     Arg.(value & opt string "uniform" & info [ "key-dist" ] ~docv:"DIST" ~doc)

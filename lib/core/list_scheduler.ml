@@ -100,12 +100,9 @@ let place_body (k : Kernel.t) ~machine ops =
       |> List.sort (fun a b -> compare (-heights.(a), a) (-heights.(b), b))
     in
     let room pos =
-      let node =
-        Node.make ~id:0
-          ~ops:(List.map (fun q -> arr.(q)) (at !cycle))
-          ~ctree:(Ctree.leaf 0)
-      in
-      Machine.room_for machine node arr.(pos)
+      Machine.room_for_packed machine
+        (Program.counts_of_ops (List.map (fun q -> arr.(q)) (at !cycle)))
+        arr.(pos)
     in
     match List.find_opt room ready with
     | Some pos ->
@@ -182,18 +179,16 @@ let rolled_program (k : Kernel.t) ~machine =
        before the increment commits.  Split latch for machines without
        the room (e.g. 1-wide). *)
     let fused =
-      Machine.fits machine
-        (Node.make ~id:0
-           ~ops:[ Operation.make ~id:0 incr_kind ]
-           ~ctree:
-             (Ctree.Branch
-                ( Operation.make ~id:0
-                    (Operation.Cjump
-                       ( Opcode.Lt,
-                         Operand.Regoff (k.Kernel.ivar, k.Kernel.step),
-                         k.Kernel.bound )),
-                  Ctree.Leaf 0,
-                  Ctree.Leaf 0 )))
+      Machine.fits_packed machine
+        (Program.counts_of_ops
+           [
+             Operation.make ~id:0 incr_kind;
+             Operation.make ~id:0
+               (Operation.Cjump
+                  ( Opcode.Lt,
+                    Operand.Regoff (k.Kernel.ivar, k.Kernel.step),
+                    k.Kernel.bound ));
+           ])
     in
     let latch_head =
       if fused then

@@ -60,8 +60,8 @@ type outcome = {
 
 (** [default_horizon machine] — the unwinding depth used when the
     caller does not pin one: wide machines see enough iterations to
-    converge.  Exposed so drivers (the serving daemon's analysis store)
-    can predict which horizon a request will schedule at. *)
+    converge.  Exposed so drivers that replay the pipeline stage by
+    stage unwind at the same depth. *)
 let default_horizon machine = max 18 ((2 * Machine.width machine) + 6)
 
 (** [ddg_of k] — dependence graph of the body plus its loop-control
@@ -87,13 +87,6 @@ let sched_totals = function
         s.Post.phase1.Scheduler.resource_barrier_events )
   | Unifiable_stats _ -> (0, 0)
 
-(* Unifiable's loop stops at its migration budget without marking the
-   truncation; reaching the budget is the only observable signal. *)
-let fuel_exhausted_of = function
-  | Grip_stats (s : Scheduler.stats) -> s.Scheduler.fuel_exhausted
-  | Post_stats (s : Post.stats) -> s.Post.phase1.Scheduler.fuel_exhausted
-  | Unifiable_stats _ -> false (* resolved in [run], where the budget is known *)
-
 let occupancy_bounds = [| 0; 1; 2; 3; 4; 6; 8; 12; 16 |]
 
 (* Per-instruction slot occupancy of the final schedule, along the
@@ -111,79 +104,163 @@ let observe_occupancy (obs : Obs.t) machine p rows =
                  (Program.counts_packed p r.Schedule_table.node)))
       rows
 
-(** [run ?obs ?rank ?horizon ?redundancy ?speculation k ~machine
-    ~method_] schedules kernel [k].  The default horizon scales with
-    the machine width so wide machines see enough iterations to
-    converge; [speculation] tunes the section 1 policy (GRiP methods
-    only); [obs] receives phase spans, migration events and scheduler
-    metrics (default: the null sink). *)
-let run ?(obs = Obs.null) ?rank ?horizon ?(redundancy = true)
-    ?(speculation = Scheduler.Always) ?max_migrations
-    ?(budget = Budget.unlimited) (k : Kernel.t) ~machine ~method_ =
-  let rank = match rank with Some r -> r | None -> default_rank k in
-  let horizon =
-    match horizon with Some h -> h | None -> default_horizon machine
+(* -- the driver ------------------------------------------------------------ *)
+
+(** The checks a guarded run applies (each pipelining rung of
+    {!run_robust}): structural / resource / oracle spot-checks after
+    every stage obey [g_strictness]; fuel, [g_deadline], convergence
+    and the final oracle check against [g_data] abandon the run
+    unconditionally. *)
+type guards = {
+  g_strictness : Guard.strictness;
+  g_deadline : float option;
+  g_data : string -> int -> Value.t;
+}
+
+let ( let* ) = Result.bind
+
+(* Unconditional semantic check against the rolled reference: a rung
+   may only win if the oracle agrees, whatever the strictness. *)
+let oracle_final ~kernel ~mstr ~data ~n k p =
+  match Speedup.verify ~data k ~scheduled:p ~n with
+  | Ok _ -> Ok ()
+  | Error ms ->
+      let first =
+        match ms with
+        | m :: _ -> Format.asprintf "%a" Vliw_sim.Oracle.pp_mismatch m
+        | [] -> "unknown"
+      in
+      Error
+        (Grip_error.make ~kernel ~machine:mstr Grip_error.Validation
+           (Grip_error.Oracle_mismatch { count = List.length ms; first }))
+
+(* The one unwind -> redundancy -> schedule -> converge sequence.  With
+   [guards = None] ({!run}) no guard is evaluated, raised errors
+   propagate and nothing abandons the run, so the result is always
+   [Ok].  With [Some g] (a ladder rung) every stage is checked as
+   {!guards} describes, and [budget] is the rung's cancellation token:
+   the scheduler loop heads poll it, so a blown deadline (or an
+   external cancel) surfaces as [Error] — a ladder descent — instead
+   of wedging the domain. *)
+let drive ~obs ~rank ~horizon ~redundancy ~speculation ~max_migrations
+    ~budget ~guards (k : Kernel.t) ~machine ~method_ =
+  let kernel = k.Kernel.name in
+  let mstr = lazy (Format.asprintf "%a" Machine.pp machine) in
+  let abandon stage e =
+    Error (Grip_error.make ~kernel ~machine:(Lazy.force mstr) stage e)
   in
-  let u, t_unwind = Obs.timed obs Trace.Unwind (fun () -> Unwind.build k ~horizon) in
-  let p = u.Unwind.program in
+  let catch guard f =
+    match guards with None -> Ok (f ()) | Some _ -> guard f
+  in
+  let guarded named =
+    match guards with
+    | None -> Ok ()
+    | Some g -> Guard.all_named ~obs g.g_strictness (named g)
+  in
+  let structural stage p () =
+    Guard.structural ~kernel ~machine:(Lazy.force mstr) stage p
+  in
   let exit_live = Kernel.exit_live k in
+  let* u, t_unwind =
+    catch Grip_error.guard (fun () ->
+        Obs.timed obs Trace.Unwind (fun () -> Unwind.build k ~horizon))
+  in
+  let p = u.Unwind.program in
+  let* () =
+    guarded (fun _ ->
+        [ ("unwind.structural", structural Grip_error.Unwind p) ])
+  in
   let redundant_removed, t_redundancy =
     Obs.timed obs Trace.Redundancy (fun () ->
         if redundancy then Redundant.cleanup p ~exit_live else (0, 0, 0))
   in
-  let unifiable_budget = ref 0 in
-  let idx_reuses0, idx_builds0 = Node.index_counters () in
-  let stats, wall_seconds =
-    Obs.timed obs Trace.Schedule (fun () ->
-        match method_ with
-        | Grip | Grip_no_gap ->
-            let ctx = Ctx.make ~obs p ~machine ~exit_live in
-            let base = Scheduler.default_config ~rank in
-            let config =
-              {
-                base with
-                Scheduler.gap_prevention = (method_ = Grip);
-                Scheduler.speculation = speculation;
-                Scheduler.max_migrations =
-                  Option.value max_migrations
-                    ~default:base.Scheduler.max_migrations;
-                Scheduler.budget = budget;
-              }
-            in
-            Grip_stats (Scheduler.run config ctx)
-        | Post ->
-            let ctx_unlimited =
-              Ctx.make ~obs p ~machine:Machine.unlimited ~exit_live
-            in
-            let ctx_real = Ctx.make ~obs p ~machine ~exit_live in
-            Post_stats (Post.run ~budget ctx_unlimited ctx_real ~rank)
-        | Unifiable ->
-            let ctx = Ctx.make ~obs p ~machine ~exit_live in
-            let base = Unifiable.default_config ~rank ~ddg:(ddg_of k) ~horizon in
-            let config =
-              {
-                base with
-                Unifiable.max_migrations =
-                  Option.value max_migrations
-                    ~default:base.Unifiable.max_migrations;
-                Unifiable.budget = budget;
-              }
-            in
-            unifiable_budget := config.Unifiable.max_migrations;
-            Unifiable_stats (Unifiable.run config ctx))
+  let* () =
+    guarded (fun g ->
+        [
+          ("redundancy.structural", structural Grip_error.Redundancy p);
+          ( "redundancy.oracle",
+            fun () ->
+              Guard.oracle ~kernel ~machine:(Lazy.force mstr)
+                Grip_error.Redundancy
+                ~reference:(Kernel.rolled k).Builder.program ~candidate:p
+                ~init:
+                  (Kernel.initial_state ~n:(min 4 (horizon - 2)) k
+                     ~data:g.g_data)
+                ~observable:k.Kernel.observable );
+        ])
   in
-  (* node-index effectiveness over the scheduling phase (the global
-     counters are deltas-snapshotted here; exact attribution under
-     sequential cells, i.e. --jobs 1) *)
-  if Metrics.enabled obs.Obs.metrics then begin
-    let idx_reuses1, idx_builds1 = Node.index_counters () in
-    Metrics.add obs.Obs.metrics "ir.index_reuses" (idx_reuses1 - idx_reuses0);
-    Metrics.add obs.Obs.metrics "ir.index_builds" (idx_builds1 - idx_builds0)
-  end;
-  let fuel_exhausted =
+  let* (stats, fuel), wall_seconds =
+    catch (Budget.guard budget) (fun () ->
+        Obs.timed obs Trace.Schedule (fun () ->
+            let base = Scheduler.default_config ~rank in
+            let fuel =
+              Option.value max_migrations ~default:base.Scheduler.max_migrations
+            in
+            match method_ with
+            | Grip | Grip_no_gap ->
+                let ctx = Ctx.make ~obs p ~machine ~exit_live in
+                let config =
+                  {
+                    base with
+                    Scheduler.gap_prevention = (method_ = Grip);
+                    Scheduler.speculation = speculation;
+                    Scheduler.max_migrations = fuel;
+                    Scheduler.budget = budget;
+                  }
+                in
+                (Grip_stats (Scheduler.run config ctx), fuel)
+            | Post ->
+                let ctx_unlimited =
+                  Ctx.make ~obs p ~machine:Machine.unlimited ~exit_live
+                in
+                let ctx_real = Ctx.make ~obs p ~machine ~exit_live in
+                ( Post_stats (Post.run ~budget ctx_unlimited ctx_real ~rank),
+                  fuel )
+            | Unifiable ->
+                let ctx = Ctx.make ~obs p ~machine ~exit_live in
+                let base =
+                  Unifiable.default_config ~rank ~ddg:(ddg_of k) ~horizon
+                in
+                let config =
+                  {
+                    base with
+                    Unifiable.max_migrations =
+                      Option.value max_migrations
+                        ~default:base.Unifiable.max_migrations;
+                    Unifiable.budget = budget;
+                  }
+                in
+                ( Unifiable_stats (Unifiable.run config ctx),
+                  config.Unifiable.max_migrations )))
+  in
+  (* Unifiable's loop stops at its migration budget without marking the
+     truncation; reaching the budget is the only observable signal *)
+  let migrations, fuel_exhausted =
     match stats with
-    | Unifiable_stats s -> s.Unifiable.migrations >= !unifiable_budget
-    | s -> fuel_exhausted_of s
+    | Grip_stats s -> (s.Scheduler.migrations, s.Scheduler.fuel_exhausted)
+    | Post_stats s ->
+        ( s.Post.phase1.Scheduler.migrations,
+          s.Post.phase1.Scheduler.fuel_exhausted )
+    | Unifiable_stats s ->
+        (s.Unifiable.migrations, s.Unifiable.migrations >= fuel)
+  in
+  let* () =
+    match guards with
+    | Some _ when fuel_exhausted ->
+        abandon Grip_error.Scheduling
+          (Grip_error.Fuel_exhausted { migrations; budget = fuel })
+    | Some { g_deadline = Some b; _ } when wall_seconds > b ->
+        abandon Grip_error.Scheduling
+          (Grip_error.Deadline_exceeded { elapsed = wall_seconds; budget = b })
+    | Some _ | None -> Ok ()
+  in
+  let* () =
+    guarded (fun _ ->
+        [
+          ("validation.structural", structural Grip_error.Validation p);
+          ( "validation.resources",
+            fun () -> Guard.resources ~kernel Grip_error.Validation ~machine p );
+        ])
   in
   let (rows, pattern), t_converge =
     Obs.timed obs Trace.Converge (fun () ->
@@ -193,28 +270,58 @@ let run ?(obs = Obs.null) ?rank ?horizon ?(redundancy = true)
             ~body_positions:(List.length k.Kernel.body + 1)
             rows ))
   in
+  let* () =
+    match (guards, pattern) with
+    | Some _, None ->
+        abandon Grip_error.Convergence (Grip_error.Non_convergent { horizon })
+    | Some g, Some _ ->
+        oracle_final ~kernel ~mstr:(Lazy.force mstr) ~data:g.g_data
+          ~n:(horizon - 2) k p
+    | None, _ -> Ok ()
+  in
   observe_occupancy obs machine p rows;
-  {
-    program = p;
-    kernel = k;
-    machine;
-    horizon;
-    method_;
-    pattern;
-    gaps = Convergence.gaps rows;
-    static_cpi = Option.map Convergence.cycles_per_iteration pattern;
-    redundant_removed;
-    wall_seconds;
-    phase_seconds =
-      [
-        ("unwind", t_unwind);
-        ("redundancy", t_redundancy);
-        ("schedule", wall_seconds);
-        ("converge", t_converge);
-      ];
-    stats;
-    fuel_exhausted;
-  }
+  Ok
+    {
+      program = p;
+      kernel = k;
+      machine;
+      horizon;
+      method_;
+      pattern;
+      gaps = Convergence.gaps rows;
+      static_cpi = Option.map Convergence.cycles_per_iteration pattern;
+      redundant_removed;
+      wall_seconds;
+      phase_seconds =
+        [
+          ("unwind", t_unwind);
+          ("redundancy", t_redundancy);
+          ("schedule", wall_seconds);
+          ("converge", t_converge);
+        ];
+      stats;
+      fuel_exhausted;
+    }
+
+(** [run ?obs ?rank ?horizon ?redundancy ?speculation k ~machine
+    ~method_] schedules kernel [k] — the driver unguarded.  The default
+    horizon scales with the machine width so wide machines see enough
+    iterations to converge; [speculation] tunes the section 1 policy
+    (GRiP methods only); [obs] receives phase spans, migration events
+    and scheduler metrics (default: the null sink). *)
+let run ?(obs = Obs.null) ?rank ?horizon ?(redundancy = true)
+    ?(speculation = Scheduler.Always) ?max_migrations
+    ?(budget = Budget.unlimited) (k : Kernel.t) ~machine ~method_ =
+  let rank = match rank with Some r -> r | None -> default_rank k in
+  let horizon =
+    match horizon with Some h -> h | None -> default_horizon machine
+  in
+  match
+    drive ~obs ~rank ~horizon ~redundancy ~speculation ~max_migrations
+      ~budget ~guards:None k ~machine ~method_
+  with
+  | Ok o -> o
+  | Error e -> raise (Grip_error.Error e) (* unreachable: nothing abandons *)
 
 (** [measure outcome] — dynamic speedup from two trip counts deep in
     the steady state.  [n2 - n1] is a multiple of 12, so exits land at
@@ -279,289 +386,6 @@ type robust = {
   wall_seconds : float;
 }
 
-let ( let* ) = Result.bind
-
-(* -- cross-request warm-path seeding -------------------------------------- *)
-
-(** Everything a completed run learned about a kernel that a later run
-    over the {e same lowered kernel} can reuse: the ranked heuristic
-    (which embeds the DDG heights), the post-redundancy unwound graph
-    as a program instance plus its pristine snapshot, the dominator
-    arena, and the delta-0 legality/[would_move] memo snapshot.
-
-    A warm run restores the snapshot into [w_program] instead of
-    unwinding and cleaning from scratch — {!Program.restore} also
-    restores the node/register/op id supplies, so the scheduler replays
-    byte-identically — and skips the unwind/redundancy guards those
-    phases already passed when the snapshot was taken.  The final
-    oracle check is {e never} skipped. *)
-type warm = {
-  w_rank : Rank.t;
-  w_horizon : int;  (** horizon the snapshot was unwound at; a request
-                        at any other horizon must go cold *)
-  w_program : Program.t;  (** instance to restore into (exclusively
-                              owned while the run is in flight) *)
-  w_snapshot : Program.snapshot;
-  w_dom : Vliw_analysis.Dom.t option;
-  w_memo : Ctx.memo_snapshot option;
-}
-
-(** Mutable capture slots a driver hands to {!run_robust} to harvest a
-    {!warm} seed from a successful run; filled only when a pipelining
-    rung wins (memo/dominators only when a GRiP rung wins — POST
-    schedules through two contexts).  On a warm run only [c_memo] and
-    [c_dom] are filled: the caller already owns the graph. *)
-type captured = {
-  mutable c_rank : Rank.t option;
-  mutable c_horizon : int;
-  mutable c_program : Program.t option;
-  mutable c_snapshot : Program.snapshot option;
-  mutable c_dom : Vliw_analysis.Dom.t option;
-  mutable c_memo : Ctx.memo_snapshot option;
-}
-
-let fresh_capture () =
-  {
-    c_rank = None;
-    c_horizon = 0;
-    c_program = None;
-    c_snapshot = None;
-    c_dom = None;
-    c_memo = None;
-  }
-
-(* Unconditional semantic check against the rolled reference: a rung
-   may only win if the oracle agrees, whatever the strictness. *)
-let oracle_final ~kernel ~mstr ~data ~n k p =
-  match Speedup.verify ~data k ~scheduled:p ~n with
-  | Ok _ -> Ok ()
-  | Error ms ->
-      let first =
-        match ms with
-        | m :: _ -> Format.asprintf "%a" Vliw_sim.Oracle.pp_mismatch m
-        | [] -> "unknown"
-      in
-      Error
-        (Grip_error.make ~kernel ~machine:mstr Grip_error.Validation
-           (Grip_error.Oracle_mismatch { count = List.length ms; first }))
-
-(* One pipelining rung (GRiP / GRiP-no-gap / POST), guarded after every
-   stage.  Intermediate structural / resource / oracle spot-checks obey
-   [strictness]; fuel, deadline, convergence and the final oracle check
-   abandon the rung unconditionally.  [budget] is the per-rung
-   cancellation token: the scheduler loop heads poll it, so a blown
-   deadline (or an external cancel) surfaces here as [Error] — a
-   ladder descent — instead of wedging the domain. *)
-let attempt_pipelining ?warm ?capture ~obs ~rank ~horizon ~redundancy
-    ~speculation ~strictness ~max_migrations ~deadline ~budget ~data
-    (k : Kernel.t) ~machine ~method_ =
-  let kernel = k.Kernel.name in
-  let mstr = Format.asprintf "%a" Machine.pp machine in
-  let exit_live = Kernel.exit_live k in
-  (* a seed unwound at a different horizon describes a different
-     scheduling problem: go cold *)
-  let warm =
-    match warm with Some w when w.w_horizon = horizon -> Some w | _ -> None
-  in
-  let* p, t_unwind, redundant_removed, t_redundancy =
-    match warm with
-    | Some w ->
-        (* restore the pristine post-redundancy graph (id supplies
-           included, so the replay is byte-identical) instead of
-           unwinding and cleaning from scratch; the snapshot was taken
-           from a run that already passed the unwind/redundancy guards
-           on exactly this graph, so only their phases are skipped —
-           validation and the final oracle still run below *)
-        let* p, t_restore =
-          Grip_error.guard (fun () ->
-              Obs.timed obs Trace.Unwind (fun () ->
-                  Program.restore w.w_program w.w_snapshot;
-                  w.w_program))
-        in
-        Metrics.incr obs.Obs.metrics "pipeline.warm_restores";
-        Ok (p, t_restore, (0, 0, 0), 0.0)
-    | None ->
-        let* u, t_unwind =
-          Grip_error.guard (fun () ->
-              Obs.timed obs Trace.Unwind (fun () -> Unwind.build k ~horizon))
-        in
-        let p = u.Unwind.program in
-        let rolled = (Kernel.rolled k).Builder.program in
-        let spot_n = min 4 (horizon - 2) in
-        let* () =
-          Guard.all_named ~obs strictness
-            [
-              ( "unwind.structural",
-                fun () ->
-                  Guard.structural ~kernel ~machine:mstr Grip_error.Unwind p );
-            ]
-        in
-        let redundant_removed, t_redundancy =
-          Obs.timed obs Trace.Redundancy (fun () ->
-              if redundancy then Redundant.cleanup p ~exit_live else (0, 0, 0))
-        in
-        let* () =
-          Guard.all_named ~obs strictness
-            [
-              ( "redundancy.structural",
-                fun () ->
-                  Guard.structural ~kernel ~machine:mstr Grip_error.Redundancy
-                    p );
-              ( "redundancy.oracle",
-                fun () ->
-                  Guard.oracle ~kernel ~machine:mstr Grip_error.Redundancy
-                    ~reference:rolled ~candidate:p
-                    ~init:(Kernel.initial_state ~n:spot_n k ~data)
-                    ~observable:k.Kernel.observable );
-            ]
-        in
-        Ok (p, t_unwind, redundant_removed, t_redundancy)
-  in
-  (* pristine pre-schedule snapshot for the analysis store; taken only
-     on cold runs (a warm caller already owns this graph) *)
-  let pristine =
-    match (capture, warm) with
-    | Some _, None -> Some (Program.snapshot p)
-    | _ -> None
-  in
-  let fuel =
-    Option.value max_migrations
-      ~default:(Scheduler.default_config ~rank).Scheduler.max_migrations
-  in
-  let idx_reuses0, idx_builds0 = Node.index_counters () in
-  (* the winning GRiP context, kept for memo/dominator harvest *)
-  let ctx_ref = ref None in
-  let* stats, wall_seconds =
-    Budget.guard budget (fun () ->
-        Obs.timed obs Trace.Schedule (fun () ->
-            match method_ with
-            | Grip | Grip_no_gap ->
-                let ctx = Ctx.make ~obs p ~machine ~exit_live in
-                (match warm with
-                | Some w ->
-                    Option.iter (Ctx.seed_dominators ctx) w.w_dom;
-                    Option.iter
-                      (fun snap -> ignore (Ctx.seed_memo ctx snap))
-                      w.w_memo
-                | None -> ());
-                if capture <> None then Ctx.arm_capture ctx;
-                ctx_ref := Some ctx;
-                let base = Scheduler.default_config ~rank in
-                let config =
-                  {
-                    base with
-                    Scheduler.gap_prevention = (method_ = Grip);
-                    Scheduler.speculation = speculation;
-                    Scheduler.max_migrations = fuel;
-                    Scheduler.budget = budget;
-                  }
-                in
-                Grip_stats (Scheduler.run config ctx)
-            | Post ->
-                (* two contexts (unconstrained + real) — memo capture
-                   and seeding do not apply; the graph/rank seed does *)
-                let ctx_unlimited =
-                  Ctx.make ~obs p ~machine:Machine.unlimited ~exit_live
-                in
-                let ctx_real = Ctx.make ~obs p ~machine ~exit_live in
-                Post_stats (Post.run ~budget ctx_unlimited ctx_real ~rank)
-            | Unifiable -> assert false (* not a ladder rung *)))
-  in
-  if Metrics.enabled obs.Obs.metrics then begin
-    let idx_reuses1, idx_builds1 = Node.index_counters () in
-    Metrics.add obs.Obs.metrics "ir.index_reuses" (idx_reuses1 - idx_reuses0);
-    Metrics.add obs.Obs.metrics "ir.index_builds" (idx_builds1 - idx_builds0)
-  end;
-  let exhausted = fuel_exhausted_of stats in
-  let migrations =
-    match stats with
-    | Grip_stats st -> st.Scheduler.migrations
-    | Post_stats st -> st.Post.phase1.Scheduler.migrations
-    | Unifiable_stats st -> st.Unifiable.migrations
-  in
-  let* () =
-    if exhausted then
-      Error
-        (Grip_error.make ~kernel ~machine:mstr Grip_error.Scheduling
-           (Grip_error.Fuel_exhausted { migrations; budget = fuel }))
-    else Ok ()
-  in
-  let* () =
-    match deadline with
-    | Some b when wall_seconds > b ->
-        Error
-          (Grip_error.make ~kernel ~machine:mstr Grip_error.Scheduling
-             (Grip_error.Deadline_exceeded { elapsed = wall_seconds; budget = b }))
-    | Some _ | None -> Ok ()
-  in
-  let* () =
-    Guard.all_named ~obs strictness
-      [
-        ( "validation.structural",
-          fun () ->
-            Guard.structural ~kernel ~machine:mstr Grip_error.Validation p );
-        ( "validation.resources",
-          fun () -> Guard.resources ~kernel Grip_error.Validation ~machine p );
-      ]
-  in
-  let (rows, pattern), t_converge =
-    Obs.timed obs Trace.Converge (fun () ->
-        let rows = Schedule_table.rows p in
-        ( rows,
-          Convergence.detect
-            ~body_positions:(List.length k.Kernel.body + 1)
-            rows ))
-  in
-  let* () =
-    match pattern with
-    | Some _ -> Ok ()
-    | None ->
-        Error
-          (Grip_error.make ~kernel ~machine:mstr Grip_error.Convergence
-             (Grip_error.Non_convergent { horizon }))
-  in
-  let* () = oracle_final ~kernel ~mstr ~data ~n:(horizon - 2) k p in
-  (* the rung won — publish the seedable artifacts (partial fills are
-     never published: a failed rung leaves the capture untouched) *)
-  (match capture with
-  | Some c ->
-      c.c_rank <- Some rank;
-      c.c_horizon <- horizon;
-      (match pristine with
-      | Some s ->
-          c.c_program <- Some p;
-          c.c_snapshot <- Some s
-      | None -> ());
-      (match !ctx_ref with
-      | Some ctx ->
-          c.c_memo <- Ctx.capture ctx;
-          c.c_dom <- Option.map snd ctx.Ctx.dom_cache
-      | None -> ())
-  | None -> ());
-  observe_occupancy obs machine p rows;
-  Ok
-    {
-      program = p;
-      kernel = k;
-      machine;
-      horizon;
-      method_;
-      pattern;
-      gaps = Convergence.gaps rows;
-      static_cpi = Option.map Convergence.cycles_per_iteration pattern;
-      redundant_removed;
-      wall_seconds;
-      phase_seconds =
-        [
-          ("unwind", t_unwind);
-          ("redundancy", t_redundancy);
-          ("schedule", wall_seconds);
-          ("converge", t_converge);
-        ];
-      stats;
-      fuel_exhausted = false;
-    }
-
 (* The list-scheduled rolled loop: no unwinding, no percolation; still
    guarded and still oracle-checked. *)
 let attempt_list ~obs ~strictness ~horizon ~data (k : Kernel.t) ~machine =
@@ -609,15 +433,8 @@ let run_robust ?(obs = Obs.null) ?rank ?horizon ?(redundancy = true)
     ?(speculation = Scheduler.Always) ?(strictness = Guard.Strict)
     ?(fallback = true) ?max_migrations ?deadline
     ?(budget = Budget.unlimited) ?(data = Kernel.default_data)
-    ?(start = R_grip) ?warm ?capture (k : Kernel.t) ~machine =
-  let rank =
-    match rank with
-    | Some r -> r
-    | None -> (
-        (* the seed's rank closure embeds the DDG heights of the same
-           lowered kernel — reusing it skips the analysis pass *)
-        match warm with Some w -> w.w_rank | None -> default_rank k)
-  in
+    ?(start = R_grip) (k : Kernel.t) ~machine =
+  let rank = match rank with Some r -> r | None -> default_rank k in
   let horizon =
     match horizon with Some h -> h | None -> default_horizon machine
   in
@@ -641,6 +458,9 @@ let run_robust ?(obs = Obs.null) ?rank ?horizon ?(redundancy = true)
       wall_seconds = Unix.gettimeofday () -. t0;
     }
   in
+  let guards =
+    Some { g_strictness = strictness; g_deadline = deadline; g_data = data }
+  in
   let attempt rung =
     match rung with
     | R_grip | R_grip_no_gap | R_post ->
@@ -650,12 +470,11 @@ let run_robust ?(obs = Obs.null) ?rank ?horizon ?(redundancy = true)
           | R_grip_no_gap -> Grip_no_gap
           | _ -> Post
         in
-        let rung_budget = Budget.sub budget ?deadline () in
         Result.map
           (fun (o : outcome) -> (o.program, Some o, o.pattern))
-          (attempt_pipelining ?warm ?capture ~obs ~rank ~horizon ~redundancy
-             ~speculation ~strictness ~max_migrations ~deadline
-             ~budget:rung_budget ~data k ~machine ~method_)
+          (drive ~obs ~rank ~horizon ~redundancy ~speculation
+             ~max_migrations ~budget:(Budget.sub budget ?deadline ())
+             ~guards k ~machine ~method_)
     | R_list -> (
         match
           Budget.guard budget (fun () ->

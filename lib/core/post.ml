@@ -57,7 +57,9 @@ let push_entry_down (p : Program.t) =
    conditional) up into spliced nodes. *)
 let break_node ~budget (ctx : Ctx.t) rank stats n =
   let p = ctx.Ctx.program in
-  let fits id = Machine.fits ctx.Ctx.machine (Program.node p id) in
+  let fits id =
+    Machine.fits_packed ctx.Ctx.machine (Program.counts_packed p id)
+  in
   let work = ref n in
   let guard = ref 0 in
   while (not (fits !work)) && !guard < 10_000 do
@@ -211,7 +213,9 @@ let run ?(budget = Grip_robust.Budget.unlimited) (ctx_unlimited : Ctx.t)
       List.find_opt
         (fun id ->
           (not (Program.is_exit p id))
-          && not (Machine.fits ctx_real.Ctx.machine (Program.node p id)))
+          && not
+               (Machine.fits_packed ctx_real.Ctx.machine
+                  (Program.counts_packed p id)))
         (Program.rpo p)
     in
     match offender with

@@ -25,14 +25,14 @@
     int-indexed struct-of-arrays mirror sized for allocation-free hot
     paths:
     - [op_store]/[op_flags]: operation id -> canonical record / packed
-      shape bits (cjump, copy, mem) — O(1) op lookup without touching
-      a node's lazily built hash index;
+      shape bits (cjump, copy, mem) — O(1) op lookup without scanning
+      a node's op lists;
     - [ops_seq]/[cjs_seq]: node id -> {!Iarr.t} of plain op ids in
       instruction order / conditional-jump ids in tree pre-order —
       worklists and table renderers iterate these instead of
       [Node.all_ops] (which conses a fresh list per call);
     - [node_counts]: node id -> {!Node.pack_counts}-packed slot-demand
-      counters, so [Machine.room_for] never forces a node index;
+      counters, which machines answer resource queries from;
     - [preds_tbl]: node id -> {!Iarr.t} of predecessor ids in append
       order with [-1] tombstones (edge removal tombstones in place —
       no [List.filter] copy per edge — and compacts when tombstones
@@ -70,7 +70,7 @@ type t = {
   succs_tbl : int list Itbl.t;
       (** node id -> distinct sorted successor ids — the
           [Ctree.succs] mirror, recomputed on every structural edit so
-          graph walks never touch the node index.  Stored as the list
+          graph walks never traverse a tree.  Stored as the list
           itself: queries share it (immutable, zero alloc), and since
           an edit replaces rather than mutates it, a walker's captured
           copy stays a valid pre-edit snapshot. *)
@@ -115,6 +115,15 @@ let count_delta_of_flags f =
     1
     + (if f land flag_copy_bit <> 0 then 1 lsl 15 else 0)
     + if f land flag_mem_bit <> 0 then 1 lsl 30 else 0
+
+(** [counts_of_ops ops] — the packed slot-demand counters of a
+    standalone op list (plain ops and conditional jumps alike), as
+    {!counts_packed} keeps them for a node: what a trial instruction
+    that is not (yet) in a program would occupy. *)
+let counts_of_ops ops =
+  List.fold_left
+    (fun acc op -> acc + count_delta_of_flags (op_flags_of op))
+    0 ops
 
 let store_op p (op : Operation.t) =
   Itbl.set p.op_store op.Operation.id (Some op);
@@ -189,9 +198,8 @@ let pred_remove p ~src ~dst =
   end
 
 (* Refresh node [n]'s successor mirror from its tree.  Walks consume
-   successors far more often than trees change; serving them through
-   [Node.succs] forced a full index rebuild after every invalidation,
-   which dominated the migration walk's allocation. *)
+   successors far more often than trees change, so they read the
+   mirror instead of recomputing [Ctree.succs] per query. *)
 let rebuild_succs p (n : Node.t) =
   Itbl.set p.succs_tbl n.Node.id (Ctree.succs n.Node.ctree)
 
@@ -361,7 +369,6 @@ let stored_op p op_id = Itbl.get p.op_store op_id
 let add_op p nid (op : Operation.t) =
   let n = node p nid in
   n.Node.ops <- n.Node.ops @ [ op ];
-  Node.note_add_op n op;
   note_op_regs p op;
   note_op_id p op;
   Itbl.set p.op_home op.id nid;
@@ -372,7 +379,7 @@ let add_op p nid (op : Operation.t) =
   touch p
 
 (** [mem_plain_op p nid op_id] — is plain op [op_id] currently in node
-    [nid]?  Flat-sequence membership; no node index. *)
+    [nid]?  Flat-sequence membership; no op-list scan. *)
 let mem_plain_op p nid op_id = Iarr.mem (Itbl.get p.ops_seq nid) op_id
 
 (** [remove_op p nid op_id] removes plain op [op_id] from node [nid].
@@ -383,7 +390,6 @@ let remove_op p nid op_id =
     invalid_arg
       (Printf.sprintf "Program.remove_op: op %d not in node %d" op_id nid);
   n.Node.ops <- List.filter (fun (o : Operation.t) -> o.id <> op_id) n.Node.ops;
-  Node.note_remove_op n op_id;
   Itbl.set p.op_home op_id (-1);
   ignore (Iarr.remove_first (Itbl.get p.ops_seq nid) op_id);
   Itbl.set p.node_counts nid
@@ -406,7 +412,6 @@ let replace_op p nid (op : Operation.t) =
           op)
         else o)
       n.Node.ops;
-  Node.invalidate_index n;
   if not !found then
     invalid_arg
       (Printf.sprintf "Program.replace_op: op %d not in node %d" op.id nid);
@@ -426,7 +431,6 @@ let set_ctree p nid t =
     (fun (cj : Operation.t) -> Itbl.set p.op_home cj.id (-1))
     n.Node.ctree;
   n.Node.ctree <- t;
-  Node.invalidate_index n;
   link_node p n;
   let cseq = seq_for p p.cjs_seq nid in
   Iarr.clear cseq;
@@ -451,7 +455,6 @@ let take_ops p nid =
   let n = node p nid in
   let ops = n.Node.ops in
   n.Node.ops <- [];
-  Node.invalidate_index n;
   clear_seq p.ops_seq nid;
   Itbl.set p.node_counts nid (Itbl.get p.node_counts nid land (0x7fff lsl 45));
   touch p;
@@ -493,8 +496,8 @@ let clone_instruction p ~ops ~ctree =
 
 (** [counts_packed p nid] — node [nid]'s slot-demand counters packed as
     by {!Node.pack_counts}; [0] for an absent node.  Maintained
-    incrementally: machines answer [room_for] from this without
-    forcing the node's hash index. *)
+    incrementally: machines answer [room_for_packed] / [fits_packed]
+    from this without scanning the node's ops. *)
 let counts_packed p nid = Itbl.get p.node_counts nid
 
 (** [iter_plain_op_ids p nid f] — [f] over node [nid]'s plain op ids in
@@ -537,7 +540,7 @@ let preds_raw p id =
 (* -- graph queries ------------------------------------------------------ *)
 
 (** [succs p id] is the successor ids of node [id]; the exit sentinel
-    has none.  Served from the mirror — no node-index rebuild and no
+    has none.  Served from the mirror — no tree traversal and no
     allocation per query.  The shared list is still a snapshot:
     migration walkers capture it before hopping, and a hop replaces
     (never mutates) the mirror entry. *)
@@ -665,7 +668,6 @@ let redirect p ~from_ ~old_ ~new_ =
   let n = node p from_ in
   unlink_node p n;
   n.Node.ctree <- Ctree.replace_leaf n.Node.ctree ~old_ ~new_;
-  Node.invalidate_index n;
   link_node p n;
   touch p
 
@@ -804,9 +806,8 @@ let restore p s =
   p.next_op <- s.s_next_op;
   touch p
 
-(** [check_derived_state p] — do the predecessor table, the flat
-    stores and every materialized node index agree with a from-scratch
-    recomputation?  [None] when coherent; [Some reason] otherwise.
+(** [check_derived_state p] — do the predecessor table and the flat
+    stores agree with a from-scratch recomputation?  [None] when coherent; [Some reason] otherwise.
     Test-suite oracle for the incremental maintenance in this
     module. *)
 let check_derived_state p =
@@ -856,14 +857,8 @@ let check_derived_state p =
             else if Iarr.to_list (Itbl.get p.cjs_seq id) <> want_cjs then
               Some (Printf.sprintf "cjs_seq mismatch at n%d" id)
             else begin
-              let fresh =
-                List.fold_left
-                  (fun acc (o : Operation.t) ->
-                    acc + count_delta_of_flags (op_flags_of o))
-                  0
-                  (Node.all_ops n)
-              in
-              if Itbl.get p.node_counts id <> fresh then
+              if Itbl.get p.node_counts id <> counts_of_ops (Node.all_ops n)
+              then
                 Some (Printf.sprintf "node_counts mismatch at n%d" id)
               else
                 List.find_map
@@ -890,16 +885,7 @@ let check_derived_state p =
             end)
       None
   in
-  match pred_problem with
-  | Some _ as r -> r
-  | None -> (
-      match flat_problem () with
-      | Some _ as r -> r
-      | None ->
-          fold_nodes p
-            (fun n acc ->
-              match acc with Some _ -> acc | None -> Node.index_coherent n)
-            None)
+  match pred_problem with Some _ as r -> r | None -> flat_problem ()
 
 let pp ppf p =
   let ids = rpo p in

@@ -100,7 +100,7 @@ let overfill_sites ?max_iter ~machine p =
     (fun t ->
       if Program.is_exit p t then []
       else
-        let tn = Program.node p t in
+        let tn = Program.counts_packed p t in
         List.concat_map
           (fun s ->
             if Program.is_exit p s || s = t then []
@@ -111,7 +111,7 @@ let overfill_sites ?max_iter ~machine p =
                     Operation.is_cjump x
                     || x.Operation.guard <> []
                     || (not (iter_ok max_iter x))
-                    || Machine.room_for machine tn x
+                    || Machine.room_for_packed machine tn x
                   then None
                   else Some (t, s, x))
                 (Program.node p s).Node.ops)

@@ -75,9 +75,9 @@ let kernel_content ppf (k : Grip.Kernel.t) =
     k.Grip.Kernel.params
 
 (** [kernel_key kernel] — digest of the lowered kernel content alone
-    (no FU count, no technique): the tier-2 analysis-store address,
-    shared by every request that lowers to the same scheduling problem
-    whatever machine it targets. *)
+    (no FU count, no technique), shared by every request that lowers to
+    the same scheduling problem whatever machine it targets: the
+    identity to dedupe kernel sources by. *)
 let kernel_key (k : Grip.Kernel.t) =
   let buf = Buffer.create 512 in
   let ppf = Format.formatter_of_buffer buf in

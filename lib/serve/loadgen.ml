@@ -39,8 +39,8 @@ let arrivals ~rate ~period ~duty n =
     (every key equally hot — the original behaviour); [`Zipf s] draws
     template ranks from a Zipf law with exponent [s], the classic
     skewed-popularity shape of real request streams, so a burst
-    exercises realistic tier-1 / tier-2 / cold ratios instead of
-    warming every key equally.  The Zipf draw uses a fixed-seed PRNG:
+    exercises realistic cache hit / miss ratios instead of warming
+    every key equally.  The Zipf draw uses a fixed-seed PRNG:
     two runs with the same arguments offer the same key sequence. *)
 type key_dist = [ `Uniform | `Zipf of float ]
 
@@ -48,9 +48,8 @@ type report = {
   sent : int;
   received : int;
   errors : int;  (** Error_resp frames (protocol errors are fatal) *)
-  hits : int;  (** tier-1: finished schedule served from cache *)
-  warm : int;  (** tier-2: scheduled, but seeded from the analysis store *)
-  misses : int;  (** cold: full pipeline *)
+  hits : int;  (** finished schedule served from cache *)
+  misses : int;  (** scheduled: full pipeline *)
   coalesced : int;
   hist : Hdr.t;  (** request latency, microseconds, open-loop *)
   wall : float;
@@ -60,13 +59,6 @@ type report = {
 let hit_rate r =
   if r.received = 0 then 0.0
   else float_of_int (r.hits + r.coalesced) /. float_of_int r.received
-
-(** Fraction of {e scheduled} requests (tier-1 misses) that were
-    seeded from the tier-2 analysis store. *)
-let warm_rate r =
-  let scheduled = r.warm + r.misses in
-  if scheduled = 0 then 0.0
-  else float_of_int r.warm /. float_of_int scheduled
 
 let throughput r = if r.wall > 0.0 then float_of_int r.received /. r.wall else 0.0
 
@@ -102,7 +94,7 @@ let run ?(key_dist = `Uniform) (client : Client.t) ~requests ~rate ~period
   let hist = Hdr.create () in
   let census = Hashtbl.create 8 in
   let id_slot = Hashtbl.create 1024 in  (* frame id -> schedule index *)
-  let hits = ref 0 and warm = ref 0 and misses = ref 0 and coalesced = ref 0 in
+  let hits = ref 0 and misses = ref 0 and coalesced = ref 0 in
   let errors = ref 0 and received = ref 0 and sent = ref 0 in
   let failure = ref None in
   let t0 = Unix.gettimeofday () in
@@ -124,7 +116,6 @@ let run ?(key_dist = `Uniform) (client : Client.t) ~requests ~rate ~period
             | Ok reply ->
                 (match reply.Protocol.cache with
                 | "hit" -> incr hits
-                | "warm" -> incr warm
                 | "coalesced" -> incr coalesced
                 | _ -> incr misses);
                 Hashtbl.replace census reply.Protocol.rung
@@ -191,7 +182,6 @@ let run ?(key_dist = `Uniform) (client : Client.t) ~requests ~rate ~period
           received = !received;
           errors = !errors;
           hits = !hits;
-          warm = !warm;
           misses = !misses;
           coalesced = !coalesced;
           hist;
@@ -206,11 +196,9 @@ let pp_report ppf r =
     "loadgen: sent %d received %d error(s) %d in %.2fs (%.0f req/s)@." r.sent
     r.received r.errors r.wall (throughput r);
   Format.fprintf ppf
-    "  cache: %d hit / %d warm / %d cold / %d coalesced (t1 hit-rate %.1f%%, \
-     t2 warm-rate %.1f%%)@."
-    r.hits r.warm r.misses r.coalesced
-    (100.0 *. hit_rate r)
-    (100.0 *. warm_rate r);
+    "  cache: %d hit / %d miss / %d coalesced (hit-rate %.1f%%)@." r.hits
+    r.misses r.coalesced
+    (100.0 *. hit_rate r);
   Format.fprintf ppf "  latency (open-loop, us): %a@." Hdr.pp r.hist;
   List.iter
     (fun (rung, n) -> Format.fprintf ppf "  rung %-12s x%d@." rung n)

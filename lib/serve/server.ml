@@ -50,9 +50,6 @@ type config = {
   deadline : float option;  (** per-attempt budget, seconds *)
   retries : int;
   cache_capacity : int;
-  analysis_cache_mb : int;
-      (** byte budget of the tier-2 analysis store ({!Store}); [0]
-          disables tier 2 entirely (every tier-1 miss goes cold) *)
   gap_threshold : float option;  (** starvation watchdog, seconds *)
   trace_file : string option;
       (** write the merged request trace here at shutdown; a
@@ -68,7 +65,6 @@ let default_config ~addr =
     deadline = None;
     retries = 1;
     cache_capacity = 256;
-    analysis_cache_mb = 64;
     gap_threshold = None;
     trace_file = None;
   }
@@ -191,18 +187,13 @@ type state = {
   config : config;
   registry : Metrics.t;
   hdr : Hdr.t;  (** service-time surface, microseconds *)
-  hdr_cold : Hdr.t;
-      (** latency of misses scheduled from scratch (no tier-2 seed) *)
-  hdr_warm : Hdr.t;
-      (** latency of warm misses — tier-1 miss, tier-2 seeded — the
-          before/after surface of the analysis store *)
+  hdr_cold : Hdr.t;  (** latency of scheduled misses *)
   ring : Trace.ring;
   tracer : Trace.t;
   cache : Cache.t;
-  store : Store.t option;  (** tier-2 analysis store; [None] = disabled *)
   resolve_memo : (string option * string option, resolved) Hashtbl.t;
-      (** frontend memo: request (kernel, source) -> lowered kernel;
-          a tier-2 hit must not re-parse inline minic source *)
+      (** frontend memo: request (kernel, source) -> lowered kernel, so
+          a repeated inline minic source is not re-parsed *)
   rt : Obs.Runtime.t option;  (** GC-span consumer for gap_cause *)
   mutable worker_events : (int * (float * Trace.event) list) list;
       (** per-request worker rings collected for the shutdown trace *)
@@ -228,7 +219,7 @@ let error_frame id (e : Grip_error.t) =
         (Grip_error.to_string e);
   }
 
-let finish_request ?hdr2 st conn ~id ~recv_at frame_or_err =
+let finish_request ?(miss = false) st conn ~id ~recv_at frame_or_err =
   let frame =
     match frame_or_err with
     | Ok reply -> reply_frame id reply
@@ -241,25 +232,16 @@ let finish_request ?hdr2 st conn ~id ~recv_at frame_or_err =
   st.served <- st.served + 1;
   let lat_us = int_of_float ((Unix.gettimeofday () -. recv_at) *. 1e6) in
   Hdr.record st.hdr lat_us;
-  (* the cold / warm-miss split of the miss path *)
-  Option.iter (fun h -> Hdr.record h lat_us) hdr2
+  (* scheduled misses also land in the cold-latency slice *)
+  if miss then Hdr.record st.hdr_cold lat_us
 
-(* A tier-1 miss scheduled through the pool, with whatever tier 2
-   contributed: a full warm seed (exclusive slot checkout), just the
-   analysis (rank), or nothing; plus the capture slots a successful
-   run fills for admission. *)
+(* A cache miss scheduled through the pool. *)
 type task = {
-  t_key : string;  (** tier-1 key (kernel + fus + method) *)
-  t_kkey : string;  (** tier-2 key (kernel content alone) *)
-  t_horizon : int;
+  t_key : string;  (** cache key (kernel + fus + method) *)
   t_kern : Grip.Kernel.t;
   t_data : string -> int -> Vliw_ir.Value.t;
   t_start : Pipeline.rung;
   t_fus : int;
-  t_rank : Grip.Rank.t option;  (** analysis-hit rank, cold graph *)
-  t_warm : Pipeline.warm option;
-  t_capture : Pipeline.captured option;
-  t_out : bool;  (** warm slot checked out — must be checked in *)
 }
 
 (* One select round's schedule requests, as one supervised admission
@@ -310,52 +292,14 @@ let process_wave st pool reqs =
                       waiters := (conn, id, recv_at) :: !waiters
                   | None ->
                       Metrics.incr st.registry "serve.cache.misses";
-                      let fus = req.Protocol.fus in
-                      let kkey = Cache.kernel_key kern in
-                      let horizon =
-                        Pipeline.default_horizon
-                          (Vliw_machine.Machine.homogeneous fus)
-                      in
-                      let rank, warm, out, capture =
-                        match st.store with
-                        | None -> (None, None, false, None)
-                        | Some store -> (
-                            let capture = Some (Pipeline.fresh_capture ()) in
-                            match
-                              Store.checkout store kkey ~horizon ~width:fus
-                            with
-                            | Some (Store.Warm w) ->
-                                Metrics.incr st.registry "serve.cache.t2.hits";
-                                Trace.emit st.tracer
-                                  (Trace.Request_stage
-                                     { id; stage = "t2_warm" });
-                                (None, Some w, true, capture)
-                            | Some (Store.Analysis rank) ->
-                                (* kernel known, graph not reusable at
-                                   this horizon (or slot in flight):
-                                   reuse the analysis, unwind cold *)
-                                Metrics.incr st.registry
-                                  "serve.cache.t2.analysis_hits";
-                                (Some rank, None, false, capture)
-                            | None ->
-                                Metrics.incr st.registry
-                                  "serve.cache.t2.misses";
-                                (None, None, false, capture))
-                      in
                       Hashtbl.replace tasks key (ref [ (conn, id, recv_at) ]);
                       order :=
                         {
                           t_key = key;
-                          t_kkey = kkey;
-                          t_horizon = horizon;
                           t_kern = kern;
                           t_data = data;
                           t_start = start;
-                          t_fus = fus;
-                          t_rank = rank;
-                          t_warm = warm;
-                          t_capture = capture;
-                          t_out = out;
+                          t_fus = req.Protocol.fus;
                         }
                         :: !order))))
     reqs;
@@ -407,27 +351,19 @@ let process_wave st pool reqs =
       Trace.emit tracer (Trace.Request_stage { id = rid; stage = "schedule" });
       let result =
         Pipeline.run_robust ~obs ?deadline:st.config.deadline ~budget
-          ~data:t.t_data ~start:t.t_start ?rank:t.t_rank ?warm:t.t_warm
-          ?capture:t.t_capture t.t_kern ~machine
+          ~data:t.t_data ~start:t.t_start t.t_kern ~machine
       in
       Trace.emit tracer (Trace.Span_end span);
       match result with
       | Error e -> raise (Grip_error.Error e)
       | Ok r ->
           let m = Pipeline.measure_robust ~data:t.t_data r in
-          (* "warm" means the seed was actually restored into, not just
-             offered (a request shed straight to a rolled rung never
-             touches it) *)
-          let warm_used =
-            Metrics.counter obs.Obs.metrics "pipeline.warm_restores" > 0
-          in
           ( Pipeline.rung_name r.Pipeline.rung,
             Cache.schedule_digest r.Pipeline.program,
             m.Grip.Speedup.speedup,
             worker,
             ring,
-            obs,
-            warm_used )
+            obs )
     in
     let sup_obs = Obs.make ~trace:st.tracer ~metrics:st.registry () in
     let results, stats =
@@ -437,12 +373,6 @@ let process_wave st pool reqs =
     if Supervisor.flagged stats then st.flagged <- true;
     List.iter2
       (fun t result ->
-        (* release the warm slot first, success or not: the pristine
-           snapshot survives whatever the run did to the graph *)
-        (match st.store with
-        | Some store when t.t_out ->
-            Store.checkin store t.t_kkey ~horizon:t.t_horizon
-        | _ -> ());
         let waiters = List.rev !(Hashtbl.find tasks t.t_key) in
         match result with
         | Error e ->
@@ -451,7 +381,7 @@ let process_wave st pool reqs =
               (fun (conn, id, recv_at) ->
                 finish_request st conn ~id ~recv_at (Error e))
               waiters
-        | Ok (rung, digest, speedup, worker, ring, obs, warm_used) ->
+        | Ok (rung, digest, speedup, worker, ring, obs) ->
             (* a malformed worker registry degrades (counted, dropped)
                instead of killing the daemon *)
             (match Grip_error.merge_metrics ~into:st.registry obs.Obs.metrics with
@@ -462,31 +392,19 @@ let process_wave st pool reqs =
                 st.worker_events <-
                   (worker, Trace.ring_events r) :: st.worker_events)
               ring;
-            (match st.store with
-            | Some store ->
-                Option.iter
-                  (Store.admit store t.t_kkey ~width:t.t_fus ~now:(now ()))
-                  t.t_capture;
-                Metrics.gauge_set st.registry "serve.cache.t2.evictions"
-                  (float_of_int (Store.evictions store))
-            | None -> ());
             let evictions =
               Cache.add st.cache t.t_key ~rung ~digest ~speedup ~now:(now ())
             in
             Metrics.add st.registry "serve.cache.evictions" evictions;
-            let hdr2 = if warm_used then st.hdr_warm else st.hdr_cold in
             List.iteri
               (fun i (conn, id, recv_at) ->
-                finish_request ~hdr2 st conn ~id ~recv_at
+                finish_request ~miss:true st conn ~id ~recv_at
                   (Ok
                      {
                        Protocol.rkernel = t.t_kern.Grip.Kernel.name;
                        rung;
                        digest;
-                       cache =
-                         (if i > 0 then "coalesced"
-                          else if warm_used then "warm"
-                          else "miss");
+                       cache = (if i > 0 then "coalesced" else "miss");
                        speedup;
                        wall_ms = (now () -. recv_at) *. 1e3;
                      }))
@@ -502,24 +420,12 @@ let render_metrics st =
     (float_of_int (Cache.bytes st.cache));
   Metrics.gauge_set st.registry "serve.cache.age_seconds"
     (Cache.oldest_age st.cache ~now);
-  (match st.store with
-  | None -> ()
-  | Some store ->
-      Metrics.gauge_set st.registry "serve.cache.t2.size"
-        (float_of_int (Store.size store));
-      Metrics.gauge_set st.registry "serve.cache.t2.bytes"
-        (float_of_int (Store.bytes store));
-      Metrics.gauge_set st.registry "serve.cache.t2.age_seconds"
-        (Store.oldest_age store ~now);
-      Metrics.gauge_set st.registry "serve.cache.t2.evictions"
-        (float_of_int (Store.evictions store)));
   Metrics.gauge_set st.registry "serve.uptime_seconds" (now -. st.t0);
   Grip_obs.Openmetrics.render
     ~hdrs:
       [
         ("serve.latency_us", st.hdr);
         ("serve.latency.cold_us", st.hdr_cold);
-        ("serve.latency.warm_miss_us", st.hdr_warm);
       ]
     st.registry
 
@@ -606,16 +512,9 @@ let run config =
           registry = Metrics.create ();
           hdr = Hdr.create ();
           hdr_cold = Hdr.create ();
-          hdr_warm = Hdr.create ();
           ring;
           tracer;
           cache = Cache.create ~capacity:config.cache_capacity;
-          store =
-            (if config.analysis_cache_mb > 0 then
-               Some
-                 (Store.create
-                    ~budget_bytes:(config.analysis_cache_mb * 1024 * 1024))
-             else None);
           resolve_memo = Hashtbl.create 64;
           rt =
             (if config.gap_threshold <> None then Some (Obs.Runtime.start ())
@@ -627,9 +526,8 @@ let run config =
         }
       in
       Format.eprintf
-        "grip: serving on %a (jobs=%d queue=%d cache=%d analysis-cache=%dMB)@."
-        pp_addr config.addr config.jobs config.queue_limit
-        config.cache_capacity config.analysis_cache_mb;
+        "grip: serving on %a (jobs=%d queue=%d cache=%d)@." pp_addr
+        config.addr config.jobs config.queue_limit config.cache_capacity;
       let conns = ref [] in
       let shutdown = ref false in
       let close_conn conn =

@@ -1,8 +1,7 @@
-(* Index-coherence oracle: the per-node legality indexes, the
-   incrementally maintained predecessor table, the counts-based
-   resource accounting and the memoized legality verdicts must be
-   observationally identical to the retained list-scanning ("naive")
-   implementations — on random programs and across random mutation
+(* Derived-state oracle: the flat per-node stores, the incrementally
+   maintained predecessor table, the counts-based resource accounting
+   and the memoized legality verdicts must be observationally
+   identical to the retained list-scanning ("naive") implementations — on random programs and across random mutation
    sequences.  A digest spot-check of real schedules rides along (the
    full 126-cell sweep runs under the @schedules / @perf-gate
    aliases). *)
@@ -114,37 +113,14 @@ let prop_room_for_equiv =
               Program.is_exit p nid
               ||
               let n = Program.node p nid in
-              Machine.slot_demand m n = Machine.slot_demand_scan m n
+              let c = Program.counts_packed p nid in
+              Machine.slot_demand_packed m c = Machine.slot_demand_scan m n
               && List.for_all
-                   (fun op -> Machine.room_for m n op = Machine.room_for_scan m n op)
+                   (fun op ->
+                     Machine.room_for_packed m c op = Machine.room_for_scan m n op)
                    probe_ops)
             (Program.rpo p))
         machines)
-
-(* 3. memoized tree queries == direct Ctree traversals. *)
-let prop_path_memo_equiv =
-  QCheck2.Test.make ~name:"memoized path queries == Ctree" ~count:30
-    ~print:print_spec spec_gen (fun spec ->
-      let kern = Synthetic.generate spec in
-      let o =
-        Grip.Pipeline.run kern ~machine:(Machine.homogeneous 4)
-          ~method_:Grip.Pipeline.Grip ~horizon:6
-      in
-      let p = o.Grip.Pipeline.program in
-      List.for_all
-        (fun nid ->
-          Program.is_exit p nid
-          ||
-          let n = Program.node p nid in
-          Node.succs n = Node.succs_scan n
-          && List.for_all
-               (fun s ->
-                 (* twice: second call must come from the memo table *)
-                 Node.path_to n s = Ctree.path_to n.Node.ctree s
-                 && Node.path_to n s = Ctree.path_to n.Node.ctree s
-                 && Node.all_paths_to n s = Ctree.all_paths_to n.Node.ctree s)
-               (Node.succs n))
-        (Program.rpo p))
 
 (* 5. tombstoned int-array predecessor table == a naive list model.
    The model recomputes, from nothing but each node's tree, who points
@@ -470,7 +446,6 @@ let () =
       [
         prop_legality_equiv;
         prop_room_for_equiv;
-        prop_path_memo_equiv;
         prop_preds_list_model;
         prop_pipeline_coherent;
       ]

@@ -139,10 +139,9 @@ let test_builder_loop () =
   check_wf p;
   (* entry, pre, 2 body nodes, latch, exit *)
   Alcotest.(check int) "nodes" 6 (Program.n_nodes p);
-  let latch = Program.node p shape.Builder.latch in
   Alcotest.(check (list int)) "latch succs"
     (List.sort Int.compare [ shape.Builder.header; p.Program.exit_id ])
-    (Node.succs latch)
+    (Program.succs p shape.Builder.latch)
 
 let test_program_delete_node () =
   let p = Builder.straight [ Operation.Copy (reg 0, imm 1); Operation.Copy (reg 1, imm 2) ] in

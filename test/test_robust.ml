@@ -291,6 +291,44 @@ let prop_injected_faults_caught =
                     Result.is_ok (Grip.Speedup.verify abcdefg ~scheduled:p ~n))
                   (List.init 15 (fun i -> i + 2))))
 
+(* One driver: [Pipeline.run] is the unguarded case of the driver the
+   ladder's pipelining rungs run guarded.  Whenever a rung wins with its
+   guards off and no fallback, its schedule and scheduler counters must
+   be exactly what [run] produces for the same method.  The rung runs
+   under a deadline: a few random kernels send POST's node breaking
+   into a very long loop, and an abandoned rung has nothing to tie. *)
+let prop_run_is_unguarded_rung =
+  QCheck2.Test.make ~count:10
+    ~name:"run == winning rung of run_robust (guards off)"
+    ~print:Synthetic_gen.print_spec Synthetic_gen.spec_gen (fun spec ->
+      let kern = Workloads.Synthetic.generate spec in
+      List.for_all
+        (fun fus ->
+          let machine = Machine.homogeneous fus in
+          List.for_all
+            (fun method_ ->
+              let start = Pipeline.rung_of_method method_ in
+              match
+                Pipeline.run_robust ~horizon:10 ~strictness:Guard.Off
+                  ~fallback:false ~deadline:5.0 ~start
+                  ~data:Workloads.Synthetic.data kern ~machine
+              with
+              | Error _ -> true (* the rung was abandoned: nothing to tie *)
+              | Ok r -> (
+                  let o = Pipeline.run ~horizon:10 kern ~machine ~method_ in
+                  let stats (o : Pipeline.outcome) =
+                    Grip_obs.Json.to_string (Pipeline.stats_json o.Pipeline.stats)
+                  in
+                  match r.Pipeline.scheduled with
+                  | None -> false
+                  | Some won ->
+                      r.Pipeline.rung = start
+                      && Grip_serve.Cache.schedule_digest r.Pipeline.program
+                         = Grip_serve.Cache.schedule_digest o.Pipeline.program
+                      && stats won = stats o))
+            [ Pipeline.Grip; Pipeline.Grip_no_gap; Pipeline.Post ])
+        [ 2; 4; 8 ])
+
 let () =
   Alcotest.run "robust"
     [
@@ -323,5 +361,9 @@ let () =
       ( "properties",
         List.map
           (QCheck_alcotest.to_alcotest ~long:false)
-          [ prop_ladder_never_miscompiles; prop_injected_faults_caught ] );
+          [
+            prop_ladder_never_miscompiles;
+            prop_injected_faults_caught;
+            prop_run_is_unguarded_rung;
+          ] );
     ]

@@ -11,7 +11,11 @@ let check_wf p = Alcotest.(check (list string)) "well-formed" [] (Wellformed.che
 
 let fits_everywhere machine p =
   Program.fold_nodes p
-    (fun n acc -> acc && (Program.is_exit p n.Node.id || Machine.fits machine n))
+    (fun n acc ->
+      let id = n.Node.id in
+      acc
+      && (Program.is_exit p id
+         || Machine.fits_packed machine (Program.counts_packed p id)))
     true
 
 let test_rolled_runs (e : Livermore.entry) () =
