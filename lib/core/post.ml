@@ -53,13 +53,28 @@ let push_entry_down (p : Program.t) =
   Program.set_ctree p p.Program.entry (Ctree.leaf m.Node.id);
   m.Node.id
 
+(* Slots a node with counters [packed] needs beyond what [m] issues
+   (summed over FU classes on a typed machine): on a homogeneous
+   machine this falls exactly when the node's slot demand falls. *)
+let excess (m : Machine.t) packed =
+  match m.Machine.shape with
+  | Machine.Unlimited -> 0
+  | Machine.Homogeneous k -> max 0 (Machine.slot_demand_packed m packed - k)
+  | Machine.Typed { alu; mem; branch } ->
+      let over cls cap = max 0 (Machine.used_slots_packed m packed cls - cap) in
+      over Machine.Alu alu + over Machine.Mem mem + over Machine.Branch branch
+
 (* Reduce node [n] until it fits, by moving ops (then the root
-   conditional) up into spliced nodes. *)
+   conditional) up into spliced nodes.  Each round must lower [n]'s
+   excess or split its conditional tree: a demotion can rename the op
+   and leave a repair copy behind, so a round of demotions need not
+   shrink [n] at all, and splicing another empty node above it would
+   only repeat that round without end.  A round that achieves neither
+   raises [Resource_overflow]. *)
 let break_node ~budget (ctx : Ctx.t) rank stats n =
   let p = ctx.Ctx.program in
-  let fits id =
-    Machine.fits_packed ctx.Ctx.machine (Program.counts_packed p id)
-  in
+  let m = ctx.Ctx.machine in
+  let fits id = Machine.fits_packed m (Program.counts_packed p id) in
   let work = ref n in
   let guard = ref 0 in
   while (not (fits !work)) && !guard < 10_000 do
@@ -75,6 +90,8 @@ let break_node ~budget (ctx : Ctx.t) rank stats n =
     in
     stats.breaks <- stats.breaks + 1;
     Metrics.incr ctx.Ctx.obs.Grip_obs.metrics "post.breaks";
+    let before = excess m (Program.counts_packed p !work) in
+    let split = ref false in
     (* move best-ranked unguarded ops up while the new node has room
        and the old one is too full *)
     let progress = ref true in
@@ -107,12 +124,22 @@ let break_node ~budget (ctx : Ctx.t) rank stats n =
               | Ok _ ->
                   stats.cj_splits <- stats.cj_splits + 1;
                   progress := true;
+                  split := true;
                   (* n was split into arms; they are revisited by the
                      outer scan *)
                   work := target
               | Error _ -> ())
           | None -> ())
-    done
+    done;
+    let packed = Program.counts_packed p !work in
+    if (not !split) && (not (fits !work)) && excess m packed >= before then
+      Grip_robust.Grip_error.raise_ Grip_robust.Grip_error.Scheduling
+        (Grip_robust.Grip_error.Resource_overflow
+           {
+             node = !work;
+             demand = Machine.slot_demand_packed m packed;
+             width = Machine.width m;
+           })
   done
 
 (* Phase 2b: local repair percolation — refill nodes the breaking left

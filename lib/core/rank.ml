@@ -17,6 +17,14 @@
 
 open Vliw_ir
 
+(** [compare] orders best first and must be a total preorder (ties
+    allowed: choose-op keeps the candidate that comes first in the
+    worklist).  The scheduler sorts each node's candidates with it once,
+    at node entry, and picks from that order for the rest of the node,
+    so [compare] may read only what a move leaves unchanged on an
+    operation — its id, [iter], [lineage], [src_pos] and the constructor
+    of its [kind] — and never its guard, destination or operands, which
+    moves rewrite (DESIGN.md §20). *)
 type t = {
   name : string;
   compare : Operation.t -> Operation.t -> int;  (** best first *)
@@ -37,8 +45,9 @@ let section_3_4 ~(ddg : Vliw_analysis.Ddg.t) =
   let heights = Vliw_analysis.Ddg.flow_height ddg in
   let deps = Vliw_analysis.Ddg.dependents ddg in
   (* separate accessors, not a pair-returning [info]: the comparator
-     runs inside the scheduler's choose-op min-scan, where a tuple per
-     call is measurable allocation *)
+     runs O(k log k) times per scheduled node (the scheduler's sort of
+     its k candidates) and in POST's sorts, where a tuple per call is
+     measurable allocation *)
   let height_of (op : Operation.t) =
     let pos = op.Operation.lineage in
     if pos >= 0 && pos < Array.length heights then heights.(pos) else 0

@@ -158,17 +158,146 @@ let moveable_op_ids (p : Program.t) dom n acc =
     (Program.rpo p);
   acc
 
+(** A node's Moveable-ops as a ranked queue, so that choose-op costs
+    in proportion to the candidates it can still pick.
+
+    [load] stable-sorts the candidates once, best first, with the
+    rank's comparator; the positions then form a doubly linked list.
+    [pick] walks it from the head and returns the first position its
+    verdict callback answers [Take] for, stepping over [Skip] and
+    unlinking [Retire] (a candidate that can never be picked again in
+    this node); [retire] unlinks a position the caller knows is spent.
+    The first [Take] is exactly what a min-scan over the worklist (keep
+    the incumbent on ties) returns among the same candidates, as long
+    as the comparator reads only fields a move leaves unchanged
+    (DESIGN.md §20).  The buffers are owned by the run and grow by
+    doubling, so loading allocates nothing once they have settled. *)
+module Ranked = struct
+  type verdict = Take | Skip | Retire
+
+  type t = {
+    mutable ids : int array;  (** position -> op id, best first *)
+    mutable next : int array;  (** position -> next live position or [-1] *)
+    mutable prev : int array;  (** position -> previous live position or [-1] *)
+    mutable head : int;  (** first live position, [-1] when empty *)
+    mutable recs : Operation.t array;  (** sort buffer *)
+    mutable tmp : Operation.t array;  (** merge scratch *)
+    mutable visits : int;  (** verdicts asked since the last [load] *)
+  }
+
+  let create () =
+    { ids = [||]; next = [||]; prev = [||]; head = -1; recs = [||];
+      tmp = [||]; visits = 0 }
+
+  (* Stable merge sort of [a.(lo) .. a.(hi - 1)]: the right run's head
+     goes first only when strictly better, so ties keep input order. *)
+  let rec sort cmp a tmp lo hi =
+    if hi - lo <= 8 then
+      for i = lo + 1 to hi - 1 do
+        let x = a.(i) in
+        let j = ref (i - 1) in
+        while !j >= lo && cmp a.(!j) x > 0 do
+          a.(!j + 1) <- a.(!j);
+          decr j
+        done;
+        a.(!j + 1) <- x
+      done
+    else begin
+      let mid = (lo + hi) / 2 in
+      sort cmp a tmp lo mid;
+      sort cmp a tmp mid hi;
+      if cmp a.(mid - 1) a.(mid) > 0 then begin
+        Array.blit a lo tmp lo (mid - lo);
+        let i = ref lo and j = ref mid and k = ref lo in
+        while !i < mid && !j < hi do
+          if cmp a.(!j) tmp.(!i) < 0 then begin
+            a.(!k) <- a.(!j);
+            incr j
+          end
+          else begin
+            a.(!k) <- tmp.(!i);
+            incr i
+          end;
+          incr k
+        done;
+        Array.blit tmp !i a !k (mid - !i)
+      end
+    end
+
+  (** [load q ~cmp ~record ids] — rank the op ids of [ids] (worklist
+      order) best first under [cmp], reading each id's record through
+      [record]; ids without one are dropped. *)
+  let load q ~cmp ~record ids =
+    let n = ref 0 in
+    for i = 0 to Vliw_ir.Iarr.length ids - 1 do
+      match record (Vliw_ir.Iarr.unsafe_get ids i) with
+      | None -> ()
+      | Some op ->
+          if !n >= Array.length q.recs then begin
+            let grown = Array.make (max 64 (2 * !n)) op in
+            Array.blit q.recs 0 grown 0 !n;
+            q.recs <- grown;
+            q.tmp <- Array.make (Array.length grown) op
+          end;
+          q.recs.(!n) <- op;
+          incr n
+    done;
+    let n = !n in
+    sort cmp q.recs q.tmp 0 n;
+    if n > Array.length q.ids then begin
+      let cap = Array.length q.recs in
+      q.ids <- Array.make cap 0;
+      q.next <- Array.make cap 0;
+      q.prev <- Array.make cap 0
+    end;
+    for i = 0 to n - 1 do
+      q.ids.(i) <- q.recs.(i).Operation.id;
+      q.next.(i) <- (if i + 1 < n then i + 1 else -1);
+      q.prev.(i) <- i - 1
+    done;
+    q.head <- (if n > 0 then 0 else -1);
+    q.visits <- 0
+
+  (** [id q pos] — the op id at position [pos]. *)
+  let id q pos = q.ids.(pos)
+
+  (** [retire q pos] unlinks live position [pos]. *)
+  let retire q pos =
+    let a = q.prev.(pos) and b = q.next.(pos) in
+    if a < 0 then q.head <- b else q.next.(a) <- b;
+    if b >= 0 then q.prev.(b) <- a
+
+  (** [pick q verdict] — the first live position whose op id [verdict]
+      takes, or [-1]. *)
+  let pick q verdict =
+    let rec go pos =
+      if pos < 0 then -1
+      else begin
+        q.visits <- q.visits + 1;
+        match verdict q.ids.(pos) with
+        | Take -> pos
+        | Skip -> go q.next.(pos)
+        | Retire ->
+            let next = q.next.(pos) in
+            retire q pos;
+            go next
+      end
+    in
+    go q.head
+end
+
 (* Per-run scratch, reused across [schedule_node] calls: op-id
    membership masks (one byte per id — a [bool Itbl.t] costs a word per
-   id and was re-allocated per node) and the rule-3 RPO index table,
-   reset in place instead of re-created.  Growth doubles, so a run
-   settles on one buffer of each kind. *)
+   id and was re-allocated per node), the rule-3 RPO index table, reset
+   in place instead of re-created, and the ranked queue's buffers.
+   Growth doubles, so a run settles on one buffer of each kind. *)
 type scratch = {
   mutable susp_mask : Bytes.t;
   mutable att_mask : Bytes.t;
   rpo_tbl : int Vliw_ir.Itbl.t;
-  mutable rpo_version : int;  (** program version [rpo_tbl] speaks for *)
+  mutable rpo_shape : int;  (** shape version [rpo_tbl] speaks for *)
   moveable : Vliw_ir.Iarr.t;  (** worklist buffer for {!moveable_op_ids} *)
+  queue : Ranked.t;
 }
 
 let fresh_scratch () =
@@ -176,8 +305,9 @@ let fresh_scratch () =
     susp_mask = Bytes.make 256 '\000';
     att_mask = Bytes.make 256 '\000';
     rpo_tbl = Vliw_ir.Itbl.create ~capacity:256 max_int;
-    rpo_version = -1;
+    rpo_shape = -1;
     moveable = Vliw_ir.Iarr.create ~capacity:256 ();
+    queue = Ranked.create ();
   }
 
 let mask_get b id = id < Bytes.length b && Bytes.unsafe_get b id <> '\000'
@@ -209,13 +339,14 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
      which Migrate calls synchronously right after the veto *)
   let suspend_reason = ref "gap prevention" in
   let dom = dominators ctx in
-  let initial = moveable_op_ids p dom n scratch.moveable in
-  (* Ranked queue of op ids; metadata re-fetched from the program.
-     Op ids are dense, so membership is a byte mask (consulted for
-     every candidate on every pass — the hot path of the min-scan)
-     plus, for the suspended set, an explicit id list for the two
-     fold/clear sites.  The masks live on the per-run scratch and are
-     wiped (not re-allocated) at node entry. *)
+  let queue = scratch.queue in
+  Ranked.load queue ~cmp:config.rank.Rank.compare ~record:(Program.stored_op p)
+    (moveable_op_ids p dom n scratch.moveable);
+  (* Op ids are dense, so the suspended and attempted sets are byte
+     masks (consulted for every candidate the queue visits), plus, for
+     the suspended set, an explicit id list for the two fold/clear
+     sites.  The masks live on the per-run scratch and are wiped (not
+     re-allocated) at node entry. *)
   Bytes.fill scratch.susp_mask 0 (Bytes.length scratch.susp_mask) '\000';
   Bytes.fill scratch.att_mask 0 (Bytes.length scratch.att_mask) '\000';
   let suspended_ids = ref [] in
@@ -237,14 +368,14 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
     suspended_ids := [];
     suspended_count := 0
   in
-  (* Rule-3 reverse-postorder index, cached by program version on the
-     per-run scratch: while suspensions exist, only a successful hop
-     (which bumps the version) changes node order, so iterations over
-     failed attempts — and whole quiescent nodes — reuse the table
+  (* Rule-3 reverse-postorder index, cached by shape version on the
+     per-run scratch: node order changes only when an edge or a node
+     comes or goes, so iterations over failed attempts, hops that only
+     moved an operation, and whole quiescent nodes reuse the table
      instead of rebuilding it from a full RPO walk. *)
   let rpo_index () =
-    let v = Program.version p in
-    if scratch.rpo_version = v then begin
+    let v = Program.shape_version p in
+    if scratch.rpo_shape = v then begin
       Metrics.incr mx "scheduler.rpo_rebuilds_saved";
       scratch.rpo_tbl
     end
@@ -253,10 +384,31 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
       List.iteri
         (fun i id -> Vliw_ir.Itbl.set scratch.rpo_tbl id i)
         (Program.rpo p);
-      scratch.rpo_version <- v;
+      scratch.rpo_shape <- v;
       Metrics.incr mx "scheduler.rpo_rebuilds";
       scratch.rpo_tbl
     end
+  in
+  (* Rule 3: while suspensions exist, a candidate whose home is at or
+     above the lowest suspended operation's (in reverse postorder) may
+     not move; [-1] = no cut-off. *)
+  let cutoff = ref (-1) in
+  (* Which candidates choose-op may take: alive, not yet in n, not
+     suspended, not already attempted since the last progress, rule 3
+     respected.  An op in n stays there for the rest of the node (walks
+     only pull into nodes at or below n, and unwound programs are
+     acyclic), so it leaves the queue for good. *)
+  let verdict oid =
+    let home = Program.home_int p oid in
+    if home = n then Ranked.Retire
+    else if
+      home < 0
+      || mask_get scratch.att_mask oid
+      || mask_get scratch.susp_mask oid
+      || (!cutoff >= 0 && Vliw_ir.Itbl.get scratch.rpo_tbl home <= !cutoff)
+      || Option.is_none (Program.stored_op p oid)
+    then Ranked.Skip
+    else Ranked.Take
   in
   (* The migration hooks are loop-invariant (they close over the
      per-node state above, not over the candidate), so one record and
@@ -299,120 +451,96 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
        structured error instead of wedging the domain *)
     Grip_robust.Budget.check config.budget;
     (* rule 3 bookkeeping is only needed while suspensions exist *)
-    let node_order_tbl =
-      if !suspended_count = 0 then None else Some (rpo_index ())
-    in
-    let node_order id =
-      match node_order_tbl with None -> 0 | Some t -> Vliw_ir.Itbl.get t id
-    in
-    let lowest_suspended =
-      List.fold_left
-        (fun acc op_id ->
+    cutoff := -1;
+    if !suspended_count > 0 then begin
+      let order = rpo_index () in
+      List.iter
+        (fun op_id ->
           let home = Program.home_int p op_id in
-          if home >= 0 then max acc (node_order home) else acc)
-        (-1) !suspended_ids
-    in
-    (* Best candidate: alive, not yet in n, not suspended, not already
-       attempted since the last progress, rule 3 respected.  A single
-       min-scan replacing the earlier build-then-[Rank.sort]: keeping
-       the incumbent on ties reproduces the head of a stable sort for
-       any comparator, so custom ranks behave identically.  The
-       worklist is an int array; placement comes from the O(1) flat
-       stores and the record is only fetched to feed the rank
-       comparator — the scan allocates nothing per candidate. *)
-    let cmp = config.rank.Rank.compare in
-    let best = ref None in
-    for i = 0 to Vliw_ir.Iarr.length initial - 1 do
-      let oid = Vliw_ir.Iarr.unsafe_get initial i in
-      if
-        (not (mask_get scratch.att_mask oid))
-        && not (mask_get scratch.susp_mask oid)
-      then begin
-        let home = Program.home_int p oid in
-        if
-          home >= 0 && home <> n
-          && not (lowest_suspended >= 0 && node_order home <= lowest_suspended)
-        then
-          match Program.stored_op p oid with
-          | None -> ()
-          | Some op' -> (
-              match !best with
-              | None -> best := Some op'
-              | Some b -> if cmp op' b < 0 then best := Some op')
+          if home >= 0 then cutoff := max !cutoff (Vliw_ir.Itbl.get order home))
+        !suspended_ids
+    end;
+    (* Best candidate: the first the queue's verdict takes.  The record
+       is fetched only for the pick, to feed the hooks and journals. *)
+    let pos = Ranked.pick queue verdict in
+    if pos < 0 then continue_ := false
+    else
+      let best = Option.get (Program.stored_op p (Ranked.id queue pos)) in
+      if stats.migrations >= config.max_migrations then begin
+        stats.fuel_exhausted <- true;
+        if proving then
+          Provenance.record_reject pv ~op:best.Operation.id
+            ~node:(Program.home_int p best.Operation.id)
+            Provenance.Fuel;
+        continue_ := false
       end
-    done;
-    match !best with
-    | None -> continue_ := false
-    | Some best ->
-        if stats.migrations >= config.max_migrations then begin
-          stats.fuel_exhausted <- true;
-          if proving then
-            Provenance.record_reject pv ~op:best.Operation.id
-              ~node:(Program.home_int p best.Operation.id)
-              Provenance.Fuel;
-          continue_ := false
-        end
-        else begin
-          scratch.att_mask <- mask_set scratch.att_mask best.Operation.id;
-          stats.migrations <- stats.migrations + 1;
-          Metrics.incr mx "scheduler.migrations";
-          if tracing then
-            Trace.emit tr
-              (Trace.Migrate_attempt { op = best.Operation.id; target = n });
-          let r =
-            Migrate.migrate ctx ~hooks ~target:n ~op_id:best.Operation.id ()
-          in
-          stats.hops <- stats.hops + r.Migrate.moved;
-          Metrics.add mx "scheduler.hops" r.Migrate.moved;
-          Metrics.observe mx "scheduler.travel_distance" r.Migrate.moved;
-          if r.Migrate.reached_target then begin
-            stats.reached <- stats.reached + 1;
-            Metrics.incr mx "scheduler.reached"
-          end;
-          let stop_node () = Program.home_int p r.Migrate.final_id in
-          let reject reason =
-            Provenance.record_reject pv ~op:r.Migrate.final_id
-              ~node:(stop_node ()) reason
-          in
-          (match r.Migrate.last_failure with
-          | Some (Migrate.Op Move_op.No_room) ->
-              (* blocked by a full node short of the target: a resource
-                 barrier (section 3.2) *)
-              stats.resource_barrier_events <-
-                stats.resource_barrier_events + 1;
-              Metrics.incr mx "scheduler.barriers";
-              if tracing then
-                Trace.emit tr
-                  (Trace.Migrate_barrier
-                     { op = r.Migrate.final_id; node = stop_node () });
-              if proving then
-                reject (Provenance.Resource_barrier (prov_class best))
-          | Some
-              ( Migrate.Op
-                  ( Move_op.True_dependence o
-                  | Move_op.Mem_dependence o )
-              | Migrate.Cj (Move_cj.True_dependence o) ) ->
-              (* the why-not table only charges a dependence when it
-                 actually kept the op short of its target *)
-              if proving && not r.Migrate.reached_target then
-                reject (Provenance.Dep o.Operation.id)
-          | Some Migrate.Suspended | None ->
-              (* suspensions were journalled by on_suspend already *)
-              ()
-          | Some f ->
-              if proving && not r.Migrate.reached_target then
-                reject
-                  (Provenance.Structural
-                     (Format.asprintf "%a" Migrate.pp_failure f)));
-          (match on_move with
-          | Some f when r.Migrate.moved > 0 -> f ~op:best ~outcome:r
-          | Some _ | None -> ());
-          if r.Migrate.moved > 0 && !suspended_count > 0 then
-            (* rule 2: progress unsuspends everything; unsuspended ops
-               re-enter the ranked queue *)
-            unsuspend_all ()
-        end
-  done
+      else begin
+        scratch.att_mask <- mask_set scratch.att_mask best.Operation.id;
+        stats.migrations <- stats.migrations + 1;
+        Metrics.incr mx "scheduler.migrations";
+        if tracing then
+          Trace.emit tr
+            (Trace.Migrate_attempt { op = best.Operation.id; target = n });
+        let r =
+          Migrate.migrate ctx ~hooks ~target:n ~op_id:best.Operation.id ()
+        in
+        (* An attempted op can be picked again only once rule 2 clears
+           its attempted bit, which happens to suspended ids alone; and
+           only its own walk can suspend it. *)
+        if not (mask_get scratch.susp_mask best.Operation.id) then
+          Ranked.retire queue pos;
+        stats.hops <- stats.hops + r.Migrate.moved;
+        Metrics.add mx "scheduler.hops" r.Migrate.moved;
+        Metrics.observe mx "scheduler.travel_distance" r.Migrate.moved;
+        if r.Migrate.reached_target then begin
+          stats.reached <- stats.reached + 1;
+          Metrics.incr mx "scheduler.reached"
+        end;
+        let stop_node () = Program.home_int p r.Migrate.final_id in
+        let reject reason =
+          Provenance.record_reject pv ~op:r.Migrate.final_id
+            ~node:(stop_node ()) reason
+        in
+        (match r.Migrate.last_failure with
+        | Some (Migrate.Op Move_op.No_room) ->
+            (* blocked by a full node short of the target: a resource
+               barrier (section 3.2) *)
+            stats.resource_barrier_events <-
+              stats.resource_barrier_events + 1;
+            Metrics.incr mx "scheduler.barriers";
+            if tracing then
+              Trace.emit tr
+                (Trace.Migrate_barrier
+                   { op = r.Migrate.final_id; node = stop_node () });
+            if proving then
+              reject (Provenance.Resource_barrier (prov_class best))
+        | Some
+            ( Migrate.Op
+                ( Move_op.True_dependence o
+                | Move_op.Mem_dependence o )
+            | Migrate.Cj (Move_cj.True_dependence o) ) ->
+            (* the why-not table only charges a dependence when it
+               actually kept the op short of its target *)
+            if proving && not r.Migrate.reached_target then
+              reject (Provenance.Dep o.Operation.id)
+        | Some Migrate.Suspended | None ->
+            (* suspensions were journalled by on_suspend already *)
+            ()
+        | Some f ->
+            if proving && not r.Migrate.reached_target then
+              reject
+                (Provenance.Structural
+                   (Format.asprintf "%a" Migrate.pp_failure f)));
+        (match on_move with
+        | Some f when r.Migrate.moved > 0 -> f ~op:best ~outcome:r
+        | Some _ | None -> ());
+        if r.Migrate.moved > 0 && !suspended_count > 0 then
+          (* rule 2: progress unsuspends everything; unsuspended ops
+             re-enter the ranked queue *)
+          unsuspend_all ()
+      end
+  done;
+  Metrics.add mx "scheduler.candidate_visits" queue.Ranked.visits
 
 (** [run ?on_move config ctx] schedules the whole program top-down.
     Nodes created during scheduling (splits, conditional-arm copies)
@@ -426,12 +554,13 @@ let run ?on_move (config : config) (ctx : Ctx.t) =
      calls resume from the remainder instead of rescanning (and
      re-deriving) the full RPO for every scheduled node — the
      scheduled set only grows, so the consumed prefix stays
-     skippable.  Only a program-version change (splits, arm copies
-     made during scheduling) forces a fresh RPO walk, which also
-     re-offers any node created above the cursor. *)
-  let cursor = ref (Program.version p, Program.rpo p) in
+     skippable.  Only a shape change (splits, arm copies made during
+     scheduling) forces a fresh RPO walk, which also re-offers any
+     node created above the cursor; moves that touch no edge leave the
+     listing, and so the cursor, valid. *)
+  let cursor = ref (Program.shape_version p, Program.rpo p) in
   let rec next () =
-    let v = Program.version p in
+    let v = Program.shape_version p in
     let v', rest = !cursor in
     let rest = if v' = v then rest else Program.rpo p in
     match rest with

@@ -10,6 +10,8 @@
       during migration;
     - [version]: a counter bumped on every mutation, used by analysis
       caches ({!Vliw_analysis.Liveness}) to invalidate themselves;
+    - [shape]: a counter bumped only when an edge or a node appears or
+      disappears, for caches that read nothing but successor lists;
     - the {e flat stores} (struct-of-arrays mirrors of the node
       records, below);
     - fresh-id supplies for nodes, operations and registers.
@@ -44,10 +46,13 @@
     collect) recycles buffers instead of minting garbage.  Node and
     operation ids are never reused.
 
-    Reachability and reverse postorder are memoized per [version].
+    Reachability and reverse postorder read only successor lists, so
+    they are memoized per [shape], not per [version]: moving an
+    operation between existing nodes keeps them.  Every edge edit goes
+    through [link_node] (which bumps [shape]) or [delete_node].
     {!gc} only removes nodes unreachable from the entry — a semantic
-    no-op for every reachable-set-derived analysis — so it does NOT
-    bump [version]: liveness, dominators and RPO caches stay valid
+    no-op for every reachable-set-derived analysis — so it bumps
+    neither counter: liveness, dominators and RPO caches stay valid
     across collections.  It sweeps a worklist rather than the whole
     node table: the nodes that lost an in-edge, were created or were
     restored since the last sweep, cascading into the successors of
@@ -79,8 +84,9 @@ type t = {
   mutable next_reg : int;
   mutable next_op : int;
   mutable version : int;
-  mutable reach_cache : (int * Bytes.t) option;
-  mutable rpo_cache : (int * int list) option;
+  mutable shape : int;  (** bumped when an edge or a node comes or goes *)
+  mutable reach_cache : (int * Bytes.t) option;  (** keyed on [shape] *)
+  mutable rpo_cache : (int * int list) option;  (** keyed on [shape] *)
   mutable gc_reclaimed : int;  (** total nodes collected over the run *)
   gc_work : Iarr.t;
       (** sweep candidates since the last {!gc}: nodes that lost an
@@ -94,6 +100,14 @@ type t = {
 
 let touch p = p.version <- p.version + 1
 let version p = p.version
+
+(** [shape_version p] — changes whenever an edge or a node appears or
+    disappears, and only then (a conservative superset: relinking a
+    node bumps it even if its successors come out the same).  Caches
+    of anything derived from successor lists alone — reachability,
+    reverse postorder, node order — key on this instead of
+    {!version}. *)
+let shape_version p = p.shape
 let is_exit p id = id = p.exit_id
 
 (* -- flat-store primitives ---------------------------------------------- *)
@@ -207,6 +221,7 @@ let rebuild_succs p (n : Node.t) =
    bracket every structural edit already follows keeps it current:
    [unlink_node] reads the pre-edit mirror, [link_node] the new tree. *)
 let link_node p (n : Node.t) =
+  p.shape <- p.shape + 1;
   rebuild_succs p n;
   List.iter
     (fun s -> pred_add p ~src:n.Node.id ~dst:s)
@@ -292,6 +307,7 @@ let create ?(first_reg = 0) () =
       next_reg = first_reg;
       next_op = 0;
       version = 0;
+      shape = 0;
       reach_cache = None;
       rpo_cache = None;
       gc_reclaimed = 0;
@@ -563,11 +579,11 @@ let fold_nodes p f acc =
 let node_ids p = fold_nodes p (fun n acc -> n.Node.id :: acc) [] |> List.rev
 
 (* The reachable set as a byte mask indexed by node id, memoized per
-   program version (any structural change bumps the version and so
-   invalidates it; node allocation always touches). *)
+   shape version (every edge edit and every node allocation bumps it,
+   so the mask is always as long as the node table it covers). *)
 let live_mask p =
   match p.reach_cache with
-  | Some (v, m) when v = p.version -> m
+  | Some (v, m) when v = p.shape -> m
   | _ ->
       let m = Bytes.make p.next_node '\000' in
       let rec go id =
@@ -577,7 +593,7 @@ let live_mask p =
         end
       in
       go p.entry;
-      p.reach_cache <- Some (p.version, m);
+      p.reach_cache <- Some (p.shape, m);
       m
 
 (** [is_live p id] — is [id] reachable from the entry?  Deferred
@@ -627,11 +643,12 @@ let preds p =
 let preds_of p id = live_preds_list p id
 
 (** [rpo p] is a reverse-postorder listing of the reachable nodes from
-    the entry — the top-down scheduling order.  Memoized per program
-    version. *)
+    the entry — the top-down scheduling order.  Memoized per
+    {!shape_version}: while no edge or node comes or goes, every call
+    returns the same list. *)
 let rpo p =
   match p.rpo_cache with
-  | Some (v, order) when v = p.version -> order
+  | Some (v, order) when v = p.shape -> order
   | _ ->
       let seen = Bytes.make p.next_node '\000' in
       let order = ref [] in
@@ -643,7 +660,7 @@ let rpo p =
         end
       in
       go p.entry;
-      p.rpo_cache <- Some (p.version, !order);
+      p.rpo_cache <- Some (p.shape, !order);
       !order
 
 (** [n_nodes p] counts reachable nodes (exit sentinel included). *)
@@ -692,12 +709,14 @@ let delete_node p id =
   recycle_seq p p.cjs_seq id;
   Itbl.set p.node_counts id 0;
   Itbl.set p.nodes id None;
+  p.shape <- p.shape + 1;
   touch p
 
 (** [gc p] drops nodes unreachable from the entry and de-indexes their
     operations.  Returns the number of nodes collected.  Removing
-    unreachable nodes changes no reachable-set-derived result, so the
-    program version is left alone and analysis caches survive.  The
+    unreachable nodes changes no reachable-set-derived result, so
+    neither the version nor the shape version moves and analysis
+    caches survive.  The
     dead nodes' flat buffers go back to the arena pool.
 
     Only the worklist is examined.  After a sweep every node in the

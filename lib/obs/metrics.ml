@@ -8,8 +8,10 @@
 
     Conventional names used by the scheduling stack:
     - [scheduler.migrations / hops / reached / suspensions / barriers]
-    - [scheduler.rpo_rebuilds / rpo_rebuilds_saved] (the cached
-      rule-3 reverse-postorder index)
+    - [scheduler.rpo_rebuilds / rpo_rebuilds_saved] (the rule-3
+      reverse-postorder index, cached per shape version)
+    - [scheduler.candidate_visits] — candidates choose-op's ranked
+      queue examined, added once per scheduled node
     - [migrate.cone_nodes / walk_nodes] — nodes marked in each
       migration's cone and nodes its walk expanded, added once per
       walk

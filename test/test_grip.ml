@@ -127,6 +127,218 @@ let test_rank_prefers_long_chains () =
   | first :: _ -> Alcotest.(check int) "a first" 0 first.Operation.src_pos
   | [] -> Alcotest.fail "empty"
 
+(* The store-first rank of examples/custom_heuristic.ml. *)
+let store_first =
+  Grip.Rank.custom ~name:"store-first" (fun a b ->
+      let weight (op : Operation.t) = if Operation.is_store op then 0 else 1 in
+      compare (weight a) (weight b))
+
+(* [Cache.schedule_digest] of every Livermore kernel at 4 FUs under two
+   non-default ranks, recorded when choose-op still min-scanned every
+   candidate on every pick: (kernel, (source-order GRiP, POST),
+   (store-first GRiP, POST)).  The ranked queue must pick the same ops
+   under any rank, not just the default one. *)
+let rank_pins =
+  [
+    ( "LL1",
+      ( "da0787f4d415ecd170bbd4596784c6d7", "bbeca9660867dc9e8bbf3144143b7865" ),
+      ( "ee4c1b67ad927dd601f69e823b48d7a9", "e2e4a83c06398e59b671fef4be683259" ) );
+    ( "LL2",
+      ( "397dd406d9d6506b64ee2bc223807bd2", "308d28d95a8a596331c843b12f2a6736" ),
+      ( "830469573cff691973eeb7fe041fd3b0", "7a2bc29786ad6f4bfae6430ed0b29901" ) );
+    ( "LL3",
+      ( "2ad37999283ea17434f548085e8b0c93", "a2b4974bb37a6ac646043ceb7c02d221" ),
+      ( "2ad37999283ea17434f548085e8b0c93", "a2b4974bb37a6ac646043ceb7c02d221" ) );
+    ( "LL4",
+      ( "8a1cf1f70bab7e8610970d64853274f0", "04ed0e57a9def0657e833a4b869c2241" ),
+      ( "f54eef45cbd77126a85914c789fd2019", "12e7ab6139a7d8da857bc333276110f4" ) );
+    ( "LL5",
+      ( "e4f8986178fee768855e2d8e7aa4fb11", "18149091bc321906f04a3697d2b43216" ),
+      ( "e4f8986178fee768855e2d8e7aa4fb11", "18149091bc321906f04a3697d2b43216" ) );
+    ( "LL6",
+      ( "8b82945867d1ceb3827df64db25c7c0c", "a302bb2dfc6adae257f8c4ef4424c8ad" ),
+      ( "8b82945867d1ceb3827df64db25c7c0c", "a302bb2dfc6adae257f8c4ef4424c8ad" ) );
+    ( "LL7",
+      ( "305055fa7fc50b51a87418570adb8dac", "be4514925c93e4581b085f2c60bc6f83" ),
+      ( "586f992dfda5ea07981ea4cade4a6601", "3067bcefe4cdf6e2ed47b22730a204d1" ) );
+    ( "LL8",
+      ( "44f0b3f9402b210a627950041369e0a7", "d025ffbac0b8711268fc0a886fc82d20" ),
+      ( "672b1ca66ac57acd2b3d6c1c5f24e3a0", "4a0ebb816d3d9d1e05b045348b58f4f4" ) );
+    ( "LL9",
+      ( "15cf189990d86fe4ac8714793231831d", "5ec91efe53f6efc0dcf69810e3e42dfb" ),
+      ( "8755578c690a9561d3f768e326524235", "58b2f5676bcb6ebfaa871423281685b9" ) );
+    ( "LL10",
+      ( "582c70377616a96e4e31417d75e45e6f", "2f15e102741e564cc858fd9f87bdb22a" ),
+      ( "11d9e76a9459e95250af5b586ecee129", "4e0fa63ddc5e29e3d648ebb290cbb86c" ) );
+    ( "LL11",
+      ( "3e1b454fe7441d1224d4fd65ea025548", "3e1b454fe7441d1224d4fd65ea025548" ),
+      ( "3e1b454fe7441d1224d4fd65ea025548", "3e1b454fe7441d1224d4fd65ea025548" ) );
+    ( "LL12",
+      ( "8e50e516adf460497858c797ad7e13ed", "b46c5c5c3bde9811f03410932745fb87" ),
+      ( "c0695b980af46550584dd0313971b6fe", "1b706d4789bf2b72a27cd5d8d5a93e90" ) );
+    ( "LL13",
+      ( "0eb2f24f5d4f5393eed57c67b4668fc1", "1092eb97643e2f2c5f28110c737f6ea7" ),
+      ( "6dad7d9a169971bf0d291572770b126d", "3820ef3a9cc4c3e9511e5435cdd907e5" ) );
+    ( "LL14",
+      ( "972011e3380e7addc96152ae22f7e9ba", "40f9c4b2e4757cacdc7b9cdf9d54bb54" ),
+      ( "00b6b836ec53f48bc140dc17cc5b1f5b", "6dbb31110b409f1aaf306d933bf70d23" ) );
+  ]
+
+let test_non_default_ranks_pinned () =
+  let machine = Machine.homogeneous 4 in
+  List.iter
+    (fun (name, (src_grip, src_post), (store_grip, store_post)) ->
+      let k =
+        (Option.get (Workloads.Livermore.find name)).Workloads.Livermore.kernel
+      in
+      List.iter
+        (fun (rank, method_, want) ->
+          let o = Grip.Pipeline.run k ~machine ~method_ ~rank in
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s %s" name rank.Grip.Rank.name
+               (Grip.Pipeline.method_name method_))
+            want
+            (Grip_serve.Cache.schedule_digest o.Grip.Pipeline.program))
+        [
+          (Grip.Rank.source_order, Grip.Pipeline.Grip, src_grip);
+          (Grip.Rank.source_order, Grip.Pipeline.Post, src_post);
+          (store_first, Grip.Pipeline.Grip, store_grip);
+          (store_first, Grip.Pipeline.Post, store_post);
+        ])
+    rank_pins
+
+(* The ranked queue against the choose-op it replaced: a min-scan over
+   the worklist that keeps the incumbent on ties. *)
+let min_scan cmp (recs : Operation.t option array) worklist eligible =
+  Array.fold_left
+    (fun best id ->
+      match recs.(id) with
+      | Some op when eligible id -> (
+          match best with
+          | Some (b : Operation.t) when cmp op b >= 0 -> best
+          | Some _ | None -> Some op)
+      | Some _ | None -> best)
+    None worklist
+  |> Option.map (fun (op : Operation.t) -> op.Operation.id)
+
+(* Random runs of one node's scheduling loop, driven the way the
+   scheduler drives the queue: between picks the rest of the graph
+   moves (arrivals into n, deaths, revivals, hops, node re-orderings
+   that shift the rule-3 cut-off); each pick is attempted, may reach n,
+   stop short, vanish or be suspended; a pick that is not suspended is
+   retired; progress unsuspends everything (rule 2).  The comparator
+   has three classes, so most comparisons tie.  Invariants kept, as in
+   the scheduler: an op in n never leaves it, only the picked op is
+   marked attempted or suspended, and only suspended ops lose their
+   attempted mark.  The queue must also never revisit a retired
+   position. *)
+let prop_ranked_queue_is_min_scan =
+  let module R = Grip.Scheduler.Ranked in
+  QCheck2.Test.make ~count:500 ~name:"ranked queue picks == min-scan"
+    ~print:QCheck2.Print.(pair int int)
+    QCheck2.Gen.(pair (int_range 0 40) (int_bound 1_000_000))
+    (fun (k, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let rand b = Random.State.int rng b in
+      let n = 0 and nodes = 6 in
+      let recs =
+        Array.init k (fun id ->
+            if rand 20 = 0 then None
+            else
+              Some (Operation.make ~id ~iter:(rand 3) (Operation.Copy (reg id, imm 0))))
+      in
+      let cmp (a : Operation.t) (b : Operation.t) =
+        Int.compare a.Operation.iter b.Operation.iter
+      in
+      let worklist = Array.init k Fun.id in
+      for i = k - 1 downto 1 do
+        let j = rand (i + 1) in
+        let t = worklist.(i) in
+        worklist.(i) <- worklist.(j);
+        worklist.(j) <- t
+      done;
+      let home = Array.init k (fun _ -> 1 + rand (nodes - 1)) in
+      let order = Array.init nodes (fun _ -> rand nodes) in
+      let att = Array.make k false and susp = Array.make k false in
+      let suspended = ref [] in
+      let cutoff = ref (-1) in
+      let eligible id =
+        (not att.(id)) && (not susp.(id))
+        && home.(id) >= 0 && home.(id) <> n
+        && not (!cutoff >= 0 && order.(home.(id)) <= !cutoff)
+      in
+      (* a retired position must never be visited again *)
+      let retired = Array.make k false and revisited = ref false in
+      let verdict id =
+        if retired.(id) then revisited := true;
+        if home.(id) = n then begin
+          retired.(id) <- true;
+          R.Retire
+        end
+        else if eligible id && recs.(id) <> None then R.Take
+        else R.Skip
+      in
+      let q = R.create () in
+      let ids = Iarr.create () in
+      Array.iter (Iarr.push ids) worklist;
+      R.load q ~cmp ~record:(fun id -> recs.(id)) ids;
+      let agree = ref true and picking = ref true and steps = ref 0 in
+      while !agree && !picking && !steps < 200 do
+        incr steps;
+        if k > 0 then
+          for _ = 1 to rand 3 do
+            let id = rand k in
+            match rand 4 with
+            | 0 -> if home.(id) <> n then home.(id) <- n
+            | 1 -> if home.(id) <> n then home.(id) <- -1
+            | 2 -> if home.(id) <> n then home.(id) <- 1 + rand (nodes - 1)
+            | _ -> order.(rand nodes) <- rand nodes
+          done;
+        cutoff :=
+          List.fold_left
+            (fun acc s -> if home.(s) >= 0 then max acc order.(home.(s)) else acc)
+            (-1) !suspended;
+        let want = min_scan cmp recs worklist eligible in
+        let pos = R.pick q verdict in
+        let got = if pos < 0 then None else Some (R.id q pos) in
+        if got <> want then agree := false
+        else
+          match got with
+          | None -> picking := false
+          | Some id ->
+              att.(id) <- true;
+              let moved =
+                match rand 5 with
+                | 0 ->
+                    home.(id) <- n;
+                    1 + rand 3
+                | 1 ->
+                    home.(id) <- 1 + rand (nodes - 1);
+                    1 + rand 3
+                | 2 ->
+                    home.(id) <- -1;
+                    1
+                | 3 ->
+                    susp.(id) <- true;
+                    suspended := id :: !suspended;
+                    rand 2
+                | _ -> 0
+              in
+              if not susp.(id) then begin
+                retired.(id) <- true;
+                R.retire q pos
+              end;
+              if moved > 0 && !suspended <> [] then begin
+                List.iter
+                  (fun s ->
+                    susp.(s) <- false;
+                    att.(s) <- false)
+                  !suspended;
+                suspended := []
+              end
+      done;
+      !agree && not !revisited)
+
 (* -- scheduling --------------------------------------------------------- *)
 
 let run_grip ?(machine = Machine.unlimited) ?(gap = true) kern ~horizon =
@@ -491,6 +703,9 @@ let () =
         [
           Alcotest.test_case "iteration major" `Quick test_rank_iteration_major;
           Alcotest.test_case "prefers long chains" `Quick test_rank_prefers_long_chains;
+          Alcotest.test_case "non-default ranks pinned" `Quick
+            test_non_default_ranks_pinned;
+          QCheck_alcotest.to_alcotest prop_ranked_queue_is_min_scan;
         ] );
       ( "scheduler",
         [

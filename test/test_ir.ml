@@ -163,6 +163,39 @@ let test_program_home_tracking () =
   Program.remove_op p nid op.Operation.id;
   Alcotest.(check (option int)) "gone" None (Program.home p op.Operation.id)
 
+(* Reverse postorder reads only successor lists, so it is memoized per
+   shape version: op edits hand back the very same list, and every edit
+   that adds or drops an edge or a node replaces it. *)
+let test_program_rpo_keyed_on_shape () =
+  let p =
+    Builder.straight [ Operation.Copy (reg 0, imm 1); Operation.Copy (reg 1, imm 2) ]
+  in
+  let check what ~same f =
+    let before = Program.rpo p in
+    f ();
+    Alcotest.(check bool) what same (Program.rpo p == before)
+  in
+  let nid = List.nth (Program.rpo p) 1 in
+  let op = List.hd (Program.node p nid).Node.ops in
+  check "remove_op keeps rpo" ~same:true (fun () ->
+      Program.remove_op p nid op.Operation.id);
+  check "add_op keeps rpo" ~same:true (fun () -> Program.add_op p nid op);
+  check "replace_op keeps rpo" ~same:true (fun () ->
+      Program.replace_op p nid
+        { op with Operation.kind = Operation.Copy (reg 0, imm 5) });
+  let snap = Program.snapshot p in
+  let m = ref (-1) in
+  check "fresh_node replaces rpo" ~same:false (fun () ->
+      m := (Program.fresh_node p ~ops:[] ~ctree:(Ctree.leaf nid)).Node.id);
+  check "redirect replaces rpo" ~same:false (fun () ->
+      Program.redirect p ~from_:p.Program.entry ~old_:nid ~new_:!m);
+  check "set_ctree replaces rpo" ~same:false (fun () ->
+      Program.set_ctree p !m (Ctree.leaf nid));
+  check "delete_node replaces rpo" ~same:false (fun () ->
+      Program.delete_node p !m);
+  check "restore replaces rpo" ~same:false (fun () -> Program.restore p snap);
+  check_wf p
+
 let test_clone_instruction_guard_remap () =
   let p = Program.create () in
   let cj = Operation.make ~id:(Program.fresh_op_id p) (Operation.Cjump (Opcode.Lt, Operand.Reg (reg 0), imm 3)) in
@@ -223,6 +256,8 @@ let () =
           Alcotest.test_case "loop builder" `Quick test_builder_loop;
           Alcotest.test_case "delete node" `Quick test_program_delete_node;
           Alcotest.test_case "home tracking" `Quick test_program_home_tracking;
+          Alcotest.test_case "rpo keyed on shape" `Quick
+            test_program_rpo_keyed_on_shape;
           Alcotest.test_case "clone remaps guards" `Quick test_clone_instruction_guard_remap;
           Alcotest.test_case "double def caught" `Quick test_wellformed_catches_double_def;
         ] );

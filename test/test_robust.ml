@@ -291,12 +291,54 @@ let prop_injected_faults_caught =
                     Result.is_ok (Grip.Speedup.verify abcdefg ~scheduled:p ~n))
                   (List.init 15 (fun i -> i + 2))))
 
+(* POST's node breaking on this kernel used to loop forever: every
+   demotion out of one node renamed the op and left a repair copy
+   behind, so the node never shrank, yet each round counted as progress
+   and another empty node was spliced above it.  A round that lowers no
+   demand now raises [Resource_overflow], within the deadline, and the
+   ladder falls to the list rung at once. *)
+let livelock_kernel =
+  Workloads.Synthetic.generate
+    {
+      Workloads.Synthetic.seed = 878764;
+      n_ops = 7;
+      n_arrays = 1;
+      p_load = 0.338;
+      p_store = 0.374;
+      p_recurrence = 0.455;
+    }
+
+let test_post_break_livelock () =
+  let machine = Machine.homogeneous 2 in
+  let run ~fallback =
+    Pipeline.run_robust ~horizon:10 ~strictness:Guard.Off ~fallback
+      ~deadline:5.0 ~start:Pipeline.R_post ~data:Workloads.Synthetic.data
+      livelock_kernel ~machine
+  in
+  (match run ~fallback:false with
+  | Error
+      {
+        Grip_error.stage = Grip_error.Scheduling;
+        cause = Grip_error.Resource_overflow { width; _ };
+        _;
+      } ->
+      Alcotest.(check int) "width" 2 width
+  | Error e -> Alcotest.failf "wrong error: %s" (Grip_error.to_string e)
+  | Ok _ -> Alcotest.fail "POST must give up on this kernel");
+  match run ~fallback:true with
+  | Ok r ->
+      Alcotest.(check string) "lands on" "list-rolled"
+        (Pipeline.rung_name r.Pipeline.rung)
+  | Error e -> Alcotest.failf "ladder failed: %s" (Grip_error.to_string e)
+
 (* One driver: [Pipeline.run] is the unguarded case of the driver the
    ladder's pipelining rungs run guarded.  Whenever a rung wins with its
    guards off and no fallback, its schedule and scheduler counters must
-   be exactly what [run] produces for the same method.  The rung runs
-   under a deadline: a few random kernels send POST's node breaking
-   into a very long loop, and an abandoned rung has nothing to tie. *)
+   be exactly what [run] produces for the same method.  Each rung still
+   runs under a 5 s deadline: POST's node breaking once looped forever
+   on a random kernel (the regression case above), and the deadline
+   keeps any such defect from hanging the suite.  An abandoned rung has
+   nothing to tie. *)
 let prop_run_is_unguarded_rung =
   QCheck2.Test.make ~count:10
     ~name:"run == winning rung of run_robust (guards off)"
@@ -357,6 +399,8 @@ let () =
           Alcotest.test_case "every rung sound" `Slow test_every_rung_sound;
           Alcotest.test_case "list rung on Livermore" `Quick
             test_list_rung_livermore;
+          Alcotest.test_case "POST node-breaking livelock" `Quick
+            test_post_break_livelock;
         ] );
       ( "properties",
         List.map
