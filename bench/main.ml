@@ -485,7 +485,7 @@ let ablation ~pool () =
 module Json = Grip_obs.Json
 module Obs = Grip_obs
 
-let table1_schema = "grip.bench.table1/9"
+let table1_schema = "grip.bench.table1/10"
 
 (* One (loop, technique, width) measurement with its scheduler stats,
    per-phase wall-clock breakdown and bottleneck verdict — the
@@ -546,6 +546,7 @@ let json_cell (e : Livermore.entry) method_ fu horizon =
         ("gc_candidates", Json.int (c "ir.gc_candidates"));
         ("walk_nodes", Json.int (c "migrate.walk_nodes"));
         ("cone_nodes", Json.int (c "migrate.cone_nodes"));
+        ("chain_nodes", Json.int (c "migrate.chain_nodes"));
         ("candidate_visits", Json.int (c "scheduler.candidate_visits"));
         ("rpo_rebuilds", Json.int (c "scheduler.rpo_rebuilds"));
       ]
@@ -754,6 +755,10 @@ let json_validate file =
                           "gc_deferred";
                           "gc_runs";
                           "gc_reclaimed";
+                          "gc_candidates";
+                          "walk_nodes";
+                          "cone_nodes";
+                          "chain_nodes";
                           "candidate_visits";
                           "rpo_rebuilds";
                         ]

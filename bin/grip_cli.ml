@@ -994,13 +994,7 @@ let bench_diff_run old_file new_file tolerance gc_tolerance =
       Format.printf "%a"
         (Obs.Bench_diff.pp_result ~tolerance ?gc_tolerance)
         r;
-      let gc_regressed =
-        match gc_tolerance with
-        | Some g -> Obs.Bench_diff.gc_regressions ~gc_tolerance:g r <> []
-        | None -> false
-      in
-      if Obs.Bench_diff.regressions ~tolerance r <> [] || gc_regressed then
-        exit 1
+      if not (Obs.Bench_diff.passes ~tolerance ?gc_tolerance r) then exit 1
 
 let bench_cmd =
   let old_arg =

@@ -642,6 +642,22 @@ let preds p =
     the incrementally maintained table (no full-graph rebuild). *)
 let preds_of p id = live_preds_list p id
 
+let rec unique_live_from p b i found =
+  if i < 0 then found
+  else
+    let q = Iarr.unsafe_get b i in
+    if q >= 0 && is_live p q then
+      if found >= 0 then -1 else unique_live_from p b (i - 1) q
+    else unique_live_from p b (i - 1) found
+
+(** [unique_live_pred p id] — the only live entry of node [id]'s
+    predecessor table, or [-1] when it has none or several.  It reads
+    only edges and reachability, so its answer changes only with
+    {!shape_version}.  Allocation-free. *)
+let unique_live_pred p id =
+  let b = Itbl.get p.preds_tbl id in
+  unique_live_from p b (Iarr.length b - 1) (-1)
+
 (** [rpo p] is a reverse-postorder listing of the reachable nodes from
     the entry — the top-down scheduling order.  Memoized per
     {!shape_version}: while no edge or node comes or goes, every call

@@ -4,8 +4,12 @@
     with [N >= 1] — the per-cell [speedup] field and the
     [loops[].name] / [fuW.{grip,post}] layout have been stable since
     /1, so old artifacts stay comparable across schema bumps.  Cells
-    present on only one side are reported, not treated as regressions
-    (a new loop or FU configuration is not a slowdown). *)
+    only in the new artifact, and POST cells only in the old one, are
+    reported, not treated as regressions (a new loop or FU
+    configuration is not a slowdown).  A GRiP cell of the old artifact
+    without a numeric speedup in the new one is {e missing} and fails
+    the diff, as a regression does: a run that lost cells must not
+    pass the gate. *)
 
 type cell = {
   loop : string;
@@ -21,6 +25,7 @@ type result = {
   cells : cell list;  (** artifact order of the new file *)
   only_old : string list;  (** "LL3/fu8/grip"-style labels *)
   only_new : string list;
+  missing : string list;  (** the GRiP cells of [only_old] *)
 }
 
 let cell_label c = Printf.sprintf "%s/%s/%s" c.loop c.fu c.tech
@@ -161,7 +166,16 @@ let diff ~old_ ~new_ =
             if List.mem_assoc key b then None else Some (label key))
           a
       in
-      Ok { cells; only_old = only_in ocells ncells; only_new = only_in ncells ocells }
+      let only_old = only_in ocells ncells in
+      let missing =
+        List.filter_map
+          (fun (((_, _, tech) as key), _) ->
+            if tech = "grip" && not (List.mem_assoc key ncells) then
+              Some (label key)
+            else None)
+          ocells
+      in
+      Ok { cells; only_old; only_new = only_in ncells ocells; missing }
 
 (** GRiP cells whose speedup dropped by more than [tolerance] — the
     regression gate only guards the paper's own technique; POST swings
@@ -186,6 +200,17 @@ let alloc_regressed ~gc_tolerance c =
 let gc_regressions ~gc_tolerance r =
   List.filter (fun c -> c.tech = "grip" && alloc_regressed ~gc_tolerance c) r.cells
 
+(** [passes ?tolerance ?gc_tolerance r] — the gate: no GRiP speedup
+    regression beyond [tolerance], no GRiP cell missing from the new
+    artifact and, with [gc_tolerance], no GRiP allocation regression. *)
+let passes ?(tolerance = 1e-9) ?gc_tolerance r =
+  regressions ~tolerance r = []
+  && r.missing = []
+  &&
+  match gc_tolerance with
+  | Some g -> gc_regressions ~gc_tolerance:g r = []
+  | None -> true
+
 let pp_mb ppf = function
   | Some b -> Format.fprintf ppf "%9.2f" (b /. 1048576.0)
   | None -> Format.fprintf ppf "%9s" "-"
@@ -208,19 +233,23 @@ let pp_result ?(tolerance = 1e-9) ?gc_tolerance ppf r =
         (if alloc_reg then "  ALLOC-REGRESSION" else ""))
     r.cells;
   List.iter
-    (fun l -> Format.fprintf ppf "only in old artifact: %s@." l)
+    (fun l ->
+      Format.fprintf ppf "only in old artifact: %s%s@." l
+        (if List.mem l r.missing then "  MISSING" else ""))
     r.only_old;
   List.iter
     (fun l -> Format.fprintf ppf "only in new artifact: %s@." l)
     r.only_new;
   let regs = regressions ~tolerance r in
-  if regs = [] then
+  if regs = [] && r.missing = [] then
     Format.fprintf ppf "%d cell(s) compared; no GRiP regressions (tolerance %g)@."
       (List.length r.cells) tolerance
   else
     Format.fprintf ppf
-      "%d cell(s) compared; %d GRiP regression(s) beyond tolerance %g@."
-      (List.length r.cells) (List.length regs) tolerance;
+      "%d cell(s) compared; %d GRiP regression(s) beyond tolerance %g; %d \
+       GRiP cell(s) missing from the new artifact@."
+      (List.length r.cells) (List.length regs) tolerance
+      (List.length r.missing);
   match gc_tolerance with
   | None -> ()
   | Some g -> (

@@ -12,9 +12,12 @@
       reverse-postorder index, cached per shape version)
     - [scheduler.candidate_visits] — candidates choose-op's ranked
       queue examined, added once per scheduled node
-    - [migrate.cone_nodes / walk_nodes] — nodes marked in each
-      migration's cone and nodes its walk expanded, added once per
-      walk
+    - [migrate.chain_nodes] — nodes each migration's chain check
+      followed, added once per migration whether or not the cone was
+      a chain
+    - [migrate.cone_nodes / walk_nodes] — nodes marked in the cone and
+      nodes the walk expanded, added once per cone walk (a migration
+      whose cone is a chain climbs it and adds neither)
     - [ir.gc_runs / gc_deferred / gc_reclaimed / gc_candidates] —
       graph collections, the requests batched into them, nodes
       collected and worklist entries examined (added once per sweep)

@@ -39,7 +39,16 @@ type t = {
   mutable cone_fresh : int;
       (** {!Program.node_limit} when the cone was marked: nodes created
           since belong to it *)
-  cone_queue : Iarr.t;  (** explicit worklist the cone is marked with *)
+  cone_queue : Iarr.t;
+      (** explicit worklist the cone is marked with; the chain check
+          collects the nodes it follows here too *)
+  chain_marks : int Itbl.t;
+      (** chain memo: [chain_stamp] on every node whose unique live
+          predecessors lead to [chain_target] under shape version
+          [chain_shape] *)
+  mutable chain_stamp : int;
+  mutable chain_target : int;
+  mutable chain_shape : int;
   scan_marks : int Itbl.t;
       (** gap-prevention traversal visited set — separate from
           [walk_marks] because the gapless test runs inside a
@@ -70,6 +79,10 @@ let make ?(rename = true) ?(obs = Grip_obs.null) program ~machine ~exit_live =
     cone_stamp = 0;
     cone_fresh = 0;
     cone_queue = Iarr.create ();
+    chain_marks = Itbl.create 0;
+    chain_stamp = 0;
+    chain_target = -1;
+    chain_shape = -1;
     scan_marks = Itbl.create 0;
     scan_stamp = 0;
     gc_depth = 0;
@@ -173,6 +186,20 @@ let cone_add t id =
     Iarr.push t.cone_queue id
   end;
   t
+
+(* The chain memo (see {!Migrate}) speaks for one (target, shape
+   version) key: a chain check under another key bumps the stamp,
+   which forgets every earlier mark. *)
+let chain_begin t ~target =
+  let shape = Program.shape_version t.program in
+  if target <> t.chain_target || shape <> t.chain_shape then begin
+    t.chain_stamp <- t.chain_stamp + 1;
+    t.chain_target <- target;
+    t.chain_shape <- shape
+  end
+
+let chain_known t id = Itbl.get t.chain_marks id = t.chain_stamp
+let chain_note t id = Itbl.set t.chain_marks id t.chain_stamp
 
 let scan_begin t = t.scan_stamp <- t.scan_stamp + 1
 let scan_seen t id = Itbl.get t.scan_marks id = t.scan_stamp

@@ -14,6 +14,25 @@
     is in the cone either: skipping it leaves every hop attempt, and
     their order, unchanged (DESIGN.md §19).
 
+    {b The chain climb.}  Most cones are chains: the home has exactly
+    one live predecessor, so does the node above it, and so on up to
+    [target].  [migrate] first checks this, following
+    {!Program.unique_live_pred} up from the home.  On a chain the
+    post-order walk goes straight down to the home and finishes the
+    nodes bottom-up, so the walk becomes a climb: at each node above
+    the home, consult [early_stop], then pull (at most one hop
+    attempt).  The climb ends at [target] or after an attempt that
+    leaves the operation where it was, since no node further up has
+    its home as a successor.  It makes the same attempts, in the same
+    order, as the walk, and so costs the hops it tries (DESIGN.md
+    §21).  Confirmed chains are stamped in a memo keyed on ([target],
+    {!Program.shape_version}), so later checks toward the same target
+    stop at the first stamped node.
+
+    The cone is marked and walked only when the check fails: a join, a
+    node with no live predecessor, a dead or deleted home, or a target
+    that is not above the home.
+
     The gap-prevention behaviour of Figure 12 is injected through
     [hooks]:
     - [allow_hop] is the Gapless-move test (always true by default);
@@ -23,6 +42,11 @@
 
 open Vliw_ir
 
+(** Migration hooks.  [early_stop] may depend only on [moved] and on
+    state that [allow_hop] or [on_suspend] change, so that it gives one
+    answer between two hop attempts.  The walk consults it fewer times
+    than a full post-order walk would: the cone walk never outside the
+    cone, the chain climb once per node it pulls at. *)
 type hooks = {
   allow_hop : from_:int -> to_:int -> op:Operation.t -> bool;
   on_suspend : Operation.t -> unit;
@@ -178,28 +202,81 @@ let mark_cone (ctx : Ctx.t) ~target ~home =
   done;
   Iarr.length q
 
+(* Follow unique live predecessors from [id] until [target], or a node
+   the memo knows leads there; [fuel] bounds the chase on a cyclic
+   graph.  Every node followed is pushed on the context's queue. *)
+let rec chain_reaches (ctx : Ctx.t) ~target id fuel =
+  Iarr.push ctx.Ctx.cone_queue id;
+  if id = target || Ctx.chain_known ctx id then true
+  else if fuel = 0 then false
+  else
+    let q = Program.unique_live_pred ctx.Ctx.program id in
+    q >= 0 && chain_reaches ctx ~target q (fuel - 1)
+
+(* Is the cone a chain from a live [home] up to [target]?  Stamps a
+   confirmed chain in the memo; leaves the nodes followed in the
+   context's queue either way. *)
+let on_chain (ctx : Ctx.t) ~target ~home =
+  let p = ctx.Ctx.program and q = ctx.Ctx.cone_queue in
+  Iarr.clear q;
+  Ctx.chain_begin ctx ~target;
+  let chain =
+    home >= 0
+    && Program.is_live p home
+    && chain_reaches ctx ~target home (Program.node_limit p)
+  in
+  if chain then
+    for i = 0 to Iarr.length q - 1 do
+      Ctx.chain_note ctx (Iarr.unsafe_get q i)
+    done;
+  chain
+
+(* The walk on a chain, from the node above [below] up to [target]: at
+   each node, [early_stop], then the pull.  A unique live predecessor
+   is live, so the walk's dead-node test never fires, and asking for it
+   after a hop finds the chain as it was: a hop leaves the chain above
+   the op's new home alone.  An attempt that does not move the op ends
+   the climb, since no node further up has its home as a successor
+   (DESIGN.md §21). *)
+let rec climb w ~target below =
+  if below <> target then begin
+    let p = w.w_ctx.Ctx.program in
+    let nid = Program.unique_live_pred p below in
+    if nid >= 0 && not (w.w_hooks.early_stop ~moved:w.w_moved) then begin
+      let moved = w.w_moved in
+      walk_pull w nid (Program.succs p nid);
+      if w.w_moved > moved then climb w ~target nid
+    end
+  end
+
 (** [migrate ctx ?hooks ~target ~op_id ()] — see module comment.
     Returns how far the operation got. *)
 let migrate (ctx : Ctx.t) ?(hooks = no_hooks) ~target ~op_id () =
   let p = ctx.Ctx.program in
-  (* Visited set: the context's epoch-stamped scratch table — one
-     stamp bump instead of a fresh hash table per walk. *)
-  Ctx.walk_begin ctx;
-  let cone = mark_cone ctx ~target ~home:(Program.home_int p op_id) in
+  let home = Program.home_int p op_id in
   let w =
     { w_ctx = ctx; w_hooks = hooks; w_moved = 0; w_current = op_id;
       w_failure = None; w_visits = 0 }
   in
+  let m = ctx.Ctx.obs.Grip_obs.metrics in
+  let chain = on_chain ctx ~target ~home in
+  Grip_obs.Metrics.add m "migrate.chain_nodes" (Iarr.length ctx.Ctx.cone_queue);
   (* Garbage collection is deferred for the whole walk: commits mark
      nodes dead without sweeping, so [node_opt] alone no longer proves
      liveness — the [is_live] checks in the walker reproduce exactly
      the view an eager collector would give.  The sweep is flushed
      before the outcome is computed (a dead operation must report no
      home). *)
-  Ctx.defer_gc ctx (fun () -> walk_go w target);
-  let m = ctx.Ctx.obs.Grip_obs.metrics in
-  Grip_obs.Metrics.add m "migrate.cone_nodes" cone;
-  Grip_obs.Metrics.add m "migrate.walk_nodes" w.w_visits;
+  if chain then Ctx.defer_gc ctx (fun () -> climb w ~target home)
+  else begin
+    (* Visited set: the context's epoch-stamped scratch table — one
+       stamp bump instead of a fresh hash table per walk. *)
+    Ctx.walk_begin ctx;
+    let cone = mark_cone ctx ~target ~home in
+    Ctx.defer_gc ctx (fun () -> walk_go w target);
+    Grip_obs.Metrics.add m "migrate.cone_nodes" cone;
+    Grip_obs.Metrics.add m "migrate.walk_nodes" w.w_visits
+  end;
   {
     moved = w.w_moved;
     reached_target = Program.home_int p w.w_current = target;

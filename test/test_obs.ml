@@ -611,6 +611,11 @@ let ll1 ?(grip = 2.5) ?(post = 2.0) () =
 let ll5 ?(grip = 3.0) () =
   Printf.sprintf {|{"name":"LL5","fu4":{"grip":{"speedup":%g}}}|} grip
 
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
+  go 0
+
 let diff_ok ~old_ ~new_ =
   match Bench_diff.diff ~old_ ~new_ with
   | Ok r -> r
@@ -679,8 +684,47 @@ let test_bench_diff_asymmetric_cells () =
     r.Bench_diff.only_old;
   Alcotest.(check (list string)) "only_new" [ "LL9/fu8/grip" ]
     r.Bench_diff.only_new;
-  Alcotest.(check int) "lopsided cells never regress" 0
-    (List.length (Bench_diff.regressions r))
+  Alcotest.(check int) "compared cells never regress" 0
+    (List.length (Bench_diff.regressions r));
+  Alcotest.(check (list string)) "the vanished GRiP cell is missing"
+    [ "LL5/fu4/grip" ] r.Bench_diff.missing
+
+(* GRiP cells that vanish from the new artifact, or lose their numeric
+   speedup, fail the diff; an empty new artifact compares no cell and
+   must not pass.  POST cells and cells only in the new artifact stay
+   informational. *)
+let test_bench_diff_vanished_cells () =
+  let old_ = artifact [ ll1 (); ll5 () ] in
+  let fails label ~new_ want =
+    let r = diff_ok ~old_ ~new_ in
+    Alcotest.(check (list string)) (label ^ ": missing") want r.Bench_diff.missing;
+    Alcotest.(check bool) (label ^ ": gate") (want = []) (Bench_diff.passes r)
+  in
+  fails "empty loops" ~new_:{|{"schema":"grip.bench.table1/9","loops":[]}|}
+    [ "LL1/fu2/grip"; "LL5/fu4/grip" ];
+  fails "non-numeric speedup"
+    ~new_:
+      (artifact
+         [
+           {|{"name":"LL1","fu2":{"grip":{"speedup":"fast"},"post":{"speedup":2}}}|};
+           ll5 ();
+         ])
+    [ "LL1/fu2/grip" ];
+  fails "POST cell gone"
+    ~new_:
+      (artifact [ {|{"name":"LL1","fu2":{"grip":{"speedup":2.5}}}|}; ll5 () ])
+    [];
+  fails "extra cell in new"
+    ~new_:(artifact [ ll1 (); ll5 (); {|{"name":"LL9","fu8":{"grip":{"speedup":4}}}|} ])
+    [];
+  let r =
+    diff_ok ~old_ ~new_:{|{"schema":"grip.bench.table1/9","loops":[]}|}
+  in
+  let out = Format.asprintf "%a" (fun ppf r -> Bench_diff.pp_result ppf r) r in
+  Alcotest.(check bool) "printed as missing" true
+    (contains out "LL5/fu4/grip  MISSING");
+  Alcotest.(check bool) "no clean verdict" false
+    (contains out "no GRiP regressions")
 
 let test_bench_diff_rejects () =
   let good = artifact [ ll1 () ] in
@@ -809,6 +853,8 @@ let () =
             test_bench_diff_tolerates_gc_block;
           Alcotest.test_case "asymmetric cells reported" `Quick
             test_bench_diff_asymmetric_cells;
+          Alcotest.test_case "vanished GRiP cells fail" `Quick
+            test_bench_diff_vanished_cells;
           Alcotest.test_case "malformed artifacts rejected" `Quick
             test_bench_diff_rejects;
         ] );

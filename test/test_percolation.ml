@@ -581,50 +581,67 @@ let veto_hooks () =
   in
   (hooks, journal, suspended)
 
-(* An unwound random kernel with [joins] extra edges: a node's
-   loop-exit leaf is pointed at a node two or three levels below it,
-   so the graph gets multi-predecessor nodes — cones wider than a path
-   and moves that split. *)
-let joined_program spec ~joins =
-  let kern = Synthetic.generate spec in
-  let p = (Grip.Unwind.build kern ~horizon:4).Grip.Unwind.program in
-  let next = Synthetic_gen.make_rng (spec.Synthetic.seed + 5) in
+(* One join edge for [p]: a node's loop-exit leaf and a node two or
+   three levels below it, or [None] when there is no such pair. *)
+let pick_join p next =
   let exit_ = p.Program.exit_id in
   let below id =
     List.filter (fun s -> not (Program.is_exit p s)) (Program.succs p id)
   in
-  for _ = 1 to joins do
-    let forks =
-      List.filter
-        (fun id ->
-          (not (Program.is_exit p id))
-          && List.mem exit_ (Program.succs p id)
-          && below id <> [])
-        (Program.rpo p)
+  let forks =
+    List.filter
+      (fun id ->
+        (not (Program.is_exit p id))
+        && List.mem exit_ (Program.succs p id)
+        && below id <> [])
+      (Program.rpo p)
+  in
+  if forks = [] then None
+  else begin
+    let x = List.nth forks (next (List.length forks)) in
+    let rec descend id depth =
+      match below id with
+      | l when l <> [] && depth > 0 ->
+          descend (List.nth l (next (List.length l))) (depth - 1)
+      | _ -> id
     in
-    if forks <> [] then begin
-      let x = List.nth forks (next (List.length forks)) in
-      let rec descend id depth =
-        match below id with
-        | l when l <> [] && depth > 0 ->
-            descend (List.nth l (next (List.length l))) (depth - 1)
-        | _ -> id
-      in
-      let c = descend (List.hd (below x)) (1 + next 2) in
-      if c <> List.hd (below x) then
-        Program.redirect p ~from_:x ~old_:exit_ ~new_:c
-    end
+    let c = descend (List.hd (below x)) (1 + next 2) in
+    if c <> List.hd (below x) then Some (x, c) else None
+  end
+
+(* Point [x]'s loop-exit leaf at [c]: [c] gets a second predecessor. *)
+let add_join p (x, c) =
+  Program.redirect p ~from_:x ~old_:p.Program.exit_id ~new_:c
+
+(* An unwound random kernel with [joins] extra edges from
+   {!pick_join}, so the graph gets multi-predecessor nodes — cones
+   wider than a path and moves that split. *)
+let joined_program spec ~joins =
+  let kern = Synthetic.generate spec in
+  let p = (Grip.Unwind.build kern ~horizon:4).Grip.Unwind.program in
+  let next = Synthetic_gen.make_rng (spec.Synthetic.seed + 5) in
+  for _ = 1 to joins do
+    Option.iter (add_join p) (pick_join p next)
   done;
   (p, Grip.Kernel.exit_live kern)
 
 let render p = Format.asprintf "%a" Program.pp p
 
+(* Migrations the walk properties sent down each path, told apart by
+   the metrics deltas: a cone walk marks its cone, a climb marks
+   nothing. *)
+let chain_walks = ref 0
+let cone_walks = ref 0
+
 (* Two copies of one program, one migrated by [Migrate.migrate] and one
    by the full walk, step by step over random (target, op) pairs drawn
    from the identical graphs: outcomes, hook journals and renderings
-   must agree, and the pruned walk may only visit fewer nodes. *)
-let walks_agree ~veto spec =
-  let joins = spec.Synthetic.n_ops mod 4 in
+   must agree, and the pruned walk may only visit fewer nodes.  With
+   [fixed_target] every step migrates toward the entry and every third
+   step adds the same join to both copies, so the chain memo is reused
+   across migrations while joins appear under it. *)
+let walks_agree ?(fixed_target = false) ~veto spec =
+  let joins = if fixed_target then 0 else spec.Synthetic.n_ops mod 4 in
   let pa, exit_live = joined_program spec ~joins in
   let pb, _ = joined_program spec ~joins in
   let width = if spec.Synthetic.seed mod 2 = 0 then 2 else 4 in
@@ -639,27 +656,42 @@ let walks_agree ~veto spec =
         (Migrate.no_hooks, ref [], ref 0) )
   in
   let next = Synthetic_gen.make_rng spec.Synthetic.seed in
+  let next_join = Synthetic_gen.make_rng (spec.Synthetic.seed + 7) in
+  let counter = Grip_obs.Metrics.counter metrics in
   if render pa <> render pb then
     QCheck2.Test.fail_report "copies differ before migrating";
   for step = 1 to 24 do
-    let order = Program.rpo pa in
+    if fixed_target && step mod 3 = 0 then
+      Option.iter
+        (fun j ->
+          add_join pa j;
+          add_join pb j)
+        (pick_join pa next_join);
     let ops = Program.all_ops pa in
     if ops <> [] then begin
       let op = List.nth ops (next (List.length ops)) in
-      let home = Program.home_int pa op.Operation.id in
-      let rec index i = function
-        | [] -> 0
-        | id :: tl -> if id = home then i else index (i + 1) tl
+      let target =
+        if fixed_target then pa.Program.entry
+        else begin
+          let order = Program.rpo pa in
+          let home = Program.home_int pa op.Operation.id in
+          let rec index i = function
+            | [] -> 0
+            | id :: tl -> if id = home then i else index (i + 1) tl
+          in
+          let above = index 0 order in
+          if above = 0 then home else List.nth order (next above)
+        end
       in
-      let above = index 0 order in
-      let target = if above = 0 then home else List.nth order (next above) in
       let op_id = op.Operation.id in
-      let walked0 = Grip_obs.Metrics.counter metrics "migrate.walk_nodes" in
+      let walked0 = counter "migrate.walk_nodes" in
+      let chain0 = counter "migrate.chain_nodes" in
+      let cone0 = counter "migrate.cone_nodes" in
       let ra = Migrate.migrate ca ~hooks:ha ~target ~op_id () in
       let rb, full_visits = full_migrate cb hb ~target ~op_id in
-      let walked =
-        Grip_obs.Metrics.counter metrics "migrate.walk_nodes" - walked0
-      in
+      let walked = counter "migrate.walk_nodes" - walked0 in
+      if counter "migrate.cone_nodes" > cone0 then incr cone_walks
+      else if counter "migrate.chain_nodes" > chain0 then incr chain_walks;
       if ra <> rb then
         QCheck2.Test.fail_reportf
           "step %d (op %d -> n%d): outcomes differ (moved %d vs %d)" step op_id
@@ -684,6 +716,21 @@ let walks_agree ~veto spec =
   done;
   true
 
+(* Run a walk property and require that its cases took both paths: a
+   run where every migration climbed (or every one walked its cone)
+   would leave the other path unchecked. *)
+let both_paths prop =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop in
+  ( name,
+    speed,
+    fun () ->
+      chain_walks := 0;
+      cone_walks := 0;
+      run ();
+      if !chain_walks = 0 || !cone_walks = 0 then
+        Alcotest.failf "%s: %d chain climbs, %d cone walks" name !chain_walks
+          !cone_walks )
+
 let prop_walk_exact ~veto =
   QCheck2.Test.make
     ~name:
@@ -691,6 +738,115 @@ let prop_walk_exact ~veto =
        else "cone walk == full walk (no hooks)")
     ~count:40 ~print:Synthetic_gen.print_spec Synthetic_gen.spec_gen
     (walks_agree ~veto)
+
+let prop_fixed_target =
+  QCheck2.Test.make ~name:"chain memo == full walk (fixed target, new joins)"
+    ~count:200 ~print:Synthetic_gen.print_spec Synthetic_gen.spec_gen
+    (walks_agree ~fixed_target:true ~veto:true)
+
+(* Hooks that record every call they get, with a fixed [early_stop]
+   answer. *)
+let journal_hooks ~stop =
+  let journal = ref [] in
+  ( {
+      Migrate.allow_hop =
+        (fun ~from_ ~to_ ~op ->
+          journal :=
+            Printf.sprintf "allow %d->%d op%d" from_ to_ op.Operation.id
+            :: !journal;
+          true);
+      on_suspend =
+        (fun op ->
+          journal := Printf.sprintf "suspend op%d" op.Operation.id :: !journal);
+      early_stop = (fun ~moved:_ -> stop);
+    },
+    journal )
+
+(* Migrate [op_id] toward [target] in [build ()] with [Migrate.migrate]
+   and, in a second copy, with the full walk; both must agree and call
+   no hook.  Returns the (chain_nodes, cone_nodes) the first spent. *)
+let migrate_quietly ~stop build ~target ~op_id =
+  let pa = build () and pb = build () in
+  let metrics = Grip_obs.Metrics.create () in
+  let ca =
+    Ctx.make ~obs:(Grip_obs.make ~metrics ()) pa ~machine:Machine.unlimited
+      ~exit_live:(Reg.Set.of_list [ reg 1 ])
+  in
+  let cb = mk_ctx ~exit_live:[ reg 1 ] pb in
+  let ha, ja = journal_hooks ~stop and hb, jb = journal_hooks ~stop in
+  let ra = Migrate.migrate ca ~hooks:ha ~target ~op_id () in
+  let rb, _ = full_migrate cb hb ~target ~op_id in
+  Alcotest.(check (list string)) "no hook called" [] !ja;
+  Alcotest.(check (list string)) "full walk calls none either" [] !jb;
+  Alcotest.(check int) "nothing moved" 0 ra.Migrate.moved;
+  Alcotest.(check bool) "same outcome as the full walk" true (ra = rb);
+  Alcotest.(check string) "program untouched" (render pb) (render pa);
+  ( Grip_obs.Metrics.counter metrics "migrate.chain_nodes",
+    Grip_obs.Metrics.counter metrics "migrate.cone_nodes" )
+
+(* entry -> f; f forks to a (-> h, the home of op 90) and to b.
+   Returns the program and b. *)
+let fork_program () =
+  let p = Program.create () in
+  let exit_ = p.Program.exit_id in
+  let h =
+    Program.fresh_node p
+      ~ops:[ Operation.make ~id:90 (Operation.Copy (reg 1, imm 7)) ]
+      ~ctree:(Ctree.leaf exit_)
+  in
+  let a = Program.fresh_node p ~ops:[] ~ctree:(Ctree.leaf h.Node.id) in
+  let b = Program.fresh_node p ~ops:[] ~ctree:(Ctree.leaf exit_) in
+  let cj =
+    Operation.make ~id:91 (Operation.Cjump (Opcode.Lt, Operand.Reg (reg 9), imm 5))
+  in
+  let f =
+    Program.fresh_node p ~ops:[]
+      ~ctree:(Ctree.Branch (cj, Ctree.Leaf a.Node.id, Ctree.Leaf b.Node.id))
+  in
+  Program.redirect p ~from_:p.Program.entry ~old_:exit_ ~new_:f.Node.id;
+  (p, b.Node.id)
+
+(* Toward b, unique live predecessors lead from h to the entry without
+   meeting it: the check must reject the chain, and the cone walk,
+   which never reaches b's side, tries nothing. *)
+let test_chain_misses_target () =
+  let _, b = fork_program () in
+  let chain, cone =
+    migrate_quietly ~stop:false
+      (fun () -> fst (fork_program ()))
+      ~target:b ~op_id:90
+  in
+  Alcotest.(check int) "chain check followed h, a, f and the entry" 4 chain;
+  Alcotest.(check bool) "fell back to the cone walk" true (cone > 0)
+
+(* On a straight chain, an [early_stop] already true before anything
+   moved stops the climb before its first attempt. *)
+let test_climb_early_stop () =
+  let p = indep_program () in
+  let op_id = (op_of p (nth_node p 3)).Operation.id in
+  let chain, cone =
+    migrate_quietly ~stop:true indep_program ~target:p.Program.entry ~op_id
+  in
+  Alcotest.(check bool) "took the chain path" true (chain > 0 && cone = 0)
+
+(* On the Livermore loops every cone is a chain, so a GRiP schedule
+   must never fall back to the cone walk.  The fall-back would still be
+   correct, only slower: no schedule digest would notice it. *)
+let test_livermore_climbs () =
+  List.iter
+    (fun (e : Workloads.Livermore.entry) ->
+      let metrics = Grip_obs.Metrics.create () in
+      let obs = Grip_obs.make ~metrics () in
+      let kern = e.Workloads.Livermore.kernel in
+      ignore
+        (Grip.Pipeline.run ~obs kern ~machine:(Machine.homogeneous 4)
+           ~method_:Grip.Pipeline.Grip);
+      let name = kern.Grip.Kernel.name in
+      let c = Grip_obs.Metrics.counter metrics in
+      Alcotest.(check int) (name ^ " cone_nodes") 0 (c "migrate.cone_nodes");
+      Alcotest.(check bool) (name ^ " chain_nodes > 0") true
+        (c "migrate.chain_nodes" > 0))
+    Workloads.Livermore.all
 
 let () =
   if Sys.getenv_opt "QCHECK_SEED" = None then Unix.putenv "QCHECK_SEED" "20261017";
@@ -722,8 +878,17 @@ let () =
           Alcotest.test_case "respects dependence" `Quick test_migrate_respects_dependence;
         ] );
       ( "walk",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_walk_exact ~veto:false; prop_walk_exact ~veto:true ] );
+        List.map both_paths
+          [ prop_walk_exact ~veto:false; prop_walk_exact ~veto:true ]
+        @ [
+            QCheck_alcotest.to_alcotest prop_fixed_target;
+            Alcotest.test_case "chain misses the target" `Quick
+              test_chain_misses_target;
+            Alcotest.test_case "climb honours early_stop" `Quick
+              test_climb_early_stop;
+            Alcotest.test_case "Livermore GRiP climbs chains" `Quick
+              test_livermore_climbs;
+          ] );
       ( "redundant",
         [
           Alcotest.test_case "dead copy" `Quick test_redundant_dead_copy;
