@@ -255,7 +255,11 @@ let fig11 () =
         (letter_of op) outcome.Vliw_percolation.Migrate.moved
         (if outcome.Vliw_percolation.Migrate.moved = 1 then "" else "s")
         target target
-        (if target >= 0 then pp_ops (Grip.Scheduler.moveable_ops p dom target)
+        (if target >= 0 then
+           Grip.Scheduler.moveable_op_ids p dom target (Vliw_ir.Iarr.create ())
+           |> Vliw_ir.Iarr.to_list
+           |> List.filter_map (Vliw_ir.Program.stored_op p)
+           |> pp_ops
          else "-")
     end
   in
@@ -485,7 +489,7 @@ let ablation ~pool () =
 module Json = Grip_obs.Json
 module Obs = Grip_obs
 
-let table1_schema = "grip.bench.table1/10"
+let table1_schema = "grip.bench.table1/11"
 
 (* One (loop, technique, width) measurement with its scheduler stats,
    per-phase wall-clock breakdown and bottleneck verdict — the
@@ -549,6 +553,7 @@ let json_cell (e : Livermore.entry) method_ fu horizon =
         ("chain_nodes", Json.int (c "migrate.chain_nodes"));
         ("candidate_visits", Json.int (c "scheduler.candidate_visits"));
         ("rpo_rebuilds", Json.int (c "scheduler.rpo_rebuilds"));
+        ("scan_nodes", Json.int (c "gapless.scan_nodes"));
       ]
   in
   Json.Obj
@@ -761,6 +766,7 @@ let json_validate file =
                           "chain_nodes";
                           "candidate_visits";
                           "rpo_rebuilds";
+                          "scan_nodes";
                         ]
                   | None -> fail "%s/fu%d/%s: missing legality block" name fu tech);
                   (match Json.member "gc" c with

@@ -1,7 +1,7 @@
 (** The Gapless-move test (paper section 3.3).
 
-    [ok ctx ~from_ ~to_ ~op] decides whether moving [op] up one node
-    can be allowed without risking a {e permanent} gap — an empty
+    [ok ctx memo ~from_ ~to_ ~op] decides whether moving [op] up one
+    node can be allowed without risking a {e permanent} gap — an empty
     instruction between two instructions holding operations of the same
     iteration, which would prevent Perfect Pipelining from converging.
     The four conditions, verbatim from the paper:
@@ -21,126 +21,195 @@
     approximation of the {!Vliw_percolation.Move_op} legality test that
     pretends [op] has already left [from_]; it errs on the side of
     answering "no", which only suspends the operation until its
-    neighbours move — convergence is preserved, never correctness. *)
+    neighbours move — convergence is preserved, never correctness.
+
+    Condition 3 searches the graph below [from_].  Its answers come
+    from a {!memo} that one scheduling run owns: a search that finds
+    nothing of iteration [i] records every node it expanded as holding
+    nothing of [i], down to the exit, and later searches for [i] stop
+    there.  Such a fact stays true for the whole run, because
+    operations move up one edge at a time and every node a move
+    creates copies a node that was already below (DESIGN.md §22).  The
+    test is top-level recursion throughout: no closure per call, per
+    level or per node. *)
 
 open Vliw_ir
 module Alias = Vliw_analysis.Alias
 module Machine = Vliw_machine.Machine
 module Ctx = Vliw_percolation.Ctx
 
-(* Would [x] (currently in [s]) be moveable into [from_] if [op] were
-   gone?  Localized approximation: unguarded, no true/memory dependence
-   on the remaining operations, and room once [op]'s slot is free.
-   The "remaining" ops are [from_node.ops] minus [ignoring] — tested by
-   id in place rather than materializing the filtered list. *)
+(** Condition 3's absence memo and its search scratch, owned by one
+    scheduling run ({!Scheduler.run}) and valid only over the moves of
+    that run. *)
+type memo = {
+  mutable absent : Bytes.t array;
+      (** iteration -> bitset over node ids: bit [v] set when [v] and
+          every node below it hold no operation of that iteration *)
+  marks : int Itbl.t;  (** [stamp] on the nodes the current search expanded *)
+  mutable stamp : int;
+  expanded : Iarr.t;  (** the nodes the current search expanded *)
+}
+
+let create_memo () =
+  { absent = [||]; marks = Itbl.create 0; stamp = 0; expanded = Iarr.create () }
+
+let known_absent m id it =
+  it < Array.length m.absent
+  && id lsr 3 < Bytes.length m.absent.(it)
+  && Char.code (Bytes.unsafe_get m.absent.(it) (id lsr 3)) land (1 lsl (id land 7)) <> 0
+
+let note_absent m id it =
+  if it >= Array.length m.absent then begin
+    let grown = Array.make (max (it + 1) (2 * Array.length m.absent)) Bytes.empty in
+    Array.blit m.absent 0 grown 0 (Array.length m.absent);
+    m.absent <- grown
+  end;
+  let row = m.absent.(it) in
+  if id lsr 3 >= Bytes.length row then begin
+    let r = Bytes.make (max ((id lsr 3) + 1) (2 * Bytes.length row)) '\000' in
+    Bytes.blit row 0 r 0 (Bytes.length row);
+    m.absent.(it) <- r
+  end;
+  let row = m.absent.(it) in
+  Bytes.unsafe_set row (id lsr 3)
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get row (id lsr 3)) lor (1 lsl (id land 7))))
+
+(* How many operations of iteration [it] a node holds: plain ops, then
+   tree jumps. *)
+let rec count_plain it k = function
+  | [] -> k
+  | (o : Operation.t) :: tl ->
+      count_plain it (if o.Operation.iter = it then k + 1 else k) tl
+
+let rec count_cjumps it k = function
+  | Ctree.Leaf _ -> k
+  | Ctree.Branch (cj, a, b) ->
+      count_cjumps it
+        (count_cjumps it (if cj.Operation.iter = it then k + 1 else k) a)
+        b
+
+let count_iter it (n : Node.t) = count_cjumps it (count_plain it 0 n.Node.ops) n.Node.ctree
+
+(* Does node [id], or a node below it, hold an operation of iteration
+   [it]?  Depth-first; the exit, recorded nodes and nodes this search
+   already expanded answer no. *)
+let rec holds_below m p it id =
+  if
+    Program.is_exit p id || known_absent m id it
+    || Itbl.get m.marks id = m.stamp
+  then false
+  else begin
+    Itbl.set m.marks id m.stamp;
+    Iarr.push m.expanded id;
+    count_iter it (Program.node p id) > 0
+    || any_below m p it (Program.succs p id)
+  end
+
+and any_below m p it = function
+  | [] -> false
+  | s :: tl -> holds_below m p it s || any_below m p it tl
+
+(** [last_of_iteration ctx memo ~from_ ~iter] — condition 3: no node
+    below [from_] holds an operation of iteration [iter].  A search
+    that finds none has expanded, or found recorded, everything below
+    each node it expanded, cycles or not, so it records them all in
+    [memo]; a search that finds one records nothing.  Either way it
+    adds the nodes it expanded to the [gapless.scan_nodes] counter. *)
+let last_of_iteration (ctx : Ctx.t) m ~from_ ~iter =
+  let p = ctx.Ctx.program in
+  m.stamp <- m.stamp + 1;
+  Iarr.clear m.expanded;
+  let found = any_below m p iter (Program.succs p from_) in
+  Grip_obs.Metrics.add ctx.Ctx.obs.Grip_obs.metrics "gapless.scan_nodes"
+    (Iarr.length m.expanded);
+  if not found then
+    for i = 0 to Iarr.length m.expanded - 1 do
+      note_absent m (Iarr.unsafe_get m.expanded i) iter
+    done;
+  not found
+
+(* Does an operation of [ops] other than [ignoring] keep [x] out of the
+   node: a non-copy whose result [x] reads, or a memory access that
+   conflicts with [x]'s? *)
+let rec blocks ~(x : Operation.t) ~ignoring = function
+  | [] -> false
+  | (o : Operation.t) :: tl ->
+      (o.Operation.id <> ignoring
+      && ((match o.Operation.kind with
+          | Operation.Binop (_, d, _, _)
+          | Operation.Unop (_, d, _)
+          | Operation.Load (d, _) ->
+              Operation.reads_reg x d
+          | Operation.Copy _ | Operation.Store _ | Operation.Cjump _ -> false)
+         || Alias.mem_conflict o x))
+      || blocks ~x ~ignoring tl
+
+(* Would [x] (currently in a successor) be moveable into [from_node]
+   if [ignoring] were gone?  Localized approximation: unguarded, no
+   true/memory dependence on the remaining operations, and room once
+   [ignoring]'s slot is free. *)
 let movable_ignoring (ctx : Ctx.t) ~(from_node : Node.t) ~(x : Operation.t)
     ~(ignoring : Operation.t) =
-  let remaining_exists f =
-    List.exists
-      (fun (o : Operation.t) ->
-        o.Operation.id <> ignoring.Operation.id && f o)
-      from_node.Node.ops
-  in
   x.Operation.guard = []
-  && (not
-        (remaining_exists (fun (o : Operation.t) ->
-             match Operation.def o with
-             | Some d ->
-                 Operation.reads_reg x d && not (Operation.is_copy o)
-             | None -> false)))
-  && (not (remaining_exists (fun o -> Alias.mem_conflict o x)))
+  && (not (blocks ~x ~ignoring:ignoring.Operation.id from_node.Node.ops))
   &&
-  (* op leaves a slot free that x can take *)
   let m = ctx.Ctx.machine in
   Machine.is_unlimited m
   || Machine.slot_demand_packed m
        (Program.counts_packed ctx.Ctx.program from_node.Node.id)
      <= Machine.width m
 
-(** [ok ctx ~from_ ~to_ ~op] — see module comment.  Operations outside
-    any iteration (preamble) are never suspended. *)
-let ok (ctx : Ctx.t) ~from_ ~to_ ~(op : Operation.t) =
-  ignore to_;
+(* The four conditions for [op] at [from_]; [depth] bounds condition
+   4's recursion. *)
+let rec gapless ctx m ~from_ ~(op : Operation.t) depth =
   let p = ctx.Ctx.program in
-  let iter = op.Operation.iter in
-  if iter = Operation.no_iter then true
-  else
-    let rec go ~from_ ~(op : Operation.t) depth =
-      let from_node = Program.node p from_ in
-      (* one same-iteration predicate per [go] level: conditions 2-4
-         test it on every operation of every visited node, and a
-         closure minted per node is measurable allocation *)
-      let it = op.Operation.iter in
-      let same (o : Operation.t) = o.Operation.iter = it in
-      (* 1: from_ will disappear (per-node packed counters, no list
-         length / tree walk) *)
-      let cond1 =
-        let c = Program.counts_packed p from_ in
-        if Operation.is_cjump op then
-          Node.packed_plain c = 0 && Node.packed_cjumps c = 1
-        else Node.packed_plain c = 1 && Node.packed_cjumps c = 0
-      in
-      (* 2: another op of the same iteration stays at from_ (plain ops
-         then tree jumps — the [Node.all_ops] order without the list) *)
-      let cond2 =
-        let k =
-          Ctree.fold_cjumps
-            (fun k o -> if same o then k + 1 else k)
-            (List.fold_left
-               (fun k o -> if same o then k + 1 else k)
-               0 from_node.Node.ops)
-            from_node.Node.ctree
-        in
-        k >= 2
-      in
-      (* 3: op is the last operation of its iteration.  Visited set:
-         the context's epoch-stamped scan table (distinct from the
-         migration walk's, which is in flight around this test). *)
-      let cond3 () =
-        Ctx.scan_begin ctx;
-        let rec below id =
-          if Ctx.scan_seen ctx id || Program.is_exit p id then false
-          else begin
-            Ctx.scan_mark ctx id;
-            let n = Program.node p id in
-            List.exists same n.Node.ops
-            || Ctree.exists_cjump same n.Node.ctree
-            || List.exists below (Program.succs p id)
-          end
-        in
-        not (List.exists below (Program.succs p from_))
-      in
-      (* 4: some successor holds a same-iteration op that can fill the
-         transient gap *)
-      let cond4 () =
-        depth < 8
-        && List.exists
-             (fun s ->
-               (not (Program.is_exit p s))
-               &&
-               let sn = Program.node p s in
-               let candidate shape_ok (x : Operation.t) =
-                 same x
-                 && (not (Operation.equal_id x op))
-                 && shape_ok x
-                 && movable_ignoring ctx ~from_node ~x ~ignoring:op
-                 && go ~from_:s ~op:x (depth + 1)
-               in
-               let cj_shape (x : Operation.t) =
-                 (* only the root conditional of s can move *)
-                 match Ctree.root_cjump sn.Node.ctree with
-                 | Some root -> Operation.equal_id root x
-                 | None -> false
-               in
-               List.exists
-                 (candidate (fun (_ : Operation.t) -> true))
-                 sn.Node.ops
-               || Ctree.exists_cjump (candidate cj_shape) sn.Node.ctree)
-             (Program.succs p from_)
-      in
-      cond1 || cond2 || cond3 () || cond4 ()
-    in
-    go ~from_ ~op 0
+  let it = op.Operation.iter in
+  let from_node = Program.node p from_ in
+  (* 1: from_ will disappear (per-node packed counters) *)
+  (let c = Program.counts_packed p from_ in
+   if Operation.is_cjump op then
+     Node.packed_plain c = 0 && Node.packed_cjumps c = 1
+   else Node.packed_plain c = 1 && Node.packed_cjumps c = 0)
+  (* 2: another op of the same iteration stays at from_ *)
+  || count_iter it from_node >= 2
+  (* 3: op is the last operation of its iteration *)
+  || last_of_iteration ctx m ~from_ ~iter:it
+  (* 4: some successor holds a same-iteration op that can fill the
+     transient gap *)
+  || (depth < 8 && fillable ctx m ~from_node ~op depth (Program.succs p from_))
+
+and fillable ctx m ~from_node ~op depth = function
+  | [] -> false
+  | s :: tl ->
+      ((not (Program.is_exit ctx.Ctx.program s))
+      &&
+      let sn = Program.node ctx.Ctx.program s in
+      plain_filler ctx m ~from_node ~op ~s depth sn.Node.ops
+      ||
+      (* only the root conditional of s can move *)
+      match sn.Node.ctree with
+      | Ctree.Branch (root, _, _) -> filler ctx m ~from_node ~op ~s depth root
+      | Ctree.Leaf _ -> false)
+      || fillable ctx m ~from_node ~op depth tl
+
+and plain_filler ctx m ~from_node ~op ~s depth = function
+  | [] -> false
+  | x :: tl ->
+      filler ctx m ~from_node ~op ~s depth x
+      || plain_filler ctx m ~from_node ~op ~s depth tl
+
+and filler ctx m ~from_node ~(op : Operation.t) ~s depth (x : Operation.t) =
+  x.Operation.iter = op.Operation.iter
+  && (not (Operation.equal_id x op))
+  && movable_ignoring ctx ~from_node ~x ~ignoring:op
+  && gapless ctx m ~from_:s ~op:x (depth + 1)
+
+(** [ok ctx memo ~from_ ~to_ ~op] — see module comment; [memo] must
+    belong to the scheduling run making the moves.  Operations outside
+    any iteration (preamble) are never suspended. *)
+let ok (ctx : Ctx.t) m ~from_ ~to_ ~(op : Operation.t) =
+  ignore to_;
+  op.Operation.iter = Operation.no_iter || gapless ctx m ~from_ ~op 0
 
 (** [explain ~from_ ~op] — a short human reason for a gap-prevention
     veto, for provenance journals; meaningful only after {!ok} returned

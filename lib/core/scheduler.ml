@@ -131,31 +131,21 @@ let dominators (ctx : Ctx.t) = Ctx.dominators ctx
    dominated by [n], excluding those already in [n].  (Initialisation
    per section 3.2; operations become unmoveable by being scheduled
    into [n] or by failing their migration attempt, both of which the
-   driver tracks dynamically.) *)
-let moveable_ops (p : Program.t) dom n =
-  let region = Vliw_analysis.Dom.dominated dom p n in
-  List.concat_map
-    (fun id ->
-      if id = n || Program.is_exit p id then []
-      else Node.all_ops (Program.node p id))
-    region
-
-(* Flat worklist variant of {!moveable_ops}: the op ids in the same
-   order (per region node: plain ops in instruction order, then tree
-   jumps pre-order), drawn from the program's flat sequences — no
-   per-node list append, no record traversal.  The scheduler re-fetches
-   metadata by id, so ids are all it needs. *)
+   scheduling loop tracks dynamically.)  Listed as op ids, per region
+   node in RPO order plain ops in instruction order then tree jumps
+   pre-order, drawn from the program's flat sequences; the scheduler
+   re-fetches metadata by id.  A node comes after its dominators in
+   RPO, so only the suffix after [n] is filtered, each node by the
+   O(1) interval test. *)
 let moveable_op_ids (p : Program.t) dom n acc =
   Vliw_ir.Iarr.clear acc;
-  let push oid = Vliw_ir.Iarr.push acc oid in
-  (* inline [Dom.dominated]'s filter: no materialized region list *)
+  let add = Vliw_ir.Iarr.push acc in
+  let rec after = function [] -> [] | id :: tl -> if id = n then tl else after tl in
   List.iter
     (fun id ->
-      if
-        (not (id = n || Program.is_exit p id))
-        && Vliw_analysis.Dom.dominates dom n id
-      then Program.iter_op_ids p id push)
-    (Program.rpo p);
+      if (not (Program.is_exit p id)) && Vliw_analysis.Dom.dominates dom n id
+      then Program.iter_op_ids p id add)
+    (after (Program.rpo p));
   acc
 
 (** A node's Moveable-ops as a ranked queue, so that choose-op costs
@@ -298,6 +288,7 @@ type scratch = {
   mutable rpo_shape : int;  (** shape version [rpo_tbl] speaks for *)
   moveable : Vliw_ir.Iarr.t;  (** worklist buffer for {!moveable_op_ids} *)
   queue : Ranked.t;
+  gapless : Gapless.memo;  (** the Gapless test's run-long absence memo *)
 }
 
 let fresh_scratch () =
@@ -308,6 +299,7 @@ let fresh_scratch () =
     rpo_shape = -1;
     moveable = Vliw_ir.Iarr.create ~capacity:256 ();
     queue = Ranked.create ();
+    gapless = Gapless.create_memo ();
   }
 
 let mask_get b id = id < Bytes.length b && Bytes.unsafe_get b id <> '\000'
@@ -351,6 +343,16 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
   Bytes.fill scratch.att_mask 0 (Bytes.length scratch.att_mask) '\000';
   let suspended_ids = ref [] in
   let suspended_count = ref 0 in
+  (* Rule 3: while suspensions exist, a candidate whose home is at or
+     above the lowest suspended operation's (in reverse postorder) may
+     not move; [-1] = no cut-off.  It is kept between picks: [folded]
+     counts the suspended ids (the oldest, at the list's tail) already
+     folded in.  No move commits while a suspension persists (a
+     migration that moves while suspensions exist is stopped early and
+     followed by [unsuspend_all]), so no home and no RPO position
+     changes under a cut-off in force (DESIGN.md §22). *)
+  let cutoff = ref (-1) in
+  let folded = ref 0 in
   let suspend op_id =
     if not (mask_get scratch.susp_mask op_id) then begin
       scratch.susp_mask <- mask_set scratch.susp_mask op_id;
@@ -366,7 +368,9 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
           Bytes.unsafe_set scratch.att_mask op_id '\000')
       !suspended_ids;
     suspended_ids := [];
-    suspended_count := 0
+    suspended_count := 0;
+    cutoff := -1;
+    folded := 0
   in
   (* Rule-3 reverse-postorder index, cached by shape version on the
      per-run scratch: node order changes only when an edge or a node
@@ -389,10 +393,14 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
       scratch.rpo_tbl
     end
   in
-  (* Rule 3: while suspensions exist, a candidate whose home is at or
-     above the lowest suspended operation's (in reverse postorder) may
-     not move; [-1] = no cut-off. *)
-  let cutoff = ref (-1) in
+  (* Fold the [k] newest suspended ids into the cut-off. *)
+  let rec fold_newest order k = function
+    | op_id :: tl when k > 0 ->
+        let home = Program.home_int p op_id in
+        if home >= 0 then cutoff := max !cutoff (Vliw_ir.Itbl.get order home);
+        fold_newest order (k - 1) tl
+    | _ -> ()
+  in
   (* Which candidates choose-op may take: alive, not yet in n, not
      suspended, not already attempted since the last progress, rule 3
      respected.  An op in n stays there for the rest of the node (walks
@@ -422,7 +430,9 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
             suspend_reason := "speculation policy veto";
             false
           end
-          else if config.gap_prevention && not (Gapless.ok ctx ~from_ ~to_ ~op)
+          else if
+            config.gap_prevention
+            && not (Gapless.ok ctx scratch.gapless ~from_ ~to_ ~op)
           then begin
             suspend_reason :=
               (if proving then Gapless.explain ~from_ ~op
@@ -450,15 +460,10 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
        raises here, at the loop head, so a stuck cell surfaces a
        structured error instead of wedging the domain *)
     Grip_robust.Budget.check config.budget;
-    (* rule 3 bookkeeping is only needed while suspensions exist *)
-    cutoff := -1;
-    if !suspended_count > 0 then begin
-      let order = rpo_index () in
-      List.iter
-        (fun op_id ->
-          let home = Program.home_int p op_id in
-          if home >= 0 then cutoff := max !cutoff (Vliw_ir.Itbl.get order home))
-        !suspended_ids
+    (* rule 3: fold in the suspensions added since the last pick *)
+    if !suspended_count > !folded then begin
+      fold_newest (rpo_index ()) (!suspended_count - !folded) !suspended_ids;
+      folded := !suspended_count
     end;
     (* Best candidate: the first the queue's verdict takes.  The record
        is fetched only for the pick, to feed the hooks and journals. *)

@@ -9,7 +9,12 @@
     configuration is not a slowdown).  A GRiP cell of the old artifact
     without a numeric speedup in the new one is {e missing} and fails
     the diff, as a regression does: a run that lost cells must not
-    pass the gate. *)
+    pass the gate.
+
+    The report also lists, per compared cell, the integer counters of
+    its [stats] and [legality] blocks that differ (the scheduler's
+    work), and ends with how many cells did the same work.  That part
+    is informational: it never fails the diff. *)
 
 type cell = {
   loop : string;
@@ -19,6 +24,9 @@ type cell = {
   new_speedup : float;
   old_alloc : float option;  (** per-cell [gc.alloc_bytes], when present *)
   new_alloc : float option;
+  work : (string * int * int) list;
+      (** ["block.field"], old and new value of every integer [stats] or
+          [legality] counter the two cells both carry and disagree on *)
 }
 
 type result = {
@@ -42,8 +50,9 @@ let schema_version doc =
   | _ -> None
 
 (* Flatten an artifact into ordered ((loop, fu, tech), (speedup,
-   alloc_bytes option)) cells.  [gc.alloc_bytes] appeared in schema /6;
-   older artifacts diff fine, they just can't gate on allocation. *)
+   alloc_bytes option, cell)) cells.  [gc.alloc_bytes] appeared in
+   schema /6; older artifacts diff fine, they just can't gate on
+   allocation. *)
 let cells_of doc =
   let loops =
     Option.value ~default:[]
@@ -67,12 +76,39 @@ let cells_of doc =
                                 Json.to_float)
                         in
                         Option.map
-                          (fun s -> ((name, field, tech), (s, alloc)))
+                          (fun s -> ((name, field, tech), (s, alloc, c)))
                           (Option.bind (Json.member "speedup" c) Json.to_float)))
                   [ "grip"; "post" ]
               else [])
             fields)
     loops
+
+(* A cell's integer counters in its [stats] and [legality] blocks, as
+   ("block.field", value). *)
+let work_counters c =
+  List.concat_map
+    (fun block ->
+      match Json.member block c with
+      | Some (Json.Obj kvs) ->
+          List.filter_map
+            (fun (k, v) ->
+              match v with
+              | Json.Num x when Float.is_integer x -> Some (block ^ "." ^ k, x)
+              | _ -> None)
+            kvs
+      | _ -> [])
+    [ "stats"; "legality" ]
+
+(* The counters both cells carry and disagree on; a counter only one
+   schema has is skew, not work. *)
+let work_diff old_c new_c =
+  let counters = work_counters new_c in
+  List.filter_map
+    (fun (k, o) ->
+      match List.assoc_opt k counters with
+      | Some n when n <> o -> Some (k, int_of_float o, int_of_float n)
+      | _ -> None)
+    (work_counters old_c)
 
 (* Schema /7 added a per-cell [cache] block (warm-path memo counters).
    Older artifacts simply lack it and diff fine; when present it must
@@ -151,12 +187,12 @@ let diff ~old_ ~new_ =
       let label (l, f, t) = Printf.sprintf "%s/%s/%s" l f t in
       let cells =
         List.filter_map
-          (fun (key, (new_speedup, new_alloc)) ->
+          (fun (key, (new_speedup, new_alloc, new_cell)) ->
             Option.map
-              (fun (old_speedup, old_alloc) ->
+              (fun (old_speedup, old_alloc, old_cell) ->
                 let loop, fu, tech = key in
                 { loop; fu; tech; old_speedup; new_speedup; old_alloc;
-                  new_alloc })
+                  new_alloc; work = work_diff old_cell new_cell })
               (List.assoc_opt key ocells))
           ncells
       in
@@ -230,7 +266,13 @@ let pp_result ?(tolerance = 1e-9) ?gc_tolerance ppf r =
         c.fu c.tech c.old_speedup c.new_speedup (delta c) pp_mb c.old_alloc
         pp_mb c.new_alloc
         (if speedup_reg then "  REGRESSION" else "")
-        (if alloc_reg then "  ALLOC-REGRESSION" else ""))
+        (if alloc_reg then "  ALLOC-REGRESSION" else "");
+      if c.work <> [] then
+        Format.fprintf ppf "       work: %s@."
+          (String.concat ", "
+             (List.map
+                (fun (k, o, n) -> Printf.sprintf "%s %d -> %d" k o n)
+                c.work)))
     r.cells;
   List.iter
     (fun l ->
@@ -250,7 +292,7 @@ let pp_result ?(tolerance = 1e-9) ?gc_tolerance ppf r =
        GRiP cell(s) missing from the new artifact@."
       (List.length r.cells) (List.length regs) tolerance
       (List.length r.missing);
-  match gc_tolerance with
+  (match gc_tolerance with
   | None -> ()
   | Some g -> (
       match gc_regressions ~gc_tolerance:g r with
@@ -260,4 +302,7 @@ let pp_result ?(tolerance = 1e-9) ?gc_tolerance ppf r =
       | aregs ->
           Format.fprintf ppf
             "%d GRiP cell(s) allocating beyond gc-tolerance +%g%%@."
-            (List.length aregs) (100.0 *. g))
+            (List.length aregs) (100.0 *. g)));
+  Format.fprintf ppf "work identical on %d/%d cells@."
+    (List.length (List.filter (fun c -> c.work = []) r.cells))
+    (List.length r.cells)

@@ -15,6 +15,9 @@
     - [migrate.chain_nodes] — nodes each migration's chain check
       followed, added once per migration whether or not the cone was
       a chain
+    - [gapless.scan_nodes] — nodes the Gapless test's condition-3
+      search expanded (memoized nodes are not expanded), added once per
+      search
     - [migrate.cone_nodes / walk_nodes] — nodes marked in the cone and
       nodes the walk expanded, added once per cone walk (a migration
       whose cone is a chain climbs it and adds neither)

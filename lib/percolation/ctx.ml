@@ -49,11 +49,6 @@ type t = {
   mutable chain_stamp : int;
   mutable chain_target : int;
   mutable chain_shape : int;
-  scan_marks : int Itbl.t;
-      (** gap-prevention traversal visited set — separate from
-          [walk_marks] because the gapless test runs inside a
-          migration walk *)
-  mutable scan_stamp : int;
   mutable gc_depth : int;
       (** > 0 inside {!defer_gc}: collections requested by committed
           moves are batched until the region exits *)
@@ -83,8 +78,6 @@ let make ?(rename = true) ?(obs = Grip_obs.null) program ~machine ~exit_live =
     chain_stamp = 0;
     chain_target = -1;
     chain_shape = -1;
-    scan_marks = Itbl.create 0;
-    scan_stamp = 0;
     gc_depth = 0;
     gc_pending = false;
   }
@@ -162,8 +155,9 @@ let legality_store t ~from_ ~to_ ~op_id verdict =
 
 (* Epoch-stamped membership: starting a traversal bumps the stamp;
    membership is "mark equals current stamp".  No per-traversal table
-   allocation, no clearing.  The two sets nest: a migration walk
-   ([walk_*]) triggers gap-prevention scans ([scan_*]) at every hop. *)
+   allocation, no clearing.  The gap-prevention test, which runs
+   inside migration walks, keeps its own marks on the scheduling run's
+   memo ([Grip.Gapless.memo]). *)
 
 let walk_begin t = t.walk_stamp <- t.walk_stamp + 1
 let walk_seen t id = Itbl.get t.walk_marks id = t.walk_stamp
@@ -200,10 +194,6 @@ let chain_begin t ~target =
 
 let chain_known t id = Itbl.get t.chain_marks id = t.chain_stamp
 let chain_note t id = Itbl.set t.chain_marks id t.chain_stamp
-
-let scan_begin t = t.scan_stamp <- t.scan_stamp + 1
-let scan_seen t id = Itbl.get t.scan_marks id = t.scan_stamp
-let scan_mark t id = Itbl.set t.scan_marks id t.scan_stamp
 
 (* -- deferred garbage collection ----------------------------------------- *)
 

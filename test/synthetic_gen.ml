@@ -1,6 +1,8 @@
-(* Random [Synthetic] kernel specs, shared by the property suites that
-   drive the percolation core over unwound random programs. *)
+(* Random [Synthetic] kernel specs and unwound random programs with
+   joins, shared by the property suites that drive the percolation
+   core, the scheduler and the analyses over them. *)
 
+open Vliw_ir
 module Synthetic = Workloads.Synthetic
 
 let spec_gen =
@@ -24,3 +26,68 @@ let make_rng seed =
   fun bound ->
     rng := ((!rng * 1103515245) + 12345) land 0x3FFFFFFF;
     !rng mod bound
+
+(* One join edge for [p]: a node's loop-exit leaf and a node two or
+   three levels below it, or [None] when there is no such pair. *)
+let pick_join p next =
+  let exit_ = p.Program.exit_id in
+  let below id =
+    List.filter (fun s -> not (Program.is_exit p s)) (Program.succs p id)
+  in
+  let forks =
+    List.filter
+      (fun id ->
+        (not (Program.is_exit p id))
+        && List.mem exit_ (Program.succs p id)
+        && below id <> [])
+      (Program.rpo p)
+  in
+  if forks = [] then None
+  else begin
+    let x = List.nth forks (next (List.length forks)) in
+    let rec descend id depth =
+      match below id with
+      | l when l <> [] && depth > 0 ->
+          descend (List.nth l (next (List.length l))) (depth - 1)
+      | _ -> id
+    in
+    let c = descend (List.hd (below x)) (1 + next 2) in
+    if c <> List.hd (below x) then Some (x, c) else None
+  end
+
+(* Point [x]'s loop-exit leaf at [c]: [c] gets a second predecessor. *)
+let add_join p (x, c) =
+  Program.redirect p ~from_:x ~old_:p.Program.exit_id ~new_:c
+
+(* An unwound random kernel with [joins] extra edges from
+   {!pick_join}, so the graph gets multi-predecessor nodes — cones
+   wider than a path and moves that split. *)
+let joined_program spec ~joins =
+  let kern = Synthetic.generate spec in
+  let p = (Grip.Unwind.build kern ~horizon:4).Grip.Unwind.program in
+  let next = make_rng (spec.Synthetic.seed + 5) in
+  for _ = 1 to joins do
+    Option.iter (add_join p) (pick_join p next)
+  done;
+  (p, Grip.Kernel.exit_live kern)
+
+(* Migrate a random operation of [ctx]'s program toward a random node
+   above its home in RPO (its home when there is none), as the
+   scheduler's migrations do; [None] when no operation is left. *)
+let migrate_random ?hooks (ctx : Vliw_percolation.Ctx.t) next =
+  let p = ctx.Vliw_percolation.Ctx.program in
+  match Program.all_ops p with
+  | [] -> None
+  | ops ->
+      let op = List.nth ops (next (List.length ops)) in
+      let home = Program.home_int p op.Operation.id in
+      let order = Program.rpo p in
+      let rec index i = function
+        | [] -> 0
+        | id :: tl -> if id = home then i else index (i + 1) tl
+      in
+      let above = index 0 order in
+      let target = if above = 0 then home else List.nth order (next above) in
+      Some
+        (Vliw_percolation.Migrate.migrate ctx ?hooks ~target
+           ~op_id:op.Operation.id ())

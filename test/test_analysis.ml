@@ -5,6 +5,7 @@ module Liveness = Vliw_analysis.Liveness
 module Dom = Vliw_analysis.Dom
 module Alias = Vliw_analysis.Alias
 module Ddg = Vliw_analysis.Ddg
+module Synthetic = Workloads.Synthetic
 
 let reg = Reg.of_int
 let imm n = Operand.Imm (Value.I n)
@@ -96,6 +97,50 @@ let test_dominators_diamond () =
   let sub = Dom.dominated dom p top in
   Alcotest.(check bool) "subgraph has all" true
     (List.for_all (fun x -> List.mem x sub) [ top; a; b; join ])
+
+(* The idom walk that answered [Dom.dominates] before the tree carried
+   preorder intervals: the oracle for the O(1) test. *)
+let walk_dominates (t : Dom.t) a b =
+  let rec up b =
+    if b = a then true
+    else if b = t.Dom.entry then false
+    else up (Itbl.get t.Dom.idom b)
+  in
+  if Itbl.get t.Dom.idom b < 0 then false else up b
+
+(* Interval dominance agrees with the idom walk on every pair of node
+   ids (dead and unreachable ones included) of a random unwound
+   program with joins, and again after each of a run of random
+   migrations, the tree recomputed in place as the scheduler's cache
+   does. *)
+let prop_interval_dominance =
+  QCheck2.Test.make ~name:"interval dominance == idom walk" ~count:100
+    ~print:Synthetic_gen.print_spec Synthetic_gen.spec_gen (fun spec ->
+      let p, exit_live =
+        Synthetic_gen.joined_program spec ~joins:(1 + (spec.Synthetic.n_ops mod 3))
+      in
+      let ctx =
+        Vliw_percolation.Ctx.make p ~machine:(Vliw_machine.Machine.homogeneous 2)
+          ~exit_live
+      in
+      let next = Synthetic_gen.make_rng spec.Synthetic.seed in
+      let dom = Dom.compute p in
+      let agree step =
+        for a = 0 to Program.node_limit p - 1 do
+          for b = 0 to Program.node_limit p - 1 do
+            if Dom.dominates dom a b <> walk_dominates dom a b then
+              QCheck2.Test.fail_reportf "step %d: dominates n%d n%d = %b" step a
+                b (Dom.dominates dom a b)
+          done
+        done
+      in
+      agree 0;
+      for step = 1 to 12 do
+        ignore (Synthetic_gen.migrate_random ctx next);
+        Dom.recompute dom p;
+        agree step
+      done;
+      true)
 
 (* -- alias --------------------------------------------------------------- *)
 
@@ -197,7 +242,11 @@ let () =
           Alcotest.test_case "loop" `Quick test_liveness_loop;
           Alcotest.test_case "cache invalidation" `Quick test_liveness_cache_invalidation;
         ] );
-      ("dominators", [ Alcotest.test_case "diamond" `Quick test_dominators_diamond ]);
+      ( "dominators",
+        [
+          Alcotest.test_case "diamond" `Quick test_dominators_diamond;
+          QCheck_alcotest.to_alcotest prop_interval_dominance;
+        ] );
       ( "alias",
         [
           Alcotest.test_case "addresses" `Quick test_alias;

@@ -416,13 +416,14 @@ let test_gapless_cond1_only_op () =
   let u = Grip.Unwind.build abc ~horizon:3 in
   let p = u.Grip.Unwind.program in
   let ctx = Ctx.make p ~machine:Machine.unlimited ~exit_live:(Grip.Kernel.exit_live abc) in
+  let memo = Grip.Gapless.create_memo () in
   (* first body node of iteration 0 holds only a0 *)
   let a0_home = u.Grip.Unwind.heads.(0) in
   let a0 = List.hd (Program.node p a0_home).Node.ops in
   let preds = Program.preds p in
   let pred = List.hd (Hashtbl.find preds a0_home) in
   Alcotest.(check bool) "cond 1 allows" true
-    (Grip.Gapless.ok ctx ~from_:a0_home ~to_:pred ~op:a0)
+    (Grip.Gapless.ok ctx memo ~from_:a0_home ~to_:pred ~op:a0)
 
 let test_gapless_blocks_abandoning_iteration () =
   (* craft: node holds {x_of_iter1, y_of_iter0}; below: z of iter 1
@@ -438,11 +439,12 @@ let test_gapless_blocks_abandoning_iteration () =
   let mid = Program.fresh_node p ~ops:[ x; y ] ~ctree:(Ctree.leaf below.Node.id) in
   Program.redirect p ~from_:p.Program.entry ~old_:exit_ ~new_:mid.Node.id;
   let ctx = Ctx.make p ~machine:Machine.unlimited ~exit_live:Reg.Set.empty in
+  let memo = Grip.Gapless.create_memo () in
   Alcotest.(check bool) "moving x would orphan iteration 1" false
-    (Grip.Gapless.ok ctx ~from_:mid.Node.id ~to_:p.Program.entry ~op:x);
+    (Grip.Gapless.ok ctx memo ~from_:mid.Node.id ~to_:p.Program.entry ~op:x);
   (* y, by contrast, is the last op of iteration 0: cond 3 allows *)
   Alcotest.(check bool) "y allowed by cond 3" true
-    (Grip.Gapless.ok ctx ~from_:mid.Node.id ~to_:p.Program.entry ~op:y)
+    (Grip.Gapless.ok ctx memo ~from_:mid.Node.id ~to_:p.Program.entry ~op:y)
 
 let test_gapless_cond4_filler () =
   (* moving x of iter 0 out of mid is fine when below holds w of iter 0
@@ -459,8 +461,240 @@ let test_gapless_cond4_filler () =
   let mid = Program.fresh_node p ~ops:[ x; other ] ~ctree:(Ctree.leaf below.Node.id) in
   Program.redirect p ~from_:p.Program.entry ~old_:exit_ ~new_:mid.Node.id;
   let ctx = Ctx.make p ~machine:Machine.unlimited ~exit_live:Reg.Set.empty in
+  let memo = Grip.Gapless.create_memo () in
   Alcotest.(check bool) "cond 4 filler found" true
-    (Grip.Gapless.ok ctx ~from_:mid.Node.id ~to_:p.Program.entry ~op:x)
+    (Grip.Gapless.ok ctx memo ~from_:mid.Node.id ~to_:p.Program.entry ~op:x)
+
+(* -- condition-3 memo ------------------------------------------------------ *)
+
+(* Nodes the plain searches below expanded, against the memo's
+   [gapless.scan_nodes] over the same queries: the memo property
+   requires that the memo spared some. *)
+let plain_expanded = ref 0
+let memo_expanded = ref 0
+
+(* Condition 3 as a plain depth-first search, with no memo. *)
+let plain_last p ~from_ ~iter =
+  let seen = Hashtbl.create 16 in
+  let same (o : Operation.t) = o.Operation.iter = iter in
+  let rec below id =
+    if Hashtbl.mem seen id || Program.is_exit p id then false
+    else begin
+      Hashtbl.replace seen id ();
+      incr plain_expanded;
+      let n = Program.node p id in
+      List.exists same n.Node.ops
+      || Ctree.exists_cjump same n.Node.ctree
+      || List.exists below (Program.succs p id)
+    end
+  in
+  not (List.exists below (Program.succs p from_))
+
+(* The Gapless test as it stood before the memo — the oracle for
+   [Gapless.ok]: the four conditions, condition 3 by {!plain_last}. *)
+let plain_movable (ctx : Ctx.t) ~(from_node : Node.t) ~(x : Operation.t)
+    ~(ignoring : Operation.t) =
+  let remaining =
+    List.filter
+      (fun (o : Operation.t) -> o.Operation.id <> ignoring.Operation.id)
+      from_node.Node.ops
+  in
+  x.Operation.guard = []
+  && (not
+        (List.exists
+           (fun o ->
+             match Operation.def o with
+             | Some d -> Operation.reads_reg x d && not (Operation.is_copy o)
+             | None -> false)
+           remaining))
+  && (not (List.exists (fun o -> Vliw_analysis.Alias.mem_conflict o x) remaining))
+  &&
+  let m = ctx.Ctx.machine in
+  Machine.is_unlimited m
+  || Machine.slot_demand_packed m
+       (Program.counts_packed ctx.Ctx.program from_node.Node.id)
+     <= Machine.width m
+
+let rec plain_gapless (ctx : Ctx.t) ~from_ ~(op : Operation.t) depth =
+  let p = ctx.Ctx.program in
+  let from_node = Program.node p from_ in
+  let same (o : Operation.t) = o.Operation.iter = op.Operation.iter in
+  let cond1 =
+    let c = Program.counts_packed p from_ in
+    if Operation.is_cjump op then
+      Node.packed_plain c = 0 && Node.packed_cjumps c = 1
+    else Node.packed_plain c = 1 && Node.packed_cjumps c = 0
+  in
+  let cond2 = List.length (List.filter same (Node.all_ops from_node)) >= 2 in
+  let cond4 () =
+    depth < 8
+    && List.exists
+         (fun s ->
+           (not (Program.is_exit p s))
+           &&
+           let sn = Program.node p s in
+           let candidate (x : Operation.t) =
+             same x
+             && (not (Operation.equal_id x op))
+             && plain_movable ctx ~from_node ~x ~ignoring:op
+             && plain_gapless ctx ~from_:s ~op:x (depth + 1)
+           in
+           List.exists candidate sn.Node.ops
+           ||
+           match Ctree.root_cjump sn.Node.ctree with
+           | Some root -> candidate root
+           | None -> false)
+         (Program.succs p from_)
+  in
+  cond1 || cond2 || plain_last p ~from_ ~iter:op.Operation.iter || cond4 ()
+
+let plain_ok ctx ~from_ ~(op : Operation.t) =
+  op.Operation.iter = Operation.no_iter || plain_gapless ctx ~from_ ~op 0
+
+(* One memo kept across a run of random migrations over an unwound
+   random program with joins — splits and [Move_cj] included — the
+   Gapless test suspending hops as in the scheduler.  Every hop's
+   verdict, and after each migration the verdict for random operations
+   at their homes, must match the oracle's. *)
+let memo_agrees spec =
+  let p, exit_live =
+    Synthetic_gen.joined_program spec ~joins:(spec.Workloads.Synthetic.n_ops mod 4)
+  in
+  let metrics = Grip_obs.Metrics.create () in
+  let width = if spec.Workloads.Synthetic.seed mod 2 = 0 then 2 else 4 in
+  let ctx =
+    Ctx.make ~obs:(Grip_obs.make ~metrics ()) p
+      ~machine:(Machine.homogeneous width) ~exit_live
+  in
+  let memo = Grip.Gapless.create_memo () in
+  let scanned () = Grip_obs.Metrics.counter metrics "gapless.scan_nodes" in
+  let check what ~from_ ~op =
+    let s0 = scanned () in
+    let got = Grip.Gapless.ok ctx memo ~from_ ~to_:(-1) ~op in
+    memo_expanded := !memo_expanded + scanned () - s0;
+    if got <> plain_ok ctx ~from_ ~op then
+      QCheck2.Test.fail_reportf "%s: op%d at n%d: memo says %b" what
+        op.Operation.id from_ got;
+    got
+  in
+  let suspended = ref 0 in
+  let hooks =
+    {
+      Vliw_percolation.Migrate.allow_hop =
+        (fun ~from_ ~to_:_ ~op -> check "hop" ~from_ ~op);
+      on_suspend = (fun _ -> incr suspended);
+      early_stop = (fun ~moved -> moved > 0 && !suspended > 0);
+    }
+  in
+  let next = Synthetic_gen.make_rng spec.Workloads.Synthetic.seed in
+  for step = 1 to 24 do
+    (match Synthetic_gen.migrate_random ~hooks ctx next with
+    | Some r when r.Vliw_percolation.Migrate.moved > 0 -> suspended := 0
+    | Some _ | None -> ());
+    let nodes = List.filter (fun id -> not (Program.is_exit p id)) (Program.rpo p) in
+    for _ = 1 to 4 do
+      let n = List.nth nodes (next (List.length nodes)) in
+      match Node.all_ops (Program.node p n) with
+      | [] -> ()
+      | ops ->
+          let op = List.nth ops (next (List.length ops)) in
+          ignore (check (Printf.sprintf "step %d" step) ~from_:n ~op)
+    done
+  done;
+  true
+
+let prop_memo_exact =
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"condition-3 memo == plain DFS" ~count:150
+         ~print:Synthetic_gen.print_spec Synthetic_gen.spec_gen memo_agrees)
+  in
+  ( name,
+    speed,
+    fun () ->
+      plain_expanded := 0;
+      memo_expanded := 0;
+      run ();
+      if !memo_expanded >= !plain_expanded then
+        Alcotest.failf "memo expanded %d nodes, plain searches %d"
+          !memo_expanded !plain_expanded )
+
+(* A cyclic graph: entry -> a; a -> b, c; b -> a (back edge); g -> b.
+   Iteration 0 lives only in c, which b reaches only through the back
+   edge; iteration 2 lives nowhere.  A memo that trusted a node that
+   answered "none" because its successor was still on the search stack
+   would record b as free of iteration 0 and then misjudge the search
+   from g; every answer here must match the plain search, whatever was
+   recorded before. *)
+let test_memo_cyclic () =
+  let p = Program.create () in
+  let exit_ = p.Program.exit_id in
+  let mk ~id ~iter = Operation.make ~id ~iter (Operation.Copy (reg id, imm id)) in
+  let b = Program.fresh_node p ~ops:[ mk ~id:1 ~iter:1 ] ~ctree:(Ctree.leaf exit_) in
+  let c = Program.fresh_node p ~ops:[ mk ~id:2 ~iter:0 ] ~ctree:(Ctree.leaf exit_) in
+  let cj = Operation.make ~id:3 ~iter:1 (Operation.Cjump (Opcode.Lt, Operand.Reg (reg 9), imm 0)) in
+  let a =
+    Program.fresh_node p ~ops:[ mk ~id:4 ~iter:1 ]
+      ~ctree:(Ctree.Branch (cj, Ctree.Leaf b.Node.id, Ctree.Leaf c.Node.id))
+  in
+  let g = Program.fresh_node p ~ops:[ mk ~id:5 ~iter:1 ] ~ctree:(Ctree.leaf b.Node.id) in
+  Program.redirect p ~from_:p.Program.entry ~old_:exit_ ~new_:a.Node.id;
+  Program.redirect p ~from_:b.Node.id ~old_:exit_ ~new_:a.Node.id;
+  let ctx = Ctx.make p ~machine:Machine.unlimited ~exit_live:Reg.Set.empty in
+  let memo = Grip.Gapless.create_memo () in
+  let queries =
+    [ (p.Program.entry, 0); (g.Node.id, 0); (a.Node.id, 0); (b.Node.id, 0);
+      (p.Program.entry, 2); (g.Node.id, 2); (b.Node.id, 2); (g.Node.id, 0);
+      (c.Node.id, 0); (g.Node.id, 1); (c.Node.id, 1) ]
+  in
+  List.iter
+    (fun (from_, iter) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "last of iteration %d below n%d" iter from_)
+        (plain_last p ~from_ ~iter)
+        (Grip.Gapless.last_of_iteration ctx memo ~from_ ~iter))
+    queries;
+  Alcotest.(check bool) "g is not last of iteration 0" false
+    (Grip.Gapless.last_of_iteration ctx memo ~from_:g.Node.id ~iter:0)
+
+(* -- Moveable-ops enumeration --------------------------------------------- *)
+
+(* The RPO suffix after each node, filtered by dominance, lists exactly
+   the op ids a filter over the whole RPO does, in the same order — on
+   random programs with joins, before and after random migrations. *)
+let prop_suffix_enumeration =
+  QCheck2.Test.make ~name:"suffix enumeration == full-RPO filter" ~count:100
+    ~print:Synthetic_gen.print_spec Synthetic_gen.spec_gen (fun spec ->
+      let p, exit_live =
+        Synthetic_gen.joined_program spec
+          ~joins:(1 + (spec.Workloads.Synthetic.n_ops mod 3))
+      in
+      let ctx = Ctx.make p ~machine:(Machine.homogeneous 2) ~exit_live in
+      let next = Synthetic_gen.make_rng spec.Workloads.Synthetic.seed in
+      let acc = Iarr.create () in
+      for step = 0 to 12 do
+        if step > 0 then ignore (Synthetic_gen.migrate_random ctx next);
+        let dom = Ctx.dominators ctx in
+        List.iter
+          (fun n ->
+            let full =
+              List.concat_map
+                (fun id ->
+                  if
+                    id = n || Program.is_exit p id
+                    || not (Vliw_analysis.Dom.dominates dom n id)
+                  then []
+                  else List.map (fun (o : Operation.t) -> o.Operation.id)
+                      (Node.all_ops (Program.node p id)))
+                (Program.rpo p)
+            in
+            let got = Iarr.to_list (Grip.Scheduler.moveable_op_ids p dom n acc) in
+            if got <> full then
+              QCheck2.Test.fail_reportf "step %d, n%d: %d op ids, want %d" step n
+                (List.length got) (List.length full))
+          (Program.rpo p)
+      done;
+      true)
 
 (* -- convergence detection ---------------------------------------------- *)
 
@@ -718,12 +952,15 @@ let () =
           Alcotest.test_case "stats sane" `Quick test_scheduler_stats_sane;
           Alcotest.test_case "fuel exhaustion reported" `Quick
             test_fuel_exhaustion_reported;
+          QCheck_alcotest.to_alcotest prop_suffix_enumeration;
         ] );
       ( "gapless",
         [
           Alcotest.test_case "cond1 only-op" `Quick test_gapless_cond1_only_op;
           Alcotest.test_case "blocks abandonment" `Quick test_gapless_blocks_abandoning_iteration;
           Alcotest.test_case "cond4 filler" `Quick test_gapless_cond4_filler;
+          Alcotest.test_case "memo exact on a cyclic graph" `Quick test_memo_cyclic;
+          prop_memo_exact;
         ] );
       ( "convergence",
         [

@@ -726,6 +726,36 @@ let test_bench_diff_vanished_cells () =
   Alcotest.(check bool) "no clean verdict" false
     (contains out "no GRiP regressions")
 
+(* Per cell, the integer [stats] and [legality] counters that differ
+   are listed, and the report ends with the cells that did the same
+   work; float fields and counters only one side carries are ignored,
+   and none of it changes the exit rule. *)
+let test_bench_diff_work () =
+  let cell ~hops ~seconds ~extra =
+    Printf.sprintf
+      {|{"speedup":2.5,"stats":{"technique":"grip","migrations":10,"hops":%d,"fuel_exhausted":false},
+         "legality":{"check_seconds":%g,"cache_hits":3%s}}|}
+      hops seconds extra
+  in
+  let loop grip = Printf.sprintf {|{"name":"LL1","fu2":{"grip":%s,"post":{"speedup":2}}}|} grip in
+  let old_ = artifact ~schema:"grip.bench.table1/10" [ loop (cell ~hops:5 ~seconds:0.25 ~extra:""); ll5 () ] in
+  let same = artifact ~schema:"grip.bench.table1/11" [ loop (cell ~hops:5 ~seconds:0.5 ~extra:{|,"scan_nodes":7|}); ll5 () ] in
+  let r = diff_ok ~old_ ~new_:same in
+  Alcotest.(check bool) "same work" true
+    (List.for_all (fun c -> c.Bench_diff.work = []) r.Bench_diff.cells);
+  let new_ = artifact ~schema:"grip.bench.table1/11" [ loop (cell ~hops:6 ~seconds:0.5 ~extra:{|,"scan_nodes":7|}); ll5 () ] in
+  let r = diff_ok ~old_ ~new_ in
+  (match List.filter (fun c -> c.Bench_diff.work <> []) r.Bench_diff.cells with
+  | [ c ] ->
+      Alcotest.(check string) "cell" "LL1/fu2/grip" (Bench_diff.cell_label c);
+      Alcotest.(check (list (triple string int int))) "counters"
+        [ ("stats.hops", 5, 6) ] c.Bench_diff.work
+  | cs -> Alcotest.failf "expected 1 cell with other work, got %d" (List.length cs));
+  Alcotest.(check bool) "informational" true (Bench_diff.passes r);
+  let out = Format.asprintf "%a" (fun ppf r -> Bench_diff.pp_result ppf r) r in
+  Alcotest.(check bool) "printed" true (contains out "work: stats.hops 5 -> 6");
+  Alcotest.(check bool) "summary" true (contains out "work identical on 2/3 cells")
+
 let test_bench_diff_rejects () =
   let good = artifact [ ll1 () ] in
   List.iter
@@ -762,7 +792,7 @@ let test_unifiable_fuel_exhausted () =
   in
   Alcotest.(check bool) "budget exhausted" true o.Pipeline.fuel_exhausted
 
-(* -- rpo cache (per-program-version caching in schedule_node) -------------- *)
+(* -- rpo cache (the rule-3 index, cached per shape version on the run) ----- *)
 
 let test_rpo_cache_effective () =
   let m = Metrics.create () in
@@ -855,6 +885,8 @@ let () =
             test_bench_diff_asymmetric_cells;
           Alcotest.test_case "vanished GRiP cells fail" `Quick
             test_bench_diff_vanished_cells;
+          Alcotest.test_case "work differences reported" `Quick
+            test_bench_diff_work;
           Alcotest.test_case "malformed artifacts rejected" `Quick
             test_bench_diff_rejects;
         ] );

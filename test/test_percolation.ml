@@ -581,50 +581,6 @@ let veto_hooks () =
   in
   (hooks, journal, suspended)
 
-(* One join edge for [p]: a node's loop-exit leaf and a node two or
-   three levels below it, or [None] when there is no such pair. *)
-let pick_join p next =
-  let exit_ = p.Program.exit_id in
-  let below id =
-    List.filter (fun s -> not (Program.is_exit p s)) (Program.succs p id)
-  in
-  let forks =
-    List.filter
-      (fun id ->
-        (not (Program.is_exit p id))
-        && List.mem exit_ (Program.succs p id)
-        && below id <> [])
-      (Program.rpo p)
-  in
-  if forks = [] then None
-  else begin
-    let x = List.nth forks (next (List.length forks)) in
-    let rec descend id depth =
-      match below id with
-      | l when l <> [] && depth > 0 ->
-          descend (List.nth l (next (List.length l))) (depth - 1)
-      | _ -> id
-    in
-    let c = descend (List.hd (below x)) (1 + next 2) in
-    if c <> List.hd (below x) then Some (x, c) else None
-  end
-
-(* Point [x]'s loop-exit leaf at [c]: [c] gets a second predecessor. *)
-let add_join p (x, c) =
-  Program.redirect p ~from_:x ~old_:p.Program.exit_id ~new_:c
-
-(* An unwound random kernel with [joins] extra edges from
-   {!pick_join}, so the graph gets multi-predecessor nodes — cones
-   wider than a path and moves that split. *)
-let joined_program spec ~joins =
-  let kern = Synthetic.generate spec in
-  let p = (Grip.Unwind.build kern ~horizon:4).Grip.Unwind.program in
-  let next = Synthetic_gen.make_rng (spec.Synthetic.seed + 5) in
-  for _ = 1 to joins do
-    Option.iter (add_join p) (pick_join p next)
-  done;
-  (p, Grip.Kernel.exit_live kern)
-
 let render p = Format.asprintf "%a" Program.pp p
 
 (* Migrations the walk properties sent down each path, told apart by
@@ -642,8 +598,8 @@ let cone_walks = ref 0
    across migrations while joins appear under it. *)
 let walks_agree ?(fixed_target = false) ~veto spec =
   let joins = if fixed_target then 0 else spec.Synthetic.n_ops mod 4 in
-  let pa, exit_live = joined_program spec ~joins in
-  let pb, _ = joined_program spec ~joins in
+  let pa, exit_live = Synthetic_gen.joined_program spec ~joins in
+  let pb, _ = Synthetic_gen.joined_program spec ~joins in
   let width = if spec.Synthetic.seed mod 2 = 0 then 2 else 4 in
   let machine = Machine.homogeneous width in
   let metrics = Grip_obs.Metrics.create () in
@@ -664,9 +620,9 @@ let walks_agree ?(fixed_target = false) ~veto spec =
     if fixed_target && step mod 3 = 0 then
       Option.iter
         (fun j ->
-          add_join pa j;
-          add_join pb j)
-        (pick_join pa next_join);
+          Synthetic_gen.add_join pa j;
+          Synthetic_gen.add_join pb j)
+        (Synthetic_gen.pick_join pa next_join);
     let ops = Program.all_ops pa in
     if ops <> [] then begin
       let op = List.nth ops (next (List.length ops)) in
