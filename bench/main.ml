@@ -489,7 +489,7 @@ let ablation ~pool () =
 module Json = Grip_obs.Json
 module Obs = Grip_obs
 
-let table1_schema = "grip.bench.table1/11"
+let table1_schema = "grip.bench.table1/12"
 
 (* One (loop, technique, width) measurement with its scheduler stats,
    per-phase wall-clock breakdown and bottleneck verdict — the
@@ -552,8 +552,9 @@ let json_cell (e : Livermore.entry) method_ fu horizon =
         ("cone_nodes", Json.int (c "migrate.cone_nodes"));
         ("chain_nodes", Json.int (c "migrate.chain_nodes"));
         ("candidate_visits", Json.int (c "scheduler.candidate_visits"));
-        ("rpo_rebuilds", Json.int (c "scheduler.rpo_rebuilds"));
         ("scan_nodes", Json.int (c "gapless.scan_nodes"));
+        ("order_walks", Json.int (c "ir.order_walks"));
+        ("order_visits", Json.int (c "ir.order_visits"));
       ]
   in
   Json.Obj
@@ -765,8 +766,9 @@ let json_validate file =
                           "cone_nodes";
                           "chain_nodes";
                           "candidate_visits";
-                          "rpo_rebuilds";
                           "scan_nodes";
+                          "order_walks";
+                          "order_visits";
                         ]
                   | None -> fail "%s/fu%d/%s: missing legality block" name fu tech);
                   (match Json.member "gc" c with

@@ -280,6 +280,8 @@ let drive ~obs ~rank ~horizon ~redundancy ~speculation ~max_migrations
     | None, _ -> Ok ()
   in
   observe_occupancy obs machine p rows;
+  Metrics.add obs.Obs.metrics "ir.order_walks" (Program.order_walks p);
+  Metrics.add obs.Obs.metrics "ir.order_visits" (Program.order_visits p);
   Ok
     {
       program = p;

@@ -135,17 +135,19 @@ let dominators (ctx : Ctx.t) = Ctx.dominators ctx
    node in RPO order plain ops in instruction order then tree jumps
    pre-order, drawn from the program's flat sequences; the scheduler
    re-fetches metadata by id.  A node comes after its dominators in
-   RPO, so only the suffix after [n] is filtered, each node by the
-   O(1) interval test. *)
+   RPO, so only the positions after [n]'s are filtered, each node by
+   the O(1) interval test. *)
 let moveable_op_ids (p : Program.t) dom n acc =
   Vliw_ir.Iarr.clear acc;
   let add = Vliw_ir.Iarr.push acc in
-  let rec after = function [] -> [] | id :: tl -> if id = n then tl else after tl in
-  List.iter
-    (fun id ->
+  let len = Program.n_nodes p in
+  let at = Program.rpo_index p n in
+  if at < len then
+    for k = at + 1 to len - 1 do
+      let id = Program.rpo_at p k in
       if (not (Program.is_exit p id)) && Vliw_analysis.Dom.dominates dom n id
-      then Program.iter_op_ids p id add)
-    (after (Program.rpo p));
+      then Program.iter_op_ids p id add
+    done;
   acc
 
 (** A node's Moveable-ops as a ranked queue, so that choose-op costs
@@ -278,14 +280,11 @@ end
 
 (* Per-run scratch, reused across [schedule_node] calls: op-id
    membership masks (one byte per id — a [bool Itbl.t] costs a word per
-   id and was re-allocated per node), the rule-3 RPO index table, reset
-   in place instead of re-created, and the ranked queue's buffers.
+   id and was re-allocated per node) and the ranked queue's buffers.
    Growth doubles, so a run settles on one buffer of each kind. *)
 type scratch = {
   mutable susp_mask : Bytes.t;
   mutable att_mask : Bytes.t;
-  rpo_tbl : int Vliw_ir.Itbl.t;
-  mutable rpo_shape : int;  (** shape version [rpo_tbl] speaks for *)
   moveable : Vliw_ir.Iarr.t;  (** worklist buffer for {!moveable_op_ids} *)
   queue : Ranked.t;
   gapless : Gapless.memo;  (** the Gapless test's run-long absence memo *)
@@ -295,8 +294,6 @@ let fresh_scratch () =
   {
     susp_mask = Bytes.make 256 '\000';
     att_mask = Bytes.make 256 '\000';
-    rpo_tbl = Vliw_ir.Itbl.create ~capacity:256 max_int;
-    rpo_shape = -1;
     moveable = Vliw_ir.Iarr.create ~capacity:256 ();
     queue = Ranked.create ();
     gapless = Gapless.create_memo ();
@@ -350,7 +347,9 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
      folded in.  No move commits while a suspension persists (a
      migration that moves while suspensions exist is stopped early and
      followed by [unsuspend_all]), so no home and no RPO position
-     changes under a cut-off in force (DESIGN.md §22). *)
+     changes under a cut-off in force (DESIGN.md §22), and the verdict
+     reads the same positions from the program's graph-order walk that
+     the fold did (§23). *)
   let cutoff = ref (-1) in
   let folded = ref 0 in
   let suspend op_id =
@@ -372,33 +371,12 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
     cutoff := -1;
     folded := 0
   in
-  (* Rule-3 reverse-postorder index, cached by shape version on the
-     per-run scratch: node order changes only when an edge or a node
-     comes or goes, so iterations over failed attempts, hops that only
-     moved an operation, and whole quiescent nodes reuse the table
-     instead of rebuilding it from a full RPO walk. *)
-  let rpo_index () =
-    let v = Program.shape_version p in
-    if scratch.rpo_shape = v then begin
-      Metrics.incr mx "scheduler.rpo_rebuilds_saved";
-      scratch.rpo_tbl
-    end
-    else begin
-      Vliw_ir.Itbl.reset scratch.rpo_tbl;
-      List.iteri
-        (fun i id -> Vliw_ir.Itbl.set scratch.rpo_tbl id i)
-        (Program.rpo p);
-      scratch.rpo_shape <- v;
-      Metrics.incr mx "scheduler.rpo_rebuilds";
-      scratch.rpo_tbl
-    end
-  in
   (* Fold the [k] newest suspended ids into the cut-off. *)
-  let rec fold_newest order k = function
+  let rec fold_newest k = function
     | op_id :: tl when k > 0 ->
         let home = Program.home_int p op_id in
-        if home >= 0 then cutoff := max !cutoff (Vliw_ir.Itbl.get order home);
-        fold_newest order (k - 1) tl
+        if home >= 0 then cutoff := max !cutoff (Program.rpo_index p home);
+        fold_newest (k - 1) tl
     | _ -> ()
   in
   (* Which candidates choose-op may take: alive, not yet in n, not
@@ -413,7 +391,7 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
       home < 0
       || mask_get scratch.att_mask oid
       || mask_get scratch.susp_mask oid
-      || (!cutoff >= 0 && Vliw_ir.Itbl.get scratch.rpo_tbl home <= !cutoff)
+      || (!cutoff >= 0 && Program.rpo_index p home <= !cutoff)
       || Option.is_none (Program.stored_op p oid)
     then Ranked.Skip
     else Ranked.Take
@@ -462,7 +440,7 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
     Grip_robust.Budget.check config.budget;
     (* rule 3: fold in the suspensions added since the last pick *)
     if !suspended_count > !folded then begin
-      fold_newest (rpo_index ()) (!suspended_count - !folded) !suspended_ids;
+      fold_newest (!suspended_count - !folded) !suspended_ids;
       folded := !suspended_count
     end;
     (* Best candidate: the first the queue's verdict takes.  The record
@@ -554,35 +532,36 @@ let run ?on_move (config : config) (ctx : Ctx.t) =
   let p = ctx.Ctx.program in
   let stats = fresh_stats () in
   let scratch = fresh_scratch () in
-  let scheduled : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  (* Worklist cursor over the reverse-postorder listing: consecutive
-     calls resume from the remainder instead of rescanning (and
-     re-deriving) the full RPO for every scheduled node — the
-     scheduled set only grows, so the consumed prefix stays
-     skippable.  Only a shape change (splits, arm copies made during
-     scheduling) forces a fresh RPO walk, which also re-offers any
-     node created above the cursor; moves that touch no edge leave the
-     listing, and so the cursor, valid. *)
-  let cursor = ref (Program.shape_version p, Program.rpo p) in
+  let scheduled = ref (Bytes.make 256 '\000') in
+  (* Worklist cursor: the next reverse-postorder position to offer.
+     Consecutive calls resume from it instead of rescanning the full
+     order for every scheduled node — the scheduled set only grows, so
+     the consumed prefix stays skippable.  Only a shape change (splits,
+     arm copies made during scheduling) restarts it at the top of the
+     new order, which also re-offers any node created above the
+     cursor; moves that touch no edge leave the order, and so the
+     cursor, valid. *)
+  let shape = ref (Program.shape_version p) and cursor = ref 0 in
   let rec next () =
     let v = Program.shape_version p in
-    let v', rest = !cursor in
-    let rest = if v' = v then rest else Program.rpo p in
-    match rest with
-    | [] ->
-        cursor := (v, []);
-        None
-    | id :: tl ->
-        cursor := (v, tl);
-        if (not (Program.is_exit p id)) && not (Hashtbl.mem scheduled id) then
-          Some id
-        else next ()
+    if v <> !shape then begin
+      shape := v;
+      cursor := 0
+    end;
+    if !cursor >= Program.n_nodes p then None
+    else begin
+      let id = Program.rpo_at p !cursor in
+      incr cursor;
+      if (not (Program.is_exit p id)) && not (mask_get !scheduled id) then
+        Some id
+      else next ()
+    end
   in
   let rec loop () =
     match next () with
     | None -> ()
     | Some n ->
-        Hashtbl.replace scheduled n ();
+        scheduled := mask_set !scheduled n;
         schedule_node ?on_move config ctx scratch stats n;
         stats.nodes_scheduled <- stats.nodes_scheduled + 1;
         loop ()

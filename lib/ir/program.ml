@@ -46,17 +46,23 @@
     collect) recycles buffers instead of minting garbage.  Node and
     operation ids are never reused.
 
+    {2 Graph order}
+
     Reachability and reverse postorder read only successor lists, so
-    they are memoized per [shape], not per [version]: moving an
-    operation between existing nodes keeps them.  Every edge edit goes
-    through [link_node] (which bumps [shape]) or [delete_node].
-    {!gc} only removes nodes unreachable from the entry — a semantic
-    no-op for every reachable-set-derived analysis — so it bumps
-    neither counter: liveness, dominators and RPO caches stay valid
-    across collections.  It sweeps a worklist rather than the whole
-    node table: the nodes that lost an in-edge, were created or were
-    restored since the last sweep, cascading into the successors of
-    every node it collects (DESIGN.md §19). *)
+    one depth-first walk per [shape] (not per [version]) answers both:
+    moving an operation between existing nodes keeps it.  The walk
+    fills reused [int array]s with the postorder of the reachable
+    nodes, each node's postorder index, and a per-walk stamp that
+    doubles as reachability ({!is_live}, {!rpo_index}, {!rpo_at},
+    {!n_nodes}; {!rpo} is a list view of the same order).  Every
+    edge edit goes through [link_node] (which bumps [shape]) or
+    [delete_node].  {!gc} only removes nodes unreachable from the
+    entry — a semantic no-op for every reachable-set-derived analysis
+    — so it bumps neither counter: liveness, dominators and the walk
+    stay valid across collections.  It sweeps a worklist rather than
+    the whole node table: the nodes that lost an in-edge, were created
+    or were restored since the last sweep, cascading into the
+    successors of every node it collects (DESIGN.md §19). *)
 
 type t = {
   nodes : Node.t option Itbl.t;
@@ -85,8 +91,19 @@ type t = {
   mutable next_op : int;
   mutable version : int;
   mutable shape : int;  (** bumped when an edge or a node comes or goes *)
-  mutable reach_cache : (int * Bytes.t) option;  (** keyed on [shape] *)
-  mutable rpo_cache : (int * int list) option;  (** keyed on [shape] *)
+  mutable ord_shape : int;  (** shape the graph-order walk speaks for *)
+  mutable ord_stamp : int;  (** bumped per walk *)
+  mutable ord_mark : int array;
+      (** node id -> [ord_stamp] of the last walk that reached it *)
+  mutable ord_post : int array;  (** postorder index -> node id *)
+  mutable ord_pos : int array;  (** node id -> postorder index *)
+  mutable ord_n : int;  (** reachable nodes in the last walk *)
+  mutable ord_stack : int array;  (** walk stack: node ids *)
+  mutable ord_next : int array;  (** walk stack: next successor index *)
+  mutable ord_walks : int;  (** total walks over the run *)
+  mutable ord_visits : int;  (** total nodes those walks reached *)
+  mutable rpo_cache : (int * int list) option;
+      (** {!rpo}'s list view, keyed on [shape] *)
   mutable gc_reclaimed : int;  (** total nodes collected over the run *)
   gc_work : Iarr.t;
       (** sweep candidates since the last {!gc}: nodes that lost an
@@ -308,7 +325,16 @@ let create ?(first_reg = 0) () =
       next_op = 0;
       version = 0;
       shape = 0;
-      reach_cache = None;
+      ord_shape = -1;
+      ord_stamp = 0;
+      ord_mark = [||];
+      ord_post = [||];
+      ord_pos = [||];
+      ord_n = 0;
+      ord_stack = [||];
+      ord_next = [||];
+      ord_walks = 0;
+      ord_visits = 0;
       rpo_cache = None;
       gc_reclaimed = 0;
       gc_work = Iarr.create ();
@@ -578,43 +604,130 @@ let fold_nodes p f acc =
 (** [node_ids p] is the sorted list of all node ids. *)
 let node_ids p = fold_nodes p (fun n acc -> n.Node.id :: acc) [] |> List.rev
 
-(* The reachable set as a byte mask indexed by node id, memoized per
-   shape version (every edge edit and every node allocation bumps it,
-   so the mask is always as long as the node table it covers). *)
-let live_mask p =
-  match p.reach_cache with
-  | Some (v, m) when v = p.shape -> m
-  | _ ->
-      let m = Bytes.make p.next_node '\000' in
-      let rec go id =
-        if Bytes.unsafe_get m id = '\000' then begin
-          Bytes.unsafe_set m id '\001';
-          List.iter go (succs p id)
-        end
-      in
-      go p.entry;
-      p.reach_cache <- Some (p.shape, m);
-      m
+(* -- graph order ------------------------------------------------------- *)
+
+(* The [i]-th entry of [l], or [-1] past its end. *)
+let rec nth_succ l i =
+  match l with [] -> -1 | s :: tl -> if i = 0 then s else nth_succ tl (i - 1)
+
+(* Make the walk's arrays cover ids below [need], keeping their
+   contents (a grown [ord_mark] reads [0], below every walk's stamp). *)
+let order_grow p need =
+  let cap = Array.length p.ord_mark in
+  if need > cap then begin
+    let cap' = max need (2 * cap) in
+    let grow a =
+      let b = Array.make cap' 0 in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    in
+    p.ord_mark <- grow p.ord_mark;
+    p.ord_post <- grow p.ord_post;
+    p.ord_pos <- grow p.ord_pos;
+    p.ord_stack <- grow p.ord_stack;
+    p.ord_next <- grow p.ord_next
+  end
+
+(* One depth-first walk from the entry, successors in {!succs} order:
+   the postorder a recursive walk that marks a node, recurses into
+   its unmarked successors in turn and then emits it would produce.
+   Two int stacks (node, next successor index) stand in for the
+   recursion, a fresh stamp marks the reached nodes, and nothing is
+   cleared. *)
+let walk p =
+  order_grow p p.next_node;
+  let stamp = p.ord_stamp + 1 in
+  p.ord_stamp <- stamp;
+  let k = ref 0 and sp = ref 1 in
+  p.ord_mark.(p.entry) <- stamp;
+  p.ord_stack.(0) <- p.entry;
+  p.ord_next.(0) <- 0;
+  while !sp > 0 do
+    let top = !sp - 1 in
+    let id = Array.unsafe_get p.ord_stack top in
+    let i = Array.unsafe_get p.ord_next top in
+    let s = if is_exit p id then -1 else nth_succ (Itbl.get p.succs_tbl id) i in
+    if s < 0 then begin
+      sp := top;
+      Array.unsafe_set p.ord_post !k id;
+      Array.unsafe_set p.ord_pos id !k;
+      incr k
+    end
+    else begin
+      Array.unsafe_set p.ord_next top (i + 1);
+      if s >= Array.length p.ord_mark then order_grow p (s + 1);
+      if Array.unsafe_get p.ord_mark s <> stamp then begin
+        Array.unsafe_set p.ord_mark s stamp;
+        Array.unsafe_set p.ord_stack !sp s;
+        Array.unsafe_set p.ord_next !sp 0;
+        incr sp
+      end
+    end
+  done;
+  p.ord_n <- !k;
+  p.ord_shape <- p.shape;
+  p.ord_walks <- p.ord_walks + 1;
+  p.ord_visits <- p.ord_visits + !k
+
+(* Walk if the shape moved since the last walk, and tell whether the
+   walk reached [id].  Both are inlined into the queries below, which
+   run millions of times per scheduling run. *)
+let[@inline] fresh p = if p.ord_shape <> p.shape then walk p
+
+let[@inline] marked p id =
+  id >= 0
+  && id < Array.length p.ord_mark
+  && Array.unsafe_get p.ord_mark id = p.ord_stamp
+
+(** [n_nodes p] counts the nodes reachable from the entry (exit
+    sentinel included): the length of the reverse postorder. *)
+let n_nodes p =
+  fresh p;
+  p.ord_n
 
 (** [is_live p id] — is [id] reachable from the entry?  Deferred
     garbage collection can leave dead nodes in the table between a
     mutation and the next {!gc}; traversals that must behave as if
     collection were eager filter on this.  While the sweep worklist is
     empty no node has lost an in-edge or been created since the last
-    sweep, which left only live nodes, so the table alone answers. *)
+    sweep, which left only live nodes, so the table alone answers;
+    otherwise the walk's stamp does. *)
 let is_live p id =
   if Iarr.is_empty p.gc_work then
     match node_opt p id with Some _ -> true | None -> false
-  else
-    let m = live_mask p in
-    id >= 0 && id < Bytes.length m && Bytes.unsafe_get m id <> '\000'
+  else begin
+    fresh p;
+    marked p id
+  end
+
+(** [rpo_index p id] — node [id]'s position in reverse postorder (the
+    entry is [0]), or [max_int] when [id] is not reachable.  O(1) once
+    the current shape has been walked. *)
+let rpo_index p id =
+  fresh p;
+  if marked p id then p.ord_n - 1 - Array.unsafe_get p.ord_pos id else max_int
+
+(** [rpo_at p k] — the node at reverse-postorder position [k], for [0
+    <= k < n_nodes p]. *)
+let rpo_at p k =
+  fresh p;
+  if k < 0 || k >= p.ord_n then invalid_arg "Program.rpo_at";
+  Array.unsafe_get p.ord_post (p.ord_n - 1 - k)
+
+(** [order_walks p] / [order_visits p] — total graph-order walks on
+    [p], and the nodes they reached. *)
+let order_walks p = p.ord_walks
+
+let order_visits p = p.ord_visits
 
 (** [reachable p] is the set of node ids reachable from the entry
     (treat the returned table as read-only). *)
 let reachable p =
-  let m = live_mask p in
+  ignore (n_nodes p);
   let seen = Hashtbl.create 64 in
-  Bytes.iteri (fun id c -> if c <> '\000' then Hashtbl.replace seen id ()) m;
+  for id = 0 to Array.length p.ord_mark - 1 do
+    if marked p id then Hashtbl.replace seen id ()
+  done;
   seen
 
 (* Live predecessors of [id], newest-first — the filter the cons-list
@@ -631,11 +744,11 @@ let live_preds_list p id =
 (** [preds p] is the full predecessor map (node id -> predecessor ids),
     over reachable nodes only. *)
 let preds p =
-  let m = live_mask p in
+  ignore (n_nodes p);
   let tbl = Hashtbl.create 64 in
-  Bytes.iteri
-    (fun id c -> if c <> '\000' then Hashtbl.replace tbl id (live_preds_list p id))
-    m;
+  for id = 0 to Array.length p.ord_mark - 1 do
+    if marked p id then Hashtbl.replace tbl id (live_preds_list p id)
+  done;
   tbl
 
 (** [preds_of p id] — the live predecessors of node [id], served from
@@ -659,32 +772,21 @@ let unique_live_pred p id =
   unique_live_from p b (Iarr.length b - 1) (-1)
 
 (** [rpo p] is a reverse-postorder listing of the reachable nodes from
-    the entry — the top-down scheduling order.  Memoized per
-    {!shape_version}: while no edge or node comes or goes, every call
-    returns the same list. *)
+    the entry — the top-down scheduling order — as a list view of the
+    graph-order walk.  Memoized per {!shape_version}: while no edge or
+    node comes or goes, every call returns the same list, so callers
+    that edit the graph can iterate a snapshot. *)
 let rpo p =
   match p.rpo_cache with
   | Some (v, order) when v = p.shape -> order
   | _ ->
-      let seen = Bytes.make p.next_node '\000' in
+      let n = n_nodes p in
       let order = ref [] in
-      let rec go id =
-        if Bytes.unsafe_get seen id = '\000' then begin
-          Bytes.unsafe_set seen id '\001';
-          List.iter go (succs p id);
-          order := id :: !order
-        end
-      in
-      go p.entry;
+      for k = 0 to n - 1 do
+        order := Array.unsafe_get p.ord_post k :: !order
+      done;
       p.rpo_cache <- Some (p.shape, !order);
       !order
-
-(** [n_nodes p] counts reachable nodes (exit sentinel included). *)
-let n_nodes p =
-  let m = live_mask p in
-  let k = ref 0 in
-  Bytes.iter (fun c -> if c <> '\000' then incr k) m;
-  !k
 
 (** [all_ops p] lists every operation of every reachable node. *)
 let all_ops p =
@@ -746,13 +848,13 @@ let gc p =
   let work = p.gc_work in
   let k = ref 0 in
   if not (Iarr.is_empty work) then begin
-    let m = live_mask p in
+    ignore (n_nodes p);
     let i = ref 0 in
     while !i < Iarr.length work do
       let id = Iarr.unsafe_get work !i in
       incr i;
       match Itbl.get p.nodes id with
-      | Some n when not (id < Bytes.length m && Bytes.get m id <> '\000') ->
+      | Some n when not (marked p id) ->
           let dehome oid =
             if Itbl.get p.op_home oid = id then Itbl.set p.op_home oid (-1)
           in

@@ -13,8 +13,10 @@
 
     The report also lists, per compared cell, the integer counters of
     its [stats] and [legality] blocks that differ (the scheduler's
-    work), and ends with how many cells did the same work.  That part
-    is informational: it never fails the diff. *)
+    work), names once the counters that only one artifact's cells
+    carry (schema skew, which the per-cell comparison skips), and ends
+    with how many cells did the same work.  That part is
+    informational: it never fails the diff. *)
 
 type cell = {
   loop : string;
@@ -34,6 +36,10 @@ type result = {
   only_old : string list;  (** "LL3/fu8/grip"-style labels *)
   only_new : string list;
   missing : string list;  (** the GRiP cells of [only_old] *)
+  counters_only_old : string list;
+      (** sorted ["block.field"] counters some compared cell carries
+          in the old artifact but not in the new one *)
+  counters_only_new : string list;  (** the converse *)
 }
 
 let cell_label c = Printf.sprintf "%s/%s/%s" c.loop c.fu c.tech
@@ -110,6 +116,13 @@ let work_diff old_c new_c =
       | _ -> None)
     (work_counters old_c)
 
+(* The counters of [a]'s cell that [b]'s lacks. *)
+let counters_missing a b =
+  let kb = work_counters b in
+  List.filter_map
+    (fun (k, _) -> if List.mem_assoc k kb then None else Some k)
+    (work_counters a)
+
 (* Schema /7 added a per-cell [cache] block (warm-path memo counters).
    Older artifacts simply lack it and diff fine; when present it must
    be an object of numeric fields — a malformed block is a corrupted
@@ -185,16 +198,23 @@ let diff ~old_ ~new_ =
   | Ok od, Ok nd ->
       let ocells = cells_of od and ncells = cells_of nd in
       let label (l, f, t) = Printf.sprintf "%s/%s/%s" l f t in
-      let cells =
+      let pairs =
         List.filter_map
           (fun (key, (new_speedup, new_alloc, new_cell)) ->
             Option.map
               (fun (old_speedup, old_alloc, old_cell) ->
                 let loop, fu, tech = key in
-                { loop; fu; tech; old_speedup; new_speedup; old_alloc;
-                  new_alloc; work = work_diff old_cell new_cell })
+                ( { loop; fu; tech; old_speedup; new_speedup; old_alloc;
+                    new_alloc; work = work_diff old_cell new_cell },
+                  old_cell,
+                  new_cell ))
               (List.assoc_opt key ocells))
           ncells
+      in
+      let cells = List.map (fun (c, _, _) -> c) pairs in
+      let skew f =
+        List.sort_uniq String.compare
+          (List.concat_map (fun (_, o, n) -> f o n) pairs)
       in
       let only_in a b =
         List.filter_map
@@ -211,7 +231,15 @@ let diff ~old_ ~new_ =
             else None)
           ocells
       in
-      Ok { cells; only_old; only_new = only_in ncells ocells; missing }
+      Ok
+        {
+          cells;
+          only_old;
+          only_new = only_in ncells ocells;
+          missing;
+          counters_only_old = skew counters_missing;
+          counters_only_new = skew (fun o n -> counters_missing n o);
+        }
 
 (** GRiP cells whose speedup dropped by more than [tolerance] — the
     regression gate only guards the paper's own technique; POST swings
@@ -274,6 +302,14 @@ let pp_result ?(tolerance = 1e-9) ?gc_tolerance ppf r =
                 (fun (k, o, n) -> Printf.sprintf "%s %d -> %d" k o n)
                 c.work)))
     r.cells;
+  let skew side = function
+    | [] -> ()
+    | ks ->
+        Format.fprintf ppf "counters only in %s artifact: %s@." side
+          (String.concat ", " ks)
+  in
+  skew "old" r.counters_only_old;
+  skew "new" r.counters_only_new;
   List.iter
     (fun l ->
       Format.fprintf ppf "only in old artifact: %s%s@." l

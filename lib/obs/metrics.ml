@@ -8,8 +8,6 @@
 
     Conventional names used by the scheduling stack:
     - [scheduler.migrations / hops / reached / suspensions / barriers]
-    - [scheduler.rpo_rebuilds / rpo_rebuilds_saved] (the rule-3
-      reverse-postorder index, cached per shape version)
     - [scheduler.candidate_visits] — candidates choose-op's ranked
       queue examined, added once per scheduled node
     - [migrate.chain_nodes] — nodes each migration's chain check
@@ -24,6 +22,9 @@
     - [ir.gc_runs / gc_deferred / gc_reclaimed / gc_candidates] —
       graph collections, the requests batched into them, nodes
       collected and worklist entries examined (added once per sweep)
+    - [ir.order_walks / order_visits] — graph-order walks of the
+      scheduled program and the nodes they reached (one walk per shape
+      version that something asked about), added once per pipeline run
     - [hist scheduler.travel_distance] — hops per migration
     - [hist schedule.slot_occupancy] — operations per instruction of
       the final schedule

@@ -142,6 +142,40 @@ let prop_interval_dominance =
       done;
       true)
 
+(* A tree recomputed in place, which clears only the entries it wrote
+   last time, equals a tree computed into fresh tables: the idom of
+   every node id and [dominates] on every pair, after each of a run of
+   random migrations over a random unwound program with joins. *)
+let prop_dom_in_place =
+  QCheck2.Test.make ~name:"Dom recomputed in place == fresh Dom.compute"
+    ~count:100 ~print:Synthetic_gen.print_spec Synthetic_gen.spec_gen
+    (fun spec ->
+      let p, exit_live =
+        Synthetic_gen.joined_program spec ~joins:(1 + (spec.Synthetic.n_ops mod 3))
+      in
+      let ctx =
+        Vliw_percolation.Ctx.make p ~machine:(Vliw_machine.Machine.homogeneous 2)
+          ~exit_live
+      in
+      let next = Synthetic_gen.make_rng (spec.Synthetic.seed + 11) in
+      let dom = Dom.compute p in
+      for step = 1 to 12 do
+        ignore (Synthetic_gen.migrate_random ctx next);
+        Dom.recompute dom p;
+        let fresh = Dom.compute p in
+        for a = 0 to Program.node_limit p + 1 do
+          if Itbl.get dom.Dom.idom a <> Itbl.get fresh.Dom.idom a then
+            QCheck2.Test.fail_reportf "step %d: idom n%d = %d, fresh %d" step a
+              (Itbl.get dom.Dom.idom a) (Itbl.get fresh.Dom.idom a);
+          for b = 0 to Program.node_limit p + 1 do
+            if Dom.dominates dom a b <> Dom.dominates fresh a b then
+              QCheck2.Test.fail_reportf "step %d: dominates n%d n%d = %b" step
+                a b (Dom.dominates dom a b)
+          done
+        done
+      done;
+      true)
+
 (* -- alias --------------------------------------------------------------- *)
 
 let addr ?(sym = "x") base offset = { Operation.sym; base; offset }
@@ -246,6 +280,7 @@ let () =
         [
           Alcotest.test_case "diamond" `Quick test_dominators_diamond;
           QCheck_alcotest.to_alcotest prop_interval_dominance;
+          QCheck_alcotest.to_alcotest prop_dom_in_place;
         ] );
       ( "alias",
         [

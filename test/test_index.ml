@@ -221,6 +221,104 @@ let bypass_chain p next =
       let q = List.hd (Program.preds_of p id) in
       Program.redirect p ~from_:q ~old_:id ~new_:(past id 3)
 
+(* -- graph order: the flat walk against the recursive one ---------------- *)
+
+(* The walks [Program] ran before its graph order became one flat walk
+   per shape: a recursive reverse postorder (mark, walk the successors
+   in [succs] order, then prepend) and a byte-mask reachability pass. *)
+let oracle_rpo p =
+  let seen = Bytes.make (Program.node_limit p) '\000' in
+  let order = ref [] in
+  let rec go id =
+    if Bytes.get seen id = '\000' then begin
+      Bytes.set seen id '\001';
+      List.iter go (Program.succs p id);
+      order := id :: !order
+    end
+  in
+  go p.Program.entry;
+  !order
+
+let oracle_live_mask p =
+  let m = Bytes.make (Program.node_limit p) '\000' in
+  let rec go id =
+    if Bytes.get m id = '\000' then begin
+      Bytes.set m id '\001';
+      List.iter go (Program.succs p id)
+    end
+  in
+  go p.Program.entry;
+  m
+
+(* Every graph-order answer of [p] equals the oracles': the list view,
+   each position (ids of deleted and never-allocated nodes included),
+   reachability, the node count and the reachable set. *)
+let order_agrees what p =
+  let want = oracle_rpo p and mask = oracle_live_mask p in
+  let live id = id >= 0 && id < Bytes.length mask && Bytes.get mask id <> '\000' in
+  if Program.rpo p <> want then QCheck2.Test.fail_reportf "%s: rpo differs" what;
+  List.iteri
+    (fun k id ->
+      if Program.rpo_at p k <> id then
+        QCheck2.Test.fail_reportf "%s: rpo_at %d = n%d, want n%d" what k
+          (Program.rpo_at p k) id)
+    want;
+  let index = Hashtbl.create 64 in
+  List.iteri (fun k id -> Hashtbl.replace index id k) want;
+  for id = -1 to Program.node_limit p + 2 do
+    let pos = Option.value (Hashtbl.find_opt index id) ~default:max_int in
+    if Program.rpo_index p id <> pos then
+      QCheck2.Test.fail_reportf "%s: rpo_index n%d = %d, want %d" what id
+        (Program.rpo_index p id) pos;
+    if Program.is_live p id <> live id then
+      QCheck2.Test.fail_reportf "%s: is_live n%d = %b" what id
+        (Program.is_live p id)
+  done;
+  if Program.n_nodes p <> List.length want then
+    QCheck2.Test.fail_reportf "%s: n_nodes %d, want %d" what (Program.n_nodes p)
+      (List.length want);
+  let got =
+    List.sort Int.compare
+      (Hashtbl.fold (fun id () acc -> id :: acc) (Program.reachable p) [])
+  in
+  if got <> List.sort Int.compare want then
+    QCheck2.Test.fail_reportf "%s: reachable set differs" what
+
+(* On random programs with joins, through random committed migrations
+   (splits and [Move_cj] included): inside a deferred-collection region
+   with dead nodes still in the table, after the sweep, and after a
+   snapshot is restored over later moves. *)
+let prop_flat_order =
+  QCheck2.Test.make ~name:"flat order == recursive DFS" ~count:100
+    ~print:print_spec spec_gen (fun spec ->
+      let p, exit_live =
+        joined_program spec ~joins:(1 + (spec.Synthetic.n_ops mod 3))
+      in
+      let ctx = Ctx.make p ~machine:(Machine.homogeneous 2) ~exit_live in
+      let next = make_rng (spec.Synthetic.seed + 23) in
+      let dead_seen = ref false in
+      order_agrees "start" p;
+      for round = 1 to 6 do
+        Ctx.defer_gc ctx (fun () ->
+            for _ = 1 to 3 do
+              ignore (migrate_random ctx next);
+              order_agrees "deferred" p
+            done;
+            if round mod 2 = 0 then bypass_chain p next;
+            if unreachable_nodes p <> [] then dead_seen := true;
+            order_agrees "deferred, dead nodes" p);
+        order_agrees "after gc" p;
+        if round mod 3 = 0 then begin
+          let snap = Program.snapshot p in
+          ignore (migrate_random ctx next);
+          Program.restore p snap;
+          order_agrees "restored" p;
+          ignore (Program.gc p);
+          order_agrees "restored, swept" p
+        end
+      done;
+      if not !dead_seen then QCheck2.assume_fail () else true)
+
 let prop_preds_list_model =
   QCheck2.Test.make ~name:"int-array preds == naive list model" ~count:30
     ~print:print_spec spec_gen (fun spec ->
@@ -447,6 +545,7 @@ let () =
         prop_legality_equiv;
         prop_room_for_equiv;
         prop_preds_list_model;
+        prop_flat_order;
         prop_pipeline_coherent;
       ]
   in

@@ -1,7 +1,10 @@
 (* Observability subsystem: JSON encoding/parsing, metrics, trace
    sinks, and the invariant that ties them to the schedulers — the
    migration events recorded during the Schedule phase replay exactly
-   to the scheduler's own counters. *)
+   to the scheduler's own counters.  Also the bench artifact diff
+   (regressions, missing cells, work and counter-skew reports) and
+   the work counters the pipeline reports: one graph-order walk per
+   shape version, and the dominator cache. *)
 
 module Obs = Grip_obs
 module Json = Grip_obs.Json
@@ -756,6 +759,47 @@ let test_bench_diff_work () =
   Alcotest.(check bool) "printed" true (contains out "work: stats.hops 5 -> 6");
   Alcotest.(check bool) "summary" true (contains out "work identical on 2/3 cells")
 
+(* Counters that only one artifact's cells carry are named once, after
+   the cell list, sorted and merged over every compared cell; they
+   change neither the per-cell work lists nor the exit rule. *)
+let test_bench_diff_counter_skew () =
+  let cell extra =
+    Printf.sprintf
+      {|{"speedup":2.5,"stats":{"technique":"grip","hops":5},"legality":{"cache_hits":3%s}}|}
+      extra
+  in
+  let loop name fu grip = Printf.sprintf {|{"name":"%s","%s":{"grip":%s}}|} name fu grip in
+  let old_ =
+    artifact ~schema:"grip.bench.table1/11"
+      [ loop "LL1" "fu2" (cell {|,"rpo_rebuilds":4|}); loop "LL5" "fu4" (cell "") ]
+  in
+  let new_ =
+    artifact ~schema:"grip.bench.table1/12"
+      [
+        loop "LL1" "fu2" (cell {|,"order_walks":2,"order_visits":9|});
+        loop "LL5" "fu4" (cell {|,"order_walks":1|});
+      ]
+  in
+  let r = diff_ok ~old_ ~new_ in
+  Alcotest.(check (list string)) "only old" [ "legality.rpo_rebuilds" ]
+    r.Bench_diff.counters_only_old;
+  Alcotest.(check (list string)) "only new"
+    [ "legality.order_visits"; "legality.order_walks" ]
+    r.Bench_diff.counters_only_new;
+  Alcotest.(check bool) "work identical" true
+    (List.for_all (fun c -> c.Bench_diff.work = []) r.Bench_diff.cells);
+  Alcotest.(check bool) "informational" true (Bench_diff.passes r);
+  let out = Format.asprintf "%a" (fun ppf r -> Bench_diff.pp_result ppf r) r in
+  Alcotest.(check bool) "old side printed" true
+    (contains out "counters only in old artifact: legality.rpo_rebuilds\n");
+  Alcotest.(check bool) "new side printed once, sorted" true
+    (contains out
+       "counters only in new artifact: legality.order_visits, legality.order_walks\n");
+  let self = diff_ok ~old_:new_ ~new_ in
+  Alcotest.(check bool) "no skew line on a self diff" false
+    (contains (Format.asprintf "%a" (fun ppf r -> Bench_diff.pp_result ppf r) self)
+       "counters only in")
+
 let test_bench_diff_rejects () =
   let good = artifact [ ll1 () ] in
   List.iter
@@ -792,18 +836,47 @@ let test_unifiable_fuel_exhausted () =
   in
   Alcotest.(check bool) "budget exhausted" true o.Pipeline.fuel_exhausted
 
-(* -- rpo cache (the rule-3 index, cached per shape version on the run) ----- *)
+(* -- graph order: one walk per shape version ------------------------------ *)
 
-let test_rpo_cache_effective () =
+(* [Program]'s graph-order walk serves reachability, rule 3, node
+   entry, dominators and the run's cursor.  On LL1 at 2 FU it walks at
+   least once, never twice at one shape, and reports what it did; at
+   an unchanged shape, node entry (dominators and the Moveable-ops
+   suffix) and the rule-3 fold's position reads add no walk. *)
+let test_one_order_walk_per_shape () =
   let m = Metrics.create () in
   let obs = Obs.make ~metrics:m () in
-  ignore
-    (Pipeline.run ~obs (kernel "LL1") ~machine:(Machine.homogeneous 2)
-       ~method_:Pipeline.Grip);
-  let saved = Metrics.counter m "scheduler.rpo_rebuilds_saved" in
-  let rebuilt = Metrics.counter m "scheduler.rpo_rebuilds" in
-  Alcotest.(check bool) "cache hits happen" true (saved > 0);
-  Alcotest.(check bool) "cache invalidates on mutation" true (rebuilt > 1)
+  let k = kernel "LL1" and machine = Machine.homogeneous 2 in
+  let o = Pipeline.run ~obs k ~machine ~method_:Pipeline.Grip in
+  let p = o.Pipeline.program in
+  let walks = Metrics.counter m "ir.order_walks" in
+  Alcotest.(check bool) "walks happen" true (walks >= 1);
+  Alcotest.(check int) "counter reports the program's walks" walks
+    (Vliw_ir.Program.order_walks p);
+  Alcotest.(check int) "visits reported" (Vliw_ir.Program.order_visits p)
+    (Metrics.counter m "ir.order_visits");
+  Alcotest.(check bool) "at most one walk per shape version" true
+    (walks <= Vliw_ir.Program.shape_version p + 1);
+  ignore (Vliw_ir.Program.n_nodes p);
+  let before = Vliw_ir.Program.order_walks p in
+  let ctx =
+    Vliw_percolation.Ctx.make p ~machine ~exit_live:(Kernel.exit_live k)
+  in
+  let dom = Vliw_percolation.Ctx.dominators ctx in
+  let acc = Vliw_ir.Iarr.create () in
+  let cutoff = ref (-1) in
+  List.iter
+    (fun n ->
+      ignore (Scheduler.moveable_op_ids p dom n acc);
+      Vliw_ir.Iarr.iter
+        (fun oid ->
+          let home = Vliw_ir.Program.home_int p oid in
+          cutoff := max !cutoff (Vliw_ir.Program.rpo_index p home))
+        acc)
+    (Vliw_ir.Program.rpo p);
+  Alcotest.(check bool) "positions read" true (!cutoff > 0);
+  Alcotest.(check int) "no walk at an unchanged shape" before
+    (Vliw_ir.Program.order_walks p)
 
 (* The dominator cache in Unifiable.set: one real [Dom.compute] per
    program-version change, every other set computation served from the
@@ -887,6 +960,8 @@ let () =
             test_bench_diff_vanished_cells;
           Alcotest.test_case "work differences reported" `Quick
             test_bench_diff_work;
+          Alcotest.test_case "counter skew named once" `Quick
+            test_bench_diff_counter_skew;
           Alcotest.test_case "malformed artifacts rejected" `Quick
             test_bench_diff_rejects;
         ] );
@@ -896,8 +971,8 @@ let () =
             test_unifiable_stats_surfaced;
           Alcotest.test_case "unifiable fuel exhausted" `Quick
             test_unifiable_fuel_exhausted;
-          Alcotest.test_case "rpo cache effective" `Quick
-            test_rpo_cache_effective;
+          Alcotest.test_case "one order walk per shape" `Quick
+            test_one_order_walk_per_shape;
           Alcotest.test_case "dom cache effective" `Quick
             test_dom_cache_effective;
         ] );
