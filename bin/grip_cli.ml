@@ -1029,8 +1029,10 @@ let bench_cmd =
       (Cmd.info "diff"
          ~doc:
            "Compare two Table 1 bench artifacts cell by cell; exits non-zero \
-            when any GRiP speedup regressed beyond --tolerance or, with \
-            --gc-tolerance, when any GRiP cell's allocation grew beyond it")
+            when any GRiP speedup regressed beyond --tolerance, when a GRiP \
+            cell is missing, when a compared cell's integer stats or \
+            legality counters differ or, with --gc-tolerance, when any GRiP \
+            cell's allocation grew beyond it")
       Term.(
         const bench_diff_run $ old_arg $ new_arg $ tolerance_arg
         $ gc_tolerance_arg)

@@ -121,12 +121,6 @@ let speculation_allows (config : config) (ctx : Ctx.t) ~from_ ~to_
                (Machine.slot_demand_packed m (Program.counts_packed p to_))
              < threshold *. float_of_int (Machine.width m))
 
-(* Dominators cached by program version on the context (scheduling leaf
-   nodes makes no moves, so consecutive schedule_node calls share the
-   computation); per-context so nested or interleaved runs over
-   different programs cannot evict each other. *)
-let dominators (ctx : Ctx.t) = Ctx.dominators ctx
-
 (* The Moveable-ops set of [n]: every operation on the subgraph
    dominated by [n], excluding those already in [n].  (Initialisation
    per section 3.2; operations become unmoveable by being scheduled
@@ -136,7 +130,8 @@ let dominators (ctx : Ctx.t) = Ctx.dominators ctx
    pre-order, drawn from the program's flat sequences; the scheduler
    re-fetches metadata by id.  A node comes after its dominators in
    RPO, so only the positions after [n]'s are filtered, each node by
-   the O(1) interval test. *)
+   the O(1) interval test.  Node entry uses this only on a cyclic
+   program ({!region_op_ids}); it is also the test oracle. *)
 let moveable_op_ids (p : Program.t) dom n acc =
   Vliw_ir.Iarr.clear acc;
   let add = Vliw_ir.Iarr.push acc in
@@ -149,6 +144,70 @@ let moveable_op_ids (p : Program.t) dom n acc =
       then Program.iter_op_ids p id add
     done;
   acc
+
+(** Node entry's region pass: the marks and the fold state of
+    {!region_op_ids}, held on the run's scratch so that a pass
+    allocates nothing and concurrent runs share nothing. *)
+type region = {
+  r_program : Program.t;
+  mutable r_mark : int array;
+      (** node id -> [r_stamp] when the current pass found it dominated *)
+  mutable r_stamp : int;
+  mutable r_at : int;  (** RPO position of the node being decided *)
+  mutable r_all : bool;  (** every live predecessor folded is marked *)
+  mutable r_retreat : bool;  (** a live predecessor at or after [r_at] *)
+}
+
+(* One predecessor [q] of the node at [r.r_at], shaped as a
+   {!Program.fold_preds} step so the pass needs no closure. *)
+let region_step r q =
+  let k = Program.rpo_index r.r_program q in
+  if k < max_int then
+    if k >= r.r_at then r.r_retreat <- true
+    else if Array.unsafe_get r.r_mark q <> r.r_stamp then r.r_all <- false;
+  r
+
+(** [region_op_ids r n acc] — the Moveable-ops set of [n], as
+    {!moveable_op_ids} lists it, in one pass over the RPO suffix after
+    [n] with no dominator tree: a node there is dominated by [n]
+    exactly when every live predecessor of it is [n] or dominated by
+    [n].  In an acyclic graph every predecessor precedes its node in
+    RPO, so the pass, marking [n] and then each node it finds
+    dominated, has decided each predecessor when it reaches the node.
+    A live predecessor at or after its node is a retreating edge: the
+    graph has a cycle, the pass stops and answers [false], and [acc]
+    is to be ignored (DESIGN.md §24). *)
+let region_op_ids r n acc =
+  let p = r.r_program in
+  Vliw_ir.Iarr.clear acc;
+  let len = Program.n_nodes p in
+  let at = Program.rpo_index p n in
+  if at < len then begin
+    let limit = Program.node_limit p in
+    if Array.length r.r_mark < limit then begin
+      let m = Array.make (max limit (2 * Array.length r.r_mark)) 0 in
+      Array.blit r.r_mark 0 m 0 (Array.length r.r_mark);
+      r.r_mark <- m
+    end;
+    let stamp = r.r_stamp + 1 in
+    r.r_stamp <- stamp;
+    r.r_retreat <- false;
+    r.r_mark.(n) <- stamp;
+    let add = Vliw_ir.Iarr.push acc in
+    let k = ref (at + 1) in
+    while !k < len && not r.r_retreat do
+      let id = Program.rpo_at p !k in
+      r.r_at <- !k;
+      r.r_all <- true;
+      ignore (Program.fold_preds p id ~init:r ~f:region_step);
+      if r.r_all && not r.r_retreat then begin
+        Array.unsafe_set r.r_mark id stamp;
+        if not (Program.is_exit p id) then Program.iter_op_ids p id add
+      end;
+      incr k
+    done
+  end;
+  not r.r_retreat
 
 (** A node's Moveable-ops as a ranked queue, so that choose-op costs
     in proportion to the candidates it can still pick.
@@ -285,19 +344,35 @@ end
 type scratch = {
   mutable susp_mask : Bytes.t;
   mutable att_mask : Bytes.t;
-  moveable : Vliw_ir.Iarr.t;  (** worklist buffer for {!moveable_op_ids} *)
+  moveable : Vliw_ir.Iarr.t;  (** worklist buffer for node entry *)
+  region : region;  (** node entry's region pass *)
   queue : Ranked.t;
   gapless : Gapless.memo;  (** the Gapless test's run-long absence memo *)
 }
 
-let fresh_scratch () =
+(** [fresh_scratch p] — the scratch of one run over program [p]. *)
+let fresh_scratch p =
   {
     susp_mask = Bytes.make 256 '\000';
     att_mask = Bytes.make 256 '\000';
     moveable = Vliw_ir.Iarr.create ~capacity:256 ();
+    region =
+      { r_program = p; r_mark = [||]; r_stamp = 0; r_at = 0; r_all = true;
+        r_retreat = false };
     queue = Ranked.create ();
     gapless = Gapless.create_memo ();
   }
+
+(** [entry_op_ids ctx scratch n] — node entry's Moveable-ops set of
+    [n] in [scratch]'s worklist buffer: the region pass, or on a
+    cyclic program the dominator filter, counted as
+    [scheduler.dom_fallbacks]. *)
+let entry_op_ids (ctx : Ctx.t) scratch n =
+  if region_op_ids scratch.region n scratch.moveable then scratch.moveable
+  else begin
+    Metrics.incr ctx.Ctx.obs.Grip_obs.metrics "scheduler.dom_fallbacks";
+    moveable_op_ids ctx.Ctx.program (Ctx.dominators ctx) n scratch.moveable
+  end
 
 let mask_get b id = id < Bytes.length b && Bytes.unsafe_get b id <> '\000'
 
@@ -327,10 +402,9 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
   (* why the most recent allow_hop veto happened; read by on_suspend,
      which Migrate calls synchronously right after the veto *)
   let suspend_reason = ref "gap prevention" in
-  let dom = dominators ctx in
   let queue = scratch.queue in
   Ranked.load queue ~cmp:config.rank.Rank.compare ~record:(Program.stored_op p)
-    (moveable_op_ids p dom n scratch.moveable);
+    (entry_op_ids ctx scratch n);
   (* Op ids are dense, so the suspended and attempted sets are byte
      masks (consulted for every candidate the queue visits), plus, for
      the suspended set, an explicit id list for the two fold/clear
@@ -531,7 +605,7 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
 let run ?on_move (config : config) (ctx : Ctx.t) =
   let p = ctx.Ctx.program in
   let stats = fresh_stats () in
-  let scratch = fresh_scratch () in
+  let scratch = fresh_scratch p in
   let scheduled = ref (Bytes.make 256 '\000') in
   (* Worklist cursor: the next reverse-postorder position to offer.
      Consecutive calls resume from it instead of rescanning the full

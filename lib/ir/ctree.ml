@@ -87,19 +87,24 @@ let split_root = function
   | Leaf _ -> None
   | Branch (cj, a, b) -> Some (cj, a, b)
 
+let some_nil = Some []
+
+let rec path_go n acc = function
+  | Leaf m -> (
+      if m <> n then None
+      else match acc with [] -> some_nil | _ -> Some (List.rev acc))
+  | Branch (cj, a, b) -> (
+      match path_go n ((cj.Operation.id, true) :: acc) a with
+      | Some _ as r -> r
+      | None -> path_go n ((cj.Operation.id, false) :: acc) b)
+
 (** [path_to t n] is the decision sequence (root first) of the first
     pre-order path whose leaf is [n]: the guard an operation acquires
     when it moves up into the instruction holding [t] from successor
-    [n].  [None] when no leaf points at [n]. *)
-let path_to t n =
-  let rec go acc = function
-    | Leaf m -> if m = n then Some (List.rev acc) else None
-    | Branch (cj, a, b) -> (
-        match go ((cj.Operation.id, true) :: acc) a with
-        | Some p -> Some p
-        | None -> go ((cj.Operation.id, false) :: acc) b)
-  in
-  go [] t
+    [n].  [None] when no leaf points at [n].  A path of no decisions —
+    a bare [Leaf], the tree most legality checks ask about — is one
+    shared [Some []], so that answer allocates nothing. *)
+let path_to t n = path_go n [] t
 
 (** [has_path_prefix t g] — is the decision list [g] a valid
     root-anchored path prefix of [t]?  Operation guards must satisfy

@@ -39,7 +39,12 @@
       order with [-1] tombstones (edge removal tombstones in place —
       no [List.filter] copy per edge — and compacts when tombstones
       outnumber survivors).  Reading backwards reproduces the
-      historical newest-first cons order.
+      historical newest-first cons order;
+    - [succ_a]/[succ_b]: node id -> the number of distinct successors
+      (saturated at 3) packed with the first of them, and the second,
+      in monomorphic [int array]s, so the graph-order walk steps
+      without chasing the [succs_tbl] list (read only past the second
+      successor).
 
     Freed nodes return their [Iarr] buffers to an arena pool ([spare])
     that [fresh_node] draws from, so migration churn (clone, redirect,
@@ -55,8 +60,11 @@
     nodes, each node's postorder index, and a per-walk stamp that
     doubles as reachability ({!is_live}, {!rpo_index}, {!rpo_at},
     {!n_nodes}; {!rpo} is a list view of the same order).  Every
-    edge edit goes through [link_node] (which bumps [shape]) or
-    [delete_node].  {!gc} only removes nodes unreachable from the
+    edge edit goes through [link_node] (which bumps [shape] and
+    [chain]) or [delete_node] (which bumps only [shape]: removing an
+    empty single-successor node changes no other node's reachability
+    and cuts no unique-live-predecessor chain, see {!chain_version}).
+    {!gc} only removes nodes unreachable from the
     entry — a semantic no-op for every reachable-set-derived analysis
     — so it bumps neither counter: liveness, dominators and the walk
     stay valid across collections.  It sweeps a worklist rather than
@@ -85,12 +93,17 @@ type t = {
           itself: queries share it (immutable, zero alloc), and since
           an edit replaces rather than mutates it, a walker's captured
           copy stays a valid pre-edit snapshot. *)
+  mutable succ_a : int array;
+      (** node id -> first successor [lsl 2] [lor] the number of
+          distinct successors, saturated at 3; [0] for an absent node *)
+  mutable succ_b : int array;  (** node id -> second successor *)
   mutable spare : Iarr.t list;  (** arena pool of recycled buffers *)
   mutable next_node : int;
   mutable next_reg : int;
   mutable next_op : int;
   mutable version : int;
   mutable shape : int;  (** bumped when an edge or a node comes or goes *)
+  mutable chain : int;  (** bumped by every edge edit but [delete_node] *)
   mutable ord_shape : int;  (** shape the graph-order walk speaks for *)
   mutable ord_stamp : int;  (** bumped per walk *)
   mutable ord_mark : int array;
@@ -125,6 +138,19 @@ let version p = p.version
     reverse postorder, node order — key on this instead of
     {!version}. *)
 let shape_version p = p.shape
+
+(** [chain_version p] — changes with every edge edit except
+    {!delete_node}'s, so it moves at most as often as
+    {!shape_version}.  [delete_node s] removes an empty node with one
+    successor [t] and points every predecessor of [s] at [t].  That
+    changes no other node's reachability, and only [t]'s predecessors:
+    [t] trades [s] for [s]'s, so it is a join afterwards only if [s]
+    or [t] was one, and a chain of unique live predecessors through
+    [s] now goes from [s]'s predecessor straight to [t].  So a fact
+    "this node reaches that one by unique live predecessors" survives
+    it, and caches of such facts key on this counter. *)
+let chain_version p = p.chain
+
 let is_exit p id = id = p.exit_id
 
 (* -- flat-store primitives ---------------------------------------------- *)
@@ -212,7 +238,9 @@ let pred_add p ~src ~dst =
   if not (src = dst && is_exit p src) then
     Iarr.push (seq_for p p.preds_tbl dst) src
 
-let pred_remove p ~src ~dst =
+(* [note] queues [dst] for the collector; {!delete_node} passes
+   [false], since its edits change no node's reachability. *)
+let pred_remove p ~note ~src ~dst =
   if not (src = dst && is_exit p src) then begin
     let b = Itbl.get p.preds_tbl dst in
     if b != Iarr.sentinel then begin
@@ -224,30 +252,59 @@ let pred_remove p ~src ~dst =
       (* keep redirect churn from growing the buffer without bound *)
       if Iarr.length b - !live > !live + 8 then Iarr.compact_nonneg b;
       (* [dst] may have lost its last path from the entry *)
-      gc_note p dst
+      if note then gc_note p dst
     end
   end
 
-(* Refresh node [n]'s successor mirror from its tree.  Walks consume
-   successors far more often than trees change, so they read the
-   mirror instead of recomputing [Ctree.succs] per query. *)
-let rebuild_succs p (n : Node.t) =
-  Itbl.set p.succs_tbl n.Node.id (Ctree.succs n.Node.ctree)
+(* Make the successor mirror cover ids below [need], keeping its
+   contents. *)
+let succ_grow p need =
+  let cap = Array.length p.succ_a in
+  if need > cap then begin
+    let cap' = max need (2 * cap) in
+    let grow a =
+      let b = Array.make cap' 0 in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    p.succ_a <- grow p.succ_a;
+    p.succ_b <- grow p.succ_b
+  end
 
-(* [link_node] refreshes the mirror first, so the unlink/mutate/link
-   bracket every structural edit already follows keeps it current:
-   [unlink_node] reads the pre-edit mirror, [link_node] the new tree. *)
-let link_node p (n : Node.t) =
+(* Refresh node [n]'s successor mirrors from its tree.  Walks consume
+   successors far more often than trees change, so they read the
+   mirrors instead of recomputing [Ctree.succs] per query. *)
+let rebuild_succs p (n : Node.t) =
+  let id = n.Node.id in
+  let l = Ctree.succs n.Node.ctree in
+  Itbl.set p.succs_tbl id l;
+  succ_grow p (id + 1);
+  match l with
+  | [] -> p.succ_a.(id) <- 0
+  | [ a ] -> p.succ_a.(id) <- (a lsl 2) lor 1
+  | a :: b :: tl ->
+      p.succ_a.(id) <- (a lsl 2) lor (match tl with [] -> 2 | _ -> 3);
+      p.succ_b.(id) <- b
+
+(* The edge half of an edit: [link_edges] refreshes the mirrors first,
+   so the unlink/mutate/link bracket every structural edit already
+   follows keeps them current: [unlink_edges] reads the pre-edit
+   mirror, [link_edges] the new tree. *)
+let link_edges p (n : Node.t) =
   p.shape <- p.shape + 1;
   rebuild_succs p n;
   List.iter
     (fun s -> pred_add p ~src:n.Node.id ~dst:s)
     (Itbl.get p.succs_tbl n.Node.id)
 
-let unlink_node p (n : Node.t) =
+let unlink_edges p ~note (n : Node.t) =
   List.iter
-    (fun s -> pred_remove p ~src:n.Node.id ~dst:s)
+    (fun s -> pred_remove p ~note ~src:n.Node.id ~dst:s)
     (Itbl.get p.succs_tbl n.Node.id)
+
+let link_node p n =
+  p.chain <- p.chain + 1;
+  link_edges p n
 
 (* -- construction ------------------------------------------------------ *)
 
@@ -319,12 +376,15 @@ let create ?(first_reg = 0) () =
       node_counts = Itbl.create 0;
       preds_tbl = Itbl.create Iarr.sentinel;
       succs_tbl = Itbl.create [];
+      succ_a = Array.make 64 0;
+      succ_b = Array.make 64 0;
       spare = [];
       next_node = 2;
       next_reg = first_reg;
       next_op = 0;
       version = 0;
       shape = 0;
+      chain = 0;
       ord_shape = -1;
       ord_stamp = 0;
       ord_mark = [||];
@@ -468,7 +528,7 @@ let replace_op p nid (op : Operation.t) =
     re-indexing the jumps it contains. *)
 let set_ctree p nid t =
   let n = node p nid in
-  unlink_node p n;
+  unlink_edges p ~note:true n;
   Ctree.iter_cjumps
     (fun (cj : Operation.t) -> Itbl.set p.op_home cj.id (-1))
     n.Node.ctree;
@@ -618,7 +678,7 @@ let order_grow p need =
     let cap' = max need (2 * cap) in
     let grow a =
       let b = Array.make cap' 0 in
-      Array.blit a 0 b 0 (Array.length a);
+      Array.blit a 0 b 0 cap;
       b
     in
     p.ord_mark <- grow p.ord_mark;
@@ -627,6 +687,17 @@ let order_grow p need =
     p.ord_stack <- grow p.ord_stack;
     p.ord_next <- grow p.ord_next
   end
+
+(* Node [id]'s [i]-th successor in {!succs} order, or [-1] past the
+   last, from the flat mirror.  The exit sentinel's self-edge is
+   listed, but a walk reaches the exit marked, so never follows it. *)
+let[@inline] succ_at p id i =
+  let w = Array.unsafe_get p.succ_a id in
+  let n = w land 3 in
+  if i >= n && n < 3 then -1
+  else if i = 0 then w lsr 2
+  else if i = 1 then Array.unsafe_get p.succ_b id
+  else nth_succ (Itbl.get p.succs_tbl id) i
 
 (* One depth-first walk from the entry, successors in {!succs} order:
    the postorder a recursive walk that marks a node, recurses into
@@ -646,7 +717,7 @@ let walk p =
     let top = !sp - 1 in
     let id = Array.unsafe_get p.ord_stack top in
     let i = Array.unsafe_get p.ord_next top in
-    let s = if is_exit p id then -1 else nth_succ (Itbl.get p.succs_tbl id) i in
+    let s = succ_at p id i in
     if s < 0 then begin
       sp := top;
       Array.unsafe_set p.ord_post !k id;
@@ -655,7 +726,6 @@ let walk p =
     end
     else begin
       Array.unsafe_set p.ord_next top (i + 1);
-      if s >= Array.length p.ord_mark then order_grow p (s + 1);
       if Array.unsafe_get p.ord_mark s <> stamp then begin
         Array.unsafe_set p.ord_mark s stamp;
         Array.unsafe_set p.ord_stack !sp s;
@@ -691,10 +761,16 @@ let n_nodes p =
     collection were eager filter on this.  While the sweep worklist is
     empty no node has lost an in-edge or been created since the last
     sweep, which left only live nodes, so the table alone answers;
-    otherwise the walk's stamp does. *)
-let is_live p id =
-  if Iarr.is_empty p.gc_work then
-    match node_opt p id with Some _ -> true | None -> false
+    otherwise the walk's stamp does.  The chain climb asks this for
+    every predecessor it steps over, so it reads the worklist and the
+    node table's array directly: under [-opaque] (dune's dev profile)
+    an [Iarr]/[Itbl] accessor is an indirect call. *)
+let[@inline] is_live p id =
+  if p.gc_work.Iarr.len = 0 then
+    let a = p.nodes.Itbl.arr in
+    id >= 0
+    && id < Array.length a
+    && match Array.unsafe_get a id with Some _ -> true | None -> false
   else begin
     fresh p;
     marked p id
@@ -755,21 +831,28 @@ let preds p =
     the incrementally maintained table (no full-graph rebuild). *)
 let preds_of p id = live_preds_list p id
 
-let rec unique_live_from p b i found =
+(* The only live entry of [a.(0) .. a.(i)] scanned downwards, given
+   [found] so far; [-1] when there is a second. *)
+let rec unique_live_from p a i found =
   if i < 0 then found
   else
-    let q = Iarr.unsafe_get b i in
+    let q = Array.unsafe_get a i in
     if q >= 0 && is_live p q then
-      if found >= 0 then -1 else unique_live_from p b (i - 1) q
-    else unique_live_from p b (i - 1) found
+      if found >= 0 then -1 else unique_live_from p a (i - 1) q
+    else unique_live_from p a (i - 1) found
 
 (** [unique_live_pred p id] — the only live entry of node [id]'s
     predecessor table, or [-1] when it has none or several.  It reads
     only edges and reachability, so its answer changes only with
-    {!shape_version}.  Allocation-free. *)
+    {!shape_version} — and, by {!chain_version}'s argument, along a
+    chain it changes only with that.  Allocation-free, and like
+    {!is_live} it reads the tables' arrays directly. *)
 let unique_live_pred p id =
-  let b = Itbl.get p.preds_tbl id in
-  unique_live_from p b (Iarr.length b - 1) (-1)
+  let t = p.preds_tbl.Itbl.arr in
+  if id < 0 || id >= Array.length t then -1
+  else
+    let b = Array.unsafe_get t id in
+    unique_live_from p b.Iarr.a (b.Iarr.len - 1) (-1)
 
 (** [rpo p] is a reverse-postorder listing of the reachable nodes from
     the entry — the top-down scheduling order — as a list view of the
@@ -796,19 +879,44 @@ let all_ops p =
 
 (* -- structural edits --------------------------------------------------- *)
 
+(* Point node [from_]'s leaves at [old_] to [new_]: the edge edit of
+   {!redirect} without its [chain] bump, with [note] passed on to the
+   predecessor tables. *)
+let relink p ~note ~from_ ~old_ ~new_ =
+  let n = node p from_ in
+  unlink_edges p ~note n;
+  n.Node.ctree <- Ctree.replace_leaf n.Node.ctree ~old_ ~new_;
+  link_edges p n;
+  touch p
+
 (** [redirect p ~from_ ~old_ ~new_] rewrites node [from_]'s tree leaves
     pointing at [old_] to point at [new_].  The jump records (and so
     [cjs_seq] and the counts) are unchanged — only edges move. *)
 let redirect p ~from_ ~old_ ~new_ =
-  let n = node p from_ in
-  unlink_node p n;
-  n.Node.ctree <- Ctree.replace_leaf n.Node.ctree ~old_ ~new_;
-  link_node p n;
-  touch p
+  p.chain <- p.chain + 1;
+  relink p ~note:true ~from_ ~old_ ~new_
+
+(* Drop node [id] from the table and its mirrors; its flat buffers go
+   back to the arena pool.  Its edges must be unlinked already. *)
+let free_node p id =
+  recycle_seq p p.preds_tbl id;
+  Itbl.set p.succs_tbl id [];
+  p.succ_a.(id) <- 0;
+  recycle_seq p p.ops_seq id;
+  recycle_seq p p.cjs_seq id;
+  Itbl.set p.node_counts id 0;
+  Itbl.set p.nodes id None
 
 (** [delete_node p id] removes the empty node [id], redirecting every
     predecessor to its unique successor.  Raises [Invalid_argument] if
-    the node is not empty, is the entry, or is the exit sentinel. *)
+    the node is not empty, is the entry, or is the exit sentinel.
+
+    No other node's reachability changes (see {!chain_version}), so
+    the edit queues no collector work and leaves [chain] alone.  The
+    collector's invariant — every dead node is queued or reachable
+    from a queued node — survives: paths through [id] now skip it,
+    and if [id] itself was queued its successor is queued in its
+    place. *)
 let delete_node p id =
   if id = p.entry || is_exit p id then
     invalid_arg "Program.delete_node: entry/exit";
@@ -816,17 +924,13 @@ let delete_node p id =
   if not (Node.is_empty n) then
     invalid_arg "Program.delete_node: node not empty";
   let succ = match succs p id with [ s ] -> s | _ -> assert false in
-  (* snapshot first: each redirect tombstones this very table *)
+  (* snapshot first: each relink tombstones this very table *)
   List.iter
-    (fun q -> redirect p ~from_:q ~old_:id ~new_:succ)
+    (fun q -> relink p ~note:false ~from_:q ~old_:id ~new_:succ)
     (preds_raw p id);
-  unlink_node p n;
-  recycle_seq p p.preds_tbl id;
-  Itbl.set p.succs_tbl id [];
-  recycle_seq p p.ops_seq id;
-  recycle_seq p p.cjs_seq id;
-  Itbl.set p.node_counts id 0;
-  Itbl.set p.nodes id None;
+  unlink_edges p ~note:false n;
+  if Itbl.get p.gc_marks id = p.gc_epoch then gc_note p succ;
+  free_node p id;
   p.shape <- p.shape + 1;
   touch p
 
@@ -859,13 +963,8 @@ let gc p =
             if Itbl.get p.op_home oid = id then Itbl.set p.op_home oid (-1)
           in
           iter_op_ids p id dehome;
-          unlink_node p n;
-          recycle_seq p p.preds_tbl id;
-          Itbl.set p.succs_tbl id [];
-          recycle_seq p p.ops_seq id;
-          recycle_seq p p.cjs_seq id;
-          Itbl.set p.node_counts id 0;
-          Itbl.set p.nodes id None;
+          unlink_edges p ~note:true n;
+          free_node p id;
           incr k
       | Some _ | None -> ()
     done;
@@ -923,6 +1022,7 @@ let restore p s =
   Itbl.reset p.op_store;
   Itbl.reset p.op_flags;
   Itbl.reset p.node_counts;
+  Array.fill p.succ_a 0 (Array.length p.succ_a) 0;
   p.spare <- [];
   (* the restored graph may hold nodes that were dead when it was
      captured: every node is a sweep candidate again *)
@@ -938,10 +1038,24 @@ let restore p s =
       gc_note p n.Node.id);
   Itbl.reset p.op_home;
   List.iter (fun (k, v) -> Itbl.set p.op_home k v) s.s_homes;
+  (* a node that was dead when the snapshot was taken can hold an older
+     record of an op that a live node holds too (a [Move_cj] arm keeps
+     its source's op ids): the record at the op's home is the one to
+     keep *)
+  iter_nodes p (fun n ->
+      List.iter
+        (fun (op : Operation.t) ->
+          if Itbl.get p.op_home op.Operation.id = n.Node.id then store_op p op)
+        (Node.all_ops n));
   p.next_node <- s.s_next_node;
   p.next_reg <- s.s_next_reg;
   p.next_op <- s.s_next_op;
   touch p
+
+(* Node [id]'s successors as the walk reads them. *)
+let flat_succs p id =
+  let rec go i = match succ_at p id i with -1 -> [] | s -> s :: go (i + 1) in
+  go 0
 
 (** [check_derived_state p] — do the predecessor table and the flat
     stores agree with a from-scratch recomputation?  [None] when coherent; [Some reason] otherwise.
@@ -975,8 +1089,20 @@ let check_derived_state p =
               Some (Printf.sprintf "preds_tbl mismatch at n%d" id)
             else if Itbl.get p.succs_tbl id <> Ctree.succs n.Node.ctree then
               Some (Printf.sprintf "succs_tbl mismatch at n%d" id)
+            else if flat_succs p id <> Ctree.succs n.Node.ctree then
+              Some (Printf.sprintf "flat successor mismatch at n%d" id)
             else None)
       None
+  in
+  (* an absent node has no flat successors left behind *)
+  let stale_succs () =
+    let rec go id =
+      if id >= Array.length p.succ_a then None
+      else if Itbl.get p.nodes id = None && p.succ_a.(id) <> 0 then
+        Some (Printf.sprintf "flat successors left at absent n%d" id)
+      else go (id + 1)
+    in
+    go 0
   in
   let flat_problem () =
     fold_nodes p
@@ -1022,7 +1148,10 @@ let check_derived_state p =
             end)
       None
   in
-  match pred_problem with Some _ as r -> r | None -> flat_problem ()
+  match pred_problem with
+  | Some _ as r -> r
+  | None -> (
+      match stale_succs () with Some _ as r -> r | None -> flat_problem ())
 
 let pp ppf p =
   let ids = rpo p in

@@ -13,10 +13,12 @@
 
     The report also lists, per compared cell, the integer counters of
     its [stats] and [legality] blocks that differ (the scheduler's
-    work), names once the counters that only one artifact's cells
-    carry (schema skew, which the per-cell comparison skips), and ends
-    with how many cells did the same work.  That part is
-    informational: it never fails the diff. *)
+    work; the timing [check_seconds] and the ratio [cache_hit_rate]
+    are not counters), names once the counters that only one
+    artifact's cells carry (schema skew, which the per-cell comparison
+    skips), and ends with how many cells did the same work.  A counter
+    that differs fails the diff: a change in the work a sweep does
+    must come with a regenerated artifact. *)
 
 type cell = {
   loop : string;
@@ -89,6 +91,9 @@ let cells_of doc =
             fields)
     loops
 
+(* Fields of those blocks that measure rather than count. *)
+let not_counters = [ "legality.check_seconds"; "legality.cache_hit_rate" ]
+
 (* A cell's integer counters in its [stats] and [legality] blocks, as
    ("block.field", value). *)
 let work_counters c =
@@ -98,8 +103,11 @@ let work_counters c =
       | Some (Json.Obj kvs) ->
           List.filter_map
             (fun (k, v) ->
+              let key = block ^ "." ^ k in
               match v with
-              | Json.Num x when Float.is_integer x -> Some (block ^ "." ^ k, x)
+              | Json.Num x
+                when Float.is_integer x && not (List.mem key not_counters) ->
+                  Some (key, x)
               | _ -> None)
             kvs
       | _ -> [])
@@ -123,71 +131,12 @@ let counters_missing a b =
     (fun (k, _) -> if List.mem_assoc k kb then None else Some k)
     (work_counters a)
 
-(* Schema /7 added a per-cell [cache] block (warm-path memo counters).
-   Older artifacts simply lack it and diff fine; when present it must
-   be an object of numeric fields — a malformed block is a corrupted
-   artifact, not a schema skew to tolerate silently. *)
-let validate_cache_blocks label doc =
-  let loops =
-    Option.value ~default:[]
-      (Option.bind (Json.member "loops" doc) Json.to_list)
-  in
-  List.fold_left
-    (fun acc loop ->
-      if acc <> None then acc
-      else
-        let name =
-          Option.value ~default:"?"
-            (Option.bind (Json.member "name" loop) Json.to_str)
-        in
-        let fields = match loop with Json.Obj kvs -> kvs | _ -> [] in
-        List.fold_left
-          (fun acc (field, v) ->
-            if acc <> None
-               || String.length field <= 2
-               || String.sub field 0 2 <> "fu"
-            then acc
-            else
-              List.fold_left
-                (fun acc tech ->
-                  if acc <> None then acc
-                  else
-                    match
-                      Option.bind (Json.member tech v) (Json.member "cache")
-                    with
-                    | None -> None
-                    | Some (Json.Obj kvs) ->
-                        List.fold_left
-                          (fun acc (k, cv) ->
-                            if acc <> None then acc
-                            else
-                              match Json.to_float cv with
-                              | Some _ -> None
-                              | None ->
-                                  Some
-                                    (Printf.sprintf
-                                       "%s: %s/%s/%s: cache field %s is not \
-                                        numeric"
-                                       label name field tech k))
-                          None kvs
-                    | Some _ ->
-                        Some
-                          (Printf.sprintf
-                             "%s: %s/%s/%s: cache block is not an object" label
-                             name field tech))
-                acc [ "grip"; "post" ])
-          acc fields)
-    None loops
-
 let parse_artifact label contents =
   match Json.parse contents with
   | Error e -> Error (Printf.sprintf "%s: invalid JSON: %s" label e)
   | Ok doc -> (
       match schema_version doc with
-      | Some v when v >= 1 -> (
-          match validate_cache_blocks label doc with
-          | Some e -> Error e
-          | None -> Ok doc)
+      | Some v when v >= 1 -> Ok doc
       | Some v -> Error (Printf.sprintf "%s: unsupported schema version %d" label v)
       | None -> Error (Printf.sprintf "%s: not a grip.bench.table1 artifact" label))
 
@@ -264,12 +213,17 @@ let alloc_regressed ~gc_tolerance c =
 let gc_regressions ~gc_tolerance r =
   List.filter (fun c -> c.tech = "grip" && alloc_regressed ~gc_tolerance c) r.cells
 
+(** [work_changed r] — the compared cells whose work counters differ. *)
+let work_changed r = List.filter (fun c -> c.work <> []) r.cells
+
 (** [passes ?tolerance ?gc_tolerance r] — the gate: no GRiP speedup
     regression beyond [tolerance], no GRiP cell missing from the new
-    artifact and, with [gc_tolerance], no GRiP allocation regression. *)
+    artifact, no compared cell whose work counters differ and, with
+    [gc_tolerance], no GRiP allocation regression. *)
 let passes ?(tolerance = 1e-9) ?gc_tolerance r =
   regressions ~tolerance r = []
   && r.missing = []
+  && work_changed r = []
   &&
   match gc_tolerance with
   | Some g -> gc_regressions ~gc_tolerance:g r = []
@@ -339,6 +293,8 @@ let pp_result ?(tolerance = 1e-9) ?gc_tolerance ppf r =
           Format.fprintf ppf
             "%d GRiP cell(s) allocating beyond gc-tolerance +%g%%@."
             (List.length aregs) (100.0 *. g)));
-  Format.fprintf ppf "work identical on %d/%d cells@."
-    (List.length (List.filter (fun c -> c.work = []) r.cells))
+  let changed = List.length (work_changed r) in
+  Format.fprintf ppf "work identical on %d/%d cells%s@."
+    (List.length r.cells - changed)
     (List.length r.cells)
+    (if changed > 0 then "; differing work fails the diff" else "")

@@ -44,11 +44,11 @@ type t = {
           collects the nodes it follows here too *)
   chain_marks : int Itbl.t;
       (** chain memo: [chain_stamp] on every node whose unique live
-          predecessors lead to [chain_target] under shape version
-          [chain_shape] *)
+          predecessors lead to [chain_target] under chain version
+          [chain_version] *)
   mutable chain_stamp : int;
   mutable chain_target : int;
-  mutable chain_shape : int;
+  mutable chain_version : int;
   mutable gc_depth : int;
       (** > 0 inside {!defer_gc}: collections requested by committed
           moves are batched until the region exits *)
@@ -77,7 +77,7 @@ let make ?(rename = true) ?(obs = Grip_obs.null) program ~machine ~exit_live =
     chain_marks = Itbl.create 0;
     chain_stamp = 0;
     chain_target = -1;
-    chain_shape = -1;
+    chain_version = -1;
     gc_depth = 0;
     gc_pending = false;
   }
@@ -181,15 +181,16 @@ let cone_add t id =
   end;
   t
 
-(* The chain memo (see {!Migrate}) speaks for one (target, shape
-   version) key: a chain check under another key bumps the stamp,
-   which forgets every earlier mark. *)
+(* The chain memo (see {!Migrate}) speaks for one (target,
+   {!Program.chain_version}) key: a chain check under another key bumps
+   the stamp, which forgets every earlier mark.  Node deletion leaves
+   the key, and the marks, alone: it cuts no chain. *)
 let chain_begin t ~target =
-  let shape = Program.shape_version t.program in
-  if target <> t.chain_target || shape <> t.chain_shape then begin
+  let v = Program.chain_version t.program in
+  if target <> t.chain_target || v <> t.chain_version then begin
     t.chain_stamp <- t.chain_stamp + 1;
     t.chain_target <- target;
-    t.chain_shape <- shape
+    t.chain_version <- v
   end
 
 let chain_known t id = Itbl.get t.chain_marks id = t.chain_stamp

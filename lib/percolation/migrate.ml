@@ -26,8 +26,9 @@
     its home as a successor.  It makes the same attempts, in the same
     order, as the walk, and so costs the hops it tries (DESIGN.md
     §21).  Confirmed chains are stamped in a memo keyed on ([target],
-    {!Program.shape_version}), so later checks toward the same target
-    stop at the first stamped node.
+    {!Program.chain_version}), so later checks toward the same target
+    stop at the first stamped node; deleting an emptied node keeps the
+    memo, since it cuts no chain (DESIGN.md §24).
 
     The cone is marked and walked only when the check fails: a join, a
     node with no live predecessor, a dead or deleted home, or a target

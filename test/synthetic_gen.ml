@@ -91,3 +91,26 @@ let migrate_random ?hooks (ctx : Vliw_percolation.Ctx.t) next =
       Some
         (Vliw_percolation.Migrate.migrate ctx ?hooks ~target
            ~op_id:op.Operation.id ())
+
+(* A live node [delete_emptied] may remove: neither the entry nor the
+   exit, with a bare leaf for a tree; [None] when there is none. *)
+let pick_deletable p next =
+  let ok id =
+    id <> p.Program.entry
+    && (not (Program.is_exit p id))
+    &&
+    match (Program.node p id).Node.ctree with
+    | Ctree.Leaf _ -> true
+    | Ctree.Branch _ -> false
+  in
+  match List.filter ok (Program.rpo p) with
+  | [] -> None
+  | l -> Some (List.nth l (next (List.length l)))
+
+(* Remove node [id]'s plain operations from the program and then the
+   node itself, as [Move_op.commit] deletes a node it emptied. *)
+let delete_emptied p id =
+  let ops = ref [] in
+  Program.iter_plain_op_ids p id (fun oid -> ops := oid :: !ops);
+  List.iter (Program.remove_op p id) !ops;
+  Program.delete_node p id

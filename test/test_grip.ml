@@ -661,7 +661,10 @@ let test_memo_cyclic () =
 
 (* The RPO suffix after each node, filtered by dominance, lists exactly
    the op ids a filter over the whole RPO does, in the same order — on
-   random programs with joins, before and after random migrations. *)
+   random programs with joins, before and after random migrations
+   (splits and [Move_cj] included).  So does node entry's one-pass
+   region, which must never see a retreating edge on these acyclic
+   programs. *)
 let prop_suffix_enumeration =
   QCheck2.Test.make ~name:"suffix enumeration == full-RPO filter" ~count:100
     ~print:Synthetic_gen.print_spec Synthetic_gen.spec_gen (fun spec ->
@@ -672,6 +675,7 @@ let prop_suffix_enumeration =
       let ctx = Ctx.make p ~machine:(Machine.homogeneous 2) ~exit_live in
       let next = Synthetic_gen.make_rng spec.Workloads.Synthetic.seed in
       let acc = Iarr.create () in
+      let scratch = Grip.Scheduler.fresh_scratch p in
       for step = 0 to 12 do
         if step > 0 then ignore (Synthetic_gen.migrate_random ctx next);
         let dom = Ctx.dominators ctx in
@@ -691,10 +695,70 @@ let prop_suffix_enumeration =
             let got = Iarr.to_list (Grip.Scheduler.moveable_op_ids p dom n acc) in
             if got <> full then
               QCheck2.Test.fail_reportf "step %d, n%d: %d op ids, want %d" step n
-                (List.length got) (List.length full))
+                (List.length got) (List.length full);
+            if
+              not
+                (Grip.Scheduler.region_op_ids scratch.Grip.Scheduler.region n acc)
+            then
+              QCheck2.Test.fail_reportf "step %d, n%d: retreating edge reported"
+                step n;
+            let region = Iarr.to_list acc in
+            if region <> full then
+              QCheck2.Test.fail_reportf
+                "step %d, n%d: region lists %d op ids, want %d" step n
+                (List.length region) (List.length full))
           (Program.rpo p)
       done;
       true)
+
+(* A cyclic program: entry -> a -> h; h -> b -> c; c -> h (back edge)
+   and c -> d -> e -> exit.  From a, the pass meets the back edge below
+   it and reports it; node entry then falls back to the dominator
+   filter (counted), so its answer still equals [Dom]'s.  From d,
+   below the cycle, the pass sees no retreating edge and answers
+   itself. *)
+let test_region_cyclic () =
+  let p = Program.create () in
+  let exit_ = p.Program.exit_id in
+  let op id = Operation.make ~id (Operation.Copy (reg id, imm id)) in
+  let node id succ = Program.fresh_node p ~ops:[ op id ] ~ctree:(Ctree.leaf succ) in
+  let e = node 7 exit_ in
+  let d = node 1 e.Node.id in
+  let h = node 2 exit_ in
+  let cj = Operation.make ~id:3 (Operation.Cjump (Opcode.Lt, Operand.Reg (reg 9), imm 0)) in
+  let c =
+    Program.fresh_node p ~ops:[ op 4 ]
+      ~ctree:(Ctree.Branch (cj, Ctree.Leaf h.Node.id, Ctree.Leaf d.Node.id))
+  in
+  let b = node 5 c.Node.id in
+  let a = node 6 h.Node.id in
+  Program.redirect p ~from_:h.Node.id ~old_:exit_ ~new_:b.Node.id;
+  Program.redirect p ~from_:p.Program.entry ~old_:exit_ ~new_:a.Node.id;
+  let metrics = Grip_obs.Metrics.create () in
+  let ctx =
+    Ctx.make ~obs:(Grip_obs.make ~metrics ()) p ~machine:Machine.unlimited
+      ~exit_live:Reg.Set.empty
+  in
+  let scratch = Grip.Scheduler.fresh_scratch p in
+  let acc = Iarr.create () in
+  let fallbacks () = Grip_obs.Metrics.counter metrics "scheduler.dom_fallbacks" in
+  let dom_ids n =
+    Iarr.to_list (Grip.Scheduler.moveable_op_ids p (Ctx.dominators ctx) n acc)
+  in
+  Alcotest.(check bool) "retreating edge reported below a" false
+    (Grip.Scheduler.region_op_ids scratch.Grip.Scheduler.region a.Node.id acc);
+  let want = dom_ids a.Node.id in
+  Alcotest.(check (list int)) "a dominates the loop and what follows"
+    [ 2; 5; 4; 3; 1; 7 ] want;
+  Alcotest.(check (list int)) "node entry at a == Dom filter" want
+    (Iarr.to_list (Grip.Scheduler.entry_op_ids ctx scratch a.Node.id));
+  Alcotest.(check int) "one fallback" 1 (fallbacks ());
+  Alcotest.(check bool) "no retreating edge below d" true
+    (Grip.Scheduler.region_op_ids scratch.Grip.Scheduler.region d.Node.id acc);
+  Alcotest.(check (list int)) "d dominates e" [ 7 ] (dom_ids d.Node.id);
+  Alcotest.(check (list int)) "node entry at d == Dom filter" [ 7 ]
+    (Iarr.to_list (Grip.Scheduler.entry_op_ids ctx scratch d.Node.id));
+  Alcotest.(check int) "still one fallback" 1 (fallbacks ())
 
 (* -- convergence detection ---------------------------------------------- *)
 
@@ -953,6 +1017,8 @@ let () =
           Alcotest.test_case "fuel exhaustion reported" `Quick
             test_fuel_exhaustion_reported;
           QCheck_alcotest.to_alcotest prop_suffix_enumeration;
+          Alcotest.test_case "region pass on a cyclic program" `Quick
+            test_region_cyclic;
         ] );
       ( "gapless",
         [

@@ -202,7 +202,8 @@ let gc_exactly p =
 (* Orphan a short chain: point a predecessor straight past up to three
    single-entry, single-exit nodes, as [Program.delete_node] would, but
    leave them in the table.  Only the first loses an in-edge; the rest
-   die through it, so the sweep has to cascade to find them. *)
+   die through it, so the sweep has to cascade to find them.  Returns
+   the first, or [-1] when there was no such chain. *)
 let bypass_chain p next =
   let single id =
     id <> p.Program.entry
@@ -211,7 +212,7 @@ let bypass_chain p next =
     && List.length (Program.succs p id) = 1
   in
   match List.filter single (Program.rpo p) with
-  | [] -> ()
+  | [] -> -1
   | heads ->
       let id = List.nth heads (next (List.length heads)) in
       let rec past id k =
@@ -219,7 +220,48 @@ let bypass_chain p next =
         if k > 1 && single s then past s (k - 1) else s
       in
       let q = List.hd (Program.preds_of p id) in
-      Program.redirect p ~from_:q ~old_:id ~new_:(past id 3)
+      Program.redirect p ~from_:q ~old_:id ~new_:(past id 3);
+      id
+
+(* Delete an orphaned chain's head, which lost its in-edge and so is
+   queued for the sweep: the nodes below it that died with it must be
+   found all the same.  Its tree must be a bare leaf. *)
+let delete_orphan p id =
+  match Program.node_opt p id with
+  | Some { Node.ctree = Ctree.Leaf _; _ } -> Synthetic_gen.delete_emptied p id
+  | Some _ | None -> ()
+
+(* The collector after deletions.  entry -> a -> b -> c -> d -> exit,
+   swept once so that nothing is queued; the entry is then pointed
+   straight at d, which leaves a queued and a, b, c dead.  Deleting a
+   must queue b in its place, so the sweep still cascades to b and c;
+   deleting a live queued node (a fresh one, spliced in) must leave
+   nothing to collect.  The flat successors of every removed node are
+   cleared. *)
+let test_gc_after_deletions () =
+  let p =
+    Builder.straight
+      (List.init 4 (fun i -> Operation.Copy (Reg.of_int i, Operand.Imm (Value.I i))))
+  in
+  Alcotest.(check int) "nothing dead after building" 0 (Program.gc p);
+  let ids =
+    List.filter
+      (fun id -> id <> p.Program.entry && not (Program.is_exit p id))
+      (Program.rpo p)
+  in
+  let a, d = (List.nth ids 0, List.nth ids 3) in
+  Program.redirect p ~from_:p.Program.entry ~old_:a ~new_:d;
+  Synthetic_gen.delete_emptied p a;
+  let k = Program.gc p in
+  Alcotest.(check int) "b and c collected" 2 k;
+  Alcotest.(check (list int)) "nothing unreachable left" [] (unreachable_nodes p);
+  let f = Program.fresh_node p ~ops:[] ~ctree:(Ctree.leaf d) in
+  Program.redirect p ~from_:p.Program.entry ~old_:d ~new_:f.Node.id;
+  Program.delete_node p f.Node.id;
+  Alcotest.(check int) "nothing to collect after a live deletion" 0 (Program.gc p);
+  Alcotest.(check (list int)) "still nothing unreachable" [] (unreachable_nodes p);
+  Alcotest.(check (option string)) "derived state" None
+    (Program.check_derived_state p)
 
 (* -- graph order: the flat walk against the recursive one ---------------- *)
 
@@ -304,7 +346,10 @@ let prop_flat_order =
               ignore (migrate_random ctx next);
               order_agrees "deferred" p
             done;
-            if round mod 2 = 0 then bypass_chain p next;
+            if round mod 2 = 0 then ignore (bypass_chain p next);
+            (* a deletion changes no node's reachability *)
+            Option.iter (delete_emptied p) (pick_deletable p next);
+            order_agrees "deferred, after a deletion" p;
             if unreachable_nodes p <> [] then dead_seen := true;
             order_agrees "deferred, dead nodes" p);
         order_agrees "after gc" p;
@@ -355,6 +400,7 @@ let prop_preds_list_model =
       in
       let churn k =
         for _ = 1 to k do
+          if next 4 = 0 then Option.iter (delete_emptied p) (pick_deletable p next);
           match all_candidates p, cj_candidates p with
           | [], [] -> ()
           | cands, cjs ->
@@ -376,7 +422,7 @@ let prop_preds_list_model =
               (* snapshot with dead nodes still in the table, sweep
                  them, churn on, then restore: the restored dead nodes
                  must be queued for the next sweep again *)
-              bypass_chain p next;
+              delete_orphan p (bypass_chain p next);
               let dead = List.length (unreachable_nodes p) in
               let snap = Program.snapshot p in
               ignore (gc_exactly p);
@@ -554,7 +600,9 @@ let () =
       ("qcheck", qsuite);
       ( "flat",
         [ Alcotest.test_case "flat accessors == naive scans" `Quick
-            flat_accessors_agree ] );
+            flat_accessors_agree;
+          Alcotest.test_case "collector after deletions" `Quick
+            test_gc_after_deletions ] );
       ( "digests",
         [ Alcotest.test_case "Livermore subset byte-identical" `Quick
             digest_subset ] );

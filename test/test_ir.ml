@@ -101,6 +101,58 @@ let test_ctree_paths () =
     (Ctree.has_path_prefix t [ (1, false) ]);
   Alcotest.(check bool) "prefix bad" false (Ctree.has_path_prefix t [ (2, true) ])
 
+(* [Ctree.path_to] as it was written before a [Leaf] answered with a
+   shared [Some []]: a local closure consing the path in reverse. *)
+let path_to_oracle t n =
+  let rec go acc = function
+    | Ctree.Leaf m -> if m = n then Some (List.rev acc) else None
+    | Ctree.Branch (cj, a, b) -> (
+        match go ((cj.Operation.id, true) :: acc) a with
+        | Some p -> Some p
+        | None -> go ((cj.Operation.id, false) :: acc) b)
+  in
+  go [] t
+
+let test_ctree_path_leaf () =
+  let hit = Ctree.path_to (Ctree.Leaf 7) 7 in
+  Alcotest.(check (option (list (pair int bool)))) "leaf hit" (Some []) hit;
+  Alcotest.(check bool) "leaf hits share one answer" true
+    (hit == Ctree.path_to (Ctree.Leaf 3) 3);
+  Alcotest.(check (option (list (pair int bool)))) "leaf miss" None
+    (Ctree.path_to (Ctree.Leaf 7) 8);
+  let leaf = Ctree.Leaf 7 in
+  let words = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Ctree.path_to leaf 7))
+  done;
+  Alcotest.(check bool) "leaf hits allocate nothing" true
+    (Gc.minor_words () -. words < 100.0)
+
+(* Random trees over a few leaf targets and distinct jump ids. *)
+let ctree_gen =
+  QCheck2.Gen.(
+    let next = ref 0 in
+    sized_size (int_range 0 6)
+    @@ fix (fun self depth ->
+           if depth = 0 then map (fun m -> Ctree.Leaf m) (int_range 0 4)
+           else
+             frequency
+               [
+                 (1, map (fun m -> Ctree.Leaf m) (int_range 0 4));
+                 ( 3,
+                   let* a = self (depth - 1) in
+                   let* b = self (depth - 1) in
+                   incr next;
+                   return (Ctree.Branch (mk_cj !next, a, b)) );
+               ]))
+
+let prop_path_to_oracle =
+  QCheck2.Test.make ~name:"path_to == list-consing oracle" ~count:500
+    ~print:(fun t -> Format.asprintf "%a" Ctree.pp t)
+    ctree_gen
+    (fun t ->
+      List.for_all (fun n -> Ctree.path_to t n = path_to_oracle t n) [ 0; 1; 2; 3; 4; 5 ])
+
 let test_ctree_replace_leaf () =
   let t = Ctree.Branch (mk_cj 1, Ctree.Leaf 5, Ctree.Leaf 6) in
   let t' = Ctree.replace_leaf t ~old_:5 ~new_:7 in
@@ -196,6 +248,38 @@ let test_program_rpo_keyed_on_shape () =
   check "restore replaces rpo" ~same:false (fun () -> Program.restore p snap);
   check_wf p
 
+(* [chain_version] moves with every edge edit but [delete_node]'s, and
+   with nothing else: op edits, deletion and collection keep it. *)
+let test_program_chain_version () =
+  let p =
+    Builder.straight [ Operation.Copy (reg 0, imm 1); Operation.Copy (reg 1, imm 2) ]
+  in
+  let check what ~moves f =
+    let before = Program.chain_version p in
+    f ();
+    Alcotest.(check bool) what moves (Program.chain_version p <> before)
+  in
+  let nid = List.nth (Program.rpo p) 1 in
+  let op = List.hd (Program.node p nid).Node.ops in
+  check "remove_op keeps it" ~moves:false (fun () ->
+      Program.remove_op p nid op.Operation.id);
+  check "add_op keeps it" ~moves:false (fun () -> Program.add_op p nid op);
+  let snap = Program.snapshot p in
+  let m = ref (-1) in
+  check "fresh_node moves it" ~moves:true (fun () ->
+      m := (Program.fresh_node p ~ops:[] ~ctree:(Ctree.leaf nid)).Node.id);
+  check "redirect moves it" ~moves:true (fun () ->
+      Program.redirect p ~from_:p.Program.entry ~old_:nid ~new_:!m);
+  check "set_ctree moves it" ~moves:true (fun () ->
+      Program.set_ctree p !m (Ctree.leaf nid));
+  let shape = Program.shape_version p in
+  check "delete_node keeps it" ~moves:false (fun () -> Program.delete_node p !m);
+  Alcotest.(check bool) "delete_node moves the shape" true
+    (Program.shape_version p <> shape);
+  check "gc keeps it" ~moves:false (fun () -> ignore (Program.gc p));
+  check "restore moves it" ~moves:true (fun () -> Program.restore p snap);
+  check_wf p
+
 let test_clone_instruction_guard_remap () =
   let p = Program.create () in
   let cj = Operation.make ~id:(Program.fresh_op_id p) (Operation.Cjump (Opcode.Lt, Operand.Reg (reg 0), imm 3)) in
@@ -248,6 +332,8 @@ let () =
       ( "ctree",
         [
           Alcotest.test_case "paths" `Quick test_ctree_paths;
+          Alcotest.test_case "path to a leaf" `Quick test_ctree_path_leaf;
+          QCheck_alcotest.to_alcotest prop_path_to_oracle;
           Alcotest.test_case "replace leaf" `Quick test_ctree_replace_leaf;
         ] );
       ( "program",
@@ -258,6 +344,7 @@ let () =
           Alcotest.test_case "home tracking" `Quick test_program_home_tracking;
           Alcotest.test_case "rpo keyed on shape" `Quick
             test_program_rpo_keyed_on_shape;
+          Alcotest.test_case "chain version" `Quick test_program_chain_version;
           Alcotest.test_case "clone remaps guards" `Quick test_clone_instruction_guard_remap;
           Alcotest.test_case "double def caught" `Quick test_wellformed_catches_double_def;
         ] );

@@ -731,8 +731,8 @@ let test_bench_diff_vanished_cells () =
 
 (* Per cell, the integer [stats] and [legality] counters that differ
    are listed, and the report ends with the cells that did the same
-   work; float fields and counters only one side carries are ignored,
-   and none of it changes the exit rule. *)
+   work; float fields and counters only one side carries are ignored.
+   A listed difference fails the diff. *)
 let test_bench_diff_work () =
   let cell ~hops ~seconds ~extra =
     Printf.sprintf
@@ -754,10 +754,39 @@ let test_bench_diff_work () =
       Alcotest.(check (list (triple string int int))) "counters"
         [ ("stats.hops", 5, 6) ] c.Bench_diff.work
   | cs -> Alcotest.failf "expected 1 cell with other work, got %d" (List.length cs));
-  Alcotest.(check bool) "informational" true (Bench_diff.passes r);
+  Alcotest.(check bool) "differing work fails" false (Bench_diff.passes r);
   let out = Format.asprintf "%a" (fun ppf r -> Bench_diff.pp_result ppf r) r in
   Alcotest.(check bool) "printed" true (contains out "work: stats.hops 5 -> 6");
   Alcotest.(check bool) "summary" true (contains out "work identical on 2/3 cells")
+
+(* The exit rule: any integer [stats] or [legality] counter that both
+   cells carry and disagree on fails the diff; the timing and the hit
+   rate never do, nor does a counter only one artifact carries (schema
+   skew). *)
+let test_bench_diff_work_gate () =
+  let cell ?(hops = 5) ?(chain = 9) ?(seconds = 0) ?(rate = 1) extra =
+    Printf.sprintf
+      {|{"speedup":2.5,"stats":{"technique":"grip","hops":%d,"fuel_exhausted":false},
+         "legality":{"check_seconds":%d,"cache_hit_rate":%d,"chain_nodes":%d%s}}|}
+      hops seconds rate chain extra
+  in
+  let art grip =
+    artifact ~schema:"grip.bench.table1/12"
+      [ Printf.sprintf {|{"name":"LL1","fu2":{"grip":%s}}|} grip ]
+  in
+  let old_ = art (cell "") in
+  let gate label ~new_ want =
+    let r = diff_ok ~old_ ~new_ in
+    Alcotest.(check bool) label want (Bench_diff.passes r)
+  in
+  gate "self diff passes" ~new_:old_ true;
+  gate "changed stats.hops fails" ~new_:(art (cell ~hops:6 "")) false;
+  gate "changed legality.chain_nodes fails" ~new_:(art (cell ~chain:8 ""))
+    false;
+  gate "timing and hit rate are not work"
+    ~new_:(art (cell ~seconds:1 ~rate:0 "")) true;
+  gate "a counter only one artifact carries is skew"
+    ~new_:(art (cell {|,"order_walks":3|})) true
 
 (* Counters that only one artifact's cells carry are named once, after
    the cell list, sorted and merged over every compared cell; they
@@ -960,6 +989,8 @@ let () =
             test_bench_diff_vanished_cells;
           Alcotest.test_case "work differences reported" `Quick
             test_bench_diff_work;
+          Alcotest.test_case "work differences fail" `Quick
+            test_bench_diff_work_gate;
           Alcotest.test_case "counter skew named once" `Quick
             test_bench_diff_counter_skew;
           Alcotest.test_case "malformed artifacts rejected" `Quick

@@ -589,14 +589,48 @@ let render p = Format.asprintf "%a" Program.pp p
 let chain_walks = ref 0
 let cone_walks = ref 0
 
+(* Every node the chain memo knows, while its key is current for
+   [target], still reaches [target] by unique live predecessors, by a
+   follow that consults no memo.  Returns how many nodes it checked. *)
+let memo_sound what (ctx : Ctx.t) ~target =
+  let p = ctx.Ctx.program in
+  let rec follow id fuel =
+    id = target
+    || (fuel > 0
+       &&
+       let q = Program.unique_live_pred p id in
+       q >= 0 && follow q (fuel - 1))
+  in
+  let checked = ref 0 in
+  if
+    ctx.Ctx.chain_target = target
+    && ctx.Ctx.chain_version = Program.chain_version p
+  then
+    Program.iter_nodes p (fun (n : Node.t) ->
+        let id = n.Node.id in
+        if Ctx.chain_known ctx id && Program.is_live p id then begin
+          incr checked;
+          if not (follow id (Program.node_limit p)) then
+            QCheck2.Test.fail_reportf
+              "%s: memo knows n%d, which no longer chains to n%d" what id
+              target
+        end);
+  !checked
+
+(* Memo entries [memo_sound] checked right after an explicit deletion,
+   over a property run. *)
+let kept_across_deletion = ref 0
+
 (* Two copies of one program, one migrated by [Migrate.migrate] and one
    by the full walk, step by step over random (target, op) pairs drawn
    from the identical graphs: outcomes, hook journals and renderings
    must agree, and the pruned walk may only visit fewer nodes.  With
    [fixed_target] every step migrates toward the entry and every third
    step adds the same join to both copies, so the chain memo is reused
-   across migrations while joins appear under it. *)
-let walks_agree ?(fixed_target = false) ~veto spec =
+   across migrations while joins appear under it.  With [deletions]
+   every step also empties and deletes the same random node in both
+   copies, and the memo must stay sound across each deletion. *)
+let walks_agree ?(fixed_target = false) ?(deletions = false) ~veto spec =
   let joins = if fixed_target then 0 else spec.Synthetic.n_ops mod 4 in
   let pa, exit_live = Synthetic_gen.joined_program spec ~joins in
   let pb, _ = Synthetic_gen.joined_program spec ~joins in
@@ -623,6 +657,16 @@ let walks_agree ?(fixed_target = false) ~veto spec =
           Synthetic_gen.add_join pa j;
           Synthetic_gen.add_join pb j)
         (Synthetic_gen.pick_join pa next_join);
+    if deletions then
+      Option.iter
+        (fun id ->
+          Synthetic_gen.delete_emptied pa id;
+          Synthetic_gen.delete_emptied pb id;
+          kept_across_deletion :=
+            !kept_across_deletion
+            + memo_sound (Printf.sprintf "step %d, n%d deleted" step id) ca
+                ~target:pa.Program.entry)
+        (Synthetic_gen.pick_deletable pa next_join);
     let ops = Program.all_ops pa in
     if ops <> [] then begin
       let op = List.nth ops (next (List.length ops)) in
@@ -663,6 +707,10 @@ let walks_agree ?(fixed_target = false) ~veto spec =
       (match Program.check_derived_state pa with
       | None -> ()
       | Some reason -> QCheck2.Test.fail_reportf "step %d: %s" step reason);
+      if fixed_target then
+        ignore
+          (memo_sound (Printf.sprintf "step %d" step) ca
+             ~target:pa.Program.entry);
       (* progress lifts every suspension, as in the scheduler *)
       if ra.Migrate.moved > 0 then begin
         sa := 0;
@@ -699,6 +747,25 @@ let prop_fixed_target =
   QCheck2.Test.make ~name:"chain memo == full walk (fixed target, new joins)"
     ~count:200 ~print:Synthetic_gen.print_spec Synthetic_gen.spec_gen
     (walks_agree ~fixed_target:true ~veto:true)
+
+(* Node deletion keeps the chain memo: deleted nodes are explicit here
+   as well as those the migrations empty.  The run fails unless the
+   memo held entries across some deletion. *)
+let prop_fixed_target_deletions =
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make
+         ~name:"chain memo == full walk (fixed target, deletions)" ~count:200
+         ~print:Synthetic_gen.print_spec Synthetic_gen.spec_gen
+         (walks_agree ~fixed_target:true ~deletions:true ~veto:true))
+  in
+  ( name,
+    speed,
+    fun () ->
+      kept_across_deletion := 0;
+      run ();
+      if !kept_across_deletion = 0 then
+        Alcotest.fail "no memo entry survived a deletion" )
 
 (* Hooks that record every call they get, with a fixed [early_stop]
    answer. *)
@@ -775,6 +842,38 @@ let test_chain_misses_target () =
   Alcotest.(check int) "chain check followed h, a, f and the entry" 4 chain;
   Alcotest.(check bool) "fell back to the cone walk" true (cone > 0)
 
+(* A tree rewrite can make a join under a chain the memo knows:
+   [set_ctree] must move [chain_version], so the next check toward the
+   same target forgets the chain.  In fork_program, a check from h
+   toward f confirms h, a, f (an [early_stop] already true keeps the op
+   in h); then b is pointed at h as well.  The memo must not vouch for
+   h any more, and the next migration must try what the full walk
+   tries. *)
+let test_memo_forgets_set_ctree_join () =
+  let edit p =
+    let f = List.hd (Program.succs p p.Program.entry) in
+    let b = List.nth (Program.succs p f) 1 in
+    Program.set_ctree p b (Ctree.leaf (Program.home_int p 90));
+    f
+  in
+  let pa, _ = fork_program () and pb, _ = fork_program () in
+  let ca = mk_ctx ~exit_live:[ reg 1 ] pa and cb = mk_ctx ~exit_live:[ reg 1 ] pb in
+  let f = List.hd (Program.succs pa pa.Program.entry) in
+  let stopped, _ = journal_hooks ~stop:true in
+  ignore (Migrate.migrate ca ~hooks:stopped ~target:f ~op_id:90 ());
+  Alcotest.(check bool) "the check confirmed h" true
+    (Ctx.chain_known ca (Program.home_int pa 90));
+  ignore (edit pa);
+  ignore (edit pb);
+  Alcotest.(check int) "nothing vouched for after the join" 0
+    (memo_sound "after set_ctree" ca ~target:f);
+  let ha, ja = journal_hooks ~stop:false and hb, jb = journal_hooks ~stop:false in
+  let ra = Migrate.migrate ca ~hooks:ha ~target:f ~op_id:90 () in
+  let rb, _ = full_migrate cb hb ~target:f ~op_id:90 in
+  Alcotest.(check (list string)) "same attempts as the full walk" !jb !ja;
+  Alcotest.(check bool) "same outcome as the full walk" true (ra = rb);
+  Alcotest.(check bool) "the op moved" true (ra.Migrate.moved > 0)
+
 (* On a straight chain, an [early_stop] already true before anything
    moved stops the climb before its first attempt. *)
 let test_climb_early_stop () =
@@ -838,8 +937,11 @@ let () =
           [ prop_walk_exact ~veto:false; prop_walk_exact ~veto:true ]
         @ [
             QCheck_alcotest.to_alcotest prop_fixed_target;
+            prop_fixed_target_deletions;
             Alcotest.test_case "chain misses the target" `Quick
               test_chain_misses_target;
+            Alcotest.test_case "memo forgets a join set_ctree makes" `Quick
+              test_memo_forgets_set_ctree_join;
             Alcotest.test_case "climb honours early_stop" `Quick
               test_climb_early_stop;
             Alcotest.test_case "Livermore GRiP climbs chains" `Quick
