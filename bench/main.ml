@@ -4,6 +4,7 @@
      dune exec bench/main.exe           -- everything, in paper order
      dune exec bench/main.exe table1    -- just Table 1
      ... fig5 fig6 fig8 fig9 fig11 fig13 micro ablation
+     dune exec bench/main.exe overhead  -- metrics-on/off CPU ratio
 
    Table 1 prints measured speedups next to the paper's, figures print
    the paper-style iteration/instruction tables, [micro] runs Bechamel
@@ -51,22 +52,22 @@ let run_cell (e : Livermore.entry) method_ fu =
    order: stdout is byte-identical whatever [--jobs] is (worker
    progress goes to stderr and may interleave).  Returns the cells and
    the supervisor's resilience stats (all zeros on a healthy run). *)
+let table1_tasks =
+  List.concat_map
+    (fun (e : Livermore.entry) ->
+      List.concat_map
+        (fun fu -> [ (e, Pipeline.Grip, fu); (e, Pipeline.Post, fu) ])
+        fus)
+    Livermore.all
+
 let table1_cells ?config ~pool ~tag ~cell () =
-  let tasks =
-    List.concat_map
-      (fun (e : Livermore.entry) ->
-        List.concat_map
-          (fun fu -> [ (e, Pipeline.Grip, fu); (e, Pipeline.Post, fu) ])
-          fus)
-      Livermore.all
-  in
   let results, rstats =
     Supervisor.supervise_or_raise ?config pool
       ~f:(fun ~budget:_ ((e : Livermore.entry), m, fu) ->
         Printf.eprintf "[%s] %s %s %dFU...\n%!" tag
           e.Livermore.kernel.Grip.Kernel.name (Pipeline.method_name m) fu;
         cell e m fu)
-      tasks
+      table1_tasks
   in
   (Array.of_list results, rstats)
 
@@ -814,6 +815,64 @@ let json_validate file =
     (List.length fus)
 
 (* ---------------------------------------------------------------- *)
+(* Metrics overhead                                                  *)
+(* ---------------------------------------------------------------- *)
+
+(* CPU seconds of [Pipeline.run] over the 84 Table 1 cells on this
+   domain, with metrics off or on (a fresh registry per cell, as a
+   served request gets). *)
+let overhead_sweep ~metrics_on =
+  Gc.compact ();
+  let t0 = Sys.time () in
+  List.iter
+    (fun ((e : Livermore.entry), method_, fu) ->
+      let obs =
+        if metrics_on then Obs.make ~metrics:(Obs.Metrics.create ()) ()
+        else Obs.null
+      in
+      ignore
+        (Sys.opaque_identity
+           (Pipeline.run ~obs e.Livermore.kernel
+              ~machine:(Machine.homogeneous fu) ~method_)))
+    table1_tasks;
+  Sys.time () -. t0
+
+let overhead_rounds = 8
+
+(* [overhead ()] — [overhead_rounds] rounds of one sweep with metrics
+   off and one with them on, alternating which goes first so that host
+   drift falls on both sides; prints each round's on/off CPU ratio and
+   their median. *)
+let overhead () =
+  let median l =
+    let a = Array.of_list l in
+    Array.sort Float.compare a;
+    let n = Array.length a in
+    if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+  in
+  let rows =
+    List.init overhead_rounds (fun r ->
+        let off, on =
+          if r mod 2 = 0 then
+            let off = overhead_sweep ~metrics_on:false in
+            (off, overhead_sweep ~metrics_on:true)
+          else
+            let on = overhead_sweep ~metrics_on:true in
+            (overhead_sweep ~metrics_on:false, on)
+        in
+        printf "round %d: off %.3f s, on %.3f s, on/off %.3f@." (r + 1) off on
+          (on /. off);
+        (off, on))
+  in
+  let ratio = median (List.map (fun (off, on) -> on /. off) rows) in
+  printf
+    "metrics overhead: median on/off CPU ratio %.3f over %d rounds (median \
+     off %.3f s, on %.3f s)@."
+    ratio overhead_rounds
+    (median (List.map fst rows))
+    (median (List.map snd rows))
+
+(* ---------------------------------------------------------------- *)
 
 let all ~pool () =
   table1 ~pool ();
@@ -874,6 +933,10 @@ let () =
   | "json-validate" :: file :: _ -> json_validate file
   | "json-validate" :: [] ->
       Format.eprintf "json-validate: expected a file argument@.";
+      exit 2
+  | "overhead" :: [] -> overhead ()
+  | "overhead" :: other :: _ ->
+      Format.eprintf "overhead: unknown option %S@." other;
       exit 2
   | argv ->
       let sections = match argv with [] -> [ "all" ] | rest -> rest in

@@ -109,6 +109,8 @@ and any_below m p it = function
   | [] -> false
   | s :: tl -> holds_below m p it s || any_below m p it tl
 
+let scan_nodes_key = Grip_obs.Metrics.key "gapless.scan_nodes"
+
 (** [last_of_iteration ctx memo ~from_ ~iter] — condition 3: no node
     below [from_] holds an operation of iteration [iter].  A search
     that finds none has expanded, or found recorded, everything below
@@ -120,7 +122,7 @@ let last_of_iteration (ctx : Ctx.t) m ~from_ ~iter =
   m.stamp <- m.stamp + 1;
   Iarr.clear m.expanded;
   let found = any_below m p iter (Program.succs p from_) in
-  Grip_obs.Metrics.add ctx.Ctx.obs.Grip_obs.metrics "gapless.scan_nodes"
+  Grip_obs.Metrics.bump ctx.Ctx.obs.Grip_obs.metrics scan_nodes_key
     (Iarr.length m.expanded);
   if not found then
     for i = 0 to Iarr.length m.expanded - 1 do

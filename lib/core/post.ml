@@ -142,6 +142,8 @@ let break_node ~budget (ctx : Ctx.t) rank stats n =
            })
   done
 
+let repair_hops_key = Metrics.key "post.repair_hops"
+
 (* Phase 2b: local repair percolation — refill nodes the breaking left
    underutilized by pulling operations up from their direct successors,
    in rank order.  Deliberately a *local* post-pass, as in [Po91]: it
@@ -203,7 +205,7 @@ let local_repair ~budget (ctx : Ctx.t) rank stats =
             with
             | Some () ->
                 stats.repair_hops <- stats.repair_hops + 1;
-                Metrics.incr ctx.Ctx.obs.Grip_obs.metrics "post.repair_hops";
+                Metrics.bump ctx.Ctx.obs.Grip_obs.metrics repair_hops_key 1;
                 progress := true;
                 changed := true
             | None -> ()

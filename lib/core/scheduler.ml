@@ -30,6 +30,15 @@ module Trace = Grip_obs.Trace
 module Metrics = Grip_obs.Metrics
 module Provenance = Grip_obs.Provenance
 
+(* Per-event metric keys (cold counters keep the string API). *)
+let migrations_key = Metrics.key "scheduler.migrations"
+let hops_key = Metrics.key "scheduler.hops"
+let travel_key = Metrics.key "scheduler.travel_distance"
+let reached_key = Metrics.key "scheduler.reached"
+let suspensions_key = Metrics.key "scheduler.suspensions"
+let barriers_key = Metrics.key "scheduler.barriers"
+let visits_key = Metrics.key "scheduler.candidate_visits"
+
 (* Machine FU class -> the observability layer's mirror of it (kept
    separate so grip_obs does not depend on the machine model). *)
 let prov_class op =
@@ -495,7 +504,7 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
       Migrate.on_suspend =
         (fun op ->
           stats.suspensions <- stats.suspensions + 1;
-          Metrics.incr mx "scheduler.suspensions";
+          Metrics.bump mx suspensions_key 1;
           let node = Program.home_int p op.Operation.id in
           if tracing then
             Trace.emit tr (Trace.Migrate_suspend { op = op.Operation.id; node });
@@ -534,7 +543,7 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
       else begin
         scratch.att_mask <- mask_set scratch.att_mask best.Operation.id;
         stats.migrations <- stats.migrations + 1;
-        Metrics.incr mx "scheduler.migrations";
+        Metrics.bump mx migrations_key 1;
         if tracing then
           Trace.emit tr
             (Trace.Migrate_attempt { op = best.Operation.id; target = n });
@@ -547,11 +556,11 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
         if not (mask_get scratch.susp_mask best.Operation.id) then
           Ranked.retire queue pos;
         stats.hops <- stats.hops + r.Migrate.moved;
-        Metrics.add mx "scheduler.hops" r.Migrate.moved;
-        Metrics.observe mx "scheduler.travel_distance" r.Migrate.moved;
+        Metrics.bump mx hops_key r.Migrate.moved;
+        Metrics.observe_key mx travel_key r.Migrate.moved;
         if r.Migrate.reached_target then begin
           stats.reached <- stats.reached + 1;
-          Metrics.incr mx "scheduler.reached"
+          Metrics.bump mx reached_key 1
         end;
         let stop_node () = Program.home_int p r.Migrate.final_id in
         let reject reason =
@@ -564,7 +573,7 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
                barrier (section 3.2) *)
             stats.resource_barrier_events <-
               stats.resource_barrier_events + 1;
-            Metrics.incr mx "scheduler.barriers";
+            Metrics.bump mx barriers_key 1;
             if tracing then
               Trace.emit tr
                 (Trace.Migrate_barrier
@@ -597,7 +606,7 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
           unsuspend_all ()
       end
   done;
-  Metrics.add mx "scheduler.candidate_visits" queue.Ranked.visits
+  Metrics.bump mx visits_key queue.Ranked.visits
 
 (** [run ?on_move config ctx] schedules the whole program top-down.
     Nodes created during scheduling (splits, conditional-arm copies)

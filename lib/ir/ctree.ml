@@ -131,9 +131,3 @@ let rec shape = function
   | Leaf _ -> "L"
   | Branch (cj, a, b) ->
       Printf.sprintf "B%d(%s,%s)" cj.Operation.lineage (shape a) (shape b)
-
-let rec pp ppf = function
-  | Leaf n -> Format.fprintf ppf "-> n%d" n
-  | Branch (cj, a, b) ->
-      Format.fprintf ppf "@[<v>[%a]@,  T: %a@,  F: %a@]" Operation.pp cj pp a
-        pp b

@@ -66,9 +66,3 @@ let defs n =
     unconditionally: such nodes are deleted by {!Program.delete_node}. *)
 let is_empty n =
   match n.ops, n.ctree with [], Ctree.Leaf _ -> true | _ -> false
-
-let pp ppf n =
-  Format.fprintf ppf "@[<v>n%d:@,%a@,%a@]" n.id
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf op ->
-         Format.fprintf ppf "  %a" Operation.pp op))
-    n.ops Ctree.pp n.ctree

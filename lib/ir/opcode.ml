@@ -108,51 +108,43 @@ let eval_relop op a b =
   | Eq -> c = 0
   | Ne -> c <> 0
 
-let pp_binop ppf op =
-  let s =
-    match op with
-    | Add -> "add"
-    | Sub -> "sub"
-    | Mul -> "mul"
-    | Div -> "div"
-    | Rem -> "rem"
-    | Min -> "min"
-    | Max -> "max"
-    | And -> "and"
-    | Or -> "or"
-    | Xor -> "xor"
-    | Shl -> "shl"
-    | Shr -> "shr"
-    | Fadd -> "fadd"
-    | Fsub -> "fsub"
-    | Fmul -> "fmul"
-    | Fdiv -> "fdiv"
-    | Fmin -> "fmin"
-    | Fmax -> "fmax"
-  in
-  Format.pp_print_string ppf s
+let binop_name = function
+  | Add -> "add"
+  | Sub -> "sub"
+  | Mul -> "mul"
+  | Div -> "div"
+  | Rem -> "rem"
+  | Min -> "min"
+  | Max -> "max"
+  | And -> "and"
+  | Or -> "or"
+  | Xor -> "xor"
+  | Shl -> "shl"
+  | Shr -> "shr"
+  | Fadd -> "fadd"
+  | Fsub -> "fsub"
+  | Fmul -> "fmul"
+  | Fdiv -> "fdiv"
+  | Fmin -> "fmin"
+  | Fmax -> "fmax"
 
-let pp_unop ppf op =
-  let s =
-    match op with
-    | Neg -> "neg"
-    | Not -> "not"
-    | Fneg -> "fneg"
-    | Fabs -> "fabs"
-    | Fsqrt -> "fsqrt"
-    | Itof -> "itof"
-    | Ftoi -> "ftoi"
-  in
-  Format.pp_print_string ppf s
+let unop_name = function
+  | Neg -> "neg"
+  | Not -> "not"
+  | Fneg -> "fneg"
+  | Fabs -> "fabs"
+  | Fsqrt -> "fsqrt"
+  | Itof -> "itof"
+  | Ftoi -> "ftoi"
 
-let pp_relop ppf op =
-  let s =
-    match op with
-    | Lt -> "<"
-    | Le -> "<="
-    | Gt -> ">"
-    | Ge -> ">="
-    | Eq -> "=="
-    | Ne -> "!="
-  in
-  Format.pp_print_string ppf s
+let relop_name = function
+  | Lt -> "<"
+  | Le -> "<="
+  | Gt -> ">"
+  | Ge -> ">="
+  | Eq -> "=="
+  | Ne -> "!="
+
+let pp_binop ppf op = Format.pp_print_string ppf (binop_name op)
+let pp_unop ppf op = Format.pp_print_string ppf (unop_name op)
+let pp_relop ppf op = Format.pp_print_string ppf (relop_name op)

@@ -71,11 +71,11 @@ let shift_reg o ~reg ~by =
     | Regoff (s, c) when Reg.equal s reg -> Regoff (reg, c + by)
     | Reg _ | Regoff _ | Imm _ -> o
 
-let pp ppf = function
-  | Reg r -> Reg.pp ppf r
-  | Imm v -> Value.pp ppf v
+let to_string = function
+  | Reg r -> Reg.to_string r
+  | Imm v -> Value.to_string v
   | Regoff (r, c) ->
-      if c >= 0 then Format.fprintf ppf "%a+%d" Reg.pp r c
-      else Format.fprintf ppf "%a-%d" Reg.pp r (-c)
+      if c >= 0 then Reg.to_string r ^ "+" ^ Int.to_string c
+      else Reg.to_string r ^ "-" ^ Int.to_string (-c)
 
-let to_string o = Format.asprintf "%a" pp o
+let pp ppf o = Format.pp_print_string ppf (to_string o)

@@ -173,37 +173,99 @@ let exists_src_reg f op =
 let defines_reg op r =
   match def op with Some d -> Reg.equal d r | None -> false
 
-let pp_addr ppf { sym; base; offset } =
-  if offset = 0 then Format.fprintf ppf "%s[%a]" sym Operand.pp base
-  else if offset > 0 then
-    Format.fprintf ppf "%s[%a+%d]" sym Operand.pp base offset
-  else Format.fprintf ppf "%s[%a-%d]" sym Operand.pp base (-offset)
+(* -- rendering ------------------------------------------------------------ *)
 
-let pp_kind ppf = function
+(* The one writer of an operation's text, [#<id>(i<iter>){<guard>} <kind>],
+   straight into a buffer: the schedule digest renders thousands of
+   operations per request, and the Format printers below wrap it. *)
+
+let add_int buf n = Buffer.add_string buf (Int.to_string n)
+
+let write_operand buf o = Buffer.add_string buf (Operand.to_string o)
+
+let write_addr buf { sym; base; offset } =
+  Buffer.add_string buf sym;
+  Buffer.add_char buf '[';
+  write_operand buf base;
+  if offset > 0 then begin
+    Buffer.add_char buf '+';
+    add_int buf offset
+  end
+  else if offset < 0 then begin
+    Buffer.add_char buf '-';
+    add_int buf (-offset)
+  end;
+  Buffer.add_char buf ']'
+
+let write_def buf d =
+  Buffer.add_string buf (Reg.to_string d);
+  Buffer.add_string buf " <- "
+
+(* [a op b], the infix form of binops and conditional jumps *)
+let write_infix buf a name b =
+  write_operand buf a;
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf name;
+  Buffer.add_char buf ' ';
+  write_operand buf b
+
+let write_kind buf = function
   | Binop (o, d, a, b) ->
-      Format.fprintf ppf "%a <- %a %a %a" Reg.pp d Operand.pp a Opcode.pp_binop
-        o Operand.pp b
+      write_def buf d;
+      write_infix buf a (Opcode.binop_name o) b
   | Unop (o, d, a) ->
-      Format.fprintf ppf "%a <- %a %a" Reg.pp d Opcode.pp_unop o Operand.pp a
-  | Copy (d, a) -> Format.fprintf ppf "%a <- %a" Reg.pp d Operand.pp a
-  | Load (d, a) -> Format.fprintf ppf "%a <- %a" Reg.pp d pp_addr a
-  | Store (a, v) -> Format.fprintf ppf "%a <- %a" pp_addr a Operand.pp v
+      write_def buf d;
+      Buffer.add_string buf (Opcode.unop_name o);
+      Buffer.add_char buf ' ';
+      write_operand buf a
+  | Copy (d, a) ->
+      write_def buf d;
+      write_operand buf a
+  | Load (d, a) ->
+      write_def buf d;
+      write_addr buf a
+  | Store (a, v) ->
+      write_addr buf a;
+      Buffer.add_string buf " <- ";
+      write_operand buf v
   | Cjump (r, a, b) ->
-      Format.fprintf ppf "if %a %a %a" Operand.pp a Opcode.pp_relop r
-        Operand.pp b
+      Buffer.add_string buf "if ";
+      write_infix buf a (Opcode.relop_name r) b
 
-let pp_guard ppf (g : guard) =
-  if g <> [] then
-    Format.fprintf ppf "{%a}"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-         (fun ppf (c, b) -> Format.fprintf ppf "%s#%d" (if b then "+" else "-") c))
-      g
+let rec write_decisions buf = function
+  | [] -> ()
+  | (c, b) :: rest ->
+      Buffer.add_string buf (if b then "+#" else "-#");
+      add_int buf c;
+      if rest <> [] then Buffer.add_char buf ',';
+      write_decisions buf rest
 
-let pp ppf op =
-  Format.fprintf ppf "@[#%d%t%a %a@]" op.id
-    (fun ppf ->
-      if op.iter <> no_iter then Format.fprintf ppf "(i%d)" op.iter)
-    pp_guard op.guard pp_kind op.kind
+(** [write buf op] appends [op]'s text to [buf]. *)
+let write buf op =
+  Buffer.add_char buf '#';
+  add_int buf op.id;
+  if op.iter <> no_iter then begin
+    Buffer.add_string buf "(i";
+    add_int buf op.iter;
+    Buffer.add_char buf ')'
+  end;
+  if op.guard <> [] then begin
+    Buffer.add_char buf '{';
+    write_decisions buf op.guard;
+    Buffer.add_char buf '}'
+  end;
+  Buffer.add_char buf ' ';
+  write_kind buf op.kind
 
-let to_string op = Format.asprintf "%a" pp op
+let to_string op =
+  let buf = Buffer.create 32 in
+  write buf op;
+  Buffer.contents buf
+
+let pp_kind ppf k =
+  let buf = Buffer.create 24 in
+  write_kind buf k;
+  Format.pp_print_string ppf (Buffer.contents buf)
+
+(* The box keeps the text one unit in any enclosing Format layout. *)
+let pp ppf op = Format.fprintf ppf "@[%s@]" (to_string op)

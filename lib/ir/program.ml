@@ -1153,10 +1153,86 @@ let check_derived_state p =
   | None -> (
       match stale_succs () with Some _ as r -> r | None -> flat_problem ())
 
-let pp ppf p =
-  let ids = rpo p in
-  Format.fprintf ppf "@[<v>entry = n%d, exit = n%d@,%a@]" p.entry p.exit_id
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf id ->
-         if is_exit p id then Format.fprintf ppf "n%d: (exit)" id
-         else Node.pp ppf (node p id)))
-    ids
+(* -- rendering ------------------------------------------------------------ *)
+
+(* The schedule text, written straight into a buffer.  Its bytes are
+   those of the Format printers it replaced, which the tests keep as
+   the oracle: vertical boxes printed from column 0 by [asprintf]'s
+   formatter, one line per node header, operation and conditional-tree
+   row, a tree's arms five columns right of its box.  A box that would
+   open past that formatter's max indent of 68 first breaks the line it
+   is on: a tree's boxes sit at multiples of 5, so a subtree that would
+   open at column 70 starts the next line at its parent's column 65 and
+   leaves the arm's label with its trailing space.  Box columns thus
+   never exceed 65. *)
+
+let max_indent = 68
+
+let newline buf indent =
+  Buffer.add_char buf '\n';
+  for _ = 1 to indent do
+    Buffer.add_char buf ' '
+  done
+
+(* A tree whose box sits at column [col]. *)
+let rec write_ctree buf col = function
+  | Ctree.Leaf n ->
+      Buffer.add_string buf "-> n";
+      Buffer.add_string buf (Int.to_string n)
+  | Ctree.Branch (cj, a, b) ->
+      Buffer.add_char buf '[';
+      Operation.write buf cj;
+      Buffer.add_char buf ']';
+      write_arm buf col "  T: " a;
+      write_arm buf col "  F: " b
+
+and write_arm buf col label t =
+  newline buf col;
+  Buffer.add_string buf label;
+  match t with
+  | Ctree.Branch _ when col + 5 > max_indent ->
+      newline buf col;
+      write_ctree buf col t
+  | Ctree.Leaf _ | Ctree.Branch _ -> write_ctree buf (col + 5) t
+
+let write_node buf p id =
+  Buffer.add_char buf 'n';
+  Buffer.add_string buf (Int.to_string id);
+  if is_exit p id then Buffer.add_string buf ": (exit)"
+  else begin
+    let n = node p id in
+    Buffer.add_char buf ':';
+    newline buf 0;
+    List.iteri
+      (fun i op ->
+        if i > 0 then newline buf 0;
+        Buffer.add_string buf "  ";
+        Operation.write buf op)
+      n.Node.ops;
+    newline buf 0;
+    write_ctree buf 0 n.Node.ctree
+  end
+
+(** [write buf p] appends the schedule text of [p] to [buf]: the entry
+    and exit, then every reachable node in reverse postorder with its
+    operations and conditional tree.  No final newline. *)
+let write buf p =
+  Buffer.add_string buf "entry = n";
+  Buffer.add_string buf (Int.to_string p.entry);
+  Buffer.add_string buf ", exit = n";
+  Buffer.add_string buf (Int.to_string p.exit_id);
+  List.iter
+    (fun id ->
+      newline buf 0;
+      write_node buf p id)
+    (rpo p)
+
+(** [to_string p] — the text {!write} appends. *)
+let to_string p =
+  let buf = Buffer.create 4096 in
+  write buf p;
+  Buffer.contents buf
+
+(** [pp] prints {!to_string} as one string, laid out as from column
+    0, where every caller prints it. *)
+let pp ppf p = Format.pp_print_string ppf (to_string p)

@@ -19,10 +19,10 @@ let compare : t -> t -> int = Int.compare
 let equal : t -> t -> bool = Int.equal
 let hash : t -> int = fun r -> r
 
-(** [pp] prints a register as [r<n>]. *)
-let pp ppf r = Format.fprintf ppf "r%d" r
+(** [to_string r] is [r<n>]. *)
+let to_string r = "r" ^ Int.to_string r
 
-let to_string r = Format.asprintf "%a" pp r
+let pp ppf r = Format.pp_print_string ppf (to_string r)
 
 module Set = Set.Make (Int)
 module Map = Map.Make (Int)

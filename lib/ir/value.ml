@@ -37,8 +37,8 @@ let to_int = function
   | I n -> n
   | F f -> int_of_float f
 
-let pp ppf = function
-  | I n -> Format.fprintf ppf "%d" n
-  | F f -> Format.fprintf ppf "%g" f
+let to_string = function
+  | I n -> Int.to_string n
+  | F f -> Printf.sprintf "%g" f
 
-let to_string v = Format.asprintf "%a" pp v
+let pp ppf v = Format.pp_print_string ppf (to_string v)

@@ -4,7 +4,21 @@
     recording call a single boolean test, so instrumented code can be
     unconditional.  Everything is integer- or float-valued and
     allocation-light: histograms use caller-fixed bucket bounds (no
-    rescaling), counters are [int ref]s behind one hash lookup.
+    rescaling), counters are [int ref]s behind one hash lookup or one
+    key slot.
+
+    Two ways to name a metric.  The string API ([add], [observe],
+    [add_time], ...) hashes the name at every event, which suits cold
+    sites and names built at run time.  A per-event site declares a
+    {!key} once, at module top level, and records through [bump],
+    [observe_key] or [add_time_key]: each registry resolves a key's
+    cell on its first use, through the string path, and caches it in
+    a slot array indexed by the key's id, so a later event costs a
+    slot read and an add.  The slot holds the very cell the name's
+    table holds, so the tables stay the only record of what exists and
+    every dump, merge and exposition reads them as before.  String
+    hits allocate nothing either; a timer still boxes a float each
+    time it accumulates.
 
     Conventional names used by the scheduling stack:
     - [scheduler.migrations / hops / reached / suspensions / barriers]
@@ -51,7 +65,16 @@ type t = {
   hists : (string, hist) Hashtbl.t;
   times : (string, float ref) Hashtbl.t;
   gauges : (string, float ref) Hashtbl.t;
+  mutable counter_slots : int ref array;
+      (** key id -> the cell [counters] holds under the key's name, or
+          {!no_counter} until the key's first use here *)
+  mutable hist_slots : hist array;  (** likewise, {!no_hist} *)
+  mutable time_slots : float ref array;  (** likewise, {!no_time} *)
 }
+
+(** An interned metric name: [id] indexes every registry's slot
+    arrays. *)
+type key = { id : int; name : string }
 
 (** Raised by {!merge} when two histograms recorded under the same
     name disagree on bucket bounds — a malformed worker report.
@@ -69,6 +92,9 @@ let create () =
     hists = Hashtbl.create 8;
     times = Hashtbl.create 8;
     gauges = Hashtbl.create 8;
+    counter_slots = [||];
+    hist_slots = [||];
+    time_slots = [||];
   }
 
 let disabled =
@@ -78,21 +104,86 @@ let disabled =
     hists = Hashtbl.create 0;
     times = Hashtbl.create 0;
     gauges = Hashtbl.create 0;
+    counter_slots = [||];
+    hist_slots = [||];
+    time_slots = [||];
   }
 
 let enabled t = t.enabled
 
+(* -- keys ----------------------------------------------------------------- *)
+
+let keys : (string, key) Hashtbl.t = Hashtbl.create 64
+let keys_lock = Mutex.create ()
+let key_count = Atomic.make 0
+
+(** [key name] — the key interned for [name]: the same key for the
+    same name, whichever domain asks.  Meant for module top level. *)
+let key name =
+  Mutex.protect keys_lock (fun () ->
+      match Hashtbl.find_opt keys name with
+      | Some k -> k
+      | None ->
+          let k = { id = Atomic.fetch_and_add key_count 1; name } in
+          Hashtbl.replace keys name k;
+          k)
+
+let key_name k = k.name
+
+(* Slot sentinels: physically distinct cells no registry ever holds. *)
+let no_counter = ref 0
+let no_time = ref 0.0
+
+(* [slot a sentinel id] — [a.(id)], or [sentinel] past its end. *)
+let[@inline] slot a sentinel id =
+  if id < Array.length a then Array.unsafe_get a id else sentinel
+
+(* [with_slot a sentinel id v] — [a] (grown to hold every key made so
+   far, when short) with [v] at [id]. *)
+let with_slot a sentinel id v =
+  let a =
+    if id < Array.length a then a
+    else begin
+      let b = Array.make (Int.max (id + 1) (Atomic.get key_count)) sentinel in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    end
+  in
+  a.(id) <- v;
+  a
+
 (* -- counters ------------------------------------------------------------- *)
+
+(* [counter_cell t name] — the cell of counter [name], created at 0 on
+   first use.  [find], not [find_opt]: a hit allocates no option box. *)
+let counter_cell t name =
+  match Hashtbl.find t.counters name with
+  | r -> r
+  | exception Not_found ->
+      let r = ref 0 in
+      Hashtbl.replace t.counters name r;
+      r
 
 let add t name k =
   if t.enabled then
-    (* [find], not [find_opt]: a hit allocates no option box, so a
-       counter bumped once per migration costs no garbage *)
-    match Hashtbl.find t.counters name with
-    | r -> r := !r + k
-    | exception Not_found -> Hashtbl.replace t.counters name (ref k)
+    let r = counter_cell t name in
+    r := !r + k
 
 let incr t name = add t name 1
+
+let resolve_counter t k =
+  let r = counter_cell t k.name in
+  t.counter_slots <- with_slot t.counter_slots no_counter k.id r;
+  r
+
+(** [bump t k n] — [add t (key_name k) n], through [t]'s slot for [k]. *)
+let bump t k n =
+  if t.enabled then begin
+    let r = slot t.counter_slots no_counter k.id in
+    let r = if r != no_counter then r else resolve_counter t k in
+    r := !r + n
+  end
+
 let counter t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 
@@ -109,41 +200,79 @@ let hist_create bounds =
     vmax = min_int;
   }
 
+let no_hist = hist_create [||]
+
+let hist_cell t bounds name =
+  match Hashtbl.find t.hists name with
+  | h -> h
+  | exception Not_found ->
+      let h = hist_create bounds in
+      Hashtbl.replace t.hists name h;
+      h
+
+(* The first bucket whose bound admits [v], else the overflow bucket. *)
+let rec bucket bounds v i =
+  if i >= Array.length bounds || v <= Array.unsafe_get bounds i then i
+  else bucket bounds v (i + 1)
+
+let record h v =
+  let i = bucket h.bounds v 0 in
+  h.counts.(i) <- h.counts.(i) + 1;
+  h.n <- h.n + 1;
+  h.sum <- h.sum + v;
+  if v > h.vmax then h.vmax <- v
+
 (** [observe t ?bounds name v] — record [v] into histogram [name],
     creating it with [bounds] (default powers of two up to 64) on
     first use; later [bounds] are ignored. *)
 let observe t ?(bounds = default_bounds) name v =
+  if t.enabled then record (hist_cell t bounds name) v
+
+let resolve_hist t k =
+  let h = hist_cell t default_bounds k.name in
+  t.hist_slots <- with_slot t.hist_slots no_hist k.id h;
+  h
+
+(** [observe_key t k v] — [observe t (key_name k) v], through [t]'s
+    slot for [k]. *)
+let observe_key t k v =
   if t.enabled then begin
-    let h =
-      match Hashtbl.find_opt t.hists name with
-      | Some h -> h
-      | None ->
-          let h = hist_create bounds in
-          Hashtbl.replace t.hists name h;
-          h
-    in
-    let rec bucket i =
-      if i >= Array.length h.bounds then i
-      else if v <= h.bounds.(i) then i
-      else bucket (i + 1)
-    in
-    h.counts.(bucket 0) <- h.counts.(bucket 0) + 1;
-    h.n <- h.n + 1;
-    h.sum <- h.sum + v;
-    if v > h.vmax then h.vmax <- v
+    let h = slot t.hist_slots no_hist k.id in
+    record (if h != no_hist then h else resolve_hist t k) v
   end
 
 let histogram t name = Hashtbl.find_opt t.hists name
 
 (* -- timings -------------------------------------------------------------- *)
 
+let time_cell t name =
+  match Hashtbl.find t.times name with
+  | r -> r
+  | exception Not_found ->
+      let r = ref 0.0 in
+      Hashtbl.replace t.times name r;
+      r
+
 (** [add_time t name dt] — accumulate [dt] wall seconds under
     [name]. *)
 let add_time t name dt =
   if t.enabled then
-    match Hashtbl.find_opt t.times name with
-    | Some r -> r := !r +. dt
-    | None -> Hashtbl.replace t.times name (ref dt)
+    let r = time_cell t name in
+    r := !r +. dt
+
+let resolve_time t k =
+  let r = time_cell t k.name in
+  t.time_slots <- with_slot t.time_slots no_time k.id r;
+  r
+
+(** [add_time_key t k dt] — [add_time t (key_name k) dt], through
+    [t]'s slot for [k]. *)
+let add_time_key t k dt =
+  if t.enabled then begin
+    let r = slot t.time_slots no_time k.id in
+    let r = if r != no_time then r else resolve_time t k in
+    r := !r +. dt
+  end
 
 let time t name =
   match Hashtbl.find_opt t.times name with Some r -> !r | None -> 0.0
@@ -154,17 +283,17 @@ let time t name =
     write wins within a registry). *)
 let gauge_set t name v =
   if t.enabled then
-    match Hashtbl.find_opt t.gauges name with
-    | Some r -> r := v
-    | None -> Hashtbl.replace t.gauges name (ref v)
+    match Hashtbl.find t.gauges name with
+    | r -> r := v
+    | exception Not_found -> Hashtbl.replace t.gauges name (ref v)
 
 (** [gauge_max t name v] — keep the high-water mark: record [v] only
     if it exceeds the current reading (or the gauge is unset). *)
 let gauge_max t name v =
   if t.enabled then
-    match Hashtbl.find_opt t.gauges name with
-    | Some r -> if v > !r then r := v
-    | None -> Hashtbl.replace t.gauges name (ref v)
+    match Hashtbl.find t.gauges name with
+    | r -> if v > !r then r := v
+    | exception Not_found -> Hashtbl.replace t.gauges name (ref v)
 
 let gauge t name =
   match Hashtbl.find_opt t.gauges name with Some r -> !r | None -> 0.0

@@ -126,6 +126,9 @@ let packable x = x lsr 21 = 0
 let pack ~from_ ~to_ ~op_id =
   (from_ lsl 42) lor (to_ lsl 21) lor op_id
 
+let hits_key = Grip_obs.Metrics.key "legality.cache_hits"
+let misses_key = Grip_obs.Metrics.key "legality.cache_misses"
+
 (** [legality_find t ~from_ ~to_ ~op_id] — the cached verdict for this
     move against the current program version, if any.  Records a
     [legality.cache_hits] / [legality.cache_misses] metric either
@@ -139,8 +142,8 @@ let legality_find t ~from_ ~to_ ~op_id =
   in
   let m = t.obs.Grip_obs.metrics in
   (match r with
-  | Some _ -> Grip_obs.Metrics.incr m "legality.cache_hits"
-  | None -> Grip_obs.Metrics.incr m "legality.cache_misses");
+  | Some _ -> Grip_obs.Metrics.bump m hits_key 1
+  | None -> Grip_obs.Metrics.bump m misses_key 1);
   r
 
 (** [legality_store t ~from_ ~to_ ~op_id verdict] — memoize a verdict
@@ -205,14 +208,19 @@ let chain_note t id = Itbl.set t.chain_marks id t.chain_stamp
    [defer_gc]; a commit outside such a region collects eagerly, as the
    transformations always did. *)
 
+let gc_runs_key = Grip_obs.Metrics.key "ir.gc_runs"
+let gc_reclaimed_key = Grip_obs.Metrics.key "ir.gc_reclaimed"
+let gc_candidates_key = Grip_obs.Metrics.key "ir.gc_candidates"
+let gc_deferred_key = Grip_obs.Metrics.key "ir.gc_deferred"
+
 let run_gc t =
   t.gc_pending <- false;
   let examined = Program.gc_candidates t.program in
   let reclaimed = Program.gc t.program in
   let m = t.obs.Grip_obs.metrics in
-  Grip_obs.Metrics.incr m "ir.gc_runs";
-  Grip_obs.Metrics.add m "ir.gc_reclaimed" reclaimed;
-  Grip_obs.Metrics.add m "ir.gc_candidates"
+  Grip_obs.Metrics.bump m gc_runs_key 1;
+  Grip_obs.Metrics.bump m gc_reclaimed_key reclaimed;
+  Grip_obs.Metrics.bump m gc_candidates_key
     (Program.gc_candidates t.program - examined)
 
 (** [maybe_gc t] — request a collection: immediate outside a
@@ -221,7 +229,7 @@ let run_gc t =
 let maybe_gc t =
   if t.gc_depth > 0 then begin
     t.gc_pending <- true;
-    Grip_obs.Metrics.incr t.obs.Grip_obs.metrics "ir.gc_deferred"
+    Grip_obs.Metrics.bump t.obs.Grip_obs.metrics gc_deferred_key 1
   end
   else run_gc t
 

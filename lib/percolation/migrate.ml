@@ -250,6 +250,10 @@ let rec climb w ~target below =
     end
   end
 
+let chain_nodes_key = Grip_obs.Metrics.key "migrate.chain_nodes"
+let cone_nodes_key = Grip_obs.Metrics.key "migrate.cone_nodes"
+let walk_nodes_key = Grip_obs.Metrics.key "migrate.walk_nodes"
+
 (** [migrate ctx ?hooks ~target ~op_id ()] — see module comment.
     Returns how far the operation got. *)
 let migrate (ctx : Ctx.t) ?(hooks = no_hooks) ~target ~op_id () =
@@ -261,7 +265,7 @@ let migrate (ctx : Ctx.t) ?(hooks = no_hooks) ~target ~op_id () =
   in
   let m = ctx.Ctx.obs.Grip_obs.metrics in
   let chain = on_chain ctx ~target ~home in
-  Grip_obs.Metrics.add m "migrate.chain_nodes" (Iarr.length ctx.Ctx.cone_queue);
+  Grip_obs.Metrics.bump m chain_nodes_key (Iarr.length ctx.Ctx.cone_queue);
   (* Garbage collection is deferred for the whole walk: commits mark
      nodes dead without sweeping, so [node_opt] alone no longer proves
      liveness — the [is_live] checks in the walker reproduce exactly
@@ -275,8 +279,8 @@ let migrate (ctx : Ctx.t) ?(hooks = no_hooks) ~target ~op_id () =
     Ctx.walk_begin ctx;
     let cone = mark_cone ctx ~target ~home in
     Ctx.defer_gc ctx (fun () -> walk_go w target);
-    Grip_obs.Metrics.add m "migrate.cone_nodes" cone;
-    Grip_obs.Metrics.add m "migrate.walk_nodes" w.w_visits
+    Grip_obs.Metrics.bump m cone_nodes_key cone;
+    Grip_obs.Metrics.bump m walk_nodes_key w.w_visits
   end;
   {
     moved = w.w_moved;

@@ -350,6 +350,8 @@ let cached_check (ctx : Ctx.t) ~from_ ~to_ ~op_id =
           Ctx.legality_store ctx ~from_ ~to_ ~op_id (Error f);
           raise (Fail f))
 
+let check_key = Metrics.key "legality.check"
+
 (** [move ctx ~from_ ~to_ ~op_id] attempts the transformation; on
     [Error _] the program is unchanged. *)
 let move (ctx : Ctx.t) ~from_ ~to_ ~op_id =
@@ -361,7 +363,7 @@ let move (ctx : Ctx.t) ~from_ ~to_ ~op_id =
     | decision -> Ok decision
   in
   if Metrics.enabled m then
-    Metrics.add_time m "legality.check" (Unix.gettimeofday () -. t0);
+    Metrics.add_time_key m check_key (Unix.gettimeofday () -. t0);
   match result with
   | Error f -> Error f
   | Ok decision -> Ok (commit ctx ~from_ ~to_ ~op_id decision)

@@ -101,8 +101,10 @@ let key ~fus ~method_ (k : Grip.Kernel.t) =
     byte-identity contract between the daemon and the offline
     [grip schedule --digest] path. *)
 let schedule_digest program =
-  Digest.to_hex
-    (Digest.string (Format.asprintf "%a@." Vliw_ir.Program.pp program))
+  let buf = Buffer.create 8192 in
+  Vliw_ir.Program.write buf program;
+  Buffer.add_char buf '\n';
+  Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (** [find t key] — the cached entry, refreshing its LRU position. *)
 let find t key =

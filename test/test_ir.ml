@@ -80,6 +80,78 @@ let test_strip_guard () =
   | Some o -> Alcotest.(check bool) "unrelated" true (o.Operation.guard = op.Operation.guard)
   | None -> Alcotest.fail "unrelated cj must keep"
 
+(* -- schedule text oracle ------------------------------------------------ *)
+
+(* The Format printers that rendered schedules before [Program.write]:
+   the test oracle for its bytes, down to Format's layout of boxes
+   that open deep in a conditional tree. *)
+module Oracle = struct
+  let reg ppf r = Format.fprintf ppf "r%d" r
+
+  let value ppf = function
+    | Value.I n -> Format.fprintf ppf "%d" n
+    | Value.F f -> Format.fprintf ppf "%g" f
+
+  let operand ppf = function
+    | Operand.Reg r -> reg ppf r
+    | Operand.Imm v -> value ppf v
+    | Operand.Regoff (r, c) ->
+        if c >= 0 then Format.fprintf ppf "%a+%d" reg r c
+        else Format.fprintf ppf "%a-%d" reg r (-c)
+
+  let addr ppf { Operation.sym; base; offset } =
+    if offset = 0 then Format.fprintf ppf "%s[%a]" sym operand base
+    else if offset > 0 then Format.fprintf ppf "%s[%a+%d]" sym operand base offset
+    else Format.fprintf ppf "%s[%a-%d]" sym operand base (-offset)
+
+  let kind ppf = function
+    | Operation.Binop (o, d, a, b) ->
+        Format.fprintf ppf "%a <- %a %a %a" reg d operand a Opcode.pp_binop o
+          operand b
+    | Operation.Unop (o, d, a) ->
+        Format.fprintf ppf "%a <- %a %a" reg d Opcode.pp_unop o operand a
+    | Operation.Copy (d, a) -> Format.fprintf ppf "%a <- %a" reg d operand a
+    | Operation.Load (d, a) -> Format.fprintf ppf "%a <- %a" reg d addr a
+    | Operation.Store (a, v) -> Format.fprintf ppf "%a <- %a" addr a operand v
+    | Operation.Cjump (r, a, b) ->
+        Format.fprintf ppf "if %a %a %a" operand a Opcode.pp_relop r operand b
+
+  let guard ppf (g : Operation.guard) =
+    if g <> [] then
+      Format.fprintf ppf "{%a}"
+        (Format.pp_print_list
+           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
+           (fun ppf (c, b) ->
+             Format.fprintf ppf "%s#%d" (if b then "+" else "-") c))
+        g
+
+  let op ppf (op : Operation.t) =
+    Format.fprintf ppf "@[#%d%t%a %a@]" op.Operation.id
+      (fun ppf ->
+        if op.Operation.iter <> Operation.no_iter then
+          Format.fprintf ppf "(i%d)" op.Operation.iter)
+      guard op.Operation.guard kind op.Operation.kind
+
+  let rec ctree ppf = function
+    | Ctree.Leaf n -> Format.fprintf ppf "-> n%d" n
+    | Ctree.Branch (cj, a, b) ->
+        Format.fprintf ppf "@[<v>[%a]@,  T: %a@,  F: %a@]" op cj ctree a ctree b
+
+  let node ppf (n : Node.t) =
+    Format.fprintf ppf "@[<v>n%d:@,%a@,%a@]" n.Node.id
+      (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf o ->
+           Format.fprintf ppf "  %a" op o))
+      n.Node.ops ctree n.Node.ctree
+
+  let program ppf p =
+    Format.fprintf ppf "@[<v>entry = n%d, exit = n%d@,%a@]" p.Program.entry
+      p.Program.exit_id
+      (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf id ->
+           if Program.is_exit p id then Format.fprintf ppf "n%d: (exit)" id
+           else node ppf (Program.node p id)))
+      (Program.rpo p)
+end
+
 (* -- ctree ------------------------------------------------------------- *)
 
 let mk_cj id = Operation.make ~id (Operation.Cjump (Opcode.Lt, Operand.Reg (reg 0), imm 10))
@@ -148,7 +220,7 @@ let ctree_gen =
 
 let prop_path_to_oracle =
   QCheck2.Test.make ~name:"path_to == list-consing oracle" ~count:500
-    ~print:(fun t -> Format.asprintf "%a" Ctree.pp t)
+    ~print:(fun t -> Format.asprintf "%a" Oracle.ctree t)
     ctree_gen
     (fun t ->
       List.for_all (fun n -> Ctree.path_to t n = path_to_oracle t n) [ 0; 1; 2; 3; 4; 5 ])
@@ -313,6 +385,176 @@ let test_wellformed_catches_double_def () =
   Program.redirect p ~from_:p.Program.entry ~old_:p.Program.exit_id ~new_:n.Node.id;
   Alcotest.(check bool) "violation reported" true (Wellformed.check p <> [])
 
+(* -- schedule text ------------------------------------------------------- *)
+
+(* The digest's contract: the writer's text plus a newline is exactly
+   what [Format.asprintf "%a@."] of the oracle prints. *)
+let texts p = (Program.to_string p ^ "\n", Format.asprintf "%a@." Oracle.program p)
+
+let text_matches p =
+  let got, want = texts p in
+  got = want
+
+let check_text what p =
+  let got, want = texts p in
+  if got <> want then Alcotest.failf "%s: writer\n%s\noracle\n%s" what got want
+
+(* A program whose one instruction holds [ops] and the tree [mk p]. *)
+let one_instruction ?(ops = fun _ -> []) mk =
+  let p = Program.create () in
+  let n = Program.fresh_node p ~ops:(ops p) ~ctree:(mk p) in
+  Program.redirect p ~from_:p.Program.entry ~old_:p.Program.exit_id
+    ~new_:n.Node.id;
+  p
+
+(* Conditional trees [depth] jumps deep, in four shapes: the depth on
+   the taken arms, on the fall-through arms, alternating, and on both
+   arms of the root.  [cj p] makes each jump. *)
+let deep_tree ~shape ~depth cj p =
+  let leaf () = Ctree.Leaf p.Program.exit_id in
+  let rec spine ~taken d =
+    if d = 0 then leaf ()
+    else
+      let sub = spine ~taken:(if shape = `Zigzag then not taken else taken) (d - 1) in
+      if taken then Ctree.Branch (cj p, sub, leaf ())
+      else Ctree.Branch (cj p, leaf (), sub)
+  in
+  match shape with
+  | `Taken | `Zigzag -> spine ~taken:true depth
+  | `Fall -> spine ~taken:false depth
+  | `Both ->
+      if depth = 0 then leaf ()
+      else
+        Ctree.Branch
+          (cj p, spine ~taken:true (depth - 1), spine ~taken:false (depth - 1))
+
+let plain_cj p =
+  Operation.make ~id:(Program.fresh_op_id p)
+    (Operation.Cjump (Opcode.Lt, Operand.Reg (reg 1), imm 10))
+
+(* A jump with a long guard and wide operands. *)
+let long_cj p =
+  let id = Program.fresh_op_id p in
+  Operation.make ~id ~iter:(id mod 7)
+    ~guard:(List.init 24 (fun i -> (1000 + i, i mod 3 = 0)))
+    (Operation.Cjump
+       ( Opcode.Ne,
+         Operand.Regoff (reg 123456, -98765),
+         Operand.Imm (Value.F 3.0517578125e-05) ))
+
+let test_text_deep_trees () =
+  List.iter
+    (fun (shape, name) ->
+      List.iter
+        (fun cj ->
+          for depth = 0 to 20 do
+            check_text
+              (Printf.sprintf "%s tree, %d deep" name depth)
+              (one_instruction (deep_tree ~shape ~depth cj))
+          done)
+        [ plain_cj; long_cj ])
+    [ (`Taken, "taken-arm"); (`Fall, "fall-through"); (`Zigzag, "zigzag");
+      (`Both, "two-spine") ]
+
+(* Past column 68 the next box opens on a fresh line: the arm's label
+   keeps its trailing space and the subtree starts at its parent's
+   column, 65. *)
+let test_text_forced_break () =
+  let text =
+    Program.to_string (one_instruction (deep_tree ~shape:`Taken ~depth:16 plain_cj))
+  in
+  let lines = String.split_on_char '\n' text in
+  let label = String.make 65 ' ' ^ "  T: " in
+  Alcotest.(check bool) "a line ends in the bare label" true
+    (List.mem label lines);
+  Alcotest.(check bool) "the subtree starts at column 65" true
+    (List.exists
+       (fun l -> String.length l > 66 && String.sub l 0 66 = String.make 65 ' ' ^ "[")
+       lines)
+
+let test_text_long_operands () =
+  let ops p =
+    let op ?guard kind =
+      Operation.make ~id:(Program.fresh_op_id p) ~iter:3 ?guard kind
+    in
+    let long_guard = List.init 40 (fun i -> (i * 37, i mod 2 = 0)) in
+    let a sym offset = { Operation.sym; base = Operand.Regoff (reg 77777, -5); offset } in
+    [
+      op ~guard:long_guard
+        (Operation.Binop
+           ( Opcode.Fmax,
+             reg 999999,
+             Operand.Imm (Value.F (-1.5e300)),
+             Operand.Regoff (reg 424242, 131072) ));
+      op (Operation.Unop (Opcode.Fsqrt, reg 1, Operand.Imm (Value.F 0.1)));
+      op ~guard:long_guard (Operation.Load (reg 2, a "a_rather_long_array_name" (-12)));
+      op (Operation.Store (a "b" 0, Operand.Imm (Value.I (-42))));
+      op (Operation.Store (a "c" 9, Operand.Imm (Value.F Float.nan)));
+      op (Operation.Copy (reg 3, Operand.Imm (Value.F Float.neg_infinity)));
+    ]
+  in
+  List.iter
+    (fun depth ->
+      check_text
+        (Printf.sprintf "long operands under a %d-deep tree" depth)
+        (one_instruction ~ops (deep_tree ~shape:`Zigzag ~depth long_cj)))
+    [ 0; 3; 14; 18 ]
+
+(* Random unwound kernels with joins, migrated step by step as the
+   scheduler migrates (node splits and conditional-jump moves among
+   the steps): the text must match the oracle after every step. *)
+let splits = ref 0
+let cj_moves = ref 0
+
+let prop_text_random_migrations =
+  QCheck2.Test.make ~name:"schedule text == Format oracle (random migrations)"
+    ~count:60 ~print:Synthetic_gen.print_spec Synthetic_gen.spec_gen
+    (fun spec ->
+      let p, exit_live =
+        Synthetic_gen.joined_program spec ~joins:(1 + (spec.Workloads.Synthetic.n_ops mod 3))
+      in
+      let machine =
+        Vliw_machine.Machine.homogeneous
+          (if spec.Workloads.Synthetic.seed mod 2 = 0 then 2 else 4)
+      in
+      let ctx = Vliw_percolation.Ctx.make p ~machine ~exit_live in
+      let next = Synthetic_gen.make_rng spec.Workloads.Synthetic.seed in
+      let cj_hop = ref false in
+      let hooks =
+        {
+          Vliw_percolation.Migrate.no_hooks with
+          allow_hop =
+            (fun ~from_:_ ~to_:_ ~op ->
+              if Operation.is_cjump op then cj_hop := true;
+              true);
+        }
+      in
+      let ok = ref (text_matches p) in
+      for _ = 1 to 24 do
+        let limit = Program.node_limit p in
+        cj_hop := false;
+        match Synthetic_gen.migrate_random ~hooks ctx next with
+        | Some r when r.Vliw_percolation.Migrate.moved > 0 ->
+            if !cj_hop then incr cj_moves
+            else if Program.node_limit p > limit then incr splits;
+            ok := !ok && text_matches p
+        | Some _ | None -> ()
+      done;
+      !ok)
+
+(* The property, failing also when its cases made no split or no
+   conditional-jump move. *)
+let text_random_migrations =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_text_random_migrations in
+  ( name,
+    speed,
+    fun () ->
+      splits := 0;
+      cj_moves := 0;
+      run ();
+      if !splits = 0 || !cj_moves = 0 then
+        Alcotest.failf "%d splits, %d conditional-jump moves" !splits !cj_moves )
+
 let () =
   Alcotest.run "vliw_ir"
     [
@@ -347,5 +589,14 @@ let () =
           Alcotest.test_case "chain version" `Quick test_program_chain_version;
           Alcotest.test_case "clone remaps guards" `Quick test_clone_instruction_guard_remap;
           Alcotest.test_case "double def caught" `Quick test_wellformed_catches_double_def;
+        ] );
+      ( "schedule text",
+        [
+          Alcotest.test_case "deep trees == oracle" `Quick test_text_deep_trees;
+          Alcotest.test_case "forced break past column 68" `Quick
+            test_text_forced_break;
+          Alcotest.test_case "long guards and operands" `Quick
+            test_text_long_operands;
+          text_random_migrations;
         ] );
     ]
