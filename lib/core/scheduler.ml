@@ -327,23 +327,24 @@ module Ranked = struct
     if a < 0 then q.head <- b else q.next.(a) <- b;
     if b >= 0 then q.prev.(b) <- a
 
+  (* The walk from [pos] on: top-level recursion, so a pick builds no
+     closure. *)
+  let rec pick_from q verdict pos =
+    if pos < 0 then -1
+    else begin
+      q.visits <- q.visits + 1;
+      match verdict q.ids.(pos) with
+      | Take -> pos
+      | Skip -> pick_from q verdict q.next.(pos)
+      | Retire ->
+          let next = q.next.(pos) in
+          retire q pos;
+          pick_from q verdict next
+    end
+
   (** [pick q verdict] — the first live position whose op id [verdict]
       takes, or [-1]. *)
-  let pick q verdict =
-    let rec go pos =
-      if pos < 0 then -1
-      else begin
-        q.visits <- q.visits + 1;
-        match verdict q.ids.(pos) with
-        | Take -> pos
-        | Skip -> go q.next.(pos)
-        | Retire ->
-            let next = q.next.(pos) in
-            retire q pos;
-            go next
-      end
-    in
-    go q.head
+  let pick q verdict = pick_from q verdict q.head
 end
 
 (* Per-run scratch, reused across [schedule_node] calls: op-id
@@ -397,6 +398,15 @@ let mask_set b id =
   in
   Bytes.unsafe_set b id '\001';
   b
+
+(* Where the migration [r] left its operation, and the journal entry
+   for why it stopped there (top level: a migration builds no closure
+   for them). *)
+let stop_node p r = Program.home_int p (Migrate.final_id r)
+
+let reject pv p r reason =
+  Provenance.record_reject pv ~op:(Migrate.final_id r) ~node:(stop_node p r)
+    reason
 
 (** [schedule_node ?on_move config ctx scratch stats n] fills node
     [n]. *)
@@ -515,6 +525,7 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
       Migrate.early_stop = (fun ~moved -> moved > 0 && !suspended_count > 0);
     }
   in
+  let walker = Migrate.walker ctx hooks in
   let continue_ = ref true in
   while !continue_ do
     (* budget poll: a blown deadline / fuel cap / external cancel
@@ -547,27 +558,21 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
         if tracing then
           Trace.emit tr
             (Trace.Migrate_attempt { op = best.Operation.id; target = n });
-        let r =
-          Migrate.migrate ctx ~hooks ~target:n ~op_id:best.Operation.id ()
-        in
+        let r = walker in
+        Migrate.run r ~target:n ~op_id:best.Operation.id;
         (* An attempted op can be picked again only once rule 2 clears
            its attempted bit, which happens to suspended ids alone; and
            only its own walk can suspend it. *)
         if not (mask_get scratch.susp_mask best.Operation.id) then
           Ranked.retire queue pos;
-        stats.hops <- stats.hops + r.Migrate.moved;
-        Metrics.bump mx hops_key r.Migrate.moved;
-        Metrics.observe_key mx travel_key r.Migrate.moved;
-        if r.Migrate.reached_target then begin
+        stats.hops <- stats.hops + Migrate.moved r;
+        Metrics.bump mx hops_key (Migrate.moved r);
+        Metrics.observe_key mx travel_key (Migrate.moved r);
+        if Migrate.reached_target r then begin
           stats.reached <- stats.reached + 1;
           Metrics.bump mx reached_key 1
         end;
-        let stop_node () = Program.home_int p r.Migrate.final_id in
-        let reject reason =
-          Provenance.record_reject pv ~op:r.Migrate.final_id
-            ~node:(stop_node ()) reason
-        in
-        (match r.Migrate.last_failure with
+        (match Migrate.last_failure r with
         | Some (Migrate.Op Move_op.No_room) ->
             (* blocked by a full node short of the target: a resource
                barrier (section 3.2) *)
@@ -577,9 +582,9 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
             if tracing then
               Trace.emit tr
                 (Trace.Migrate_barrier
-                   { op = r.Migrate.final_id; node = stop_node () });
+                   { op = Migrate.final_id r; node = stop_node p r });
             if proving then
-              reject (Provenance.Resource_barrier (prov_class best))
+              reject pv p r (Provenance.Resource_barrier (prov_class best))
         | Some
             ( Migrate.Op
                 ( Move_op.True_dependence o
@@ -587,20 +592,21 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
             | Migrate.Cj (Move_cj.True_dependence o) ) ->
             (* the why-not table only charges a dependence when it
                actually kept the op short of its target *)
-            if proving && not r.Migrate.reached_target then
-              reject (Provenance.Dep o.Operation.id)
+            if proving && not (Migrate.reached_target r) then
+              reject pv p r (Provenance.Dep o.Operation.id)
         | Some Migrate.Suspended | None ->
             (* suspensions were journalled by on_suspend already *)
             ()
         | Some f ->
-            if proving && not r.Migrate.reached_target then
-              reject
+            if proving && not (Migrate.reached_target r) then
+              reject pv p r
                 (Provenance.Structural
                    (Format.asprintf "%a" Migrate.pp_failure f)));
         (match on_move with
-        | Some f when r.Migrate.moved > 0 -> f ~op:best ~outcome:r
+        | Some f when Migrate.moved r > 0 ->
+            f ~op:best ~outcome:(Migrate.outcome r)
         | Some _ | None -> ());
-        if r.Migrate.moved > 0 && !suspended_count > 0 then
+        if Migrate.moved r > 0 && !suspended_count > 0 then
           (* rule 2: progress unsuspends everything; unsuspended ops
              re-enter the ranked queue *)
           unsuspend_all ()

@@ -31,12 +31,6 @@ let uses_reg o r =
   | Reg s | Regoff (s, _) -> Reg.equal r s
   | Imm _ -> false
 
-(** [exists_reg f o] holds when [o] reads a register satisfying [f]
-    (allocation-free counterpart of [List.exists f (regs o)]). *)
-let exists_reg f = function
-  | Reg r | Regoff (r, _) -> f r
-  | Imm _ -> false
-
 (** [rename o ~from_ ~to_] replaces reads of register [from_] with reads
     of register [to_], preserving any offset. *)
 let rename o ~from_ ~to_ =

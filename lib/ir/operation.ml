@@ -58,14 +58,20 @@ let make ~id ?(iter = no_iter) ?lineage ?(src_pos = 0) ?(guard = []) kind =
   let lineage = Option.value lineage ~default:id in
   { id; kind; iter; lineage; src_pos; guard }
 
+(* Does [g] hold conditional [c] with the other outcome than [b]? *)
+let rec decides_against (c : int) (b : bool) = function
+  | [] -> false
+  | (c2, b2) :: tl -> (c = c2 && b <> b2) || decides_against c b tl
+
 (** [guard_compatible g1 g2] — can both guards be satisfied by one
-    selected path?  (No decision contradicts the other guard.) *)
-let guard_compatible (g1 : guard) (g2 : guard) =
-  not
-    (List.exists
-       (fun (c1, b1) ->
-         List.exists (fun (c2, b2) -> c1 = c2 && b1 <> b2) g2)
-       g1)
+    selected path?  (No decision contradicts the other guard.)
+    Top-level recursion: the legality check asks this per op of the
+    landing node, so it builds no closure. *)
+let rec guard_compatible (g1 : guard) (g2 : guard) =
+  match g1 with
+  | [] -> true
+  | (c1, b1) :: tl ->
+      (not (decides_against c1 b1 g2)) && guard_compatible tl g2
 
 (** [guard_satisfied g ~decisions] — is [g] a prefix-consistent subset
     of the selected path's [decisions]?  Each conditional appears at
@@ -147,6 +153,10 @@ let mem_access op =
   | Store (a, _) -> Some a
   | Binop _ | Unop _ | Copy _ | Cjump _ -> None
 
+(** [is_mem op] — is [op] a load or a store?  [mem_access op <> None]
+    without the option. *)
+let is_mem op = match op.kind with Load _ | Store _ -> true | _ -> false
+
 (** [reads_reg op r] holds when [op] reads register [r]. *)
 let reads_reg op r =
   (* shape-direct (no operand/register list) — this runs per remaining
@@ -158,20 +168,13 @@ let reads_reg op r =
   | Load (_, { base; _ }) -> Operand.uses_reg base r
   | Store ({ base; _ }, v) -> Operand.uses_reg base r || Operand.uses_reg v r
 
-(** [exists_src_reg f op] holds when [op] reads a register satisfying
-    [f] — shape-direct, no operand or register list. *)
-let exists_src_reg f op =
-  match op.kind with
-  | Binop (_, _, a, b) | Cjump (_, a, b) ->
-      Operand.exists_reg f a || Operand.exists_reg f b
-  | Unop (_, _, a) | Copy (_, a) -> Operand.exists_reg f a
-  | Load (_, { base; _ }) -> Operand.exists_reg f base
-  | Store ({ base; _ }, v) ->
-      Operand.exists_reg f base || Operand.exists_reg f v
-
-(** [defines_reg op r] holds when [op] writes register [r]. *)
+(** [defines_reg op r] holds when [op] writes register [r] — matched
+    on the op's shape, with no [def] option. *)
 let defines_reg op r =
-  match def op with Some d -> Reg.equal d r | None -> false
+  match op.kind with
+  | Binop (_, d, _, _) | Unop (_, d, _) | Copy (d, _) | Load (d, _) ->
+      Reg.equal d r
+  | Store _ | Cjump _ -> false
 
 (* -- rendering ------------------------------------------------------------ *)
 

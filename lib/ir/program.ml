@@ -12,6 +12,9 @@
       caches ({!Vliw_analysis.Liveness}) to invalidate themselves;
     - [shape]: a counter bumped only when an edge or a node appears or
       disappears, for caches that read nothing but successor lists;
+    - [node_stamp]: per node, the [version] of the last edit of its
+      ops, tree or leaves, for caches of facts about one or two nodes
+      ({!node_stamp});
     - the {e flat stores} (struct-of-arrays mirrors of the node
       records, below);
     - fresh-id supplies for nodes, operations and registers.
@@ -102,6 +105,9 @@ type t = {
   mutable next_reg : int;
   mutable next_op : int;
   mutable version : int;
+  node_stamp : int Itbl.t;
+      (** node id -> [version] right after the node's last edit of its
+          ops, tree or leaves *)
   mutable shape : int;  (** bumped when an edge or a node comes or goes *)
   mutable chain : int;  (** bumped by every edge edit but [delete_node] *)
   mutable ord_shape : int;  (** shape the graph-order walk speaks for *)
@@ -128,8 +134,33 @@ type t = {
   mutable gc_examined : int;  (** total candidates {!gc} has examined *)
 }
 
+(* [Itbl.get], expanded in place.  Under [-opaque] (dune's dev
+   profile) a call into [Itbl] is an indirect call through its module
+   block, so the accessors the hop path asks millions of times per run
+   ({!node}, {!home_int}, {!stored_op}, {!counts_packed}, {!succs},
+   {!node_stamp}) read the array here. *)
+let[@inline] get (t : 'a Itbl.t) i =
+  let a = t.Itbl.arr in
+  if i < Array.length a then Array.unsafe_get a i else t.Itbl.default
+
 let touch p = p.version <- p.version + 1
 let version p = p.version
+
+(* [touch], recording that node [id]'s ops, tree or leaves changed. *)
+let edited p id =
+  touch p;
+  Itbl.set p.node_stamp id p.version
+
+(** [node_stamp p id] — the {!version} right after the last edit of
+    node [id]'s ops, conditional tree or leaves: [add_op], [remove_op],
+    [replace_op], [take_ops], [set_ctree], [redirect] (and the
+    relinks of {!delete_node}), {!fresh_node}, {!delete_node} of [id]
+    itself and {!restore}, which stamps every node.  A fact computed
+    from nodes [a] and [b] at version [v] still holds while neither
+    stamp exceeds [v], whatever else was edited.  {!gc} stamps
+    nothing: it frees only unreachable nodes, and bumps no version.
+    [0] for a node never edited since {!create}. *)
+let node_stamp p id = get p.node_stamp id
 
 (** [shape_version p] — changes whenever an edge or a node appears or
     disappears, and only then (a conservative superset: relinking a
@@ -162,7 +193,7 @@ let flag_mem_bit = 4
 let op_flags_of (op : Operation.t) =
   (if Operation.is_cjump op then flag_cjump_bit else 0)
   lor (if Operation.is_copy op then flag_copy_bit else 0)
-  lor if Operation.mem_access op <> None then flag_mem_bit else 0
+  lor if Operation.is_mem op then flag_mem_bit else 0
 
 (* The packed-counts contribution of one operation, from its shape
    bits (field layout is {!Node.pack_counts}'s). *)
@@ -383,6 +414,7 @@ let create ?(first_reg = 0) () =
       next_reg = first_reg;
       next_op = 0;
       version = 0;
+      node_stamp = Itbl.create 0;
       shape = 0;
       chain = 0;
       ord_shape = -1;
@@ -423,9 +455,9 @@ let fresh_op_id p =
 (** [node p id] is the node with id [id].  Raises [Not_found] on a
     dangling id — a well-formedness violation. *)
 let node p id =
-  match Itbl.get p.nodes id with Some n -> n | None -> raise Not_found
+  match get p.nodes id with Some n -> n | None -> raise Not_found
 
-let node_opt p id = if id < 0 then None else Itbl.get p.nodes id
+let node_opt p id = if id < 0 then None else get p.nodes id
 let entry_node p = node p p.entry
 
 (** [fresh_node p ~ops ~ctree] allocates a new node and indexes its
@@ -440,7 +472,7 @@ let fresh_node p ~ops ~ctree =
   build_flat p n;
   link_node p n;
   gc_note p id;
-  touch p;
+  edited p id;
   n
 
 (** [node_limit p] — one past the largest node id allocated so far:
@@ -453,19 +485,19 @@ let node_limit p = p.next_node
 (** [home p op_id] is the node currently holding operation [op_id], or
     [None] if the operation has been deleted. *)
 let home p op_id =
-  let h = Itbl.get p.op_home op_id in
+  let h = get p.op_home op_id in
   if h < 0 then None else Some h
 
 (** [home_int p op_id] — {!home} without the option box: the holding
     node id, or [-1].  The scheduler's candidate scan calls this per
     op per iteration. *)
-let home_int p op_id = Itbl.get p.op_home op_id
+let home_int p op_id = get p.op_home op_id
 
 (** [stored_op p op_id] is the canonical record of operation [op_id]
     from the flat store.  The returned option is the stored box — no
     allocation per query.  Entries survive removal from the graph:
     callers gate on {!home_int} when placement matters. *)
-let stored_op p op_id = Itbl.get p.op_store op_id
+let stored_op p op_id = get p.op_store op_id
 
 (** [add_op p nid op] appends [op] to node [nid]'s plain ops. *)
 let add_op p nid (op : Operation.t) =
@@ -478,7 +510,7 @@ let add_op p nid (op : Operation.t) =
   Iarr.push (seq_for p p.ops_seq nid) op.id;
   Itbl.set p.node_counts nid
     (Itbl.get p.node_counts nid + count_delta_of_flags (Itbl.get p.op_flags op.id));
-  touch p
+  edited p nid
 
 (** [mem_plain_op p nid op_id] — is plain op [op_id] currently in node
     [nid]?  Flat-sequence membership; no op-list scan. *)
@@ -496,7 +528,7 @@ let remove_op p nid op_id =
   ignore (Iarr.remove_first (Itbl.get p.ops_seq nid) op_id);
   Itbl.set p.node_counts nid
     (Itbl.get p.node_counts nid - count_delta_of_flags (Itbl.get p.op_flags op_id));
-  touch p
+  edited p nid
 
 (** [replace_op p nid op] substitutes the plain op with [op.id] in node
     [nid] by [op] (in place, preserving order): used by renaming and
@@ -522,7 +554,7 @@ let replace_op p nid (op : Operation.t) =
   let new_delta = count_delta_of_flags (Itbl.get p.op_flags op.id) in
   Itbl.set p.node_counts nid
     (Itbl.get p.node_counts nid - old_delta + new_delta);
-  touch p
+  edited p nid
 
 (** [set_ctree p nid t] replaces node [nid]'s conditional tree,
     re-indexing the jumps it contains. *)
@@ -548,7 +580,7 @@ let set_ctree p nid t =
     t;
   Itbl.set p.node_counts nid
     (Itbl.get p.node_counts nid land lnot (0x7fff lsl 45) lor (!cjs lsl 45));
-  touch p
+  edited p nid
 
 (** [take_ops p nid] empties node [nid]'s plain ops and returns them
     (their location entries survive: the caller re-registers them by
@@ -559,7 +591,7 @@ let take_ops p nid =
   n.Node.ops <- [];
   clear_seq p.ops_seq nid;
   Itbl.set p.node_counts nid (Itbl.get p.node_counts nid land (0x7fff lsl 45));
-  touch p;
+  edited p nid;
   ops
 
 (** [copy_op p op] is a fresh-id clone of [op] (same kind, iter,
@@ -600,7 +632,7 @@ let clone_instruction p ~ops ~ctree =
     by {!Node.pack_counts}; [0] for an absent node.  Maintained
     incrementally: machines answer [room_for_packed] / [fits_packed]
     from this without scanning the node's ops. *)
-let counts_packed p nid = Itbl.get p.node_counts nid
+let counts_packed p nid = get p.node_counts nid
 
 (** [iter_plain_op_ids p nid f] — [f] over node [nid]'s plain op ids in
     instruction order, allocation-free. *)
@@ -646,7 +678,7 @@ let preds_raw p id =
     allocation per query.  The shared list is still a snapshot:
     migration walkers capture it before hopping, and a hop replaces
     (never mutates) the mirror entry. *)
-let succs p id = if is_exit p id then [] else Itbl.get p.succs_tbl id
+let succs p id = if is_exit p id then [] else get p.succs_tbl id
 
 (** [iter_nodes p f] applies [f] to every node, exit sentinel included,
     in ascending id order. *)
@@ -887,7 +919,7 @@ let relink p ~note ~from_ ~old_ ~new_ =
   unlink_edges p ~note n;
   n.Node.ctree <- Ctree.replace_leaf n.Node.ctree ~old_ ~new_;
   link_edges p n;
-  touch p
+  edited p from_
 
 (** [redirect p ~from_ ~old_ ~new_] rewrites node [from_]'s tree leaves
     pointing at [old_] to point at [new_].  The jump records (and so
@@ -932,7 +964,7 @@ let delete_node p id =
   if Itbl.get p.gc_marks id = p.gc_epoch then gc_note p succ;
   free_node p id;
   p.shape <- p.shape + 1;
-  touch p
+  edited p id
 
 (** [gc p] drops nodes unreachable from the entry and de-indexes their
     operations.  Returns the number of nodes collected.  Removing
@@ -1014,6 +1046,7 @@ let snapshot p =
   }
 
 let restore p s =
+  let limit = max p.next_node s.s_next_node in
   Itbl.reset p.nodes;
   Itbl.reset p.preds_tbl;
   Itbl.reset p.succs_tbl;
@@ -1050,7 +1083,12 @@ let restore p s =
   p.next_node <- s.s_next_node;
   p.next_reg <- s.s_next_reg;
   p.next_op <- s.s_next_op;
-  touch p
+  touch p;
+  (* every node may have changed, and those created since the snapshot
+     are gone *)
+  for id = 0 to limit - 1 do
+    Itbl.set p.node_stamp id p.version
+  done
 
 (* Node [id]'s successors as the walk reads them. *)
 let flat_succs p id =

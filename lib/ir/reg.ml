@@ -15,8 +15,12 @@ let of_int i =
 (** [to_int r] is the integer id of [r]. *)
 let to_int r = r
 
-let compare : t -> t -> int = Int.compare
-let equal : t -> t -> bool = Int.equal
+(* Primitives rather than aliases of [Int.compare] and [Int.equal]: a
+   primitive is expanded at every call site, while under [-opaque]
+   (dune's dev profile) an alias is an indirect call through this
+   module's block. *)
+external compare : t -> t -> int = "%compare"
+external equal : t -> t -> bool = "%equal"
 let hash : t -> int = fun r -> r
 
 (** [to_string r] is [r<n>]. *)

@@ -17,18 +17,15 @@ type t = {
       (** dominator tree keyed by [Program.version]; per-context rather
           than global so concurrent or nested scheduler runs cannot
           observe each other's cache *)
-  mutable legality_version : int;
-      (** program version the verdict tables speak for; on mismatch they
-          are cleared in place (no fresh table per version).
-          [Program.version] is globally monotonic (even
-          {!Program.restore} bumps it), so a version match always means
-          "same graph". *)
-  legality_int : (int, (unit, Legality.failure) result) Hashtbl.t;
-      (** move-op verdicts keyed by [(from_, to_, op_id)] packed into
-          one immediate int (21 bits per field) — the common case *)
-  legality_wide :
-    (int * int * int, (unit, Legality.failure) result) Hashtbl.t;
-      (** overflow table for ids beyond 21 bits *)
+  mutable memo_from : int array;
+      (** the legality memo, one slot per op id (DESIGN.md §26): the
+          [from_] of the move the slot's verdict speaks for, [-1] when
+          empty *)
+  mutable memo_to : int array;  (** op id -> the slot's [to_] *)
+  mutable memo_time : int array;
+      (** op id -> the {!Program.version} the verdict was recorded at *)
+  mutable memo_verdict : (unit, Legality.failure) result array;
+      (** op id -> the verdict *)
   walk_marks : int Itbl.t;
       (** migration-walk visited set, epoch-stamped: a walk bumps
           [walk_stamp] instead of allocating a fresh table *)
@@ -49,6 +46,7 @@ type t = {
   mutable chain_stamp : int;
   mutable chain_target : int;
   mutable chain_version : int;
+  mutable ticks : int;  (** legality checks {!sample_tick} has counted *)
   mutable gc_depth : int;
       (** > 0 inside {!defer_gc}: collections requested by committed
           moves are batched until the region exits *)
@@ -65,9 +63,10 @@ let make ?(rename = true) ?(obs = Grip_obs.null) program ~machine ~exit_live =
     rename;
     obs;
     dom_cache = None;
-    legality_version = -1;
-    legality_int = Hashtbl.create 256;
-    legality_wide = Hashtbl.create 16;
+    memo_from = [||];
+    memo_to = [||];
+    memo_time = [||];
+    memo_verdict = [||];
     walk_marks = Itbl.create 0;
     walk_stamp = 0;
     cone_marks = Itbl.create 0;
@@ -78,6 +77,7 @@ let make ?(rename = true) ?(obs = Grip_obs.null) program ~machine ~exit_live =
     chain_stamp = 0;
     chain_target = -1;
     chain_version = -1;
+    ticks = 0;
     gc_depth = 0;
     gc_pending = false;
   }
@@ -105,54 +105,74 @@ let live_in t id = Vliw_analysis.Liveness.live_in t.liveness id
 
 (* -- move-op legality memoization ---------------------------------------- *)
 
-(* The verdict tables are persistent and cleared in place when the
-   program version moves on: [Hashtbl.clear] keeps the bucket array,
-   so steady-state lookups and stores allocate nothing beyond the
-   entries themselves (the old design minted a fresh 64-bucket table
-   per program version — a top scheduler allocator). *)
-let legality_sync t =
-  let v = Program.version t.program in
-  if t.legality_version <> v then begin
-    Hashtbl.clear t.legality_int;
-    Hashtbl.clear t.legality_wide;
-    t.legality_version <- v
+(* A verdict of [Move_op.check] for (from_, to_, op_id) is a function
+   of the op's record, [from_]'s ops and tree, [to_]'s ops, tree and
+   packed counts, and this context's machine and renaming policy.  The
+   record can change only while the op sits in a node, by an edit of
+   that node, so while the op's home is still [from_] and neither
+   node's {!Program.node_stamp} has passed the slot's time, the check
+   would decide as it did.  One slot per op id keeps the latest move
+   asked about; lookups and stores hash nothing and allocate nothing
+   once the arrays have grown to the op ids in use. *)
+
+let memo_grow t op_id =
+  let cap = Array.length t.memo_from in
+  if op_id >= cap then begin
+    let cap' = max 64 (max (op_id + 1) (2 * cap)) in
+    let grow a fill =
+      let b = Array.make cap' fill in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    t.memo_from <- grow t.memo_from (-1);
+    t.memo_to <- grow t.memo_to (-1);
+    t.memo_time <- grow t.memo_time 0;
+    t.memo_verdict <- grow t.memo_verdict (Ok ())
   end
-
-(* 21 bits per field covers node and op ids into the millions; the
-   packing is exact (checked) and falls back to a boxed-tuple table
-   beyond that. *)
-let packable x = x lsr 21 = 0
-
-let pack ~from_ ~to_ ~op_id =
-  (from_ lsl 42) lor (to_ lsl 21) lor op_id
 
 let hits_key = Grip_obs.Metrics.key "legality.cache_hits"
 let misses_key = Grip_obs.Metrics.key "legality.cache_misses"
 
-(** [legality_find t ~from_ ~to_ ~op_id] — the cached verdict for this
-    move against the current program version, if any.  Records a
-    [legality.cache_hits] / [legality.cache_misses] metric either
-    way. *)
-let legality_find t ~from_ ~to_ ~op_id =
-  legality_sync t;
-  let r =
-    if packable from_ && packable to_ && packable op_id then
-      Hashtbl.find_opt t.legality_int (pack ~from_ ~to_ ~op_id)
-    else Hashtbl.find_opt t.legality_wide (from_, to_, op_id)
+(** [legality_hit t ~from_ ~to_ ~op_id] — does the memo hold a verdict
+    for this move that the current program still bears out?  Records a
+    [legality.cache_hits] / [legality.cache_misses] metric either way;
+    on a hit, {!legality_verdict} is the verdict. *)
+let legality_hit t ~from_ ~to_ ~op_id =
+  let p = t.program in
+  let hit =
+    op_id < Array.length t.memo_from
+    && Array.unsafe_get t.memo_from op_id = from_
+    && Array.unsafe_get t.memo_to op_id = to_
+    && Program.home_int p op_id = from_
+    &&
+    let time = Array.unsafe_get t.memo_time op_id in
+    Program.node_stamp p from_ <= time && Program.node_stamp p to_ <= time
   in
-  let m = t.obs.Grip_obs.metrics in
-  (match r with
-  | Some _ -> Grip_obs.Metrics.bump m hits_key 1
-  | None -> Grip_obs.Metrics.bump m misses_key 1);
-  r
+  Grip_obs.Metrics.bump t.obs.Grip_obs.metrics
+    (if hit then hits_key else misses_key)
+    1;
+  hit
 
-(** [legality_store t ~from_ ~to_ ~op_id verdict] — memoize a verdict
-    for the current program version. *)
+(** [legality_verdict t op_id] — the verdict of [op_id]'s slot, as
+    {!legality_hit} just confirmed it. *)
+let legality_verdict t op_id = Array.unsafe_get t.memo_verdict op_id
+
+(** [legality_store t ~from_ ~to_ ~op_id verdict] — record [verdict]
+    for this move against the current program. *)
 let legality_store t ~from_ ~to_ ~op_id verdict =
-  legality_sync t;
-  if packable from_ && packable to_ && packable op_id then
-    Hashtbl.replace t.legality_int (pack ~from_ ~to_ ~op_id) verdict
-  else Hashtbl.replace t.legality_wide (from_, to_, op_id) verdict
+  memo_grow t op_id;
+  Array.unsafe_set t.memo_from op_id from_;
+  Array.unsafe_set t.memo_to op_id to_;
+  Array.unsafe_set t.memo_time op_id (Program.version t.program);
+  Array.unsafe_set t.memo_verdict op_id verdict
+
+(** [sample_tick t n] — count one legality check and tell whether it
+    is the first of a run of [n] ([n] a power of two): the
+    [legality.check] timer times one check in [n]. *)
+let sample_tick t n =
+  let k = t.ticks in
+  t.ticks <- k + 1;
+  k land (n - 1) = 0
 
 (* -- scratch visit sets -------------------------------------------------- *)
 
@@ -233,13 +253,21 @@ let maybe_gc t =
   end
   else run_gc t
 
-(** [defer_gc t f] — run [f] with collections batched; any pending
-    sweep is flushed when the outermost region exits (also on
-    exceptions). *)
-let defer_gc t f =
+let gc_leave t =
+  t.gc_depth <- t.gc_depth - 1;
+  if t.gc_depth = 0 && t.gc_pending then run_gc t
+
+(** [defer_gc t f x] — [f x] with collections batched; any pending
+    sweep is flushed when the outermost region exits, also on an
+    exception.  [f] and its argument come apart, so a caller that
+    passes a top-level function builds no thunk. *)
+let defer_gc t f x =
   t.gc_depth <- t.gc_depth + 1;
-  Fun.protect
-    ~finally:(fun () ->
-      t.gc_depth <- t.gc_depth - 1;
-      if t.gc_depth = 0 && t.gc_pending then run_gc t)
-    f
+  match f x with
+  | v ->
+      gc_leave t;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      gc_leave t;
+      Printexc.raise_with_backtrace e bt

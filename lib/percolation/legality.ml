@@ -1,7 +1,8 @@
 (** Why a [move-op] legality check rejects a move.
 
-    Lives below {!Ctx} (which memoizes verdicts keyed by program
-    version) and {!Move_op} (which produces them); [Move_op.failure]
+    Lives below {!Ctx} (which memoizes verdicts, one slot per op,
+    checked against the stamps of the move's two nodes) and {!Move_op}
+    (which produces them); [Move_op.failure]
     re-exports the constructors, so matches against [Move_op.No_room]
     etc. keep compiling. *)
 

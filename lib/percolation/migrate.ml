@@ -86,58 +86,97 @@ type outcome = {
   last_failure : failure option;
 }
 
-(* Attempt one hop of [op] from [s] into [n]; returns the (possibly
-   new) op id on success.  Successful hops are the migration-level
-   trace: one [Migrate_hop] event each (attempts, suspensions and
-   barriers are emitted by the driving scheduler, which owns that
-   bookkeeping). *)
-let hop (ctx : Ctx.t) hooks ~from_:s ~to_:n ~op_id =
-  let p = ctx.Ctx.program in
-  let record_hop ~rule op' =
-    let obs = ctx.Ctx.obs in
-    let tr = obs.Grip_obs.trace in
-    if Grip_obs.Trace.enabled tr then
-      Grip_obs.Trace.emit tr
-        (Grip_obs.Trace.Migrate_hop { op = op'; from_ = s; to_ = n });
-    let pv = obs.Grip_obs.prov in
-    if Grip_obs.Provenance.enabled pv then
-      Grip_obs.Provenance.record_hop pv ~op:op_id ~op' ~from_:s ~to_:n ~rule
-  in
-  match (if Program.home_int p op_id = s then Program.stored_op p op_id else None)
-  with
-  | None -> Error Vanished
-  | Some op ->
-      if not (hooks.allow_hop ~from_:s ~to_:n ~op) then begin
-        hooks.on_suspend op;
-        Error Suspended
-      end
-      else if Operation.is_cjump op then
-        match Move_cj.move ctx ~from_:s ~to_:n ~cj_id:op_id with
-        | Ok r ->
-            record_hop ~rule:Grip_obs.Provenance.Move_cj
-              r.Move_cj.cj.Operation.id;
-            Ok r.Move_cj.cj.Operation.id
-        | Error f -> Error (Cj f)
-      else
-        match Move_op.move ctx ~from_:s ~to_:n ~op_id with
-        | Ok r ->
-            record_hop ~rule:Grip_obs.Provenance.Move_op
-              r.Move_op.op.Operation.id;
-            Ok r.Move_op.op.Operation.id
-        | Error f -> Error (Op f)
-
 (* Walk state threaded through the top-level recursion below: one
-   record per walk where a nest of local closures used to be minted
-   (the walker runs once per migration attempt — the dominant call
-   count of a scheduling run). *)
-type walk = {
+   record where a nest of local closures used to be minted, and reused
+   by every migration of a driver loop (see {!walker}): the walker runs
+   once per migration attempt — the dominant call count of a
+   scheduling run. *)
+type walker = {
   w_ctx : Ctx.t;
   w_hooks : hooks;
+  mutable w_target : int;
+  mutable w_home : int;  (** the operation's home when the walk began *)
   mutable w_moved : int;
   mutable w_current : int;
   mutable w_failure : failure option;
   mutable w_visits : int;  (** nodes the walk expanded *)
+  mutable w_reached : bool;  (** the walk ended with the op at the target *)
 }
+
+(** [walker ctx hooks] — walk state for a loop of migrations on [ctx]
+    under [hooks]; each {!run} resets it, so a migration allocates
+    nothing. *)
+let walker (ctx : Ctx.t) hooks =
+  { w_ctx = ctx; w_hooks = hooks; w_target = -1; w_home = -1; w_moved = 0;
+    w_current = -1; w_failure = None; w_visits = 0; w_reached = false }
+
+(* The trace of a successful hop of [op_id] from [s] into [n], now
+   [op']: one [Migrate_hop] event each (attempts, suspensions and
+   barriers are emitted by the driving scheduler, which owns that
+   bookkeeping). *)
+let record_hop (ctx : Ctx.t) ~rule ~op_id ~from_:s ~to_:n op' =
+  let obs = ctx.Ctx.obs in
+  let tr = obs.Grip_obs.trace in
+  if Grip_obs.Trace.enabled tr then
+    Grip_obs.Trace.emit tr
+      (Grip_obs.Trace.Migrate_hop { op = op'; from_ = s; to_ = n });
+  let pv = obs.Grip_obs.prov in
+  if Grip_obs.Provenance.enabled pv then
+    Grip_obs.Provenance.record_hop pv ~op:op_id ~op' ~from_:s ~to_:n ~rule
+
+(* [Some (Op f)], shared for the failures without a payload: most hop
+   attempts fail, and these record their cause without allocating. *)
+let op_failure : Move_op.failure -> failure option = function
+  | Move_op.No_room -> Some (Op Move_op.No_room)
+  | Move_op.Not_adjacent -> Some (Op Move_op.Not_adjacent)
+  | Move_op.Op_not_found -> Some (Op Move_op.Op_not_found)
+  | Move_op.Guarded -> Some (Op Move_op.Guarded)
+  | ( Move_op.True_dependence _ | Move_op.Mem_dependence _
+    | Move_op.Write_live _ ) as f ->
+      Some (Op f)
+
+(* Attempt one hop of the walk's operation from [s] into [n]: on
+   success the walk counts it and follows the op's (possibly new) id;
+   on failure it records why. *)
+let hop_step w ~from_:s ~to_:n =
+  let ctx = w.w_ctx in
+  let p = ctx.Ctx.program in
+  let op_id = w.w_current in
+  match (if Program.home_int p op_id = s then Program.stored_op p op_id else None)
+  with
+  | None -> w.w_failure <- Some Vanished
+  | Some op ->
+      if not (w.w_hooks.allow_hop ~from_:s ~to_:n ~op) then begin
+        w.w_hooks.on_suspend op;
+        w.w_failure <- Some Suspended
+      end
+      else if Operation.is_cjump op then
+        match Move_cj.move ctx ~from_:s ~to_:n ~cj_id:op_id with
+        | Ok r ->
+            let id' = r.Move_cj.cj.Operation.id in
+            record_hop ctx ~rule:Grip_obs.Provenance.Move_cj ~op_id ~from_:s
+              ~to_:n id';
+            w.w_moved <- w.w_moved + 1;
+            w.w_current <- id'
+        | Error f -> w.w_failure <- Some (Cj f)
+      else
+        match Move_op.attempt ctx ~from_:s ~to_:n ~op_id with
+        | r ->
+            let id' = r.Move_op.op.Operation.id in
+            record_hop ctx ~rule:Grip_obs.Provenance.Move_op ~op_id ~from_:s
+              ~to_:n id';
+            w.w_moved <- w.w_moved + 1;
+            w.w_current <- id'
+        | exception Move_op.Fail f -> w.w_failure <- op_failure f
+
+(** [hop ctx hooks ~from_ ~to_ ~op_id] — one hop attempt outside a
+    walk, as the walk makes it: the operation's (possibly new) id, or
+    why it did not move. *)
+let hop (ctx : Ctx.t) hooks ~from_ ~to_ ~op_id =
+  let w = walker ctx hooks in
+  w.w_current <- op_id;
+  hop_step w ~from_ ~to_;
+  if w.w_moved > 0 then Ok w.w_current else Error (Option.get w.w_failure)
 
 let walk_dead p nid =
   match Program.node_opt p nid with
@@ -176,13 +215,8 @@ and walk_pull w nid = function
   | [] -> ()
   | s :: tl ->
       let p = w.w_ctx.Ctx.program in
-      (if (not (Program.is_exit p s)) && Program.home_int p w.w_current = s
-       then
-         match hop w.w_ctx w.w_hooks ~from_:s ~to_:nid ~op_id:w.w_current with
-         | Ok id' ->
-             w.w_moved <- w.w_moved + 1;
-             w.w_current <- id'
-         | Error msg -> w.w_failure <- Some msg);
+      if (not (Program.is_exit p s)) && Program.home_int p w.w_current = s
+      then hop_step w ~from_:s ~to_:nid;
       walk_pull w nid tl
 
 (* Mark the cone of an operation at [home]: the backward closure of
@@ -250,19 +284,29 @@ let rec climb w ~target below =
     end
   end
 
+(* The two walks as [Ctx.defer_gc] runs them, from the walk record
+   alone. *)
+let climb_walk w = climb w ~target:w.w_target w.w_home
+let cone_walk w = walk_go w w.w_target
+
 let chain_nodes_key = Grip_obs.Metrics.key "migrate.chain_nodes"
 let cone_nodes_key = Grip_obs.Metrics.key "migrate.cone_nodes"
 let walk_nodes_key = Grip_obs.Metrics.key "migrate.walk_nodes"
 
-(** [migrate ctx ?hooks ~target ~op_id ()] — see module comment.
-    Returns how far the operation got. *)
-let migrate (ctx : Ctx.t) ?(hooks = no_hooks) ~target ~op_id () =
+(** [run w ~target ~op_id] — migrate [op_id] toward [target] (see the
+    module comment) with [w]'s context and hooks; how far it got is
+    read off [w] with {!moved}, {!reached_target}, {!final_id} and
+    {!last_failure}, or as an {!outcome}. *)
+let run w ~target ~op_id =
+  let ctx = w.w_ctx in
   let p = ctx.Ctx.program in
   let home = Program.home_int p op_id in
-  let w =
-    { w_ctx = ctx; w_hooks = hooks; w_moved = 0; w_current = op_id;
-      w_failure = None; w_visits = 0 }
-  in
+  w.w_target <- target;
+  w.w_home <- home;
+  w.w_moved <- 0;
+  w.w_current <- op_id;
+  w.w_failure <- None;
+  w.w_visits <- 0;
   let m = ctx.Ctx.obs.Grip_obs.metrics in
   let chain = on_chain ctx ~target ~home in
   Grip_obs.Metrics.bump m chain_nodes_key (Iarr.length ctx.Ctx.cone_queue);
@@ -272,19 +316,44 @@ let migrate (ctx : Ctx.t) ?(hooks = no_hooks) ~target ~op_id () =
      the view an eager collector would give.  The sweep is flushed
      before the outcome is computed (a dead operation must report no
      home). *)
-  if chain then Ctx.defer_gc ctx (fun () -> climb w ~target home)
+  if chain then Ctx.defer_gc ctx climb_walk w
   else begin
     (* Visited set: the context's epoch-stamped scratch table — one
        stamp bump instead of a fresh hash table per walk. *)
     Ctx.walk_begin ctx;
     let cone = mark_cone ctx ~target ~home in
-    Ctx.defer_gc ctx (fun () -> walk_go w target);
+    Ctx.defer_gc ctx cone_walk w;
     Grip_obs.Metrics.bump m cone_nodes_key cone;
     Grip_obs.Metrics.bump m walk_nodes_key w.w_visits
   end;
+  w.w_reached <- Program.home_int p w.w_current = target
+
+(** Successful one-node hops of the last {!run}. *)
+let moved w = w.w_moved
+
+(** Did the last {!run} leave the operation at its target? *)
+let reached_target w = w.w_reached
+
+(** The operation's id after the last {!run} (clones may rename it). *)
+let final_id w = w.w_current
+
+(** Why the last attempted hop of the last {!run} failed. *)
+let last_failure w = w.w_failure
+
+(** The last {!run} as an {!outcome}. *)
+let outcome w =
   {
     moved = w.w_moved;
-    reached_target = Program.home_int p w.w_current = target;
+    reached_target = w.w_reached;
     final_id = w.w_current;
     last_failure = w.w_failure;
   }
+
+(** [migrate ctx ?hooks ~target ~op_id ()] — one {!run} on a fresh
+    {!walker}, by default with {!no_hooks}: how far the operation got.
+    A driver that migrates in a loop keeps a {!walker} and calls {!run}
+    instead, which allocates nothing per migration. *)
+let migrate (ctx : Ctx.t) ?(hooks = no_hooks) ~target ~op_id () =
+  let w = walker ctx hooks in
+  run w ~target ~op_id;
+  outcome w

@@ -44,7 +44,7 @@ exception Fail of failure
 (* Forwarding of the jump's operands through copies in to_, sharing
    the logic (and failure mode) of Move_op. *)
 let forward_cj ~landing (to_node : Node.t) (cj : Operation.t) =
-  match Move_op.forward_sources ~landing to_node cj with
+  match Move_op.forward_sources to_node landing cj with
   | cj' -> cj'
   | exception Move_op.Fail (Move_op.True_dependence op) ->
       raise (Fail (True_dependence op))

@@ -37,10 +37,13 @@
     no per-node hash index is consulted.  The [*_scan] entry points
     keep the original list-scanning implementation alive as the
     equivalence oracle the test suite checks {!check} against.
-    Negative verdicts are memoized per program version in the context
-    ({!Ctx.legality_find}): the check has no effect on failure, so
-    replaying a cached failure is sound, while successful moves re-run
-    the check because committing consumes fresh names. *)
+    Verdicts are memoized in the context ({!Ctx.legality_hit}), one
+    slot per op, checked against the stamps of the move's two nodes:
+    the check has no effect on failure, so replaying a recorded
+    failure is sound, while successful moves re-run the check because
+    committing consumes fresh names.  On the failure paths the check
+    builds no closure and no option, and a failure without a payload
+    raises a preallocated exception. *)
 
 open Vliw_ir
 module Alias = Vliw_analysis.Alias
@@ -66,6 +69,12 @@ type report = {
 let pp_failure = Legality.pp_failure
 
 exception Fail of failure
+
+(* The failures without a payload, allocated once. *)
+let fail_not_adjacent = Fail Not_adjacent
+let fail_op_not_found = Fail Op_not_found
+let fail_guarded = Fail Guarded
+let fail_no_room = Fail No_room
 
 (* Forward [op]'s source operands through copies present in [to_] on a
    compatible path: a read of [d] where [to_] holds [d <- src] becomes
@@ -105,19 +114,42 @@ let forward_sources_with ~def_in_to (op : Operation.t) =
   in
   fix op 8
 
-let forward_sources ?(landing = []) (to_node : Node.t) op =
-  (* Fast path: when no source register of [op] has any path-compatible
-     definition in [to_], forwarding is the identity — skip the rebuild
-     loop entirely (the common case: most checked moves find nothing to
-     forward, and the loop allocates a fresh operation per round). *)
-  let has_def r =
-    List.exists
-      (fun (o : Operation.t) ->
-        Operation.defines_reg o r
-        && Operation.guard_compatible o.Operation.guard landing)
-      to_node.Node.ops
-  in
-  if not (Operation.exists_src_reg has_def op) then op
+(* Does an op of [ops] write [r] on a path compatible with [landing]? *)
+let rec defined_on ops landing r =
+  match ops with
+  | [] -> false
+  | (o : Operation.t) :: tl ->
+      (Operation.defines_reg o r
+      && Operation.guard_compatible o.Operation.guard landing)
+      || defined_on tl landing r
+
+let operand_defined_on ops landing = function
+  | Operand.Reg r | Operand.Regoff (r, _) -> defined_on ops landing r
+  | Operand.Imm _ -> false
+
+(* Does some source register of [op] have a path-compatible definition
+   in [ops]? *)
+let sources_defined_on ops landing (op : Operation.t) =
+  match op.Operation.kind with
+  | Operation.Binop (_, _, a, b) | Operation.Cjump (_, a, b) ->
+      operand_defined_on ops landing a || operand_defined_on ops landing b
+  | Operation.Unop (_, _, a) | Operation.Copy (_, a) ->
+      operand_defined_on ops landing a
+  | Operation.Load (_, { Operation.base; _ }) ->
+      operand_defined_on ops landing base
+  | Operation.Store ({ Operation.base; _ }, v) ->
+      operand_defined_on ops landing base || operand_defined_on ops landing v
+
+(* [forward_sources to_node landing op] — [op] with its sources
+   forwarded through the copies of [to_node] on a path compatible with
+   [landing] (see [forward_sources_with]).  Fast path: when no source
+   register of [op] has any path-compatible definition in [to_],
+   forwarding is the identity — skip the rebuild loop entirely (the
+   common case: most checked moves find nothing to forward, and the
+   loop allocates a fresh operation per round).  The test is top-level
+   recursion, so the fast path builds no closure. *)
+let forward_sources (to_node : Node.t) landing op =
+  if not (sources_defined_on to_node.Node.ops landing op) then op
   else
     forward_sources_with op ~def_in_to:(fun r ->
         List.find_opt
@@ -135,16 +167,50 @@ let forward_sources_scan ?(landing = []) (to_node : Node.t) op =
           && Operation.guard_compatible o.Operation.guard landing)
         to_node.Node.ops)
 
+(* Raise the first memory operation of [ops] on a path compatible with
+   [landing] that [op] conflicts with ([Alias.mem_conflict] needs
+   memory accesses on both sides, so only loads and stores can witness
+   one). *)
+let rec mem_scan ops landing op =
+  match ops with
+  | [] -> ()
+  | (o : Operation.t) :: tl ->
+      if
+        Operation.is_mem o
+        && Operation.guard_compatible o.Operation.guard landing
+        && Alias.mem_conflict o op
+      then raise_notrace (Fail (Mem_dependence o))
+      else mem_scan tl landing op
+
+(* Does an op of [ops] other than [op_id] read [d]? *)
+let rec read_among ops op_id d =
+  match ops with
+  | [] -> false
+  | (o : Operation.t) :: tl ->
+      (o.Operation.id <> op_id && Operation.reads_reg o d)
+      || read_among tl op_id d
+
+(* Does a conditional jump of the tree read [d]? *)
+let rec read_by_cjump d = function
+  | Ctree.Leaf _ -> false
+  | Ctree.Branch (cj, a, b) ->
+      Operation.reads_reg cj d || read_by_cjump d a || read_by_cjump d b
+
+let rec defined_among ops d =
+  match ops with
+  | [] -> false
+  | o :: tl -> Operation.defines_reg o d || defined_among tl d
+
 (* Decide legality; returns the op as it will appear in [to_] plus the
    renaming performed, or raises [Fail]. *)
 let check (ctx : Ctx.t) ~from_ ~to_ ~op_id =
   let p = ctx.Ctx.program in
-  if from_ = to_ then raise (Fail Not_adjacent);
+  if from_ = to_ then raise_notrace fail_not_adjacent;
   let to_node = Program.node p to_ and from_node = Program.node p from_ in
   let landing =
     match Ctree.path_to to_node.Node.ctree from_ with
     | Some path -> path
-    | None -> raise (Fail Not_adjacent)
+    | None -> raise_notrace fail_not_adjacent
   in
   (* plain ops only, like the node index's by-id table: a conditional
      jump with this id is Move_cj's business *)
@@ -153,55 +219,37 @@ let check (ctx : Ctx.t) ~from_ ~to_ ~op_id =
     | Some op
       when Program.home_int p op_id = from_ && not (Operation.is_cjump op) ->
         op
-    | Some _ | None -> raise (Fail Op_not_found)
+    | Some _ | None -> raise_notrace fail_op_not_found
   in
-  if op.Operation.guard <> [] then raise (Fail Guarded);
+  if op.Operation.guard <> [] then raise_notrace fail_guarded;
   (* 1. true dependences, forwarding through copies in to_ *)
-  let op = forward_sources ~landing to_node op in
-  (* 2. memory dependences against path-compatible ops of to_
-     ([Alias.mem_conflict] needs memory accesses on both sides, so only
-     the loads/stores of to_ can witness one — and only when the moved
-     op itself touches memory) *)
-  if Operation.mem_access op <> None then (
-    match
-      List.find_opt
-        (fun (o : Operation.t) ->
-          Operation.mem_access o <> None
-          && Operation.guard_compatible o.Operation.guard landing
-          && Alias.mem_conflict o op)
-        to_node.Node.ops
-    with
-    | Some o -> raise (Fail (Mem_dependence o))
-    | None -> ());
+  let op = forward_sources to_node landing op in
+  (* 2. memory dependences against path-compatible ops of to_ — only
+     when the moved op itself touches memory *)
+  if Operation.is_mem op then mem_scan to_node.Node.ops landing op;
   (* 3. resource room at to_ (packed per-node counters — no index) *)
   if not (Machine.room_for_packed ctx.Ctx.machine (Program.counts_packed p to_) op)
-  then raise (Fail No_room);
-  (* 4. move-past-read and same-destination conflicts *)
-  let op = { op with Operation.guard = landing } in
-  match Operation.def op with
-  | None -> (op, None)
-  | Some d ->
-      let past_read =
-        List.exists
-          (fun (o : Operation.t) ->
-            o.Operation.id <> op_id && Operation.reads_reg o d)
-          from_node.Node.ops
-        || Ctree.exists_cjump
-             (fun (o : Operation.t) -> Operation.reads_reg o d)
-             from_node.Node.ctree
-      in
-      (* one definition of a register per instruction, program-wide *)
-      let output_conflict =
-        List.exists
-          (fun (o : Operation.t) -> Operation.defines_reg o d)
-          to_node.Node.ops
-      in
-      if past_read || output_conflict then
+  then raise_notrace fail_no_room;
+  (* 4. move-past-read and same-destination conflicts (one definition
+     of a register per instruction, program-wide) *)
+  match op.Operation.kind with
+  | Operation.Store _ | Operation.Cjump _ ->
+      ({ op with Operation.guard = landing }, None)
+  | Operation.Binop (_, d, _, _)
+  | Operation.Unop (_, d, _)
+  | Operation.Copy (d, _)
+  | Operation.Load (d, _) ->
+      if
+        read_among from_node.Node.ops op_id d
+        || read_by_cjump d from_node.Node.ctree
+        || defined_among to_node.Node.ops d
+      then
         if ctx.Ctx.rename then
           let fresh = Program.fresh_reg p in
-          (Operation.with_def op fresh, Some (d, fresh))
-        else raise (Fail (Write_live d))
-      else (op, None)
+          ( Operation.with_def { op with Operation.guard = landing } fresh,
+            Some (d, fresh) )
+        else raise_notrace (Fail (Write_live d))
+      else ({ op with Operation.guard = landing }, None)
 
 (* The original list-scanning legality check, kept verbatim as the
    oracle for {!check}: identical decision and identical failure on
@@ -334,55 +382,80 @@ let commit (ctx : Ctx.t) ~from_ ~to_ ~op_id (moved_op, renamed) =
   Ctx.maybe_gc ctx;
   { op = moved_op; renamed; split; deleted_from }
 
-(* Run [check], consulting the per-version verdict cache first.  A
-   memoized failure short-circuits (checking mutates nothing on the
-   failure paths); a memoized success still re-runs the check, whose
-   decision — forwarded operands, fresh rename — is needed to commit. *)
+(* Run [check], consulting the memo first.  A recorded failure
+   short-circuits (checking mutates nothing on the failure paths); a
+   recorded success still re-runs the check, whose decision —
+   forwarded operands, fresh rename — is needed to commit. *)
 let cached_check (ctx : Ctx.t) ~from_ ~to_ ~op_id =
-  match Ctx.legality_find ctx ~from_ ~to_ ~op_id with
-  | Some (Error f) -> raise (Fail f)
-  | Some (Ok ()) | None -> (
-      match check ctx ~from_ ~to_ ~op_id with
-      | decision ->
-          Ctx.legality_store ctx ~from_ ~to_ ~op_id (Ok ());
-          decision
-      | exception Fail f ->
-          Ctx.legality_store ctx ~from_ ~to_ ~op_id (Error f);
-          raise (Fail f))
+  (if Ctx.legality_hit ctx ~from_ ~to_ ~op_id then
+     match Ctx.legality_verdict ctx op_id with
+     | Error f -> raise_notrace (Fail f)
+     | Ok () -> ());
+  match check ctx ~from_ ~to_ ~op_id with
+  | decision ->
+      Ctx.legality_store ctx ~from_ ~to_ ~op_id (Ok ());
+      decision
+  | exception (Fail f as e) ->
+      Ctx.legality_store ctx ~from_ ~to_ ~op_id (Error f);
+      raise_notrace e
 
 let check_key = Metrics.key "legality.check"
+
+(** One legality check in [check_sample] is timed, and the
+    [legality.check] timer gains [check_sample] times its duration: an
+    estimate of the time inside checks that spares the other checks
+    their clock reads and boxed sums. *)
+let check_sample = 64
+
+let timed_check (ctx : Ctx.t) m ~from_ ~to_ ~op_id =
+  let t0 = Unix.gettimeofday () in
+  let add () =
+    Metrics.add_time_key m check_key
+      (float_of_int check_sample *. (Unix.gettimeofday () -. t0))
+  in
+  match cached_check ctx ~from_ ~to_ ~op_id with
+  | decision ->
+      add ();
+      decision
+  | exception (Fail _ as e) ->
+      add ();
+      raise_notrace e
+
+(** [attempt ctx ~from_ ~to_ ~op_id] — {!move} that raises [Fail] on
+    failure, for drivers that record the cause without boxing a
+    result. *)
+let attempt (ctx : Ctx.t) ~from_ ~to_ ~op_id =
+  let m = ctx.Ctx.obs.Grip_obs.metrics in
+  let decision =
+    if Metrics.enabled m && Ctx.sample_tick ctx check_sample then
+      timed_check ctx m ~from_ ~to_ ~op_id
+    else cached_check ctx ~from_ ~to_ ~op_id
+  in
+  commit ctx ~from_ ~to_ ~op_id decision
 
 (** [move ctx ~from_ ~to_ ~op_id] attempts the transformation; on
     [Error _] the program is unchanged. *)
 let move (ctx : Ctx.t) ~from_ ~to_ ~op_id =
-  let m = ctx.Ctx.obs.Grip_obs.metrics in
-  let t0 = if Metrics.enabled m then Unix.gettimeofday () else 0.0 in
-  let result =
-    match cached_check ctx ~from_ ~to_ ~op_id with
-    | exception Fail f -> Error f
-    | decision -> Ok decision
-  in
-  if Metrics.enabled m then
-    Metrics.add_time_key m check_key (Unix.gettimeofday () -. t0);
-  match result with
-  | Error f -> Error f
-  | Ok decision -> Ok (commit ctx ~from_ ~to_ ~op_id decision)
+  match attempt ctx ~from_ ~to_ ~op_id with
+  | exception Fail f -> Error f
+  | r -> Ok r
 
 (** [would_move ctx ~from_ ~to_ ~op_id] is the legality test alone —
-    used by the Unifiable-ops baseline and by the Gapless search, which
-    must ask "could X move?" without mutating the program.  Verdicts
-    are served from the per-version cache when available. *)
+    the question "could X move?" asked without mutating the program.
+    Verdicts are served from the context's memo when it holds one for
+    this move; a replayed verdict allocates nothing. *)
 let would_move (ctx : Ctx.t) ~from_ ~to_ ~op_id =
-  match Ctx.legality_find ctx ~from_ ~to_ ~op_id with
-  | Some v -> v
-  | None ->
-      let v =
-        match check ctx ~from_ ~to_ ~op_id with
-        | exception Fail f -> Error f
-        | _ -> Ok ()
-      in
-      Ctx.legality_store ctx ~from_ ~to_ ~op_id v;
-      v
+  if Ctx.legality_hit ctx ~from_ ~to_ ~op_id then
+    Ctx.legality_verdict ctx op_id
+  else begin
+    let v =
+      match check ctx ~from_ ~to_ ~op_id with
+      | exception Fail f -> Error f
+      | _ -> Ok ()
+    in
+    Ctx.legality_store ctx ~from_ ~to_ ~op_id v;
+    v
+  end
 
 (** [would_move_scan ctx ~from_ ~to_ ~op_id] — the uncached,
     list-scanning legality test: the oracle {!would_move} is compared

@@ -79,6 +79,37 @@ let main_chain (p : Program.t) =
   in
   go [] p.Program.entry
 
+(* The available sets below are lists, newest first.  A kill returns
+   its list itself when no entry dies, and otherwise shares the suffix
+   after the last entry that dies: an op that kills nothing — most of
+   them — builds nothing. *)
+
+(* [avail] without the entries that read [r] (in the address base or
+   the value). *)
+let rec kill_mem_reg r avail =
+  match avail with
+  | [] -> avail
+  | (((a : Operation.addr), v) as e) :: tl ->
+      let tl' = kill_mem_reg r tl in
+      if Operand.uses_reg a.Operation.base r || Operand.uses_reg v r then tl'
+      else if tl' == tl then avail
+      else e :: tl'
+
+(* [avail] without the entries whose address may alias [addr]. *)
+let rec kill_aliases addr avail =
+  match avail with
+  | [] -> avail
+  | ((a, _) as e) :: tl ->
+      let tl' = kill_aliases addr tl in
+      if Alias.may_alias addr a then tl'
+      else if tl' == tl then avail
+      else e :: tl'
+
+(* The value of the newest entry at an address that must alias [a]. *)
+let rec available a = function
+  | [] -> None
+  | (a', v) :: tl -> if Alias.must_alias a a' then Some v else available a tl
+
 (** [forward_memory p] — on the main chain, replace a load whose
     address provably holds a known value (stored or loaded earlier,
     with no intervening may-aliasing store and no redefinition of the
@@ -89,63 +120,79 @@ let forward_memory (p : Program.t) =
   let rewritten = ref 0 in
   (* available: (addr, operand holding the value) *)
   let avail : (Operation.addr * Operand.t) list ref = ref [] in
-  let kill_reg r =
-    avail :=
-      List.filter
-        (fun ((a : Operation.addr), v) ->
-          (not (List.exists (Reg.equal r) (Operand.regs a.Operation.base)))
-          && not (List.exists (Reg.equal r) (Operand.regs v)))
-        !avail
-  in
-  let kill_store addr =
-    avail := List.filter (fun (a, _) -> not (Alias.may_alias addr a)) !avail
-  in
   List.iter
     (fun nid ->
       let n = Program.node p nid in
       List.iter
         (fun (op : Operation.t) ->
-          (match op.Operation.kind with
-          | Operation.Load (d, a) -> (
-              match
-                List.find_opt (fun (a', _) -> Alias.must_alias a a') !avail
-              with
-              | Some (_, v) ->
+          match op.Operation.kind with
+          | Operation.Load (d, a) ->
+              (match available a !avail with
+              | Some v ->
                   Program.replace_op p nid
                     { op with Operation.kind = Operation.Copy (d, v) };
-                  incr rewritten;
-                  kill_reg d;
-                  avail := (a, Operand.Reg d) :: !avail
-              | None ->
-                  kill_reg d;
-                  avail := (a, Operand.Reg d) :: !avail)
-          | Operation.Store (a, v) ->
-              kill_store a;
-              avail := (a, v) :: !avail
-          | Operation.Binop _ | Operation.Unop _ | Operation.Copy _ -> (
-              match Operation.def op with
-              | Some d -> kill_reg d
-              | None -> ())
-          | Operation.Cjump _ -> ()))
+                  incr rewritten
+              | None -> ());
+              avail := (a, Operand.Reg d) :: kill_mem_reg d !avail
+          | Operation.Store (a, v) -> avail := (a, v) :: kill_aliases a !avail
+          | Operation.Binop (_, d, _, _)
+          | Operation.Unop (_, d, _)
+          | Operation.Copy (d, _) ->
+              avail := kill_mem_reg d !avail
+          | Operation.Cjump _ -> ())
         n.Node.ops)
     chain;
   !rewritten
 
+(* [env] without the copies of [r] and those whose source reads [r]. *)
+let rec kill_copy_reg r env =
+  match env with
+  | [] -> env
+  | ((d, v) as e) :: tl ->
+      let tl' = kill_copy_reg r tl in
+      if Reg.equal d r || Operand.uses_reg v r then tl'
+      else if tl' == tl then env
+      else e :: tl'
+
+(* Does [o] read the destination of a copy in [env]? *)
+let rec reads_copied env o =
+  match env with
+  | [] -> false
+  | (d, _) :: tl -> Operand.uses_reg o d || reads_copied tl o
+
+(* Does a source operand of [op] read a copy's destination? *)
+let sources_read_copied env (op : Operation.t) =
+  match op.Operation.kind with
+  | Operation.Binop (_, _, a, b) | Operation.Cjump (_, a, b) ->
+      reads_copied env a || reads_copied env b
+  | Operation.Unop (_, _, a) | Operation.Copy (_, a) -> reads_copied env a
+  | Operation.Load (_, { Operation.base; _ }) -> reads_copied env base
+  | Operation.Store ({ Operation.base; _ }, v) ->
+      reads_copied env base || reads_copied env v
+
 (** [forward_copies p] — on the main chain, rewrite every use of a
     copy's destination into a use of its source (when the source is
     not redefined in between), enabling [eliminate_dead] to collect
-    the copies.  Returns the number of operand rewrites. *)
+    the copies.  Returns the number of operand rewrites.  An op none of
+    whose operands reads a copy's destination is left as it is. *)
 let forward_copies (p : Program.t) =
   let chain = main_chain p in
   let rewrites = ref 0 in
-  (* copy environment: dst reg -> source operand *)
+  (* copy environment, newest first: dst reg -> source operand *)
   let env : (Reg.t * Operand.t) list ref = ref [] in
-  let kill_reg r =
-    env :=
-      List.filter
-        (fun (d, v) ->
-          (not (Reg.equal d r)) && not (List.exists (Reg.equal r) (Operand.regs v)))
-        !env
+  (* [o] forwarded through every copy of the environment in turn,
+     newest first *)
+  let forward o =
+    List.fold_left
+      (fun o (d, v) ->
+        if not (Operand.uses_reg o d) then o
+        else
+          match Operand.forward o ~copy_dst:d ~copy_src:v with
+          | Some o' ->
+              if not (Operand.equal o o') then incr rewrites;
+              o'
+          | None -> o)
+      o !env
   in
   List.iter
     (fun nid ->
@@ -153,24 +200,21 @@ let forward_copies (p : Program.t) =
       List.iter
         (fun (op : Operation.t) ->
           let op' =
-            Operation.map_operands
-              (fun o ->
-                List.fold_left
-                  (fun o (d, v) ->
-                    match Operand.forward o ~copy_dst:d ~copy_src:v with
-                    | Some o' ->
-                        if not (Operand.equal o o') then incr rewrites;
-                        o'
-                    | None -> o)
-                  o !env)
-              op
+            if not (sources_read_copied !env op) then op
+            else begin
+              let op' = Operation.map_operands forward op in
+              if op'.Operation.kind <> op.Operation.kind then
+                Program.replace_op p nid op';
+              op'
+            end
           in
-          if op'.Operation.kind <> op.Operation.kind then
-            Program.replace_op p nid op';
-          (match Operation.def op' with Some d -> kill_reg d | None -> ());
           match op'.Operation.kind with
-          | Operation.Copy (d, v) -> env := (d, v) :: !env
-          | _ -> ())
+          | Operation.Copy (d, v) -> env := (d, v) :: kill_copy_reg d !env
+          | Operation.Binop (_, d, _, _)
+          | Operation.Unop (_, d, _)
+          | Operation.Load (d, _) ->
+              env := kill_copy_reg d !env
+          | Operation.Store _ | Operation.Cjump _ -> ())
         n.Node.ops)
     chain;
   !rewrites

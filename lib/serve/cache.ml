@@ -52,26 +52,51 @@ let measure_bytes v = (1 + Obj.reachable_words (Obj.repr v)) * word_bytes
 
 (* The content address of the lowered kernel alone: everything that
    determines the scheduling problem except the machine and technique.
-   The kernel's [name] and [description] are deliberately excluded. *)
-let kernel_content ppf (k : Grip.Kernel.t) =
+   The kernel's [name] and [description] are deliberately excluded.
+   Written straight into the buffer with the IR's text writers, so a
+   request's key costs no [Format]; the bytes are those of the
+   [Format] renderer it replaced, which the tests keep as the oracle. *)
+let write_kernel_content buf (k : Grip.Kernel.t) =
+  let add = Buffer.add_string buf and sep () = Buffer.add_char buf ';' in
   let ops which l =
-    Format.fprintf ppf "%s:" which;
-    List.iter (fun op -> Format.fprintf ppf "%a;" Vliw_ir.Operation.pp_kind op) l
+    add which;
+    Buffer.add_char buf ':';
+    List.iter
+      (fun op ->
+        Vliw_ir.Operation.write_kind buf op;
+        sep ())
+      l
   in
   ops "pre" k.Grip.Kernel.pre;
   ops "body" k.Grip.Kernel.body;
-  Format.fprintf ppf "ivar=%a;step=%d;bound=%a;" Vliw_ir.Reg.pp
-    k.Grip.Kernel.ivar k.Grip.Kernel.step Vliw_ir.Operand.pp
-    k.Grip.Kernel.bound;
+  add "ivar=";
+  add (Vliw_ir.Reg.to_string k.Grip.Kernel.ivar);
+  add ";step=";
+  add (Int.to_string k.Grip.Kernel.step);
+  add ";bound=";
+  add (Vliw_ir.Operand.to_string k.Grip.Kernel.bound);
+  sep ();
   List.iter
-    (fun r -> Format.fprintf ppf "obs=%a;" Vliw_ir.Reg.pp r)
+    (fun r ->
+      add "obs=";
+      add (Vliw_ir.Reg.to_string r);
+      sep ())
     k.Grip.Kernel.observable;
   List.iter
-    (fun (sym, n) -> Format.fprintf ppf "arr=%s[%d];" sym n)
+    (fun (sym, n) ->
+      add "arr=";
+      add sym;
+      Buffer.add_char buf '[';
+      add (Int.to_string n);
+      add "];")
     k.Grip.Kernel.arrays;
   List.iter
     (fun (r, v) ->
-      Format.fprintf ppf "param=%a=%a;" Vliw_ir.Reg.pp r Vliw_ir.Value.pp v)
+      add "param=";
+      add (Vliw_ir.Reg.to_string r);
+      Buffer.add_char buf '=';
+      add (Vliw_ir.Value.to_string v);
+      sep ())
     k.Grip.Kernel.params
 
 (** [kernel_key kernel] — digest of the lowered kernel content alone
@@ -80,9 +105,7 @@ let kernel_content ppf (k : Grip.Kernel.t) =
     identity to dedupe kernel sources by. *)
 let kernel_key (k : Grip.Kernel.t) =
   let buf = Buffer.create 512 in
-  let ppf = Format.formatter_of_buffer buf in
-  kernel_content ppf k;
-  Format.pp_print_flush ppf ();
+  write_kernel_content buf k;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (** [key ~fus ~method_ kernel] — the content address: a digest over
@@ -90,10 +113,11 @@ let kernel_key (k : Grip.Kernel.t) =
     kernel's [name] and [description] are deliberately excluded. *)
 let key ~fus ~method_ (k : Grip.Kernel.t) =
   let buf = Buffer.create 512 in
-  let ppf = Format.formatter_of_buffer buf in
-  kernel_content ppf k;
-  Format.fprintf ppf "fus=%d;method=%s" fus method_;
-  Format.pp_print_flush ppf ();
+  write_kernel_content buf k;
+  Buffer.add_string buf "fus=";
+  Buffer.add_string buf (Int.to_string fus);
+  Buffer.add_string buf ";method=";
+  Buffer.add_string buf method_;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (** [schedule_digest program] — hex digest of the fully rendered

@@ -351,7 +351,8 @@ let prop_flat_order =
             Option.iter (delete_emptied p) (pick_deletable p next);
             order_agrees "deferred, after a deletion" p;
             if unreachable_nodes p <> [] then dead_seen := true;
-            order_agrees "deferred, dead nodes" p);
+            order_agrees "deferred, dead nodes" p)
+          ();
         order_agrees "after gc" p;
         if round mod 3 = 0 then begin
           let snap = Program.snapshot p in
@@ -434,7 +435,8 @@ let prop_preds_list_model =
                 QCheck2.Test.fail_reportf
                   "restore re-queued %d dead node(s), %d were captured" k dead
             end
-            else ignore (gc_exactly p));
+            else ignore (gc_exactly p))
+          ();
         check ();
         match Program.check_derived_state p with
         | None -> ()
@@ -511,6 +513,324 @@ let flat_accessors_agree () =
       ("LL5", 8, Grip.Pipeline.Grip);
       ("LL7", 4, Grip.Pipeline.Grip_no_gap);
     ]
+
+(* 7. the legality memo replays only what the check would decide.
+   The oracle is the list-scanning check on the op's home.  For an op
+   placed elsewhere it is the home rule: [from_] does not hold it, so
+   the answer is [Not_adjacent] or [Op_not_found] whatever [from_]'s op
+   list still says (a node [Move_cj] leaves to die keeps the records of
+   the ops its true arm took over, under their old ids). *)
+let oracle_verdict (ctx : Ctx.t) ~from_ ~to_ ~op_id =
+  let p = ctx.Ctx.program in
+  if Program.home_int p op_id = from_ then
+    Move_op.would_move_scan ctx ~from_ ~to_ ~op_id
+  else if
+    from_ = to_ || Ctree.path_to (Program.node p to_).Node.ctree from_ = None
+  then Error Move_op.Not_adjacent
+  else Error Move_op.Op_not_found
+
+let show_verdict = function Ok () -> "ok" | Error f -> failure_str f
+
+(* Run over the whole property, so that a later case can check the
+   sweep reached what it must. *)
+let memo_queries = ref 0
+let memo_moved_home = ref 0
+let memo_splits = ref 0
+let memo_cj_moves = ref 0
+
+(* [would_move] twice (a miss, then a hit) against the oracle, on a
+   query whose two nodes still exist. *)
+let memo_agrees what (ctx : Ctx.t) (from_, to_, op_id) =
+  let p = ctx.Ctx.program in
+  if Program.node_opt p from_ <> None && Program.node_opt p to_ <> None then begin
+    incr memo_queries;
+    if Program.home_int p op_id <> from_ then incr memo_moved_home;
+    let want = oracle_verdict ctx ~from_ ~to_ ~op_id in
+    let first = Move_op.would_move ctx ~from_ ~to_ ~op_id in
+    let again = Move_op.would_move ctx ~from_ ~to_ ~op_id in
+    if not (verdicts_agree want first && verdicts_agree want again) then
+      QCheck2.Test.fail_reportf
+        "%s: would_move (n%d -> n%d, op %d) = %s then %s, check_scan %s" what
+        from_ to_ op_id (show_verdict first) (show_verdict again)
+        (show_verdict want)
+  end
+
+(* [Move_op.move] against the oracle asked just before it. *)
+let move_agrees (ctx : Ctx.t) (from_, to_, op_id) =
+  let want = oracle_verdict ctx ~from_ ~to_ ~op_id in
+  let got =
+    match Move_op.move ctx ~from_ ~to_ ~op_id with
+    | Ok r ->
+        if r.Move_op.split <> None then incr memo_splits;
+        Ok ()
+    | Error f -> Error f
+  in
+  if not (verdicts_agree want got) then
+    QCheck2.Test.fail_reportf "move (n%d -> n%d, op %d) = %s, check_scan %s"
+      from_ to_ op_id (show_verdict got) (show_verdict want)
+
+(* Programs with joins, edited by migrations (splits and [Move_cj]
+   moves among their hops), direct moves and direct [Move_cj] moves.
+   Each round asks every live candidate and every candidate of the
+   round before (whose op may have left, or whose nodes may have been
+   edited since), and the migrations ask the hop at hand plus the old
+   candidates from inside their walks, where collection is deferred
+   and dead nodes stay in the table. *)
+(* Every (node, predecessor, op) triple in the table, dead nodes
+   included: a node [Move_cj] left to die still lists the ops its true
+   arm took over, and still points at its old successors. *)
+let table_candidates p =
+  Program.fold_nodes p
+    (fun (n : Node.t) acc ->
+      if Program.is_exit p n.Node.id then acc
+      else
+        List.fold_left
+          (fun acc s ->
+            match Program.node_opt p s with
+            | Some sn when not (Program.is_exit p s) ->
+                List.fold_left
+                  (fun acc (op : Operation.t) -> (s, n.Node.id, op.Operation.id) :: acc)
+                  acc sn.Node.ops
+            | Some _ | None -> acc)
+          acc
+          (Ctree.succs n.Node.ctree))
+    []
+
+(* Two [Move_cj] moves with collection deferred: a node's root jump,
+   then, when that left the node to die, the root jump of one of its
+   successors.  Its ops move to the successor's true arm under their
+   ids, and neither the dead node nor the successor is edited: only
+   the op's home tells the memo that the successor no longer holds
+   them.  Every triple in the table is asked before the sweep. *)
+let deferred_cj_pair (ctx : Ctx.t) pick =
+  let p = ctx.Ctx.program in
+  Ctx.defer_gc ctx
+    (fun () ->
+      match cj_candidates p with
+      | [] -> ()
+      | l ->
+          let from_, to_, cj_id = pick l in
+          if Result.is_ok (Move_cj.move ctx ~from_ ~to_ ~cj_id) then begin
+            incr memo_cj_moves;
+            if not (Program.is_live p from_) then begin
+              let below = Ctree.succs (Program.node p from_).Node.ctree in
+              match
+                List.filter (fun (s, _, _) -> List.mem s below) (cj_candidates p)
+              with
+              | [] -> ()
+              | l ->
+                  let from_, to_, cj_id = pick l in
+                  if Result.is_ok (Move_cj.move ctx ~from_ ~to_ ~cj_id) then
+                    incr memo_cj_moves
+            end
+          end;
+          List.iter (memo_agrees "table, collection deferred" ctx)
+            (table_candidates p))
+    ()
+
+let prop_memo_sound =
+  QCheck2.Test.make ~name:"memo == check_scan across edits" ~count:40
+    ~print:print_spec spec_gen (fun spec ->
+      let p, exit_live = joined_program spec ~joins:3 in
+      let ctx = Ctx.make p ~machine:(Machine.homogeneous 3) ~exit_live in
+      let next = make_rng (spec.Synthetic.seed + 41) in
+      let old = ref [] in
+      let hooks =
+        {
+          Vliw_percolation.Migrate.no_hooks with
+          allow_hop =
+            (fun ~from_ ~to_ ~op ->
+              memo_agrees "inside a walk" ctx (from_, to_, op.Operation.id);
+              List.iteri
+                (fun i q -> if i land 7 = 0 then memo_agrees "stale, in a walk" ctx q)
+                !old;
+              true);
+        }
+      in
+      let pick l = List.nth l (next (List.length l)) in
+      for _round = 1 to 6 do
+        let cands = all_candidates p in
+        List.iter (memo_agrees "stale" ctx) !old;
+        List.iter (memo_agrees "live" ctx) cands;
+        old := cands;
+        deferred_cj_pair ctx pick;
+        for _ = 1 to 3 do
+          ignore (migrate_random ~hooks ctx next)
+        done;
+        for _ = 1 to 3 do
+          match all_candidates p with
+          | [] -> ()
+          | l -> move_agrees ctx (pick l)
+        done;
+        (match cj_candidates p with
+        | [] -> ()
+        | l ->
+            let from_, to_, cj_id = pick l in
+            if Result.is_ok (Move_cj.move ctx ~from_ ~to_ ~cj_id) then
+              incr memo_cj_moves);
+        List.iter (memo_agrees "after edits" ctx) !old
+      done;
+      true)
+
+(* The sweep above must have asked about ops that left [from_], and
+   its edits must have split nodes and moved conditional jumps. *)
+let test_memo_sweep_reach () =
+  Alcotest.(check bool) "queries asked" true (!memo_queries > 0);
+  Alcotest.(check bool) "ops asked about after leaving from_" true
+    (!memo_moved_home > 0);
+  Alcotest.(check bool) "moves split a node" true (!memo_splits > 0);
+  Alcotest.(check bool) "Move_cj moves" true (!memo_cj_moves > 0)
+
+(* A recorded failure, edit by edit.  entry -> a -> b -> c -> d -> e on
+   a 2-wide machine: [b] holds two ops (full), so the op of [c] cannot
+   move into it; [e]'s op can move into [d].  The failure must be
+   replayed (a hit) across that unrelated commit and recomputed (a miss)
+   after any edit of [b]'s or [c]'s ops, tree or leaves. *)
+let memo_fixture () =
+  let k i = Operation.Copy (Reg.of_int i, Operand.Imm (Value.I i)) in
+  let p = Builder.straight [ k 0; k 1; k 2; k 3; k 4; k 5 ] in
+  let ids =
+    List.filter
+      (fun id -> id <> p.Program.entry && not (Program.is_exit p id))
+      (Program.rpo p)
+  in
+  let node i = List.nth ids i in
+  (* a = n(0), b = n(1) holding ops 1 and 2, c, d, e *)
+  let op_of id = List.hd (Program.node p id).Node.ops in
+  let two = op_of (node 2) in
+  Program.remove_op p (node 2) two.Operation.id;
+  Program.add_op p (node 1) two;
+  Program.delete_node p (node 2);
+  let ids =
+    List.filter
+      (fun id -> id <> p.Program.entry && not (Program.is_exit p id))
+      (Program.rpo p)
+  in
+  let metrics = Grip_obs.Metrics.create () in
+  let ctx =
+    Ctx.make ~obs:(Grip_obs.make ~metrics ()) p
+      ~machine:(Machine.homogeneous 2) ~exit_live:Reg.Set.empty
+  in
+  (p, ctx, metrics, Array.of_list ids, op_of)
+
+let memo_counts metrics =
+  ( Grip_obs.Metrics.counter metrics "legality.cache_hits",
+    Grip_obs.Metrics.counter metrics "legality.cache_misses" )
+
+(* Ask (c -> b) for [c]'s op and check hit or miss and the verdict. *)
+let ask_recorded what (_, ctx, metrics, ids, op_of) ~hit =
+  let b = ids.(1) and c = ids.(2) in
+  let op_id = (op_of c).Operation.id in
+  let h0, m0 = memo_counts metrics in
+  let got = Move_op.would_move ctx ~from_:c ~to_:b ~op_id in
+  let h1, m1 = memo_counts metrics in
+  Alcotest.(check (pair int int))
+    (what ^ (if hit then ": a hit" else ": a miss"))
+    (if hit then (1, 0) else (0, 1))
+    (h1 - h0, m1 - m0);
+  Alcotest.(check string) (what ^ ": the check's verdict")
+    (show_verdict (oracle_verdict ctx ~from_:c ~to_:b ~op_id))
+    (show_verdict got);
+  got
+
+let test_memo_edits () =
+  let fresh_op (p : Program.t) =
+    Operation.make ~id:(Program.fresh_op_id p)
+      (Operation.Copy (Program.fresh_reg p, Operand.Imm (Value.I 7)))
+  in
+  let edits =
+    [
+      ("add_op on to_", fun (p, ids, _) -> Program.add_op p ids.(1) (fresh_op p));
+      ("add_op on from_", fun (p, ids, _) -> Program.add_op p ids.(2) (fresh_op p));
+      ( "remove_op on to_",
+        fun (p, ids, op_of) ->
+          Program.remove_op p ids.(1) (op_of ids.(1)).Operation.id );
+      ( "replace_op on to_",
+        fun (p, ids, op_of) -> Program.replace_op p ids.(1) (op_of ids.(1)) );
+      ( "replace_op on from_",
+        fun (p, ids, op_of) -> Program.replace_op p ids.(2) (op_of ids.(2)) );
+      ("take_ops on to_", fun (p, ids, _) -> ignore (Program.take_ops p ids.(1)));
+      ( "set_ctree on to_",
+        fun (p, ids, _) -> Program.set_ctree p ids.(1) (Ctree.leaf ids.(2)) );
+      ( "set_ctree on from_",
+        fun (p, ids, _) -> Program.set_ctree p ids.(2) (Ctree.leaf ids.(3)) );
+      ( "redirect on to_",
+        fun (p, ids, _) ->
+          Program.redirect p ~from_:ids.(1) ~old_:ids.(2) ~new_:ids.(2) );
+      ( "redirect on from_",
+        fun (p, ids, _) ->
+          Program.redirect p ~from_:ids.(2) ~old_:ids.(3) ~new_:ids.(3) );
+      ( "delete_node below from_",
+        fun (p, ids, _) ->
+          (* empty d, then delete it: c's leaf is relinked past it *)
+          Synthetic_gen.delete_emptied p ids.(3) );
+      ( "restore",
+        fun (p, _, _) -> Program.restore p (Program.snapshot p) );
+    ]
+  in
+  List.iter
+    (fun (what, edit) ->
+      let ((p, ctx, _, ids, op_of) as fx) = memo_fixture () in
+      Alcotest.(check string) (what ^ ": b is full") "no free resources in to-node"
+        (show_verdict (ask_recorded (what ^ ", first ask") fx ~hit:false));
+      (* an unrelated commit: e's op into d *)
+      let e = ids.(4) and d = ids.(3) in
+      (match Move_op.move ctx ~from_:e ~to_:d ~op_id:(op_of e).Operation.id with
+      | Ok _ -> ()
+      | Error f -> Alcotest.failf "%s: the unrelated move failed: %s" what (failure_str f));
+      ignore (ask_recorded (what ^ ", after the unrelated commit") fx ~hit:true);
+      edit (p, ids, op_of);
+      ignore (ask_recorded (what ^ ", after the edit") fx ~hit:false))
+    edits;
+  (* an op re-homed by a node that takes over its record (as a
+     [Move_cj] true arm does) without an edit of its old home *)
+  let ((p, _, _, ids, op_of) as fx) = memo_fixture () in
+  ignore (ask_recorded "re-homed, first ask" fx ~hit:false);
+  ignore
+    (Program.fresh_node p ~ops:[ op_of ids.(2) ]
+       ~ctree:(Ctree.leaf p.Program.exit_id));
+  Alcotest.(check string) "re-homed: not in from_ any more" "operation not in from-node"
+    (show_verdict (ask_recorded "re-homed, asked again" fx ~hit:false))
+
+(* 8. allocation pins: a replayed verdict, the Gapless test, the alias
+   test and the destination test allocate nothing. *)
+let test_hop_path_no_alloc () =
+  let kern = (Option.get (Workloads.Livermore.find "LL1")).Workloads.Livermore.kernel in
+  let p = (Grip.Unwind.build kern ~horizon:6).Grip.Unwind.program in
+  let ctx =
+    Ctx.make p ~machine:(Machine.homogeneous 2)
+      ~exit_live:(Grip.Kernel.exit_live kern)
+  in
+  (* a hop whose op belongs to an iteration, so the Gapless test runs
+     its searches, and a store and a load for the alias test *)
+  let from_, to_, op_id =
+    List.find
+      (fun (s, _, oid) ->
+        (Option.get (Program.stored_op p oid)).Operation.iter <> Operation.no_iter
+        && List.length (Program.node p s).Node.ops = 1)
+      (all_candidates p)
+  in
+  let op = Option.get (Program.stored_op p op_id) in
+  let all = Program.all_ops p in
+  let store = List.find Operation.is_store all and load = List.find Operation.is_load all in
+  let memo = Grip.Gapless.create_memo () in
+  let d = Reg.of_int 3 in
+  let count what f =
+    f ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      f ()
+    done;
+    Alcotest.(check (float 0.0)) (what ^ ": minor words over 10,000 calls") 0.0
+      (Gc.minor_words () -. w0)
+  in
+  count "memo-hit would_move" (fun () ->
+      ignore (Move_op.would_move ctx ~from_ ~to_ ~op_id));
+  count "Gapless.ok" (fun () ->
+      ignore (Grip.Gapless.ok ctx memo ~from_ ~to_ ~op));
+  count "Alias.mem_conflict" (fun () ->
+      ignore (Vliw_analysis.Alias.mem_conflict store load));
+  count "Operation.defines_reg" (fun () -> ignore (Operation.defines_reg op d))
 
 (* 4. full pipelines leave every maintained structure coherent *)
 let prop_pipeline_coherent =
@@ -595,6 +915,14 @@ let () =
         prop_pipeline_coherent;
       ]
   in
+  let memo_suite =
+    [
+      QCheck_alcotest.to_alcotest prop_memo_sound;
+      Alcotest.test_case "sweep hit moved homes, splits, Move_cj" `Quick
+        test_memo_sweep_reach;
+      Alcotest.test_case "recorded failure across edits" `Quick test_memo_edits;
+    ]
+  in
   Alcotest.run "index"
     [
       ("qcheck", qsuite);
@@ -606,4 +934,8 @@ let () =
       ( "digests",
         [ Alcotest.test_case "Livermore subset byte-identical" `Quick
             digest_subset ] );
+      ("memo", memo_suite);
+      ( "alloc",
+        [ Alcotest.test_case "no allocation on the hop path" `Quick
+            test_hop_path_no_alloc ] );
     ]

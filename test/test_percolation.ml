@@ -491,6 +491,86 @@ let test_redundant_load_load () =
   Alcotest.(check int) "second load forwarded" 1 n;
   check_wf p
 
+(* -- redundancy oracle: the sharing kills against the old passes ------ *)
+
+(* [Redundant.cleanup] and the old passes (redundant_oracle.ml) on two
+   builds of one unwound kernel: the same (loads, copies, dead) triple
+   and the same schedule text. *)
+let cleanup_pair kern ~horizon =
+  let build () = (Grip.Unwind.build kern ~horizon).Grip.Unwind.program in
+  let exit_live = Grip.Kernel.exit_live kern in
+  let p = build () and q = build () in
+  let got = Redundant.cleanup p ~exit_live in
+  let want = Redundant_oracle.cleanup q ~exit_live in
+  (got, want, Program.to_string p, Program.to_string q)
+
+let triple = Alcotest.(triple int int int)
+
+let test_redundancy_oracle_livermore () =
+  let loads = ref 0 and copies = ref 0 in
+  List.iter
+    (fun (e : Workloads.Livermore.entry) ->
+      let kern = e.Workloads.Livermore.kernel in
+      for horizon = 6 to 22 do
+        let got, want, pt, qt = cleanup_pair kern ~horizon in
+        let what = Printf.sprintf "%s horizon %d" kern.Grip.Kernel.name horizon in
+        Alcotest.check triple (what ^ " counts") want got;
+        Alcotest.(check string) (what ^ " program") qt pt;
+        let l, c, _ = got in
+        loads := !loads + l;
+        copies := !copies + c
+      done)
+    Workloads.Livermore.all;
+  (* the sweep must exercise both forwarding passes *)
+  Alcotest.(check bool) "loads forwarded" true (!loads > 0);
+  Alcotest.(check bool) "copies forwarded" true (!copies > 0)
+
+let prop_redundancy_oracle =
+  QCheck2.Test.make ~name:"cleanup == old passes on Synthetic" ~count:60
+    ~print:QCheck2.Print.(pair Synthetic_gen.print_spec int)
+    QCheck2.Gen.(pair Synthetic_gen.spec_gen (int_range 4 12))
+    (fun (spec, horizon) ->
+      let got, want, pt, qt = cleanup_pair (Synthetic.generate spec) ~horizon in
+      got = want && String.equal pt qt)
+
+(* Straight-line code over four registers and two three-word arrays,
+   so that a stored or copied value's register is often redefined
+   before its address or copy is read again: the kills the passes must
+   get right. *)
+let straight_kind_gen =
+  QCheck2.Gen.(
+    let r = map Reg.of_int (int_range 0 3) in
+    let operand =
+      oneof
+        [ map (fun x -> Operand.Reg x) r; map imm (int_range 0 2);
+          map2 (fun x c -> Operand.Regoff (x, c)) r (int_range (-1) 1) ]
+    in
+    let address =
+      map3
+        (fun sym base offset -> { Operation.sym; base; offset })
+        (oneofl [ "x"; "y" ]) operand (int_range 0 2)
+    in
+    oneof
+      [
+        map2 (fun d a -> Operation.Copy (d, a)) r operand;
+        map3 (fun d a b -> Operation.Binop (Opcode.Add, d, a, b)) r operand operand;
+        map2 (fun d a -> Operation.Load (d, a)) r address;
+        map2 (fun a v -> Operation.Store (a, v)) address operand;
+      ])
+
+let prop_redundancy_oracle_straight =
+  QCheck2.Test.make ~name:"cleanup == old passes on straight-line code"
+    ~count:300
+    ~print:(fun kinds ->
+      String.concat "; " (List.map (Format.asprintf "%a" Operation.pp_kind) kinds))
+    QCheck2.Gen.(list_size (int_range 1 24) straight_kind_gen)
+    (fun kinds ->
+      let exit_live = Reg.Set.of_list [ reg 0; reg 1 ] in
+      let p = Builder.straight kinds and q = Builder.straight kinds in
+      let got = Redundant.cleanup p ~exit_live in
+      let want = Redundant_oracle.cleanup q ~exit_live in
+      got = want && String.equal (Program.to_string p) (Program.to_string q))
+
 (* -- walk exactness: the cone-pruned walk against a full walk --------- *)
 
 (* The migration walk without cone pruning, on the public [Migrate.hop]:
@@ -552,7 +632,7 @@ let full_migrate (ctx : Ctx.t) hooks ~target ~op_id =
     { f_ctx = ctx; f_hooks = hooks; f_moved = 0; f_current = op_id;
       f_failure = None; f_visits = 0 }
   in
-  Ctx.defer_gc ctx (fun () -> full_go w target);
+  Ctx.defer_gc ctx (fun () -> full_go w target) ();
   ( {
       Migrate.moved = w.f_moved;
       reached_target = Program.home_int p w.f_current = target;
@@ -952,5 +1032,9 @@ let () =
           Alcotest.test_case "dead copy" `Quick test_redundant_dead_copy;
           Alcotest.test_case "store-load forward" `Quick test_redundant_store_load_forward;
           Alcotest.test_case "load-load" `Quick test_redundant_load_load;
+          Alcotest.test_case "oracle on Livermore" `Quick
+            test_redundancy_oracle_livermore;
+          QCheck_alcotest.to_alcotest prop_redundancy_oracle;
+          QCheck_alcotest.to_alcotest prop_redundancy_oracle_straight;
         ] );
     ]

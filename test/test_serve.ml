@@ -230,6 +230,79 @@ let cache_key_content_addressed () =
   Alcotest.(check bool) "fus changes the key" true
     (Cache.key ~fus:4 ~method_:"grip" k <> Cache.key ~fus:8 ~method_:"grip" k)
 
+(* The cache keys' content text as it was rendered through [Format]
+   before [Cache] wrote it into a buffer: the oracle the keys must keep
+   matching byte for byte. *)
+let format_kernel_content ppf (k : Grip.Kernel.t) =
+  let ops which l =
+    Format.fprintf ppf "%s:" which;
+    List.iter (fun op -> Format.fprintf ppf "%a;" Vliw_ir.Operation.pp_kind op) l
+  in
+  ops "pre" k.Grip.Kernel.pre;
+  ops "body" k.Grip.Kernel.body;
+  Format.fprintf ppf "ivar=%a;step=%d;bound=%a;" Vliw_ir.Reg.pp
+    k.Grip.Kernel.ivar k.Grip.Kernel.step Vliw_ir.Operand.pp
+    k.Grip.Kernel.bound;
+  List.iter
+    (fun r -> Format.fprintf ppf "obs=%a;" Vliw_ir.Reg.pp r)
+    k.Grip.Kernel.observable;
+  List.iter
+    (fun (sym, n) -> Format.fprintf ppf "arr=%s[%d];" sym n)
+    k.Grip.Kernel.arrays;
+  List.iter
+    (fun (r, v) ->
+      Format.fprintf ppf "param=%a=%a;" Vliw_ir.Reg.pp r Vliw_ir.Value.pp v)
+    k.Grip.Kernel.params
+
+let format_digest render =
+  let buf = Buffer.create 512 in
+  let ppf = Format.formatter_of_buffer buf in
+  render ppf;
+  Format.pp_print_flush ppf ();
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let format_kernel_key k = format_digest (fun ppf -> format_kernel_content ppf k)
+
+let format_key ~fus ~method_ k =
+  format_digest (fun ppf ->
+      format_kernel_content ppf k;
+      Format.fprintf ppf "fus=%d;method=%s" fus method_)
+
+(* [key] and [kernel_key] against the [Format] oracle on the fourteen
+   Livermore kernels at 2, 4 and 8 FU, for both techniques, and on
+   random [Synthetic] kernels (parameters, float immediates). *)
+let cache_key_matches_format () =
+  let kernels =
+    List.map (fun (e : Workloads.Livermore.entry) -> e.Workloads.Livermore.kernel)
+      Workloads.Livermore.all
+    @ List.init 8 (fun i ->
+          Workloads.Synthetic.generate
+            {
+              Workloads.Synthetic.seed = 1000 + (37 * i);
+              n_ops = 4 + i;
+              n_arrays = 1 + (i mod 3);
+              p_load = 0.3;
+              p_store = 0.2;
+              p_recurrence = 0.3;
+            })
+  in
+  List.iter
+    (fun (k : Grip.Kernel.t) ->
+      Alcotest.(check string)
+        (k.Grip.Kernel.name ^ " kernel_key")
+        (format_kernel_key k) (Cache.kernel_key k);
+      List.iter
+        (fun fus ->
+          List.iter
+            (fun method_ ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s key at %d FU, %s" k.Grip.Kernel.name fus method_)
+                (format_key ~fus ~method_ k)
+                (Cache.key ~fus ~method_ k))
+            [ "grip"; "post" ])
+        [ 2; 4; 8 ])
+    kernels
+
 (* -- open-loop arrival schedule --------------------------------------------- *)
 
 let arrivals_shape () =
@@ -366,6 +439,8 @@ let () =
           Alcotest.test_case "lru eviction" `Quick cache_lru;
           Alcotest.test_case "content addressing" `Quick
             cache_key_content_addressed;
+          Alcotest.test_case "keys match the Format renderer" `Quick
+            cache_key_matches_format;
         ] );
       ( "loadgen",
         [ Alcotest.test_case "arrival schedule shape" `Quick arrivals_shape ] );
