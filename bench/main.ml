@@ -490,7 +490,7 @@ let ablation ~pool () =
 module Json = Grip_obs.Json
 module Obs = Grip_obs
 
-let table1_schema = "grip.bench.table1/12"
+let table1_schema = "grip.bench.table1/13"
 
 (* One (loop, technique, width) measurement with its scheduler stats,
    per-phase wall-clock breakdown and bottleneck verdict — the
@@ -553,6 +553,7 @@ let json_cell (e : Livermore.entry) method_ fu horizon =
         ("cone_nodes", Json.int (c "migrate.cone_nodes"));
         ("chain_nodes", Json.int (c "migrate.chain_nodes"));
         ("candidate_visits", Json.int (c "scheduler.candidate_visits"));
+        ("replays", Json.int (c "scheduler.replays"));
         ("scan_nodes", Json.int (c "gapless.scan_nodes"));
         ("order_walks", Json.int (c "ir.order_walks"));
         ("order_visits", Json.int (c "ir.order_visits"));
@@ -767,6 +768,7 @@ let json_validate file =
                           "cone_nodes";
                           "chain_nodes";
                           "candidate_visits";
+                          "replays";
                           "scan_nodes";
                           "order_walks";
                           "order_visits";
@@ -841,15 +843,19 @@ let overhead_rounds = 8
 
 (* [overhead ()] — [overhead_rounds] rounds of one sweep with metrics
    off and one with them on, alternating which goes first so that host
-   drift falls on both sides; prints each round's on/off CPU ratio and
-   their median. *)
+   drift falls on both sides; prints each round's on/off CPU ratio,
+   their median, and their spread: the quartiles and the extremes. *)
 let overhead () =
-  let median l =
+  (* the [q]-quantile of [l], interpolated between order statistics *)
+  let quantile q l =
     let a = Array.of_list l in
     Array.sort Float.compare a;
-    let n = Array.length a in
-    if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+    let x = q *. float_of_int (Array.length a - 1) in
+    let i = int_of_float x in
+    if i + 1 >= Array.length a then a.(i)
+    else a.(i) +. ((x -. float_of_int i) *. (a.(i + 1) -. a.(i)))
   in
+  let median = quantile 0.5 in
   let rows =
     List.init overhead_rounds (fun r ->
         let off, on =
@@ -864,13 +870,16 @@ let overhead () =
           (on /. off);
         (off, on))
   in
-  let ratio = median (List.map (fun (off, on) -> on /. off) rows) in
+  let ratios = List.map (fun (off, on) -> on /. off) rows in
   printf
     "metrics overhead: median on/off CPU ratio %.3f over %d rounds (median \
      off %.3f s, on %.3f s)@."
-    ratio overhead_rounds
+    (median ratios) overhead_rounds
     (median (List.map fst rows))
-    (median (List.map snd rows))
+    (median (List.map snd rows));
+  printf "  on/off spread: quartiles %.3f-%.3f, min-max %.3f-%.3f@."
+    (quantile 0.25 ratios) (quantile 0.75 ratios) (quantile 0.0 ratios)
+    (quantile 1.0 ratios)
 
 (* ---------------------------------------------------------------- *)
 

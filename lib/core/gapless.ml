@@ -31,7 +31,11 @@
     operations move up one edge at a time and every node a move
     creates copies a node that was already below (DESIGN.md §22).  The
     test is top-level recursion throughout: no closure per call, per
-    level or per node. *)
+    level or per node.
+
+    Each call also leaves its {e read set} in the memo ({!reads}): the
+    nodes besides [from_] whose contents the answer depends on, so that
+    a caller can tell when the answer still holds (DESIGN.md §27). *)
 
 open Vliw_ir
 module Alias = Vliw_analysis.Alias
@@ -48,10 +52,21 @@ type memo = {
   marks : int Itbl.t;  (** [stamp] on the nodes the current search expanded *)
   mutable stamp : int;
   expanded : Iarr.t;  (** the nodes the current search expanded *)
+  reads : Iarr.t;  (** the last {!ok}'s read set *)
 }
 
 let create_memo () =
-  { absent = [||]; marks = Itbl.create 0; stamp = 0; expanded = Iarr.create () }
+  { absent = [||]; marks = Itbl.create 0; stamp = 0; expanded = Iarr.create ();
+    reads = Iarr.create () }
+
+(** [reads m] — the read set of the last {!ok} on [m]: every successor
+    condition 4 examined, at every level of its recursion, and every
+    node a condition-3 search expanded when it found an operation of
+    the iteration.  A condition-3 search that found none is left out:
+    its answer holds for the rest of the run, given its [from_]'s
+    successors, and that [from_] is [ok]'s own or one of the examined
+    successors.  Nodes may repeat. *)
+let reads m = m.reads
 
 let known_absent m id it =
   it < Array.length m.absent
@@ -124,10 +139,10 @@ let last_of_iteration (ctx : Ctx.t) m ~from_ ~iter =
   let found = any_below m p iter (Program.succs p from_) in
   Grip_obs.Metrics.bump ctx.Ctx.obs.Grip_obs.metrics scan_nodes_key
     (Iarr.length m.expanded);
-  if not found then
-    for i = 0 to Iarr.length m.expanded - 1 do
-      note_absent m (Iarr.unsafe_get m.expanded i) iter
-    done;
+  for i = 0 to Iarr.length m.expanded - 1 do
+    let id = Iarr.unsafe_get m.expanded i in
+    if found then Iarr.push m.reads id else note_absent m id iter
+  done;
   not found
 
 (* Does an operation of [ops] other than [ignoring] keep [x] out of the
@@ -186,6 +201,7 @@ and fillable ctx m ~from_node ~op depth = function
       ((not (Program.is_exit ctx.Ctx.program s))
       &&
       let sn = Program.node ctx.Ctx.program s in
+      Iarr.push m.reads s;
       plain_filler ctx m ~from_node ~op ~s depth sn.Node.ops
       ||
       (* only the root conditional of s can move *)
@@ -208,9 +224,11 @@ and filler ctx m ~from_node ~(op : Operation.t) ~s depth (x : Operation.t) =
 
 (** [ok ctx memo ~from_ ~to_ ~op] — see module comment; [memo] must
     belong to the scheduling run making the moves.  Operations outside
-    any iteration (preamble) are never suspended. *)
+    any iteration (preamble) are never suspended.  Leaves its read set
+    in {!reads}. *)
 let ok (ctx : Ctx.t) m ~from_ ~to_ ~(op : Operation.t) =
   ignore to_;
+  Iarr.clear m.reads;
   op.Operation.iter = Operation.no_iter || gapless ctx m ~from_ ~op 0
 
 (** [explain ~from_ ~op] — a short human reason for a gap-prevention

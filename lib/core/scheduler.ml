@@ -38,6 +38,7 @@ let reached_key = Metrics.key "scheduler.reached"
 let suspensions_key = Metrics.key "scheduler.suspensions"
 let barriers_key = Metrics.key "scheduler.barriers"
 let visits_key = Metrics.key "scheduler.candidate_visits"
+let replays_key = Metrics.key "scheduler.replays"
 
 (* Machine FU class -> the observability layer's mirror of it (kept
    separate so grip_obs does not depend on the machine model). *)
@@ -224,30 +225,37 @@ let region_op_ids r n acc =
     [load] stable-sorts the candidates once, best first, with the
     rank's comparator; the positions then form a doubly linked list.
     [pick] walks it from the head and returns the first position its
-    verdict callback answers [Take] for, stepping over [Skip] and
+    verdict callback answers [Take] for, stepping over [Skip],
     unlinking [Retire] (a candidate that can never be picked again in
-    this node); [retire] unlinks a position the caller knows is spent.
-    The first [Take] is exactly what a min-scan over the worklist (keep
-    the incumbent on ties) returns among the same candidates, as long
-    as the comparator reads only fields a move leaves unchanged
-    (DESIGN.md §20).  The buffers are owned by the run and grow by
+    this node) and unlinking [Hold] (one that cannot be picked before
+    the next [rewind]); [retire] unlinks a position the caller knows is
+    spent.  [rewind] puts every held position back in its place.  The
+    first [Take] is exactly what a min-scan over the worklist (keep the
+    incumbent on ties) returns among the same candidates, as long as
+    the comparator reads only fields a move leaves unchanged (DESIGN.md
+    §20) and a held candidate would not have been taken before the
+    rewind (§27).  The buffers are owned by the run and grow by
     doubling, so loading allocates nothing once they have settled. *)
 module Ranked = struct
-  type verdict = Take | Skip | Retire
+  type verdict = Take | Skip | Hold | Retire
 
   type t = {
     mutable ids : int array;  (** position -> op id, best first *)
     mutable next : int array;  (** position -> next live position or [-1] *)
     mutable prev : int array;  (** position -> previous live position or [-1] *)
     mutable head : int;  (** first live position, [-1] when empty *)
+    mutable undo : int array;
+        (** positions unlinked since the first hold after the last
+            rewind, oldest first; a held [pos] is logged as [-1 - pos] *)
+    mutable logged : int;  (** entries of [undo] in use *)
     mutable recs : Operation.t array;  (** sort buffer *)
     mutable tmp : Operation.t array;  (** merge scratch *)
     mutable visits : int;  (** verdicts asked since the last [load] *)
   }
 
   let create () =
-    { ids = [||]; next = [||]; prev = [||]; head = -1; recs = [||];
-      tmp = [||]; visits = 0 }
+    { ids = [||]; next = [||]; prev = [||]; head = -1; undo = [||];
+      logged = 0; recs = [||]; tmp = [||]; visits = 0 }
 
   (* Stable merge sort of [a.(lo) .. a.(hi - 1)]: the right run's head
      goes first only when strictly better, so ties keep input order. *)
@@ -308,7 +316,8 @@ module Ranked = struct
       let cap = Array.length q.recs in
       q.ids <- Array.make cap 0;
       q.next <- Array.make cap 0;
-      q.prev <- Array.make cap 0
+      q.prev <- Array.make cap 0;
+      q.undo <- Array.make cap 0
     end;
     for i = 0 to n - 1 do
       q.ids.(i) <- q.recs.(i).Operation.id;
@@ -316,16 +325,52 @@ module Ranked = struct
       q.prev.(i) <- i - 1
     done;
     q.head <- (if n > 0 then 0 else -1);
+    q.logged <- 0;
     q.visits <- 0
 
   (** [id q pos] — the op id at position [pos]. *)
   let id q pos = q.ids.(pos)
 
-  (** [retire q pos] unlinks live position [pos]. *)
-  let retire q pos =
+  (* Unlinking keeps [pos]'s own links, so that undoing the unlinks
+     since a point in reverse order restores the list exactly. *)
+  let unlink q pos =
     let a = q.prev.(pos) and b = q.next.(pos) in
     if a < 0 then q.head <- b else q.next.(a) <- b;
     if b >= 0 then q.prev.(b) <- a
+
+  let relink q pos =
+    let a = q.prev.(pos) and b = q.next.(pos) in
+    if a < 0 then q.head <- pos else q.next.(a) <- pos;
+    if b >= 0 then q.prev.(b) <- pos
+
+  (* Each position is unlinked at most once between two rewinds, so
+     the log never outgrows the positions. *)
+  let push_undo q entry =
+    q.undo.(q.logged) <- entry;
+    q.logged <- q.logged + 1
+
+  (** [retire q pos] unlinks live position [pos] for good. *)
+  let retire q pos =
+    unlink q pos;
+    if q.logged > 0 then push_undo q pos
+
+  let hold q pos =
+    unlink q pos;
+    push_undo q (-1 - pos)
+
+  (** [rewind q] — put every position held since the last rewind back
+      in its place: undo the logged unlinks newest first, then unlink
+      the retired ones again. *)
+  let rewind q =
+    for i = q.logged - 1 downto 0 do
+      let e = q.undo.(i) in
+      relink q (if e < 0 then -1 - e else e)
+    done;
+    for i = 0 to q.logged - 1 do
+      let e = q.undo.(i) in
+      if e >= 0 then unlink q e
+    done;
+    q.logged <- 0
 
   (* The walk from [pos] on: top-level recursion, so a pick builds no
      closure. *)
@@ -336,6 +381,10 @@ module Ranked = struct
       match verdict q.ids.(pos) with
       | Take -> pos
       | Skip -> pick_from q verdict q.next.(pos)
+      | Hold ->
+          let next = q.next.(pos) in
+          hold q pos;
+          pick_from q verdict next
       | Retire ->
           let next = q.next.(pos) in
           retire q pos;
@@ -408,10 +457,36 @@ let reject pv p r reason =
   Provenance.record_reject pv ~op:(Migrate.final_id r) ~node:(stop_node p r)
     reason
 
-(** [schedule_node ?on_move config ctx scratch stats n] fills node
-    [n]. *)
-let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
-    stats n =
+(* After a real attempt of [oid] that moved nothing: when it stopped
+   at its first hop, out of its home into that home's only live
+   predecessor, record the outcome and the read set of the hop's
+   [allow_hop] answer (empty unless the Gapless test was asked). *)
+let record_replay (ctx : Ctx.t) scratch r oid =
+  match Migrate.last_failure r with
+  | None | Some Migrate.Vanished -> ()
+  | Some _ as outcome ->
+      let p = ctx.Ctx.program in
+      let from_ = Program.home_int p oid in
+      let to_ = if from_ >= 0 then Program.unique_live_pred p from_ else -1 in
+      if to_ >= 0 then
+        Ctx.replay_store ctx ~op_id:oid ~from_ ~to_ outcome
+          ~reads:(Gapless.reads scratch.gapless)
+
+(* The journal reason of a replayed veto of [op]'s hop out of [from_],
+   as [allow_hop] gave it: the speculation policy reads only [from_]'s
+   unique live predecessor, which the replay kept. *)
+let veto_reason config (ctx : Ctx.t) ~from_ op =
+  let to_ = Program.unique_live_pred ctx.Ctx.program from_ in
+  if not (speculation_allows config ctx ~from_ ~to_ ~op) then
+    "speculation policy veto"
+  else Gapless.explain ~from_ ~op
+
+(** [schedule_node ?on_move ?on_replay config ctx scratch stats n]
+    fills node [n].  [on_replay ~op ~target ~outcome ~suspended] is
+    told of each replayed attempt, after its suspension if any;
+    observing changes nothing. *)
+let schedule_node ?on_move ?on_replay (config : config) (ctx : Ctx.t)
+    (scratch : scratch) stats n =
   let p = ctx.Ctx.program in
   let obs = ctx.Ctx.obs in
   let tr = obs.Grip_obs.trace and mx = obs.Grip_obs.metrics in
@@ -462,7 +537,8 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
     suspended_ids := [];
     suspended_count := 0;
     cutoff := -1;
-    folded := 0
+    folded := 0;
+    Ranked.rewind queue
   in
   (* Fold the [k] newest suspended ids into the cut-off. *)
   let rec fold_newest k = function
@@ -476,15 +552,20 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
      suspended, not already attempted since the last progress, rule 3
      respected.  An op in n stays there for the rest of the node (walks
      only pull into nodes at or below n, and unwound programs are
-     acyclic), so it leaves the queue for good. *)
+     acyclic), so it leaves the queue for good.  A suspended or
+     rule-3-blocked candidate stays so until [unsuspend_all], since no
+     move commits while a suspension persists: the queue holds it until
+     then (DESIGN.md §27). *)
   let verdict oid =
     let home = Program.home_int p oid in
     if home = n then Ranked.Retire
+    else if home < 0 then Ranked.Skip
     else if
-      home < 0
-      || mask_get scratch.att_mask oid
-      || mask_get scratch.susp_mask oid
+      mask_get scratch.susp_mask oid
       || (!cutoff >= 0 && Program.rpo_index p home <= !cutoff)
+    then Ranked.Hold
+    else if
+      mask_get scratch.att_mask oid
       || Option.is_none (Program.stored_op p oid)
     then Ranked.Skip
     else Ranked.Take
@@ -497,6 +578,9 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
     {
       Migrate.allow_hop =
         (fun ~from_ ~to_ ~op ->
+          (* the answer's read set: none beyond [to_] unless Gapless
+             is asked *)
+          Vliw_ir.Iarr.clear (Gapless.reads scratch.gapless);
           if not (speculation_allows config ctx ~from_ ~to_ ~op) then begin
             suspend_reason := "speculation policy veto";
             false
@@ -558,8 +642,30 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
         if tracing then
           Trace.emit tr
             (Trace.Migrate_attempt { op = best.Operation.id; target = n });
-        let r = walker in
-        Migrate.run r ~target:n ~op_id:best.Operation.id;
+        let r = walker and oid = best.Operation.id in
+        if Ctx.replay_hit ctx oid then begin
+          (* The recorded attempt provably ends as it did: replay it,
+             as the walk would have reported it (DESIGN.md §27). *)
+          let outcome = Ctx.replay_outcome ctx oid in
+          Metrics.bump mx replays_key 1;
+          Migrate.replay r ~target:n ~op_id:oid outcome;
+          (match outcome with
+          | Some Migrate.Suspended ->
+              if proving then
+                suspend_reason :=
+                  veto_reason config ctx ~from_:(Program.home_int p oid) best;
+              hooks.Migrate.on_suspend best
+          | _ -> ());
+          match on_replay with
+          | Some f ->
+              f ~op:best ~target:n ~outcome:(Migrate.outcome r)
+                ~suspended:(mask_get scratch.susp_mask oid)
+          | None -> ()
+        end
+        else begin
+          Migrate.run r ~target:n ~op_id:oid;
+          if Migrate.moved r = 0 then record_replay ctx scratch r oid
+        end;
         (* An attempted op can be picked again only once rule 2 clears
            its attempted bit, which happens to suspended ids alone; and
            only its own walk can suspend it. *)
@@ -614,11 +720,13 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
   done;
   Metrics.bump mx visits_key queue.Ranked.visits
 
-(** [run ?on_move config ctx] schedules the whole program top-down.
-    Nodes created during scheduling (splits, conditional-arm copies)
-    are scheduled when the traversal reaches them. *)
-let run ?on_move (config : config) (ctx : Ctx.t) =
+(** [run ?on_move ?on_replay config ctx] schedules the whole program
+    top-down.  Nodes created during scheduling (splits,
+    conditional-arm copies) are scheduled when the traversal reaches
+    them. *)
+let run ?on_move ?on_replay (config : config) (ctx : Ctx.t) =
   let p = ctx.Ctx.program in
+  Ctx.replay_forget ctx;
   let stats = fresh_stats () in
   let scratch = fresh_scratch p in
   let scheduled = ref (Bytes.make 256 '\000') in
@@ -651,7 +759,7 @@ let run ?on_move (config : config) (ctx : Ctx.t) =
     | None -> ()
     | Some n ->
         scheduled := mask_set !scheduled n;
-        schedule_node ?on_move config ctx scratch stats n;
+        schedule_node ?on_move ?on_replay config ctx scratch stats n;
         stats.nodes_scheduled <- stats.nodes_scheduled + 1;
         loop ()
   in

@@ -23,13 +23,18 @@
     Conventional names used by the scheduling stack:
     - [scheduler.migrations / hops / reached / suspensions / barriers]
     - [scheduler.candidate_visits] — candidates choose-op's ranked
-      queue examined, added once per scheduled node
-    - [migrate.chain_nodes] — nodes each migration's chain check
-      followed, added once per migration whether or not the cone was
-      a chain
+      queue examined, added once per scheduled node (a held candidate
+      is examined once per rewind)
+    - [scheduler.replays] — migration attempts replayed from their
+      op's replay slot instead of walked; each also counts in
+      [scheduler.migrations] and the other per-attempt counters as the
+      attempt it stands for
+    - [migrate.chain_nodes] — nodes each walked migration's chain
+      check followed, added once per migration whether or not the cone
+      was a chain (a replay checks no chain)
     - [gapless.scan_nodes] — nodes the Gapless test's condition-3
       search expanded (memoized nodes are not expanded), added once per
-      search
+      search (a replay searches nothing)
     - [migrate.cone_nodes / walk_nodes] — nodes marked in the cone and
       nodes the walk expanded, added once per cone walk (a migration
       whose cone is a chain climbs it and adds neither)

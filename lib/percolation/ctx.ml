@@ -25,7 +25,18 @@ type t = {
   mutable memo_time : int array;
       (** op id -> the {!Program.version} the verdict was recorded at *)
   mutable memo_verdict : (unit, Legality.failure) result array;
-      (** op id -> the verdict *)
+      (** op id -> the verdict, or {!no_verdict} *)
+  mutable memo_outcome : Legality.hop option array;
+      (** op id -> the replay slot's outcome: how an attempt that moved
+          nothing ended at its first hop [from_] -> [to_]; [None] when
+          the slot holds no replay (DESIGN.md §27) *)
+  mutable memo_reads : int array;
+      (** op id -> the offset of the replay slot's read set in
+          [reads] *)
+  mutable reads : int array;
+      (** the read-set arena: at each entry's offset the op id, the
+          node count, then the nodes *)
+  mutable reads_len : int;  (** words of [reads] in use *)
   walk_marks : int Itbl.t;
       (** migration-walk visited set, epoch-stamped: a walk bumps
           [walk_stamp] instead of allocating a fresh table *)
@@ -67,6 +78,10 @@ let make ?(rename = true) ?(obs = Grip_obs.null) program ~machine ~exit_live =
     memo_to = [||];
     memo_time = [||];
     memo_verdict = [||];
+    memo_outcome = [||];
+    memo_reads = [||];
+    reads = [||];
+    reads_len = 0;
     walk_marks = Itbl.create 0;
     walk_stamp = 0;
     cone_marks = Itbl.create 0;
@@ -127,8 +142,15 @@ let memo_grow t op_id =
     t.memo_from <- grow t.memo_from (-1);
     t.memo_to <- grow t.memo_to (-1);
     t.memo_time <- grow t.memo_time 0;
-    t.memo_verdict <- grow t.memo_verdict (Ok ())
+    t.memo_verdict <- grow t.memo_verdict (Ok ());
+    t.memo_outcome <- grow t.memo_outcome None;
+    t.memo_reads <- grow t.memo_reads 0
   end
+
+(** The verdict of a slot that speaks for no move: a replay slot
+    written by an attempt that never reached the legality check, over
+    a verdict the check would no longer give.  Compared physically. *)
+let no_verdict : (unit, Legality.failure) result = Error Legality.Op_not_found
 
 let hits_key = Grip_obs.Metrics.key "legality.cache_hits"
 let misses_key = Grip_obs.Metrics.key "legality.cache_misses"
@@ -147,6 +169,7 @@ let legality_hit t ~from_ ~to_ ~op_id =
     &&
     let time = Array.unsafe_get t.memo_time op_id in
     Program.node_stamp p from_ <= time && Program.node_stamp p to_ <= time
+    && Array.unsafe_get t.memo_verdict op_id != no_verdict
   in
   Grip_obs.Metrics.bump t.obs.Grip_obs.metrics
     (if hit then hits_key else misses_key)
@@ -158,13 +181,132 @@ let legality_hit t ~from_ ~to_ ~op_id =
 let legality_verdict t op_id = Array.unsafe_get t.memo_verdict op_id
 
 (** [legality_store t ~from_ ~to_ ~op_id verdict] — record [verdict]
-    for this move against the current program. *)
+    for this move against the current program.  The slot's replay, if
+    any, spoke for its old move and time, and is dropped. *)
 let legality_store t ~from_ ~to_ ~op_id verdict =
   memo_grow t op_id;
   Array.unsafe_set t.memo_from op_id from_;
   Array.unsafe_set t.memo_to op_id to_;
   Array.unsafe_set t.memo_time op_id (Program.version t.program);
-  Array.unsafe_set t.memo_verdict op_id verdict
+  Array.unsafe_set t.memo_verdict op_id verdict;
+  Array.unsafe_set t.memo_outcome op_id None
+
+(* -- replay slots ----------------------------------------------------- *)
+
+(* A migration attempt that moves nothing stops at its first hop
+   [from_] -> [to_] ([from_] the op's home, [to_] its unique live
+   predecessor).  Its outcome is a function of the op's record, of
+   [from_] and [to_], and of the nodes the [allow_hop] answer read (the
+   read set), so while the op is still at [from_], [to_] is still
+   [from_]'s only live predecessor, and no node among [from_], [to_]
+   and the read set has a stamp newer than the slot, the attempt would
+   end as it did (DESIGN.md §27).  The slot shares the legality memo's
+   [from_], [to_] and time; its read set lives in one arena, entries
+   appended and compacted when the arena fills. *)
+
+(* Slide the entries that are still some slot's read set to the front
+   of the arena, oldest first; an entry is live when its op's slot
+   holds a replay and points at it. *)
+let reads_compact t =
+  let a = t.reads in
+  let r = ref 0 and w = ref 0 in
+  while !r < t.reads_len do
+    let op = a.(!r) and len = a.(!r + 1) + 2 in
+    if t.memo_reads.(op) = !r && t.memo_outcome.(op) != None then begin
+      Array.blit a !r a !w len;
+      t.memo_reads.(op) <- !w;
+      w := !w + len
+    end;
+    r := !r + len
+  done;
+  t.reads_len <- !w
+
+(* Append [op_id]'s read set [nodes] to the arena; returns its offset.
+   A full arena is compacted first, and grown when live entries fill
+   more than half of it. *)
+let reads_append t op_id nodes =
+  let need = Iarr.length nodes + 2 in
+  if t.reads_len + need > Array.length t.reads then begin
+    reads_compact t;
+    if 2 * (t.reads_len + need) > Array.length t.reads then begin
+      let a = Array.make (max 64 (2 * (t.reads_len + need))) 0 in
+      Array.blit t.reads 0 a 0 t.reads_len;
+      t.reads <- a
+    end
+  end;
+  let at = t.reads_len in
+  t.reads.(at) <- op_id;
+  t.reads.(at + 1) <- Iarr.length nodes;
+  for i = 0 to Iarr.length nodes - 1 do
+    t.reads.(at + 2 + i) <- Iarr.unsafe_get nodes i
+  done;
+  t.reads_len <- at + need;
+  at
+
+(** [replay_store t ~op_id ~from_ ~to_ outcome ~reads] — record that
+    [op_id]'s attempt ended in [outcome] (the migration's
+    [last_failure], never [None]) at its first hop [from_] -> [to_],
+    the op's home and that home's unique live predecessor, with
+    [allow_hop] having read [reads] besides the two nodes.  The slot
+    keeps [outcome] itself, so recording allocates nothing.  The slot's
+    legality verdict is kept if it still speaks for this move, and
+    otherwise marked {!no_verdict}: it could never be served again (the
+    op is at [from_], whose only live predecessor is [to_]). *)
+let replay_store t ~op_id ~from_ ~to_ outcome ~reads =
+  memo_grow t op_id;
+  let p = t.program in
+  let time = Array.unsafe_get t.memo_time op_id in
+  if
+    not
+      (Array.unsafe_get t.memo_from op_id = from_
+      && Array.unsafe_get t.memo_to op_id = to_
+      && Program.node_stamp p from_ <= time
+      && Program.node_stamp p to_ <= time)
+  then Array.unsafe_set t.memo_verdict op_id no_verdict;
+  Array.unsafe_set t.memo_from op_id from_;
+  Array.unsafe_set t.memo_to op_id to_;
+  Array.unsafe_set t.memo_time op_id (Program.version p);
+  Array.unsafe_set t.memo_outcome op_id outcome;
+  Array.unsafe_set t.memo_reads op_id (reads_append t op_id reads)
+
+(* Is every node of the read set at [at] no newer than [time]? *)
+let rec reads_fresh p a i stop time =
+  i >= stop
+  || (Program.node_stamp p (Array.unsafe_get a i) <= time
+     && reads_fresh p a (i + 1) stop time)
+
+(** [replay_hit t op_id] — does [op_id]'s replay slot still tell how an
+    attempt to migrate it would end?  Its home must be the slot's
+    [from_], [from_]'s only live predecessor the slot's [to_] (so both
+    the chain climb and the cone walk try this hop first), and no node
+    of the two nor of the read set edited since the slot was
+    recorded.  Hashes nothing and allocates nothing. *)
+let replay_hit t op_id =
+  op_id < Array.length t.memo_outcome
+  && Array.unsafe_get t.memo_outcome op_id != None
+  &&
+  let p = t.program in
+  let from_ = Array.unsafe_get t.memo_from op_id in
+  Program.home_int p op_id = from_
+  &&
+  let to_ = Array.unsafe_get t.memo_to op_id
+  and time = Array.unsafe_get t.memo_time op_id in
+  Program.node_stamp p from_ <= time
+  && Program.node_stamp p to_ <= time
+  && (let at = Array.unsafe_get t.memo_reads op_id in
+      reads_fresh p t.reads (at + 2) (at + 2 + t.reads.(at + 1)) time)
+  && Program.unique_live_pred p from_ = to_
+
+(** [replay_outcome t op_id] — the outcome of the slot {!replay_hit}
+    just confirmed, as the migration reported it. *)
+let replay_outcome t op_id = Array.unsafe_get t.memo_outcome op_id
+
+(** [replay_forget t] — drop every replay slot.  A scheduling run calls
+    it first: a read set leaves out what the run's Gapless absence
+    memo answers, so a slot speaks for one run only. *)
+let replay_forget t =
+  Array.fill t.memo_outcome 0 (Array.length t.memo_outcome) None;
+  t.reads_len <- 0
 
 (** [sample_tick t n] — count one legality check and tell whether it
     is the first of a run of [n] ([n] a power of two): the

@@ -1,10 +1,13 @@
-(** Why a [move-op] legality check rejects a move.
+(** Why a hop is rejected: the [move-op] legality check, [move-cj], and
+    the migration driver's summary of a failed hop.
 
     Lives below {!Ctx} (which memoizes verdicts, one slot per op,
-    checked against the stamps of the move's two nodes) and {!Move_op}
-    (which produces them); [Move_op.failure]
-    re-exports the constructors, so matches against [Move_op.No_room]
-    etc. keep compiling. *)
+    checked against the stamps of the move's two nodes, and keeps the
+    replay slot of an attempt that moved nothing) and the
+    transformations (which produce them); [Move_op.failure],
+    [Move_cj.failure] and [Migrate.failure] re-export these types, so
+    matches against [Move_op.No_room], [Move_cj.True_dependence] or
+    [Migrate.Suspended] keep compiling. *)
 
 open Vliw_ir
 
@@ -28,3 +31,33 @@ let pp_failure ppf = function
       Format.fprintf ppf "memory dependence on %a" Operation.pp op
   | Write_live r -> Format.fprintf ppf "write-live conflict on %a" Reg.pp r
   | No_room -> Format.pp_print_string ppf "no free resources in to-node"
+
+(** Why [move-cj] rejects a move. *)
+module Cj = struct
+  type failure =
+    | Not_adjacent
+    | Not_root_cjump
+    | True_dependence of Operation.t
+    | No_room
+
+  let pp_failure ppf = function
+    | Not_adjacent -> Format.pp_print_string ppf "nodes not adjacent"
+    | Not_root_cjump ->
+        Format.pp_print_string ppf "operation is not the root conditional"
+    | True_dependence op ->
+        Format.fprintf ppf "true dependence on %a" Operation.pp op
+    | No_room -> Format.pp_print_string ppf "no free branch resources"
+end
+
+(** Why the last attempted hop of a migration failed. *)
+type hop =
+  | Vanished  (** the operation disappeared mid-walk (clone renamed it) *)
+  | Suspended  (** vetoed by the migration's [allow_hop] hook *)
+  | Op of failure
+  | Cj of Cj.failure
+
+let pp_hop ppf = function
+  | Vanished -> Format.pp_print_string ppf "operation vanished"
+  | Suspended -> Format.pp_print_string ppf "gap prevention"
+  | Op f -> pp_failure ppf f
+  | Cj f -> Cj.pp_failure ppf f

@@ -66,18 +66,15 @@ let no_hooks =
 (** Why the last attempted hop failed — a proper variant rather than a
     rendered message, so drivers (resource-barrier accounting in the
     scheduler, the robustness guards) can match on the cause without
-    depending on diagnostic text. *)
-type failure =
+    depending on diagnostic text.  Declared in {!Legality}, so that a
+    {!Ctx} replay slot can hold it. *)
+type failure = Legality.hop =
   | Vanished  (** the operation disappeared mid-walk (clone renamed it) *)
   | Suspended  (** vetoed by the gap-prevention hook *)
   | Op of Move_op.failure
   | Cj of Move_cj.failure
 
-let pp_failure ppf = function
-  | Vanished -> Format.pp_print_string ppf "operation vanished"
-  | Suspended -> Format.pp_print_string ppf "gap prevention"
-  | Op f -> Move_op.pp_failure ppf f
-  | Cj f -> Move_cj.pp_failure ppf f
+let pp_failure = Legality.pp_hop
 
 type outcome = {
   moved : int;  (** number of successful one-node hops *)
@@ -327,6 +324,19 @@ let run w ~target ~op_id =
     Grip_obs.Metrics.bump m walk_nodes_key w.w_visits
   end;
   w.w_reached <- Program.home_int p w.w_current = target
+
+(** [replay w ~target ~op_id outcome] — leave [w] as a {!run} of
+    [op_id] toward [target] leaves it when the attempt moves nothing
+    and ends in [outcome] (a [Some] failure): how a driver replays a
+    recorded attempt ({!Ctx.replay_hit}) without walking. *)
+let replay w ~target ~op_id outcome =
+  w.w_target <- target;
+  w.w_home <- Program.home_int w.w_ctx.Ctx.program op_id;
+  w.w_moved <- 0;
+  w.w_current <- op_id;
+  w.w_failure <- outcome;
+  w.w_visits <- 0;
+  w.w_reached <- false
 
 (** Successful one-node hops of the last {!run}. *)
 let moved w = w.w_moved

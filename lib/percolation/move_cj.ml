@@ -19,7 +19,7 @@
 open Vliw_ir
 module Machine = Vliw_machine.Machine
 
-type failure =
+type failure = Legality.Cj.failure =
   | Not_adjacent
   | Not_root_cjump
   | True_dependence of Operation.t
@@ -31,13 +31,7 @@ type report = {
   false_copy : int;  (** node entered otherwise *)
 }
 
-let pp_failure ppf = function
-  | Not_adjacent -> Format.pp_print_string ppf "nodes not adjacent"
-  | Not_root_cjump ->
-      Format.pp_print_string ppf "operation is not the root conditional"
-  | True_dependence op ->
-      Format.fprintf ppf "true dependence on %a" Operation.pp op
-  | No_room -> Format.pp_print_string ppf "no free branch resources"
+let pp_failure = Legality.Cj.pp_failure
 
 exception Fail of failure
 

@@ -252,8 +252,14 @@ let check (ctx : Ctx.t) ~from_ ~to_ ~op_id =
       else ({ op with Operation.guard = landing }, None)
 
 (* The original list-scanning legality check, kept verbatim as the
-   oracle for {!check}: identical decision and identical failure on
-   every input (see test_index.ml). *)
+   oracle for {!check}.  The two find the op differently: [check] by
+   its home ({!Program.home_int}), [check_scan] in [from_]'s op list.
+   So they give the identical decision and failure on every op whose
+   home is [from_], and only there: on a node that [Move_cj] left to
+   die (its true arm took the ops over under their ids, and collection
+   is deferred) [check] answers [Op_not_found] where [check_scan] goes
+   on to decide the move.  test_index.ml's oracle applies the home rule
+   to the other ops. *)
 let check_scan (ctx : Ctx.t) ~from_ ~to_ ~op_id =
   let p = ctx.Ctx.program in
   if from_ = to_ then raise (Fail Not_adjacent);

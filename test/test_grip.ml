@@ -226,12 +226,14 @@ let min_scan cmp (recs : Operation.t option array) worklist eligible =
    moves (arrivals into n, deaths, revivals, hops, node re-orderings
    that shift the rule-3 cut-off); each pick is attempted, may reach n,
    stop short, vanish or be suspended; a pick that is not suspended is
-   retired; progress unsuspends everything (rule 2).  The comparator
-   has three classes, so most comparisons tie.  Invariants kept, as in
-   the scheduler: an op in n never leaves it, only the picked op is
-   marked attempted or suspended, and only suspended ops lose their
-   attempted mark.  The queue must also never revisit a retired
-   position. *)
+   retired; progress unsuspends everything (rule 2) and rewinds the
+   queue.  The verdict holds suspended ids, which stay suspended until
+   rule 2.  The comparator has three classes, so most comparisons tie.
+   Invariants kept, as in the scheduler: an op in n never leaves it,
+   only the picked op is marked attempted or suspended, and only
+   suspended ops lose their attempted mark.  The queue must also never
+   revisit a retired position, nor a held one before the next
+   rewind. *)
 let prop_ranked_queue_is_min_scan =
   let module R = Grip.Scheduler.Ranked in
   QCheck2.Test.make ~count:500 ~name:"ranked queue picks == min-scan"
@@ -267,13 +269,19 @@ let prop_ranked_queue_is_min_scan =
         && home.(id) >= 0 && home.(id) <> n
         && not (!cutoff >= 0 && order.(home.(id)) <= !cutoff)
       in
-      (* a retired position must never be visited again *)
+      (* a retired position must never be visited again, a held one
+         not before the next rewind *)
       let retired = Array.make k false and revisited = ref false in
+      let held = Array.make k false in
       let verdict id =
-        if retired.(id) then revisited := true;
+        if retired.(id) || held.(id) then revisited := true;
         if home.(id) = n then begin
           retired.(id) <- true;
           R.Retire
+        end
+        else if susp.(id) then begin
+          held.(id) <- true;
+          R.Hold
         end
         else if eligible id && recs.(id) <> None then R.Take
         else R.Skip
@@ -334,7 +342,9 @@ let prop_ranked_queue_is_min_scan =
                     susp.(s) <- false;
                     att.(s) <- false)
                   !suspended;
-                suspended := []
+                suspended := [];
+                Array.fill held 0 k false;
+                R.rewind q
               end
       done;
       !agree && not !revisited)
@@ -515,17 +525,21 @@ let plain_movable (ctx : Ctx.t) ~(from_node : Node.t) ~(x : Operation.t)
        (Program.counts_packed ctx.Ctx.program from_node.Node.id)
      <= Machine.width m
 
+(* Conditions 1 to 3 for [op] at [from_]. *)
+let plain_first_three (ctx : Ctx.t) ~from_ ~(op : Operation.t) =
+  let p = ctx.Ctx.program in
+  let same (o : Operation.t) = o.Operation.iter = op.Operation.iter in
+  (let c = Program.counts_packed p from_ in
+   if Operation.is_cjump op then
+     Node.packed_plain c = 0 && Node.packed_cjumps c = 1
+   else Node.packed_plain c = 1 && Node.packed_cjumps c = 0)
+  || List.length (List.filter same (Node.all_ops (Program.node p from_))) >= 2
+  || plain_last p ~from_ ~iter:op.Operation.iter
+
 let rec plain_gapless (ctx : Ctx.t) ~from_ ~(op : Operation.t) depth =
   let p = ctx.Ctx.program in
   let from_node = Program.node p from_ in
   let same (o : Operation.t) = o.Operation.iter = op.Operation.iter in
-  let cond1 =
-    let c = Program.counts_packed p from_ in
-    if Operation.is_cjump op then
-      Node.packed_plain c = 0 && Node.packed_cjumps c = 1
-    else Node.packed_plain c = 1 && Node.packed_cjumps c = 0
-  in
-  let cond2 = List.length (List.filter same (Node.all_ops from_node)) >= 2 in
   let cond4 () =
     depth < 8
     && List.exists
@@ -546,7 +560,7 @@ let rec plain_gapless (ctx : Ctx.t) ~from_ ~(op : Operation.t) depth =
            | None -> false)
          (Program.succs p from_)
   in
-  cond1 || cond2 || plain_last p ~from_ ~iter:op.Operation.iter || cond4 ()
+  plain_first_three ctx ~from_ ~op || cond4 ()
 
 let plain_ok ctx ~from_ ~(op : Operation.t) =
   op.Operation.iter = Operation.no_iter || plain_gapless ctx ~from_ ~op 0
@@ -656,6 +670,126 @@ let test_memo_cyclic () =
     queries;
   Alcotest.(check bool) "g is not last of iteration 0" false
     (Grip.Gapless.last_of_iteration ctx memo ~from_:g.Node.id ~iter:0)
+
+(* -- replayed attempts ---------------------------------------------------- *)
+
+(* Every replay against the attempt it stands for.  The scheduler runs
+   on Synthetic programs with joins under GRiP and GRiP(no-gap) at 2, 4
+   and 8 FU, and as POST's phase 1 (gap prevention on the unlimited
+   machine).  At each replay the observer makes the attempt for real,
+   toward the same target, on a fresh context (an empty legality memo)
+   and a fresh Gapless memo, with the scheduler's [allow_hop] test.  The
+   two must agree on zero moves, on the failure, and on whether the op
+   is suspended.  A failed attempt commits nothing, so the run goes on
+   as it would have. *)
+let replayed_failures = ref 0
+let replayed_vetoes = ref 0
+let replayed_fills = ref 0
+
+let replays_agree spec =
+  let kern = Workloads.Synthetic.generate spec in
+  let rank = Grip.Pipeline.default_rank kern in
+  let joins = 1 + (spec.Workloads.Synthetic.n_ops mod 3) in
+  let run (machine, gap) =
+    let p, exit_live = Synthetic_gen.joined_program spec ~joins in
+    let config =
+      { (Grip.Scheduler.default_config ~rank) with
+        Grip.Scheduler.gap_prevention = gap }
+    in
+    let real ~(op : Operation.t) ~target =
+      let ctx = Ctx.make p ~machine ~exit_live in
+      let memo = Grip.Gapless.create_memo () in
+      let vetoed = ref false in
+      let hooks =
+        {
+          Vliw_percolation.Migrate.allow_hop =
+            (fun ~from_ ~to_ ~op ->
+              Grip.Scheduler.speculation_allows config ctx ~from_ ~to_ ~op
+              && ((not gap) || Grip.Gapless.ok ctx memo ~from_ ~to_ ~op));
+          on_suspend = (fun _ -> vetoed := true);
+          early_stop = (fun ~moved -> moved > 0);
+        }
+      in
+      (* the Gapless answer reaches condition 4 when 1 to 3 fail *)
+      let filled =
+        gap
+        && op.Operation.iter <> Operation.no_iter
+        && not
+             (plain_first_three ctx
+                ~from_:(Program.home_int p op.Operation.id)
+                ~op)
+      in
+      let r =
+        Vliw_percolation.Migrate.migrate ctx ~hooks ~target
+          ~op_id:op.Operation.id ()
+      in
+      (r, !vetoed, filled)
+    in
+    let on_replay ~(op : Operation.t) ~target
+        ~(outcome : Vliw_percolation.Migrate.outcome) ~suspended =
+      let r, vetoed, filled = real ~op ~target in
+      let show = function
+        | None -> "none"
+        | Some f -> Format.asprintf "%a" Vliw_percolation.Migrate.pp_failure f
+      in
+      if
+        r.Vliw_percolation.Migrate.moved <> 0
+        || outcome.Vliw_percolation.Migrate.moved <> 0
+        || r.Vliw_percolation.Migrate.last_failure
+           <> outcome.Vliw_percolation.Migrate.last_failure
+        || vetoed <> suspended
+      then
+        QCheck2.Test.fail_reportf
+          "op%d -> n%d: replayed %s (suspended %b), real attempt moved %d, %s \
+           (suspended %b)"
+          op.Operation.id target
+          (show outcome.Vliw_percolation.Migrate.last_failure)
+          suspended r.Vliw_percolation.Migrate.moved
+          (show r.Vliw_percolation.Migrate.last_failure)
+          vetoed;
+      (match outcome.Vliw_percolation.Migrate.last_failure with
+      | Some Vliw_percolation.Migrate.Suspended -> incr replayed_vetoes
+      | Some _ -> incr replayed_failures
+      | None -> ());
+      if filled then incr replayed_fills
+    in
+    let ctx = Ctx.make p ~machine ~exit_live in
+    ignore (Grip.Scheduler.run ~on_replay config ctx)
+  in
+  List.iter run
+    [
+      (Machine.homogeneous 2, true);
+      (Machine.homogeneous 4, true);
+      (Machine.homogeneous 8, true);
+      (Machine.homogeneous 2, false);
+      (Machine.homogeneous 4, false);
+      (Machine.homogeneous 8, false);
+      (Machine.unlimited, true);
+    ];
+  true
+
+(* Built by the suite list, with its own fixed seed: a run must see
+   replays of legality failures, of gap vetoes, and of answers that
+   reached Gapless condition 4. *)
+let prop_replays_agree () =
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261019 |])
+      (QCheck2.Test.make ~name:"replayed attempt == real attempt" ~count:60
+         ~print:Synthetic_gen.print_spec Synthetic_gen.spec_gen replays_agree)
+  in
+  ( name,
+    speed,
+    fun () ->
+      replayed_failures := 0;
+      replayed_vetoes := 0;
+      replayed_fills := 0;
+      run ();
+      if !replayed_failures = 0 || !replayed_vetoes = 0 || !replayed_fills = 0
+      then
+        Alcotest.failf
+          "replays seen: %d legality failures, %d gap vetoes, %d condition-4 \
+           answers"
+          !replayed_failures !replayed_vetoes !replayed_fills )
 
 (* -- Moveable-ops enumeration --------------------------------------------- *)
 
@@ -1017,6 +1151,7 @@ let () =
           Alcotest.test_case "fuel exhaustion reported" `Quick
             test_fuel_exhaustion_reported;
           QCheck_alcotest.to_alcotest prop_suffix_enumeration;
+          prop_replays_agree ();
           Alcotest.test_case "region pass on a cyclic program" `Quick
             test_region_cyclic;
         ] );

@@ -793,7 +793,8 @@ let test_memo_edits () =
     (show_verdict (ask_recorded "re-homed, asked again" fx ~hit:false))
 
 (* 8. allocation pins: a replayed verdict, the Gapless test, the alias
-   test and the destination test allocate nothing. *)
+   test, the destination test and a replayed attempt allocate
+   nothing. *)
 let test_hop_path_no_alloc () =
   let kern = (Option.get (Workloads.Livermore.find "LL1")).Workloads.Livermore.kernel in
   let p = (Grip.Unwind.build kern ~horizon:6).Grip.Unwind.program in
@@ -830,7 +831,34 @@ let test_hop_path_no_alloc () =
       ignore (Grip.Gapless.ok ctx memo ~from_ ~to_ ~op));
   count "Alias.mem_conflict" (fun () ->
       ignore (Vliw_analysis.Alias.mem_conflict store load));
-  count "Operation.defines_reg" (fun () -> ignore (Operation.defines_reg op d))
+  count "Operation.defines_reg" (fun () -> ignore (Operation.defines_reg op d));
+  (* a replayed attempt: an attempt that moved nothing, at a hop out of
+     its op's home into the home's only live predecessor that the
+     legality check refuses, recorded as the scheduler records it with
+     its Gapless read set, then confirmed and replayed *)
+  let module Migrate = Vliw_percolation.Migrate in
+  let w =
+    Migrate.walker ctx
+      {
+        Migrate.no_hooks with
+        Migrate.allow_hop =
+          (fun ~from_ ~to_ ~op -> Grip.Gapless.ok ctx memo ~from_ ~to_ ~op);
+      }
+  in
+  let _, to_, rid =
+    List.find
+      (fun (s, q, oid) ->
+        Program.unique_live_pred p s = q
+        && Result.is_error (Move_op.would_move ctx ~from_:s ~to_:q ~op_id:oid))
+      (all_candidates p)
+  in
+  Migrate.run w ~target:to_ ~op_id:rid;
+  Alcotest.(check int) "the attempt moved nothing" 0 (Migrate.moved w);
+  Ctx.replay_store ctx ~op_id:rid ~from_:(Program.home_int p rid) ~to_
+    (Migrate.last_failure w) ~reads:(Grip.Gapless.reads memo);
+  count "replayed attempt" (fun () ->
+      if not (Ctx.replay_hit ctx rid) then Alcotest.fail "slot not replayed";
+      Migrate.replay w ~target:to_ ~op_id:rid (Ctx.replay_outcome ctx rid))
 
 (* 4. full pipelines leave every maintained structure coherent *)
 let prop_pipeline_coherent =

@@ -830,8 +830,10 @@ let prop_fixed_target =
 
 (* Node deletion keeps the chain memo: deleted nodes are explicit here
    as well as those the migrations empty.  The run fails unless the
-   memo held entries across some deletion. *)
-let prop_fixed_target_deletions =
+   memo held entries across some deletion.  Built by the suite list,
+   after the [QCHECK_SEED] default is in place: qcheck-alcotest reads
+   the seed once, at its first test. *)
+let prop_fixed_target_deletions () =
   let name, speed, run =
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make
@@ -1017,7 +1019,7 @@ let () =
           [ prop_walk_exact ~veto:false; prop_walk_exact ~veto:true ]
         @ [
             QCheck_alcotest.to_alcotest prop_fixed_target;
-            prop_fixed_target_deletions;
+            prop_fixed_target_deletions ();
             Alcotest.test_case "chain misses the target" `Quick
               test_chain_misses_target;
             Alcotest.test_case "memo forgets a join set_ctree makes" `Quick
