@@ -243,10 +243,10 @@ let fig11 () =
     }
   in
   let steps = ref 0 in
+  let scratch = Grip.Scheduler.fresh_scratch p in
   let on_move ~op ~outcome =
     incr steps;
     if !steps <= 10 then begin
-      let dom = Vliw_percolation.Ctx.dominators ctx in
       let target =
         match Vliw_ir.Program.home p outcome.Vliw_percolation.Migrate.final_id with
         | Some h -> h
@@ -257,7 +257,7 @@ let fig11 () =
         (if outcome.Vliw_percolation.Migrate.moved = 1 then "" else "s")
         target target
         (if target >= 0 then
-           Grip.Scheduler.moveable_op_ids p dom target (Vliw_ir.Iarr.create ())
+           Grip.Scheduler.entry_op_ids scratch target
            |> Vliw_ir.Iarr.to_list
            |> List.filter_map (Vliw_ir.Program.stored_op p)
            |> pp_ops
@@ -490,7 +490,7 @@ let ablation ~pool () =
 module Json = Grip_obs.Json
 module Obs = Grip_obs
 
-let table1_schema = "grip.bench.table1/13"
+let table1_schema = "grip.bench.table1/14"
 
 (* One (loop, technique, width) measurement with its scheduler stats,
    per-phase wall-clock breakdown and bottleneck verdict — the
@@ -534,23 +534,14 @@ let json_cell (e : Livermore.entry) method_ fu horizon =
   in
   let legality =
     let c name = Obs.Metrics.counter metrics name in
-    let hits = c "legality.cache_hits" and misses = c "legality.cache_misses" in
-    let rate =
-      if hits + misses = 0 then 0.0
-      else float_of_int hits /. float_of_int (hits + misses)
-    in
     Json.Obj
       [
         ("check_seconds", Json.Num (Obs.Metrics.time metrics "legality.check"));
-        ("cache_hits", Json.int hits);
-        ("cache_misses", Json.int misses);
-        ("cache_hit_rate", Json.Num rate);
         ("gc_deferred", Json.int (c "ir.gc_deferred"));
         ("gc_runs", Json.int (c "ir.gc_runs"));
         ("gc_reclaimed", Json.int (c "ir.gc_reclaimed"));
         ("gc_candidates", Json.int (c "ir.gc_candidates"));
         ("walk_nodes", Json.int (c "migrate.walk_nodes"));
-        ("cone_nodes", Json.int (c "migrate.cone_nodes"));
         ("chain_nodes", Json.int (c "migrate.chain_nodes"));
         ("candidate_visits", Json.int (c "scheduler.candidate_visits"));
         ("replays", Json.int (c "scheduler.replays"));
@@ -757,15 +748,11 @@ let json_validate file =
                               fu tech field)
                         [
                           "check_seconds";
-                          "cache_hits";
-                          "cache_misses";
-                          "cache_hit_rate";
                           "gc_deferred";
                           "gc_runs";
                           "gc_reclaimed";
                           "gc_candidates";
                           "walk_nodes";
-                          "cone_nodes";
                           "chain_nodes";
                           "candidate_visits";
                           "replays";

@@ -131,30 +131,6 @@ let speculation_allows (config : config) (ctx : Ctx.t) ~from_ ~to_
                (Machine.slot_demand_packed m (Program.counts_packed p to_))
              < threshold *. float_of_int (Machine.width m))
 
-(* The Moveable-ops set of [n]: every operation on the subgraph
-   dominated by [n], excluding those already in [n].  (Initialisation
-   per section 3.2; operations become unmoveable by being scheduled
-   into [n] or by failing their migration attempt, both of which the
-   scheduling loop tracks dynamically.)  Listed as op ids, per region
-   node in RPO order plain ops in instruction order then tree jumps
-   pre-order, drawn from the program's flat sequences; the scheduler
-   re-fetches metadata by id.  A node comes after its dominators in
-   RPO, so only the positions after [n]'s are filtered, each node by
-   the O(1) interval test.  Node entry uses this only on a cyclic
-   program ({!region_op_ids}); it is also the test oracle. *)
-let moveable_op_ids (p : Program.t) dom n acc =
-  Vliw_ir.Iarr.clear acc;
-  let add = Vliw_ir.Iarr.push acc in
-  let len = Program.n_nodes p in
-  let at = Program.rpo_index p n in
-  if at < len then
-    for k = at + 1 to len - 1 do
-      let id = Program.rpo_at p k in
-      if (not (Program.is_exit p id)) && Vliw_analysis.Dom.dominates dom n id
-      then Program.iter_op_ids p id add
-    done;
-  acc
-
 (** Node entry's region pass: the marks and the fold state of
     {!region_op_ids}, held on the run's scratch so that a pass
     allocates nothing and concurrent runs share nothing. *)
@@ -177,16 +153,24 @@ let region_step r q =
     else if Array.unsafe_get r.r_mark q <> r.r_stamp then r.r_all <- false;
   r
 
-(** [region_op_ids r n acc] — the Moveable-ops set of [n], as
-    {!moveable_op_ids} lists it, in one pass over the RPO suffix after
-    [n] with no dominator tree: a node there is dominated by [n]
-    exactly when every live predecessor of it is [n] or dominated by
-    [n].  In an acyclic graph every predecessor precedes its node in
-    RPO, so the pass, marking [n] and then each node it finds
-    dominated, has decided each predecessor when it reaches the node.
-    A live predecessor at or after its node is a retreating edge: the
-    graph has a cycle, the pass stops and answers [false], and [acc]
-    is to be ignored (DESIGN.md §24). *)
+(** [region_op_ids r n acc] — the Moveable-ops set of [n]: every
+    operation on the subgraph dominated by [n], excluding those already
+    in [n].  (Initialisation per section 3.2; operations become
+    unmoveable by being scheduled into [n] or by failing their
+    migration attempt, both of which the scheduling loop tracks
+    dynamically.)  Listed as op ids, per region node in RPO order
+    plain ops in instruction order then tree jumps pre-order, drawn
+    from the program's flat sequences; the scheduler re-fetches
+    metadata by id.
+
+    One pass over the RPO suffix after [n], with no dominator tree: a
+    node there is dominated by [n] exactly when every live predecessor
+    of it is [n] or dominated by [n].  In an acyclic graph every
+    predecessor precedes its node in RPO, so the pass, marking [n] and
+    then each node it finds dominated, has decided each predecessor
+    when it reaches the node.  A live predecessor at or after its node
+    is a retreating edge: the graph has a cycle, the pass stops and
+    answers [false], and [acc] is to be ignored (DESIGN.md §24). *)
 let region_op_ids r n acc =
   let p = r.r_program in
   Vliw_ir.Iarr.clear acc;
@@ -422,16 +406,16 @@ let fresh_scratch p =
     gapless = Gapless.create_memo ();
   }
 
-(** [entry_op_ids ctx scratch n] — node entry's Moveable-ops set of
-    [n] in [scratch]'s worklist buffer: the region pass, or on a
-    cyclic program the dominator filter, counted as
-    [scheduler.dom_fallbacks]. *)
-let entry_op_ids (ctx : Ctx.t) scratch n =
-  if region_op_ids scratch.region n scratch.moveable then scratch.moveable
-  else begin
-    Metrics.incr ctx.Ctx.obs.Grip_obs.metrics "scheduler.dom_fallbacks";
-    moveable_op_ids ctx.Ctx.program (Ctx.dominators ctx) n scratch.moveable
-  end
+(** [entry_op_ids scratch n] — node entry's Moveable-ops set of [n]
+    in [scratch]'s worklist buffer, by the region pass.  Unwound
+    programs are acyclic; on a cyclic one the pass meets a retreating
+    edge, and node entry raises a [Scheduling] error. *)
+let entry_op_ids scratch n =
+  if not (region_op_ids scratch.region n scratch.moveable) then
+    Grip_robust.Grip_error.raise_ Grip_robust.Grip_error.Scheduling
+      (Grip_robust.Grip_error.Malformed
+         [ Printf.sprintf "cyclic program: a retreating edge below n%d" n ]);
+  scratch.moveable
 
 let mask_get b id = id < Bytes.length b && Bytes.unsafe_get b id <> '\000'
 
@@ -498,7 +482,7 @@ let schedule_node ?on_move ?on_replay (config : config) (ctx : Ctx.t)
   let suspend_reason = ref "gap prevention" in
   let queue = scratch.queue in
   Ranked.load queue ~cmp:config.rank.Rank.compare ~record:(Program.stored_op p)
-    (entry_op_ids ctx scratch n);
+    (entry_op_ids scratch n);
   (* Op ids are dense, so the suspended and attempted sets are byte
      masks (consulted for every candidate the queue visits), plus, for
      the suspended set, an explicit id list for the two fold/clear
@@ -723,7 +707,8 @@ let schedule_node ?on_move ?on_replay (config : config) (ctx : Ctx.t)
 (** [run ?on_move ?on_replay config ctx] schedules the whole program
     top-down.  Nodes created during scheduling (splits,
     conditional-arm copies) are scheduled when the traversal reaches
-    them. *)
+    them.  A retreating edge below a scheduled node raises a
+    [Scheduling] error ({!entry_op_ids}). *)
 let run ?on_move ?on_replay (config : config) (ctx : Ctx.t) =
   let p = ctx.Ctx.program in
   Ctx.replay_forget ctx;

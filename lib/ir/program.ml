@@ -62,7 +62,8 @@
     fills reused [int array]s with the postorder of the reachable
     nodes, each node's postorder index, and a per-walk stamp that
     doubles as reachability ({!is_live}, {!rpo_index}, {!rpo_at},
-    {!n_nodes}; {!rpo} is a list view of the same order).  Every
+    {!n_nodes}; {!rpo} copies the same order into a new list on each
+    call).  Every
     edge edit goes through [link_node] (which bumps [shape] and
     [chain]) or [delete_node] (which bumps only [shape]: removing an
     empty single-successor node changes no other node's reachability
@@ -121,8 +122,6 @@ type t = {
   mutable ord_next : int array;  (** walk stack: next successor index *)
   mutable ord_walks : int;  (** total walks over the run *)
   mutable ord_visits : int;  (** total nodes those walks reached *)
-  mutable rpo_cache : (int * int list) option;
-      (** {!rpo}'s list view, keyed on [shape] *)
   mutable gc_reclaimed : int;  (** total nodes collected over the run *)
   gc_work : Iarr.t;
       (** sweep candidates since the last {!gc}: nodes that lost an
@@ -427,7 +426,6 @@ let create ?(first_reg = 0) () =
       ord_next = [||];
       ord_walks = 0;
       ord_visits = 0;
-      rpo_cache = None;
       gc_reclaimed = 0;
       gc_work = Iarr.create ();
       gc_marks = Itbl.create 0;
@@ -887,21 +885,15 @@ let unique_live_pred p id =
     unique_live_from p b.Iarr.a (b.Iarr.len - 1) (-1)
 
 (** [rpo p] is a reverse-postorder listing of the reachable nodes from
-    the entry — the top-down scheduling order — as a list view of the
-    graph-order walk.  Memoized per {!shape_version}: while no edge or
-    node comes or goes, every call returns the same list, so callers
-    that edit the graph can iterate a snapshot. *)
+    the entry — the top-down scheduling order — as a fresh list built
+    from the graph-order walk, so callers that edit the graph iterate a
+    snapshot. *)
 let rpo p =
-  match p.rpo_cache with
-  | Some (v, order) when v = p.shape -> order
-  | _ ->
-      let n = n_nodes p in
-      let order = ref [] in
-      for k = 0 to n - 1 do
-        order := Array.unsafe_get p.ord_post k :: !order
-      done;
-      p.rpo_cache <- Some (p.shape, !order);
-      !order
+  let order = ref [] in
+  for k = 0 to n_nodes p - 1 do
+    order := Array.unsafe_get p.ord_post k :: !order
+  done;
+  !order
 
 (** [all_ops p] lists every operation of every reachable node. *)
 let all_ops p =

@@ -13,10 +13,10 @@
 
     The report also lists, per compared cell, the integer counters of
     its [stats] and [legality] blocks that differ (the scheduler's
-    work; the timing [check_seconds] and the ratio [cache_hit_rate]
-    are not counters), names once the counters that only one
-    artifact's cells carry (schema skew, which the per-cell comparison
-    skips), and ends with how many cells did the same work.  A counter
+    work; the timing [check_seconds] is not a counter), names once the
+    counters that only one artifact's cells carry (schema skew, which
+    the per-cell comparison skips), and ends with how many cells did
+    the same work.  A counter
     that differs fails the diff: a change in the work a sweep does
     must come with a regenerated artifact. *)
 
@@ -92,7 +92,7 @@ let cells_of doc =
     loops
 
 (* Fields of those blocks that measure rather than count. *)
-let not_counters = [ "legality.check_seconds"; "legality.cache_hit_rate" ]
+let not_counters = [ "legality.check_seconds" ]
 
 (* A cell's integer counters in its [stats] and [legality] blocks, as
    ("block.field", value). *)

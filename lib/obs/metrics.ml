@@ -30,14 +30,14 @@
       [scheduler.migrations] and the other per-attempt counters as the
       attempt it stands for
     - [migrate.chain_nodes] — nodes each walked migration's chain
-      check followed, added once per migration whether or not the cone
-      was a chain (a replay checks no chain)
+      check followed, added once per migration whether or not it found
+      a chain (a replay checks no chain)
     - [gapless.scan_nodes] — nodes the Gapless test's condition-3
       search expanded (memoized nodes are not expanded), added once per
       search (a replay searches nothing)
-    - [migrate.cone_nodes / walk_nodes] — nodes marked in the cone and
-      nodes the walk expanded, added once per cone walk (a migration
-      whose cone is a chain climbs it and adds neither)
+    - [migrate.walk_nodes] — nodes the plain post-order walk
+      expanded, added once per walk (a migration that finds a chain
+      climbs it and adds nothing)
     - [ir.gc_runs / gc_deferred / gc_reclaimed / gc_candidates] —
       graph collections, the requests batched into them, nodes
       collected and worklist entries examined (added once per sweep)

@@ -1,7 +1,10 @@
 (** Shared context for the percolation transformations: the program
     being transformed, the target machine (resource checks happen at
     every hop), the liveness oracle, the renaming policy, and the
-    observability handle every transformation emits through. *)
+    observability handle every transformation emits through; plus the
+    scratch state that migrations reuse instead of allocating: the
+    replay slots, the walk's visit marks, the chain memo and the
+    deferred-GC region. *)
 
 open Vliw_ir
 
@@ -17,22 +20,17 @@ type t = {
       (** dominator tree keyed by [Program.version]; per-context rather
           than global so concurrent or nested scheduler runs cannot
           observe each other's cache *)
-  mutable memo_from : int array;
-      (** the legality memo, one slot per op id (DESIGN.md §26): the
-          [from_] of the move the slot's verdict speaks for, [-1] when
-          empty *)
-  mutable memo_to : int array;  (** op id -> the slot's [to_] *)
-  mutable memo_time : int array;
-      (** op id -> the {!Program.version} the verdict was recorded at *)
-  mutable memo_verdict : (unit, Legality.failure) result array;
-      (** op id -> the verdict, or {!no_verdict} *)
-  mutable memo_outcome : Legality.hop option array;
-      (** op id -> the replay slot's outcome: how an attempt that moved
-          nothing ended at its first hop [from_] -> [to_]; [None] when
-          the slot holds no replay (DESIGN.md §27) *)
-  mutable memo_reads : int array;
-      (** op id -> the offset of the replay slot's read set in
-          [reads] *)
+  mutable slot_from : int array;
+      (** the replay slots, one per op id (DESIGN.md §27): the [from_]
+          of the hop the slot's attempt stopped at, [-1] when empty *)
+  mutable slot_to : int array;  (** op id -> the slot's [to_] *)
+  mutable slot_time : int array;
+      (** op id -> the {!Program.version} the slot was recorded at *)
+  mutable slot_outcome : Legality.hop option array;
+      (** op id -> how the attempt ended at that hop; [None] when the
+          slot holds no replay *)
+  mutable slot_reads : int array;
+      (** op id -> the offset of the slot's read set in [reads] *)
   mutable reads : int array;
       (** the read-set arena: at each entry's offset the op id, the
           node count, then the nodes *)
@@ -41,15 +39,7 @@ type t = {
       (** migration-walk visited set, epoch-stamped: a walk bumps
           [walk_stamp] instead of allocating a fresh table *)
   mutable walk_stamp : int;
-  cone_marks : int Itbl.t;
-      (** migration-cone membership, epoch-stamped like [walk_marks] *)
-  mutable cone_stamp : int;
-  mutable cone_fresh : int;
-      (** {!Program.node_limit} when the cone was marked: nodes created
-          since belong to it *)
-  cone_queue : Iarr.t;
-      (** explicit worklist the cone is marked with; the chain check
-          collects the nodes it follows here too *)
+  chain_queue : Iarr.t;  (** the nodes the last chain check followed *)
   chain_marks : int Itbl.t;
       (** chain memo: [chain_stamp] on every node whose unique live
           predecessors lead to [chain_target] under chain version
@@ -74,20 +64,16 @@ let make ?(rename = true) ?(obs = Grip_obs.null) program ~machine ~exit_live =
     rename;
     obs;
     dom_cache = None;
-    memo_from = [||];
-    memo_to = [||];
-    memo_time = [||];
-    memo_verdict = [||];
-    memo_outcome = [||];
-    memo_reads = [||];
+    slot_from = [||];
+    slot_to = [||];
+    slot_time = [||];
+    slot_outcome = [||];
+    slot_reads = [||];
     reads = [||];
     reads_len = 0;
     walk_marks = Itbl.create 0;
     walk_stamp = 0;
-    cone_marks = Itbl.create 0;
-    cone_stamp = 0;
-    cone_fresh = 0;
-    cone_queue = Iarr.create ();
+    chain_queue = Iarr.create ();
     chain_marks = Itbl.create 0;
     chain_stamp = 0;
     chain_target = -1;
@@ -118,79 +104,6 @@ let dominators t =
 
 let live_in t id = Vliw_analysis.Liveness.live_in t.liveness id
 
-(* -- move-op legality memoization ---------------------------------------- *)
-
-(* A verdict of [Move_op.check] for (from_, to_, op_id) is a function
-   of the op's record, [from_]'s ops and tree, [to_]'s ops, tree and
-   packed counts, and this context's machine and renaming policy.  The
-   record can change only while the op sits in a node, by an edit of
-   that node, so while the op's home is still [from_] and neither
-   node's {!Program.node_stamp} has passed the slot's time, the check
-   would decide as it did.  One slot per op id keeps the latest move
-   asked about; lookups and stores hash nothing and allocate nothing
-   once the arrays have grown to the op ids in use. *)
-
-let memo_grow t op_id =
-  let cap = Array.length t.memo_from in
-  if op_id >= cap then begin
-    let cap' = max 64 (max (op_id + 1) (2 * cap)) in
-    let grow a fill =
-      let b = Array.make cap' fill in
-      Array.blit a 0 b 0 cap;
-      b
-    in
-    t.memo_from <- grow t.memo_from (-1);
-    t.memo_to <- grow t.memo_to (-1);
-    t.memo_time <- grow t.memo_time 0;
-    t.memo_verdict <- grow t.memo_verdict (Ok ());
-    t.memo_outcome <- grow t.memo_outcome None;
-    t.memo_reads <- grow t.memo_reads 0
-  end
-
-(** The verdict of a slot that speaks for no move: a replay slot
-    written by an attempt that never reached the legality check, over
-    a verdict the check would no longer give.  Compared physically. *)
-let no_verdict : (unit, Legality.failure) result = Error Legality.Op_not_found
-
-let hits_key = Grip_obs.Metrics.key "legality.cache_hits"
-let misses_key = Grip_obs.Metrics.key "legality.cache_misses"
-
-(** [legality_hit t ~from_ ~to_ ~op_id] — does the memo hold a verdict
-    for this move that the current program still bears out?  Records a
-    [legality.cache_hits] / [legality.cache_misses] metric either way;
-    on a hit, {!legality_verdict} is the verdict. *)
-let legality_hit t ~from_ ~to_ ~op_id =
-  let p = t.program in
-  let hit =
-    op_id < Array.length t.memo_from
-    && Array.unsafe_get t.memo_from op_id = from_
-    && Array.unsafe_get t.memo_to op_id = to_
-    && Program.home_int p op_id = from_
-    &&
-    let time = Array.unsafe_get t.memo_time op_id in
-    Program.node_stamp p from_ <= time && Program.node_stamp p to_ <= time
-    && Array.unsafe_get t.memo_verdict op_id != no_verdict
-  in
-  Grip_obs.Metrics.bump t.obs.Grip_obs.metrics
-    (if hit then hits_key else misses_key)
-    1;
-  hit
-
-(** [legality_verdict t op_id] — the verdict of [op_id]'s slot, as
-    {!legality_hit} just confirmed it. *)
-let legality_verdict t op_id = Array.unsafe_get t.memo_verdict op_id
-
-(** [legality_store t ~from_ ~to_ ~op_id verdict] — record [verdict]
-    for this move against the current program.  The slot's replay, if
-    any, spoke for its old move and time, and is dropped. *)
-let legality_store t ~from_ ~to_ ~op_id verdict =
-  memo_grow t op_id;
-  Array.unsafe_set t.memo_from op_id from_;
-  Array.unsafe_set t.memo_to op_id to_;
-  Array.unsafe_set t.memo_time op_id (Program.version t.program);
-  Array.unsafe_set t.memo_verdict op_id verdict;
-  Array.unsafe_set t.memo_outcome op_id None
-
 (* -- replay slots ----------------------------------------------------- *)
 
 (* A migration attempt that moves nothing stops at its first hop
@@ -200,9 +113,26 @@ let legality_store t ~from_ ~to_ ~op_id verdict =
    read set), so while the op is still at [from_], [to_] is still
    [from_]'s only live predecessor, and no node among [from_], [to_]
    and the read set has a stamp newer than the slot, the attempt would
-   end as it did (DESIGN.md §27).  The slot shares the legality memo's
-   [from_], [to_] and time; its read set lives in one arena, entries
-   appended and compacted when the arena fills. *)
+   end as it did (DESIGN.md §27).  One slot per op id keeps the latest
+   such attempt; its read set lives in one arena, entries appended and
+   compacted when the arena fills.  Lookups and stores hash nothing and
+   allocate nothing once the arrays have grown to the op ids in use. *)
+
+let slots_grow t op_id =
+  let cap = Array.length t.slot_from in
+  if op_id >= cap then begin
+    let cap' = max 64 (max (op_id + 1) (2 * cap)) in
+    let grow a fill =
+      let b = Array.make cap' fill in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    t.slot_from <- grow t.slot_from (-1);
+    t.slot_to <- grow t.slot_to (-1);
+    t.slot_time <- grow t.slot_time 0;
+    t.slot_outcome <- grow t.slot_outcome None;
+    t.slot_reads <- grow t.slot_reads 0
+  end
 
 (* Slide the entries that are still some slot's read set to the front
    of the arena, oldest first; an entry is live when its op's slot
@@ -212,9 +142,9 @@ let reads_compact t =
   let r = ref 0 and w = ref 0 in
   while !r < t.reads_len do
     let op = a.(!r) and len = a.(!r + 1) + 2 in
-    if t.memo_reads.(op) = !r && t.memo_outcome.(op) != None then begin
+    if t.slot_reads.(op) = !r && t.slot_outcome.(op) != None then begin
       Array.blit a !r a !w len;
-      t.memo_reads.(op) <- !w;
+      t.slot_reads.(op) <- !w;
       w := !w + len
     end;
     r := !r + len
@@ -248,26 +178,14 @@ let reads_append t op_id nodes =
     [last_failure], never [None]) at its first hop [from_] -> [to_],
     the op's home and that home's unique live predecessor, with
     [allow_hop] having read [reads] besides the two nodes.  The slot
-    keeps [outcome] itself, so recording allocates nothing.  The slot's
-    legality verdict is kept if it still speaks for this move, and
-    otherwise marked {!no_verdict}: it could never be served again (the
-    op is at [from_], whose only live predecessor is [to_]). *)
+    keeps [outcome] itself, so recording allocates nothing. *)
 let replay_store t ~op_id ~from_ ~to_ outcome ~reads =
-  memo_grow t op_id;
-  let p = t.program in
-  let time = Array.unsafe_get t.memo_time op_id in
-  if
-    not
-      (Array.unsafe_get t.memo_from op_id = from_
-      && Array.unsafe_get t.memo_to op_id = to_
-      && Program.node_stamp p from_ <= time
-      && Program.node_stamp p to_ <= time)
-  then Array.unsafe_set t.memo_verdict op_id no_verdict;
-  Array.unsafe_set t.memo_from op_id from_;
-  Array.unsafe_set t.memo_to op_id to_;
-  Array.unsafe_set t.memo_time op_id (Program.version p);
-  Array.unsafe_set t.memo_outcome op_id outcome;
-  Array.unsafe_set t.memo_reads op_id (reads_append t op_id reads)
+  slots_grow t op_id;
+  Array.unsafe_set t.slot_from op_id from_;
+  Array.unsafe_set t.slot_to op_id to_;
+  Array.unsafe_set t.slot_time op_id (Program.version t.program);
+  Array.unsafe_set t.slot_outcome op_id outcome;
+  Array.unsafe_set t.slot_reads op_id (reads_append t op_id reads)
 
 (* Is every node of the read set at [at] no newer than [time]? *)
 let rec reads_fresh p a i stop time =
@@ -278,34 +196,35 @@ let rec reads_fresh p a i stop time =
 (** [replay_hit t op_id] — does [op_id]'s replay slot still tell how an
     attempt to migrate it would end?  Its home must be the slot's
     [from_], [from_]'s only live predecessor the slot's [to_] (so both
-    the chain climb and the cone walk try this hop first), and no node
+    the chain climb and the plain walk try this hop first), and no node
     of the two nor of the read set edited since the slot was
-    recorded.  Hashes nothing and allocates nothing. *)
+    recorded.  Nothing else drops a slot: these checks alone make a
+    replay sound.  Hashes nothing and allocates nothing. *)
 let replay_hit t op_id =
-  op_id < Array.length t.memo_outcome
-  && Array.unsafe_get t.memo_outcome op_id != None
+  op_id < Array.length t.slot_outcome
+  && Array.unsafe_get t.slot_outcome op_id != None
   &&
   let p = t.program in
-  let from_ = Array.unsafe_get t.memo_from op_id in
+  let from_ = Array.unsafe_get t.slot_from op_id in
   Program.home_int p op_id = from_
   &&
-  let to_ = Array.unsafe_get t.memo_to op_id
-  and time = Array.unsafe_get t.memo_time op_id in
+  let to_ = Array.unsafe_get t.slot_to op_id
+  and time = Array.unsafe_get t.slot_time op_id in
   Program.node_stamp p from_ <= time
   && Program.node_stamp p to_ <= time
-  && (let at = Array.unsafe_get t.memo_reads op_id in
+  && (let at = Array.unsafe_get t.slot_reads op_id in
       reads_fresh p t.reads (at + 2) (at + 2 + t.reads.(at + 1)) time)
   && Program.unique_live_pred p from_ = to_
 
 (** [replay_outcome t op_id] — the outcome of the slot {!replay_hit}
     just confirmed, as the migration reported it. *)
-let replay_outcome t op_id = Array.unsafe_get t.memo_outcome op_id
+let replay_outcome t op_id = Array.unsafe_get t.slot_outcome op_id
 
 (** [replay_forget t] — drop every replay slot.  A scheduling run calls
     it first: a read set leaves out what the run's Gapless absence
     memo answers, so a slot speaks for one run only. *)
 let replay_forget t =
-  Array.fill t.memo_outcome 0 (Array.length t.memo_outcome) None;
+  Array.fill t.slot_outcome 0 (Array.length t.slot_outcome) None;
   t.reads_len <- 0
 
 (** [sample_tick t n] — count one legality check and tell whether it
@@ -327,24 +246,6 @@ let sample_tick t n =
 let walk_begin t = t.walk_stamp <- t.walk_stamp + 1
 let walk_seen t id = Itbl.get t.walk_marks id = t.walk_stamp
 let walk_mark t id = Itbl.set t.walk_marks id t.walk_stamp
-
-(* The migration cone (see {!Migrate}): a stamped set plus every node
-   created after [cone_begin]. *)
-let cone_begin t =
-  t.cone_stamp <- t.cone_stamp + 1;
-  t.cone_fresh <- Program.node_limit t.program;
-  Iarr.clear t.cone_queue
-
-let in_cone t id = id >= t.cone_fresh || Itbl.get t.cone_marks id = t.cone_stamp
-
-(* Enqueue [id] unless already in the cone; shaped as a
-   {!Program.fold_preds} step so marking needs no closure. *)
-let cone_add t id =
-  if not (in_cone t id) then begin
-    Itbl.set t.cone_marks id t.cone_stamp;
-    Iarr.push t.cone_queue id
-  end;
-  t
 
 (* The chain memo (see {!Migrate}) speaks for one (target,
    {!Program.chain_version}) key: a chain check under another key bumps

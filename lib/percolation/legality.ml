@@ -1,12 +1,11 @@
 (** Why a hop is rejected: the [move-op] legality check, [move-cj], and
     the migration driver's summary of a failed hop.
 
-    Lives below {!Ctx} (which memoizes verdicts, one slot per op,
-    checked against the stamps of the move's two nodes, and keeps the
-    replay slot of an attempt that moved nothing) and the
-    transformations (which produce them); [Move_op.failure],
-    [Move_cj.failure] and [Migrate.failure] re-export these types, so
-    matches against [Move_op.No_room], [Move_cj.True_dependence] or
+    Lives below {!Ctx} (whose replay slot keeps how an attempt that
+    moved nothing ended) and the transformations (which produce these
+    verdicts); [Move_op.failure], [Move_cj.failure] and
+    [Migrate.failure] re-export these types, so matches against
+    [Move_op.No_room], [Move_cj.True_dependence] or
     [Migrate.Suspended] keep compiling. *)
 
 open Vliw_ir

@@ -6,16 +6,8 @@
     and hoists the operation one node per unwinding step with
     {!Move_op.move} / {!Move_cj.move}.
 
-    The descent is confined to the operation's {e cone}: its home and
-    every node that reaches it by a path not passing through [target]
-    ([target] included), plus every node created during the walk.
-    Unwound programs are acyclic, so a node outside the cone can never
-    become a predecessor of the operation's home, and nothing below it
-    is in the cone either: skipping it leaves every hop attempt, and
-    their order, unchanged (DESIGN.md §19).
-
-    {b The chain climb.}  Most cones are chains: the home has exactly
-    one live predecessor, so does the node above it, and so on up to
+    {b The chain climb.}  Most migrations run up a chain: the home has
+    exactly one live predecessor, so does the node above it, and so on up to
     [target].  [migrate] first checks this, following
     {!Program.unique_live_pred} up from the home.  On a chain the
     post-order walk goes straight down to the home and finishes the
@@ -30,9 +22,11 @@
     stop at the first stamped node; deleting an emptied node keeps the
     memo, since it cuts no chain (DESIGN.md §24).
 
-    The cone is marked and walked only when the check fails: a join, a
+    The plain post-order walk runs only when the check fails: a join, a
     node with no live predecessor, a dead or deleted home, or a target
-    that is not above the home.
+    that is not above the home.  It enters every node below [target];
+    only those that reach the operation's home can pull it, so the
+    excursions elsewhere attempt nothing (DESIGN.md §19).
 
     The gap-prevention behaviour of Figure 12 is injected through
     [hooks]:
@@ -45,9 +39,8 @@ open Vliw_ir
 
 (** Migration hooks.  [early_stop] may depend only on [moved] and on
     state that [allow_hop] or [on_suspend] change, so that it gives one
-    answer between two hop attempts.  The walk consults it fewer times
-    than a full post-order walk would: the cone walk never outside the
-    cone, the chain climb once per node it pulls at. *)
+    answer between two hop attempts.  The chain climb consults it fewer
+    times than the post-order walk would: once per node it pulls at. *)
 type hooks = {
   allow_hop : from_:int -> to_:int -> op:Operation.t -> bool;
   on_suspend : Operation.t -> unit;
@@ -184,11 +177,7 @@ let walk_dead p nid =
    [List.iter] closure per visited node. *)
 let rec walk_go w nid =
   let p = w.w_ctx.Ctx.program in
-  if
-    (not (Ctx.in_cone w.w_ctx nid))
-    || w.w_hooks.early_stop ~moved:w.w_moved
-    || Ctx.walk_seen w.w_ctx nid
-  then ()
+  if w.w_hooks.early_stop ~moved:w.w_moved || Ctx.walk_seen w.w_ctx nid then ()
   else begin
     Ctx.walk_mark w.w_ctx nid;
     w.w_visits <- w.w_visits + 1;
@@ -216,40 +205,22 @@ and walk_pull w nid = function
       then hop_step w ~from_:s ~to_:nid;
       walk_pull w nid tl
 
-(* Mark the cone of an operation at [home]: the backward closure of
-   [home] over recorded predecessors, not expanded past [target].
-   Breadth-first over the context's queue buffer, so marking allocates
-   nothing; returns the number of nodes marked. *)
-let mark_cone (ctx : Ctx.t) ~target ~home =
-  let p = ctx.Ctx.program in
-  let q = ctx.Ctx.cone_queue in
-  Ctx.cone_begin ctx;
-  if home >= 0 then ignore (Ctx.cone_add ctx home);
-  let i = ref 0 in
-  while !i < Iarr.length q do
-    let id = Iarr.unsafe_get q !i in
-    incr i;
-    if id <> target then
-      ignore (Program.fold_preds p id ~init:ctx ~f:Ctx.cone_add)
-  done;
-  Iarr.length q
-
 (* Follow unique live predecessors from [id] until [target], or a node
    the memo knows leads there; [fuel] bounds the chase on a cyclic
    graph.  Every node followed is pushed on the context's queue. *)
 let rec chain_reaches (ctx : Ctx.t) ~target id fuel =
-  Iarr.push ctx.Ctx.cone_queue id;
+  Iarr.push ctx.Ctx.chain_queue id;
   if id = target || Ctx.chain_known ctx id then true
   else if fuel = 0 then false
   else
     let q = Program.unique_live_pred ctx.Ctx.program id in
     q >= 0 && chain_reaches ctx ~target q (fuel - 1)
 
-(* Is the cone a chain from a live [home] up to [target]?  Stamps a
-   confirmed chain in the memo; leaves the nodes followed in the
-   context's queue either way. *)
+(* Do unique live predecessors lead from a live [home] up to
+   [target]?  Stamps a confirmed chain in the memo; leaves the nodes
+   followed in the context's queue either way. *)
 let on_chain (ctx : Ctx.t) ~target ~home =
-  let p = ctx.Ctx.program and q = ctx.Ctx.cone_queue in
+  let p = ctx.Ctx.program and q = ctx.Ctx.chain_queue in
   Iarr.clear q;
   Ctx.chain_begin ctx ~target;
   let chain =
@@ -284,10 +255,9 @@ let rec climb w ~target below =
 (* The two walks as [Ctx.defer_gc] runs them, from the walk record
    alone. *)
 let climb_walk w = climb w ~target:w.w_target w.w_home
-let cone_walk w = walk_go w w.w_target
+let plain_walk w = walk_go w w.w_target
 
 let chain_nodes_key = Grip_obs.Metrics.key "migrate.chain_nodes"
-let cone_nodes_key = Grip_obs.Metrics.key "migrate.cone_nodes"
 let walk_nodes_key = Grip_obs.Metrics.key "migrate.walk_nodes"
 
 (** [run w ~target ~op_id] — migrate [op_id] toward [target] (see the
@@ -306,7 +276,7 @@ let run w ~target ~op_id =
   w.w_visits <- 0;
   let m = ctx.Ctx.obs.Grip_obs.metrics in
   let chain = on_chain ctx ~target ~home in
-  Grip_obs.Metrics.bump m chain_nodes_key (Iarr.length ctx.Ctx.cone_queue);
+  Grip_obs.Metrics.bump m chain_nodes_key (Iarr.length ctx.Ctx.chain_queue);
   (* Garbage collection is deferred for the whole walk: commits mark
      nodes dead without sweeping, so [node_opt] alone no longer proves
      liveness — the [is_live] checks in the walker reproduce exactly
@@ -318,9 +288,7 @@ let run w ~target ~op_id =
     (* Visited set: the context's epoch-stamped scratch table — one
        stamp bump instead of a fresh hash table per walk. *)
     Ctx.walk_begin ctx;
-    let cone = mark_cone ctx ~target ~home in
-    Ctx.defer_gc ctx cone_walk w;
-    Grip_obs.Metrics.bump m cone_nodes_key cone;
+    Ctx.defer_gc ctx plain_walk w;
     Grip_obs.Metrics.bump m walk_nodes_key w.w_visits
   end;
   w.w_reached <- Program.home_int p w.w_current = target

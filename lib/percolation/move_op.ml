@@ -36,14 +36,10 @@
     and memory conflicts and [from_]'s for readers of the destination;
     no per-node hash index is consulted.  The [*_scan] entry points
     keep the original list-scanning implementation alive as the
-    equivalence oracle the test suite checks {!check} against.
-    Verdicts are memoized in the context ({!Ctx.legality_hit}), one
-    slot per op, checked against the stamps of the move's two nodes:
-    the check has no effect on failure, so replaying a recorded
-    failure is sound, while successful moves re-run the check because
-    committing consumes fresh names.  On the failure paths the check
-    builds no closure and no option, and a failure without a payload
-    raises a preallocated exception. *)
+    equivalence oracle the test suite checks {!check} against.  Every
+    attempt runs the check; verdicts are not memoized (DESIGN.md §26).
+    On the failure paths the check builds no closure and no option,
+    and a failure without a payload raises a preallocated exception. *)
 
 open Vliw_ir
 module Alias = Vliw_analysis.Alias
@@ -388,23 +384,6 @@ let commit (ctx : Ctx.t) ~from_ ~to_ ~op_id (moved_op, renamed) =
   Ctx.maybe_gc ctx;
   { op = moved_op; renamed; split; deleted_from }
 
-(* Run [check], consulting the memo first.  A recorded failure
-   short-circuits (checking mutates nothing on the failure paths); a
-   recorded success still re-runs the check, whose decision —
-   forwarded operands, fresh rename — is needed to commit. *)
-let cached_check (ctx : Ctx.t) ~from_ ~to_ ~op_id =
-  (if Ctx.legality_hit ctx ~from_ ~to_ ~op_id then
-     match Ctx.legality_verdict ctx op_id with
-     | Error f -> raise_notrace (Fail f)
-     | Ok () -> ());
-  match check ctx ~from_ ~to_ ~op_id with
-  | decision ->
-      Ctx.legality_store ctx ~from_ ~to_ ~op_id (Ok ());
-      decision
-  | exception (Fail f as e) ->
-      Ctx.legality_store ctx ~from_ ~to_ ~op_id (Error f);
-      raise_notrace e
-
 let check_key = Metrics.key "legality.check"
 
 (** One legality check in [check_sample] is timed, and the
@@ -419,7 +398,7 @@ let timed_check (ctx : Ctx.t) m ~from_ ~to_ ~op_id =
     Metrics.add_time_key m check_key
       (float_of_int check_sample *. (Unix.gettimeofday () -. t0))
   in
-  match cached_check ctx ~from_ ~to_ ~op_id with
+  match check ctx ~from_ ~to_ ~op_id with
   | decision ->
       add ();
       decision
@@ -435,7 +414,7 @@ let attempt (ctx : Ctx.t) ~from_ ~to_ ~op_id =
   let decision =
     if Metrics.enabled m && Ctx.sample_tick ctx check_sample then
       timed_check ctx m ~from_ ~to_ ~op_id
-    else cached_check ctx ~from_ ~to_ ~op_id
+    else check ctx ~from_ ~to_ ~op_id
   in
   commit ctx ~from_ ~to_ ~op_id decision
 
@@ -447,25 +426,15 @@ let move (ctx : Ctx.t) ~from_ ~to_ ~op_id =
   | r -> Ok r
 
 (** [would_move ctx ~from_ ~to_ ~op_id] is the legality test alone —
-    the question "could X move?" asked without mutating the program.
-    Verdicts are served from the context's memo when it holds one for
-    this move; a replayed verdict allocates nothing. *)
+    the question "could X move?" asked without moving anything. *)
 let would_move (ctx : Ctx.t) ~from_ ~to_ ~op_id =
-  if Ctx.legality_hit ctx ~from_ ~to_ ~op_id then
-    Ctx.legality_verdict ctx op_id
-  else begin
-    let v =
-      match check ctx ~from_ ~to_ ~op_id with
-      | exception Fail f -> Error f
-      | _ -> Ok ()
-    in
-    Ctx.legality_store ctx ~from_ ~to_ ~op_id v;
-    v
-  end
+  match check ctx ~from_ ~to_ ~op_id with
+  | exception Fail f -> Error f
+  | _ -> Ok ()
 
-(** [would_move_scan ctx ~from_ ~to_ ~op_id] — the uncached,
-    list-scanning legality test: the oracle {!would_move} is compared
-    against by the property suite. *)
+(** [would_move_scan ctx ~from_ ~to_ ~op_id] — the list-scanning
+    legality test: the oracle {!would_move} is compared against by the
+    property suite. *)
 let would_move_scan (ctx : Ctx.t) ~from_ ~to_ ~op_id =
   match check_scan ctx ~from_ ~to_ ~op_id with
   | exception Fail f -> Error f

@@ -268,6 +268,7 @@ let test_ddg_memory_distance () =
   Alcotest.(check bool) "no same-iteration conflict" false (has_mem 0 1 0)
 
 let () =
+  if Sys.getenv_opt "QCHECK_SEED" = None then Unix.putenv "QCHECK_SEED" "20261019";
   Alcotest.run "vliw_analysis"
     [
       ( "liveness",

@@ -8,6 +8,12 @@ module State = Vliw_sim.State
 module Exec = Vliw_sim.Exec
 module Oracle = Vliw_sim.Oracle
 
+(* A fixed QCheck seed unless QCHECK_SEED is set: qcheck-alcotest reads
+   it once, at the first property built, and one is built at module
+   top level below. *)
+let () =
+  if Sys.getenv_opt "QCHECK_SEED" = None then Unix.putenv "QCHECK_SEED" "20261019"
+
 let reg = Reg.of_int
 let imm n = Operand.Imm (Value.I n)
 
@@ -677,8 +683,8 @@ let test_memo_cyclic () =
    on Synthetic programs with joins under GRiP and GRiP(no-gap) at 2, 4
    and 8 FU, and as POST's phase 1 (gap prevention on the unlimited
    machine).  At each replay the observer makes the attempt for real,
-   toward the same target, on a fresh context (an empty legality memo)
-   and a fresh Gapless memo, with the scheduler's [allow_hop] test.  The
+   toward the same target, on a fresh context and a fresh Gapless
+   memo, with the scheduler's [allow_hop] test.  The
    two must agree on zero moves, on the failure, and on whether the op
    is suspended.  A failed attempt commits nothing, so the run goes on
    as it would have. *)
@@ -793,6 +799,23 @@ let prop_replays_agree () =
 
 (* -- Moveable-ops enumeration --------------------------------------------- *)
 
+(* The region pass's oracle: the Moveable-ops set of [n] by the
+   dominator tree, listed as the region pass lists it.  A node comes
+   after its dominators in RPO, so only the positions after [n]'s are
+   filtered, each node by the O(1) interval test. *)
+let moveable_op_ids (p : Program.t) dom n acc =
+  Iarr.clear acc;
+  let add = Iarr.push acc in
+  let len = Program.n_nodes p in
+  let at = Program.rpo_index p n in
+  if at < len then
+    for k = at + 1 to len - 1 do
+      let id = Program.rpo_at p k in
+      if (not (Program.is_exit p id)) && Vliw_analysis.Dom.dominates dom n id
+      then Program.iter_op_ids p id add
+    done;
+  acc
+
 (* The RPO suffix after each node, filtered by dominance, lists exactly
    the op ids a filter over the whole RPO does, in the same order — on
    random programs with joins, before and after random migrations
@@ -826,7 +849,7 @@ let prop_suffix_enumeration =
                       (Node.all_ops (Program.node p id)))
                 (Program.rpo p)
             in
-            let got = Iarr.to_list (Grip.Scheduler.moveable_op_ids p dom n acc) in
+            let got = Iarr.to_list (moveable_op_ids p dom n acc) in
             if got <> full then
               QCheck2.Test.fail_reportf "step %d, n%d: %d op ids, want %d" step n
                 (List.length got) (List.length full);
@@ -847,11 +870,11 @@ let prop_suffix_enumeration =
 
 (* A cyclic program: entry -> a -> h; h -> b -> c; c -> h (back edge)
    and c -> d -> e -> exit.  From a, the pass meets the back edge below
-   it and reports it; node entry then falls back to the dominator
-   filter (counted), so its answer still equals [Dom]'s.  From d,
-   below the cycle, the pass sees no retreating edge and answers
-   itself. *)
-let test_region_cyclic () =
+   it and reports it, and node entry raises a structured [Scheduling]
+   error, as does a whole scheduling run.  From d, below the cycle, the
+   pass sees no retreating edge and answers as the dominator filter
+   does. *)
+let cyclic_program () =
   let p = Program.create () in
   let exit_ = p.Program.exit_id in
   let op id = Operation.make ~id (Operation.Copy (reg id, imm id)) in
@@ -868,31 +891,40 @@ let test_region_cyclic () =
   let a = node 6 h.Node.id in
   Program.redirect p ~from_:h.Node.id ~old_:exit_ ~new_:b.Node.id;
   Program.redirect p ~from_:p.Program.entry ~old_:exit_ ~new_:a.Node.id;
-  let metrics = Grip_obs.Metrics.create () in
-  let ctx =
-    Ctx.make ~obs:(Grip_obs.make ~metrics ()) p ~machine:Machine.unlimited
-      ~exit_live:Reg.Set.empty
-  in
+  (p, a.Node.id, d.Node.id)
+
+let test_region_cyclic () =
+  let p, a, d = cyclic_program () in
+  let ctx = Ctx.make p ~machine:Machine.unlimited ~exit_live:Reg.Set.empty in
   let scratch = Grip.Scheduler.fresh_scratch p in
   let acc = Iarr.create () in
-  let fallbacks () = Grip_obs.Metrics.counter metrics "scheduler.dom_fallbacks" in
-  let dom_ids n =
-    Iarr.to_list (Grip.Scheduler.moveable_op_ids p (Ctx.dominators ctx) n acc)
+  let dom_ids n = Iarr.to_list (moveable_op_ids p (Ctx.dominators ctx) n acc) in
+  let scheduling_error what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no error on a cyclic program" what
+    | exception
+        Grip_robust.Grip_error.Error
+          {
+            Grip_robust.Grip_error.stage = Grip_robust.Grip_error.Scheduling;
+            cause = Grip_robust.Grip_error.Malformed [ _ ];
+            _;
+          } ->
+        ()
   in
   Alcotest.(check bool) "retreating edge reported below a" false
-    (Grip.Scheduler.region_op_ids scratch.Grip.Scheduler.region a.Node.id acc);
-  let want = dom_ids a.Node.id in
-  Alcotest.(check (list int)) "a dominates the loop and what follows"
-    [ 2; 5; 4; 3; 1; 7 ] want;
-  Alcotest.(check (list int)) "node entry at a == Dom filter" want
-    (Iarr.to_list (Grip.Scheduler.entry_op_ids ctx scratch a.Node.id));
-  Alcotest.(check int) "one fallback" 1 (fallbacks ());
+    (Grip.Scheduler.region_op_ids scratch.Grip.Scheduler.region a acc);
+  scheduling_error "node entry at a" (fun () ->
+      Grip.Scheduler.entry_op_ids scratch a);
   Alcotest.(check bool) "no retreating edge below d" true
-    (Grip.Scheduler.region_op_ids scratch.Grip.Scheduler.region d.Node.id acc);
-  Alcotest.(check (list int)) "d dominates e" [ 7 ] (dom_ids d.Node.id);
+    (Grip.Scheduler.region_op_ids scratch.Grip.Scheduler.region d acc);
+  Alcotest.(check (list int)) "d dominates e" [ 7 ] (dom_ids d);
   Alcotest.(check (list int)) "node entry at d == Dom filter" [ 7 ]
-    (Iarr.to_list (Grip.Scheduler.entry_op_ids ctx scratch d.Node.id));
-  Alcotest.(check int) "still one fallback" 1 (fallbacks ())
+    (Iarr.to_list (Grip.Scheduler.entry_op_ids scratch d));
+  let fresh, _, _ = cyclic_program () in
+  scheduling_error "Scheduler.run" (fun () ->
+      Grip.Scheduler.run
+        (Grip.Scheduler.default_config ~rank:Grip.Rank.source_order)
+        (Ctx.make fresh ~machine:Machine.unlimited ~exit_live:Reg.Set.empty))
 
 (* -- convergence detection ---------------------------------------------- *)
 

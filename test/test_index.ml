@@ -1,8 +1,8 @@
 (* Derived-state oracle: the flat per-node stores, the incrementally
    maintained predecessor table, the counts-based resource accounting
-   and the memoized legality verdicts must be observationally
-   identical to the retained list-scanning ("naive") implementations — on random programs and across random mutation
-   sequences.  A digest spot-check of real schedules rides along (the
+   and the legality check must be observationally identical to the
+   retained list-scanning ("naive") implementations — on random
+   programs and across random mutation sequences.  A digest spot-check of real schedules rides along (the
    full 126-cell sweep runs under the @schedules / @perf-gate
    aliases). *)
 
@@ -47,8 +47,8 @@ let machines =
     Machine.typed ~alu:3 ~mem:1 ~branch:1 ();
   ]
 
-(* 1. indexed would_move (memoized) == retained naive implementation,
-   across a random mutation sequence; derived state stays coherent. *)
+(* 1. indexed would_move == retained naive implementation, across a
+   random mutation sequence; derived state stays coherent. *)
 let prop_legality_equiv =
   QCheck2.Test.make ~name:"indexed legality == naive legality" ~count:30
     ~print:print_spec spec_gen (fun spec ->
@@ -62,16 +62,11 @@ let prop_legality_equiv =
       let next = make_rng spec.Synthetic.seed in
       let ok = ref true in
       for _round = 1 to 6 do
-        (* querying twice exercises the per-version verdict cache *)
         List.iter
           (fun (from_, to_, op_id) ->
             let naive = Move_op.would_move_scan ctx ~from_ ~to_ ~op_id in
             let indexed = Move_op.would_move ctx ~from_ ~to_ ~op_id in
-            let cached = Move_op.would_move ctx ~from_ ~to_ ~op_id in
-            if
-              (not (verdicts_agree naive indexed))
-              || not (verdicts_agree naive cached)
-            then ok := false)
+            if not (verdicts_agree naive indexed) then ok := false)
           (all_candidates p);
         (* mutate: a few random accepted moves, then recheck coherence *)
         for _ = 1 to 8 do
@@ -514,12 +509,13 @@ let flat_accessors_agree () =
       ("LL7", 4, Grip.Pipeline.Grip_no_gap);
     ]
 
-(* 7. the legality memo replays only what the check would decide.
-   The oracle is the list-scanning check on the op's home.  For an op
-   placed elsewhere it is the home rule: [from_] does not hold it, so
-   the answer is [Not_adjacent] or [Op_not_found] whatever [from_]'s op
-   list still says (a node [Move_cj] leaves to die keeps the records of
-   the ops its true arm took over, under their old ids). *)
+(* 7. the legality check across edits, inside walks and with
+   collection deferred.  The oracle is the list-scanning check on the
+   op's home.  For an op placed elsewhere it is the home rule: [from_]
+   does not hold it, so the answer is [Not_adjacent] or [Op_not_found]
+   whatever [from_]'s op list still says (a node [Move_cj] leaves to
+   die keeps the records of the ops its true arm took over, under
+   their old ids). *)
 let oracle_verdict (ctx : Ctx.t) ~from_ ~to_ ~op_id =
   let p = ctx.Ctx.program in
   if Program.home_int p op_id = from_ then
@@ -533,26 +529,24 @@ let show_verdict = function Ok () -> "ok" | Error f -> failure_str f
 
 (* Run over the whole property, so that a later case can check the
    sweep reached what it must. *)
-let memo_queries = ref 0
-let memo_moved_home = ref 0
-let memo_splits = ref 0
-let memo_cj_moves = ref 0
+let sweep_queries = ref 0
+let sweep_moved_home = ref 0
+let sweep_splits = ref 0
+let sweep_cj_moves = ref 0
 
-(* [would_move] twice (a miss, then a hit) against the oracle, on a
-   query whose two nodes still exist. *)
-let memo_agrees what (ctx : Ctx.t) (from_, to_, op_id) =
+(* [would_move] against the oracle, on a query whose two nodes still
+   exist. *)
+let check_agrees what (ctx : Ctx.t) (from_, to_, op_id) =
   let p = ctx.Ctx.program in
   if Program.node_opt p from_ <> None && Program.node_opt p to_ <> None then begin
-    incr memo_queries;
-    if Program.home_int p op_id <> from_ then incr memo_moved_home;
+    incr sweep_queries;
+    if Program.home_int p op_id <> from_ then incr sweep_moved_home;
     let want = oracle_verdict ctx ~from_ ~to_ ~op_id in
-    let first = Move_op.would_move ctx ~from_ ~to_ ~op_id in
-    let again = Move_op.would_move ctx ~from_ ~to_ ~op_id in
-    if not (verdicts_agree want first && verdicts_agree want again) then
+    let got = Move_op.would_move ctx ~from_ ~to_ ~op_id in
+    if not (verdicts_agree want got) then
       QCheck2.Test.fail_reportf
-        "%s: would_move (n%d -> n%d, op %d) = %s then %s, check_scan %s" what
-        from_ to_ op_id (show_verdict first) (show_verdict again)
-        (show_verdict want)
+        "%s: would_move (n%d -> n%d, op %d) = %s, check_scan %s" what from_
+        to_ op_id (show_verdict got) (show_verdict want)
   end
 
 (* [Move_op.move] against the oracle asked just before it. *)
@@ -561,7 +555,7 @@ let move_agrees (ctx : Ctx.t) (from_, to_, op_id) =
   let got =
     match Move_op.move ctx ~from_ ~to_ ~op_id with
     | Ok r ->
-        if r.Move_op.split <> None then incr memo_splits;
+        if r.Move_op.split <> None then incr sweep_splits;
         Ok ()
     | Error f -> Error f
   in
@@ -600,7 +594,7 @@ let table_candidates p =
    then, when that left the node to die, the root jump of one of its
    successors.  Its ops move to the successor's true arm under their
    ids, and neither the dead node nor the successor is edited: only
-   the op's home tells the memo that the successor no longer holds
+   the op's home tells the check that the successor no longer holds
    them.  Every triple in the table is asked before the sweep. *)
 let deferred_cj_pair (ctx : Ctx.t) pick =
   let p = ctx.Ctx.program in
@@ -611,7 +605,7 @@ let deferred_cj_pair (ctx : Ctx.t) pick =
       | l ->
           let from_, to_, cj_id = pick l in
           if Result.is_ok (Move_cj.move ctx ~from_ ~to_ ~cj_id) then begin
-            incr memo_cj_moves;
+            incr sweep_cj_moves;
             if not (Program.is_live p from_) then begin
               let below = Ctree.succs (Program.node p from_).Node.ctree in
               match
@@ -621,14 +615,14 @@ let deferred_cj_pair (ctx : Ctx.t) pick =
               | l ->
                   let from_, to_, cj_id = pick l in
                   if Result.is_ok (Move_cj.move ctx ~from_ ~to_ ~cj_id) then
-                    incr memo_cj_moves
+                    incr sweep_cj_moves
             end
           end;
-          List.iter (memo_agrees "table, collection deferred" ctx)
+          List.iter (check_agrees "table, collection deferred" ctx)
             (table_candidates p))
     ()
 
-let prop_memo_sound =
+let prop_check_sweep =
   QCheck2.Test.make ~name:"memo == check_scan across edits" ~count:40
     ~print:print_spec spec_gen (fun spec ->
       let p, exit_live = joined_program spec ~joins:3 in
@@ -640,9 +634,9 @@ let prop_memo_sound =
           Vliw_percolation.Migrate.no_hooks with
           allow_hop =
             (fun ~from_ ~to_ ~op ->
-              memo_agrees "inside a walk" ctx (from_, to_, op.Operation.id);
+              check_agrees "inside a walk" ctx (from_, to_, op.Operation.id);
               List.iteri
-                (fun i q -> if i land 7 = 0 then memo_agrees "stale, in a walk" ctx q)
+                (fun i q -> if i land 7 = 0 then check_agrees "stale, in a walk" ctx q)
                 !old;
               true);
         }
@@ -650,8 +644,8 @@ let prop_memo_sound =
       let pick l = List.nth l (next (List.length l)) in
       for _round = 1 to 6 do
         let cands = all_candidates p in
-        List.iter (memo_agrees "stale" ctx) !old;
-        List.iter (memo_agrees "live" ctx) cands;
+        List.iter (check_agrees "stale" ctx) !old;
+        List.iter (check_agrees "live" ctx) cands;
         old := cands;
         deferred_cj_pair ctx pick;
         for _ = 1 to 3 do
@@ -667,134 +661,22 @@ let prop_memo_sound =
         | l ->
             let from_, to_, cj_id = pick l in
             if Result.is_ok (Move_cj.move ctx ~from_ ~to_ ~cj_id) then
-              incr memo_cj_moves);
-        List.iter (memo_agrees "after edits" ctx) !old
+              incr sweep_cj_moves);
+        List.iter (check_agrees "after edits" ctx) !old
       done;
       true)
 
 (* The sweep above must have asked about ops that left [from_], and
    its edits must have split nodes and moved conditional jumps. *)
-let test_memo_sweep_reach () =
-  Alcotest.(check bool) "queries asked" true (!memo_queries > 0);
+let test_sweep_reach () =
+  Alcotest.(check bool) "queries asked" true (!sweep_queries > 0);
   Alcotest.(check bool) "ops asked about after leaving from_" true
-    (!memo_moved_home > 0);
-  Alcotest.(check bool) "moves split a node" true (!memo_splits > 0);
-  Alcotest.(check bool) "Move_cj moves" true (!memo_cj_moves > 0)
+    (!sweep_moved_home > 0);
+  Alcotest.(check bool) "moves split a node" true (!sweep_splits > 0);
+  Alcotest.(check bool) "Move_cj moves" true (!sweep_cj_moves > 0)
 
-(* A recorded failure, edit by edit.  entry -> a -> b -> c -> d -> e on
-   a 2-wide machine: [b] holds two ops (full), so the op of [c] cannot
-   move into it; [e]'s op can move into [d].  The failure must be
-   replayed (a hit) across that unrelated commit and recomputed (a miss)
-   after any edit of [b]'s or [c]'s ops, tree or leaves. *)
-let memo_fixture () =
-  let k i = Operation.Copy (Reg.of_int i, Operand.Imm (Value.I i)) in
-  let p = Builder.straight [ k 0; k 1; k 2; k 3; k 4; k 5 ] in
-  let ids =
-    List.filter
-      (fun id -> id <> p.Program.entry && not (Program.is_exit p id))
-      (Program.rpo p)
-  in
-  let node i = List.nth ids i in
-  (* a = n(0), b = n(1) holding ops 1 and 2, c, d, e *)
-  let op_of id = List.hd (Program.node p id).Node.ops in
-  let two = op_of (node 2) in
-  Program.remove_op p (node 2) two.Operation.id;
-  Program.add_op p (node 1) two;
-  Program.delete_node p (node 2);
-  let ids =
-    List.filter
-      (fun id -> id <> p.Program.entry && not (Program.is_exit p id))
-      (Program.rpo p)
-  in
-  let metrics = Grip_obs.Metrics.create () in
-  let ctx =
-    Ctx.make ~obs:(Grip_obs.make ~metrics ()) p
-      ~machine:(Machine.homogeneous 2) ~exit_live:Reg.Set.empty
-  in
-  (p, ctx, metrics, Array.of_list ids, op_of)
-
-let memo_counts metrics =
-  ( Grip_obs.Metrics.counter metrics "legality.cache_hits",
-    Grip_obs.Metrics.counter metrics "legality.cache_misses" )
-
-(* Ask (c -> b) for [c]'s op and check hit or miss and the verdict. *)
-let ask_recorded what (_, ctx, metrics, ids, op_of) ~hit =
-  let b = ids.(1) and c = ids.(2) in
-  let op_id = (op_of c).Operation.id in
-  let h0, m0 = memo_counts metrics in
-  let got = Move_op.would_move ctx ~from_:c ~to_:b ~op_id in
-  let h1, m1 = memo_counts metrics in
-  Alcotest.(check (pair int int))
-    (what ^ (if hit then ": a hit" else ": a miss"))
-    (if hit then (1, 0) else (0, 1))
-    (h1 - h0, m1 - m0);
-  Alcotest.(check string) (what ^ ": the check's verdict")
-    (show_verdict (oracle_verdict ctx ~from_:c ~to_:b ~op_id))
-    (show_verdict got);
-  got
-
-let test_memo_edits () =
-  let fresh_op (p : Program.t) =
-    Operation.make ~id:(Program.fresh_op_id p)
-      (Operation.Copy (Program.fresh_reg p, Operand.Imm (Value.I 7)))
-  in
-  let edits =
-    [
-      ("add_op on to_", fun (p, ids, _) -> Program.add_op p ids.(1) (fresh_op p));
-      ("add_op on from_", fun (p, ids, _) -> Program.add_op p ids.(2) (fresh_op p));
-      ( "remove_op on to_",
-        fun (p, ids, op_of) ->
-          Program.remove_op p ids.(1) (op_of ids.(1)).Operation.id );
-      ( "replace_op on to_",
-        fun (p, ids, op_of) -> Program.replace_op p ids.(1) (op_of ids.(1)) );
-      ( "replace_op on from_",
-        fun (p, ids, op_of) -> Program.replace_op p ids.(2) (op_of ids.(2)) );
-      ("take_ops on to_", fun (p, ids, _) -> ignore (Program.take_ops p ids.(1)));
-      ( "set_ctree on to_",
-        fun (p, ids, _) -> Program.set_ctree p ids.(1) (Ctree.leaf ids.(2)) );
-      ( "set_ctree on from_",
-        fun (p, ids, _) -> Program.set_ctree p ids.(2) (Ctree.leaf ids.(3)) );
-      ( "redirect on to_",
-        fun (p, ids, _) ->
-          Program.redirect p ~from_:ids.(1) ~old_:ids.(2) ~new_:ids.(2) );
-      ( "redirect on from_",
-        fun (p, ids, _) ->
-          Program.redirect p ~from_:ids.(2) ~old_:ids.(3) ~new_:ids.(3) );
-      ( "delete_node below from_",
-        fun (p, ids, _) ->
-          (* empty d, then delete it: c's leaf is relinked past it *)
-          Synthetic_gen.delete_emptied p ids.(3) );
-      ( "restore",
-        fun (p, _, _) -> Program.restore p (Program.snapshot p) );
-    ]
-  in
-  List.iter
-    (fun (what, edit) ->
-      let ((p, ctx, _, ids, op_of) as fx) = memo_fixture () in
-      Alcotest.(check string) (what ^ ": b is full") "no free resources in to-node"
-        (show_verdict (ask_recorded (what ^ ", first ask") fx ~hit:false));
-      (* an unrelated commit: e's op into d *)
-      let e = ids.(4) and d = ids.(3) in
-      (match Move_op.move ctx ~from_:e ~to_:d ~op_id:(op_of e).Operation.id with
-      | Ok _ -> ()
-      | Error f -> Alcotest.failf "%s: the unrelated move failed: %s" what (failure_str f));
-      ignore (ask_recorded (what ^ ", after the unrelated commit") fx ~hit:true);
-      edit (p, ids, op_of);
-      ignore (ask_recorded (what ^ ", after the edit") fx ~hit:false))
-    edits;
-  (* an op re-homed by a node that takes over its record (as a
-     [Move_cj] true arm does) without an edit of its old home *)
-  let ((p, _, _, ids, op_of) as fx) = memo_fixture () in
-  ignore (ask_recorded "re-homed, first ask" fx ~hit:false);
-  ignore
-    (Program.fresh_node p ~ops:[ op_of ids.(2) ]
-       ~ctree:(Ctree.leaf p.Program.exit_id));
-  Alcotest.(check string) "re-homed: not in from_ any more" "operation not in from-node"
-    (show_verdict (ask_recorded "re-homed, asked again" fx ~hit:false))
-
-(* 8. allocation pins: a replayed verdict, the Gapless test, the alias
-   test, the destination test and a replayed attempt allocate
-   nothing. *)
+(* 8. allocation pins: the Gapless test, the alias test, the
+   destination test and a replayed attempt allocate nothing. *)
 let test_hop_path_no_alloc () =
   let kern = (Option.get (Workloads.Livermore.find "LL1")).Workloads.Livermore.kernel in
   let p = (Grip.Unwind.build kern ~horizon:6).Grip.Unwind.program in
@@ -825,8 +707,6 @@ let test_hop_path_no_alloc () =
     Alcotest.(check (float 0.0)) (what ^ ": minor words over 10,000 calls") 0.0
       (Gc.minor_words () -. w0)
   in
-  count "memo-hit would_move" (fun () ->
-      ignore (Move_op.would_move ctx ~from_ ~to_ ~op_id));
   count "Gapless.ok" (fun () ->
       ignore (Grip.Gapless.ok ctx memo ~from_ ~to_ ~op));
   count "Alias.mem_conflict" (fun () ->
@@ -945,10 +825,9 @@ let () =
   in
   let memo_suite =
     [
-      QCheck_alcotest.to_alcotest prop_memo_sound;
+      QCheck_alcotest.to_alcotest prop_check_sweep;
       Alcotest.test_case "sweep hit moved homes, splits, Move_cj" `Quick
-        test_memo_sweep_reach;
-      Alcotest.test_case "recorded failure across edits" `Quick test_memo_edits;
+        test_sweep_reach;
     ]
   in
   Alcotest.run "index"

@@ -3,6 +3,12 @@
 
 open Vliw_ir
 
+(* A fixed QCheck seed unless QCHECK_SEED is set: qcheck-alcotest reads
+   it once, at the first property built, and one is built at module
+   top level below. *)
+let () =
+  if Sys.getenv_opt "QCHECK_SEED" = None then Unix.putenv "QCHECK_SEED" "20261019"
+
 let reg n = Reg.of_int n
 let imm n = Operand.Imm (Value.I n)
 
@@ -287,39 +293,6 @@ let test_program_home_tracking () =
   Program.remove_op p nid op.Operation.id;
   Alcotest.(check (option int)) "gone" None (Program.home p op.Operation.id)
 
-(* Reverse postorder reads only successor lists, so it is memoized per
-   shape version: op edits hand back the very same list, and every edit
-   that adds or drops an edge or a node replaces it. *)
-let test_program_rpo_keyed_on_shape () =
-  let p =
-    Builder.straight [ Operation.Copy (reg 0, imm 1); Operation.Copy (reg 1, imm 2) ]
-  in
-  let check what ~same f =
-    let before = Program.rpo p in
-    f ();
-    Alcotest.(check bool) what same (Program.rpo p == before)
-  in
-  let nid = List.nth (Program.rpo p) 1 in
-  let op = List.hd (Program.node p nid).Node.ops in
-  check "remove_op keeps rpo" ~same:true (fun () ->
-      Program.remove_op p nid op.Operation.id);
-  check "add_op keeps rpo" ~same:true (fun () -> Program.add_op p nid op);
-  check "replace_op keeps rpo" ~same:true (fun () ->
-      Program.replace_op p nid
-        { op with Operation.kind = Operation.Copy (reg 0, imm 5) });
-  let snap = Program.snapshot p in
-  let m = ref (-1) in
-  check "fresh_node replaces rpo" ~same:false (fun () ->
-      m := (Program.fresh_node p ~ops:[] ~ctree:(Ctree.leaf nid)).Node.id);
-  check "redirect replaces rpo" ~same:false (fun () ->
-      Program.redirect p ~from_:p.Program.entry ~old_:nid ~new_:!m);
-  check "set_ctree replaces rpo" ~same:false (fun () ->
-      Program.set_ctree p !m (Ctree.leaf nid));
-  check "delete_node replaces rpo" ~same:false (fun () ->
-      Program.delete_node p !m);
-  check "restore replaces rpo" ~same:false (fun () -> Program.restore p snap);
-  check_wf p
-
 (* [chain_version] moves with every edge edit but [delete_node]'s, and
    with nothing else: op edits, deletion and collection keep it. *)
 let test_program_chain_version () =
@@ -584,8 +557,6 @@ let () =
           Alcotest.test_case "loop builder" `Quick test_builder_loop;
           Alcotest.test_case "delete node" `Quick test_program_delete_node;
           Alcotest.test_case "home tracking" `Quick test_program_home_tracking;
-          Alcotest.test_case "rpo keyed on shape" `Quick
-            test_program_rpo_keyed_on_shape;
           Alcotest.test_case "chain version" `Quick test_program_chain_version;
           Alcotest.test_case "clone remaps guards" `Quick test_clone_instruction_guard_remap;
           Alcotest.test_case "double def caught" `Quick test_wellformed_catches_double_def;

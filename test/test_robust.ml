@@ -372,6 +372,7 @@ let prop_run_is_unguarded_rung =
         [ 2; 4; 8 ])
 
 let () =
+  if Sys.getenv_opt "QCHECK_SEED" = None then Unix.putenv "QCHECK_SEED" "20261019";
   Alcotest.run "robust"
     [
       ( "errors",

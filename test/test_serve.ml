@@ -407,6 +407,7 @@ let loopback_smoke () =
   | Error e -> Alcotest.fail (Grip_error.to_string e)
 
 let () =
+  if Sys.getenv_opt "QCHECK_SEED" = None then Unix.putenv "QCHECK_SEED" "20261019";
   Alcotest.run "serve"
     [
       ( "protocol",
