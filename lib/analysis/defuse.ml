@@ -8,21 +8,21 @@
 
 open Vliw_ir
 
-(** [use node] is the set of registers read by [node] (plain ops and
-    conditional jumps alike). *)
-let use (n : Node.t) =
-  List.fold_left
-    (fun acc op ->
-      List.fold_left (fun acc r -> Reg.Set.add r acc) acc (Operation.uses op))
-    Reg.Set.empty (Node.all_ops n)
+let add_uses acc op =
+  List.fold_left (fun acc r -> Reg.Set.add r acc) acc (Operation.uses op)
 
-(** [def node] is the set of registers written by [node] on {e every}
-    path: only unguarded operations kill a register for liveness
+(** [use p id] is the set of registers read by node [id] (plain ops
+    and conditional jumps alike). *)
+let use p id =
+  Ctree.fold_cjumps add_uses
+    (Program.fold_ops p id ~init:Reg.Set.empty ~f:add_uses)
+    (Program.node p id).Node.ctree
+
+(** [def p id] is the set of registers written by node [id] on {e
+    every} path: only unguarded operations kill a register for liveness
     purposes, since a guarded definition commits on some paths only. *)
-let def (n : Node.t) =
-  List.fold_left
-    (fun acc (op : Operation.t) ->
+let def p id =
+  Program.fold_ops p id ~init:Reg.Set.empty ~f:(fun acc (op : Operation.t) ->
       match Operation.def op with
       | Some d when op.Operation.guard = [] -> Reg.Set.add d acc
       | Some _ | None -> acc)
-    Reg.Set.empty n.Node.ops

@@ -39,14 +39,13 @@ let compute t =
     List.iter
       (fun id ->
         if not (Program.is_exit p id) then begin
-          let n = Program.node p id in
           let out =
             List.fold_left
               (fun acc s -> Reg.Set.union acc (get s))
               Reg.Set.empty (Program.succs p id)
           in
           let inn =
-            Reg.Set.union (Defuse.use n) (Reg.Set.diff out (Defuse.def n))
+            Reg.Set.union (Defuse.use p id) (Reg.Set.diff out (Defuse.def p id))
           in
           if not (Reg.Set.equal inn (get id)) then begin
             Hashtbl.replace live_in id inn;

@@ -89,12 +89,17 @@ let note_absent m id it =
   Bytes.unsafe_set row (id lsr 3)
     (Char.unsafe_chr (Char.code (Bytes.unsafe_get row (id lsr 3)) lor (1 lsl (id land 7))))
 
+(* The scans over a node's plain ops below walk its
+   {!Program.plain_ids} buffer [b] in place from index [i], reading the
+   buffer's fields directly and each record with {!Program.op_of}. *)
+
 (* How many operations of iteration [it] a node holds: plain ops, then
    tree jumps. *)
-let rec count_plain it k = function
-  | [] -> k
-  | (o : Operation.t) :: tl ->
-      count_plain it (if o.Operation.iter = it then k + 1 else k) tl
+let rec count_plain p (b : Iarr.t) i it k =
+  if i >= b.Iarr.len then k
+  else
+    let o = Program.op_of p (Array.unsafe_get b.Iarr.a i) in
+    count_plain p b (i + 1) it (if o.Operation.iter = it then k + 1 else k)
 
 let rec count_cjumps it k = function
   | Ctree.Leaf _ -> k
@@ -103,7 +108,10 @@ let rec count_cjumps it k = function
         (count_cjumps it (if cj.Operation.iter = it then k + 1 else k) a)
         b
 
-let count_iter it (n : Node.t) = count_cjumps it (count_plain it 0 n.Node.ops) n.Node.ctree
+let count_iter p it id =
+  count_cjumps it
+    (count_plain p (Program.plain_ids p id) 0 it 0)
+    (Program.node p id).Node.ctree
 
 (* Does node [id], or a node below it, hold an operation of iteration
    [it]?  Depth-first; the exit, recorded nodes and nodes this search
@@ -116,7 +124,7 @@ let rec holds_below m p it id =
   else begin
     Itbl.set m.marks id m.stamp;
     Iarr.push m.expanded id;
-    count_iter it (Program.node p id) > 0
+    count_iter p it id > 0
     || any_below m p it (Program.succs p id)
   end
 
@@ -145,81 +153,79 @@ let last_of_iteration (ctx : Ctx.t) m ~from_ ~iter =
   done;
   not found
 
-(* Does an operation of [ops] other than [ignoring] keep [x] out of the
+(* Does an operation of [b] other than [ignoring] keep [x] out of the
    node: a non-copy whose result [x] reads, or a memory access that
    conflicts with [x]'s? *)
-let rec blocks ~(x : Operation.t) ~ignoring = function
-  | [] -> false
-  | (o : Operation.t) :: tl ->
-      (o.Operation.id <> ignoring
-      && ((match o.Operation.kind with
-          | Operation.Binop (_, d, _, _)
-          | Operation.Unop (_, d, _)
-          | Operation.Load (d, _) ->
-              Operation.reads_reg x d
-          | Operation.Copy _ | Operation.Store _ | Operation.Cjump _ -> false)
-         || Alias.mem_conflict o x))
-      || blocks ~x ~ignoring tl
+let rec blocks p (b : Iarr.t) i ~(x : Operation.t) ~ignoring =
+  i < b.Iarr.len
+  && ((let o = Program.op_of p (Array.unsafe_get b.Iarr.a i) in
+       o.Operation.id <> ignoring
+       && ((match o.Operation.kind with
+           | Operation.Binop (_, d, _, _)
+           | Operation.Unop (_, d, _)
+           | Operation.Load (d, _) ->
+               Operation.reads_reg x d
+           | Operation.Copy _ | Operation.Store _ | Operation.Cjump _ -> false)
+          || Alias.mem_conflict o x))
+     || blocks p b (i + 1) ~x ~ignoring)
 
-(* Would [x] (currently in a successor) be moveable into [from_node]
-   if [ignoring] were gone?  Localized approximation: unguarded, no
+(* Would [x] (currently in a successor) be moveable into [from_] if
+   [ignoring] were gone?  Localized approximation: unguarded, no
    true/memory dependence on the remaining operations, and room once
    [ignoring]'s slot is free. *)
-let movable_ignoring (ctx : Ctx.t) ~(from_node : Node.t) ~(x : Operation.t)
+let movable_ignoring (ctx : Ctx.t) ~from_ ~(x : Operation.t)
     ~(ignoring : Operation.t) =
+  let p = ctx.Ctx.program in
   x.Operation.guard = []
-  && (not (blocks ~x ~ignoring:ignoring.Operation.id from_node.Node.ops))
+  && (not (blocks p (Program.plain_ids p from_) 0 ~x ~ignoring:ignoring.Operation.id))
   &&
   let m = ctx.Ctx.machine in
   Machine.is_unlimited m
-  || Machine.slot_demand_packed m
-       (Program.counts_packed ctx.Ctx.program from_node.Node.id)
-     <= Machine.width m
+  || Machine.slot_demand_packed m (Program.counts_packed p from_) <= Machine.width m
 
 (* The four conditions for [op] at [from_]; [depth] bounds condition
    4's recursion. *)
 let rec gapless ctx m ~from_ ~(op : Operation.t) depth =
   let p = ctx.Ctx.program in
   let it = op.Operation.iter in
-  let from_node = Program.node p from_ in
   (* 1: from_ will disappear (per-node packed counters) *)
   (let c = Program.counts_packed p from_ in
    if Operation.is_cjump op then
      Node.packed_plain c = 0 && Node.packed_cjumps c = 1
    else Node.packed_plain c = 1 && Node.packed_cjumps c = 0)
   (* 2: another op of the same iteration stays at from_ *)
-  || count_iter it from_node >= 2
+  || count_iter p it from_ >= 2
   (* 3: op is the last operation of its iteration *)
   || last_of_iteration ctx m ~from_ ~iter:it
   (* 4: some successor holds a same-iteration op that can fill the
      transient gap *)
-  || (depth < 8 && fillable ctx m ~from_node ~op depth (Program.succs p from_))
+  || (depth < 8 && fillable ctx m ~from_ ~op depth (Program.succs p from_))
 
-and fillable ctx m ~from_node ~op depth = function
+and fillable ctx m ~from_ ~op depth = function
   | [] -> false
   | s :: tl ->
-      ((not (Program.is_exit ctx.Ctx.program s))
-      &&
-      let sn = Program.node ctx.Ctx.program s in
-      Iarr.push m.reads s;
-      plain_filler ctx m ~from_node ~op ~s depth sn.Node.ops
-      ||
-      (* only the root conditional of s can move *)
-      match sn.Node.ctree with
-      | Ctree.Branch (root, _, _) -> filler ctx m ~from_node ~op ~s depth root
-      | Ctree.Leaf _ -> false)
-      || fillable ctx m ~from_node ~op depth tl
+      (let p = ctx.Ctx.program in
+       (not (Program.is_exit p s))
+       &&
+       (Iarr.push m.reads s;
+        plain_filler ctx m ~from_ ~op ~s depth (Program.plain_ids p s) 0
+        ||
+        (* only the root conditional of s can move *)
+        match (Program.node p s).Node.ctree with
+        | Ctree.Branch (root, _, _) -> filler ctx m ~from_ ~op ~s depth root
+        | Ctree.Leaf _ -> false))
+      || fillable ctx m ~from_ ~op depth tl
 
-and plain_filler ctx m ~from_node ~op ~s depth = function
-  | [] -> false
-  | x :: tl ->
-      filler ctx m ~from_node ~op ~s depth x
-      || plain_filler ctx m ~from_node ~op ~s depth tl
+and plain_filler ctx m ~from_ ~op ~s depth (b : Iarr.t) i =
+  i < b.Iarr.len
+  && (filler ctx m ~from_ ~op ~s depth
+        (Program.op_of ctx.Ctx.program (Array.unsafe_get b.Iarr.a i))
+     || plain_filler ctx m ~from_ ~op ~s depth b (i + 1))
 
-and filler ctx m ~from_node ~(op : Operation.t) ~s depth (x : Operation.t) =
+and filler ctx m ~from_ ~(op : Operation.t) ~s depth (x : Operation.t) =
   x.Operation.iter = op.Operation.iter
   && (not (Operation.equal_id x op))
-  && movable_ignoring ctx ~from_node ~x ~ignoring:op
+  && movable_ignoring ctx ~from_ ~x ~ignoring:op
   && gapless ctx m ~from_:s ~op:x (depth + 1)
 
 (** [ok ctx memo ~from_ ~to_ ~op] — see module comment; [memo] must

@@ -101,7 +101,7 @@ let break_node ~budget (ctx : Ctx.t) rank stats n =
         Rank.sort rank
           (List.filter
              (fun (op : Operation.t) -> op.Operation.guard = [])
-             (Program.node p !work).Node.ops)
+             (Program.ops p !work))
       in
       match
         List.find_map
@@ -170,12 +170,11 @@ let local_repair ~budget (ctx : Ctx.t) rank stats =
                 (fun s ->
                   if Program.is_exit p s then []
                   else
-                    let sn = Program.node p s in
                     List.filter
                       (fun (op : Operation.t) -> op.Operation.guard = [])
-                      sn.Node.ops
+                      (Program.ops p s)
                     @
-                    match Ctree.root_cjump sn.Node.ctree with
+                    match Ctree.root_cjump (Program.node p s).Node.ctree with
                     | Some cj -> [ cj ]
                     | None -> [])
                 (Program.succs p n)

@@ -61,16 +61,17 @@ type row = { node : int; cells : (int * int) list (* (pos, iter) *) }
 let rows (p : Program.t) =
   List.filter_map
     (fun id ->
-      let n = Program.node p id in
+      let ctree = (Program.node p id).Node.ctree in
+      let ops = Program.ops p id in
       let cells =
         List.filter_map
           (fun (op : Operation.t) ->
             if op.Operation.iter = Operation.no_iter then None
             else Some (op.Operation.src_pos, op.Operation.iter))
-          (Node.all_ops n)
+          (ops @ Ctree.cjumps ctree)
         |> List.sort compare
       in
-      if cells = [] && n.Node.ops = [] && Ctree.n_cjumps n.Node.ctree = 0 then
+      if cells = [] && ops = [] && Ctree.n_cjumps ctree = 0 then
         None
       else Some { node = id; cells })
     (main_path p)

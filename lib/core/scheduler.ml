@@ -159,9 +159,8 @@ let region_step r q =
     unmoveable by being scheduled into [n] or by failing their
     migration attempt, both of which the scheduling loop tracks
     dynamically.)  Listed as op ids, per region node in RPO order
-    plain ops in instruction order then tree jumps pre-order, drawn
-    from the program's flat sequences; the scheduler re-fetches
-    metadata by id.
+    plain ops in instruction order then tree jumps pre-order
+    ({!Program.iter_op_ids}); the scheduler re-fetches metadata by id.
 
     One pass over the RPO suffix after [n], with no dominator tree: a
     node there is dominated by [n] exactly when every live predecessor
@@ -169,8 +168,9 @@ let region_step r q =
     predecessor precedes its node in RPO, so the pass, marking [n] and
     then each node it finds dominated, has decided each predecessor
     when it reaches the node.  A live predecessor at or after its node
-    is a retreating edge: the graph has a cycle, the pass stops and
-    answers [false], and [acc] is to be ignored (DESIGN.md §24). *)
+    — [n] itself included — is a retreating edge: the graph has a
+    cycle, the pass stops and answers [false], and [acc] is to be
+    ignored (DESIGN.md §24). *)
 let region_op_ids r n acc =
   let p = r.r_program in
   Vliw_ir.Iarr.clear acc;
@@ -187,6 +187,9 @@ let region_op_ids r n acc =
     r.r_stamp <- stamp;
     r.r_retreat <- false;
     r.r_mark.(n) <- stamp;
+    (* a live predecessor of [n] at or after it closes a cycle through [n] *)
+    r.r_at <- at;
+    ignore (Program.fold_preds p n ~init:r ~f:region_step);
     let add = Vliw_ir.Iarr.push acc in
     let k = ref (at + 1) in
     while !k < len && not r.r_retreat do

@@ -61,7 +61,8 @@ let set (ctx : Ctx.t) ~ddg ~horizon n =
   let p = ctx.Ctx.program in
   let dom = Ctx.dominators ctx in
   let region = Vliw_analysis.Dom.dominated dom p n in
-  let in_n = Node.all_ops (Program.node p n) in
+  let all_ops id = Program.ops p id @ Ctree.cjumps (Program.node p id).Node.ctree in
+  let in_n = all_ops n in
   let chained (op : Operation.t) =
     List.exists
       (fun (o : Operation.t) ->
@@ -74,7 +75,7 @@ let set (ctx : Ctx.t) ~ddg ~horizon n =
       else
         List.filter
           (fun op -> not (chained op))
-          (Node.all_ops (Program.node p id)))
+          (all_ops id))
     region
 
 type config = {

@@ -28,6 +28,15 @@ let rec iter_cjumps f = function
       iter_cjumps f a;
       iter_cjumps f b
 
+(** [iter_cjump_ids f t] applies [f] to the id of each conditional
+    jump of [t] in pre-order, building no closure. *)
+let rec iter_cjump_ids f = function
+  | Leaf _ -> ()
+  | Branch (cj, a, b) ->
+      f cj.Operation.id;
+      iter_cjump_ids f a;
+      iter_cjump_ids f b
+
 (** [exists_cjump f t] — does some conditional jump of [t] satisfy
     [f]?  Pre-order short-circuit, allocation-free. *)
 let rec exists_cjump f = function

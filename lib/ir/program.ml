@@ -15,8 +15,8 @@
     - [node_stamp]: per node, the [version] of the last edit of its
       ops, tree or leaves, for caches of facts about one or two nodes
       ({!node_stamp});
-    - the {e flat stores} (struct-of-arrays mirrors of the node
-      records, below);
+    - the {e flat stores}: a node's plain ops, and the struct-of-arrays
+      mirrors derived from its ops and tree (below);
     - fresh-id supplies for nodes, operations and registers.
 
     Node and operation ids are dense (drawn from the counters here),
@@ -25,19 +25,18 @@
 
     {2 Flat stores}
 
-    The node records ([Node.ops] lists, [Ctree.t]) remain the source
-    of truth and the public API, but every mutator also maintains an
-    int-indexed struct-of-arrays mirror sized for allocation-free hot
-    paths:
-    - [op_store]/[op_flags]: operation id -> canonical record / packed
-      shape bits (cjump, copy, mem) — O(1) op lookup without scanning
-      a node's op lists;
-    - [ops_seq]/[cjs_seq]: node id -> {!Iarr.t} of plain op ids in
-      instruction order / conditional-jump ids in tree pre-order —
-      worklists and table renderers iterate these instead of
-      [Node.all_ops] (which conses a fresh list per call);
-    - [node_counts]: node id -> {!Node.pack_counts}-packed slot-demand
-      counters, which machines answer resource queries from;
+    Each fact about a node has one home.  Its plain operations are
+    [ops_seq] (node id -> {!Iarr.t} of plain op ids in instruction
+    order) looked up in [op_store] (op id -> the op's record); its
+    conditional jumps live in its {!Ctree.t} alone.  {!ops} lists a
+    node's plain ops for cold callers, {!fold_ops} folds over them
+    without a list, and the hop path reads {!plain_ids} in place with
+    {!op_of}.  Records stay in [op_store] after removal, and a node
+    left to die may still list an op that has moved on, so a reader
+    that must know where an op is gates on [op_home].  Every mutator
+    keeps these mirrors, derived from the two homes, current:
+    - [node_counts]: node id -> slot-demand counters packed as {!Node}
+      lays them out, which machines answer resource queries from;
     - [preds_tbl]: node id -> {!Iarr.t} of predecessor ids in append
       order with [-1] tombstones (edge removal tombstones in place —
       no [List.filter] copy per edge — and compacts when tombstones
@@ -82,12 +81,10 @@ type t = {
   exit_id : int;
   op_home : int Itbl.t;  (** op id -> node id; [-1] = not placed *)
   op_store : Operation.t option Itbl.t;
-      (** op id -> canonical record (kept after removal; guard reads
+      (** op id -> the op's record (kept after removal; guard reads
           with [op_home]) *)
-  op_flags : int Itbl.t;  (** op id -> packed shape bits; [-1] = unknown *)
-  ops_seq : Iarr.t Itbl.t;  (** node id -> plain op ids, [ops] order *)
-  cjs_seq : Iarr.t Itbl.t;  (** node id -> cjump ids, tree pre-order *)
-  node_counts : int Itbl.t;  (** node id -> packed {!Node.counts} *)
+  ops_seq : Iarr.t Itbl.t;  (** node id -> plain op ids, instruction order *)
+  node_counts : int Itbl.t;  (** node id -> packed slot-demand counters *)
   preds_tbl : Iarr.t Itbl.t;
       (** node id -> predecessor ids, append order, [-1] tombstones *)
   succs_tbl : int list Itbl.t;
@@ -122,7 +119,6 @@ type t = {
   mutable ord_next : int array;  (** walk stack: next successor index *)
   mutable ord_walks : int;  (** total walks over the run *)
   mutable ord_visits : int;  (** total nodes those walks reached *)
-  mutable gc_reclaimed : int;  (** total nodes collected over the run *)
   gc_work : Iarr.t;
       (** sweep candidates since the last {!gc}: nodes that lost an
           in-edge, were created or were restored *)
@@ -136,8 +132,8 @@ type t = {
 (* [Itbl.get], expanded in place.  Under [-opaque] (dune's dev
    profile) a call into [Itbl] is an indirect call through its module
    block, so the accessors the hop path asks millions of times per run
-   ({!node}, {!home_int}, {!stored_op}, {!counts_packed}, {!succs},
-   {!node_stamp}) read the array here. *)
+   ({!node}, {!home_int}, {!stored_op}, {!op_of}, {!plain_ids},
+   {!counts_packed}, {!succs}, {!node_stamp}) read the array here. *)
 let[@inline] get (t : 'a Itbl.t) i =
   let a = t.Itbl.arr in
   if i < Array.length a then Array.unsafe_get a i else t.Itbl.default
@@ -185,36 +181,29 @@ let is_exit p id = id = p.exit_id
 
 (* -- flat-store primitives ---------------------------------------------- *)
 
-let flag_cjump_bit = 1
-let flag_copy_bit = 2
-let flag_mem_bit = 4
-
-let op_flags_of (op : Operation.t) =
-  (if Operation.is_cjump op then flag_cjump_bit else 0)
-  lor (if Operation.is_copy op then flag_copy_bit else 0)
-  lor if Operation.is_mem op then flag_mem_bit else 0
-
-(* The packed-counts contribution of one operation, from its shape
-   bits (field layout is {!Node.pack_counts}'s). *)
-let count_delta_of_flags f =
-  if f land flag_cjump_bit <> 0 then 1 lsl 45
+(* The packed-counts contribution of one operation, in {!Node}'s field
+   layout: a conditional jump, or a plain op that may also be a copy
+   or a memory access. *)
+let count_delta (op : Operation.t) =
+  if Operation.is_cjump op then 1 lsl 45
   else
     1
-    + (if f land flag_copy_bit <> 0 then 1 lsl 15 else 0)
-    + if f land flag_mem_bit <> 0 then 1 lsl 30 else 0
+    + (if Operation.is_copy op then 1 lsl 15 else 0)
+    + if Operation.is_mem op then 1 lsl 30 else 0
 
 (** [counts_of_ops ops] — the packed slot-demand counters of a
     standalone op list (plain ops and conditional jumps alike), as
     {!counts_packed} keeps them for a node: what a trial instruction
     that is not (yet) in a program would occupy. *)
-let counts_of_ops ops =
-  List.fold_left
-    (fun acc op -> acc + count_delta_of_flags (op_flags_of op))
-    0 ops
+let counts_of_ops ops = List.fold_left (fun acc op -> acc + count_delta op) 0 ops
 
-let store_op p (op : Operation.t) =
-  Itbl.set p.op_store op.Operation.id (Some op);
-  Itbl.set p.op_flags op.Operation.id (op_flags_of op)
+let store_op p (op : Operation.t) = Itbl.set p.op_store op.Operation.id (Some op)
+
+(** [op_of p op_id] — the record of operation [op_id]: {!stored_op}
+    without the option, for ids read from a node's {!plain_ids} or
+    tree.  Raises [Not_found] for an id that never had a record. *)
+let op_of p op_id =
+  match get p.op_store op_id with Some op -> op | None -> raise Not_found
 
 (* Buffer arena: [seq_for] installs a (possibly recycled) buffer in
    place of the shared sentinel; [recycle_seq] sends a freed node's
@@ -351,37 +340,15 @@ let note_op_regs p (op : Operation.t) =
 let note_op_id p (op : Operation.t) =
   if op.Operation.id >= p.next_op then p.next_op <- op.Operation.id + 1
 
-let register_ops p nid ops =
-  List.iter
-    (fun (op : Operation.t) ->
-      note_op_regs p op;
-      note_op_id p op;
-      Itbl.set p.op_home op.id nid)
-    ops
-
-(* Rebuild node [n]'s flat mirrors (op store, sequences, packed
-   counts) from its record — the one-stop path for node creation and
-   [restore]. *)
-let build_flat p (n : Node.t) =
-  let id = n.Node.id in
-  let oseq = seq_for p p.ops_seq id in
-  Iarr.clear oseq;
-  let counts = ref 0 in
-  List.iter
-    (fun (op : Operation.t) ->
-      store_op p op;
-      Iarr.push oseq op.Operation.id;
-      counts := !counts + count_delta_of_flags (Itbl.get p.op_flags op.Operation.id))
-    n.Node.ops;
-  let cseq = seq_for p p.cjs_seq id in
-  Iarr.clear cseq;
-  Ctree.iter_cjumps
-    (fun (cj : Operation.t) ->
-      store_op p cj;
-      Iarr.push cseq cj.Operation.id;
-      counts := !counts + (1 lsl 45))
-    n.Node.ctree;
-  Itbl.set p.node_counts id !counts
+(* Place [op] in node [nid]: its home, its record, the fresh-id
+   supplies and the node's counts.  A plain op's caller also appends
+   its id to the node's sequence; a jump is already in the tree. *)
+let place p nid (op : Operation.t) =
+  note_op_regs p op;
+  note_op_id p op;
+  Itbl.set p.op_home op.Operation.id nid;
+  store_op p op;
+  Itbl.set p.node_counts nid (Itbl.get p.node_counts nid + count_delta op)
 
 (** [create ~first_reg ()] is an empty program: an entry node falling
     through to the exit sentinel.  [first_reg] reserves register ids
@@ -390,9 +357,8 @@ let create ?(first_reg = 0) () =
   let nodes = Itbl.create None in
   let exit_id = 0 and entry = 1 in
   Itbl.set nodes exit_id
-    (Some (Node.make ~id:exit_id ~ops:[] ~ctree:(Ctree.leaf exit_id)));
-  Itbl.set nodes entry
-    (Some (Node.make ~id:entry ~ops:[] ~ctree:(Ctree.leaf exit_id)));
+    (Some (Node.make ~id:exit_id ~ctree:(Ctree.leaf exit_id)));
+  Itbl.set nodes entry (Some (Node.make ~id:entry ~ctree:(Ctree.leaf exit_id)));
   let p =
     {
       nodes;
@@ -400,9 +366,7 @@ let create ?(first_reg = 0) () =
       exit_id;
       op_home = Itbl.create (-1);
       op_store = Itbl.create None;
-      op_flags = Itbl.create (-1);
       ops_seq = Itbl.create Iarr.sentinel;
-      cjs_seq = Itbl.create Iarr.sentinel;
       node_counts = Itbl.create 0;
       preds_tbl = Itbl.create Iarr.sentinel;
       succs_tbl = Itbl.create [];
@@ -426,7 +390,6 @@ let create ?(first_reg = 0) () =
       ord_next = [||];
       ord_walks = 0;
       ord_visits = 0;
-      gc_reclaimed = 0;
       gc_work = Iarr.create ();
       gc_marks = Itbl.create 0;
       gc_epoch = 1;
@@ -456,18 +419,21 @@ let node p id =
   match get p.nodes id with Some n -> n | None -> raise Not_found
 
 let node_opt p id = if id < 0 then None else get p.nodes id
-let entry_node p = node p p.entry
 
-(** [fresh_node p ~ops ~ctree] allocates a new node and indexes its
-    operations (conditional-tree jumps included). *)
+(** [fresh_node p ~ops ~ctree] allocates a new node holding the plain
+    ops [ops] and the tree [ctree], and places every op of both. *)
 let fresh_node p ~ops ~ctree =
   let id = p.next_node in
   p.next_node <- id + 1;
-  let n = Node.make ~id ~ops ~ctree in
+  let n = Node.make ~id ~ctree in
   Itbl.set p.nodes id (Some n);
-  register_ops p id ops;
-  register_ops p id (Ctree.cjumps ctree);
-  build_flat p n;
+  let seq = seq_for p p.ops_seq id in
+  List.iter
+    (fun (op : Operation.t) ->
+      place p id op;
+      Iarr.push seq op.Operation.id)
+    ops;
+  Ctree.iter_cjumps (place p id) ctree;
   link_node p n;
   gc_note p id;
   edited p id;
@@ -491,67 +457,71 @@ let home p op_id =
     op per iteration. *)
 let home_int p op_id = get p.op_home op_id
 
-(** [stored_op p op_id] is the canonical record of operation [op_id]
-    from the flat store.  The returned option is the stored box — no
-    allocation per query.  Entries survive removal from the graph:
-    callers gate on {!home_int} when placement matters. *)
+(** [stored_op p op_id] is the record of operation [op_id] from the
+    flat store.  The returned option is the stored box — no allocation
+    per query.  Entries survive removal from the graph: callers gate
+    on {!home_int} when placement matters. *)
 let stored_op p op_id = get p.op_store op_id
+
+(** [plain_ids p nid] — node [nid]'s plain op ids in instruction order,
+    the store itself: read it in place (look ids up with {!op_of}) and
+    never write it.  Empty for an absent node. *)
+let plain_ids p nid = get p.ops_seq nid
+
+(** [ops p nid] — node [nid]'s plain ops in instruction order, as a
+    fresh list. *)
+let ops p nid =
+  let b = plain_ids p nid in
+  let rec go i acc =
+    if i < 0 then acc else go (i - 1) (op_of p (Array.unsafe_get b.Iarr.a i) :: acc)
+  in
+  go (b.Iarr.len - 1) []
+
+(** [fold_ops p nid ~init ~f] folds [f] over node [nid]'s plain ops in
+    instruction order without building a list; [f] must not edit the
+    node's ops.  The simulator steps with it, so it reads the buffer's
+    fields directly, as {!is_live} does. *)
+let fold_ops p nid ~init ~f =
+  let b = plain_ids p nid in
+  let acc = ref init in
+  for i = 0 to b.Iarr.len - 1 do
+    acc := f !acc (op_of p (Array.unsafe_get b.Iarr.a i))
+  done;
+  !acc
 
 (** [add_op p nid op] appends [op] to node [nid]'s plain ops. *)
 let add_op p nid (op : Operation.t) =
-  let n = node p nid in
-  n.Node.ops <- n.Node.ops @ [ op ];
-  note_op_regs p op;
-  note_op_id p op;
-  Itbl.set p.op_home op.id nid;
-  store_op p op;
+  place p nid op;
   Iarr.push (seq_for p p.ops_seq nid) op.id;
-  Itbl.set p.node_counts nid
-    (Itbl.get p.node_counts nid + count_delta_of_flags (Itbl.get p.op_flags op.id));
   edited p nid
 
 (** [mem_plain_op p nid op_id] — is plain op [op_id] currently in node
     [nid]?  Flat-sequence membership; no op-list scan. *)
 let mem_plain_op p nid op_id = Iarr.mem (Itbl.get p.ops_seq nid) op_id
 
+let not_in what op_id nid =
+  invalid_arg (Printf.sprintf "Program.%s: op %d not in node %d" what op_id nid)
+
 (** [remove_op p nid op_id] removes plain op [op_id] from node [nid].
     Raises [Invalid_argument] if absent. *)
 let remove_op p nid op_id =
-  let n = node p nid in
-  if not (mem_plain_op p nid op_id) then
-    invalid_arg
-      (Printf.sprintf "Program.remove_op: op %d not in node %d" op_id nid);
-  n.Node.ops <- List.filter (fun (o : Operation.t) -> o.id <> op_id) n.Node.ops;
+  if not (Iarr.remove_first (Itbl.get p.ops_seq nid) op_id) then
+    not_in "remove_op" op_id nid;
   Itbl.set p.op_home op_id (-1);
-  ignore (Iarr.remove_first (Itbl.get p.ops_seq nid) op_id);
   Itbl.set p.node_counts nid
-    (Itbl.get p.node_counts nid - count_delta_of_flags (Itbl.get p.op_flags op_id));
+    (Itbl.get p.node_counts nid - count_delta (op_of p op_id));
   edited p nid
 
 (** [replace_op p nid op] substitutes the plain op with [op.id] in node
     [nid] by [op] (in place, preserving order): used by renaming and
     copy forwarding.  The op's shape may change (redundancy elimination
-    turns loads into copies), so its flags and the node's counts are
-    recomputed. *)
+    turns loads into copies), so the node's counts are recomputed. *)
 let replace_op p nid (op : Operation.t) =
-  let n = node p nid in
-  let found = ref false in
-  n.Node.ops <-
-    List.map
-      (fun (o : Operation.t) ->
-        if o.id = op.id then (
-          found := true;
-          op)
-        else o)
-      n.Node.ops;
-  if not !found then
-    invalid_arg
-      (Printf.sprintf "Program.replace_op: op %d not in node %d" op.id nid);
-  let old_delta = count_delta_of_flags (Itbl.get p.op_flags op.id) in
+  if not (mem_plain_op p nid op.id) then not_in "replace_op" op.id nid;
+  let old_delta = count_delta (op_of p op.id) in
   store_op p op;
-  let new_delta = count_delta_of_flags (Itbl.get p.op_flags op.id) in
   Itbl.set p.node_counts nid
-    (Itbl.get p.node_counts nid - old_delta + new_delta);
+    (Itbl.get p.node_counts nid - old_delta + count_delta op);
   edited p nid
 
 (** [set_ctree p nid t] replaces node [nid]'s conditional tree,
@@ -559,38 +529,29 @@ let replace_op p nid (op : Operation.t) =
 let set_ctree p nid t =
   let n = node p nid in
   unlink_edges p ~note:true n;
-  Ctree.iter_cjumps
-    (fun (cj : Operation.t) -> Itbl.set p.op_home cj.id (-1))
-    n.Node.ctree;
+  Ctree.iter_cjump_ids (fun id -> Itbl.set p.op_home id (-1)) n.Node.ctree;
   n.Node.ctree <- t;
   link_node p n;
-  let cseq = seq_for p p.cjs_seq nid in
-  Iarr.clear cseq;
-  let cjs = ref 0 in
-  Ctree.iter_cjumps
-    (fun (cj : Operation.t) ->
-      note_op_regs p cj;
-      note_op_id p cj;
-      Itbl.set p.op_home cj.id nid;
-      store_op p cj;
-      Iarr.push cseq cj.Operation.id;
-      incr cjs)
-    t;
-  Itbl.set p.node_counts nid
-    (Itbl.get p.node_counts nid land lnot (0x7fff lsl 45) lor (!cjs lsl 45));
+  Itbl.set p.node_counts nid (Itbl.get p.node_counts nid land lnot (0x7fff lsl 45));
+  Ctree.iter_cjumps (place p nid) t;
   edited p nid
 
 (** [take_ops p nid] empties node [nid]'s plain ops and returns them
     (their location entries survive: the caller re-registers them by
     placing them in a fresh node, as POST's entry push-down does). *)
 let take_ops p nid =
-  let n = node p nid in
-  let ops = n.Node.ops in
-  n.Node.ops <- [];
+  let taken = ops p nid in
   clear_seq p.ops_seq nid;
   Itbl.set p.node_counts nid (Itbl.get p.node_counts nid land (0x7fff lsl 45));
   edited p nid;
-  ops
+  taken
+
+(** [is_empty p nid] holds when node [nid] computes nothing and falls
+    through unconditionally: such nodes are deleted by
+    {!delete_node}. *)
+let is_empty p nid =
+  Iarr.is_empty (plain_ids p nid)
+  && match (node p nid).Node.ctree with Ctree.Leaf _ -> true | Ctree.Branch _ -> false
 
 (** [copy_op p op] is a fresh-id clone of [op] (same kind, iter,
     lineage, src_pos): used when node splitting duplicates code. *)
@@ -627,24 +588,17 @@ let clone_instruction p ~ops ~ctree =
 (* -- flat queries -------------------------------------------------------- *)
 
 (** [counts_packed p nid] — node [nid]'s slot-demand counters packed as
-    by {!Node.pack_counts}; [0] for an absent node.  Maintained
+    {!Node} lays them out; [0] for an absent node.  Maintained
     incrementally: machines answer [room_for_packed] / [fits_packed]
     from this without scanning the node's ops. *)
 let counts_packed p nid = get p.node_counts nid
 
-(** [iter_plain_op_ids p nid f] — [f] over node [nid]'s plain op ids in
-    instruction order, allocation-free. *)
-let iter_plain_op_ids p nid f = Iarr.iter f (Itbl.get p.ops_seq nid)
-
-(** [iter_cj_op_ids p nid f] — [f] over node [nid]'s conditional-jump
-    ids in tree pre-order, allocation-free. *)
-let iter_cj_op_ids p nid f = Iarr.iter f (Itbl.get p.cjs_seq nid)
-
-(** [iter_op_ids p nid f] — plain ops then conditional jumps: the
-    [Node.all_ops] order without the list. *)
+(** [iter_op_ids p nid f] — [f] over node [nid]'s plain op ids in
+    instruction order, then its conditional jumps' ids in tree
+    pre-order, without building a list. *)
 let iter_op_ids p nid f =
-  iter_plain_op_ids p nid f;
-  iter_cj_op_ids p nid f
+  Iarr.iter f (plain_ids p nid);
+  Ctree.iter_cjump_ids f (node p nid).Node.ctree
 
 (** [fold_preds p id ~init ~f] folds [f] over node [id]'s recorded
     predecessors newest-first (the historical cons order), tombstones
@@ -690,9 +644,6 @@ let fold_nodes p f acc =
   let acc = ref acc in
   iter_nodes p (fun n -> acc := f n !acc);
   !acc
-
-(** [node_ids p] is the sorted list of all node ids. *)
-let node_ids p = fold_nodes p (fun n acc -> n.Node.id :: acc) [] |> List.rev
 
 (* -- graph order ------------------------------------------------------- *)
 
@@ -895,10 +846,12 @@ let rpo p =
   done;
   !order
 
-(** [all_ops p] lists every operation of every reachable node. *)
+(** [all_ops p] lists every operation of every reachable node: per
+    node, its plain ops then its tree's jumps. *)
 let all_ops p =
   List.concat_map
-    (fun id -> if is_exit p id then [] else Node.all_ops (node p id))
+    (fun id ->
+      if is_exit p id then [] else ops p id @ Ctree.cjumps (node p id).Node.ctree)
     (rpo p)
 
 (* -- structural edits --------------------------------------------------- *)
@@ -915,7 +868,7 @@ let relink p ~note ~from_ ~old_ ~new_ =
 
 (** [redirect p ~from_ ~old_ ~new_] rewrites node [from_]'s tree leaves
     pointing at [old_] to point at [new_].  The jump records (and so
-    [cjs_seq] and the counts) are unchanged — only edges move. *)
+    the counts) are unchanged — only edges move. *)
 let redirect p ~from_ ~old_ ~new_ =
   p.chain <- p.chain + 1;
   relink p ~note:true ~from_ ~old_ ~new_
@@ -927,7 +880,6 @@ let free_node p id =
   Itbl.set p.succs_tbl id [];
   p.succ_a.(id) <- 0;
   recycle_seq p p.ops_seq id;
-  recycle_seq p p.cjs_seq id;
   Itbl.set p.node_counts id 0;
   Itbl.set p.nodes id None
 
@@ -944,9 +896,8 @@ let free_node p id =
 let delete_node p id =
   if id = p.entry || is_exit p id then
     invalid_arg "Program.delete_node: entry/exit";
+  if not (is_empty p id) then invalid_arg "Program.delete_node: node not empty";
   let n = node p id in
-  if not (Node.is_empty n) then
-    invalid_arg "Program.delete_node: node not empty";
   let succ = match succs p id with [ s ] -> s | _ -> assert false in
   (* snapshot first: each relink tombstones this very table *)
   List.iter
@@ -996,11 +947,7 @@ let gc p =
     Iarr.clear work;
     p.gc_epoch <- p.gc_epoch + 1
   end;
-  p.gc_reclaimed <- p.gc_reclaimed + !k;
   !k
-
-(** [gc_reclaimed p] — total nodes {!gc} has collected on [p]. *)
-let gc_reclaimed p = p.gc_reclaimed
 
 (** [gc_candidates p] — total worklist entries {!gc} has examined on
     [p]. *)
@@ -1012,8 +959,9 @@ let gc_candidates p = p.gc_examined
     node being scheduled (this cost is part of why the paper judges
     that technique impractical — the benchmark measures it). *)
 type snapshot = {
-  s_nodes : (int * Operation.t list * Ctree.t) list;
-  s_homes : (int * int) list;
+  s_nodes : (int * int array * Ctree.t) list;  (** id, plain op ids, tree *)
+  s_homes : int array;  (** op id -> home *)
+  s_store : Operation.t option array;  (** op id -> record *)
   s_next_node : int;
   s_next_reg : int;
   s_next_op : int;
@@ -1023,15 +971,11 @@ let snapshot p =
   {
     s_nodes =
       fold_nodes p
-        (fun (n : Node.t) acc -> (n.Node.id, n.Node.ops, n.Node.ctree) :: acc)
+        (fun (n : Node.t) acc ->
+          (n.Node.id, Iarr.to_array (plain_ids p n.Node.id), n.Node.ctree) :: acc)
         [];
-    s_homes =
-      (let acc = ref [] in
-       for op_id = 0 to p.next_op - 1 do
-         let h = Itbl.get p.op_home op_id in
-         if h >= 0 then acc := (op_id, h) :: !acc
-       done;
-       !acc);
+    s_homes = Array.init p.next_op (Itbl.get p.op_home);
+    s_store = Array.init p.next_op (Itbl.get p.op_store);
     s_next_node = p.next_node;
     s_next_reg = p.next_reg;
     s_next_op = p.next_op;
@@ -1043,35 +987,31 @@ let restore p s =
   Itbl.reset p.preds_tbl;
   Itbl.reset p.succs_tbl;
   Itbl.reset p.ops_seq;
-  Itbl.reset p.cjs_seq;
-  Itbl.reset p.op_store;
-  Itbl.reset p.op_flags;
   Itbl.reset p.node_counts;
   Array.fill p.succ_a 0 (Array.length p.succ_a) 0;
   p.spare <- [];
+  Itbl.reset p.op_home;
+  Array.iteri (Itbl.set p.op_home) s.s_homes;
+  Itbl.reset p.op_store;
+  Array.iteri (Itbl.set p.op_store) s.s_store;
   (* the restored graph may hold nodes that were dead when it was
      captured: every node is a sweep candidate again *)
   Iarr.clear p.gc_work;
   p.gc_epoch <- p.gc_epoch + 1;
   List.iter
-    (fun (id, ops, ctree) ->
-      Itbl.set p.nodes id (Some (Node.make ~id ~ops ~ctree)))
+    (fun (id, plain, ctree) ->
+      Itbl.set p.nodes id (Some (Node.make ~id ~ctree));
+      let seq = seq_for p p.ops_seq id in
+      Array.iter (Iarr.push seq) plain;
+      Itbl.set p.node_counts id
+        (Array.fold_left
+           (fun c oid -> c + count_delta (op_of p oid))
+           (Ctree.n_cjumps ctree lsl 45)
+           plain))
     s.s_nodes;
   iter_nodes p (fun n ->
       link_node p n;
-      build_flat p n;
       gc_note p n.Node.id);
-  Itbl.reset p.op_home;
-  List.iter (fun (k, v) -> Itbl.set p.op_home k v) s.s_homes;
-  (* a node that was dead when the snapshot was taken can hold an older
-     record of an op that a live node holds too (a [Move_cj] arm keeps
-     its source's op ids): the record at the op's home is the one to
-     keep *)
-  iter_nodes p (fun n ->
-      List.iter
-        (fun (op : Operation.t) ->
-          if Itbl.get p.op_home op.Operation.id = n.Node.id then store_op p op)
-        (Node.all_ops n));
   p.next_node <- s.s_next_node;
   p.next_reg <- s.s_next_reg;
   p.next_op <- s.s_next_op;
@@ -1134,48 +1074,45 @@ let check_derived_state p =
     in
     go 0
   in
+  (* Per node: every op it lists is placed there and has a record, a
+     jump's record is the tree's own, and the packed counts match a
+     fresh count. *)
+  let node_problem (n : Node.t) =
+    let id = n.Node.id in
+    let plain = Iarr.to_list (plain_ids p id) and jumps = Ctree.cjumps n.Node.ctree in
+    let misplaced oid =
+      if Itbl.get p.op_home oid <> id then
+        Some (Printf.sprintf "op_home mismatch for op %d at n%d" oid id)
+      else if Itbl.get p.op_store oid = None then
+        Some (Printf.sprintf "op_store missing op %d" oid)
+      else None
+    in
+    let foreign (cj : Operation.t) =
+      match Itbl.get p.op_store cj.Operation.id with
+      | Some r when r == cj -> None
+      | Some _ | None ->
+          Some
+            (Printf.sprintf "op_store record for jump %d at n%d is not the tree's"
+               cj.Operation.id id)
+    in
+    match
+      List.find_map misplaced
+        (plain @ List.map (fun (cj : Operation.t) -> cj.Operation.id) jumps)
+    with
+    | Some _ as r -> r
+    | None -> (
+        match List.find_map foreign jumps with
+        | Some _ as r -> r
+        | None ->
+            if
+              Itbl.get p.node_counts id
+              <> counts_of_ops (List.map (op_of p) plain @ jumps)
+            then Some (Printf.sprintf "node_counts mismatch at n%d" id)
+            else None)
+  in
   let flat_problem () =
     fold_nodes p
-      (fun (n : Node.t) acc ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-            let id = n.Node.id in
-            let want_ops = List.map (fun (o : Operation.t) -> o.id) n.Node.ops in
-            let want_cjs =
-              List.map (fun (o : Operation.t) -> o.id) (Ctree.cjumps n.Node.ctree)
-            in
-            if Iarr.to_list (Itbl.get p.ops_seq id) <> want_ops then
-              Some (Printf.sprintf "ops_seq mismatch at n%d" id)
-            else if Iarr.to_list (Itbl.get p.cjs_seq id) <> want_cjs then
-              Some (Printf.sprintf "cjs_seq mismatch at n%d" id)
-            else begin
-              if Itbl.get p.node_counts id <> counts_of_ops (Node.all_ops n)
-              then
-                Some (Printf.sprintf "node_counts mismatch at n%d" id)
-              else
-                List.find_map
-                  (fun (o : Operation.t) ->
-                    if Itbl.get p.op_home o.id <> id then
-                      Some
-                        (Printf.sprintf "op_home mismatch for op %d at n%d" o.id
-                           id)
-                    else
-                      match Itbl.get p.op_store o.id with
-                      | Some o' when o' == o -> (
-                          if Itbl.get p.op_flags o.id <> op_flags_of o then
-                            Some
-                              (Printf.sprintf "op_flags mismatch for op %d" o.id)
-                          else None)
-                      | Some _ ->
-                          Some
-                            (Printf.sprintf "op_store stale record for op %d"
-                               o.id)
-                      | None ->
-                          Some
-                            (Printf.sprintf "op_store missing op %d" o.id))
-                  (Node.all_ops n)
-            end)
+      (fun n acc -> match acc with Some _ -> acc | None -> node_problem n)
       None
   in
   match pred_problem with
@@ -1233,12 +1170,12 @@ let write_node buf p id =
     let n = node p id in
     Buffer.add_char buf ':';
     newline buf 0;
-    List.iteri
-      (fun i op ->
-        if i > 0 then newline buf 0;
-        Buffer.add_string buf "  ";
-        Operation.write buf op)
-      n.Node.ops;
+    let b = plain_ids p id in
+    for i = 0 to Iarr.length b - 1 do
+      if i > 0 then newline buf 0;
+      Buffer.add_string buf "  ";
+      Operation.write buf (op_of p (Iarr.unsafe_get b i))
+    done;
     newline buf 0;
     write_ctree buf 0 n.Node.ctree
   end

@@ -13,7 +13,8 @@ let check (p : Program.t) =
   (match Program.node_opt p p.Program.exit_id with
   | None -> err "exit node %d missing" p.Program.exit_id
   | Some n ->
-      if n.Node.ops <> [] then err "exit node has operations";
+      if not (Iarr.is_empty (Program.plain_ids p n.Node.id)) then
+        err "exit node has operations";
       (match n.Node.ctree with
       | Ctree.Leaf l when l = p.Program.exit_id -> ()
       | _ -> err "exit node is not a self-loop leaf"));
@@ -22,6 +23,8 @@ let check (p : Program.t) =
   Hashtbl.iter
     (fun id () ->
       let n = Program.node p id in
+      let ops = Program.ops p id in
+      let all_ops = ops @ Ctree.cjumps n.Node.ctree in
       (* leaves reference existing nodes *)
       List.iter
         (fun s ->
@@ -33,7 +36,7 @@ let check (p : Program.t) =
         (fun (op : Operation.t) ->
           if Operation.is_cjump op then
             err "node %d holds Cjump #%d as a plain op" id op.Operation.id)
-        n.Node.ops;
+        ops;
       List.iter
         (fun (cj : Operation.t) ->
           if not (Operation.is_cjump cj) then
@@ -45,7 +48,7 @@ let check (p : Program.t) =
           if not (Ctree.has_path_prefix n.Node.ctree op.Operation.guard) then
             err "node %d: op #%d has guard not matching the tree" id
               op.Operation.id)
-        n.Node.ops;
+        ops;
       (* at most one def per register per instruction *)
       let defs = Hashtbl.create 8 in
       List.iter
@@ -56,14 +59,14 @@ let check (p : Program.t) =
                 err "node %d defines %s twice" id (Reg.to_string d)
               else Hashtbl.replace defs d ()
           | None -> ())
-        n.Node.ops;
+        ops;
       (* op ids unique program-wide (reachable part) *)
       List.iter
         (fun (op : Operation.t) ->
           if Hashtbl.mem seen_ops op.Operation.id then
             err "op id %d appears in two nodes" op.Operation.id
           else Hashtbl.replace seen_ops op.Operation.id id)
-        (Node.all_ops n);
+        all_ops;
       (* home index agrees with placement *)
       List.iter
         (fun (op : Operation.t) ->
@@ -72,7 +75,7 @@ let check (p : Program.t) =
           | Some h ->
               err "op #%d is in node %d but indexed at %d" op.Operation.id id h
           | None -> err "op #%d is in node %d but unindexed" op.Operation.id id)
-        (Node.all_ops n))
+        all_ops)
     reachable;
   List.rev !errs
 

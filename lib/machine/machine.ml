@@ -57,8 +57,8 @@ let used_slots_packed m packed cls =
       - if m.copies_free then Node.packed_copies packed else 0
 
 (** [slot_demand_packed m packed] — the number of issue slots a node
-    with the {!Node.pack_counts}-packed counters [packed] consumes on
-    machine [m] (homogeneous accounting). *)
+    whose packed counters ({!Node}) are [packed] consumes on machine
+    [m] (homogeneous accounting). *)
 let slot_demand_packed m packed =
   Node.packed_plain packed + Node.packed_cjumps packed
   - if m.copies_free then Node.packed_copies packed else 0
@@ -86,30 +86,6 @@ let fits_packed m packed =
       used_slots_packed m packed Alu <= alu
       && used_slots_packed m packed Mem <= mem
       && used_slots_packed m packed Branch <= branch
-
-(** [slot_demand_scan m node] — reference implementation of
-    {!slot_demand_packed} scanning the op lists (equivalence oracle). *)
-let slot_demand_scan m (n : Node.t) =
-  List.length (List.filter (counted m) (Node.all_ops n))
-
-(** [room_for_scan m node op] — reference implementation of
-    {!room_for_packed} scanning the op lists (equivalence oracle). *)
-let room_for_scan m (n : Node.t) (op : Operation.t) =
-  if not (counted m op) then true
-  else
-    match m.shape with
-    | Unlimited -> true
-    | Homogeneous k -> slot_demand_scan m n + 1 <= k
-    | Typed { alu; mem; branch } ->
-        let cls = class_of op in
-        let limit = match cls with Alu -> alu | Mem -> mem | Branch -> branch in
-        let used =
-          List.length
-            (List.filter
-               (fun o -> counted m o && class_of o = cls)
-               (Node.all_ops n))
-        in
-        used + 1 <= limit
 
 (** [width m] is the total issue width (used to pick unwind factors);
     unlimited machines report a large constant. *)

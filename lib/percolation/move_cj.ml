@@ -14,7 +14,13 @@
 
     Only the root of the conditional tree may move: deeper jumps
     execute under their ancestors' outcomes and become roots themselves
-    once those ancestors have moved. *)
+    once those ancestors have moved.
+
+    [from_]'s ops are read once, before either arm is built.  When
+    [from_] is left to die, the true arm takes its ops over under their
+    ids, and placing them there replaces their records in the program's
+    store: read after that, [from_]'s ops would come back with the true
+    arm's stripped guards. *)
 
 open Vliw_ir
 module Machine = Vliw_machine.Machine
@@ -37,8 +43,8 @@ exception Fail of failure
 
 (* Forwarding of the jump's operands through copies in to_, sharing
    the logic (and failure mode) of Move_op. *)
-let forward_cj ~landing (to_node : Node.t) (cj : Operation.t) =
-  match Move_op.forward_sources to_node landing cj with
+let forward_cj p ~landing ~to_ (cj : Operation.t) =
+  match Move_op.forward_sources p to_ landing cj with
   | cj' -> cj'
   | exception Move_op.Fail (Move_op.True_dependence op) ->
       raise (Fail (True_dependence op))
@@ -59,7 +65,7 @@ let move (ctx : Ctx.t) ~from_ ~to_ ~cj_id =
        | Some (cj, tt, tf) when cj.Operation.id = cj_id -> (cj, tt, tf)
        | Some _ | None -> raise (Fail Not_root_cjump)
      in
-     let cj = forward_cj ~landing to_node cj in
+     let cj = forward_cj p ~landing ~to_ cj in
      if
        not
          (Machine.room_for_packed ctx.Ctx.machine
@@ -77,11 +83,12 @@ let move (ctx : Ctx.t) ~from_ ~to_ ~cj_id =
      (* Specialise from_ to one arm of [cj]: keep the ops whose guard
         admits the arm (stripping the decided entry), duplicate the
         unguarded ones. *)
+     let from_ops = Program.ops p from_ in
      let arm_ops ~taken =
        List.filter_map
          (fun (op : Operation.t) ->
            Operation.strip_guard_head op ~cj:cj_id ~taken)
-         from_node.Node.ops
+         from_ops
      in
      let specialise tree ~taken ~fresh_ops =
        let ops = arm_ops ~taken in

@@ -32,14 +32,15 @@
     Legality reads the operation from the flat stores
     ({!Program.stored_op}, {!Program.home_int}) and resource room from
     the packed per-node counters ({!Program.counts_packed}), and scans
-    [to_]'s op list (at most the issue width) for defining operations
-    and memory conflicts and [from_]'s for readers of the destination;
-    no per-node hash index is consulted.  The [*_scan] entry points
-    keep the original list-scanning implementation alive as the
-    equivalence oracle the test suite checks {!check} against.  Every
-    attempt runs the check; verdicts are not memoized (DESIGN.md §26).
-    On the failure paths the check builds no closure and no option,
-    and a failure without a payload raises a preallocated exception. *)
+    [to_]'s plain op ids (at most the issue width) for defining
+    operations and memory conflicts and [from_]'s for readers of the
+    destination, in place ({!Program.plain_ids}, {!Program.op_of}); no
+    per-node hash index is consulted.  The test suite keeps the
+    original list-scanning check as the equivalence oracle it checks
+    {!check} against.  Every attempt runs the check; verdicts are not
+    memoized (DESIGN.md §26).  On the failure paths the check builds
+    no closure, no option and no list, and a failure without a payload
+    raises a preallocated exception. *)
 
 open Vliw_ir
 module Alias = Vliw_analysis.Alias
@@ -110,81 +111,80 @@ let forward_sources_with ~def_in_to (op : Operation.t) =
   in
   fix op 8
 
-(* Does an op of [ops] write [r] on a path compatible with [landing]? *)
-let rec defined_on ops landing r =
-  match ops with
-  | [] -> false
-  | (o : Operation.t) :: tl ->
-      (Operation.defines_reg o r
-      && Operation.guard_compatible o.Operation.guard landing)
-      || defined_on tl landing r
+(* The scans below walk a node's plain op ids in place, from index [i]
+   of its {!Program.plain_ids} buffer [b], reading the buffer's fields
+   directly and each record with {!Program.op_of}: top-level
+   recursion, so no closure and no list.  Only [first_def], which
+   serves forwarding's slow path, returns an option. *)
 
-let operand_defined_on ops landing = function
-  | Operand.Reg r | Operand.Regoff (r, _) -> defined_on ops landing r
+(* Does an op of [b] write [r] on a path compatible with [landing]? *)
+let rec defined_on p (b : Iarr.t) i landing r =
+  i < b.Iarr.len
+  &&
+  let o = Program.op_of p (Array.unsafe_get b.Iarr.a i) in
+  (Operation.defines_reg o r && Operation.guard_compatible o.Operation.guard landing)
+  || defined_on p b (i + 1) landing r
+
+let operand_defined_on p b landing = function
+  | Operand.Reg r | Operand.Regoff (r, _) -> defined_on p b 0 landing r
   | Operand.Imm _ -> false
 
 (* Does some source register of [op] have a path-compatible definition
-   in [ops]? *)
-let sources_defined_on ops landing (op : Operation.t) =
+   in [b]? *)
+let sources_defined_on p b landing (op : Operation.t) =
   match op.Operation.kind with
-  | Operation.Binop (_, _, a, b) | Operation.Cjump (_, a, b) ->
-      operand_defined_on ops landing a || operand_defined_on ops landing b
+  | Operation.Binop (_, _, a, c) | Operation.Cjump (_, a, c) ->
+      operand_defined_on p b landing a || operand_defined_on p b landing c
   | Operation.Unop (_, _, a) | Operation.Copy (_, a) ->
-      operand_defined_on ops landing a
+      operand_defined_on p b landing a
   | Operation.Load (_, { Operation.base; _ }) ->
-      operand_defined_on ops landing base
+      operand_defined_on p b landing base
   | Operation.Store ({ Operation.base; _ }, v) ->
-      operand_defined_on ops landing base || operand_defined_on ops landing v
+      operand_defined_on p b landing base || operand_defined_on p b landing v
 
-(* [forward_sources to_node landing op] — [op] with its sources
-   forwarded through the copies of [to_node] on a path compatible with
+(* The first op of [b] that writes [r] on a path compatible with
+   [landing]: the definition [forward_sources_with] forwards through. *)
+let rec first_def p (b : Iarr.t) i landing r =
+  if i >= b.Iarr.len then None
+  else
+    let o = Program.op_of p (Array.unsafe_get b.Iarr.a i) in
+    if Operation.defines_reg o r && Operation.guard_compatible o.Operation.guard landing
+    then Some o
+    else first_def p b (i + 1) landing r
+
+(* [forward_sources p to_ landing op] — [op] with its sources forwarded
+   through the copies of node [to_] on a path compatible with
    [landing] (see [forward_sources_with]).  Fast path: when no source
    register of [op] has any path-compatible definition in [to_],
    forwarding is the identity — skip the rebuild loop entirely (the
    common case: most checked moves find nothing to forward, and the
-   loop allocates a fresh operation per round).  The test is top-level
-   recursion, so the fast path builds no closure. *)
-let forward_sources (to_node : Node.t) landing op =
-  if not (sources_defined_on to_node.Node.ops landing op) then op
-  else
-    forward_sources_with op ~def_in_to:(fun r ->
-        List.find_opt
-          (fun (o : Operation.t) ->
-            Operation.defines_reg o r
-            && Operation.guard_compatible o.Operation.guard landing)
-          to_node.Node.ops)
+   loop allocates a fresh operation per round). *)
+let forward_sources p to_ landing op =
+  let b = Program.plain_ids p to_ in
+  if not (sources_defined_on p b landing op) then op
+  else forward_sources_with op ~def_in_to:(first_def p b 0 landing)
 
-(* Reference implementation: scan [to_node.ops] for defining ops. *)
-let forward_sources_scan ?(landing = []) (to_node : Node.t) op =
-  forward_sources_with op ~def_in_to:(fun r ->
-      List.find_opt
-        (fun (o : Operation.t) ->
-          Operation.defines_reg o r
-          && Operation.guard_compatible o.Operation.guard landing)
-        to_node.Node.ops)
-
-(* Raise the first memory operation of [ops] on a path compatible with
+(* Raise the first memory operation of [b] on a path compatible with
    [landing] that [op] conflicts with ([Alias.mem_conflict] needs
    memory accesses on both sides, so only loads and stores can witness
    one). *)
-let rec mem_scan ops landing op =
-  match ops with
-  | [] -> ()
-  | (o : Operation.t) :: tl ->
-      if
-        Operation.is_mem o
-        && Operation.guard_compatible o.Operation.guard landing
-        && Alias.mem_conflict o op
-      then raise_notrace (Fail (Mem_dependence o))
-      else mem_scan tl landing op
+let rec mem_scan p (b : Iarr.t) i landing op =
+  if i < b.Iarr.len then begin
+    let o = Program.op_of p (Array.unsafe_get b.Iarr.a i) in
+    if
+      Operation.is_mem o
+      && Operation.guard_compatible o.Operation.guard landing
+      && Alias.mem_conflict o op
+    then raise_notrace (Fail (Mem_dependence o))
+    else mem_scan p b (i + 1) landing op
+  end
 
-(* Does an op of [ops] other than [op_id] read [d]? *)
-let rec read_among ops op_id d =
-  match ops with
-  | [] -> false
-  | (o : Operation.t) :: tl ->
-      (o.Operation.id <> op_id && Operation.reads_reg o d)
-      || read_among tl op_id d
+(* Does an op of [b] other than [op_id] read [d]? *)
+let rec read_among p (b : Iarr.t) i op_id d =
+  i < b.Iarr.len
+  &&
+  let o = Program.op_of p (Array.unsafe_get b.Iarr.a i) in
+  (o.Operation.id <> op_id && Operation.reads_reg o d) || read_among p b (i + 1) op_id d
 
 (* Does a conditional jump of the tree read [d]? *)
 let rec read_by_cjump d = function
@@ -192,10 +192,10 @@ let rec read_by_cjump d = function
   | Ctree.Branch (cj, a, b) ->
       Operation.reads_reg cj d || read_by_cjump d a || read_by_cjump d b
 
-let rec defined_among ops d =
-  match ops with
-  | [] -> false
-  | o :: tl -> Operation.defines_reg o d || defined_among tl d
+let rec defined_among p (b : Iarr.t) i d =
+  i < b.Iarr.len
+  && (Operation.defines_reg (Program.op_of p (Array.unsafe_get b.Iarr.a i)) d
+     || defined_among p b (i + 1) d)
 
 (* Decide legality; returns the op as it will appear in [to_] plus the
    renaming performed, or raises [Fail]. *)
@@ -219,10 +219,11 @@ let check (ctx : Ctx.t) ~from_ ~to_ ~op_id =
   in
   if op.Operation.guard <> [] then raise_notrace fail_guarded;
   (* 1. true dependences, forwarding through copies in to_ *)
-  let op = forward_sources to_node landing op in
+  let op = forward_sources p to_ landing op in
   (* 2. memory dependences against path-compatible ops of to_ — only
      when the moved op itself touches memory *)
-  if Operation.is_mem op then mem_scan to_node.Node.ops landing op;
+  let to_ops = Program.plain_ids p to_ in
+  if Operation.is_mem op then mem_scan p to_ops 0 landing op;
   (* 3. resource room at to_ (packed per-node counters — no index) *)
   if not (Machine.room_for_packed ctx.Ctx.machine (Program.counts_packed p to_) op)
   then raise_notrace fail_no_room;
@@ -236,9 +237,9 @@ let check (ctx : Ctx.t) ~from_ ~to_ ~op_id =
   | Operation.Copy (d, _)
   | Operation.Load (d, _) ->
       if
-        read_among from_node.Node.ops op_id d
+        read_among p (Program.plain_ids p from_) 0 op_id d
         || read_by_cjump d from_node.Node.ctree
-        || defined_among to_node.Node.ops d
+        || defined_among p to_ops 0 d
       then
         if ctx.Ctx.rename then
           let fresh = Program.fresh_reg p in
@@ -246,71 +247,6 @@ let check (ctx : Ctx.t) ~from_ ~to_ ~op_id =
             Some (d, fresh) )
         else raise_notrace (Fail (Write_live d))
       else ({ op with Operation.guard = landing }, None)
-
-(* The original list-scanning legality check, kept verbatim as the
-   oracle for {!check}.  The two find the op differently: [check] by
-   its home ({!Program.home_int}), [check_scan] in [from_]'s op list.
-   So they give the identical decision and failure on every op whose
-   home is [from_], and only there: on a node that [Move_cj] left to
-   die (its true arm took the ops over under their ids, and collection
-   is deferred) [check] answers [Op_not_found] where [check_scan] goes
-   on to decide the move.  test_index.ml's oracle applies the home rule
-   to the other ops. *)
-let check_scan (ctx : Ctx.t) ~from_ ~to_ ~op_id =
-  let p = ctx.Ctx.program in
-  if from_ = to_ then raise (Fail Not_adjacent);
-  let to_node = Program.node p to_ and from_node = Program.node p from_ in
-  let landing =
-    match Ctree.path_to to_node.Node.ctree from_ with
-    | Some path -> path
-    | None -> raise (Fail Not_adjacent)
-  in
-  let op =
-    match
-      List.find_opt
-        (fun (o : Operation.t) -> o.Operation.id = op_id)
-        from_node.Node.ops
-    with
-    | Some op -> op
-    | None -> raise (Fail Op_not_found)
-  in
-  if op.Operation.guard <> [] then raise (Fail Guarded);
-  let op = forward_sources_scan ~landing to_node op in
-  (match
-     List.find_opt
-       (fun (o : Operation.t) ->
-         Operation.guard_compatible o.Operation.guard landing
-         && Alias.mem_conflict o op)
-       to_node.Node.ops
-   with
-  | Some o -> raise (Fail (Mem_dependence o))
-  | None -> ());
-  if not (Machine.room_for_scan ctx.Ctx.machine to_node op) then
-    raise (Fail No_room);
-  let op = { op with Operation.guard = landing } in
-  match Operation.def op with
-  | None -> (op, None)
-  | Some d ->
-      let past_read =
-        List.exists
-          (fun (o : Operation.t) ->
-            o.Operation.id <> op_id && Operation.reads_reg o d)
-          from_node.Node.ops
-        || List.exists
-             (fun (cj : Operation.t) -> Operation.reads_reg cj d)
-             (Ctree.cjumps from_node.Node.ctree)
-      in
-      let output_conflict =
-        List.exists
-          (fun (o : Operation.t) -> Operation.defines_reg o d)
-          to_node.Node.ops
-      in
-      if past_read || output_conflict then
-        if ctx.Ctx.rename then
-          let fresh = Program.fresh_reg p in
-          (Operation.with_def op fresh, Some (d, fresh))
-        else raise (Fail (Write_live d))
-      else (op, None)
 
 (* Redirect every way into [from_] except the landing path to a fresh
    clone still containing the operation; returns the clone id if one
@@ -328,7 +264,7 @@ let isolate_landing (ctx : Ctx.t) ~from_ ~to_ =
   if other_preds = [] && not extra_paths then None
   else begin
     let clone_ops, clone_tree =
-      Program.clone_instruction p ~ops:from_node.Node.ops
+      Program.clone_instruction p ~ops:(Program.ops p from_)
         ~ctree:from_node.Node.ctree
     in
     let clone = Program.fresh_node p ~ops:clone_ops ~ctree:clone_tree in
@@ -374,8 +310,7 @@ let commit (ctx : Ctx.t) ~from_ ~to_ ~op_id (moved_op, renamed) =
   Program.add_op p to_ moved_op;
   (* delete from_ if now empty *)
   let deleted_from =
-    let fn = Program.node p from_ in
-    if Node.is_empty fn then begin
+    if Program.is_empty p from_ then begin
       Program.delete_node p from_;
       true
     end
@@ -429,13 +364,5 @@ let move (ctx : Ctx.t) ~from_ ~to_ ~op_id =
     the question "could X move?" asked without moving anything. *)
 let would_move (ctx : Ctx.t) ~from_ ~to_ ~op_id =
   match check ctx ~from_ ~to_ ~op_id with
-  | exception Fail f -> Error f
-  | _ -> Ok ()
-
-(** [would_move_scan ctx ~from_ ~to_ ~op_id] — the list-scanning
-    legality test: the oracle {!would_move} is compared against by the
-    property suite. *)
-let would_move_scan (ctx : Ctx.t) ~from_ ~to_ ~op_id =
-  match check_scan ctx ~from_ ~to_ ~op_id with
   | exception Fail f -> Error f
   | _ -> Ok ()

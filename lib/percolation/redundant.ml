@@ -35,8 +35,7 @@ let eliminate_dead (p : Program.t) ~exit_live =
           if Program.is_exit p n.Node.id then acc
           else
             let out = Liveness.live_out live n.Node.id in
-            List.fold_left
-              (fun acc (op : Operation.t) ->
+            Program.fold_ops p n.Node.id ~init:acc ~f:(fun acc (op : Operation.t) ->
                 (* VLIW reads-before-writes: same-node readers of [d]
                    see the pre-instruction value, so only live-out
                    matters. *)
@@ -45,8 +44,7 @@ let eliminate_dead (p : Program.t) ~exit_live =
                   when (not (Operation.is_store op))
                        && not (Reg.Set.mem d out) ->
                     (n.Node.id, op.Operation.id) :: acc
-                | _ -> acc)
-              acc n.Node.ops)
+                | _ -> acc))
         []
     in
     List.iter
@@ -122,7 +120,6 @@ let forward_memory (p : Program.t) =
   let avail : (Operation.addr * Operand.t) list ref = ref [] in
   List.iter
     (fun nid ->
-      let n = Program.node p nid in
       List.iter
         (fun (op : Operation.t) ->
           match op.Operation.kind with
@@ -140,7 +137,7 @@ let forward_memory (p : Program.t) =
           | Operation.Copy (d, _) ->
               avail := kill_mem_reg d !avail
           | Operation.Cjump _ -> ())
-        n.Node.ops)
+        (Program.ops p nid))
     chain;
   !rewritten
 
@@ -196,7 +193,6 @@ let forward_copies (p : Program.t) =
   in
   List.iter
     (fun nid ->
-      let n = Program.node p nid in
       List.iter
         (fun (op : Operation.t) ->
           let op' =
@@ -215,7 +211,7 @@ let forward_copies (p : Program.t) =
           | Operation.Load (d, _) ->
               env := kill_copy_reg d !env
           | Operation.Store _ | Operation.Cjump _ -> ())
-        n.Node.ops)
+        (Program.ops p nid))
     chain;
   !rewrites
 

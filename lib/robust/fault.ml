@@ -70,7 +70,7 @@ let drop_dependence_sites ?max_iter p =
     (fun t ->
       if Program.is_exit p t then []
       else
-        let tn = Program.node p t in
+        let tn = Program.ops p t in
         List.concat_map
           (fun s ->
             if Program.is_exit p s || s = t then []
@@ -88,10 +88,10 @@ let drop_dependence_sites ?max_iter p =
                         match Operation.def d with
                         | Some r -> Operation.reads_reg x r
                         | None -> false)
-                      tn.Node.ops
+                      tn
                   then Some (t, s, x)
                   else None)
-                (Program.node p s).Node.ops)
+                (Program.ops p s))
           (Program.succs p t))
     (Program.rpo p)
 
@@ -114,7 +114,7 @@ let overfill_sites ?max_iter ~machine p =
                     || Machine.room_for_packed machine tn x
                   then None
                   else Some (t, s, x))
-                (Program.node p s).Node.ops)
+                (Program.ops p s))
           (Program.succs p t))
     (Program.rpo p)
 
@@ -159,7 +159,7 @@ let clobber_sites ?max_iter p =
               match perturb_kind x.Operation.kind with
               | Some kind' -> Some (t, x, kind')
               | None -> None)
-          (Program.node p t).Node.ops)
+          (Program.ops p t))
     (Program.rpo p)
 
 (** [inject ~seed ?max_iter ~machine mode p] — corrupt [p] in place.

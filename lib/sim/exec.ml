@@ -98,21 +98,26 @@ let commit st = function
   | Pmem (sym, idx, v) -> State.write_mem st sym idx v
   | Pfault msg -> State.fault "%s" msg
 
+(* Commit, in instruction order, the pending effects whose guard lies
+   on the selected path; [pend] lists them newest first. *)
+let rec commit_taken st decisions = function
+  | [] -> ()
+  | (guard, eff) :: older ->
+      commit_taken st decisions older;
+      if Operation.guard_satisfied guard ~decisions then commit st eff
+
 (** [step p st node_id] executes one instruction; returns the successor
     node id.  IBM store discipline: every operation is fetched and
     computed, but only those whose guard lies on the selected path
     commit their result. *)
 let step (p : Program.t) st node_id =
-  let n = Program.node p node_id in
   (* fetch+compute for all ops, then select, then store *)
   let pend =
-    List.map (fun (op : Operation.t) -> (op.Operation.guard, compute st op)) n.Node.ops
+    Program.fold_ops p node_id ~init:[] ~f:(fun acc (op : Operation.t) ->
+        (op.Operation.guard, compute st op) :: acc)
   in
-  let next, decisions = select st n.Node.ctree in
-  List.iter
-    (fun (guard, eff) ->
-      if Operation.guard_satisfied guard ~decisions then commit st eff)
-    pend;
+  let next, decisions = select st (Program.node p node_id).Node.ctree in
+  commit_taken st decisions pend;
   next
 
 (** [run ?fuel p st] executes [p] from its entry until the exit
@@ -128,7 +133,7 @@ let run ?(fuel = 2_000_000) (p : Program.t) st =
     else begin
       path := id :: !path;
       incr cycles;
-      ops := !ops + List.length (Program.node p id).Node.ops
+      ops := !ops + Iarr.length (Program.plain_ids p id)
              + Ctree.n_cjumps (Program.node p id).Node.ctree;
       let next = step p st id in
       go next (remaining - 1)

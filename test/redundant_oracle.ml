@@ -50,7 +50,6 @@ let forward_memory (p : Program.t) =
   in
   List.iter
     (fun nid ->
-      let n = Program.node p nid in
       List.iter
         (fun (op : Operation.t) ->
           (match op.Operation.kind with
@@ -75,7 +74,7 @@ let forward_memory (p : Program.t) =
               | Some d -> kill_reg d
               | None -> ())
           | Operation.Cjump _ -> ()))
-        n.Node.ops)
+        (Program.ops p nid))
     chain;
   !rewritten
 
@@ -97,7 +96,6 @@ let forward_copies (p : Program.t) =
   in
   List.iter
     (fun nid ->
-      let n = Program.node p nid in
       List.iter
         (fun (op : Operation.t) ->
           let op' =
@@ -119,7 +117,7 @@ let forward_copies (p : Program.t) =
           match op'.Operation.kind with
           | Operation.Copy (d, v) -> env := (d, v) :: !env
           | _ -> ())
-        n.Node.ops)
+        (Program.ops p nid))
     chain;
   !rewrites
 

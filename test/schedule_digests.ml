@@ -1,7 +1,10 @@
 (* Byte-identical-schedule oracle: digests of the rendered schedule of
    every Livermore kernel x {2,4,8} FUs x {GRiP, no-gap, POST}.  A cell
    whose program turned cyclic would fail at node entry, which raises
-   on a retreating edge, and so fail the sweep.
+   on a retreating edge, and so fail the sweep.  Each final program
+   must also pass [Program.check_derived_state] (the mirrors kept
+   beside a node's ops and tree) and [Wellformed.check]: a cell with a
+   report renders it in place of its digest, and so mismatches.
 
    The expected file is the contract that performance work in the
    scheduling core must not change a single schedule: regenerate with
@@ -28,15 +31,21 @@ let cell_digest kernel ~fu ~method_ =
   let machine = Vliw_machine.Machine.homogeneous fu in
   let obs = Grip_obs.make ~metrics:(Grip_obs.Metrics.create ()) () in
   let o = Grip.Pipeline.run ~obs kernel ~machine ~method_ in
-  let rendered =
-    Format.asprintf "%a@.cpi=%s converged=%b@." Vliw_ir.Program.pp
-      o.Grip.Pipeline.program
-      (match o.Grip.Pipeline.static_cpi with
-      | Some c -> Printf.sprintf "%.4f" c
-      | None -> "-")
-      (o.Grip.Pipeline.pattern <> None)
-  in
-  Digest.to_hex (Digest.string rendered)
+  let p = o.Grip.Pipeline.program in
+  match
+    Option.to_list (Vliw_ir.Program.check_derived_state p)
+    @ Vliw_ir.Wellformed.check p
+  with
+  | _ :: _ as reports -> "invalid: " ^ String.concat "; " reports
+  | [] ->
+      let rendered =
+        Format.asprintf "%a@.cpi=%s converged=%b@." Vliw_ir.Program.pp p
+          (match o.Grip.Pipeline.static_cpi with
+          | Some c -> Printf.sprintf "%.4f" c
+          | None -> "-")
+          (o.Grip.Pipeline.pattern <> None)
+      in
+      Digest.to_hex (Digest.string rendered)
 
 let all_cells () =
   List.concat_map

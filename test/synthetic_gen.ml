@@ -111,6 +111,6 @@ let pick_deletable p next =
    node itself, as [Move_op.commit] deletes a node it emptied. *)
 let delete_emptied p id =
   let ops = ref [] in
-  Program.iter_plain_op_ids p id (fun oid -> ops := oid :: !ops);
+  Iarr.iter (fun oid -> ops := oid :: !ops) (Program.plain_ids p id);
   List.iter (Program.remove_op p id) !ops;
   Program.delete_node p id

@@ -435,7 +435,7 @@ let test_gapless_cond1_only_op () =
   let memo = Grip.Gapless.create_memo () in
   (* first body node of iteration 0 holds only a0 *)
   let a0_home = u.Grip.Unwind.heads.(0) in
-  let a0 = List.hd (Program.node p a0_home).Node.ops in
+  let a0 = List.hd (Program.ops p a0_home) in
   let preds = Program.preds p in
   let pred = List.hd (Hashtbl.find preds a0_home) in
   Alcotest.(check bool) "cond 1 allows" true
@@ -498,9 +498,8 @@ let plain_last p ~from_ ~iter =
     else begin
       Hashtbl.replace seen id ();
       incr plain_expanded;
-      let n = Program.node p id in
-      List.exists same n.Node.ops
-      || Ctree.exists_cjump same n.Node.ctree
+      List.exists same (Program.ops p id)
+      || Ctree.exists_cjump same (Program.node p id).Node.ctree
       || List.exists below (Program.succs p id)
     end
   in
@@ -508,12 +507,12 @@ let plain_last p ~from_ ~iter =
 
 (* The Gapless test as it stood before the memo — the oracle for
    [Gapless.ok]: the four conditions, condition 3 by {!plain_last}. *)
-let plain_movable (ctx : Ctx.t) ~(from_node : Node.t) ~(x : Operation.t)
+let plain_movable (ctx : Ctx.t) ~from_ ~(x : Operation.t)
     ~(ignoring : Operation.t) =
   let remaining =
     List.filter
       (fun (o : Operation.t) -> o.Operation.id <> ignoring.Operation.id)
-      from_node.Node.ops
+      (Program.ops ctx.Ctx.program from_)
   in
   x.Operation.guard = []
   && (not
@@ -527,8 +526,7 @@ let plain_movable (ctx : Ctx.t) ~(from_node : Node.t) ~(x : Operation.t)
   &&
   let m = ctx.Ctx.machine in
   Machine.is_unlimited m
-  || Machine.slot_demand_packed m
-       (Program.counts_packed ctx.Ctx.program from_node.Node.id)
+  || Machine.slot_demand_packed m (Program.counts_packed ctx.Ctx.program from_)
      <= Machine.width m
 
 (* Conditions 1 to 3 for [op] at [from_]. *)
@@ -539,12 +537,11 @@ let plain_first_three (ctx : Ctx.t) ~from_ ~(op : Operation.t) =
    if Operation.is_cjump op then
      Node.packed_plain c = 0 && Node.packed_cjumps c = 1
    else Node.packed_plain c = 1 && Node.packed_cjumps c = 0)
-  || List.length (List.filter same (Node.all_ops (Program.node p from_))) >= 2
+  || List.length (List.filter same (Scan_oracles.all_ops p from_)) >= 2
   || plain_last p ~from_ ~iter:op.Operation.iter
 
 let rec plain_gapless (ctx : Ctx.t) ~from_ ~(op : Operation.t) depth =
   let p = ctx.Ctx.program in
-  let from_node = Program.node p from_ in
   let same (o : Operation.t) = o.Operation.iter = op.Operation.iter in
   let cond4 () =
     depth < 8
@@ -552,16 +549,15 @@ let rec plain_gapless (ctx : Ctx.t) ~from_ ~(op : Operation.t) depth =
          (fun s ->
            (not (Program.is_exit p s))
            &&
-           let sn = Program.node p s in
            let candidate (x : Operation.t) =
              same x
              && (not (Operation.equal_id x op))
-             && plain_movable ctx ~from_node ~x ~ignoring:op
+             && plain_movable ctx ~from_ ~x ~ignoring:op
              && plain_gapless ctx ~from_:s ~op:x (depth + 1)
            in
-           List.exists candidate sn.Node.ops
+           List.exists candidate (Program.ops p s)
            ||
-           match Ctree.root_cjump sn.Node.ctree with
+           match Ctree.root_cjump (Program.node p s).Node.ctree with
            | Some root -> candidate root
            | None -> false)
          (Program.succs p from_)
@@ -614,7 +610,7 @@ let memo_agrees spec =
     let nodes = List.filter (fun id -> not (Program.is_exit p id)) (Program.rpo p) in
     for _ = 1 to 4 do
       let n = List.nth nodes (next (List.length nodes)) in
-      match Node.all_ops (Program.node p n) with
+      match Scan_oracles.all_ops p n with
       | [] -> ()
       | ops ->
           let op = List.nth ops (next (List.length ops)) in
@@ -846,7 +842,7 @@ let prop_suffix_enumeration =
                     || not (Vliw_analysis.Dom.dominates dom n id)
                   then []
                   else List.map (fun (o : Operation.t) -> o.Operation.id)
-                      (Node.all_ops (Program.node p id)))
+                      (Scan_oracles.all_ops p id))
                 (Program.rpo p)
             in
             let got = Iarr.to_list (moveable_op_ids p dom n acc) in
@@ -893,6 +889,22 @@ let cyclic_program () =
   Program.redirect p ~from_:p.Program.entry ~old_:exit_ ~new_:a.Node.id;
   (p, a.Node.id, d.Node.id)
 
+(* A cycle through the entry: entry -> a -> b; b -> entry (back edge)
+   and b -> exit.  The back edge leads into the node being entered, so
+   the pass must fold that node's own predecessors to see it. *)
+let entry_cycle_program () =
+  let p = Program.create () in
+  let exit_ = p.Program.exit_id in
+  let op id = Operation.make ~id (Operation.Copy (reg id, imm id)) in
+  let cj = Operation.make ~id:3 (Operation.Cjump (Opcode.Lt, Operand.Reg (reg 9), imm 0)) in
+  let b =
+    Program.fresh_node p ~ops:[ op 2 ]
+      ~ctree:(Ctree.Branch (cj, Ctree.Leaf p.Program.entry, Ctree.Leaf exit_))
+  in
+  let a = Program.fresh_node p ~ops:[ op 1 ] ~ctree:(Ctree.leaf b.Node.id) in
+  Program.redirect p ~from_:p.Program.entry ~old_:exit_ ~new_:a.Node.id;
+  p
+
 let test_region_cyclic () =
   let p, a, d = cyclic_program () in
   let ctx = Ctx.make p ~machine:Machine.unlimited ~exit_live:Reg.Set.empty in
@@ -920,11 +932,22 @@ let test_region_cyclic () =
   Alcotest.(check (list int)) "d dominates e" [ 7 ] (dom_ids d);
   Alcotest.(check (list int)) "node entry at d == Dom filter" [ 7 ]
     (Iarr.to_list (Grip.Scheduler.entry_op_ids scratch d));
+  let run p =
+    Grip.Scheduler.run
+      (Grip.Scheduler.default_config ~rank:Grip.Rank.source_order)
+      (Ctx.make p ~machine:Machine.unlimited ~exit_live:Reg.Set.empty)
+  in
   let fresh, _, _ = cyclic_program () in
-  scheduling_error "Scheduler.run" (fun () ->
-      Grip.Scheduler.run
-        (Grip.Scheduler.default_config ~rank:Grip.Rank.source_order)
-        (Ctx.make fresh ~machine:Machine.unlimited ~exit_live:Reg.Set.empty))
+  scheduling_error "Scheduler.run" (fun () -> run fresh);
+  let looped = entry_cycle_program () in
+  let entry = looped.Program.entry in
+  Alcotest.(check bool) "back edge into the entry reported" false
+    (Grip.Scheduler.region_op_ids
+       (Grip.Scheduler.fresh_scratch looped).Grip.Scheduler.region entry acc);
+  scheduling_error "node entry at the entry of a cycle through it" (fun () ->
+      Grip.Scheduler.entry_op_ids (Grip.Scheduler.fresh_scratch looped) entry);
+  scheduling_error "Scheduler.run, cycle through the entry" (fun () ->
+      run (entry_cycle_program ()))
 
 (* -- convergence detection ---------------------------------------------- *)
 

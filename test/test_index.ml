@@ -23,6 +23,18 @@ let verdicts_agree a b =
   | Error fa, Error fb -> String.equal (failure_str fa) (failure_str fb)
   | _ -> false
 
+(* A legality decision as a check makes it: the failure, or the op as
+   it would land and whether it is renamed (compared up to the fresh
+   register, which each check draws anew). *)
+let decision check ctx ~from_ ~to_ ~op_id =
+  match check ctx ~from_ ~to_ ~op_id with
+  | exception Move_op.Fail f -> Error (failure_str f)
+  | op, renamed ->
+      let op =
+        match renamed with Some (d, _) -> Operation.with_def op d | None -> op
+      in
+      Ok (op, Option.is_some renamed)
+
 (* Every (pred, succ, op) move candidate of the current program. *)
 let all_candidates p =
   List.concat_map
@@ -35,7 +47,7 @@ let all_candidates p =
             else
               List.map
                 (fun (op : Operation.t) -> (s, nid, op.Operation.id))
-                (Program.node p s).Node.ops)
+                (Program.ops p s))
           (Program.succs p nid))
     (Program.rpo p)
 
@@ -47,8 +59,9 @@ let machines =
     Machine.typed ~alu:3 ~mem:1 ~branch:1 ();
   ]
 
-(* 1. indexed would_move == retained naive implementation, across a
-   random mutation sequence; derived state stays coherent. *)
+(* 1. the in-place check == retained naive implementation, decision
+   and renaming alike, across a random mutation sequence; derived
+   state stays coherent. *)
 let prop_legality_equiv =
   QCheck2.Test.make ~name:"indexed legality == naive legality" ~count:30
     ~print:print_spec spec_gen (fun spec ->
@@ -64,9 +77,9 @@ let prop_legality_equiv =
       for _round = 1 to 6 do
         List.iter
           (fun (from_, to_, op_id) ->
-            let naive = Move_op.would_move_scan ctx ~from_ ~to_ ~op_id in
-            let indexed = Move_op.would_move ctx ~from_ ~to_ ~op_id in
-            if not (verdicts_agree naive indexed) then ok := false)
+            let naive = decision Scan_oracles.check_scan ctx ~from_ ~to_ ~op_id in
+            let indexed = decision Move_op.check ctx ~from_ ~to_ ~op_id in
+            if naive <> indexed then ok := false)
           (all_candidates p);
         (* mutate: a few random accepted moves, then recheck coherence *)
         for _ = 1 to 8 do
@@ -97,8 +110,7 @@ let prop_room_for_equiv =
       let probe_ops =
         List.concat_map
           (fun nid ->
-            if Program.is_exit p nid then []
-            else Node.all_ops (Program.node p nid))
+            if Program.is_exit p nid then [] else Scan_oracles.all_ops p nid)
           (Program.rpo p)
       in
       List.for_all
@@ -107,12 +119,13 @@ let prop_room_for_equiv =
             (fun nid ->
               Program.is_exit p nid
               ||
-              let n = Program.node p nid in
+              let n = Scan_oracles.all_ops p nid in
               let c = Program.counts_packed p nid in
-              Machine.slot_demand_packed m c = Machine.slot_demand_scan m n
+              Machine.slot_demand_packed m c = Scan_oracles.slot_demand_scan m n
               && List.for_all
                    (fun op ->
-                     Machine.room_for_packed m c op = Machine.room_for_scan m n op)
+                     Machine.room_for_packed m c op
+                     = Scan_oracles.room_for_scan m n op)
                    probe_ops)
             (Program.rpo p))
         machines)
@@ -440,10 +453,13 @@ let prop_preds_list_model =
       done;
       true)
 
-(* 6. flat accessors == naive node scans on migration-heavy schedules:
-   the struct-of-arrays stores (op-id sequences, packed counts, op
-   homes, successor mirror) must agree with the record/tree view after
-   real GRiP runs over the Livermore digest subset. *)
+(* 6. flat accessors == naive node scans on migration-heavy schedules.
+   A node's plain ops and its jumps each have one home (its op-id
+   sequence with the record store, and its tree), so what is checked
+   here is what is still derived from them, against a fresh scan after
+   real GRiP runs over the Livermore digest subset: the packed counts,
+   the op-id enumeration, op homes, the jumps' stored records, and the
+   successor and predecessor mirrors. *)
 let flat_accessors_agree () =
   List.iter
     (fun (name, fu, method_) ->
@@ -454,43 +470,48 @@ let flat_accessors_agree () =
       List.iter
         (fun nid ->
           let n = Program.node p nid in
-          (* op-id sequences reproduce the Node.all_ops order *)
+          let ops = Program.ops p nid and jumps = Ctree.cjumps n.Node.ctree in
+          let ids = List.map (fun (op : Operation.t) -> op.Operation.id) in
+          (* the op-id enumeration: plain ops, then the tree's jumps *)
           let flat = ref [] in
           Program.iter_op_ids p nid (fun oid -> flat := oid :: !flat);
-          let want =
-            List.map (fun (op : Operation.t) -> op.Operation.id) (Node.all_ops n)
-          in
           Alcotest.(check (list int))
-            (Printf.sprintf "%s fu%d n%d: flat op order" name fu nid)
-            want (List.rev !flat);
-          (* packed counts match a fresh scan *)
-          let c = Node.unpack_counts (Program.counts_packed p nid) in
-          let plain = List.length n.Node.ops in
-          let copies = List.length (List.filter Operation.is_copy n.Node.ops) in
-          let mems =
-            List.length
-              (List.filter
-                 (fun (o : Operation.t) -> Operation.mem_access o <> None)
-                 n.Node.ops)
-          in
-          let cjumps = Ctree.n_cjumps n.Node.ctree in
+            (Printf.sprintf "%s fu%d n%d: op-id enumeration" name fu nid)
+            (ids ops @ ids jumps) (List.rev !flat);
+          (* packed counts match a fresh count *)
+          let c = Program.counts_packed p nid in
+          let count f = List.length (List.filter f ops) in
           Alcotest.(check (list int))
             (Printf.sprintf "%s fu%d n%d: packed counts" name fu nid)
-            [ plain; copies; mems; cjumps ]
-            [ c.Node.plain; c.Node.copies; c.Node.mems; c.Node.cjumps ];
-          (* op homes and stored records round-trip *)
+            [
+              List.length ops;
+              count Operation.is_copy;
+              count (fun (o : Operation.t) -> Operation.mem_access o <> None);
+              List.length jumps;
+            ]
+            [
+              Node.packed_plain c;
+              Node.packed_copies c;
+              Node.packed_mems c;
+              Node.packed_cjumps c;
+            ];
+          (* every op is homed here, and a jump's stored record is the
+             tree's own *)
           List.iter
             (fun (op : Operation.t) ->
               Alcotest.(check int)
                 (Printf.sprintf "%s fu%d op%d: home" name fu op.Operation.id)
                 nid
-                (Program.home_int p op.Operation.id);
-              match Program.stored_op p op.Operation.id with
-              | Some op' when op' == op -> ()
+                (Program.home_int p op.Operation.id))
+            (ops @ jumps);
+          List.iter
+            (fun (cj : Operation.t) ->
+              match Program.stored_op p cj.Operation.id with
+              | Some r when r == cj -> ()
               | _ ->
-                  Alcotest.failf "%s fu%d op%d: stored_op stale" name fu
-                    op.Operation.id)
-            (Node.all_ops n);
+                  Alcotest.failf "%s fu%d op%d: stored jump is not the tree's" name
+                    fu cj.Operation.id)
+            jumps;
           (* successor mirror serves the tree's view *)
           Alcotest.(check (list int))
             (Printf.sprintf "%s fu%d n%d: succs mirror" name fu nid)
@@ -519,7 +540,7 @@ let flat_accessors_agree () =
 let oracle_verdict (ctx : Ctx.t) ~from_ ~to_ ~op_id =
   let p = ctx.Ctx.program in
   if Program.home_int p op_id = from_ then
-    Move_op.would_move_scan ctx ~from_ ~to_ ~op_id
+    Scan_oracles.would_move_scan ctx ~from_ ~to_ ~op_id
   else if
     from_ = to_ || Ctree.path_to (Program.node p to_).Node.ctree from_ = None
   then Error Move_op.Not_adjacent
@@ -581,10 +602,10 @@ let table_candidates p =
         List.fold_left
           (fun acc s ->
             match Program.node_opt p s with
-            | Some sn when not (Program.is_exit p s) ->
-                List.fold_left
-                  (fun acc (op : Operation.t) -> (s, n.Node.id, op.Operation.id) :: acc)
-                  acc sn.Node.ops
+            | Some _ when not (Program.is_exit p s) ->
+                Iarr.fold_left
+                  (fun acc oid -> (s, n.Node.id, oid) :: acc)
+                  acc (Program.plain_ids p s)
             | Some _ | None -> acc)
           acc
           (Ctree.succs n.Node.ctree))
@@ -690,7 +711,7 @@ let test_hop_path_no_alloc () =
     List.find
       (fun (s, _, oid) ->
         (Option.get (Program.stored_op p oid)).Operation.iter <> Operation.no_iter
-        && List.length (Program.node p s).Node.ops = 1)
+        && Iarr.length (Program.plain_ids p s) = 1)
       (all_candidates p)
   in
   let op = Option.get (Program.stored_op p op_id) in

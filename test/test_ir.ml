@@ -143,18 +143,18 @@ module Oracle = struct
     | Ctree.Branch (cj, a, b) ->
         Format.fprintf ppf "@[<v>[%a]@,  T: %a@,  F: %a@]" op cj ctree a ctree b
 
-  let node ppf (n : Node.t) =
-    Format.fprintf ppf "@[<v>n%d:@,%a@,%a@]" n.Node.id
+  let node p ppf id =
+    Format.fprintf ppf "@[<v>n%d:@,%a@,%a@]" id
       (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf o ->
            Format.fprintf ppf "  %a" op o))
-      n.Node.ops ctree n.Node.ctree
+      (Program.ops p id) ctree (Program.node p id).Node.ctree
 
   let program ppf p =
     Format.fprintf ppf "@[<v>entry = n%d, exit = n%d@,%a@]" p.Program.entry
       p.Program.exit_id
       (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf id ->
            if Program.is_exit p id then Format.fprintf ppf "n%d: (exit)" id
-           else node ppf (Program.node p id)))
+           else node p ppf id))
       (Program.rpo p)
 end
 
@@ -278,8 +278,7 @@ let test_program_delete_node () =
   let ids = Program.rpo p in
   (* second real node *)
   let nid = List.nth ids 1 in
-  let n = Program.node p nid in
-  let op = List.hd n.Node.ops in
+  let op = List.hd (Program.ops p nid) in
   Program.remove_op p nid op.Operation.id;
   Program.delete_node p nid;
   check_wf p;
@@ -288,7 +287,7 @@ let test_program_delete_node () =
 let test_program_home_tracking () =
   let p = Builder.straight [ Operation.Copy (reg 0, imm 1) ] in
   let nid = List.nth (Program.rpo p) 1 in
-  let op = List.hd (Program.node p nid).Node.ops in
+  let op = List.hd (Program.ops p nid) in
   Alcotest.(check (option int)) "home" (Some nid) (Program.home p op.Operation.id);
   Program.remove_op p nid op.Operation.id;
   Alcotest.(check (option int)) "gone" None (Program.home p op.Operation.id)
@@ -305,7 +304,7 @@ let test_program_chain_version () =
     Alcotest.(check bool) what moves (Program.chain_version p <> before)
   in
   let nid = List.nth (Program.rpo p) 1 in
-  let op = List.hd (Program.node p nid).Node.ops in
+  let op = List.hd (Program.ops p nid) in
   check "remove_op keeps it" ~moves:false (fun () ->
       Program.remove_op p nid op.Operation.id);
   check "add_op keeps it" ~moves:false (fun () -> Program.add_op p nid op);

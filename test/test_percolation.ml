@@ -24,7 +24,7 @@ let mk_ctx ?(machine = Machine.unlimited) ?(exit_live = []) p =
 
 (* nth real node on the entry chain *)
 let nth_node p i = List.nth (Program.rpo p) i
-let op_of p nid = List.hd (Program.node p nid).Node.ops
+let op_of p nid = List.hd (Program.ops p nid)
 
 let snapshot_oracle ~observable ~init before k =
   (* run [k] on a program, then check equivalence against [before] *)
@@ -57,7 +57,7 @@ let test_move_independent_op () =
   | Error f -> Alcotest.failf "move failed: %a" Move_op.pp_failure f);
   check_wf p;
   Alcotest.(check int) "one node fewer" 4 (Program.n_nodes p);
-  Alcotest.(check int) "n1 now has 2 ops" 2 (List.length (Program.node p n1).Node.ops)
+  Alcotest.(check int) "n1 now has 2 ops" 2 (List.length (Program.ops p n1))
 
 let test_move_true_dependence_fails () =
   (* non-copy def: forwarding cannot bypass a computation *)
@@ -299,7 +299,7 @@ let test_migrate_full_chain () =
   check_wf p;
   (* the add depends on both copies, all three land in entry *)
   Alcotest.(check int) "entry holds all" 3
-    (List.length (Program.node p entry).Node.ops);
+    (List.length (Program.ops p entry));
   Alcotest.(check int) "only entry and exit remain" 2 (Program.n_nodes p)
 
 let test_migrate_respects_dependence () =
@@ -324,7 +324,7 @@ let test_migrate_respects_dependence () =
   check_wf p;
   (* entry: r0=1; next: r1; next: r2 *)
   Alcotest.(check int) "nodes" 4 (Program.n_nodes p);
-  Alcotest.(check int) "entry has one op" 1 (List.length (Program.node p entry).Node.ops)
+  Alcotest.(check int) "entry has one op" 1 (List.length (Program.ops p entry))
 
 let test_move_cj_distributes_guarded_ops () =
   (* from_ holds ops guarded on each arm of its root cj; hoisting the
@@ -362,16 +362,16 @@ let test_move_cj_distributes_guarded_ops () =
   (match Move_cj.move ctx ~from_:from_.Node.id ~to_:top.Node.id ~cj_id:70 with
   | Ok r ->
       let arm id expected_regs =
-        let n = Program.node p id in
+        let ops = Program.ops p id in
         let regs =
-          List.filter_map Operation.def n.Node.ops
+          List.filter_map Operation.def ops
           |> List.map Reg.to_int |> List.sort compare
         in
         Alcotest.(check (list int)) "arm contents" expected_regs regs;
         List.iter
           (fun (o : Operation.t) ->
             Alcotest.(check bool) "guard stripped" true (o.Operation.guard = []))
-          n.Node.ops
+          ops
       in
       (* true arm: on_true + always; false arm: on_false + always *)
       arm r.Move_cj.true_copy [ 1; 3 ];

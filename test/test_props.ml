@@ -125,8 +125,7 @@ let prop_random_moves_sound =
           List.iter
             (fun s ->
               if (not (Program.is_exit p s)) && next 2 = 0 then
-                let sn = Program.node p s in
-                match sn.Node.ops with
+                match Program.ops p s with
                 | op :: _ ->
                     ignore
                       (Vliw_percolation.Move_op.move ctx ~from_:s ~to_:nid
