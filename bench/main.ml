@@ -487,128 +487,35 @@ let ablation ~pool () =
 (* Machine-readable Table 1 artifact                                 *)
 (* ---------------------------------------------------------------- *)
 
-module Json = Grip_obs.Json
+module Artifact = Grip.Bench_artifact
 module Obs = Grip_obs
-
-let table1_schema = "grip.bench.table1/14"
-
-(* One (loop, technique, width) measurement with its scheduler stats,
-   per-phase wall-clock breakdown and bottleneck verdict — the
-   machine-readable face of a Table 1 cell.  Each cell runs with its
-   own provenance recorder so the bottleneck block's totals are the
-   journal-derived ones (equal to the Metrics counters by the replay
-   invariant). *)
-let json_cell (e : Livermore.entry) method_ fu horizon =
-  let machine = Machine.homogeneous fu in
-  let prov = Obs.Provenance.create () in
-  (* metrics on: the legality block below reads the move-legality and
-     graph-maintenance counters the percolation core records *)
-  let metrics = Obs.Metrics.create () in
-  let obs = Obs.make ~prov ~metrics () in
-  (* whole-cell GC deltas: a cell runs entirely on one domain, so the
-     domain-local [Gc] counters delimit exactly this cell's work *)
-  let a0 = Gc.allocated_bytes () in
-  let q0 = Gc.quick_stat () in
-  let o = Pipeline.run ~obs e.Livermore.kernel ~machine ~method_ ?horizon in
-  let m = Pipeline.measure ~data:e.Livermore.data o in
-  let ok =
-    match Pipeline.check ~data:e.Livermore.data o with
-    | Ok _ -> true
-    | Error _ -> false
-  in
-  let a1 = Gc.allocated_bytes () in
-  let q1 = Gc.quick_stat () in
-  let bytes_per_word = float_of_int (Sys.word_size / 8) in
-  let gc =
-    Json.Obj
-      [
-        ("alloc_bytes", Json.Num (a1 -. a0));
-        ( "minor_collections",
-          Json.int (q1.Gc.minor_collections - q0.Gc.minor_collections) );
-        ( "major_collections",
-          Json.int (q1.Gc.major_collections - q0.Gc.major_collections) );
-        ( "promoted_bytes",
-          Json.Num ((q1.Gc.promoted_words -. q0.Gc.promoted_words)
-                    *. bytes_per_word) );
-      ]
-  in
-  let legality =
-    let c name = Obs.Metrics.counter metrics name in
-    Json.Obj
-      [
-        ("check_seconds", Json.Num (Obs.Metrics.time metrics "legality.check"));
-        ("gc_deferred", Json.int (c "ir.gc_deferred"));
-        ("gc_runs", Json.int (c "ir.gc_runs"));
-        ("gc_reclaimed", Json.int (c "ir.gc_reclaimed"));
-        ("gc_candidates", Json.int (c "ir.gc_candidates"));
-        ("walk_nodes", Json.int (c "migrate.walk_nodes"));
-        ("chain_nodes", Json.int (c "migrate.chain_nodes"));
-        ("candidate_visits", Json.int (c "scheduler.candidate_visits"));
-        ("replays", Json.int (c "scheduler.replays"));
-        ("scan_nodes", Json.int (c "gapless.scan_nodes"));
-        ("order_walks", Json.int (c "ir.order_walks"));
-        ("order_visits", Json.int (c "ir.order_visits"));
-      ]
-  in
-  Json.Obj
-    [
-      ("speedup", Json.Num m.Speedup.speedup);
-      ("cycles_per_iter", Json.Num m.Speedup.sched_per_iter);
-      ("seq_cycles_per_iter", Json.Num m.Speedup.seq_per_iter);
-      ("steady_state", Json.Bool m.Speedup.steady);
-      ("converged", Json.Bool (o.Pipeline.pattern <> None));
-      ("oracle_ok", Json.Bool ok);
-      ("stats", Pipeline.stats_json o.Pipeline.stats);
-      ("phase_seconds", Pipeline.phase_seconds_json o.Pipeline.phase_seconds);
-      ("legality", legality);
-      ("gc", gc);
-      ( "bottleneck",
-        Obs.Bottleneck.to_json (Grip.Explain.report ~prov o) );
-    ]
 
 let table1_json ~pool ~jobs ~out ~horizon () =
   let t_start = Unix.gettimeofday () in
   (* each cell carries its own wall seconds so the harness block can
      report work time (cell_seconds) next to elapsed time
      (wall_seconds): their ratio is the measured parallel speedup *)
-  let cells, rstats =
+  let cells, resilience =
     table1_cells ~pool ~tag:"json"
-      ~cell:(fun e m fu ->
+      ~cell:(fun (e : Livermore.entry) m fu ->
         let t0 = Unix.gettimeofday () in
-        let j = json_cell e m fu horizon in
+        let j =
+          Artifact.run_cell ?horizon ~data:e.Livermore.data e.Livermore.kernel
+            m fu
+        in
         (j, Unix.gettimeofday () -. t0))
       ()
   in
   let loops =
     List.mapi
       (fun entry (e : Livermore.entry) ->
-        let name = e.Livermore.kernel.Grip.Kernel.name in
-        let per_fu =
-          List.mapi
-            (fun fu_i fu ->
-              ( Printf.sprintf "fu%d" fu,
-                Json.Obj
-                  [
-                    ("grip", fst cells.(cell_index ~entry ~fu_i ~post:false));
-                    ("post", fst cells.(cell_index ~entry ~fu_i ~post:true));
-                  ] ))
-            fus
-        in
-        let g2, g4, g8 = e.Livermore.paper_grip
-        and p2, p4, p8 = e.Livermore.paper_post in
-        Json.Obj
-          ([
-             ("name", Json.Str name);
-             ( "ops_per_iteration",
-               Json.int (Grip.Kernel.ops_per_iteration e.Livermore.kernel) );
-             ( "paper",
-               Json.Obj
-                 [
-                   ("grip", Json.List [ Json.Num g2; Json.Num g4; Json.Num g8 ]);
-                   ("post", Json.List [ Json.Num p2; Json.Num p4; Json.Num p8 ]);
-                 ] );
-           ]
-          @ per_fu))
+        let cell fu_i post = fst cells.(cell_index ~entry ~fu_i ~post) in
+        {
+          Artifact.kernel = e.Livermore.kernel;
+          paper = (e.Livermore.paper_grip, e.Livermore.paper_post);
+          cells =
+            List.mapi (fun fu_i _ -> (cell fu_i false, cell fu_i true)) fus;
+        })
       Livermore.all
   in
   let wall_seconds = Unix.gettimeofday () -. t_start in
@@ -616,37 +523,12 @@ let table1_json ~pool ~jobs ~out ~horizon () =
     Array.fold_left (fun acc (_, dt) -> acc +. dt) 0.0 cells
   in
   let doc =
-    Json.Obj
-      [
-        ("schema", Json.Str table1_schema);
-        ("fus", Json.List (List.map Json.int fus));
-        ( "horizon",
-          match horizon with Some h -> Json.int h | None -> Json.Null );
-        ( "harness",
-          Json.Obj
-            [
-              ("jobs", Json.int jobs);
-              ("wall_seconds", Json.Num wall_seconds);
-              ("cell_seconds", Json.Num cell_seconds);
-              ( "resilience",
-                Json.Obj
-                  [
-                    ("retries", Json.int rstats.Supervisor.retries);
-                    ("sheds", Json.int rstats.Supervisor.sheds);
-                    ("quarantined", Json.int rstats.Supervisor.quarantined);
-                    ( "worker_restarts",
-                      Json.int rstats.Supervisor.worker_restarts );
-                    ( "gap_violations",
-                      Json.int rstats.Supervisor.gap_violations );
-                    ( "max_worker_gap_ms",
-                      Json.Num (rstats.Supervisor.max_gap *. 1e3) );
-                  ] );
-            ] );
-        ("loops", Json.List loops);
-      ]
+    Artifact.to_json
+      { Artifact.fus; horizon; jobs; wall_seconds; cell_seconds;
+        resilience; loops }
   in
   let oc = open_out out in
-  output_string oc (Json.to_string ~pretty:true doc);
+  output_string oc (Obs.Json.to_string ~pretty:true doc);
   output_char oc '\n';
   close_out oc;
   Format.eprintf
@@ -654,154 +536,26 @@ let table1_json ~pool ~jobs ~out ~horizon () =
      cells)@."
     out (List.length loops) (List.length fus) jobs wall_seconds cell_seconds
 
-(* Structural check of a Table 1 artifact: schema tag, one entry per
-   Livermore loop, and a grip+post cell (with speedup and stats) for
-   every FU configuration.  Exits non-zero on the first defect. *)
+(* Check a Table 1 artifact against its declaration: one entry per
+   Livermore loop, in order, with a GRiP and a POST cell at every FU
+   width.  Exits non-zero on the first defect. *)
 let json_validate file =
-  let fail fmt =
-    Format.kasprintf
-      (fun msg ->
-        Format.eprintf "%s: %s@." file msg;
-        exit 1)
-      fmt
-  in
-  let contents =
-    try
-      let ic = open_in_bin file in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with Sys_error e -> fail "%s" e
-  in
-  let doc =
-    match Json.parse contents with
-    | Ok d -> d
-    | Error e -> fail "invalid JSON: %s" e
-  in
-  (match Option.bind (Json.member "schema" doc) Json.to_str with
-  | Some s when s = table1_schema -> ()
-  | Some s -> fail "unexpected schema %S (want %S)" s table1_schema
-  | None -> fail "missing schema tag");
-  (match Json.member "harness" doc with
-  | None -> fail "missing harness block"
-  | Some h ->
-      List.iter
-        (fun field ->
-          if Option.bind (Json.member field h) Json.to_float = None then
-            fail "harness: missing numeric %s" field)
-        [ "jobs"; "wall_seconds"; "cell_seconds" ];
-      match Json.member "resilience" h with
-      | None -> fail "harness: missing resilience block"
-      | Some r ->
-          List.iter
-            (fun field ->
-              if Option.bind (Json.member field r) Json.to_float = None then
-                fail "harness.resilience: missing numeric %s" field)
-            [
-              "retries"; "sheds"; "quarantined"; "worker_restarts";
-              "gap_violations"; "max_worker_gap_ms";
-            ]);
   let loops =
-    match Option.bind (Json.member "loops" doc) Json.to_list with
-    | Some l -> l
-    | None -> fail "missing loops array"
+    List.map (fun (e : Livermore.entry) -> e.Livermore.kernel.Grip.Kernel.name)
+      Livermore.all
   in
-  let expected = List.length Livermore.all in
-  if List.length loops <> expected then
-    fail "expected %d loops, found %d" expected (List.length loops);
-  List.iter
-    (fun loop ->
-      let name =
-        match Option.bind (Json.member "name" loop) Json.to_str with
-        | Some n -> n
-        | None -> fail "loop entry without a name"
-      in
-      List.iter
-        (fun fu ->
-          let cell =
-            match Json.member (Printf.sprintf "fu%d" fu) loop with
-            | Some c -> c
-            | None -> fail "%s: missing fu%d entry" name fu
-          in
-          List.iter
-            (fun tech ->
-              match Json.member tech cell with
-              | None -> fail "%s/fu%d: missing %s cell" name fu tech
-              | Some c ->
-                  if Option.bind (Json.member "speedup" c) Json.to_float = None
-                  then fail "%s/fu%d/%s: missing speedup" name fu tech;
-                  (match Json.member "stats" c with
-                  | Some (Json.Obj _) -> ()
-                  | _ -> fail "%s/fu%d/%s: missing stats" name fu tech);
-                  (match Json.member "phase_seconds" c with
-                  | Some (Json.Obj _) -> ()
-                  | _ -> fail "%s/fu%d/%s: missing phase_seconds" name fu tech);
-                  (match Json.member "legality" c with
-                  | Some lg ->
-                      List.iter
-                        (fun field ->
-                          if
-                            Option.bind (Json.member field lg) Json.to_float
-                            = None
-                          then
-                            fail "%s/fu%d/%s: legality missing numeric %s" name
-                              fu tech field)
-                        [
-                          "check_seconds";
-                          "gc_deferred";
-                          "gc_runs";
-                          "gc_reclaimed";
-                          "gc_candidates";
-                          "walk_nodes";
-                          "chain_nodes";
-                          "candidate_visits";
-                          "replays";
-                          "scan_nodes";
-                          "order_walks";
-                          "order_visits";
-                        ]
-                  | None -> fail "%s/fu%d/%s: missing legality block" name fu tech);
-                  (match Json.member "gc" c with
-                  | Some g ->
-                      List.iter
-                        (fun field ->
-                          if
-                            Option.bind (Json.member field g) Json.to_float
-                            = None
-                          then
-                            fail "%s/fu%d/%s: gc missing numeric %s" name fu
-                              tech field)
-                        [
-                          "alloc_bytes";
-                          "minor_collections";
-                          "major_collections";
-                          "promoted_bytes";
-                        ]
-                  | None -> fail "%s/fu%d/%s: missing gc block" name fu tech);
-                  match Json.member "bottleneck" c with
-                  | Some b ->
-                      (match Option.bind (Json.member "verdict" b) Json.to_str with
-                      | Some
-                          ("dep_bound" | "resource_bound" | "scheduler_bound")
-                        -> ()
-                      | Some v ->
-                          fail "%s/fu%d/%s: unknown verdict %S" name fu tech v
-                      | None ->
-                          fail "%s/fu%d/%s: bottleneck without verdict" name fu
-                            tech);
-                      List.iter
-                        (fun field ->
-                          if Option.bind (Json.member field b) Json.to_float = None
-                          then
-                            fail "%s/fu%d/%s: bottleneck missing numeric %s"
-                              name fu tech field)
-                        [ "rec_mii"; "res_mii"; "suspensions"; "barriers" ]
-                  | None -> fail "%s/fu%d/%s: missing bottleneck" name fu tech)
-            [ "grip"; "post" ])
-        fus)
-    loops;
-  Format.printf "%s: OK (%d loops x %d FU configs)@." file expected
-    (List.length fus)
+  match
+    Result.bind
+      (try Ok (In_channel.with_open_bin file In_channel.input_all)
+       with Sys_error e -> Error e)
+      (Artifact.validate ~loops ~fus)
+  with
+  | Ok () ->
+      Format.printf "%s: OK (%d loops x %d FU configs)@." file
+        (List.length loops) (List.length fus)
+  | Error e ->
+      Format.eprintf "%s: %s@." file e;
+      exit 1
 
 (* ---------------------------------------------------------------- *)
 (* Metrics overhead                                                  *)

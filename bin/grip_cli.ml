@@ -526,21 +526,6 @@ let schedule_cmd =
 
 (* -- stress ---------------------------------------------------------------- *)
 
-(* Start rung for a load-shed task: [level] rungs below [start] on the
-   PR-1 degradation ladder (saturating at the sequential reference). *)
-let descend_rung start level =
-  let rec from = function
-    | r :: rest when r <> start -> from rest
-    | rungs -> rungs
-  in
-  let rec drop n = function
-    | [ last ] -> last
-    | x :: _ when n <= 0 -> x
-    | _ :: tl -> drop (n - 1) tl
-    | [] -> Pipeline.R_sequential
-  in
-  drop level (match from Pipeline.ladder with [] -> Pipeline.ladder | l -> l)
-
 let stress_run kernels fus tasks jobs deadline_ms retries queue fault every
     fault_ms poison gap_ms dump =
   let jobs = validate_jobs jobs in
@@ -594,7 +579,7 @@ let stress_run kernels fus tasks jobs deadline_ms retries queue fault every
   let registry = Metrics.create () in
   let sup_obs = Obs.make ~trace:tracer ~metrics:registry () in
   let degrade ~level (i, rk, start) =
-    let start' = descend_rung start level in
+    let start' = Pipeline.descend_rung start level in
     if start' = start then None
     else Some ((i, rk, start'), Pipeline.rung_name start')
   in
@@ -608,20 +593,11 @@ let stress_run kernels fus tasks jobs deadline_ms retries queue fault every
   (* with the gap watchdog on, capture GC spans so flagged gaps that
      are really runtime pauses report as gc_pause, not stall *)
   let rt = if gap_threshold <> None then Some (Obs.Runtime.start ()) else None in
-  let gap_cause ~t0 ~t1 =
-    match rt with
-    | None -> "stall"
-    | Some rt ->
-        Obs.Runtime.poll rt;
-        if Obs.Runtime.gc_overlap rt ~t0 ~t1 >= 0.5 *. (t1 -. t0) then
-          "gc_pause"
-        else "stall"
-  in
   let t0 = Unix.gettimeofday () in
   let results, stats =
     Pool.with_pool ~jobs (fun pool ->
-        Supervisor.supervise ~config ~obs:sup_obs ~degrade ~gap_cause pool ~f
-          items)
+        Supervisor.supervise ~config ~obs:sup_obs ~degrade
+          ~gap_cause:(Obs.Runtime.gap_cause rt) pool ~f items)
   in
   let wall = Unix.gettimeofday () -. t0 in
   Option.iter Obs.Runtime.stop rt;
@@ -985,16 +961,14 @@ let explain_cmd =
 
 (* -- bench ---------------------------------------------------------------- *)
 
-let bench_diff_run old_file new_file tolerance gc_tolerance =
+let bench_diff_run old_file new_file =
   let read f = match read_file f with Ok s -> s | Error e -> die e in
   let old_ = read old_file and new_ = read new_file in
-  match Obs.Bench_diff.diff ~old_ ~new_ with
+  match Grip.Bench_diff.diff ~old_ ~new_ with
   | Error msg -> die (Grip_error.make Grip_error.Io (Grip_error.Message msg))
   | Ok r ->
-      Format.printf "%a"
-        (Obs.Bench_diff.pp_result ~tolerance ?gc_tolerance)
-        r;
-      if not (Obs.Bench_diff.passes ~tolerance ?gc_tolerance r) then exit 1
+      Format.printf "%a" Grip.Bench_diff.pp_result r;
+      if not (Grip.Bench_diff.passes r) then exit 1
 
 let bench_cmd =
   let old_arg =
@@ -1007,35 +981,14 @@ let bench_cmd =
       required & pos 1 (some file) None
       & info [] ~docv:"NEW.json" ~doc:"Candidate BENCH_table1.json artifact.")
   in
-  let tolerance_arg =
-    let doc =
-      "Maximum allowed GRiP speedup drop before the diff fails (exit 1)."
-    in
-    Arg.(value & opt float 1e-9 & info [ "tolerance" ] ~docv:"T" ~doc)
-  in
-  let gc_tolerance_arg =
-    let doc =
-      "Also gate per-cell gc.alloc_bytes: fail (exit 1) when any GRiP cell \
-       allocates more than (1+$(docv)) times its baseline (e.g. 0.25 allows \
-       +25%). Off when omitted; cells without a gc block never trip."
-    in
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "gc-tolerance" ] ~docv:"R" ~doc)
-  in
   let diff_cmd =
     Cmd.v
       (Cmd.info "diff"
          ~doc:
            "Compare two Table 1 bench artifacts cell by cell; exits non-zero \
-            when any GRiP speedup regressed beyond --tolerance, when a GRiP \
-            cell is missing, when a compared cell's integer stats or \
-            legality counters differ or, with --gc-tolerance, when any GRiP \
-            cell's allocation grew beyond it")
-      Term.(
-        const bench_diff_run $ old_arg $ new_arg $ tolerance_arg
-        $ gc_tolerance_arg)
+            when any GRiP speedup dropped, when a GRiP cell is missing, or \
+            when a compared cell's integer stats or legality counters differ")
+      Term.(const bench_diff_run $ old_arg $ new_arg)
   in
   Cmd.group (Cmd.info "bench" ~doc:"Bench-artifact utilities") [ diff_cmd ]
 

@@ -364,6 +364,18 @@ let rung_name = function
 
 let ladder = [ R_grip; R_grip_no_gap; R_post; R_list; R_sequential ]
 
+(* The ladder from [start] down. *)
+let from_rung start =
+  let rec from = function r :: rest when r <> start -> from rest | l -> l in
+  from ladder
+
+(** [descend_rung start level] — the rung [level] rungs below [start],
+    saturating at the sequential reference: a supervisor's load-shed
+    map. *)
+let descend_rung start level =
+  let rungs = from_rung start in
+  List.nth rungs (max 0 (min level (List.length rungs - 1)))
+
 (** Ladder entry point corresponding to a pipeline method (the
     Unifiable baseline is not a rung; it maps to the top). *)
 let rung_of_method = function
@@ -441,11 +453,7 @@ let run_robust ?(obs = Obs.null) ?rank ?horizon ?(redundancy = true)
     match horizon with Some h -> h | None -> default_horizon machine
   in
   let t0 = Unix.gettimeofday () in
-  let rec from = function
-    | r :: rest when r <> start -> from rest
-    | rungs -> rungs
-  in
-  let rungs = match from ladder with [] -> ladder | l -> l in
+  let rungs = from_rung start in
   let finish rung descents (program, scheduled, pattern) =
     {
       program;
@@ -527,52 +535,3 @@ let pp_descents ppf ds =
     (fun (rung, e) ->
       Format.fprintf ppf "%s abandoned: %a@." (rung_name rung) Grip_error.pp e)
     ds
-
-(* -- machine-readable renderings ------------------------------------------ *)
-
-module Json = Grip_obs.Json
-
-(** [stats_json stats] — the scheduler counters as JSON (the [bench
-    json] artifact and [grip schedule --metrics] both use this). *)
-let stats_json = function
-  | Grip_stats (s : Scheduler.stats) ->
-      Json.Obj
-        [
-          ("technique", Json.Str "grip");
-          ("nodes_scheduled", Json.int s.Scheduler.nodes_scheduled);
-          ("migrations", Json.int s.Scheduler.migrations);
-          ("hops", Json.int s.Scheduler.hops);
-          ("reached", Json.int s.Scheduler.reached);
-          ("suspensions", Json.int s.Scheduler.suspensions);
-          ("resource_barriers", Json.int s.Scheduler.resource_barrier_events);
-          ("fuel_exhausted", Json.Bool s.Scheduler.fuel_exhausted);
-        ]
-  | Post_stats (s : Post.stats) ->
-      Json.Obj
-        [
-          ("technique", Json.Str "post");
-          ("breaks", Json.int s.Post.breaks);
-          ("demoted_ops", Json.int s.Post.demoted_ops);
-          ("cj_splits", Json.int s.Post.cj_splits);
-          ("repair_hops", Json.int s.Post.repair_hops);
-          ("phase1_migrations", Json.int s.Post.phase1.Scheduler.migrations);
-          ("phase1_hops", Json.int s.Post.phase1.Scheduler.hops);
-          ("phase1_suspensions", Json.int s.Post.phase1.Scheduler.suspensions);
-          ( "fuel_exhausted",
-            Json.Bool s.Post.phase1.Scheduler.fuel_exhausted );
-        ]
-  | Unifiable_stats (s : Unifiable.stats) ->
-      Json.Obj
-        [
-          ("technique", Json.Str "unifiable");
-          ("nodes_scheduled", Json.int s.Unifiable.nodes_scheduled);
-          ("migrations", Json.int s.Unifiable.migrations);
-          ("rollbacks", Json.int s.Unifiable.rollbacks);
-          ("reached", Json.int s.Unifiable.reached);
-          ("set_computations", Json.int s.Unifiable.set_computations);
-          ("dom_recomputations", Json.int s.Unifiable.dom_recomputations);
-          ("dom_reuses", Json.int s.Unifiable.dom_reuses);
-        ]
-
-let phase_seconds_json ps =
-  Json.Obj (List.map (fun (name, s) -> (name, Json.Num s)) ps)

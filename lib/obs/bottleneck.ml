@@ -280,3 +280,26 @@ let to_json ?(top = 5) (r : report) =
                Obj [ ("op", num (float_of_int op)); ("count", num (float_of_int n)) ])
              (take top r.top_blockers)) );
     ]
+
+(** What a reader accepts as [to_json]'s output. *)
+let valid_json =
+  let open Json in
+  Fields
+    [
+      ( "verdict",
+        One_of
+          [ Str "dep_bound"; Str "resource_bound"; Str "scheduler_bound" ] );
+      ("rec_mii", Number);
+      ("res_mii", Number);
+      ("achieved_cpi", Maybe Number);
+      ( "critical_chain",
+        Maybe
+          (Fields
+             [ ("positions", Each Count); ("ops", Count); ("distance", Count) ])
+      );
+      ("suspensions", Count);
+      ("barriers", Count);
+      ("fuel", Flag);
+      ("pressure", Fields [ ("avg", Number); ("peak", Count) ]);
+      ("top_blockers", Each (Fields [ ("op", Count); ("count", Count) ]));
+    ]

@@ -1,8 +1,8 @@
 (** Observability for the GRiP stack: typed tracing ({!Trace}),
     counters / histograms / timings ({!Metrics}), per-operation
     provenance journals ({!Provenance}), the post-schedule bottleneck
-    analyzer ({!Bottleneck}), bench-artifact diffing ({!Bench_diff}),
-    and the minimal JSON layer they all share ({!Json}).
+    analyzer ({!Bottleneck}), and the minimal JSON layer they all
+    share ({!Json}).
 
     A {!t} bundles one tracer, one metrics registry and one provenance
     recorder, and is threaded through the percolation context
@@ -16,7 +16,6 @@ module Trace = Trace
 module Metrics = Metrics
 module Provenance = Provenance
 module Bottleneck = Bottleneck
-module Bench_diff = Bench_diff
 module Runtime = Runtime
 module Profile = Profile
 module Hdr = Hdr

@@ -1,7 +1,8 @@
-(** Minimal JSON: a value type, a renderer, and a recursive-descent
-    parser.  Hand-rolled so the observability layer stays free of
-    external dependencies; used for the Chrome trace sink, the metrics
-    dump, the [bench json] artifact and its well-formedness validator.
+(** Minimal JSON: a value type, a renderer, a recursive-descent
+    parser and a shape checker.  Hand-rolled so the observability layer
+    stays free of external dependencies; used for the Chrome trace
+    sink, the metrics dump, the [bench json] artifact and its
+    validator.
 
     Numbers are carried as [float].  Rendering emits integers without a
     fractional part and maps non-finite floats to [null] (JSON has no
@@ -269,3 +270,75 @@ let member key = function
 let to_list = function List items -> Some items | _ -> None
 let to_float = function Num x -> Some x | _ -> None
 let to_str = function Str s -> Some s | _ -> None
+
+(* -- shapes ---------------------------------------------------------------- *)
+
+(** What a reader accepts at a value. *)
+type shape =
+  | Number  (** a finite number *)
+  | Count  (** a non-negative integer *)
+  | Flag  (** a boolean *)
+  | One_of of t list  (** one of these values *)
+  | Maybe of shape  (** [null] or the shape *)
+  | Each of shape  (** a list whose every element has the shape *)
+  | Seq of shape list  (** a list of exactly these elements *)
+  | Fields of (string * shape) list
+      (** an object with exactly these members, each once *)
+
+(* The first [f i x] over [l]'s elements that is not [None]. *)
+let rec first_some f i = function
+  | [] -> None
+  | x :: rest -> (
+      match f i x with None -> first_some f (i + 1) rest | found -> found)
+
+(* The first value that does not fit, as its path from the checked
+   value (member names and [[i]] list positions) and what was
+   expected there. *)
+let rec misfit shape v =
+  let expected what = Some ([], "expected " ^ what) in
+  let within seg = Option.map (fun (path, msg) -> (seg :: path, msg)) in
+  let item s i x = within (Printf.sprintf "[%d]" i) (misfit s x) in
+  match (shape, v) with
+  | Number, Num x when Float.is_finite x -> None
+  | Count, Num x when Float.is_integer x && x >= 0.0 -> None
+  | (Flag, Bool _) | (Maybe _, Null) -> None
+  | One_of vs, v when List.mem v vs -> None
+  | Maybe s, v -> misfit s v
+  | Each s, List items -> first_some (item s) 0 items
+  | Seq ss, List items when List.compare_lengths ss items = 0 ->
+      first_some (fun i (s, x) -> item s i x) 0 (List.combine ss items)
+  | Fields fs, Obj kvs -> (
+      let member _ (k, s) =
+        match List.assoc_opt k kvs with
+        | None -> Some ([ k ], "missing")
+        | Some x -> within k (misfit s x)
+      in
+      let stray _ (k, _) =
+        if not (List.mem_assoc k fs) then Some ([ k ], "unexpected member")
+        else if List.length (List.filter (fun (k', _) -> k' = k) kvs) > 1 then
+          Some ([ k ], "duplicate member")
+        else None
+      in
+      match first_some member 0 fs with
+      | None -> first_some stray 0 kvs
+      | found -> found)
+  | Number, _ -> expected "a number"
+  | Count, _ -> expected "a non-negative integer"
+  | Flag, _ -> expected "true or false"
+  | One_of vs, _ -> expected (String.concat " or " (List.map to_string vs))
+  | Seq ss, List _ -> expected (Printf.sprintf "a list of %d" (List.length ss))
+  | (Each _ | Seq _), _ -> expected "a list"
+  | Fields _, _ -> expected "an object"
+
+(** [check shape v] — [Ok ()] when [v] has [shape], else the path to
+    the first value that does not fit and what was expected there,
+    e.g. ["loops[0].fu2.grip.speedup: expected a number"]. *)
+let check shape v =
+  match misfit shape v with
+  | None -> Ok ()
+  | Some (path, msg) ->
+      let at i seg = if i = 0 || seg.[0] = '[' then seg else "." ^ seg in
+      Error
+        (match path with
+        | [] -> msg
+        | _ -> String.concat "" (List.mapi at path) ^ ": " ^ msg)

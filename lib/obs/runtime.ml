@@ -193,6 +193,16 @@ let gc_overlap t ~t0 ~t1 =
          if hi > lo then (acc +. (hi -. lo), hi) else (acc, Float.max cursor hi))
        (0.0, neg_infinity) ivs)
 
+(** [gap_cause rt ~t0 ~t1] — a supervisor's starvation-gap classifier:
+    "gc_pause" when captured GC spans cover at least half of the gap
+    [t0, t1], else "stall" (always "stall" without a consumer). *)
+let gap_cause rt ~t0 ~t1 =
+  match rt with
+  | None -> "stall"
+  | Some rt ->
+      poll rt;
+      if gc_overlap rt ~t0 ~t1 >= 0.5 *. (t1 -. t0) then "gc_pause" else "stall"
+
 (** [max_pause t ~t0 ~t1] — duration of the longest single captured
     GC span overlapping the window, in seconds. *)
 let max_pause t ~t0 ~t1 =

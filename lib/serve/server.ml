@@ -135,21 +135,6 @@ let resolve ?memo ?registry (r : Protocol.request) =
     in
     Ok (kern, data, start)
 
-(* Start rung [level] rungs below [start] on the degradation ladder
-   (saturating at the sequential reference) — the load-shed map. *)
-let descend_rung start level =
-  let rec from = function
-    | r :: rest when r <> start -> from rest
-    | rungs -> rungs
-  in
-  let rec drop n = function
-    | [ last ] -> last
-    | x :: _ when n <= 0 -> x
-    | _ :: tl -> drop (n - 1) tl
-    | [] -> Pipeline.R_sequential
-  in
-  drop level (match from Pipeline.ladder with [] -> Pipeline.ladder | l -> l)
-
 (* -- connections ------------------------------------------------------------ *)
 
 type conn = { fd : Unix.file_descr; mutable pending : string }
@@ -316,18 +301,9 @@ let process_wave st pool reqs =
       }
     in
     let degrade ~level t =
-      let start' = descend_rung t.t_start level in
+      let start' = Pipeline.descend_rung t.t_start level in
       if start' = t.t_start then None
       else Some ({ t with t_start = start' }, Pipeline.rung_name start')
-    in
-    let gap_cause ~t0 ~t1 =
-      match st.rt with
-      | None -> "stall"
-      | Some rt ->
-          Obs.Runtime.poll rt;
-          if Obs.Runtime.gc_overlap rt ~t0 ~t1 >= 0.5 *. (t1 -. t0) then
-            "gc_pause"
-          else "stall"
     in
     let want_trace = st.config.trace_file <> None in
     let f ~worker ~budget t =
@@ -368,7 +344,7 @@ let process_wave st pool reqs =
     let sup_obs = Obs.make ~trace:st.tracer ~metrics:st.registry () in
     let results, stats =
       Supervisor.supervise_worker ~config:sup_config ~obs:sup_obs ~degrade
-        ~gap_cause pool ~f items
+        ~gap_cause:(Obs.Runtime.gap_cause st.rt) pool ~f items
     in
     if Supervisor.flagged stats then st.flagged <- true;
     List.iter2

@@ -153,7 +153,8 @@ let test_pressure_stats () =
   Alcotest.(check (float 1e-9)) "avg" 3.0 r.Bottleneck.pressure_avg;
   Alcotest.(check int) "peak" 4 r.Bottleneck.pressure_peak
 
-(* The JSON view the bench artifact embeds per cell. *)
+(* The JSON view the bench artifact embeds per cell, and the shape a
+   reader accepts there. *)
 let test_report_json () =
   let r =
     Bottleneck.analyze
@@ -165,6 +166,9 @@ let test_report_json () =
   match Json.parse (Json.to_string ~pretty:true j) with
   | Error e -> Alcotest.failf "bottleneck json unparseable: %s" e
   | Ok j ->
+      Alcotest.(check (result unit string))
+        "valid_json accepts it" (Ok ())
+        (Json.check Bottleneck.valid_json j);
       Alcotest.(check (option string))
         "verdict" (Some "dep_bound")
         (Option.bind (Json.member "verdict" j) Json.to_str);

@@ -556,12 +556,21 @@ let sweep_splits = ref 0
 let sweep_cj_moves = ref 0
 
 (* [would_move] against the oracle, on a query whose two nodes still
-   exist. *)
+   exist; while the op is at home in [from_], [check] against
+   [check_scan] too, whole decisions: the op as it would land and
+   whether it is renamed. *)
 let check_agrees what (ctx : Ctx.t) (from_, to_, op_id) =
   let p = ctx.Ctx.program in
   if Program.node_opt p from_ <> None && Program.node_opt p to_ <> None then begin
     incr sweep_queries;
-    if Program.home_int p op_id <> from_ then incr sweep_moved_home;
+    if Program.home_int p op_id <> from_ then incr sweep_moved_home
+    else if
+      decision Move_op.check ctx ~from_ ~to_ ~op_id
+      <> decision Scan_oracles.check_scan ctx ~from_ ~to_ ~op_id
+    then
+      QCheck2.Test.fail_reportf
+        "%s: check (n%d -> n%d, op %d) decides otherwise than check_scan" what
+        from_ to_ op_id;
     let want = oracle_verdict ctx ~from_ ~to_ ~op_id in
     let got = Move_op.would_move ctx ~from_ ~to_ ~op_id in
     if not (verdicts_agree want got) then
@@ -644,7 +653,7 @@ let deferred_cj_pair (ctx : Ctx.t) pick =
     ()
 
 let prop_check_sweep =
-  QCheck2.Test.make ~name:"memo == check_scan across edits" ~count:40
+  QCheck2.Test.make ~name:"check == check_scan across edits" ~count:40
     ~print:print_spec spec_gen (fun spec ->
       let p, exit_live = joined_program spec ~joins:3 in
       let ctx = Ctx.make p ~machine:(Machine.homogeneous 3) ~exit_live in

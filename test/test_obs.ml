@@ -2,7 +2,8 @@
    sinks, and the invariant that ties them to the schedulers — the
    migration events recorded during the Schedule phase replay exactly
    to the scheduler's own counters.  Also the bench artifact diff
-   (regressions, missing cells, work and counter-skew reports) and
+   (regressions, missing cells, work and counter-skew reports), the
+   artifact's validator on mutated artifacts, and
    the work counters the pipeline reports: one graph-order walk per
    shape version, and the dominator cache. *)
 
@@ -751,7 +752,7 @@ let test_chrome_flows () =
 
 (* -- bench diff ------------------------------------------------------------ *)
 
-module Bench_diff = Obs.Bench_diff
+module Bench_diff = Grip.Bench_diff
 
 let artifact ?(schema = "grip.bench.table1/3") loops =
   Printf.sprintf {|{"schema":%S,"loops":[%s]}|} schema
@@ -793,15 +794,6 @@ let test_bench_diff_regression () =
       Alcotest.(check string) "culprit" "LL1/fu2/grip" (Bench_diff.cell_label c);
       Alcotest.(check (float 1e-9)) "delta" (-0.1) (Bench_diff.delta c)
   | cs -> Alcotest.failf "expected 1 regression, got %d" (List.length cs)
-
-let test_bench_diff_tolerance () =
-  let old_ = artifact [ ll1 () ] in
-  let new_ = artifact [ ll1 ~grip:2.45 () ] in
-  let r = diff_ok ~old_ ~new_ in
-  Alcotest.(check int) "within tolerance" 0
-    (List.length (Bench_diff.regressions ~tolerance:0.1 r));
-  Alcotest.(check int) "beyond tolerance" 1
-    (List.length (Bench_diff.regressions ~tolerance:0.01 r))
 
 (* The cell layout has been stable since schema /1, so artifacts from
    before the bottleneck block stay comparable. *)
@@ -992,6 +984,115 @@ let test_bench_diff_rejects () =
       ("invalid JSON", "{");
     ]
 
+(* -- the artifact's declaration -------------------------------------------- *)
+
+module Artifact = Grip.Bench_artifact
+
+(* The committed artifact cut to LL1 at 2 FUs, small enough to mutate
+   member by member. *)
+let one_loop_artifact () =
+  let text =
+    In_channel.with_open_bin "../BENCH_table1.json" In_channel.input_all
+  in
+  let cut = function
+    | "fus", _ -> ("fus", Json.List [ Json.int 2 ])
+    | "loops", Json.List (Json.Obj ll1 :: _) ->
+        ( "loops",
+          Json.List
+            [ Json.Obj (List.filter (fun (k, _) -> k <> "fu4" && k <> "fu8") ll1) ]
+        )
+    | member -> member
+  in
+  match Json.parse text with
+  | Ok (Json.Obj top) -> Json.Obj (List.map cut top)
+  | Ok _ | Error _ -> Alcotest.fail "the committed artifact is not a JSON object"
+
+let validate_one = Artifact.validate ~loops:[ "LL1" ] ~fus:[ 2 ]
+
+let test_artifact_cut_validates () =
+  Alcotest.(check (result unit string))
+    "LL1 at 2 FUs" (Ok ())
+    (validate_one (Json.to_string (one_loop_artifact ())))
+
+(* Every object member of [v], at any depth: its path as [Json.check]
+   prints it, its value, and the whole document with the member
+   replaced ([Some]) or deleted ([None]). *)
+let rec member_sites path v =
+  let inside put (p, x, inner) = (p, x, fun r -> put (inner r)) in
+  match v with
+  | Json.Obj kvs ->
+      List.concat
+        (List.mapi
+           (fun i (k, x) ->
+             let here = if path = "" then k else path ^ "." ^ k in
+             let put r =
+               Json.Obj
+                 (List.concat
+                    (List.mapi
+                       (fun j kv ->
+                         if j <> i then [ kv ]
+                         else Option.fold ~none:[] ~some:(fun x' -> [ (k, x') ]) r)
+                       kvs))
+             in
+             (here, x, put)
+             :: List.map (inside (fun x' -> put (Some x'))) (member_sites here x))
+           kvs)
+  | Json.List items ->
+      List.concat
+        (List.mapi
+           (fun i x ->
+             let put x' =
+               Json.List (List.mapi (fun j y -> if j = i then x' else y) items)
+             in
+             List.map (inside put) (member_sites (Printf.sprintf "%s[%d]" path i) x))
+           items)
+  | _ -> []
+
+(* Each member of the one-loop artifact deleted, then given a value of
+   another type; then the text cut short at 60 offsets.  [validate]
+   rejects every mutant, naming the member at fault, and [diff] answers
+   either way round without raising. *)
+let test_artifact_mutants () =
+  let doc = one_loop_artifact () in
+  let text = Json.to_string doc in
+  let diff_total label bad =
+    List.iter
+      (fun (old_, new_) ->
+        match Bench_diff.diff ~old_ ~new_ with
+        | Ok _ | Error _ -> ()
+        | exception e ->
+            Alcotest.failf "%s: diff raised %s" label (Printexc.to_string e))
+      [ (bad, text); (text, bad) ]
+  in
+  let rejects label ~prefix bad =
+    (match validate_one bad with
+    | Ok () -> Alcotest.failf "%s: accepted" label
+    | Error e ->
+        if not (String.starts_with ~prefix e) then
+          Alcotest.failf "%s: %S does not start with %S" label e prefix
+    | exception e ->
+        Alcotest.failf "%s: validate raised %s" label (Printexc.to_string e));
+    diff_total label bad
+  in
+  let retype = function Json.Str _ -> Json.Num 1.0 | _ -> Json.Str "x" in
+  let sites = member_sites "" doc in
+  Alcotest.(check bool) "every cell member reached" true (List.length sites > 100);
+  List.iter
+    (fun (path, v, put) ->
+      List.iter
+        (fun (how, r) ->
+          rejects (how ^ " " ^ path) ~prefix:(path ^ ": ")
+            (Json.to_string (put r)))
+        [ ("delete", None); ("retype", Some (retype v)) ])
+    sites;
+  let n = String.length text in
+  List.iter
+    (fun i ->
+      let cut = i * n / 60 in
+      rejects (Printf.sprintf "cut at %d" cut) ~prefix:"invalid JSON"
+        (String.sub text 0 cut))
+    (List.init 60 Fun.id)
+
 (* -- Unifiable stats and fuel (the Pipeline.run fix) ----------------------- *)
 
 let test_unifiable_stats_surfaced () =
@@ -1128,8 +1229,6 @@ let () =
           Alcotest.test_case "self diff clean" `Quick test_bench_diff_self_clean;
           Alcotest.test_case "regression detected" `Quick
             test_bench_diff_regression;
-          Alcotest.test_case "tolerance respected" `Quick
-            test_bench_diff_tolerance;
           Alcotest.test_case "cross-schema comparable" `Quick
             test_bench_diff_cross_schema;
           Alcotest.test_case "gc block tolerated" `Quick
@@ -1146,6 +1245,13 @@ let () =
             test_bench_diff_counter_skew;
           Alcotest.test_case "malformed artifacts rejected" `Quick
             test_bench_diff_rejects;
+        ] );
+      ( "artifact",
+        [
+          Alcotest.test_case "LL1 at 2 FUs validates" `Quick
+            test_artifact_cut_validates;
+          Alcotest.test_case "mutants rejected, diff total" `Quick
+            test_artifact_mutants;
         ] );
       ( "pipeline",
         [

@@ -8,7 +8,6 @@ module Grip_error = Grip_robust.Grip_error
 module Pipeline = Grip.Pipeline
 module Machine = Vliw_machine.Machine
 module Livermore = Workloads.Livermore
-module Json = Grip_obs.Json
 
 (* -- ordering and reuse --------------------------------------------------- *)
 
@@ -121,7 +120,7 @@ let test_exn_passthrough_and_lowest_index () =
 (* -- determinism of parallel Table-1 cells -------------------------------- *)
 
 (* A cell rendered to comparable data: schedule table text, measured
-   speedup, and the scheduler stats JSON. *)
+   speedup, and the scheduler's own counters. *)
 let cell (name, method_, fu) =
   let e = Option.get (Livermore.find name) in
   let o =
@@ -131,7 +130,7 @@ let cell (name, method_, fu) =
   let m = Pipeline.measure ~data:e.Livermore.data o in
   ( Grip.Schedule_table.render o.Pipeline.program,
     m.Grip.Speedup.speedup,
-    Json.to_string (Pipeline.stats_json o.Pipeline.stats) )
+    o.Pipeline.stats )
 
 let test_cells_deterministic () =
   let tasks =
@@ -150,7 +149,7 @@ let test_cells_deterministic () =
     (fun (t1, s1, j1) (t4, s4, j4) ->
       Alcotest.(check string) "same schedule table" t1 t4;
       Alcotest.(check (float 0.0)) "same speedup" s1 s4;
-      Alcotest.(check string) "same stats" j1 j4)
+      Alcotest.(check bool) "same stats" true (j1 = j4))
     sequential parallel
 
 let () =

@@ -246,52 +246,34 @@ let test_profile_golden () =
     \  GC barrier estimate: 0.6000s domain-seconds stopped (15.0% of 2 x wall)\n"
     (Buffer.contents buf)
 
-(* The per-cell gc block contract used by the schema /6 bench
-   artifact: built from whole-cell [Gc] deltas, all four fields are
-   present and numeric (json-validate's check, exercised here on the
-   same construction bench/main.ml uses). *)
+(* The per-cell gc block of the bench artifact, as
+   [Bench_artifact.measure_gc] builds it from whole-call [Gc] deltas:
+   it survives a JSON round-trip with every member a finite number,
+   and sees the call's allocation. *)
 let test_bench_gc_block_shape () =
   let module Json = Obs.Json in
-  let a0 = Gc.allocated_bytes () in
-  let q0 = Gc.quick_stat () in
-  let junk = List.init 100_000 string_of_int in
-  ignore (List.length junk);
-  let a1 = Gc.allocated_bytes () in
-  let q1 = Gc.quick_stat () in
-  let bytes_per_word = float_of_int (Sys.word_size / 8) in
-  let gc =
-    Json.Obj
-      [
-        ("alloc_bytes", Json.Num (a1 -. a0));
-        ( "minor_collections",
-          Json.int (q1.Gc.minor_collections - q0.Gc.minor_collections) );
-        ( "major_collections",
-          Json.int (q1.Gc.major_collections - q0.Gc.major_collections) );
-        ( "promoted_bytes",
-          Json.Num ((q1.Gc.promoted_words -. q0.Gc.promoted_words)
-                    *. bytes_per_word) );
-      ]
+  let n, gc =
+    Grip.Bench_artifact.measure_gc (fun () ->
+        List.length (List.init 100_000 string_of_int))
   in
-  (* survives a JSON round-trip with every field numeric *)
-  let rendered = Json.to_string gc in
-  match Json.parse rendered with
+  Alcotest.(check int) "the call's own result" 100_000 n;
+  match Json.parse (Json.to_string gc) with
   | Error e -> Alcotest.failf "gc block unparseable: %s" e
-  | Ok doc ->
+  | Ok (Json.Obj members as doc) ->
+      Alcotest.(check int) "four members" 4 (List.length members);
       List.iter
-        (fun field ->
-          match Option.bind (Json.member field doc) Json.to_float with
-          | Some v ->
-              Alcotest.(check bool)
-                (field ^ " is a finite number")
-                true
-                (Float.is_finite v)
-          | None -> Alcotest.failf "gc block missing numeric %s" field)
-        [ "alloc_bytes"; "minor_collections"; "major_collections";
-          "promoted_bytes" ];
+        (fun (field, v) ->
+          match Json.to_float v with
+          | Some x ->
+              Alcotest.(check bool) (field ^ " is a finite number") true
+                (Float.is_finite x)
+          | None -> Alcotest.failf "gc block member %s is not a number" field)
+        members;
       Alcotest.(check bool)
         "allocation observed" true
         (Option.get (Option.bind (Json.member "alloc_bytes" doc) Json.to_float)
         > 0.0)
+  | Ok _ -> Alcotest.fail "gc block is not an object"
 
 let () =
   Alcotest.run "profile"

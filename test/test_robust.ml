@@ -331,6 +331,28 @@ let test_post_break_livelock () =
         (Pipeline.rung_name r.Pipeline.rung)
   | Error e -> Alcotest.failf "ladder failed: %s" (Grip_error.to_string e)
 
+(* The load-shed map: [level] rungs below the start, never past the
+   sequential reference. *)
+let test_descend_rung () =
+  let name = Pipeline.rung_name in
+  List.iter
+    (fun start ->
+      Alcotest.(check string) "level 0 keeps the start" (name start)
+        (name (Pipeline.descend_rung start 0)))
+    Pipeline.ladder;
+  Alcotest.(check string) "GRiP, two down" "POST"
+    (name (Pipeline.descend_rung Pipeline.R_grip 2));
+  List.iter
+    (fun (start, level) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s, %d down" (name start) level)
+        "sequential"
+        (name (Pipeline.descend_rung start level)))
+    [
+      (Pipeline.R_grip, 4); (Pipeline.R_grip, 9); (Pipeline.R_post, 2);
+      (Pipeline.R_list, 7); (Pipeline.R_sequential, 1);
+    ]
+
 (* One driver: [Pipeline.run] is the unguarded case of the driver the
    ladder's pipelining rungs run guarded.  Whenever a rung wins with its
    guards off and no fallback, its schedule and scheduler counters must
@@ -358,16 +380,13 @@ let prop_run_is_unguarded_rung =
               | Error _ -> true (* the rung was abandoned: nothing to tie *)
               | Ok r -> (
                   let o = Pipeline.run ~horizon:10 kern ~machine ~method_ in
-                  let stats (o : Pipeline.outcome) =
-                    Grip_obs.Json.to_string (Pipeline.stats_json o.Pipeline.stats)
-                  in
                   match r.Pipeline.scheduled with
                   | None -> false
                   | Some won ->
                       r.Pipeline.rung = start
                       && Grip_serve.Cache.schedule_digest r.Pipeline.program
                          = Grip_serve.Cache.schedule_digest o.Pipeline.program
-                      && stats won = stats o))
+                      && won.Pipeline.stats = o.Pipeline.stats))
             [ Pipeline.Grip; Pipeline.Grip_no_gap; Pipeline.Post ])
         [ 2; 4; 8 ])
 
@@ -402,6 +421,7 @@ let () =
             test_list_rung_livermore;
           Alcotest.test_case "POST node-breaking livelock" `Quick
             test_post_break_livelock;
+          Alcotest.test_case "descend_rung saturates" `Quick test_descend_rung;
         ] );
       ( "properties",
         List.map
