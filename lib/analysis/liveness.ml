@@ -1,11 +1,15 @@
 (** Backward liveness over program graphs, with version-keyed caching.
 
-    The percolation legality tests (write-live and speculation safety)
-    query [live_in] at a few nodes per attempted move; the analysis is
-    recomputed from scratch whenever the program's version counter has
-    advanced and memoised otherwise.  Programs here are loop kernels of
-    at most a few hundred nodes, so the O(E·V) worklist pass is cheap
-    next to the scheduling itself. *)
+    A round-robin fixpoint over [Reg.Set]s, correct on cyclic graphs
+    too: it is recomputed from scratch whenever the program's version
+    counter has advanced and memoised otherwise.  No legality test
+    queries it: renaming repairs write-live and move-past-read
+    conflicts instead, and [Ctx] only carries one (nothing calls
+    [Ctx.live_in]).  Redundancy removal computes liveness in its own
+    backward pass over the acyclic unwound program
+    ([Redundant.eliminate_dead], DESIGN.md §30); this module is the
+    reference the old round-by-round elimination, kept as its test
+    oracle, runs on. *)
 
 open Vliw_ir
 

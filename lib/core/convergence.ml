@@ -9,9 +9,6 @@
     body yields a steady state executing [delta] iterations every
     [period] cycles. *)
 
-type fingerprint = { cells : (int * int) list; base : int }
-(** normalised row content: (position, iteration − base), sorted *)
-
 type pattern = {
   start : int;  (** row index (0-based) where the repeating window begins *)
   period : int;  (** rows per repetition *)
@@ -22,12 +19,17 @@ type pattern = {
 (** Steady-state cost: cycles per loop iteration. *)
 let cycles_per_iteration p = float_of_int p.period /. float_of_int p.delta
 
-let fingerprint (r : Schedule_table.row) =
-  match r.Schedule_table.cells with
-  | [] -> None
-  | cells ->
-      let base = List.fold_left (fun b (_, i) -> min b i) max_int cells in
-      Some { cells = List.map (fun (p, i) -> (p, i - base)) cells; base }
+(* Do [ca] less [ba] and [cb] less [bb] hold the same (position,
+   iteration − base) pairs, in order? *)
+let rec same_cells ca ba cb bb =
+  match ca, cb with
+  | [], [] -> true
+  | (q, i) :: ta, (q', i') :: tb -> q = q' && i - ba = i' - bb && same_cells ta ba tb bb
+  | _ -> false
+
+let hash_cells cells base =
+  List.fold_left (fun h (q, i) -> (((h * 31) + q) * 31) + (i - base)) 17 cells
+  land max_int
 
 (** [detect ?body_positions rows] finds the earliest, shortest
     repeating window.  Rows whose window would overlap the final
@@ -39,79 +41,92 @@ let fingerprint (r : Schedule_table.row) =
     [delta] times — a window that repeats but has shed part of the
     iteration (the growing-gap pathology of Figure 9) is rejected, so
     a schedule with unbounded gaps correctly reports
-    "no convergence". *)
+    "no convergence".
+
+    Each non-empty row is fingerprinted once: its base (the least
+    iteration it holds) and an id shared by the rows whose cells,
+    iterations taken relative to the base, are equal; two rows repeat
+    each other when their ids agree, and the window search compares
+    ints (DESIGN.md §30). *)
 let detect ?(ignore_tail = 2) ?body_positions rows =
-  let fps = List.filter_map fingerprint rows in
-  let arr = Array.of_list fps in
-  let len = Array.length arr - ignore_tail in
+  let arr =
+    Array.of_list
+      (List.filter_map
+         (fun (r : Schedule_table.row) ->
+           if r.Schedule_table.cells = [] then None else Some r.Schedule_table.cells)
+         rows)
+  in
+  let n = Array.length arr in
+  let len = n - ignore_tail in
+  let base = Array.map (List.fold_left (fun b (_, i) -> min b i) max_int) arr in
+  let id = Array.make n 0 in
+  let seen = Hashtbl.create 64 in
+  for r = 0 to n - 1 do
+    let h = hash_cells arr.(r) base.(r) in
+    let same = Option.value (Hashtbl.find_opt seen h) ~default:[] in
+    match List.find_opt (fun q -> same_cells arr.(q) base.(q) arr.(r) base.(r)) same with
+    | Some q -> id.(r) <- id.(q)
+    | None ->
+        id.(r) <- r;
+        Hashtbl.replace seen h (r :: same)
+  done;
   (* Positions that must appear in a window: body positions still
      present in the schedule's steady region.  Redundancy removal can
      legitimately delete a position entirely (LL1's overlapping loads,
      LL11's reload), so only positions that survive for most iterations
-     are demanded. *)
-  let required_positions =
-    match body_positions with
-    | None -> []
-    | Some nb ->
-        let iters_of pos =
-          Array.fold_left
-            (fun acc fp ->
-              List.fold_left
-                (fun acc (q, rel) ->
-                  if q = pos then
-                    List.sort_uniq Int.compare ((fp.base + rel) :: acc)
-                  else acc)
-                acc fp.cells)
-            [] arr
-        in
-        let max_iter =
-          Array.fold_left
-            (fun m fp ->
-              List.fold_left (fun m (_, rel) -> max m (fp.base + rel)) m fp.cells)
-            0 arr
-        in
-        List.filter
-          (fun pos -> 2 * List.length (iters_of pos) > max_iter)
-          (List.init nb (fun i -> i))
+     are demanded: those present in more than half as many iterations
+     as the highest iteration any row holds.  One pass over every
+     cell marks each (position, iteration) pair in a flat table. *)
+  let nb = Option.value body_positions ~default:0 in
+  let required =
+    let max_iter = ref 0 and lo = ref max_int in
+    Array.iter
+      (List.iter (fun (q, i) ->
+           max_iter := max !max_iter i;
+           if q >= 0 && q < nb then lo := min !lo i))
+      arr;
+    let span = !max_iter - !lo + 1 in
+    let marks = Bytes.make (if !lo = max_int then 0 else nb * span) '\000' in
+    let iters = Array.make nb 0 in
+    Array.iter
+      (List.iter (fun (q, i) ->
+           if q >= 0 && q < nb then begin
+             let at = (q * span) + (i - !lo) in
+             if Bytes.get marks at = '\000' then begin
+               Bytes.set marks at '\001';
+               iters.(q) <- iters.(q) + 1
+             end
+           end))
+      arr;
+    List.filter (fun pos -> 2 * iters.(pos) > !max_iter) (List.init nb Fun.id)
   in
+  let counts = Array.make nb 0 in
   let window_complete s p d =
-    match body_positions with
-    | None -> true
-    | Some _ ->
-        let count pos =
-          List.fold_left
-            (fun acc t ->
-              acc
-              + List.length
-                  (List.filter (fun (q, _) -> q = pos) arr.(s + t).cells))
-            0
-            (List.init p (fun t -> t))
-        in
-        List.for_all (fun pos -> count pos >= d) required_positions
+    Array.fill counts 0 nb 0;
+    for t = s to s + p - 1 do
+      List.iter (fun (q, _) -> if q >= 0 && q < nb then counts.(q) <- counts.(q) + 1) arr.(t)
+    done;
+    List.for_all (fun pos -> counts.(pos) >= d) required
   in
   let matches s p =
     (* rows s..s+p-1 must equal rows s+p..s+2p-1 with constant delta *)
     if s + (2 * p) > len then None
     else
-      let deltas =
-        List.init p (fun t ->
-            let a = arr.(s + t) and b = arr.(s + t + p) in
-            if a.cells = b.cells then Some (b.base - a.base) else None)
+      let d = base.(s + p) - base.(s) in
+      let rec same t =
+        t = p
+        || id.(s + t) = id.(s + t + p)
+           && base.(s + t + p) - base.(s + t) = d
+           && same (t + 1)
       in
-      match deltas with
-      | Some d :: rest
-        when d > 0
-             && List.for_all (function Some d' -> d' = d | None -> false) rest
-             && window_complete s p d ->
-          Some d
-      | _ -> None
+      if d > 0 && same 0 && window_complete s p d then Some d else None
   in
   let best = ref None in
   (try
      for s = 0 to max 0 (len - 2) do
        for p = 1 to (len - s) / 2 do
-         match !best, matches s p with
-         | None, Some d ->
+         match matches s p with
+         | Some d ->
              (* count repetitions *)
              let reps = ref 1 in
              let t = ref (s + p) in
@@ -121,7 +136,7 @@ let detect ?(ignore_tail = 2) ?body_positions rows =
              done;
              best := Some { start = s; period = p; delta = d; repeats = !reps + 1 };
              raise Exit
-         | _ -> ()
+         | None -> ()
        done
      done
    with Exit -> ());

@@ -70,7 +70,7 @@ let initial_state ?n k ~data =
   Vliw_sim.State.init ~regs
     ~arrays:
       (List.map
-         (fun (sym, size) -> (sym, Array.init size (fun i -> data sym i)))
+         (fun (sym, size) -> (sym, Array.init size (data sym)))
          k.arrays)
 
 (** Default array contents: smooth, nonzero floats so that float

@@ -16,41 +16,64 @@ let letter ?(jump_pos = -1) pos =
 
 (* Follow the internal path: from the entry, at each branch prefer the
    successor from which more nodes are reachable (the loop continuation
-   dominates any exit epilogue). *)
+   dominates any exit epilogue), the first in successor order of equal
+   counts.  The candidates' counts are raced: each depth-first walk,
+   over one reused stamp array, stops at a cap that doubles until at
+   most one candidate reaches it, so a branch costs about twice the
+   smaller count rather than the remaining program.  Exact counts are
+   memoised per node.  The path's own members are marked in a byte
+   array, so a cycle ends the path at its first repeated node. *)
 let main_path (p : Program.t) =
-  let reach_count =
-    let memo = Hashtbl.create 64 in
-    fun start ->
-      match Hashtbl.find_opt memo start with
-      | Some c -> c
-      | None ->
-          let seen = Hashtbl.create 64 in
-          let rec go id =
-            if (not (Hashtbl.mem seen id)) && not (Program.is_exit p id) then begin
-              Hashtbl.replace seen id ();
-              List.iter go (Program.succs p id)
-            end
-          in
-          go start;
-          let c = Hashtbl.length seen in
-          Hashtbl.replace memo start c;
-          c
+  let limit = Program.node_limit p in
+  let reach = Array.make limit (-1) in
+  let mark = Array.make limit 0 and stamp = ref 0 in
+  let stack = Iarr.create () and count = ref 0 in
+  let visit id =
+    if Array.unsafe_get mark id <> !stamp && not (Program.is_exit p id) then begin
+      mark.(id) <- !stamp;
+      incr count;
+      Iarr.push stack id
+    end
   in
+  (* The nodes reachable from [start] (the exit aside), or [cap] when
+     there are at least [cap]. *)
+  let reach_below start cap =
+    if reach.(start) >= 0 then min reach.(start) cap
+    else begin
+      incr stamp;
+      Iarr.clear stack;
+      count := 0;
+      visit start;
+      while !count < cap && not (Iarr.is_empty stack) do
+        let id = Iarr.unsafe_get stack (Iarr.length stack - 1) in
+        stack.Iarr.len <- stack.Iarr.len - 1;
+        List.iter visit (Program.succs p id)
+      done;
+      if !count < cap then reach.(start) <- !count;
+      min !count cap
+    end
+  in
+  let rec race cands cap =
+    let counted = List.map (fun s -> (s, reach_below s cap)) cands in
+    match List.filter (fun (_, n) -> n >= cap) counted with
+    | [ (s, _) ] -> s
+    | [] ->
+        fst
+          (List.fold_left
+             (fun (b, nb) (s, n) -> if n > nb then (s, n) else (b, nb))
+             (List.hd counted) (List.tl counted))
+    | big -> race (List.map fst big) (2 * cap)
+  in
+  let on_path = Bytes.make limit '\000' in
   let rec go acc id =
-    if Program.is_exit p id || List.mem id acc then List.rev acc
-    else
-      let nexts =
-        List.filter (fun s -> not (Program.is_exit p s)) (Program.succs p id)
-      in
-      match nexts with
+    if Program.is_exit p id || Bytes.get on_path id <> '\000' then List.rev acc
+    else begin
+      Bytes.set on_path id '\001';
+      match List.filter (fun s -> not (Program.is_exit p s)) (Program.succs p id) with
       | [] -> List.rev (id :: acc)
-      | _ ->
-          let best =
-            List.fold_left
-              (fun b s -> if reach_count s > reach_count b then s else b)
-              (List.hd nexts) (List.tl nexts)
-          in
-          go (id :: acc) best
+      | [ s ] -> go (id :: acc) s
+      | cands -> go (id :: acc) (race cands 16)
+    end
   in
   go [] p.Program.entry
 
@@ -58,21 +81,24 @@ let main_path (p : Program.t) =
     instruction holds. *)
 type row = { node : int; cells : (int * int) list (* (pos, iter) *) }
 
+let compare_cell ((a, b) : int * int) (c, d) =
+  let x = Int.compare a c in
+  if x <> 0 then x else Int.compare b d
+
 let rows (p : Program.t) =
+  let cell acc (op : Operation.t) =
+    if op.Operation.iter = Operation.no_iter then acc
+    else (op.Operation.src_pos, op.Operation.iter) :: acc
+  in
   List.filter_map
     (fun id ->
       let ctree = (Program.node p id).Node.ctree in
-      let ops = Program.ops p id in
       let cells =
-        List.filter_map
-          (fun (op : Operation.t) ->
-            if op.Operation.iter = Operation.no_iter then None
-            else Some (op.Operation.src_pos, op.Operation.iter))
-          (ops @ Ctree.cjumps ctree)
-        |> List.sort compare
+        Ctree.fold_cjumps cell (Program.fold_ops p id ~init:[] ~f:cell) ctree
+        |> List.sort compare_cell
       in
-      if cells = [] && ops = [] && Ctree.n_cjumps ctree = 0 then
-        None
+      if cells = [] && Iarr.is_empty (Program.plain_ids p id) && Ctree.n_cjumps ctree = 0
+      then None
       else Some { node = id; cells })
     (main_path p)
 

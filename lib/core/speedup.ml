@@ -30,23 +30,26 @@ type t = {
           schedule its prologue and drain *)
 }
 
-let cycles_at ?(data = Kernel.default_data) (k : Kernel.t) program n =
-  let st = Kernel.initial_state ~n k ~data in
-  (Exec.run program st).Exec.cycles
-
 (** [measure ?steady k ~scheduled ~n1 ~n2] — [n2] must stay strictly
     below the unwind horizon of [scheduled].  With [steady] (default),
     per-iteration cost is the difference quotient between the two trip
     counts; without it, the total-execution ratio at [n2] is used (see
-    {!t.steady}). *)
+    {!t.steady}).  The four runs start from copies of one initial
+    state, the second trip count written into the bound register. *)
 let measure ?(data = Kernel.default_data) ?(steady = true) (k : Kernel.t)
     ~scheduled ~n1 ~n2 =
   if n1 >= n2 then invalid_arg "Speedup.measure: n1 >= n2";
   let rolled = (Kernel.rolled k).Builder.program in
-  let c_seq1 = cycles_at ~data k rolled n1
-  and c_seq2 = cycles_at ~data k rolled n2
-  and c_sch1 = cycles_at ~data k scheduled n1
-  and c_sch2 = cycles_at ~data k scheduled n2 in
+  let st1 = Kernel.initial_state ~n:n1 k ~data in
+  let st2 = State.copy st1 in
+  (match k.Kernel.bound with
+  | Operand.Reg r -> State.write_reg st2 r (Value.I n2)
+  | Operand.Imm _ | Operand.Regoff _ -> ());
+  let cycles program st = (Exec.run program (State.copy st)).Exec.cycles in
+  let c_seq1 = cycles rolled st1
+  and c_seq2 = cycles rolled st2
+  and c_sch1 = cycles scheduled st1
+  and c_sch2 = cycles scheduled st2 in
   let seq_per_iter, sched_per_iter =
     if steady then
       let per a b = float_of_int (b - a) /. float_of_int (n2 - n1) in

@@ -177,9 +177,10 @@ let lower (ast : Ast.kernel) (env : Typecheck.env) =
 
 (** [data env] — simulator array contents consistent with the declared
     element types: int arrays get small safe indices, float arrays get
-    smooth nonzero values. *)
-let data (env : Typecheck.env) sym i =
+    smooth nonzero values.  [data env sym] looks the type up once, so
+    a caller filling a whole array applies it to [sym] first. *)
+let data (env : Typecheck.env) sym =
   match List.assoc_opt sym env.Typecheck.arrays with
-  | Some (_, Ast.Tint) -> Value.I (i * 5 mod 32)
+  | Some (_, Ast.Tint) -> fun i -> Value.I (i * 5 mod 32)
   | Some (_, Ast.Tfloat) | None ->
-      Value.F (1.0 +. (0.01 *. float_of_int (i mod 89)))
+      fun i -> Value.F (1.0 +. (0.01 *. float_of_int (i mod 89)))

@@ -21,10 +21,16 @@ let pp_mismatch ppf m =
 let value_close a b =
   match a, b with
   | Value.F x, Value.F y ->
-      (* float math is re-associated by front-end folding in places;
-         compare with a tight relative tolerance *)
-      let d = Float.abs (x -. y) in
-      d <= 1e-9 *. Float.max 1.0 (Float.max (Float.abs x) (Float.abs y))
+      if Float.is_finite x && Float.is_finite y then
+        (* float math is re-associated by front-end folding in places;
+           compare with a tight relative tolerance *)
+        let d = Float.abs (x -. y) in
+        d <= 1e-9 *. Float.max 1.0 (Float.max (Float.abs x) (Float.abs y))
+      else
+        (* identical non-finite classes: two NaNs, or two infinities of
+           one sign, where the difference above would be NaN *)
+        Float.classify_float x = Float.classify_float y
+        && (Float.is_nan x || Float.sign_bit x = Float.sign_bit y)
   | _ -> Value.equal a b
 
 (** [equivalent ~observable ~init p1 p2] runs both programs from copies
@@ -55,7 +61,7 @@ let equivalent ~observable ~init p1 p2 =
               }
               :: !errs)
         observable;
-      Hashtbl.iter
+      State.iter_arrays st1
         (fun sym a1 ->
           let a2 = State.array st2 sym in
           Array.iteri
@@ -68,6 +74,5 @@ let equivalent ~observable ~init p1 p2 =
                     got = Value.to_string a2.(i);
                   }
                   :: !errs)
-            a1)
-        st1.State.mem;
+            a1);
       if !errs = [] then Ok (o1, o2) else Error (List.rev !errs)

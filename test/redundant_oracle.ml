@@ -1,13 +1,54 @@
-(* The redundancy pre-pass's forwarding passes as they were before
-   their kills stopped rebuilding lists: [List.filter] over the whole
-   available set at every definition, [Operand.regs] lists, and
-   [Operand.forward] tried on every operand against every copy.  Kept
-   verbatim as the oracle [Redundant.forward_memory] and
-   [Redundant.forward_copies] are checked against (test_percolation.ml,
-   "redundancy oracle"). *)
+(* The redundancy pre-pass as it was before its passes became one walk
+   over indexed arrays: forwarding with [List.filter] over the whole
+   available set at every definition, [Operand.regs] lists and
+   [Operand.forward] tried on every operand against every copy; and
+   dead-code elimination that recomputes [Liveness] for the whole
+   program after each round of removals.  Kept as the oracle
+   [Redundant.forward_memory], [Redundant.forward_copies] and
+   [Redundant.eliminate_dead] are checked against (test_percolation.ml,
+   "redundancy oracle").  One change from the old passes: neither
+   forwarding pass records an entry that reads the register its op
+   defines, the fix both share. *)
 
 open Vliw_ir
 module Alias = Vliw_analysis.Alias
+module Liveness = Vliw_analysis.Liveness
+
+(* [eliminate_dead p ~exit_live] removes non-memory, non-jump
+   operations whose destination is not live out of their node.
+   Iterates to a fixpoint; returns the number removed. *)
+let eliminate_dead (p : Program.t) ~exit_live =
+  let removed = ref 0 in
+  let continue_ = ref true in
+  while !continue_ do
+    continue_ := false;
+    let live = Liveness.make p ~exit_live in
+    let victims =
+      Program.fold_nodes p
+        (fun n acc ->
+          if Program.is_exit p n.Node.id then acc
+          else
+            let out = Liveness.live_out live n.Node.id in
+            Program.fold_ops p n.Node.id ~init:acc ~f:(fun acc (op : Operation.t) ->
+                match Operation.def op with
+                | Some d
+                  when (not (Operation.is_store op))
+                       && not (Reg.Set.mem d out) ->
+                    (n.Node.id, op.Operation.id) :: acc
+                | _ -> acc))
+        []
+    in
+    List.iter
+      (fun (nid, oid) ->
+        match Program.node_opt p nid with
+        | Some _ when Program.mem_plain_op p nid oid ->
+            Program.remove_op p nid oid;
+            incr removed;
+            continue_ := true
+        | _ -> ())
+      victims
+  done;
+  !removed
 
 (* The chain of nodes from the entry following unique successors; the
    shape of an unwound, not-yet-scheduled loop.  Stops at the exit or
@@ -62,10 +103,12 @@ let forward_memory (p : Program.t) =
                     { op with Operation.kind = Operation.Copy (d, v) };
                   incr rewritten;
                   kill_reg d;
-                  avail := (a, Operand.Reg d) :: !avail
+                  if not (Operand.uses_reg a.Operation.base d) then
+                    avail := (a, Operand.Reg d) :: !avail
               | None ->
                   kill_reg d;
-                  avail := (a, Operand.Reg d) :: !avail)
+                  if not (Operand.uses_reg a.Operation.base d) then
+                    avail := (a, Operand.Reg d) :: !avail)
           | Operation.Store (a, v) ->
               kill_store a;
               avail := (a, v) :: !avail
@@ -115,16 +158,17 @@ let forward_copies (p : Program.t) =
             Program.replace_op p nid op';
           (match Operation.def op' with Some d -> kill_reg d | None -> ());
           match op'.Operation.kind with
-          | Operation.Copy (d, v) -> env := (d, v) :: !env
+          | Operation.Copy (d, v) when not (Operand.uses_reg v d) ->
+              env := (d, v) :: !env
           | _ -> ())
         (Program.ops p nid))
     chain;
   !rewrites
 
 (* The old [Redundant.cleanup]: memory forwarding, copy forwarding,
-   then the library's dead-code elimination. *)
+   dead-code elimination. *)
 let cleanup (p : Program.t) ~exit_live =
   let l = forward_memory p in
   let c = forward_copies p in
-  let d = Vliw_percolation.Redundant.eliminate_dead p ~exit_live in
+  let d = eliminate_dead p ~exit_live in
   (l, c, d)

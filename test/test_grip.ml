@@ -988,6 +988,100 @@ let test_gap_counter () =
   let rows = [ row [ (0, 0) ]; row []; row [ (0, 1) ] ] in
   Alcotest.(check int) "one gap" 1 (Grip.Convergence.gaps rows)
 
+(* -- convergence oracle: the array passes against the list ones -------- *)
+
+let pattern_t =
+  Alcotest.(
+    option
+      (testable
+         (fun ppf (p : Grip.Convergence.pattern) ->
+           Format.fprintf ppf "{start=%d; period=%d; delta=%d; repeats=%d}"
+             p.Grip.Convergence.start p.Grip.Convergence.period
+             p.Grip.Convergence.delta p.Grip.Convergence.repeats)
+         ( = )))
+
+(* Path, rows, pattern (with and without the body positions, and with
+   no tail ignored) and gaps of [p] against the old passes; returns
+   whether the pattern search found one. *)
+let same_convergence what (k : Grip.Kernel.t) p =
+  let module T = Grip.Schedule_table in
+  let module C = Grip.Convergence in
+  Alcotest.(check (list int)) (what ^ ": main path")
+    (Convergence_oracle.main_path p) (T.main_path p);
+  let rows = T.rows p and want = Convergence_oracle.rows p in
+  Alcotest.(check (list (pair int (list (pair int int))))) (what ^ ": rows")
+    (List.map (fun (r : T.row) -> (r.T.node, r.T.cells)) want)
+    (List.map (fun (r : T.row) -> (r.T.node, r.T.cells)) rows);
+  let body_positions = List.length k.Grip.Kernel.body + 1 in
+  Alcotest.check pattern_t (what ^ ": pattern")
+    (Convergence_oracle.detect ~body_positions rows)
+    (C.detect ~body_positions rows);
+  Alcotest.check pattern_t (what ^ ": pattern, any window")
+    (Convergence_oracle.detect rows) (C.detect rows);
+  Alcotest.check pattern_t (what ^ ": pattern, whole table")
+    (Convergence_oracle.detect ~ignore_tail:0 ~body_positions rows)
+    (C.detect ~ignore_tail:0 ~body_positions rows);
+  Alcotest.(check int) (what ^ ": gaps") (C.gaps want) (C.gaps rows);
+  C.detect ~body_positions rows <> None
+
+let test_convergence_oracle_table1 () =
+  let converged = ref 0 and not_converged = ref 0 in
+  List.iter
+    (fun (e : Workloads.Livermore.entry) ->
+      let k = e.Workloads.Livermore.kernel in
+      ignore
+        (same_convergence (k.Grip.Kernel.name ^ " rolled") k
+           (Grip.Kernel.rolled k).Builder.program);
+      List.iter
+        (fun fus ->
+          List.iter
+            (fun method_ ->
+              let o =
+                Grip.Pipeline.run k ~machine:(Machine.homogeneous fus) ~method_
+              in
+              let what =
+                Printf.sprintf "%s %dFU %s" k.Grip.Kernel.name fus
+                  (Grip.Pipeline.method_name method_)
+              in
+              if same_convergence what k o.Grip.Pipeline.program then incr converged
+              else incr not_converged)
+            [ Grip.Pipeline.Grip; Grip.Pipeline.Post ])
+        [ 2; 4; 8 ])
+    Workloads.Livermore.all;
+  Alcotest.(check bool) "some cells converge" true (!converged > 0);
+  Alcotest.(check bool) "some cells do not" true (!not_converged > 0)
+
+(* Synthetic kernels under GRiP and its no-gap ablation, at the default
+   horizon and at one too short to converge. *)
+let test_convergence_oracle_synthetic () =
+  let converged = ref 0 and not_converged = ref 0 in
+  List.iter
+    (fun (n_ops, seed) ->
+      let k =
+        Workloads.Synthetic.generate
+          { Workloads.Synthetic.default_spec with n_ops; seed }
+      in
+      List.iter
+        (fun (fus, horizon, method_) ->
+          let o =
+            Grip.Pipeline.run k ~machine:(Machine.homogeneous fus) ?horizon ~method_
+          in
+          let what =
+            Printf.sprintf "%s %dFU h%d %s" k.Grip.Kernel.name fus
+              o.Grip.Pipeline.horizon (Grip.Pipeline.method_name method_)
+          in
+          if same_convergence what k o.Grip.Pipeline.program then incr converged
+          else incr not_converged)
+        [
+          (2, None, Grip.Pipeline.Grip);
+          (4, None, Grip.Pipeline.Grip_no_gap);
+          (8, None, Grip.Pipeline.Grip);
+          (4, Some 6, Grip.Pipeline.Grip);
+        ])
+    [ (8, 7919); (16, 15838); (24, 23757); (32, 31676) ];
+  Alcotest.(check bool) "some schedules converge" true (!converged > 0);
+  Alcotest.(check bool) "some do not" true (!not_converged > 0)
+
 (* -- baselines ----------------------------------------------------------- *)
 
 let test_post_respects_machine () =
@@ -1223,6 +1317,9 @@ let () =
           Alcotest.test_case "detects period" `Quick test_convergence_detects_period;
           Alcotest.test_case "partial positions" `Quick test_convergence_rejects_incomplete_window;
           Alcotest.test_case "spread has no pattern" `Quick test_convergence_spread_has_no_pattern;
+          Alcotest.test_case "Table 1 == old passes" `Quick test_convergence_oracle_table1;
+          Alcotest.test_case "Synthetic == old passes" `Quick
+            test_convergence_oracle_synthetic;
           Alcotest.test_case "gap counter" `Quick test_gap_counter;
         ] );
       ( "baselines",

@@ -357,6 +357,90 @@ let test_wellformed_catches_double_def () =
   Program.redirect p ~from_:p.Program.entry ~old_:p.Program.exit_id ~new_:n.Node.id;
   Alcotest.(check bool) "violation reported" true (Wellformed.check p <> [])
 
+(* -- wellformed oracle: the stamp tables against the hash tables -------- *)
+
+(* One mutation per violation [Wellformed.check] reports, applied to a
+   scheduled program around its legality checks: in node [a] holding
+   plain op [x], with [b] another node. *)
+let mutations =
+  let fresh p kind = Operation.make ~id:(Program.fresh_op_id p) kind in
+  let fresh_def p = Operation.Copy (Program.fresh_reg p, imm 1) in
+  let cj p = fresh p (Operation.Cjump (Opcode.Lt, imm 0, imm 1)) in
+  [
+    ("double def", fun p ~a ~b:_ (x : Operation.t) ->
+        Program.add_op p a { x with Operation.id = Program.fresh_op_id p });
+    ("plain jump", fun p ~a ~b:_ _ -> Program.add_op p a (cj p));
+    ("non-jump in the tree", fun p ~a ~b:_ _ ->
+        let t = (Program.node p a).Node.ctree in
+        Program.set_ctree p a (Ctree.Branch (fresh p (fresh_def p), t, t)));
+    ("guard off the tree", fun p ~a ~b:_ _ ->
+        Program.add_op p a
+          { (fresh p (fresh_def p)) with Operation.guard = [ (1_000_000, true) ] });
+    ("op in two nodes", fun p ~a:_ ~b x -> Program.add_op p b x);
+    ("home elsewhere", fun p ~a:_ ~b (x : Operation.t) ->
+        Itbl.set p.Program.op_home x.Operation.id b);
+    ("unindexed", fun p ~a:_ ~b:_ (x : Operation.t) ->
+        Itbl.set p.Program.op_home x.Operation.id (-1));
+    ("exit holds an op", fun p ~a:_ ~b:_ _ ->
+        Program.add_op p p.Program.exit_id (fresh p (fresh_def p)));
+    ("exit not a self-loop", fun p ~a ~b:_ _ ->
+        Program.set_ctree p p.Program.exit_id (Ctree.Leaf a));
+  ]
+
+(* A leaf to a node that does not exist: reported once, where the old
+   check raised [Not_found] on reaching the missing node. *)
+let test_wellformed_dangling_leaf () =
+  let p = Builder.straight [ Operation.Copy (reg 1, imm 0) ] in
+  let a = List.hd (List.filter (fun id -> Program.ops p id <> []) (Program.rpo p)) in
+  let missing = Program.node_limit p + 3 in
+  Program.set_ctree p a
+    (Ctree.Branch
+       ( Operation.make ~id:(Program.fresh_op_id p)
+           (Operation.Cjump (Opcode.Lt, imm 0, imm 1)),
+         Ctree.Leaf missing,
+         Ctree.Leaf missing ));
+  Alcotest.(check (list string)) "reported once"
+    [ Printf.sprintf "node %d has dangling successor %d" a missing ]
+    (Wellformed.check p)
+
+let test_wellformed_oracle () =
+  let sorted p = List.sort compare (Wellformed.check p) in
+  let want p = List.sort compare (Wellformed_oracle.check p) in
+  List.iter
+    (fun (e : Workloads.Livermore.entry) ->
+      let k = e.Workloads.Livermore.kernel in
+      List.iter
+        (fun method_ ->
+          let p =
+            (Grip.Pipeline.run k ~machine:(Vliw_machine.Machine.homogeneous 4) ~method_)
+              .Grip.Pipeline.program
+          in
+          let name = k.Grip.Kernel.name ^ " " ^ Grip.Pipeline.method_name method_ in
+          Alcotest.(check (list string)) (name ^ " clean") [] (sorted p);
+          Alcotest.(check (list string)) (name ^ " clean, oracle") [] (want p);
+          let with_ops =
+            List.filter (fun id -> Program.ops p id <> []) (Program.rpo p)
+          in
+          match with_ops with
+          | a :: b :: _ ->
+              let x = List.hd (Program.ops p a) in
+              let snap = Program.snapshot p in
+              List.iter
+                (fun (what, mutate) ->
+                  Program.restore p snap;
+                  mutate p ~a ~b x;
+                  let got = sorted p in
+                  Alcotest.(check (list string)) (name ^ ", " ^ what) (want p) got;
+                  Alcotest.(check bool) (name ^ ", " ^ what ^ " caught") true (got <> []))
+                mutations;
+              (* all at once *)
+              Program.restore p snap;
+              List.iter (fun (_, mutate) -> mutate p ~a ~b x) mutations;
+              Alcotest.(check (list string)) (name ^ ", every mutation") (want p) (sorted p)
+          | _ -> Alcotest.failf "%s: fewer than two nodes hold ops" name)
+        [ Grip.Pipeline.Grip; Grip.Pipeline.Post ])
+    Workloads.Livermore.all
+
 (* -- schedule text ------------------------------------------------------- *)
 
 (* The digest's contract: the writer's text plus a newline is exactly
@@ -559,6 +643,10 @@ let () =
           Alcotest.test_case "chain version" `Quick test_program_chain_version;
           Alcotest.test_case "clone remaps guards" `Quick test_clone_instruction_guard_remap;
           Alcotest.test_case "double def caught" `Quick test_wellformed_catches_double_def;
+          Alcotest.test_case "wellformed == old check on mutants" `Quick
+            test_wellformed_oracle;
+          Alcotest.test_case "dangling leaf reported once" `Quick
+            test_wellformed_dangling_leaf;
         ] );
       ( "schedule text",
         [

@@ -558,6 +558,34 @@ let straight_kind_gen =
         map2 (fun a v -> Operation.Store (a, v)) address operand;
       ])
 
+(* Registers [r0..r3] hold 0..3 and both arrays small integers, so
+   loaded values often make in-bounds addresses again. *)
+let straight_init () =
+  State.init
+    ~regs:(List.init 4 (fun i -> (reg i, Value.I i)))
+    ~arrays:
+      [
+        ("x", Array.init 16 (fun i -> Value.I ((3 + (2 * i)) mod 16)));
+        ("y", Array.init 16 (fun i -> Value.I ((5 + (3 * i)) mod 16)));
+      ]
+
+(* Does the cleaned [p] compute what [kinds] compute, in [r0], [r1] and
+   both arrays?  Vacuous when the source itself faults (an address out
+   of bounds): dead-code elimination may drop the faulting load. *)
+let cleanup_preserves_semantics kinds p =
+  let init = straight_init () in
+  match Vliw_sim.Exec.run (Builder.straight kinds) (State.copy init) with
+  | exception State.Fault _ -> true
+  | _ -> (
+      match
+        Oracle.equivalent ~observable:[ reg 0; reg 1 ] ~init
+          (Builder.straight kinds) p
+      with
+      | Ok _ -> true
+      | Error ms ->
+          QCheck2.Test.fail_reportf "cleanup changed the result: %s"
+            (String.concat "; " (List.map (Format.asprintf "%a" Oracle.pp_mismatch) ms)))
+
 let prop_redundancy_oracle_straight =
   QCheck2.Test.make ~name:"cleanup == old passes on straight-line code"
     ~count:300
@@ -569,7 +597,51 @@ let prop_redundancy_oracle_straight =
       let p = Builder.straight kinds and q = Builder.straight kinds in
       let got = Redundant.cleanup p ~exit_live in
       let want = Redundant_oracle.cleanup q ~exit_live in
-      got = want && String.equal (Program.to_string p) (Program.to_string q))
+      got = want
+      && String.equal (Program.to_string p) (Program.to_string q)
+      && cleanup_preserves_semantics kinds p)
+
+(* Every caller passes an acyclic program; a loop is refused, not
+   iterated forever or half-cleaned. *)
+let test_redundant_refuses_cycles () =
+  let rolled () = (Grip.Kernel.rolled Workloads.Paper_examples.abc).Builder.program in
+  let exit_live = Grip.Kernel.exit_live Workloads.Paper_examples.abc in
+  let refused what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: a cyclic program was accepted" what
+  in
+  refused "eliminate_dead" (fun () -> ignore (Redundant.eliminate_dead (rolled ()) ~exit_live));
+  refused "cleanup" (fun () -> ignore (Redundant.cleanup (rolled ()) ~exit_live))
+
+(* The two miscompiles the forwarding passes had, each a source whose
+   op defines a register its recorded entry reads. *)
+let test_redundant_self_reads () =
+  let x = [| 3; 5; 7; 9 |] in
+  let init = State.init ~regs:[] ~arrays:[ ("x", Array.map (fun v -> Value.I v) x) ] in
+  let check name kinds =
+    let p = Builder.straight kinds in
+    ignore (Redundant.cleanup p ~exit_live:(Reg.Set.of_list [ reg 2 ]));
+    match Oracle.equivalent ~observable:[ reg 2 ] ~init (Builder.straight kinds) p with
+    | Ok _ -> ()
+    | Error ms ->
+        Alcotest.failf "%s: %s" name
+          (String.concat "; " (List.map (Format.asprintf "%a" Oracle.pp_mismatch) ms))
+  in
+  (* r1 <- x[r1] must not make x[r1] available in r1 *)
+  check "load through its own destination"
+    [
+      Operation.Copy (reg 1, imm 0);
+      Operation.Load (reg 1, addr (Operand.Reg (reg 1)) 0);
+      Operation.Load (reg 2, addr (Operand.Reg (reg 1)) 0);
+    ];
+  (* r1 <- r1+1 must not make later reads of r1 read r1+1 *)
+  check "copy from its own destination"
+    [
+      Operation.Load (reg 1, addr (imm 0) 0);
+      Operation.Copy (reg 1, Operand.Regoff (reg 1, 1));
+      Operation.Binop (Opcode.Add, reg 2, Operand.Reg (reg 1), imm 0);
+    ]
 
 (* -- walk exactness: the chain climb and the walk against a full walk -- *)
 
@@ -1034,6 +1106,10 @@ let () =
           Alcotest.test_case "dead copy" `Quick test_redundant_dead_copy;
           Alcotest.test_case "store-load forward" `Quick test_redundant_store_load_forward;
           Alcotest.test_case "load-load" `Quick test_redundant_load_load;
+          Alcotest.test_case "no entry reads its own destination" `Quick
+            test_redundant_self_reads;
+          Alcotest.test_case "cyclic programs refused" `Quick
+            test_redundant_refuses_cycles;
           Alcotest.test_case "oracle on Livermore" `Quick
             test_redundancy_oracle_livermore;
           QCheck_alcotest.to_alcotest prop_redundancy_oracle;

@@ -390,6 +390,46 @@ let prop_run_is_unguarded_rung =
             [ Pipeline.Grip; Pipeline.Grip_no_gap; Pipeline.Post ])
         [ 2; 4; 8 ])
 
+(* -- non-finite values --------------------------------------------------- *)
+
+(* Two 64-op Synthetic kernels whose values go non-finite by 16 trips:
+   seed 15838 leaves NaNs in its results, seed 39595 infinities.  Each
+   rolled loop must agree with itself, and the ladder serves GRiP at
+   every width, where an oracle that compared x - y against a tolerance
+   failed every rung and served the sequential loop. *)
+let non_finite seed =
+  Workloads.Synthetic.generate
+    { Workloads.Synthetic.default_spec with Workloads.Synthetic.n_ops = 64; seed }
+
+let test_non_finite_self_equivalent () =
+  List.iter
+    (fun seed ->
+      let k = non_finite seed in
+      let rolled = (Kernel.rolled k).Builder.program in
+      let init = Kernel.initial_state ~n:16 k ~data:Workloads.Synthetic.data in
+      match
+        Vliw_sim.Oracle.equivalent ~observable:k.Kernel.observable ~init rolled rolled
+      with
+      | Ok _ -> ()
+      | Error ms ->
+          Alcotest.failf "seed %d: %d mismatches, first %a" seed (List.length ms)
+            Vliw_sim.Oracle.pp_mismatch (List.hd ms))
+    [ 15838; 39595 ]
+
+let test_non_finite_rungs () =
+  List.iter
+    (fun (seed, fus) ->
+      match
+        Pipeline.run_robust ~data:Workloads.Synthetic.data (non_finite seed)
+          ~machine:(Machine.homogeneous fus)
+      with
+      | Ok r ->
+          Alcotest.(check string)
+            (Printf.sprintf "seed %d at %d FU" seed fus)
+            "GRiP" (Pipeline.rung_name r.Pipeline.rung)
+      | Error e -> Alcotest.failf "seed %d: %s" seed (Grip_error.to_string e))
+    [ (15838, 2); (15838, 4); (15838, 8); (39595, 2); (39595, 4); (39595, 8) ]
+
 let () =
   if Sys.getenv_opt "QCHECK_SEED" = None then Unix.putenv "QCHECK_SEED" "20261019";
   Alcotest.run "robust"
@@ -422,6 +462,10 @@ let () =
           Alcotest.test_case "POST node-breaking livelock" `Quick
             test_post_break_livelock;
           Alcotest.test_case "descend_rung saturates" `Quick test_descend_rung;
+          Alcotest.test_case "non-finite kernels equal themselves" `Quick
+            test_non_finite_self_equivalent;
+          Alcotest.test_case "non-finite kernels served GRiP" `Quick
+            test_non_finite_rungs;
         ] );
       ( "properties",
         List.map
