@@ -4,8 +4,7 @@
     too: it is recomputed from scratch whenever the program's version
     counter has advanced and memoised otherwise.  No legality test
     queries it: renaming repairs write-live and move-past-read
-    conflicts instead, and [Ctx] only carries one (nothing calls
-    [Ctx.live_in]).  Redundancy removal computes liveness in its own
+    conflicts instead.  Redundancy removal computes liveness in its own
     backward pass over the acyclic unwound program
     ([Redundant.eliminate_dead], DESIGN.md §30); this module is the
     reference the old round-by-round elimination, kept as its test

@@ -66,7 +66,7 @@ let phase_seconds =
     [ "unwind"; "redundancy"; "schedule"; "converge" ]
 
 (* The move-legality and graph-maintenance counters of DESIGN.md §13;
-   each member is its metric key past the layer prefix. *)
+   each member is its metric name past the layer prefix. *)
 let legality =
   num "check_seconds" (fun m -> Metrics.time m "legality.check")
   :: List.map

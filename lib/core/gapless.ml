@@ -132,21 +132,21 @@ and any_below m p it = function
   | [] -> false
   | s :: tl -> holds_below m p it s || any_below m p it tl
 
-let scan_nodes_key = Grip_obs.Metrics.key "gapless.scan_nodes"
-
 (** [last_of_iteration ctx memo ~from_ ~iter] — condition 3: no node
     below [from_] holds an operation of iteration [iter].  A search
     that finds none has expanded, or found recorded, everything below
     each node it expanded, cycles or not, so it records them all in
     [memo]; a search that finds one records nothing.  Either way it
-    adds the nodes it expanded to the [gapless.scan_nodes] counter. *)
+    counts the search and the nodes it expanded in the context's
+    [searches] and [scan_nodes]. *)
 let last_of_iteration (ctx : Ctx.t) m ~from_ ~iter =
   let p = ctx.Ctx.program in
   m.stamp <- m.stamp + 1;
   Iarr.clear m.expanded;
   let found = any_below m p iter (Program.succs p from_) in
-  Grip_obs.Metrics.bump ctx.Ctx.obs.Grip_obs.metrics scan_nodes_key
-    (Iarr.length m.expanded);
+  let c = ctx.Ctx.counts in
+  c.searches <- c.searches + 1;
+  c.scan_nodes <- c.scan_nodes + Iarr.length m.expanded;
   for i = 0 to Iarr.length m.expanded - 1 do
     let id = Iarr.unsafe_get m.expanded i in
     if found then Iarr.push m.reads id else note_absent m id iter

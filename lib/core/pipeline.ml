@@ -104,6 +104,56 @@ let observe_occupancy (obs : Obs.t) machine p rows =
                  (Program.counts_packed p r.Schedule_table.node)))
       rows
 
+(* -- publication ------------------------------------------------------------ *)
+
+(* [count m name ?events n] — add [n] under [name] when its event
+   happened in the run ([events], by default [n] itself, is positive):
+   a count is published exactly when recording each event into the
+   registry would have created its cell. *)
+let count m name ?events n =
+  if Option.value events ~default:n > 0 then Metrics.add m name n
+
+let publish_scheduler m (s : Scheduler.stats) =
+  count m "scheduler.migrations" s.Scheduler.migrations;
+  count m "scheduler.hops" ~events:s.Scheduler.migrations s.Scheduler.hops;
+  count m "scheduler.reached" s.Scheduler.reached;
+  count m "scheduler.suspensions" s.Scheduler.suspensions;
+  count m "scheduler.barriers" s.Scheduler.resource_barrier_events;
+  count m "scheduler.replays" s.Scheduler.replays;
+  count m "scheduler.candidate_visits" ~events:s.Scheduler.nodes_scheduled
+    s.Scheduler.candidate_visits;
+  if s.Scheduler.travel.Metrics.n > 0 then
+    Metrics.add_hist m "scheduler.travel_distance" s.Scheduler.travel
+
+let publish_ctx m (c : Ctx.counts) =
+  count m "ir.gc_runs" c.Ctx.gc_runs;
+  count m "ir.gc_reclaimed" ~events:c.Ctx.gc_runs c.Ctx.gc_reclaimed;
+  count m "ir.gc_deferred" c.Ctx.gc_deferred;
+  count m "migrate.chain_nodes" ~events:c.Ctx.chain_checks c.Ctx.chain_nodes;
+  count m "migrate.walk_nodes" ~events:c.Ctx.walks c.Ctx.walk_nodes;
+  count m "gapless.scan_nodes" ~events:c.Ctx.searches c.Ctx.scan_nodes
+
+(** [publish m p stats ctxs] — add a schedule phase's counts to [m]:
+    the scheduler's [stats] and the counts of the contexts [ctxs] it
+    ran on, all over program [p].  The collector's examined worklist
+    entries are read off [p], whose collections only these contexts
+    ran. *)
+let publish m p stats ctxs =
+  if Metrics.enabled m then begin
+    (match stats with
+    | Grip_stats s -> publish_scheduler m s
+    | Post_stats s ->
+        publish_scheduler m s.Post.phase1;
+        count m "post.breaks" s.Post.breaks;
+        count m "post.repair_hops" s.Post.repair_hops
+    | Unifiable_stats _ -> ());
+    List.iter (fun (c : Ctx.t) -> publish_ctx m c.Ctx.counts) ctxs;
+    count m "ir.gc_candidates"
+      ~events:
+        (List.fold_left (fun a (c : Ctx.t) -> a + c.Ctx.counts.Ctx.gc_runs) 0 ctxs)
+      (Program.gc_candidates p)
+  end
+
 (* -- the driver ------------------------------------------------------------ *)
 
 (** The checks a guarded run applies (each pipelining rung of
@@ -141,7 +191,10 @@ let oracle_final ~kernel ~mstr ~data ~n k p =
    {!guards} describes, and [budget] is the rung's cancellation token:
    the scheduler loop heads poll it, so a blown deadline (or an
    external cancel) surfaces as [Error] — a ladder descent — instead
-   of wedging the domain. *)
+   of wedging the domain.  The schedule phase's counts are published
+   as soon as it returns ({!publish}), so a rung that a later guard
+   abandons still reports the work it did; a rung abandoned inside
+   the scheduler publishes none. *)
 let drive ~obs ~rank ~horizon ~redundancy ~speculation ~max_migrations
     ~budget ~guards (k : Kernel.t) ~machine ~method_ =
   let kernel = k.Kernel.name in
@@ -189,7 +242,7 @@ let drive ~obs ~rank ~horizon ~redundancy ~speculation ~max_migrations
                 ~observable:k.Kernel.observable );
         ])
   in
-  let* (stats, fuel), wall_seconds =
+  let* (stats, fuel, ctxs), wall_seconds =
     catch (Budget.guard budget) (fun () ->
         Obs.timed obs Trace.Schedule (fun () ->
             let base = Scheduler.default_config ~rank in
@@ -208,14 +261,15 @@ let drive ~obs ~rank ~horizon ~redundancy ~speculation ~max_migrations
                     Scheduler.budget = budget;
                   }
                 in
-                (Grip_stats (Scheduler.run config ctx), fuel)
+                (Grip_stats (Scheduler.run config ctx), fuel, [ ctx ])
             | Post ->
                 let ctx_unlimited =
                   Ctx.make ~obs p ~machine:Machine.unlimited ~exit_live
                 in
                 let ctx_real = Ctx.make ~obs p ~machine ~exit_live in
                 ( Post_stats (Post.run ~budget ctx_unlimited ctx_real ~rank),
-                  fuel )
+                  fuel,
+                  [ ctx_unlimited; ctx_real ] )
             | Unifiable ->
                 let ctx = Ctx.make ~obs p ~machine ~exit_live in
                 let base =
@@ -231,8 +285,10 @@ let drive ~obs ~rank ~horizon ~redundancy ~speculation ~max_migrations
                   }
                 in
                 ( Unifiable_stats (Unifiable.run config ctx),
-                  config.Unifiable.max_migrations )))
+                  config.Unifiable.max_migrations,
+                  [ ctx ] )))
   in
+  publish obs.Obs.metrics p stats ctxs;
   (* Unifiable's loop stops at its migration budget without marking the
      truncation; reaching the budget is the only observable signal *)
   let migrations, fuel_exhausted =

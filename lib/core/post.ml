@@ -20,7 +20,6 @@ module Machine = Vliw_machine.Machine
 module Ctx = Vliw_percolation.Ctx
 module Move_op = Vliw_percolation.Move_op
 module Move_cj = Vliw_percolation.Move_cj
-module Metrics = Grip_obs.Metrics
 
 type stats = {
   mutable breaks : int;  (** spliced break nodes *)
@@ -89,7 +88,6 @@ let break_node ~budget (ctx : Ctx.t) rank stats n =
       else splice_above p !work
     in
     stats.breaks <- stats.breaks + 1;
-    Metrics.incr ctx.Ctx.obs.Grip_obs.metrics "post.breaks";
     let before = excess m (Program.counts_packed p !work) in
     let split = ref false in
     (* move best-ranked unguarded ops up while the new node has room
@@ -141,8 +139,6 @@ let break_node ~budget (ctx : Ctx.t) rank stats n =
              width = Machine.width m;
            })
   done
-
-let repair_hops_key = Metrics.key "post.repair_hops"
 
 (* Phase 2b: local repair percolation — refill nodes the breaking left
    underutilized by pulling operations up from their direct successors,
@@ -204,7 +200,6 @@ let local_repair ~budget (ctx : Ctx.t) rank stats =
             with
             | Some () ->
                 stats.repair_hops <- stats.repair_hops + 1;
-                Metrics.bump ctx.Ctx.obs.Grip_obs.metrics repair_hops_key 1;
                 progress := true;
                 changed := true
             | None -> ()

@@ -30,16 +30,6 @@ module Trace = Grip_obs.Trace
 module Metrics = Grip_obs.Metrics
 module Provenance = Grip_obs.Provenance
 
-(* Per-event metric keys (cold counters keep the string API). *)
-let migrations_key = Metrics.key "scheduler.migrations"
-let hops_key = Metrics.key "scheduler.hops"
-let travel_key = Metrics.key "scheduler.travel_distance"
-let reached_key = Metrics.key "scheduler.reached"
-let suspensions_key = Metrics.key "scheduler.suspensions"
-let barriers_key = Metrics.key "scheduler.barriers"
-let visits_key = Metrics.key "scheduler.candidate_visits"
-let replays_key = Metrics.key "scheduler.replays"
-
 (* Machine FU class -> the observability layer's mirror of it (kept
    separate so grip_obs does not depend on the machine model). *)
 let prov_class op =
@@ -48,9 +38,12 @@ let prov_class op =
   | Machine.Mem -> Provenance.Mem
   | Machine.Branch -> Provenance.Branch
 
+(** A run's counts: the only record of them while it runs, each event
+    one add.  The pipeline publishes them to the run's metrics registry
+    once the schedule phase returns (DESIGN.md §31). *)
 type stats = {
   mutable nodes_scheduled : int;
-  mutable migrations : int;  (** migrate calls *)
+  mutable migrations : int;  (** migration attempts, replays included *)
   mutable hops : int;  (** successful one-node moves *)
   mutable reached : int;  (** migrations that reached their target *)
   mutable suspensions : int;  (** gap-prevention suspensions *)
@@ -58,6 +51,13 @@ type stats = {
       (** hops blocked by a full node that was not the target — the
           resource barriers of section 3.2 (measured for the ablation
           bench) *)
+  mutable replays : int;
+      (** attempts replayed from their op's replay slot, not walked *)
+  mutable candidate_visits : int;
+      (** candidates choose-op's ranked queue examined *)
+  travel : Metrics.hist;
+      (** hops per migration; recorded only when the run's registry is
+          enabled, since only the registry reads it *)
   mutable fuel_exhausted : bool;
       (** the [max_migrations] budget ran out and migration was
           truncated: the schedule is legal but possibly under-compacted,
@@ -72,6 +72,9 @@ let fresh_stats () =
     reached = 0;
     suspensions = 0;
     resource_barrier_events = 0;
+    replays = 0;
+    candidate_visits = 0;
+    travel = Metrics.hist_create Metrics.default_bounds;
     fuel_exhausted = false;
   }
 
@@ -476,8 +479,9 @@ let schedule_node ?on_move ?on_replay (config : config) (ctx : Ctx.t)
     (scratch : scratch) stats n =
   let p = ctx.Ctx.program in
   let obs = ctx.Ctx.obs in
-  let tr = obs.Grip_obs.trace and mx = obs.Grip_obs.metrics in
+  let tr = obs.Grip_obs.trace in
   let tracing = Grip_obs.Trace.enabled tr in
+  let metering = Metrics.enabled obs.Grip_obs.metrics in
   let pv = obs.Grip_obs.prov in
   let proving = Provenance.enabled pv in
   (* why the most recent allow_hop veto happened; read by on_suspend,
@@ -585,7 +589,6 @@ let schedule_node ?on_move ?on_replay (config : config) (ctx : Ctx.t)
       Migrate.on_suspend =
         (fun op ->
           stats.suspensions <- stats.suspensions + 1;
-          Metrics.bump mx suspensions_key 1;
           let node = Program.home_int p op.Operation.id in
           if tracing then
             Trace.emit tr (Trace.Migrate_suspend { op = op.Operation.id; node });
@@ -625,7 +628,6 @@ let schedule_node ?on_move ?on_replay (config : config) (ctx : Ctx.t)
       else begin
         scratch.att_mask <- mask_set scratch.att_mask best.Operation.id;
         stats.migrations <- stats.migrations + 1;
-        Metrics.bump mx migrations_key 1;
         if tracing then
           Trace.emit tr
             (Trace.Migrate_attempt { op = best.Operation.id; target = n });
@@ -634,7 +636,7 @@ let schedule_node ?on_move ?on_replay (config : config) (ctx : Ctx.t)
           (* The recorded attempt provably ends as it did: replay it,
              as the walk would have reported it (DESIGN.md §27). *)
           let outcome = Ctx.replay_outcome ctx oid in
-          Metrics.bump mx replays_key 1;
+          stats.replays <- stats.replays + 1;
           Migrate.replay r ~target:n ~op_id:oid outcome;
           (match outcome with
           | Some Migrate.Suspended ->
@@ -659,19 +661,14 @@ let schedule_node ?on_move ?on_replay (config : config) (ctx : Ctx.t)
         if not (mask_get scratch.susp_mask best.Operation.id) then
           Ranked.retire queue pos;
         stats.hops <- stats.hops + Migrate.moved r;
-        Metrics.bump mx hops_key (Migrate.moved r);
-        Metrics.observe_key mx travel_key (Migrate.moved r);
-        if Migrate.reached_target r then begin
-          stats.reached <- stats.reached + 1;
-          Metrics.bump mx reached_key 1
-        end;
+        if metering then Metrics.record stats.travel (Migrate.moved r);
+        if Migrate.reached_target r then stats.reached <- stats.reached + 1;
         (match Migrate.last_failure r with
         | Some (Migrate.Op Move_op.No_room) ->
             (* blocked by a full node short of the target: a resource
                barrier (section 3.2) *)
             stats.resource_barrier_events <-
               stats.resource_barrier_events + 1;
-            Metrics.bump mx barriers_key 1;
             if tracing then
               Trace.emit tr
                 (Trace.Migrate_barrier
@@ -705,7 +702,7 @@ let schedule_node ?on_move ?on_replay (config : config) (ctx : Ctx.t)
           unsuspend_all ()
       end
   done;
-  Metrics.bump mx visits_key queue.Ranked.visits
+  stats.candidate_visits <- stats.candidate_visits + queue.Ranked.visits
 
 (** [run ?on_move ?on_replay config ctx] schedules the whole program
     top-down.  Nodes created during scheduling (splits,

@@ -107,11 +107,6 @@ let to_list t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (Array.unsafe_get t.a i :: acc) in
   go (t.len - 1) []
 
-(** Newest-first list — matches [iter_rev]. *)
-let to_list_rev t =
-  let rec go i acc = if i >= t.len then acc else go (i + 1) (Array.unsafe_get t.a i :: acc) in
-  go 0 []
-
 let to_array t = Array.sub t.a 0 t.len
 
 let of_list l =

@@ -41,7 +41,3 @@ type loop = {
 }
 
 type kernel = { name : string; decls : decl list; loop : loop }
-
-let pp_ty ppf = function
-  | Tint -> Format.pp_print_string ppf "int"
-  | Tfloat -> Format.pp_print_string ppf "float"

@@ -128,15 +128,15 @@ let common_subexpression kinds =
   let count = ref 0 in
   (* available: (key, holder register) *)
   let avail : (avail * Reg.t) list ref = ref [] in
+  let reads key r =
+    match key with
+    | Aexpr k -> List.exists (Reg.equal r) (uses_of k)
+    | Aload a -> List.exists (Reg.equal r) (Operand.regs a.Operation.base)
+  in
   let kill r =
     avail :=
       List.filter
-        (fun (key, holder) ->
-          (not (Reg.equal holder r))
-          &&
-          match key with
-          | Aexpr k -> not (List.exists (Reg.equal r) (uses_of k))
-          | Aload a -> not (List.exists (Reg.equal r) (Operand.regs a.Operation.base)))
+        (fun (key, holder) -> (not (Reg.equal holder r)) && not (reads key r))
         !avail
   in
   let kill_store addr =
@@ -168,8 +168,12 @@ let common_subexpression kinds =
         | Operation.Store (a, _) -> kill_store a
         | _ -> ());
         (match def_of kind with Some d -> kill d | None -> ());
+        (* a key that reads [d] names the value [d] held before this op
+           redefined it, which [d] no longer holds: [s = s + 1.0] makes
+           [s + 1.0] available nowhere *)
         (match key, def_of kind, kind with
-        | Some key, Some d, (Operation.Binop _ | Operation.Unop _ | Operation.Load _) ->
+        | Some key, Some d, (Operation.Binop _ | Operation.Unop _ | Operation.Load _)
+          when not (reads key d) ->
             avail := (key, d) :: !avail
         | _ -> ());
         kind)

@@ -4,49 +4,48 @@
     recording call a single boolean test, so instrumented code can be
     unconditional.  Everything is integer- or float-valued and
     allocation-light: histograms use caller-fixed bucket bounds (no
-    rescaling), counters are [int ref]s behind one hash lookup or one
-    key slot.
+    rescaling), counters are [int ref]s behind one hash lookup.
 
-    Two ways to name a metric.  The string API ([add], [observe],
-    [add_time], ...) hashes the name at every event, which suits cold
-    sites and names built at run time.  A per-event site declares a
-    {!key} once, at module top level, and records through [bump],
-    [observe_key] or [add_time_key]: each registry resolves a key's
-    cell on its first use, through the string path, and caches it in
-    a slot array indexed by the key's id, so a later event costs a
-    slot read and an add.  The slot holds the very cell the name's
-    table holds, so the tables stay the only record of what exists and
-    every dump, merge and exposition reads them as before.  String
-    hits allocate nothing either; a timer still boxes a float each
-    time it accumulates.
+    Every recording call hashes its metric's name, so the registry
+    serves cold sites.  A count taken per scheduling event lives in a
+    record of the code that counts it ([Grip.Scheduler.stats],
+    [Grip.Post.stats], [Vliw_percolation.Ctx.counts]), and the
+    pipeline adds it here once per run, right after the schedule phase
+    returns ([Grip.Pipeline.drive]): under the name below, and only
+    when its event happened at least once in the run, so the registry
+    holds the names it held when every event wrote it (DESIGN.md §31).
+    A hit allocates nothing; a timer boxes a float each time it
+    accumulates.
 
     Conventional names used by the scheduling stack:
     - [scheduler.migrations / hops / reached / suspensions / barriers]
+      — published from [Grip.Scheduler.stats]; POST publishes its
+      phase 1 here, and [post.breaks / repair_hops] from its own stats
     - [scheduler.candidate_visits] — candidates choose-op's ranked
-      queue examined, added once per scheduled node (a held candidate
-      is examined once per rewind)
+      queue examined (a held candidate is examined once per rewind)
     - [scheduler.replays] — migration attempts replayed from their
       op's replay slot instead of walked; each also counts in
       [scheduler.migrations] and the other per-attempt counters as the
       attempt it stands for
     - [migrate.chain_nodes] — nodes each walked migration's chain
-      check followed, added once per migration whether or not it found
-      a chain (a replay checks no chain)
+      check followed, whether or not it found a chain (a replay checks
+      no chain)
     - [gapless.scan_nodes] — nodes the Gapless test's condition-3
-      search expanded (memoized nodes are not expanded), added once per
-      search (a replay searches nothing)
-    - [migrate.walk_nodes] — nodes the plain post-order walk
-      expanded, added once per walk (a migration that finds a chain
-      climbs it and adds nothing)
+      searches expanded (memoized nodes are not expanded; a replay
+      searches nothing)
+    - [migrate.walk_nodes] — nodes the plain post-order walk expanded
+      (a migration that finds a chain climbs it and adds nothing)
     - [ir.gc_runs / gc_deferred / gc_reclaimed / gc_candidates] —
       graph collections, the requests batched into them, nodes
-      collected and worklist entries examined (added once per sweep)
+      collected and worklist entries examined
     - [ir.order_walks / order_visits] — graph-order walks of the
       scheduled program and the nodes they reached (one walk per shape
       version that something asked about), added once per pipeline run
     - [hist scheduler.travel_distance] — hops per migration
     - [hist schedule.slot_occupancy] — operations per instruction of
       the final schedule
+    - [time legality.check] — an estimate of the time inside move
+      legality checks, from one timed check in 64
     - [time phase.<name>] — accumulated wall seconds per pipeline
       phase
     - [gc.alloc_bytes.phase.<name> / gc.minor.phase.<name> /
@@ -70,16 +69,7 @@ type t = {
   hists : (string, hist) Hashtbl.t;
   times : (string, float ref) Hashtbl.t;
   gauges : (string, float ref) Hashtbl.t;
-  mutable counter_slots : int ref array;
-      (** key id -> the cell [counters] holds under the key's name, or
-          {!no_counter} until the key's first use here *)
-  mutable hist_slots : hist array;  (** likewise, {!no_hist} *)
-  mutable time_slots : float ref array;  (** likewise, {!no_time} *)
 }
-
-(** An interned metric name: [id] indexes every registry's slot
-    arrays. *)
-type key = { id : int; name : string }
 
 (** Raised by {!merge} when two histograms recorded under the same
     name disagree on bucket bounds — a malformed worker report.
@@ -97,9 +87,6 @@ let create () =
     hists = Hashtbl.create 8;
     times = Hashtbl.create 8;
     gauges = Hashtbl.create 8;
-    counter_slots = [||];
-    hist_slots = [||];
-    time_slots = [||];
   }
 
 let disabled =
@@ -109,53 +96,9 @@ let disabled =
     hists = Hashtbl.create 0;
     times = Hashtbl.create 0;
     gauges = Hashtbl.create 0;
-    counter_slots = [||];
-    hist_slots = [||];
-    time_slots = [||];
   }
 
 let enabled t = t.enabled
-
-(* -- keys ----------------------------------------------------------------- *)
-
-let keys : (string, key) Hashtbl.t = Hashtbl.create 64
-let keys_lock = Mutex.create ()
-let key_count = Atomic.make 0
-
-(** [key name] — the key interned for [name]: the same key for the
-    same name, whichever domain asks.  Meant for module top level. *)
-let key name =
-  Mutex.protect keys_lock (fun () ->
-      match Hashtbl.find_opt keys name with
-      | Some k -> k
-      | None ->
-          let k = { id = Atomic.fetch_and_add key_count 1; name } in
-          Hashtbl.replace keys name k;
-          k)
-
-let key_name k = k.name
-
-(* Slot sentinels: physically distinct cells no registry ever holds. *)
-let no_counter = ref 0
-let no_time = ref 0.0
-
-(* [slot a sentinel id] — [a.(id)], or [sentinel] past its end. *)
-let[@inline] slot a sentinel id =
-  if id < Array.length a then Array.unsafe_get a id else sentinel
-
-(* [with_slot a sentinel id v] — [a] (grown to hold every key made so
-   far, when short) with [v] at [id]. *)
-let with_slot a sentinel id v =
-  let a =
-    if id < Array.length a then a
-    else begin
-      let b = Array.make (Int.max (id + 1) (Atomic.get key_count)) sentinel in
-      Array.blit a 0 b 0 (Array.length a);
-      b
-    end
-  in
-  a.(id) <- v;
-  a
 
 (* -- counters ------------------------------------------------------------- *)
 
@@ -176,19 +119,6 @@ let add t name k =
 
 let incr t name = add t name 1
 
-let resolve_counter t k =
-  let r = counter_cell t k.name in
-  t.counter_slots <- with_slot t.counter_slots no_counter k.id r;
-  r
-
-(** [bump t k n] — [add t (key_name k) n], through [t]'s slot for [k]. *)
-let bump t k n =
-  if t.enabled then begin
-    let r = slot t.counter_slots no_counter k.id in
-    let r = if r != no_counter then r else resolve_counter t k in
-    r := !r + n
-  end
-
 let counter t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 
@@ -204,8 +134,6 @@ let hist_create bounds =
     sum = 0;
     vmax = min_int;
   }
-
-let no_hist = hist_create [||]
 
 let hist_cell t bounds name =
   match Hashtbl.find t.hists name with
@@ -233,18 +161,28 @@ let record h v =
 let observe t ?(bounds = default_bounds) name v =
   if t.enabled then record (hist_cell t bounds name) v
 
-let resolve_hist t k =
-  let h = hist_cell t default_bounds k.name in
-  t.hist_slots <- with_slot t.hist_slots no_hist k.id h;
-  h
-
-(** [observe_key t k v] — [observe t (key_name k) v], through [t]'s
-    slot for [k]. *)
-let observe_key t k v =
-  if t.enabled then begin
-    let h = slot t.hist_slots no_hist k.id in
-    record (if h != no_hist then h else resolve_hist t k) v
-  end
+(** [add_hist t name h] — fold the observations of [h] into histogram
+    [name], created with [h]'s bounds when absent: how a count kept as
+    a histogram outside the registry is published.  Bounds that differ
+    from the existing histogram's raise {!Merge_mismatch}. *)
+let add_hist t name h =
+  if t.enabled then
+    match Hashtbl.find_opt t.hists name with
+    | None ->
+        Hashtbl.replace t.hists name
+          {
+            bounds = h.bounds;
+            counts = Array.copy h.counts;
+            n = h.n;
+            sum = h.sum;
+            vmax = h.vmax;
+          }
+    | Some h' when h'.bounds = h.bounds ->
+        Array.iteri (fun i c -> h'.counts.(i) <- h'.counts.(i) + c) h.counts;
+        h'.n <- h'.n + h.n;
+        h'.sum <- h'.sum + h.sum;
+        if h.vmax > h'.vmax then h'.vmax <- h.vmax
+    | Some _ -> raise (Merge_mismatch { name })
 
 let histogram t name = Hashtbl.find_opt t.hists name
 
@@ -264,20 +202,6 @@ let add_time t name dt =
   if t.enabled then
     let r = time_cell t name in
     r := !r +. dt
-
-let resolve_time t k =
-  let r = time_cell t k.name in
-  t.time_slots <- with_slot t.time_slots no_time k.id r;
-  r
-
-(** [add_time_key t k dt] — [add_time t (key_name k) dt], through
-    [t]'s slot for [k]. *)
-let add_time_key t k dt =
-  if t.enabled then begin
-    let r = slot t.time_slots no_time k.id in
-    let r = if r != no_time then r else resolve_time t k in
-    r := !r +. dt
-  end
 
 let time t name =
   match Hashtbl.find_opt t.times name with Some r -> !r | None -> 0.0
@@ -319,27 +243,7 @@ let merge ~into src =
     Hashtbl.iter (fun name r -> add into name !r) src.counters;
     Hashtbl.iter (fun name r -> add_time into name !r) src.times;
     Hashtbl.iter (fun name r -> gauge_max into name !r) src.gauges;
-    Hashtbl.iter
-      (fun name (h : hist) ->
-        match Hashtbl.find_opt into.hists name with
-        | None ->
-            Hashtbl.replace into.hists name
-              {
-                bounds = h.bounds;
-                counts = Array.copy h.counts;
-                n = h.n;
-                sum = h.sum;
-                vmax = h.vmax;
-              }
-        | Some h' when h'.bounds = h.bounds ->
-            Array.iteri
-              (fun i c -> h'.counts.(i) <- h'.counts.(i) + c)
-              h.counts;
-            h'.n <- h'.n + h.n;
-            h'.sum <- h'.sum + h.sum;
-            if h.vmax > h'.vmax then h'.vmax <- h.vmax
-        | Some _ -> raise (Merge_mismatch { name }))
-      src.hists
+    Hashtbl.iter (add_hist into) src.hists
   end
 
 (* -- dumps ---------------------------------------------------------------- *)

@@ -178,16 +178,3 @@ let blockers t =
   Hashtbl.fold (fun id n acc -> (id, n) :: acc) tbl []
   |> List.sort (fun (ia, a) (ib, b) ->
          match compare b a with 0 -> compare ia ib | c -> c)
-
-let pp_journal ppf j =
-  Format.fprintf ppf "op%d: origin n%d" j.id j.origin;
-  List.iter (fun a -> Format.fprintf ppf " (was op%d)" a) (List.rev j.aliases);
-  Format.pp_print_newline ppf ();
-  List.iter
-    (fun h ->
-      Format.fprintf ppf "  hop n%d -> n%d (%s)@." h.from_ h.to_
-        (rule_name h.rule))
-    (journey j);
-  List.iter
-    (fun r -> Format.fprintf ppf "  stopped at n%d: %a@." r.node pp_reason r.reason)
-    (rejections j)

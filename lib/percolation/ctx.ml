@@ -1,21 +1,40 @@
 (** Shared context for the percolation transformations: the program
     being transformed, the target machine (resource checks happen at
-    every hop), the liveness oracle, the renaming policy, and the
-    observability handle every transformation emits through; plus the
-    scratch state that migrations reuse instead of allocating: the
+    every hop), the renaming policy, the observability handle every
+    transformation emits through and the work counts of the run; plus
+    the scratch state that migrations reuse instead of allocating: the
     replay slots, the walk's visit marks, the chain memo and the
     deferred-GC region. *)
 
 open Vliw_ir
 
+(** The work a context's transformations did, one field per count,
+    each event one add: the pipeline publishes them to the run's
+    registry once the schedule phase returns ([Grip.Pipeline.drive];
+    DESIGN.md §31).  The event counts ([gc_runs], [chain_checks],
+    [walks], [searches]) also decide whether the node counts beside
+    them are published: a node count is, when its event happened. *)
+type counts = {
+  mutable gc_runs : int;  (** graph collections *)
+  mutable gc_deferred : int;
+      (** collection requests batched into a later collection *)
+  mutable gc_reclaimed : int;  (** nodes those collections removed *)
+  mutable chain_checks : int;  (** chain checks: one per walked migration *)
+  mutable chain_nodes : int;  (** nodes the chain checks followed *)
+  mutable walks : int;  (** plain post-order walks *)
+  mutable walk_nodes : int;  (** nodes the plain walks expanded *)
+  mutable searches : int;  (** the Gapless test's condition-3 searches *)
+  mutable scan_nodes : int;  (** nodes those searches expanded *)
+}
+
 type t = {
   program : Program.t;
   machine : Vliw_machine.Machine.t;
-  liveness : Vliw_analysis.Liveness.t;
   rename : bool;  (** repair write-live / move-past-read by renaming *)
   obs : Grip_obs.t;
       (** trace/metrics sink; [Grip_obs.null] (the default) makes every
           emission site a boolean test *)
+  counts : counts;
   mutable dom_cache : (int * Vliw_analysis.Dom.t) option;
       (** dominator tree keyed by [Program.version]; per-context rather
           than global so concurrent or nested scheduler runs cannot
@@ -54,15 +73,29 @@ type t = {
   mutable gc_pending : bool;
 }
 
-(** [make ?rename ?obs p ~machine ~exit_live] builds a context with a
-    fresh liveness oracle observing [exit_live] at the program exit. *)
-let make ?(rename = true) ?(obs = Grip_obs.null) program ~machine ~exit_live =
+(** [make ?rename ?obs p ~machine ~exit_live] builds a context with
+    zero counts.  [exit_live] is unused: no transformation asks which
+    registers are live (legality repairs write-live conflicts by
+    renaming), and the label stays only for the callers that pass it. *)
+let make ?(rename = true) ?(obs = Grip_obs.null) program ~machine
+    ~exit_live:_ =
   {
     program;
     machine;
-    liveness = Vliw_analysis.Liveness.make program ~exit_live;
     rename;
     obs;
+    counts =
+      {
+        gc_runs = 0;
+        gc_deferred = 0;
+        gc_reclaimed = 0;
+        chain_checks = 0;
+        chain_nodes = 0;
+        walks = 0;
+        walk_nodes = 0;
+        searches = 0;
+        scan_nodes = 0;
+      };
     dom_cache = None;
     slot_from = [||];
     slot_to = [||];
@@ -101,8 +134,6 @@ let dominators t =
       let dom = Vliw_analysis.Dom.compute t.program in
       t.dom_cache <- Some (v, dom);
       dom
-
-let live_in t id = Vliw_analysis.Liveness.live_in t.liveness id
 
 (* -- replay slots ----------------------------------------------------- *)
 
@@ -271,28 +302,21 @@ let chain_note t id = Itbl.set t.chain_marks id t.chain_stamp
    [defer_gc]; a commit outside such a region collects eagerly, as the
    transformations always did. *)
 
-let gc_runs_key = Grip_obs.Metrics.key "ir.gc_runs"
-let gc_reclaimed_key = Grip_obs.Metrics.key "ir.gc_reclaimed"
-let gc_candidates_key = Grip_obs.Metrics.key "ir.gc_candidates"
-let gc_deferred_key = Grip_obs.Metrics.key "ir.gc_deferred"
-
+(* The worklist entries each collection examined are counted by the
+   program itself ([Program.gc_candidates]). *)
 let run_gc t =
   t.gc_pending <- false;
-  let examined = Program.gc_candidates t.program in
-  let reclaimed = Program.gc t.program in
-  let m = t.obs.Grip_obs.metrics in
-  Grip_obs.Metrics.bump m gc_runs_key 1;
-  Grip_obs.Metrics.bump m gc_reclaimed_key reclaimed;
-  Grip_obs.Metrics.bump m gc_candidates_key
-    (Program.gc_candidates t.program - examined)
+  let c = t.counts in
+  c.gc_runs <- c.gc_runs + 1;
+  c.gc_reclaimed <- c.gc_reclaimed + Program.gc t.program
 
 (** [maybe_gc t] — request a collection: immediate outside a
-    {!defer_gc} region, batched (and counted as [ir.gc_deferred])
-    inside one. *)
+    {!defer_gc} region, batched (and counted in [gc_deferred]) inside
+    one. *)
 let maybe_gc t =
   if t.gc_depth > 0 then begin
     t.gc_pending <- true;
-    Grip_obs.Metrics.bump t.obs.Grip_obs.metrics gc_deferred_key 1
+    t.counts.gc_deferred <- t.counts.gc_deferred + 1
   end
   else run_gc t
 

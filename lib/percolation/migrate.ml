@@ -257,9 +257,6 @@ let rec climb w ~target below =
 let climb_walk w = climb w ~target:w.w_target w.w_home
 let plain_walk w = walk_go w w.w_target
 
-let chain_nodes_key = Grip_obs.Metrics.key "migrate.chain_nodes"
-let walk_nodes_key = Grip_obs.Metrics.key "migrate.walk_nodes"
-
 (** [run w ~target ~op_id] — migrate [op_id] toward [target] (see the
     module comment) with [w]'s context and hooks; how far it got is
     read off [w] with {!moved}, {!reached_target}, {!final_id} and
@@ -274,9 +271,10 @@ let run w ~target ~op_id =
   w.w_current <- op_id;
   w.w_failure <- None;
   w.w_visits <- 0;
-  let m = ctx.Ctx.obs.Grip_obs.metrics in
   let chain = on_chain ctx ~target ~home in
-  Grip_obs.Metrics.bump m chain_nodes_key (Iarr.length ctx.Ctx.chain_queue);
+  let c = ctx.Ctx.counts in
+  c.chain_checks <- c.chain_checks + 1;
+  c.chain_nodes <- c.chain_nodes + Iarr.length ctx.Ctx.chain_queue;
   (* Garbage collection is deferred for the whole walk: commits mark
      nodes dead without sweeping, so [node_opt] alone no longer proves
      liveness — the [is_live] checks in the walker reproduce exactly
@@ -289,7 +287,8 @@ let run w ~target ~op_id =
        stamp bump instead of a fresh hash table per walk. *)
     Ctx.walk_begin ctx;
     Ctx.defer_gc ctx plain_walk w;
-    Grip_obs.Metrics.bump m walk_nodes_key w.w_visits
+    c.walks <- c.walks + 1;
+    c.walk_nodes <- c.walk_nodes + w.w_visits
   end;
   w.w_reached <- Program.home_int p w.w_current = target
 

@@ -319,8 +319,6 @@ let commit (ctx : Ctx.t) ~from_ ~to_ ~op_id (moved_op, renamed) =
   Ctx.maybe_gc ctx;
   { op = moved_op; renamed; split; deleted_from }
 
-let check_key = Metrics.key "legality.check"
-
 (** One legality check in [check_sample] is timed, and the
     [legality.check] timer gains [check_sample] times its duration: an
     estimate of the time inside checks that spares the other checks
@@ -330,7 +328,7 @@ let check_sample = 64
 let timed_check (ctx : Ctx.t) m ~from_ ~to_ ~op_id =
   let t0 = Unix.gettimeofday () in
   let add () =
-    Metrics.add_time_key m check_key
+    Metrics.add_time m "legality.check"
       (float_of_int check_sample *. (Unix.gettimeofday () -. t0))
   in
   match check ctx ~from_ ~to_ ~op_id with

@@ -35,8 +35,6 @@ let mode_name = function
   | Overfill_node -> "overfill-node"
   | Clobber_operand -> "clobber-operand"
 
-let pp_mode ppf m = Format.pp_print_string ppf (mode_name m)
-
 type injection = {
   mode : mode;
   detail : string;  (** human-readable description of the corruption *)
@@ -252,8 +250,6 @@ let pool_fault_name = function
   | Crash -> "crash"
   | Stall s -> Printf.sprintf "stall(%.3fs)" s
   | Slow s -> Printf.sprintf "slow(%.3fs)" s
-
-let pp_pool_fault ppf f = Format.pp_print_string ppf (pool_fault_name f)
 
 let pool_plan ?(every = 3) ?(seed = 0) ?(transient = true) fault =
   { fault; every = max 1 every; seed; transient }

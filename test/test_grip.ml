@@ -576,14 +576,10 @@ let memo_agrees spec =
   let p, exit_live =
     Synthetic_gen.joined_program spec ~joins:(spec.Workloads.Synthetic.n_ops mod 4)
   in
-  let metrics = Grip_obs.Metrics.create () in
   let width = if spec.Workloads.Synthetic.seed mod 2 = 0 then 2 else 4 in
-  let ctx =
-    Ctx.make ~obs:(Grip_obs.make ~metrics ()) p
-      ~machine:(Machine.homogeneous width) ~exit_live
-  in
+  let ctx = Ctx.make p ~machine:(Machine.homogeneous width) ~exit_live in
   let memo = Grip.Gapless.create_memo () in
-  let scanned () = Grip_obs.Metrics.counter metrics "gapless.scan_nodes" in
+  let scanned () = ctx.Ctx.counts.Ctx.scan_nodes in
   let check what ~from_ ~op =
     let s0 = scanned () in
     let got = Grip.Gapless.ok ctx memo ~from_ ~to_:(-1) ~op in

@@ -265,6 +265,30 @@ let test_opt_pipeline_end_to_end () =
   | Some (Value.F a), Some (Value.F b) when Float.abs (a -. b) < 1e-9 -> ()
   | _ -> Alcotest.fail "optimized disagrees"
 
+(* A statement that redefines a scalar from itself, then the same
+   expression again: CSE must not take the second for the first's
+   result, which reads the scalar's old value.  Both compiles store the
+   same [u] over 6 trips ([s] starts at 1.0, so a product moves it). *)
+let cse_self_redefinition body () =
+  let src =
+    Printf.sprintf
+      "kernel f { var s : float = 1.0; var t : float = 0.0; array u[64]; for \
+       k = 0 to n { %s } }"
+      body
+  in
+  let stored optimize =
+    let out = Minic.Compile.kernel_of_string_exn ~optimize src in
+    let k = out.Minic.Compile.kernel in
+    let p = (Grip.Kernel.rolled k).Builder.program in
+    let st = Grip.Kernel.initial_state ~n:6 k ~data:out.Minic.Compile.data in
+    ignore (Vliw_sim.Exec.run p st);
+    List.init 6 (fun i ->
+        match Vliw_sim.State.read_mem st "u" i with
+        | Value.F x -> x
+        | v -> Alcotest.failf "u[%d] holds %s" i (Value.to_string v))
+  in
+  Alcotest.(check (list (float 0.0))) body (stored false) (stored true)
+
 (* -- end to end ----------------------------------------------------------- *)
 
 let test_compiled_ll1_schedules_like_handwritten () =
@@ -521,6 +545,10 @@ let () =
           Alcotest.test_case "cse stores" `Quick test_opt_cse_respects_stores;
           Alcotest.test_case "dce cross-iteration" `Quick test_opt_dce_keeps_cross_iteration;
           Alcotest.test_case "pipeline" `Quick test_opt_pipeline_end_to_end;
+          Alcotest.test_case "cse after s = s + e" `Quick
+            (cse_self_redefinition "s = s + 1.0; t = s + 1.0; u[k] = t;");
+          Alcotest.test_case "cse after s = s * e" `Quick
+            (cse_self_redefinition "s = s * 2.0; t = s * 2.0; u[k] = t;");
         ] );
       ( "end-to-end",
         [

@@ -259,156 +259,23 @@ let test_metrics_merge_disabled () =
   Alcotest.(check int) "disabled sink records nothing" 0
     (Metrics.counter Metrics.disabled "shared")
 
-(* -- metric keys ---------------------------------------------------------- *)
-
-(* Once a key's slot and a name's cell exist, an event allocates
-   nothing, by key or by name. *)
+(* Once a name's cell exists, an event allocates nothing. *)
 let test_metrics_no_alloc () =
   let m = Metrics.create () in
-  let c = Metrics.key "test.alloc.keyed" and h = Metrics.key "test.alloc.keyed_h" in
-  Metrics.bump m c 1;
-  Metrics.observe_key m h 1;
   Metrics.add m "test.alloc.named" 1;
   Metrics.observe m "test.alloc.named_h" 1;
   let w0 = Gc.minor_words () in
   for i = 1 to 10_000 do
-    Metrics.bump m c 1;
-    Metrics.observe_key m h (i land 127);
     Metrics.add m "test.alloc.named" 1;
     Metrics.observe m "test.alloc.named_h" (i land 127)
   done;
   let words = Gc.minor_words () -. w0 in
-  Alcotest.(check (float 0.0)) "minor words over 40,000 events" 0.0 words;
-  Alcotest.(check int) "keyed counter" 10_001
-    (Metrics.counter m "test.alloc.keyed");
+  Alcotest.(check (float 0.0)) "minor words over 20,000 events" 0.0 words;
   Alcotest.(check int) "named counter" 10_001
     (Metrics.counter m "test.alloc.named");
-  match Metrics.histogram m "test.alloc.keyed_h" with
-  | Some hist -> Alcotest.(check int) "keyed histogram" 10_001 hist.Metrics.n
-  | None -> Alcotest.fail "keyed histogram missing"
-
-(* Events over three small name pools, each flagged to go by key
-   where the registry under test allows it. *)
-type metric_event =
-  | Count of int * int
-  | Observe of int * int
-  | Time of int * int
-
-let counter_names = Array.init 3 (Printf.sprintf "kq.count.%d")
-let hist_names = Array.init 3 (Printf.sprintf "kq.hist.%d")
-let time_names = Array.init 3 (Printf.sprintf "kq.time.%d")
-let counter_keys = Array.map Metrics.key counter_names
-let hist_keys = Array.map Metrics.key hist_names
-let time_keys = Array.map Metrics.key time_names
-
-let event_gen =
-  QCheck2.Gen.(
-    let* by_key = bool in
-    let* i = int_range 0 2 in
-    let* v = int_range 0 100 in
-    let* e =
-      oneofl [ Count (i, v); Observe (i, v); Time (i, v) ]
-    in
-    return (by_key, e))
-
-let record ~keyed m (by_key, e) =
-  let by_key = keyed && by_key in
-  match e with
-  | Count (i, v) ->
-      if by_key then Metrics.bump m counter_keys.(i) v
-      else Metrics.add m counter_names.(i) v
-  | Observe (i, v) ->
-      if by_key then Metrics.observe_key m hist_keys.(i) v
-      else Metrics.observe m hist_names.(i) v
-  | Time (i, v) ->
-      (* multiples of 1/64: every sum is exact *)
-      let dt = float_of_int v /. 64.0 in
-      if by_key then Metrics.add_time_key m time_keys.(i) dt
-      else Metrics.add_time m time_names.(i) dt
-
-let exposition m =
-  ( dump m,
-    Format.asprintf "%a" Metrics.pp m,
-    Obs.Openmetrics.render m )
-
-let print_events evs =
-  String.concat "; "
-    (List.map
-       (fun (k, e) ->
-         let tag = if k then "key " else "" in
-         match e with
-         | Count (i, v) -> Printf.sprintf "%scount %d +%d" tag i v
-         | Observe (i, v) -> Printf.sprintf "%sobserve %d %d" tag i v
-         | Time (i, v) -> Printf.sprintf "%stime %d %d/64" tag i v)
-       evs)
-
-(* A registry fed some events by key reads exactly like one fed them
-   all by name: each of two registries takes a batch, one is merged
-   into the other (the keyed side on either end), and a third batch
-   lands after the merge. *)
-let prop_keyed_equals_named =
-  QCheck2.Test.make ~name:"keyed events == named events" ~count:300
-    ~print:QCheck2.Print.(triple print_events print_events print_events)
-    QCheck2.Gen.(
-      triple
-        (list_size (int_range 0 30) event_gen)
-        (list_size (int_range 0 30) event_gen)
-        (list_size (int_range 0 30) event_gen))
-    (fun (e1, e2, e3) ->
-      let run ~into_keyed ~src_keyed =
-        let into = Metrics.create () and src = Metrics.create () in
-        List.iter (record ~keyed:into_keyed into) e1;
-        List.iter (record ~keyed:src_keyed src) e2;
-        Metrics.merge ~into src;
-        List.iter (record ~keyed:into_keyed into) e3;
-        exposition into
-      in
-      let named = run ~into_keyed:false ~src_keyed:false in
-      List.iter (record ~keyed:true Metrics.disabled) (e1 @ e2 @ e3);
-      named = run ~into_keyed:true ~src_keyed:false
-      && named = run ~into_keyed:false ~src_keyed:true
-      && named = run ~into_keyed:true ~src_keyed:true
-      && exposition Metrics.disabled
-         = ( dump Metrics.disabled,
-             "(metrics disabled)\n",
-             Obs.Openmetrics.render Metrics.disabled )
-      && Metrics.counter Metrics.disabled counter_names.(0) = 0)
-
-(* Two domains interning overlapping name sets at once, released
-   together and taking the shared names in the same order: one key
-   per name, named as asked, and distinct names get distinct ids. *)
-let test_metrics_keys_two_domains () =
-  let n = 20_000 in
-  let names tag = List.init n (fun i -> Printf.sprintf "kd.%s.%d" tag i) in
-  let shared = names "shared" in
-  let ready = Atomic.make 0 in
-  let make names () =
-    Atomic.incr ready;
-    while Atomic.get ready < 2 do
-      Domain.cpu_relax ()
-    done;
-    List.map (fun n -> (n, Metrics.key n)) names
-  in
-  let d1 = Domain.spawn (make (shared @ names "a"))
-  and d2 = Domain.spawn (make (shared @ names "b")) in
-  let k1 = Domain.join d1 and k2 = Domain.join d2 in
-  List.iter
-    (fun (n, k) ->
-      if Metrics.key_name k <> n then
-        Alcotest.failf "key for %s named %s" n (Metrics.key_name k))
-    (k1 @ k2);
-  let ids = Hashtbl.create (4 * n) in
-  List.iter
-    (fun (n, k) ->
-      match Hashtbl.find_opt ids k.Metrics.id with
-      | Some n' when n' <> n -> Alcotest.failf "id %d for %s and %s" k.Metrics.id n n'
-      | _ -> Hashtbl.replace ids k.Metrics.id n)
-    (k1 @ k2);
-  Alcotest.(check int) "one id per distinct name" (3 * n) (Hashtbl.length ids);
-  List.iter2
-    (fun (n, a) (_, b) -> if a != b then Alcotest.failf "%s interned twice" n)
-    (List.filteri (fun i _ -> i < n) k1)
-    (List.filteri (fun i _ -> i < n) k2)
+  match Metrics.histogram m "test.alloc.named_h" with
+  | Some hist -> Alcotest.(check int) "named histogram" 10_001 hist.Metrics.n
+  | None -> Alcotest.fail "named histogram missing"
 
 (* -- trace replay invariant ----------------------------------------------- *)
 
@@ -484,6 +351,32 @@ let replay_cases =
             [ Pipeline.Grip; Pipeline.Grip_no_gap; Pipeline.Post ])
         [ 2; 4 ])
     [ "LL1"; "LL5" ]
+
+(* A rung that a guard abandons after its schedule phase has published
+   its counts: over a guarded run whose GRiP and no-gap rungs run out
+   of fuel, the registry's scheduling counters equal the trace's tally
+   of every rung's migration events. *)
+let test_registry_across_descents () =
+  let ring, tracer = Trace.ring () in
+  let m = Metrics.create () in
+  let obs = Obs.make ~trace:tracer ~metrics:m () in
+  let r =
+    Result.get_ok
+      (Pipeline.run_robust ~obs ~max_migrations:50 (kernel "LL1")
+         ~machine:(Machine.homogeneous 2))
+  in
+  Alcotest.(check int) "ring did not overflow" 0 (Trace.ring_dropped ring);
+  Alcotest.(check (list string)) "fuel abandoned GRiP and no-gap"
+    [ "GRiP"; "GRiP(no-gap)" ]
+    (List.map (fun (rung, _) -> Pipeline.rung_name rung) r.Pipeline.descents);
+  let t = tally (Trace.ring_events ring) in
+  Alcotest.(check int) "migrations" t.attempts
+    (Metrics.counter m "scheduler.migrations");
+  Alcotest.(check int) "hops" t.hops (Metrics.counter m "scheduler.hops");
+  Alcotest.(check int) "suspensions" t.suspends
+    (Metrics.counter m "scheduler.suspensions");
+  Alcotest.(check int) "barriers" t.barriers
+    (Metrics.counter m "scheduler.barriers")
 
 (* -- provenance journals --------------------------------------------------- *)
 
@@ -1200,11 +1093,11 @@ let () =
           Alcotest.test_case "gauges" `Quick test_metrics_gauges;
           Alcotest.test_case "no allocation per event" `Quick
             test_metrics_no_alloc;
-          QCheck_alcotest.to_alcotest prop_keyed_equals_named;
-          Alcotest.test_case "keys from two domains" `Quick
-            test_metrics_keys_two_domains;
         ] );
-      ("replay", replay_cases);
+      ( "replay",
+        Alcotest.test_case "registry == trace across descents" `Quick
+          test_registry_across_descents
+        :: replay_cases );
       ( "provenance",
         Alcotest.test_case "rename follows identity" `Quick
           test_provenance_rename_follows

@@ -788,8 +788,7 @@ let walks_agree ?(fixed_target = false) ?(deletions = false) ~veto spec =
   let pb, _ = Synthetic_gen.joined_program spec ~joins in
   let width = if spec.Synthetic.seed mod 2 = 0 then 2 else 4 in
   let machine = Machine.homogeneous width in
-  let metrics = Grip_obs.Metrics.create () in
-  let ca = Ctx.make ~obs:(Grip_obs.make ~metrics ()) pa ~machine ~exit_live in
+  let ca = Ctx.make pa ~machine ~exit_live in
   let cb = Ctx.make pb ~machine ~exit_live in
   let (ha, ja, sa), (hb, jb, sb) =
     if veto then (veto_hooks (), veto_hooks ())
@@ -799,7 +798,6 @@ let walks_agree ?(fixed_target = false) ?(deletions = false) ~veto spec =
   in
   let next = Synthetic_gen.make_rng spec.Synthetic.seed in
   let next_join = Synthetic_gen.make_rng (spec.Synthetic.seed + 7) in
-  let counter = Grip_obs.Metrics.counter metrics in
   if render pa <> render pb then
     QCheck2.Test.fail_report "copies differ before migrating";
   for step = 1 to 24 do
@@ -836,13 +834,14 @@ let walks_agree ?(fixed_target = false) ?(deletions = false) ~veto spec =
         end
       in
       let op_id = op.Operation.id in
-      let walked0 = counter "migrate.walk_nodes" in
-      let chain0 = counter "migrate.chain_nodes" in
+      let counts = ca.Ctx.counts in
+      let walked0 = counts.Ctx.walk_nodes in
+      let chain0 = counts.Ctx.chain_nodes in
       let ra = Migrate.migrate ca ~hooks:ha ~target ~op_id () in
       let rb, full_visits = full_migrate cb hb ~target ~op_id in
-      let walked = counter "migrate.walk_nodes" - walked0 in
+      let walked = counts.Ctx.walk_nodes - walked0 in
       if walked > 0 then incr plain_walks
-      else if counter "migrate.chain_nodes" > chain0 then incr chain_walks;
+      else if counts.Ctx.chain_nodes > chain0 then incr chain_walks;
       if ra <> rb then
         QCheck2.Test.fail_reportf
           "step %d (op %d -> n%d): outcomes differ (moved %d vs %d)" step op_id
@@ -943,9 +942,8 @@ let journal_hooks ~stop =
    no hook.  Returns the (chain_nodes, walk_nodes) the first spent. *)
 let migrate_quietly ~stop build ~target ~op_id =
   let pa = build () and pb = build () in
-  let metrics = Grip_obs.Metrics.create () in
   let ca =
-    Ctx.make ~obs:(Grip_obs.make ~metrics ()) pa ~machine:Machine.unlimited
+    Ctx.make pa ~machine:Machine.unlimited
       ~exit_live:(Reg.Set.of_list [ reg 1 ])
   in
   let cb = mk_ctx ~exit_live:[ reg 1 ] pb in
@@ -957,8 +955,7 @@ let migrate_quietly ~stop build ~target ~op_id =
   Alcotest.(check int) "nothing moved" 0 ra.Migrate.moved;
   Alcotest.(check bool) "same outcome as the full walk" true (ra = rb);
   Alcotest.(check string) "program untouched" (render pb) (render pa);
-  ( Grip_obs.Metrics.counter metrics "migrate.chain_nodes",
-    Grip_obs.Metrics.counter metrics "migrate.walk_nodes" )
+  (ca.Ctx.counts.Ctx.chain_nodes, ca.Ctx.counts.Ctx.walk_nodes)
 
 (* entry -> f; f forks to a (-> h, the home of op 90) and to b.
    Returns the program and b. *)
