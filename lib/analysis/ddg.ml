@@ -29,10 +29,6 @@ type t = {
   ivar : (Reg.t * int) option;
 }
 
-let pp_kind ppf k =
-  Format.pp_print_string ppf
-    (match k with Flow -> "flow" | Anti -> "anti" | Output -> "out" | Mem -> "mem")
-
 (* Register dependencies: for each use of R at position j, the
    generating def is the last def of R before j (intra) or, failing
    that, the last def of R in the whole body (loop-carried, distance
@@ -250,9 +246,3 @@ let reaches_flow t ~horizon (i, ti) (j, tj) =
     flow chain (either reaches the other)? *)
 let chain_related t ~horizon a b =
   reaches_flow t ~horizon a b || reaches_flow t ~horizon b a
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%a@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf a ->
-         Format.fprintf ppf "%d -%a(%d)-> %d" a.src pp_kind a.kind a.dist a.dst))
-    t.arcs

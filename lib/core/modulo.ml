@@ -185,8 +185,3 @@ let schedule (k : Kernel.t) ~machine =
     the modulo II. *)
 let speedup (k : Kernel.t) t =
   float_of_int (Kernel.ops_per_iteration k) /. float_of_int t.ii
-
-let pp ppf t =
-  Format.fprintf ppf "II=%d (resource %d, recurrence %d, %d attempt%s)" t.ii
-    t.mii_resource t.mii_recurrence t.attempts
-    (if t.attempts = 1 then "" else "s")

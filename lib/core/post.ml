@@ -250,7 +250,3 @@ let run ?(budget = Grip_robust.Budget.unlimited) (ctx_unlimited : Ctx.t)
   scan ();
   local_repair ~budget ctx_real rank stats;
   stats
-
-let pp_stats ppf s =
-  Format.fprintf ppf "breaks=%d demoted=%d cj-splits=%d" s.breaks s.demoted_ops
-    s.cj_splits

@@ -704,25 +704,21 @@ let schedule_node ?on_move ?on_replay (config : config) (ctx : Ctx.t)
   done;
   stats.candidate_visits <- stats.candidate_visits + queue.Ranked.visits
 
-(** [run ?on_move ?on_replay config ctx] schedules the whole program
-    top-down.  Nodes created during scheduling (splits,
-    conditional-arm copies) are scheduled when the traversal reaches
-    them.  A retreating edge below a scheduled node raises a
-    [Scheduling] error ({!entry_op_ids}). *)
-let run ?on_move ?on_replay (config : config) (ctx : Ctx.t) =
-  let p = ctx.Ctx.program in
-  Ctx.replay_forget ctx;
-  let stats = fresh_stats () in
-  let scratch = fresh_scratch p in
+(** [traverse p schedule] — the top-down traversal of both schedulers:
+    [schedule n] once for each non-exit node [n] of [p], in reverse
+    postorder.  Nodes created during scheduling (splits,
+    conditional-arm copies) are offered when the traversal reaches
+    them. *)
+let traverse p schedule =
   let scheduled = ref (Bytes.make 256 '\000') in
   (* Worklist cursor: the next reverse-postorder position to offer.
      Consecutive calls resume from it instead of rescanning the full
      order for every scheduled node — the scheduled set only grows, so
      the consumed prefix stays skippable.  Only a shape change (splits,
-     arm copies made during scheduling) restarts it at the top of the
-     new order, which also re-offers any node created above the
-     cursor; moves that touch no edge leave the order, and so the
-     cursor, valid. *)
+     arm copies, a restored snapshot) restarts it at the top of the new
+     order, which also re-offers any node created above the cursor;
+     moves that touch no edge leave the order, and so the cursor,
+     valid. *)
   let shape = ref (Program.shape_version p) and cursor = ref 0 in
   let rec next () =
     let v = Program.shape_version p in
@@ -744,11 +740,22 @@ let run ?on_move ?on_replay (config : config) (ctx : Ctx.t) =
     | None -> ()
     | Some n ->
         scheduled := mask_set !scheduled n;
-        schedule_node ?on_move ?on_replay config ctx scratch stats n;
-        stats.nodes_scheduled <- stats.nodes_scheduled + 1;
+        schedule n;
         loop ()
   in
-  loop ();
+  loop ()
+
+(** [run ?on_move ?on_replay config ctx] schedules the whole program
+    top-down ({!traverse}).  A retreating edge below a scheduled node
+    raises a [Scheduling] error ({!entry_op_ids}). *)
+let run ?on_move ?on_replay (config : config) (ctx : Ctx.t) =
+  let p = ctx.Ctx.program in
+  Ctx.replay_forget ctx;
+  let stats = fresh_stats () in
+  let scratch = fresh_scratch p in
+  traverse p (fun n ->
+      schedule_node ?on_move ?on_replay config ctx scratch stats n;
+      stats.nodes_scheduled <- stats.nodes_scheduled + 1);
   stats
 
 let pp_stats ppf s =

@@ -28,12 +28,6 @@ type stats = {
   mutable rollbacks : int;
   mutable reached : int;
   mutable set_computations : int;
-  mutable dom_recomputations : int;
-      (** dominator trees actually computed — one per program-version
-          change, not one per set computation, thanks to the
-          per-context cache ({!Ctx.dominators}) *)
-  mutable dom_reuses : int;
-      (** set computations served by the cached dominator tree *)
 }
 
 let fresh_stats () =
@@ -43,8 +37,6 @@ let fresh_stats () =
     rollbacks = 0;
     reached = 0;
     set_computations = 0;
-    dom_recomputations = 0;
-    dom_reuses = 0;
   }
 
 (* Instance of an operation for chain tests: (body position, iteration);
@@ -52,31 +44,22 @@ let fresh_stats () =
 let instance (op : Operation.t) =
   (op.Operation.lineage, max op.Operation.iter 0)
 
-(** [set ctx ~ddg ~horizon n] — the Unifiable-ops set of node [n].
-    The dominator tree comes from the context's per-program-version
-    cache, so consecutive set computations over an unchanged program
-    (every failed or rolled-back migration attempt) share one
-    computation instead of recomputing [Dom.compute] each time. *)
-let set (ctx : Ctx.t) ~ddg ~horizon n =
+(** [set ctx scratch ~ddg ~horizon n] — the Unifiable-ops set of node
+    [n]: the candidates of node entry's region pass
+    ({!Scheduler.entry_op_ids}, on [scratch]), in its order, less
+    those on a dependence chain with an operation of [n]. *)
+let set (ctx : Ctx.t) (scratch : Scheduler.scratch) ~ddg ~horizon n =
   let p = ctx.Ctx.program in
-  let dom = Ctx.dominators ctx in
-  let region = Vliw_analysis.Dom.dominated dom p n in
-  let all_ops id = Program.ops p id @ Ctree.cjumps (Program.node p id).Node.ctree in
-  let in_n = all_ops n in
+  let in_n = Program.ops p n @ Ctree.cjumps (Program.node p n).Node.ctree in
   let chained (op : Operation.t) =
     List.exists
       (fun (o : Operation.t) ->
         Ddg.chain_related ddg ~horizon (instance o) (instance op))
       in_n
   in
-  List.concat_map
-    (fun id ->
-      if id = n || Program.is_exit p id then []
-      else
-        List.filter
-          (fun op -> not (chained op))
-          (all_ops id))
-    region
+  Iarr.to_list (Scheduler.entry_op_ids scratch n)
+  |> List.map (Program.op_of p)
+  |> List.filter (fun op -> not (chained op))
 
 type config = {
   rank : Rank.t;
@@ -97,29 +80,19 @@ let default_config ~rank ~ddg ~horizon =
     budget = Grip_robust.Budget.unlimited;
   }
 
-(** [schedule_node config ctx stats n] — Figure 7's [schedule(n)]:
-    while resources remain and the set is non-empty, choose the best
-    operation and migrate it; roll back if it fails to reach [n]. *)
-let schedule_node ?on_sched ~last_dom_version (config : config) (ctx : Ctx.t)
-    stats n =
+(** [schedule_node config ctx scratch stats n] — Figure 7's
+    [schedule(n)]: while resources remain and the set is non-empty,
+    choose the best operation and migrate it; roll back if it fails to
+    reach [n]. *)
+let schedule_node ?on_sched (config : config) (ctx : Ctx.t) scratch stats n =
   let p = ctx.Ctx.program in
   let tried : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let continue_ = ref true in
   while !continue_ && stats.migrations < config.max_migrations do
     Grip_robust.Budget.check config.budget;
     stats.set_computations <- stats.set_computations + 1;
-    (* the set computation below consults the per-context dominator
-       cache; a version change is the only thing that costs a real
-       [Dom.compute] *)
-    let v = Program.version p in
-    if !last_dom_version = Some v then
-      stats.dom_reuses <- stats.dom_reuses + 1
-    else begin
-      stats.dom_recomputations <- stats.dom_recomputations + 1;
-      last_dom_version := Some v
-    end;
     let unifiable =
-      set ctx ~ddg:config.ddg ~horizon:config.horizon n
+      set ctx scratch ~ddg:config.ddg ~horizon:config.horizon n
       |> List.filter (fun (op : Operation.t) ->
              not (Hashtbl.mem tried op.Operation.id))
     in
@@ -172,49 +145,21 @@ let schedule_node ?on_sched ~last_dom_version (config : config) (ctx : Ctx.t)
         end
   done
 
-(** [run ?on_sched config ctx] — top-down traversal, as in the GRiP
-    driver; [on_sched] fires after each operation reaches the node
-    being scheduled (used to render the Figure 8 trace). *)
+(** [run ?on_sched config ctx] — GRiP's top-down traversal
+    ({!Scheduler.traverse}) with one region scratch for the run;
+    [on_sched] fires after each operation reaches the node being
+    scheduled (used to render the Figure 8 trace).  Like GRiP's node
+    entry, a cyclic program raises a [Scheduling] error. *)
 let run ?on_sched (config : config) (ctx : Ctx.t) =
   let p = ctx.Ctx.program in
   let stats = fresh_stats () in
-  let last_dom_version = ref None in
-  let scheduled : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  (* Worklist cursor over the reverse-postorder listing: consecutive
-     calls resume from the remainder instead of rescanning the full
-     RPO from the start (the scheduled set only grows, so skipped
-     prefixes stay skippable); only a program-version change — node
-     splits, conditional-arm copies — forces a fresh RPO walk. *)
-  let cursor = ref (Program.version p, Program.rpo p) in
-  let rec next () =
-    let v = Program.version p in
-    let v', rest = !cursor in
-    let rest = if v' = v then rest else Program.rpo p in
-    match rest with
-    | [] ->
-        cursor := (v, []);
-        None
-    | id :: tl ->
-        cursor := (v, tl);
-        if (not (Program.is_exit p id)) && not (Hashtbl.mem scheduled id) then
-          Some id
-        else next ()
-  in
-  let rec loop () =
-    match next () with
-    | None -> ()
-    | Some n ->
-        Hashtbl.replace scheduled n ();
-        schedule_node ?on_sched ~last_dom_version config ctx stats n;
-        stats.nodes_scheduled <- stats.nodes_scheduled + 1;
-        loop ()
-  in
-  loop ();
+  let scratch = Scheduler.fresh_scratch p in
+  Scheduler.traverse p (fun n ->
+      schedule_node ?on_sched config ctx scratch stats n;
+      stats.nodes_scheduled <- stats.nodes_scheduled + 1);
   stats
 
 let pp_stats ppf s =
   Format.fprintf ppf
-    "nodes=%d migrations=%d rollbacks=%d reached=%d set-computations=%d \
-     dom-recomputations=%d dom-reuses=%d"
+    "nodes=%d migrations=%d rollbacks=%d reached=%d set-computations=%d"
     s.nodes_scheduled s.migrations s.rollbacks s.reached s.set_computations
-    s.dom_recomputations s.dom_reuses

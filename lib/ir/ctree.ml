@@ -71,19 +71,11 @@ let rec replace_leaf t ~old_ ~new_ =
   | Branch (cj, a, b) ->
       Branch (cj, replace_leaf a ~old_ ~new_, replace_leaf b ~old_ ~new_)
 
-(** [points_to t n] holds when some leaf of [t] is [n]. *)
-let points_to t n = List.mem n (succs t)
-
 (** [map_cjumps f t] rewrites each conditional-jump operation with [f]
     (used by renaming and copy forwarding). *)
 let rec map_cjumps f = function
   | Leaf n -> Leaf n
   | Branch (cj, a, b) -> Branch (f cj, map_cjumps f a, map_cjumps f b)
-
-(** [find_cjump t id] is the conditional jump with operation id [id] in
-    [t], if present. *)
-let find_cjump t id =
-  List.find_opt (fun (op : Operation.t) -> op.id = id) (cjumps t)
 
 (** [root_cjump t] is the root conditional of [t]: the only conditional
     jump Percolation Scheduling may move out of the instruction. *)

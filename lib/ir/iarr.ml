@@ -83,14 +83,6 @@ let iter f t =
     f (Array.unsafe_get t.a i)
   done
 
-(** Newest-first iteration: the predecessor tables append on edge
-    insertion, so walking backwards reproduces the historical
-    cons-list order the rest of the pipeline depends on. *)
-let iter_rev f t =
-  for i = t.len - 1 downto 0 do
-    f (Array.unsafe_get t.a i)
-  done
-
 let fold_left f init t =
   let acc = ref init in
   for i = 0 to t.len - 1 do
@@ -98,18 +90,8 @@ let fold_left f init t =
   done;
   !acc
 
-let exists f t =
-  let n = t.len in
-  let rec go i = i < n && (f (Array.unsafe_get t.a i) || go (i + 1)) in
-  go 0
-
 let to_list t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (Array.unsafe_get t.a i :: acc) in
   go (t.len - 1) []
 
 let to_array t = Array.sub t.a 0 t.len
-
-let of_list l =
-  let t = create ~capacity:(max 1 (List.length l)) () in
-  List.iter (fun v -> push t v) l;
-  t

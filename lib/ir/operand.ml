@@ -31,14 +31,6 @@ let uses_reg o r =
   | Reg s | Regoff (s, _) -> Reg.equal r s
   | Imm _ -> false
 
-(** [rename o ~from_ ~to_] replaces reads of register [from_] with reads
-    of register [to_], preserving any offset. *)
-let rename o ~from_ ~to_ =
-  match o with
-  | Reg s when Reg.equal s from_ -> Reg to_
-  | Regoff (s, c) when Reg.equal s from_ -> Regoff (to_, c)
-  | Reg _ | Regoff _ | Imm _ -> o
-
 (** [forward o ~copy_dst ~copy_src] rewrites [o] to bypass the copy
     [copy_dst <- copy_src]: a read of [copy_dst] becomes a read of
     [copy_src] with offsets composed.  Returns [None] when the

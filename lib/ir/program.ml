@@ -8,8 +8,8 @@
     below keep the derived state coherent:
     - [op_home]: operation id -> node id, for O(1) location queries
       during migration;
-    - [version]: a counter bumped on every mutation, used by analysis
-      caches ({!Vliw_analysis.Liveness}) to invalidate themselves;
+    - [version]: a counter bumped on every mutation, the clock that
+      [node_stamp]s and the replay slots' record times are read on;
     - [shape]: a counter bumped only when an edge or a node appears or
       disappears, for caches that read nothing but successor lists;
     - [node_stamp]: per node, the [version] of the last edit of its
@@ -69,11 +69,11 @@
     and cuts no unique-live-predecessor chain, see {!chain_version}).
     {!gc} only removes nodes unreachable from the
     entry — a semantic no-op for every reachable-set-derived analysis
-    — so it bumps neither counter: liveness, dominators and the walk
-    stay valid across collections.  It sweeps a worklist rather than
-    the whole node table: the nodes that lost an in-edge, were created
-    or were restored since the last sweep, cascading into the
-    successors of every node it collects (DESIGN.md §19). *)
+    — so it bumps neither counter: the walk stays valid across
+    collections.  It sweeps a worklist rather than the whole node
+    table: the nodes that lost an in-edge, were created or were
+    restored since the last sweep, cascading into the successors of
+    every node it collects (DESIGN.md §19). *)
 
 type t = {
   nodes : Node.t option Itbl.t;

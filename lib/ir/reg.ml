@@ -21,7 +21,6 @@ let to_int r = r
    module's block. *)
 external compare : t -> t -> int = "%compare"
 external equal : t -> t -> bool = "%equal"
-let hash : t -> int = fun r -> r
 
 (** [to_string r] is [r<n>]. *)
 let to_string r = "r" ^ Int.to_string r

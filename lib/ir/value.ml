@@ -22,20 +22,10 @@ let compare a b =
   | I _, F _ -> -1
   | F _, I _ -> 1
 
-(** [is_true v] is the branch interpretation of [v]: nonzero means true. *)
-let is_true = function
-  | I n -> n <> 0
-  | F f -> f <> 0.0
-
 (** [to_float v] widens [v] to a float. *)
 let to_float = function
   | I n -> float_of_int n
   | F f -> f
-
-(** [to_int v] narrows [v] to an int, truncating floats. *)
-let to_int = function
-  | I n -> n
-  | F f -> int_of_float f
 
 let to_string = function
   | I n -> Int.to_string n

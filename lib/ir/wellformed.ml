@@ -77,9 +77,3 @@ let check (p : Program.t) =
           tree
   done;
   List.rev !errs
-
-(** [check_exn p] raises [Failure] with all violations joined, if any. *)
-let check_exn p =
-  match check p with
-  | [] -> ()
-  | errs -> failwith (String.concat "; " errs)

@@ -166,9 +166,6 @@ let emit t ev = if t.enabled then t.sink.emit ~ts:(Unix.gettimeofday ()) ev
 
 let flush t = if t.enabled then t.sink.flush ()
 
-(** [custom ?flush emit] — a user-supplied sink. *)
-let custom ?(flush = ignore) emit = make { emit; flush }
-
 (* ring buffer *)
 
 type ring = {

@@ -35,10 +35,6 @@ type t = {
       (** trace/metrics sink; [Grip_obs.null] (the default) makes every
           emission site a boolean test *)
   counts : counts;
-  mutable dom_cache : (int * Vliw_analysis.Dom.t) option;
-      (** dominator tree keyed by [Program.version]; per-context rather
-          than global so concurrent or nested scheduler runs cannot
-          observe each other's cache *)
   mutable slot_from : int array;
       (** the replay slots, one per op id (DESIGN.md §27): the [from_]
           of the hop the slot's attempt stopped at, [-1] when empty *)
@@ -96,7 +92,6 @@ let make ?(rename = true) ?(obs = Grip_obs.null) program ~machine
         searches = 0;
         scan_nodes = 0;
       };
-    dom_cache = None;
     slot_from = [||];
     slot_to = [||];
     slot_time = [||];
@@ -115,25 +110,6 @@ let make ?(rename = true) ?(obs = Grip_obs.null) program ~machine
     gc_depth = 0;
     gc_pending = false;
   }
-
-(** [dominators t] — the dominator tree of the current program version,
-    recomputed only when the program has changed since the last call on
-    this context. *)
-let dominators t =
-  let v = Program.version t.program in
-  match t.dom_cache with
-  | Some (v', dom) when v' = v -> dom
-  | Some (_, dom) ->
-      (* stale: rebuild in place, reusing the tables — handles to the
-         old tree are invalidated, which is exactly what keying the
-         cache by version already promised *)
-      Vliw_analysis.Dom.recompute dom t.program;
-      t.dom_cache <- Some (v, dom);
-      dom
-  | None ->
-      let dom = Vliw_analysis.Dom.compute t.program in
-      t.dom_cache <- Some (v, dom);
-      dom
 
 (* -- replay slots ----------------------------------------------------- *)
 

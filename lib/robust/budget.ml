@@ -43,8 +43,6 @@ type t = Off | On of live
     atomics.  The default everywhere. *)
 let unlimited = Off
 
-let is_unlimited = function Off -> true | On _ -> false
-
 (** [make ?kernel ?machine ?deadline ?fuel ()] — a live token.  The
     first poll always consults the clock (so a zero deadline trips
     deterministically); later polls do so every [check_every] (default
@@ -109,7 +107,6 @@ let cancelled = function
     of task liveness. *)
 let last_beat = function Off -> None | On l -> Some (Atomic.get l.beat)
 
-let started = function Off -> None | On l -> Some l.t0
 let polls = function Off -> 0 | On l -> l.polls
 
 let raise_ (l : live) cause =

@@ -75,7 +75,3 @@ let abcdefg =
     ~arrays:[ ("w", 64); ("u", 64) ]
     ~params:[ (n, Value.I 16) ]
     ()
-
-(** Letter names for rendering the A..G example in the figures'
-    style. *)
-let letters = [ "a"; "b"; "c"; "d"; "e"; "f"; "g" ]

@@ -12,7 +12,6 @@
 
 open Vliw_ir
 module Alias = Vliw_analysis.Alias
-module Liveness = Vliw_analysis.Liveness
 
 (* [eliminate_dead p ~exit_live] removes non-memory, non-jump
    operations whose destination is not live out of their node.
@@ -22,7 +21,7 @@ let eliminate_dead (p : Program.t) ~exit_live =
   let continue_ = ref true in
   while !continue_ do
     continue_ := false;
-    let live = Liveness.make p ~exit_live in
+    let live = Liveness.compute p ~exit_live in
     let victims =
       Program.fold_nodes p
         (fun n acc ->

@@ -1,11 +1,9 @@
-(* Analysis substrate: liveness, dominators, alias, DDG. *)
+(* Analysis substrate: alias and DDG, and the liveness and dominator
+   oracles (test/liveness.ml, test/dom.ml). *)
 
 open Vliw_ir
-module Liveness = Vliw_analysis.Liveness
-module Dom = Vliw_analysis.Dom
 module Alias = Vliw_analysis.Alias
 module Ddg = Vliw_analysis.Ddg
-module Synthetic = Workloads.Synthetic
 
 let reg = Reg.of_int
 let imm n = Operand.Imm (Value.I n)
@@ -24,7 +22,7 @@ let test_liveness_straight () =
         Operation.Binop (Opcode.Add, reg 2, Operand.Reg (reg 1), imm 1);
       ]
   in
-  let live = Liveness.make p ~exit_live:(Reg.Set.singleton (reg 2)) in
+  let live = Liveness.compute p ~exit_live:(Reg.Set.singleton (reg 2)) in
   let ids = Program.rpo p in
   let n1 = List.nth ids 1 and n2 = List.nth ids 2 and n3 = List.nth ids 3 in
   Alcotest.(check bool) "r0 dead before def" false
@@ -50,18 +48,20 @@ let test_liveness_loop () =
       ()
   in
   let p = shape.Builder.program in
-  let live = Liveness.make p ~exit_live:(Reg.Set.singleton (reg 1)) in
+  let live = Liveness.compute p ~exit_live:(Reg.Set.singleton (reg 1)) in
   Alcotest.(check bool) "acc live at header" true
     (Reg.Set.mem (reg 1) (Liveness.live_in live shape.Builder.header));
   Alcotest.(check bool) "ivar live at header" true
     (Reg.Set.mem (reg 0) (Liveness.live_in live shape.Builder.header))
 
+(* Liveness computed again after an edit answers for the edited
+   program. *)
 let test_liveness_cache_invalidation () =
   let p = Builder.straight [ Operation.Copy (reg 0, imm 1) ] in
-  let live = Liveness.make p ~exit_live:Reg.Set.empty in
   let n1 = List.nth (Program.rpo p) 1 in
   Alcotest.(check bool) "nothing live" true
-    (Reg.Set.is_empty (Liveness.live_in live n1));
+    (Reg.Set.is_empty
+       (Liveness.live_in (Liveness.compute p ~exit_live:Reg.Set.empty) n1));
   (* add a reader below: r0 becomes live *)
   let n =
     Program.fresh_node p
@@ -69,6 +69,7 @@ let test_liveness_cache_invalidation () =
       ~ctree:(Ctree.leaf p.Program.exit_id)
   in
   Program.redirect p ~from_:n1 ~old_:p.Program.exit_id ~new_:n.Node.id;
+  let live = Liveness.compute p ~exit_live:Reg.Set.empty in
   Alcotest.(check bool) "r0 live after mutation" true
     (Reg.Set.mem (reg 0) (Liveness.live_in live n.Node.id));
   Alcotest.(check bool) "r0 dead above its def" false
@@ -97,84 +98,6 @@ let test_dominators_diamond () =
   let sub = Dom.dominated dom p top in
   Alcotest.(check bool) "subgraph has all" true
     (List.for_all (fun x -> List.mem x sub) [ top; a; b; join ])
-
-(* The idom walk that answered [Dom.dominates] before the tree carried
-   preorder intervals: the oracle for the O(1) test. *)
-let walk_dominates (t : Dom.t) a b =
-  let rec up b =
-    if b = a then true
-    else if b = t.Dom.entry then false
-    else up (Itbl.get t.Dom.idom b)
-  in
-  if Itbl.get t.Dom.idom b < 0 then false else up b
-
-(* Interval dominance agrees with the idom walk on every pair of node
-   ids (dead and unreachable ones included) of a random unwound
-   program with joins, and again after each of a run of random
-   migrations, the tree recomputed in place as the scheduler's cache
-   does. *)
-let prop_interval_dominance =
-  QCheck2.Test.make ~name:"interval dominance == idom walk" ~count:100
-    ~print:Synthetic_gen.print_spec Synthetic_gen.spec_gen (fun spec ->
-      let p, exit_live =
-        Synthetic_gen.joined_program spec ~joins:(1 + (spec.Synthetic.n_ops mod 3))
-      in
-      let ctx =
-        Vliw_percolation.Ctx.make p ~machine:(Vliw_machine.Machine.homogeneous 2)
-          ~exit_live
-      in
-      let next = Synthetic_gen.make_rng spec.Synthetic.seed in
-      let dom = Dom.compute p in
-      let agree step =
-        for a = 0 to Program.node_limit p - 1 do
-          for b = 0 to Program.node_limit p - 1 do
-            if Dom.dominates dom a b <> walk_dominates dom a b then
-              QCheck2.Test.fail_reportf "step %d: dominates n%d n%d = %b" step a
-                b (Dom.dominates dom a b)
-          done
-        done
-      in
-      agree 0;
-      for step = 1 to 12 do
-        ignore (Synthetic_gen.migrate_random ctx next);
-        Dom.recompute dom p;
-        agree step
-      done;
-      true)
-
-(* A tree recomputed in place, which clears only the entries it wrote
-   last time, equals a tree computed into fresh tables: the idom of
-   every node id and [dominates] on every pair, after each of a run of
-   random migrations over a random unwound program with joins. *)
-let prop_dom_in_place =
-  QCheck2.Test.make ~name:"Dom recomputed in place == fresh Dom.compute"
-    ~count:100 ~print:Synthetic_gen.print_spec Synthetic_gen.spec_gen
-    (fun spec ->
-      let p, exit_live =
-        Synthetic_gen.joined_program spec ~joins:(1 + (spec.Synthetic.n_ops mod 3))
-      in
-      let ctx =
-        Vliw_percolation.Ctx.make p ~machine:(Vliw_machine.Machine.homogeneous 2)
-          ~exit_live
-      in
-      let next = Synthetic_gen.make_rng (spec.Synthetic.seed + 11) in
-      let dom = Dom.compute p in
-      for step = 1 to 12 do
-        ignore (Synthetic_gen.migrate_random ctx next);
-        Dom.recompute dom p;
-        let fresh = Dom.compute p in
-        for a = 0 to Program.node_limit p + 1 do
-          if Itbl.get dom.Dom.idom a <> Itbl.get fresh.Dom.idom a then
-            QCheck2.Test.fail_reportf "step %d: idom n%d = %d, fresh %d" step a
-              (Itbl.get dom.Dom.idom a) (Itbl.get fresh.Dom.idom a);
-          for b = 0 to Program.node_limit p + 1 do
-            if Dom.dominates dom a b <> Dom.dominates fresh a b then
-              QCheck2.Test.fail_reportf "step %d: dominates n%d n%d = %b" step
-                a b (Dom.dominates dom a b)
-          done
-        done
-      done;
-      true)
 
 (* -- alias --------------------------------------------------------------- *)
 
@@ -268,7 +191,6 @@ let test_ddg_memory_distance () =
   Alcotest.(check bool) "no same-iteration conflict" false (has_mem 0 1 0)
 
 let () =
-  if Sys.getenv_opt "QCHECK_SEED" = None then Unix.putenv "QCHECK_SEED" "20261019";
   Alcotest.run "vliw_analysis"
     [
       ( "liveness",
@@ -280,8 +202,6 @@ let () =
       ( "dominators",
         [
           Alcotest.test_case "diamond" `Quick test_dominators_diamond;
-          QCheck_alcotest.to_alcotest prop_interval_dominance;
-          QCheck_alcotest.to_alcotest prop_dom_in_place;
         ] );
       ( "alias",
         [

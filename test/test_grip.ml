@@ -794,7 +794,7 @@ let prop_replays_agree () =
 (* The region pass's oracle: the Moveable-ops set of [n] by the
    dominator tree, listed as the region pass lists it.  A node comes
    after its dominators in RPO, so only the positions after [n]'s are
-   filtered, each node by the O(1) interval test. *)
+   filtered. *)
 let moveable_op_ids (p : Program.t) dom n acc =
   Iarr.clear acc;
   let add = Iarr.push acc in
@@ -803,17 +803,37 @@ let moveable_op_ids (p : Program.t) dom n acc =
   if at < len then
     for k = at + 1 to len - 1 do
       let id = Program.rpo_at p k in
-      if (not (Program.is_exit p id)) && Vliw_analysis.Dom.dominates dom n id
-      then Program.iter_op_ids p id add
+      if (not (Program.is_exit p id)) && Dom.dominates dom n id then
+        Program.iter_op_ids p id add
     done;
   acc
+
+(* The Unifiable-ops set of [n] as it was computed before it came from
+   node entry's region pass: the nodes [n] dominates, in RPO, less [n]
+   and the exit, each node's ops less those on a dependence chain with
+   an op of [n]. *)
+let unifiable_oracle p dom ~ddg ~horizon n =
+  let instance = Grip.Unifiable.instance in
+  let in_n = Scan_oracles.all_ops p n in
+  let chained op =
+    List.exists
+      (fun o ->
+        Vliw_analysis.Ddg.chain_related ddg ~horizon (instance o) (instance op))
+      in_n
+  in
+  List.concat_map
+    (fun id ->
+      if id = n || Program.is_exit p id then []
+      else List.filter (fun op -> not (chained op)) (Scan_oracles.all_ops p id))
+    (Dom.dominated dom p n)
 
 (* The RPO suffix after each node, filtered by dominance, lists exactly
    the op ids a filter over the whole RPO does, in the same order — on
    random programs with joins, before and after random migrations
    (splits and [Move_cj] included).  So does node entry's one-pass
    region, which must never see a retreating edge on these acyclic
-   programs. *)
+   programs, and so does the Unifiable-ops set drawn from it, against
+   the dominator filter less the same chain filter. *)
 let prop_suffix_enumeration =
   QCheck2.Test.make ~name:"suffix enumeration == full-RPO filter" ~count:100
     ~print:Synthetic_gen.print_spec Synthetic_gen.spec_gen (fun spec ->
@@ -821,21 +841,20 @@ let prop_suffix_enumeration =
         Synthetic_gen.joined_program spec
           ~joins:(1 + (spec.Workloads.Synthetic.n_ops mod 3))
       in
+      let ddg = Grip.Pipeline.ddg_of (Workloads.Synthetic.generate spec) in
       let ctx = Ctx.make p ~machine:(Machine.homogeneous 2) ~exit_live in
       let next = Synthetic_gen.make_rng spec.Workloads.Synthetic.seed in
       let acc = Iarr.create () in
       let scratch = Grip.Scheduler.fresh_scratch p in
       for step = 0 to 12 do
         if step > 0 then ignore (Synthetic_gen.migrate_random ctx next);
-        let dom = Ctx.dominators ctx in
+        let dom = Dom.compute p in
         List.iter
           (fun n ->
             let full =
               List.concat_map
                 (fun id ->
-                  if
-                    id = n || Program.is_exit p id
-                    || not (Vliw_analysis.Dom.dominates dom n id)
+                  if id = n || Program.is_exit p id || not (Dom.dominates dom n id)
                   then []
                   else List.map (fun (o : Operation.t) -> o.Operation.id)
                       (Scan_oracles.all_ops p id))
@@ -855,7 +874,14 @@ let prop_suffix_enumeration =
             if region <> full then
               QCheck2.Test.fail_reportf
                 "step %d, n%d: region lists %d op ids, want %d" step n
-                (List.length region) (List.length full))
+                (List.length region) (List.length full);
+            let ids = List.map (fun (o : Operation.t) -> o.Operation.id) in
+            let unifiable = ids (Grip.Unifiable.set ctx scratch ~ddg ~horizon:4 n)
+            and want = ids (unifiable_oracle p dom ~ddg ~horizon:4 n) in
+            if unifiable <> want then
+              QCheck2.Test.fail_reportf
+                "step %d, n%d: Unifiable set lists %d op ids, want %d" step n
+                (List.length unifiable) (List.length want))
           (Program.rpo p)
       done;
       true)
@@ -863,9 +889,9 @@ let prop_suffix_enumeration =
 (* A cyclic program: entry -> a -> h; h -> b -> c; c -> h (back edge)
    and c -> d -> e -> exit.  From a, the pass meets the back edge below
    it and reports it, and node entry raises a structured [Scheduling]
-   error, as does a whole scheduling run.  From d, below the cycle, the
-   pass sees no retreating edge and answers as the dominator filter
-   does. *)
+   error, as does a whole GRiP or Unifiable run.  From d, below the
+   cycle, the pass sees no retreating edge and answers as the dominator
+   filter does. *)
 let cyclic_program () =
   let p = Program.create () in
   let exit_ = p.Program.exit_id in
@@ -903,10 +929,9 @@ let entry_cycle_program () =
 
 let test_region_cyclic () =
   let p, a, d = cyclic_program () in
-  let ctx = Ctx.make p ~machine:Machine.unlimited ~exit_live:Reg.Set.empty in
   let scratch = Grip.Scheduler.fresh_scratch p in
   let acc = Iarr.create () in
-  let dom_ids n = Iarr.to_list (moveable_op_ids p (Ctx.dominators ctx) n acc) in
+  let dom_ids n = Iarr.to_list (moveable_op_ids p (Dom.compute p) n acc) in
   let scheduling_error what f =
     match f () with
     | _ -> Alcotest.failf "%s: no error on a cyclic program" what
@@ -943,7 +968,17 @@ let test_region_cyclic () =
   scheduling_error "node entry at the entry of a cycle through it" (fun () ->
       Grip.Scheduler.entry_op_ids (Grip.Scheduler.fresh_scratch looped) entry);
   scheduling_error "Scheduler.run, cycle through the entry" (fun () ->
-      run (entry_cycle_program ()))
+      run (entry_cycle_program ()));
+  let unifiable p =
+    Grip.Unifiable.run
+      (Grip.Unifiable.default_config ~rank:Grip.Rank.source_order
+         ~ddg:(Vliw_analysis.Ddg.build []) ~horizon:1)
+      (Ctx.make p ~machine:Machine.unlimited ~exit_live:Reg.Set.empty)
+  in
+  let fresh, _, _ = cyclic_program () in
+  scheduling_error "Unifiable.run" (fun () -> unifiable fresh);
+  scheduling_error "Unifiable.run, cycle through the entry" (fun () ->
+      unifiable (entry_cycle_program ()))
 
 (* -- convergence detection ---------------------------------------------- *)
 
@@ -1102,6 +1137,58 @@ let test_unifiable_schedules () =
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "Unifiable must preserve semantics"
 
+(* Unifiable schedules at horizon 8: the {!Grip_serve.Cache.schedule_digest}
+   of each kernel at 2, 4 and 8 FU.  The other six kernels (LL7–LL10,
+   LL13, LL14) take over ten times as long as these 24 cells under
+   Unifiable, so they are compared by hand with
+   [grip schedule … --method=unifiable --horizon=8 --digest]. *)
+let unifiable_pins =
+  [
+    ( "LL1",
+      ( "ce2b752fa49c612f1ae2c2d9617951f3", "5ad26d61e99f8e5c4486377aed642a20",
+        "cf5d56d0a60d9df5a015f23a4db94fb2" ) );
+    ( "LL2",
+      ( "363b91615ff64fc74311955fc9b3e961", "413f173fd2228ddac423816ea09426d3",
+        "95117fc2114ce7ec502e8429420525d5" ) );
+    ( "LL3",
+      ( "ab5ddd54f17d1a493fc1587131e9ef0f", "bd77575d46ae7664c8916ff1d10e76b6",
+        "df5775198396b08ba15c70417091c882" ) );
+    ( "LL4",
+      ( "bb8a5b4b01f2b719c6fd279efd12824d", "08018bc6a24873510155b2692dee623b",
+        "1ca21aa29a2bb7ce26f4a1c817ecdad7" ) );
+    ( "LL5",
+      ( "4a4af3c588fde5c0c559e28725be2cb4", "1626222233d1c203e3192c39311f8fb4",
+        "e3af77ff7b8d6fecf4239896e2ca4084" ) );
+    ( "LL6",
+      ( "ecba1b43ce7d0a8064e9fabc985bcc9e", "5f6f4089e4f742652f968d39016395b4",
+        "0f13a4967c1ae282d38a4d32d4dbfafc" ) );
+    ( "LL11",
+      ( "ff38b66b72c1cdc846d169cfc5a13675", "15edfc828fc6289e7301ab749b2bb1ee",
+        "7fb5deb0067609d94564e2c9d25c9748" ) );
+    ( "LL12",
+      ( "9dfb779744057094fb2ce4e90063615b", "7448cee2c7985ef997c74761d8c2a982",
+        "add533f7e9bd032456008f8d5e54ddfe" ) );
+  ]
+
+let test_unifiable_pinned () =
+  List.iter
+    (fun (name, (d2, d4, d8)) ->
+      let k =
+        (Option.get (Workloads.Livermore.find name)).Workloads.Livermore.kernel
+      in
+      List.iter
+        (fun (fus, want) ->
+          let o =
+            Grip.Pipeline.run k ~machine:(Machine.homogeneous fus)
+              ~method_:Grip.Pipeline.Unifiable ~horizon:8
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s at %d FU" name fus)
+            want
+            (Grip_serve.Cache.schedule_digest o.Grip.Pipeline.program))
+        [ (2, d2); (4, d4); (8, d8) ])
+    unifiable_pins
+
 let test_unifiable_set_excludes_chained () =
   let u = Grip.Unwind.build abcdefg ~horizon:2 in
   let p = u.Grip.Unwind.program in
@@ -1110,7 +1197,7 @@ let test_unifiable_set_excludes_chained () =
   (* head of iteration 0 holds a0; b0 (depends on a0) must be excluded
      from Unifiable(head), d0 (independent chain) included *)
   let head = u.Grip.Unwind.heads.(0) in
-  let set = Grip.Unifiable.set ctx ~ddg ~horizon:2 head in
+  let set = Grip.Unifiable.set ctx (Grip.Scheduler.fresh_scratch p) ~ddg ~horizon:2 head in
   let poss = List.map (fun (o : Operation.t) -> (o.Operation.src_pos, o.Operation.iter)) set in
   Alcotest.(check bool) "b0 excluded" false (List.mem (1, 0) poss);
   Alcotest.(check bool) "d0 included" true (List.mem (3, 0) poss);
@@ -1323,6 +1410,7 @@ let () =
           Alcotest.test_case "POST respects machine" `Quick test_post_respects_machine;
           Alcotest.test_case "Unifiable schedules" `Quick test_unifiable_schedules;
           Alcotest.test_case "Unifiable set" `Quick test_unifiable_set_excludes_chained;
+          Alcotest.test_case "Unifiable digests pinned" `Quick test_unifiable_pinned;
         ] );
       ( "speedup",
         [

@@ -4,6 +4,11 @@
 open Vliw_ir
 module Machine = Vliw_machine.Machine
 
+(* A fixed QCheck seed unless QCHECK_SEED is set: qcheck-alcotest reads
+   it once, when the first property is turned into a test case. *)
+let () =
+  if Sys.getenv_opt "QCHECK_SEED" = None then Unix.putenv "QCHECK_SEED" "20261019"
+
 let ll1_src =
   {|
 kernel hydro {
@@ -514,6 +519,45 @@ let test_cold_request_pins () =
             pins)
     cold_pins
 
+(* -- malformed sources ----------------------------------------------------- *)
+
+(* One edit of a source at a position (taken modulo its length): a
+   character inserted, deleted or replaced, or the source cut there. *)
+type edit = Insert of int * char | Delete of int | Replace of int * char | Cut of int
+
+let apply_edit s edit =
+  let n = String.length s in
+  let at i = i mod max n 1 in
+  match edit with
+  | Insert (i, c) ->
+      let i = i mod (n + 1) in
+      String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+  | Delete i when n > 0 -> String.sub s 0 (at i) ^ String.sub s (at i + 1) (n - at i - 1)
+  | Replace (i, c) when n > 0 -> String.mapi (fun j d -> if j = at i then c else d) s
+  | Delete _ | Replace _ -> s
+  | Cut i -> String.sub s 0 (i mod (n + 1))
+
+(* A valid source of this suite with one to three edits, of any byte. *)
+let mutant_gen =
+  let valid =
+    [ ll1_src; inner_product_src; gather_src ]
+    @ List.map (fun (name, params, stmts, _) -> generated ~name params stmts) cold_pins
+  in
+  QCheck2.Gen.(
+    let edit =
+      let* i = int_bound 4096 and* c = oneof [ printable; char ] in
+      oneofl [ Insert (i, c); Delete i; Replace (i, c); Cut i ]
+    in
+    let* src = oneofl valid and* edits = list_size (int_range 1 3) edit in
+    return (List.fold_left apply_edit src edits))
+
+(* The front end answers a malformed source with a structured error:
+   [kernel_of_string] returns [Ok] or [Error] and raises nothing. *)
+let prop_mutated_sources =
+  QCheck2.Test.make ~name:"mutated sources: Ok or Error" ~count:20_000
+    ~print:String.escaped mutant_gen (fun src ->
+      match Minic.Compile.kernel_of_string src with Ok _ | Error _ -> true)
+
 let () =
   Alcotest.run "minic"
     [
@@ -557,4 +601,5 @@ let () =
         ] );
       ( "cold requests",
         [ Alcotest.test_case "generated sources served as pinned" `Quick test_cold_request_pins ] );
+      ("front end", [ QCheck_alcotest.to_alcotest prop_mutated_sources ]);
     ]
