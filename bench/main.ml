@@ -216,12 +216,13 @@ let fig8 () =
   in
   let steps = ref 0 in
   let scratch = Grip.Scheduler.fresh_scratch p in
+  let chains = Vliw_analysis.Ddg.chains ddg ~horizon:3 in
   let on_sched ~op ~node =
     incr steps;
     if !steps <= 10 then
       printf "move %2d: %-3s -> n%-3d  Unifiable(n%d) = %s@." !steps
         (letter_of op) node node
-        (pp_ops (Grip.Unifiable.set ctx scratch ~ddg ~horizon:3 node))
+        (pp_ops (Grip.Unifiable.set ctx scratch chains node))
   in
   let stats = Grip.Unifiable.run ~on_sched config ctx in
   printf "(%d moves total)@." stats.Grip.Unifiable.reached;

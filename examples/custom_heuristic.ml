@@ -2,9 +2,9 @@
    abstracted away from the actual transformations in accordance with
    the hierarchical nature of Percolation Scheduling" (section 1).
 
-   This example plugs in a speculation-averse rank: stores and the
-   operations feeding them are scheduled before anything else, which
-   is the hook where the paper's future-work branch-probability
+   This example plugs in a speculation-averse rank: within each
+   iteration, stores rank ahead of every other operation.  A rank's
+   weight is the hook where the paper's future-work branch-probability
    weighting would go.
 
      dune exec examples/custom_heuristic.exe *)
@@ -13,10 +13,11 @@ open Vliw_ir
 module Machine = Vliw_machine.Machine
 module Pipeline = Grip.Pipeline
 
+(* A weight reads only what a move leaves unchanged on an operation:
+   here the constructor of its kind.  The smaller weight ranks first. *)
 let store_first =
-  Grip.Rank.custom ~name:"store-first" (fun a b ->
-      let weight (op : Operation.t) = if Operation.is_store op then 0 else 1 in
-      compare (weight a) (weight b))
+  Grip.Rank.custom ~name:"store-first" (fun op ->
+      if Operation.is_store op then 0 else 1)
 
 let () =
   let e = Option.get (Workloads.Livermore.find "LL8") in

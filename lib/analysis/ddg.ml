@@ -246,3 +246,37 @@ let reaches_flow t ~horizon (i, ti) (j, tj) =
     flow chain (either reaches the other)? *)
 let chain_related t ~horizon a b =
   reaches_flow t ~horizon a b || reaches_flow t ~horizon b a
+
+(** {!reaches_flow} over one DDG and horizon, memoised.  Every arc has
+    [dist >= 0], so the iterations along a path never decrease: a path
+    from [(i, ti)] to [(j, tj)] stays within [[ti, tj]], which lies in
+    [[0, horizon]] when [0 <= ti] and [tj <= horizon], and outside that
+    case, or when [tj < ti], there is none.  Inside it, shifting the
+    path by [-ti] shows that the answer depends only on [i], [j] and
+    [tj - ti], which the memo keys on.  A memo is mutable: keep one per
+    run, never one shared across domains. *)
+type chains = {
+  ddg : t;
+  horizon : int;
+  known : (int, bool) Hashtbl.t;  (** [((tj - ti) * n + i) * n + j] -> answer *)
+}
+
+let chains t ~horizon = { ddg = t; horizon; known = Hashtbl.create 64 }
+
+(** [reaches c a b] — [reaches_flow c.ddg ~horizon:c.horizon a b]. *)
+let reaches c (i, ti) (j, tj) =
+  let n = Array.length c.ddg.ops in
+  if i < 0 || i >= n || j < 0 || j >= n || ti < 0 || tj > c.horizon || tj < ti
+  then false
+  else
+    let d = tj - ti in
+    let key = (((d * n) + i) * n) + j in
+    match Hashtbl.find c.known key with
+    | r -> r
+    | exception Not_found ->
+        let r = reaches_flow c.ddg ~horizon:d (i, 0) (j, d) in
+        Hashtbl.add c.known key r;
+        r
+
+(** [related c a b] — {!chain_related} through the memo [c]. *)
+let related c a b = reaches c a b || reaches c b a

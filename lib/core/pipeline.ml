@@ -122,8 +122,10 @@ let publish_scheduler m (s : Scheduler.stats) =
   count m "scheduler.replays" s.Scheduler.replays;
   count m "scheduler.candidate_visits" ~events:s.Scheduler.nodes_scheduled
     s.Scheduler.candidate_visits;
-  if s.Scheduler.travel.Metrics.n > 0 then
-    Metrics.add_hist m "scheduler.travel_distance" s.Scheduler.travel
+  Array.iteri
+    (fun hops k ->
+      if k > 0 then Metrics.observe_n m "scheduler.travel_distance" hops k)
+    s.Scheduler.travel
 
 let publish_ctx m (c : Ctx.counts) =
   count m "ir.gc_runs" c.Ctx.gc_runs;

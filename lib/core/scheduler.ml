@@ -27,7 +27,6 @@ module Migrate = Vliw_percolation.Migrate
 module Move_op = Vliw_percolation.Move_op
 module Move_cj = Vliw_percolation.Move_cj
 module Trace = Grip_obs.Trace
-module Metrics = Grip_obs.Metrics
 module Provenance = Grip_obs.Provenance
 
 (* Machine FU class -> the observability layer's mirror of it (kept
@@ -55,9 +54,9 @@ type stats = {
       (** attempts replayed from their op's replay slot, not walked *)
   mutable candidate_visits : int;
       (** candidates choose-op's ranked queue examined *)
-  travel : Metrics.hist;
-      (** hops per migration; recorded only when the run's registry is
-          enabled, since only the registry reads it *)
+  mutable travel : int array;
+      (** hops -> the migrations that moved that many, the
+          [scheduler.travel_distance] histogram's observations *)
   mutable fuel_exhausted : bool;
       (** the [max_migrations] budget ran out and migration was
           truncated: the schedule is legal but possibly under-compacted,
@@ -74,9 +73,18 @@ let fresh_stats () =
     resource_barrier_events = 0;
     replays = 0;
     candidate_visits = 0;
-    travel = Metrics.hist_create Metrics.default_bounds;
+    travel = Array.make 16 0;
     fuel_exhausted = false;
   }
+
+(* One more migration that moved [hops] hops. *)
+let count_travel stats hops =
+  if hops >= Array.length stats.travel then begin
+    let a = Array.make (max (hops + 1) (2 * Array.length stats.travel)) 0 in
+    Array.blit stats.travel 0 a 0 (Array.length stats.travel);
+    stats.travel <- a
+  end;
+  stats.travel.(hops) <- stats.travel.(hops) + 1
 
 (** Speculative-scheduling policy (section 1): a hop is speculative
     when the operation lands on a conditional path of the target
@@ -134,103 +142,30 @@ let speculation_allows (config : config) (ctx : Ctx.t) ~from_ ~to_
                (Machine.slot_demand_packed m (Program.counts_packed p to_))
              < threshold *. float_of_int (Machine.width m))
 
-(** Node entry's region pass: the marks and the fold state of
-    {!region_op_ids}, held on the run's scratch so that a pass
-    allocates nothing and concurrent runs share nothing. *)
-type region = {
-  r_program : Program.t;
-  mutable r_mark : int array;
-      (** node id -> [r_stamp] when the current pass found it dominated *)
-  mutable r_stamp : int;
-  mutable r_at : int;  (** RPO position of the node being decided *)
-  mutable r_all : bool;  (** every live predecessor folded is marked *)
-  mutable r_retreat : bool;  (** a live predecessor at or after [r_at] *)
-}
-
-(* One predecessor [q] of the node at [r.r_at], shaped as a
-   {!Program.fold_preds} step so the pass needs no closure. *)
-let region_step r q =
-  let k = Program.rpo_index r.r_program q in
-  if k < max_int then
-    if k >= r.r_at then r.r_retreat <- true
-    else if Array.unsafe_get r.r_mark q <> r.r_stamp then r.r_all <- false;
-  r
-
-(** [region_op_ids r n acc] — the Moveable-ops set of [n]: every
-    operation on the subgraph dominated by [n], excluding those already
-    in [n].  (Initialisation per section 3.2; operations become
-    unmoveable by being scheduled into [n] or by failing their
-    migration attempt, both of which the scheduling loop tracks
-    dynamically.)  Listed as op ids, per region node in RPO order
-    plain ops in instruction order then tree jumps pre-order
-    ({!Program.iter_op_ids}); the scheduler re-fetches metadata by id.
-
-    One pass over the RPO suffix after [n], with no dominator tree: a
-    node there is dominated by [n] exactly when every live predecessor
-    of it is [n] or dominated by [n].  In an acyclic graph every
-    predecessor precedes its node in RPO, so the pass, marking [n] and
-    then each node it finds dominated, has decided each predecessor
-    when it reaches the node.  A live predecessor at or after its node
-    — [n] itself included — is a retreating edge: the graph has a
-    cycle, the pass stops and answers [false], and [acc] is to be
-    ignored (DESIGN.md §24). *)
-let region_op_ids r n acc =
-  let p = r.r_program in
-  Vliw_ir.Iarr.clear acc;
-  let len = Program.n_nodes p in
-  let at = Program.rpo_index p n in
-  if at < len then begin
-    let limit = Program.node_limit p in
-    if Array.length r.r_mark < limit then begin
-      let m = Array.make (max limit (2 * Array.length r.r_mark)) 0 in
-      Array.blit r.r_mark 0 m 0 (Array.length r.r_mark);
-      r.r_mark <- m
-    end;
-    let stamp = r.r_stamp + 1 in
-    r.r_stamp <- stamp;
-    r.r_retreat <- false;
-    r.r_mark.(n) <- stamp;
-    (* a live predecessor of [n] at or after it closes a cycle through [n] *)
-    r.r_at <- at;
-    ignore (Program.fold_preds p n ~init:r ~f:region_step);
-    let add = Vliw_ir.Iarr.push acc in
-    let k = ref (at + 1) in
-    while !k < len && not r.r_retreat do
-      let id = Program.rpo_at p !k in
-      r.r_at <- !k;
-      r.r_all <- true;
-      ignore (Program.fold_preds p id ~init:r ~f:region_step);
-      if r.r_all && not r.r_retreat then begin
-        Array.unsafe_set r.r_mark id stamp;
-        if not (Program.is_exit p id) then Program.iter_op_ids p id add
-      end;
-      incr k
-    done
-  end;
-  not r.r_retreat
-
 (** A node's Moveable-ops as a ranked queue, so that choose-op costs
     in proportion to the candidates it can still pick.
 
-    [load] stable-sorts the candidates once, best first, with the
-    rank's comparator; the positions then form a doubly linked list.
+    [load] ranks the candidates once, best first, by one sort of their
+    rank keys; the positions then form a doubly linked list.
     [pick] walks it from the head and returns the first position its
     verdict callback answers [Take] for, stepping over [Skip],
     unlinking [Retire] (a candidate that can never be picked again in
     this node) and unlinking [Hold] (one that cannot be picked before
     the next [rewind]); [retire] unlinks a position the caller knows is
     spent.  [rewind] puts every held position back in its place.  The
-    first [Take] is exactly what a min-scan over the worklist (keep the
-    incumbent on ties) returns among the same candidates, as long as
-    the comparator reads only fields a move leaves unchanged (DESIGN.md
-    §20) and a held candidate would not have been taken before the
-    rewind (§27).  The buffers are owned by the run and grow by
-    doubling, so loading allocates nothing once they have settled. *)
+    first [Take] is exactly what a min-scan over the worklist by key
+    returns among the same candidates, as long as the key reads only
+    fields a move leaves unchanged (DESIGN.md §20) and a held candidate
+    would not have been taken before the rewind (§27).  The buffers are
+    owned by the run and grow by doubling, so loading allocates nothing
+    once they have settled. *)
 module Ranked = struct
   type verdict = Take | Skip | Hold | Retire
 
   type t = {
-    mutable ids : int array;  (** position -> op id, best first *)
+    mutable ids : int array;
+        (** position -> op id, best first; the candidates' keys while
+            [load] sorts them *)
     mutable next : int array;  (** position -> next live position or [-1] *)
     mutable prev : int array;  (** position -> previous live position or [-1] *)
     mutable head : int;  (** first live position, [-1] when empty *)
@@ -238,42 +173,43 @@ module Ranked = struct
         (** positions unlinked since the first hold after the last
             rewind, oldest first; a held [pos] is logged as [-1 - pos] *)
     mutable logged : int;  (** entries of [undo] in use *)
-    mutable recs : Operation.t array;  (** sort buffer *)
-    mutable tmp : Operation.t array;  (** merge scratch *)
+    mutable tmp : int array;  (** merge scratch *)
     mutable visits : int;  (** verdicts asked since the last [load] *)
   }
 
   let create () =
     { ids = [||]; next = [||]; prev = [||]; head = -1; undo = [||];
-      logged = 0; recs = [||]; tmp = [||]; visits = 0 }
+      logged = 0; tmp = [||]; visits = 0 }
 
-  (* Stable merge sort of [a.(lo) .. a.(hi - 1)]: the right run's head
-     goes first only when strictly better, so ties keep input order. *)
-  let rec sort cmp a tmp lo hi =
+  (* Merge sort of the distinct ints [a.(lo) .. a.(hi - 1)], ascending.
+     The annotations keep every comparison an int compare, not a call
+     to the polymorphic one. *)
+  let rec sort (a : int array) (tmp : int array) lo hi =
     if hi - lo <= 8 then
       for i = lo + 1 to hi - 1 do
-        let x = a.(i) in
+        let x = Array.unsafe_get a i in
         let j = ref (i - 1) in
-        while !j >= lo && cmp a.(!j) x > 0 do
-          a.(!j + 1) <- a.(!j);
+        while !j >= lo && Array.unsafe_get a !j > x do
+          Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
           decr j
         done;
-        a.(!j + 1) <- x
+        Array.unsafe_set a (!j + 1) x
       done
     else begin
       let mid = (lo + hi) / 2 in
-      sort cmp a tmp lo mid;
-      sort cmp a tmp mid hi;
-      if cmp a.(mid - 1) a.(mid) > 0 then begin
+      sort a tmp lo mid;
+      sort a tmp mid hi;
+      if a.(mid - 1) > a.(mid) then begin
         Array.blit a lo tmp lo (mid - lo);
         let i = ref lo and j = ref mid and k = ref lo in
         while !i < mid && !j < hi do
-          if cmp a.(!j) tmp.(!i) < 0 then begin
-            a.(!k) <- a.(!j);
+          let x = Array.unsafe_get a !j and y = Array.unsafe_get tmp !i in
+          if x < y then begin
+            Array.unsafe_set a !k x;
             incr j
           end
           else begin
-            a.(!k) <- tmp.(!i);
+            Array.unsafe_set a !k y;
             incr i
           end;
           incr k
@@ -282,35 +218,42 @@ module Ranked = struct
       end
     end
 
-  (** [load q ~cmp ~record ids] — rank the op ids of [ids] (worklist
-      order) best first under [cmp], reading each id's record through
-      [record]; ids without one are dropped. *)
-  let load q ~cmp ~record ids =
-    let n = ref 0 in
-    for i = 0 to Vliw_ir.Iarr.length ids - 1 do
-      match record (Vliw_ir.Iarr.unsafe_get ids i) with
-      | None -> ()
-      | Some op ->
-          if !n >= Array.length q.recs then begin
-            let grown = Array.make (max 64 (2 * !n)) op in
-            Array.blit q.recs 0 grown 0 !n;
-            q.recs <- grown;
-            q.tmp <- Array.make (Array.length grown) op
-          end;
-          q.recs.(!n) <- op;
-          incr n
-    done;
-    let n = !n in
-    sort cmp q.recs q.tmp 0 n;
-    if n > Array.length q.ids then begin
-      let cap = Array.length q.recs in
+  let id_mask = Rank.id_mask
+
+  (** [load q ~rank ~record ids] — rank the op ids of [ids] best first
+      by [rank]'s keys, reading each id's record through [record]; ids
+      without one are dropped.  A key that does not carry its op's id
+      raises a [Scheduling] error. *)
+  let load q ~(rank : Rank.t) ~record ids =
+    let len = Vliw_ir.Iarr.length ids in
+    if len > Array.length q.ids then begin
+      let cap = max 64 (2 * len) in
       q.ids <- Array.make cap 0;
       q.next <- Array.make cap 0;
       q.prev <- Array.make cap 0;
-      q.undo <- Array.make cap 0
+      q.undo <- Array.make cap 0;
+      q.tmp <- Array.make cap 0
     end;
+    let keys = q.ids and n = ref 0 in
+    for i = 0 to len - 1 do
+      let id = Vliw_ir.Iarr.unsafe_get ids i in
+      match record id with
+      | None -> ()
+      | Some op ->
+          let k = rank.Rank.key op in
+          if k land id_mask <> id then
+            Grip_robust.Grip_error.(
+              raise_ Scheduling
+                (Malformed
+                   [ Printf.sprintf "rank %s: the key of op %d carries op %d"
+                       rank.Rank.name id (k land id_mask) ]));
+          Array.unsafe_set keys !n k;
+          incr n
+    done;
+    let n = !n in
+    sort keys q.tmp 0 n;
     for i = 0 to n - 1 do
-      q.ids.(i) <- q.recs.(i).Operation.id;
+      keys.(i) <- keys.(i) land id_mask;
       q.next.(i) <- (if i + 1 < n then i + 1 else -1);
       q.prev.(i) <- i - 1
     done;
@@ -391,10 +334,10 @@ end
    id and was re-allocated per node) and the ranked queue's buffers.
    Growth doubles, so a run settles on one buffer of each kind. *)
 type scratch = {
+  program : Program.t;
   mutable susp_mask : Bytes.t;
   mutable att_mask : Bytes.t;
   moveable : Vliw_ir.Iarr.t;  (** worklist buffer for node entry *)
-  region : region;  (** node entry's region pass *)
   queue : Ranked.t;
   gapless : Gapless.memo;  (** the Gapless test's run-long absence memo *)
 }
@@ -402,22 +345,25 @@ type scratch = {
 (** [fresh_scratch p] — the scratch of one run over program [p]. *)
 let fresh_scratch p =
   {
+    program = p;
     susp_mask = Bytes.make 256 '\000';
     att_mask = Bytes.make 256 '\000';
     moveable = Vliw_ir.Iarr.create ~capacity:256 ();
-    region =
-      { r_program = p; r_mark = [||]; r_stamp = 0; r_at = 0; r_all = true;
-        r_retreat = false };
     queue = Ranked.create ();
     gapless = Gapless.create_memo ();
   }
 
 (** [entry_op_ids scratch n] — node entry's Moveable-ops set of [n]
-    in [scratch]'s worklist buffer, by the region pass.  Unwound
-    programs are acyclic; on a cyclic one the pass meets a retreating
-    edge, and node entry raises a [Scheduling] error. *)
+    in [scratch]'s worklist buffer, by the region pass
+    ({!Program.region_op_ids}): every operation on the subgraph
+    dominated by [n], excluding those already in [n].  (Initialisation
+    per section 3.2; operations become unmoveable by being scheduled
+    into [n] or by failing their migration attempt, both of which the
+    scheduling loop tracks dynamically.)  Unwound programs are
+    acyclic; on a cyclic one the pass meets a retreating edge, and
+    node entry raises a [Scheduling] error. *)
 let entry_op_ids scratch n =
-  if not (region_op_ids scratch.region n scratch.moveable) then
+  if not (Program.region_op_ids scratch.program n scratch.moveable) then
     Grip_robust.Grip_error.raise_ Grip_robust.Grip_error.Scheduling
       (Grip_robust.Grip_error.Malformed
          [ Printf.sprintf "cyclic program: a retreating edge below n%d" n ]);
@@ -481,14 +427,13 @@ let schedule_node ?on_move ?on_replay (config : config) (ctx : Ctx.t)
   let obs = ctx.Ctx.obs in
   let tr = obs.Grip_obs.trace in
   let tracing = Grip_obs.Trace.enabled tr in
-  let metering = Metrics.enabled obs.Grip_obs.metrics in
   let pv = obs.Grip_obs.prov in
   let proving = Provenance.enabled pv in
   (* why the most recent allow_hop veto happened; read by on_suspend,
      which Migrate calls synchronously right after the veto *)
   let suspend_reason = ref "gap prevention" in
   let queue = scratch.queue in
-  Ranked.load queue ~cmp:config.rank.Rank.compare ~record:(Program.stored_op p)
+  Ranked.load queue ~rank:config.rank ~record:(Program.stored_op p)
     (entry_op_ids scratch n);
   (* Op ids are dense, so the suspended and attempted sets are byte
      masks (consulted for every candidate the queue visits), plus, for
@@ -660,8 +605,9 @@ let schedule_node ?on_move ?on_replay (config : config) (ctx : Ctx.t)
            only its own walk can suspend it. *)
         if not (mask_get scratch.susp_mask best.Operation.id) then
           Ranked.retire queue pos;
-        stats.hops <- stats.hops + Migrate.moved r;
-        if metering then Metrics.record stats.travel (Migrate.moved r);
+        let moved = Migrate.moved r in
+        stats.hops <- stats.hops + moved;
+        count_travel stats moved;
         if Migrate.reached_target r then stats.reached <- stats.reached + 1;
         (match Migrate.last_failure r with
         | Some (Migrate.Op Move_op.No_room) ->
@@ -693,10 +639,10 @@ let schedule_node ?on_move ?on_replay (config : config) (ctx : Ctx.t)
                 (Provenance.Structural
                    (Format.asprintf "%a" Migrate.pp_failure f)));
         (match on_move with
-        | Some f when Migrate.moved r > 0 ->
+        | Some f when moved > 0 ->
             f ~op:best ~outcome:(Migrate.outcome r)
         | Some _ | None -> ());
-        if Migrate.moved r > 0 && !suspended_count > 0 then
+        if moved > 0 && !suspended_count > 0 then
           (* rule 2: progress unsuspends everything; unsuspended ops
              re-enter the ranked queue *)
           unsuspend_all ()

@@ -44,17 +44,17 @@ let fresh_stats () =
 let instance (op : Operation.t) =
   (op.Operation.lineage, max op.Operation.iter 0)
 
-(** [set ctx scratch ~ddg ~horizon n] — the Unifiable-ops set of node
-    [n]: the candidates of node entry's region pass
+(** [set ctx scratch chains n] — the Unifiable-ops set of node [n]:
+    the candidates of node entry's region pass
     ({!Scheduler.entry_op_ids}, on [scratch]), in its order, less
-    those on a dependence chain with an operation of [n]. *)
-let set (ctx : Ctx.t) (scratch : Scheduler.scratch) ~ddg ~horizon n =
+    those on a dependence chain with an operation of [n], asked of the
+    run's chain memo [chains] ({!Ddg.chains}). *)
+let set (ctx : Ctx.t) (scratch : Scheduler.scratch) chains n =
   let p = ctx.Ctx.program in
   let in_n = Program.ops p n @ Ctree.cjumps (Program.node p n).Node.ctree in
   let chained (op : Operation.t) =
     List.exists
-      (fun (o : Operation.t) ->
-        Ddg.chain_related ddg ~horizon (instance o) (instance op))
+      (fun (o : Operation.t) -> Ddg.related chains (instance o) (instance op))
       in_n
   in
   Iarr.to_list (Scheduler.entry_op_ids scratch n)
@@ -80,11 +80,11 @@ let default_config ~rank ~ddg ~horizon =
     budget = Grip_robust.Budget.unlimited;
   }
 
-(** [schedule_node config ctx scratch stats n] — Figure 7's
+(** [schedule_node config ctx scratch chains stats n] — Figure 7's
     [schedule(n)]: while resources remain and the set is non-empty,
     choose the best operation and migrate it; roll back if it fails to
     reach [n]. *)
-let schedule_node ?on_sched (config : config) (ctx : Ctx.t) scratch stats n =
+let schedule_node ?on_sched (config : config) (ctx : Ctx.t) scratch chains stats n =
   let p = ctx.Ctx.program in
   let tried : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let continue_ = ref true in
@@ -92,7 +92,7 @@ let schedule_node ?on_sched (config : config) (ctx : Ctx.t) scratch stats n =
     Grip_robust.Budget.check config.budget;
     stats.set_computations <- stats.set_computations + 1;
     let unifiable =
-      set ctx scratch ~ddg:config.ddg ~horizon:config.horizon n
+      set ctx scratch chains n
       |> List.filter (fun (op : Operation.t) ->
              not (Hashtbl.mem tried op.Operation.id))
     in
@@ -146,7 +146,8 @@ let schedule_node ?on_sched (config : config) (ctx : Ctx.t) scratch stats n =
   done
 
 (** [run ?on_sched config ctx] — GRiP's top-down traversal
-    ({!Scheduler.traverse}) with one region scratch for the run;
+    ({!Scheduler.traverse}) with one region scratch and one chain memo
+    for the run;
     [on_sched] fires after each operation reaches the node being
     scheduled (used to render the Figure 8 trace).  Like GRiP's node
     entry, a cyclic program raises a [Scheduling] error. *)
@@ -154,8 +155,9 @@ let run ?on_sched (config : config) (ctx : Ctx.t) =
   let p = ctx.Ctx.program in
   let stats = fresh_stats () in
   let scratch = Scheduler.fresh_scratch p in
+  let chains = Ddg.chains config.ddg ~horizon:config.horizon in
   Scheduler.traverse p (fun n ->
-      schedule_node ?on_sched config ctx scratch stats n;
+      schedule_node ?on_sched config ctx scratch chains stats n;
       stats.nodes_scheduled <- stats.nodes_scheduled + 1);
   stats
 

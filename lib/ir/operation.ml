@@ -180,11 +180,43 @@ let defines_reg op r =
 
 (* The one writer of an operation's text, [#<id>(i<iter>){<guard>} <kind>],
    straight into a buffer: the schedule digest renders thousands of
-   operations per request, and the Format printers below wrap it. *)
+   operations per request, and the Format printers below wrap it.
+   Integers, register names and integer operands are written digit by
+   digit, with no string per token; only a float immediate goes
+   through {!Value.to_string}. *)
 
-let add_int buf n = Buffer.add_string buf (Int.to_string n)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
 
-let write_operand buf o = Buffer.add_string buf (Operand.to_string o)
+(** [add_int buf n] appends [Int.to_string n] to [buf]. *)
+let add_int buf n =
+  if n >= 0 then add_digits buf n
+  else if n = min_int then Buffer.add_string buf (Int.to_string n)
+  else begin
+    Buffer.add_char buf '-';
+    add_digits buf (-n)
+  end
+
+let write_reg buf r =
+  Buffer.add_char buf 'r';
+  add_int buf (Reg.to_int r)
+
+(* [Operand.to_string o], written in place. *)
+let write_operand buf = function
+  | Operand.Reg r -> write_reg buf r
+  | Operand.Imm (Value.I n) -> add_int buf n
+  | Operand.Imm (Value.F _ as v) -> Buffer.add_string buf (Value.to_string v)
+  | Operand.Regoff (r, c) ->
+      write_reg buf r;
+      if c >= 0 then begin
+        Buffer.add_char buf '+';
+        add_int buf c
+      end
+      else begin
+        Buffer.add_char buf '-';
+        add_int buf (-c)
+      end
 
 let write_addr buf { sym; base; offset } =
   Buffer.add_string buf sym;
@@ -201,7 +233,7 @@ let write_addr buf { sym; base; offset } =
   Buffer.add_char buf ']'
 
 let write_def buf d =
-  Buffer.add_string buf (Reg.to_string d);
+  write_reg buf d;
   Buffer.add_string buf " <- "
 
 (* [a op b], the infix form of binops and conditional jumps *)

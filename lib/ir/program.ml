@@ -62,7 +62,8 @@
     nodes, each node's postorder index, and a per-walk stamp that
     doubles as reachability ({!is_live}, {!rpo_index}, {!rpo_at},
     {!n_nodes}; {!rpo} copies the same order into a new list on each
-    call).  Every
+    call), and node entry's region pass ({!region_op_ids}) reads those
+    arrays in place.  Every
     edge edit goes through [link_node] (which bumps [shape] and
     [chain]) or [delete_node] (which bumps only [shape]: removing an
     empty single-successor node changes no other node's reachability
@@ -119,6 +120,10 @@ type t = {
   mutable ord_next : int array;  (** walk stack: next successor index *)
   mutable ord_walks : int;  (** total walks over the run *)
   mutable ord_visits : int;  (** total nodes those walks reached *)
+  mutable reg_mark : int array;
+      (** node id -> [reg_stamp] of the last region pass that found it
+          dominated ({!region_op_ids}) *)
+  mutable reg_stamp : int;  (** bumped per region pass *)
   gc_work : Iarr.t;
       (** sweep candidates since the last {!gc}: nodes that lost an
           in-edge, were created or were restored *)
@@ -390,6 +395,8 @@ let create ?(first_reg = 0) () =
       ord_next = [||];
       ord_walks = 0;
       ord_visits = 0;
+      reg_mark = [||];
+      reg_stamp = 0;
       gc_work = Iarr.create ();
       gc_marks = Itbl.create 0;
       gc_epoch = 1;
@@ -600,18 +607,6 @@ let iter_op_ids p nid f =
   Iarr.iter f (plain_ids p nid);
   Ctree.iter_cjump_ids f (node p nid).Node.ctree
 
-(** [fold_preds p id ~init ~f] folds [f] over node [id]'s recorded
-    predecessors newest-first (the historical cons order), tombstones
-    skipped, dead nodes included — the raw table, allocation-free. *)
-let fold_preds p id ~init ~f =
-  let b = Itbl.get p.preds_tbl id in
-  let acc = ref init in
-  for i = Iarr.length b - 1 downto 0 do
-    let q = Iarr.unsafe_get b i in
-    if q >= 0 then acc := f !acc q
-  done;
-  !acc
-
 (* Newest-first snapshot of the raw table (dead preds included) — the
    list the old cons-list representation exposed. *)
 let preds_raw p id =
@@ -770,6 +765,91 @@ let rpo_at p k =
   fresh p;
   if k < 0 || k >= p.ord_n then invalid_arg "Program.rpo_at";
   Array.unsafe_get p.ord_post (p.ord_n - 1 - k)
+
+(* Append [v] to [acc], writing its buffer in place unless it must
+   grow. *)
+let[@inline] push acc v =
+  let len = acc.Iarr.len in
+  if len < Array.length acc.Iarr.a then begin
+    Array.unsafe_set acc.Iarr.a len v;
+    acc.Iarr.len <- len + 1
+  end
+  else Iarr.push acc v
+
+(* The ids of a tree's conditional jumps, pre-order. *)
+let rec push_cjump_ids acc = function
+  | Ctree.Leaf _ -> ()
+  | Ctree.Branch (cj, a, b) ->
+      push acc cj.Operation.id;
+      push_cjump_ids acc a;
+      push_cjump_ids acc b
+
+(** [region_op_ids p n acc] — node entry's region pass: fills [acc]
+    with the op ids of every node dominated by [n], [n] excluded, per
+    node in reverse postorder its plain ops in instruction order then
+    its tree's jumps pre-order ({!iter_op_ids}).  Answers [false] on a
+    cyclic program, and [acc] is then to be ignored.
+
+    One pass over the RPO suffix after [n], with no dominator tree: a
+    node there is dominated by [n] exactly when every live predecessor
+    of it is [n] or dominated by [n].  In an acyclic graph every
+    predecessor precedes its node in RPO, so the pass, marking [n] and
+    then each node it finds dominated, has decided each predecessor
+    when it reaches the node.  A live predecessor at or after its node
+    — [n] itself included — is a retreating edge: the graph has a
+    cycle, and the pass stops (DESIGN.md §24).  It reads the walk's
+    arrays and the predecessor and op tables in place, so no
+    predecessor or op costs a call, only [acc]'s growth does
+    (DESIGN.md §33). *)
+let region_op_ids p n acc =
+  acc.Iarr.len <- 0;
+  fresh p;
+  if not (marked p n) then true
+  else begin
+    if Array.length p.reg_mark < p.next_node then begin
+      let m = Array.make (max p.next_node (2 * Array.length p.reg_mark)) 0 in
+      Array.blit p.reg_mark 0 m 0 (Array.length p.reg_mark);
+      p.reg_mark <- m
+    end;
+    let stamp = p.reg_stamp + 1 in
+    p.reg_stamp <- stamp;
+    let mark = p.reg_mark and pos = p.ord_pos and last = p.ord_n - 1 in
+    let at = last - pos.(n) in
+    mark.(n) <- stamp;
+    (* a live predecessor of [n] at or after it closes a cycle through [n] *)
+    let retreat = ref false in
+    let b = get p.preds_tbl n in
+    for i = 0 to b.Iarr.len - 1 do
+      let q = Array.unsafe_get b.Iarr.a i in
+      if marked p q && last - Array.unsafe_get pos q >= at then retreat := true
+    done;
+    let k = ref (at + 1) in
+    while !k <= last && not !retreat do
+      let id = Array.unsafe_get p.ord_post (last - !k) in
+      let all = ref true in
+      let b = get p.preds_tbl id in
+      for i = 0 to b.Iarr.len - 1 do
+        let q = Array.unsafe_get b.Iarr.a i in
+        if marked p q then
+          if last - Array.unsafe_get pos q >= !k then retreat := true
+          else if Array.unsafe_get mark q <> stamp then all := false
+      done;
+      if !all && not !retreat then begin
+        Array.unsafe_set mark id stamp;
+        if not (is_exit p id) then begin
+          let ops = get p.ops_seq id in
+          for i = 0 to ops.Iarr.len - 1 do
+            push acc (Array.unsafe_get ops.Iarr.a i)
+          done;
+          match get p.nodes id with
+          | Some nd -> push_cjump_ids acc nd.Node.ctree
+          | None -> ()
+        end
+      end;
+      incr k
+    done;
+    not !retreat
+  end
 
 (** [order_walks p] / [order_visits p] — total graph-order walks on
     [p], and the nodes they reached. *)
@@ -1145,7 +1225,7 @@ let newline buf indent =
 let rec write_ctree buf col = function
   | Ctree.Leaf n ->
       Buffer.add_string buf "-> n";
-      Buffer.add_string buf (Int.to_string n)
+      Operation.add_int buf n
   | Ctree.Branch (cj, a, b) ->
       Buffer.add_char buf '[';
       Operation.write buf cj;
@@ -1164,7 +1244,7 @@ and write_arm buf col label t =
 
 let write_node buf p id =
   Buffer.add_char buf 'n';
-  Buffer.add_string buf (Int.to_string id);
+  Operation.add_int buf id;
   if is_exit p id then Buffer.add_string buf ": (exit)"
   else begin
     let n = node p id in
@@ -1185,14 +1265,14 @@ let write_node buf p id =
     operations and conditional tree.  No final newline. *)
 let write buf p =
   Buffer.add_string buf "entry = n";
-  Buffer.add_string buf (Int.to_string p.entry);
+  Operation.add_int buf p.entry;
   Buffer.add_string buf ", exit = n";
-  Buffer.add_string buf (Int.to_string p.exit_id);
-  List.iter
-    (fun id ->
-      newline buf 0;
-      write_node buf p id)
-    (rpo p)
+  Operation.add_int buf p.exit_id;
+  let len = n_nodes p in
+  for k = 0 to len - 1 do
+    newline buf 0;
+    write_node buf p (Array.unsafe_get p.ord_post (len - 1 - k))
+  done
 
 (** [to_string p] — the text {!write} appends. *)
 let to_string p =

@@ -148,22 +148,29 @@ let rec bucket bounds v i =
   if i >= Array.length bounds || v <= Array.unsafe_get bounds i then i
   else bucket bounds v (i + 1)
 
-let record h v =
+(* [k] observations of [v]. *)
+let record h v k =
   let i = bucket h.bounds v 0 in
-  h.counts.(i) <- h.counts.(i) + 1;
-  h.n <- h.n + 1;
-  h.sum <- h.sum + v;
+  h.counts.(i) <- h.counts.(i) + k;
+  h.n <- h.n + k;
+  h.sum <- h.sum + (k * v);
   if v > h.vmax then h.vmax <- v
 
 (** [observe t ?bounds name v] — record [v] into histogram [name],
     creating it with [bounds] (default powers of two up to 64) on
     first use; later [bounds] are ignored. *)
 let observe t ?(bounds = default_bounds) name v =
-  if t.enabled then record (hist_cell t bounds name) v
+  if t.enabled then record (hist_cell t bounds name) v 1
+
+(** [observe_n t name v k] — {!observe} [v] [k > 0] times, in one
+    bucket add: how a count kept per value outside the registry is
+    published. *)
+let observe_n t name v k =
+  if t.enabled then record (hist_cell t default_bounds name) v k
 
 (** [add_hist t name h] — fold the observations of [h] into histogram
-    [name], created with [h]'s bounds when absent: how a count kept as
-    a histogram outside the registry is published.  Bounds that differ
+    [name], created with [h]'s bounds when absent: how {!merge}
+    combines two registries' histograms.  Bounds that differ
     from the existing histogram's raise {!Merge_mismatch}. *)
 let add_hist t name h =
   if t.enabled then

@@ -1,6 +1,6 @@
 (* Dominators by the Cooper–Harvey–Kennedy iterative algorithm, over
    the reachable part of a program, computed afresh on each call.  Node
-   entry's region pass ([Grip.Scheduler.region_op_ids]) finds "the
+   entry's region pass ([Program.region_op_ids]) finds "the
    subgraph dominated by n" without a dominator tree; this is the
    oracle it, and the Unifiable-ops set drawn from it, are checked
    against (test_grip.ml, "suffix enumeration == full-RPO filter"). *)

@@ -5,6 +5,12 @@ open Vliw_ir
 module Alias = Vliw_analysis.Alias
 module Ddg = Vliw_analysis.Ddg
 
+(* A fixed QCheck seed unless QCHECK_SEED is set: qcheck-alcotest reads
+   it once, at the first property built, and one is built at module
+   top level below. *)
+let () =
+  if Sys.getenv_opt "QCHECK_SEED" = None then Unix.putenv "QCHECK_SEED" "20261019"
+
 let reg = Reg.of_int
 let imm n = Operand.Imm (Value.I n)
 
@@ -190,6 +196,44 @@ let test_ddg_memory_distance () =
   Alcotest.(check bool) "store@t -> load@t+1" true (has_mem 1 0 1);
   Alcotest.(check bool) "no same-iteration conflict" false (has_mem 0 1 0)
 
+(* The chain memo against the direct search, on the DDGs of the
+   Livermore kernels and of random synthetic ones: random instance
+   pairs, positions and iterations one past either end of their range
+   included, each asked twice so the memo answers from its table. *)
+let prop_chain_memo =
+  let livermore =
+    Array.of_list
+      (List.map
+         (fun (e : Workloads.Livermore.entry) -> e.Workloads.Livermore.kernel)
+         Workloads.Livermore.all)
+  in
+  QCheck2.Test.make ~count:200 ~name:"chain memo == direct search"
+    ~print:(fun (spec, li, h, seed) ->
+      Printf.sprintf "%s, LL%d, horizon %d, seed %d" (Synthetic_gen.print_spec spec)
+        (li + 1) h seed)
+    QCheck2.Gen.(
+      quad Synthetic_gen.spec_gen
+        (int_bound (Array.length livermore - 1))
+        (int_range 0 8) (int_bound 1_000_000))
+    (fun (spec, li, horizon, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let rand b = Random.State.int rng b in
+      List.for_all
+        (fun kern ->
+          let ddg = Grip.Pipeline.ddg_of kern in
+          let n = Array.length ddg.Ddg.ops in
+          let memo = Ddg.chains ddg ~horizon in
+          let instance () = (rand (n + 2) - 1, rand (horizon + 3) - 1) in
+          List.for_all
+            (fun _ ->
+              let a = instance () and b = instance () in
+              let want = Ddg.reaches_flow ddg ~horizon a b in
+              Ddg.reaches memo a b = want
+              && Ddg.reaches memo a b = want
+              && Ddg.related memo a b = Ddg.chain_related ddg ~horizon a b)
+            (List.init 100 Fun.id))
+        [ livermore.(li); Workloads.Synthetic.generate spec ])
+
 let () =
   Alcotest.run "vliw_analysis"
     [
@@ -213,5 +257,6 @@ let () =
           Alcotest.test_case "chain + lcd" `Quick test_ddg_chain_and_lcd;
           Alcotest.test_case "instances" `Quick test_ddg_instances;
           Alcotest.test_case "memory distance" `Quick test_ddg_memory_distance;
+          QCheck_alcotest.to_alcotest prop_chain_memo;
         ] );
     ]

@@ -135,9 +135,119 @@ let test_rank_prefers_long_chains () =
 
 (* The store-first rank of examples/custom_heuristic.ml. *)
 let store_first =
-  Grip.Rank.custom ~name:"store-first" (fun a b ->
-      let weight (op : Operation.t) = if Operation.is_store op then 0 else 1 in
-      compare (weight a) (weight b))
+  Grip.Rank.custom ~name:"store-first" (fun op ->
+      if Operation.is_store op then 0 else 1)
+
+(* Random ops for the key property: few values per field, so most
+   pairs tie in every field but the id.  Ids are distinct, spread up
+   to the key's id range; [iter] and [src_pos] take [-1], and
+   [lineage] runs one past the DDG's positions. *)
+let random_ops rng ~positions k =
+  let rand b = Random.State.int rng b in
+  let ids = Hashtbl.create k in
+  let rec fresh_id () =
+    let id = rand (1 lsl 26) in
+    if Hashtbl.mem ids id then fresh_id ()
+    else begin
+      Hashtbl.add ids id ();
+      id
+    end
+  in
+  List.init k (fun _ ->
+      let kind =
+        match rand 4 with
+        | 0 -> Operation.Copy (reg 1, imm 0)
+        | 1 ->
+            Operation.Store
+              ({ Operation.sym = "x"; base = imm 0; offset = 0 }, Operand.Reg (reg 1))
+        | 2 -> Operation.Load (reg 2, { Operation.sym = "x"; base = imm 0; offset = 0 })
+        | _ -> Operation.Cjump (Opcode.Lt, Operand.Reg (reg 1), imm 0)
+      in
+      Operation.make ~id:(fresh_id ()) ~iter:(rand 4 - 1)
+        ~lineage:(rand (positions + 2) - 1)
+        ~src_pos:(rand 4 - 1) kind)
+
+(* Each rank's key order against the comparator it replaced: sorting
+   by key, and the ranked queue's order after [load], both equal a
+   stable sort by the oracle. *)
+let prop_key_order_is_oracle =
+  let kernels =
+    Array.of_list
+      (abcdefg
+      :: List.map
+           (fun (e : Workloads.Livermore.entry) -> e.Workloads.Livermore.kernel)
+           Workloads.Livermore.all)
+  in
+  QCheck2.Test.make ~count:300 ~name:"key order == oracle comparator order"
+    ~print:QCheck2.Print.(triple int int int)
+    QCheck2.Gen.(triple (int_bound (Array.length kernels - 1)) (int_range 0 60) (int_bound 1_000_000))
+    (fun (ki, k, seed) ->
+      let kern = kernels.(ki) in
+      let ddg = Grip.Pipeline.ddg_of kern in
+      let rng = Random.State.make [| seed |] in
+      let ops = random_ops rng ~positions:(Array.length ddg.Vliw_analysis.Ddg.ops) k in
+      let ids l = List.map (fun (o : Operation.t) -> o.Operation.id) l in
+      let by_id = Hashtbl.create k in
+      List.iter (fun (o : Operation.t) -> Hashtbl.replace by_id o.Operation.id o) ops;
+      let queue_order rank =
+        let q = Grip.Scheduler.Ranked.create () in
+        let worklist = Iarr.create () in
+        List.iter (fun (o : Operation.t) -> Iarr.push worklist o.Operation.id) ops;
+        Grip.Scheduler.Ranked.load q ~rank ~record:(Hashtbl.find_opt by_id) worklist;
+        List.init k (Grip.Scheduler.Ranked.id q)
+      in
+      List.for_all
+        (fun (rank, oracle) ->
+          let want = ids (List.stable_sort oracle ops) in
+          ids (Grip.Rank.sort rank ops) = want && queue_order rank = want)
+        [
+          (Grip.Rank.section_3_4 ~ddg, Rank_oracle.section_3_4 ~ddg);
+          (Grip.Rank.source_order, Rank_oracle.source_order);
+          (store_first, Rank_oracle.store_first);
+        ])
+
+(* A key field out of range is a structured [Scheduling] error, never
+   a key wrapped into its neighbour; the ends of each range pack and
+   give their id back. *)
+let test_key_range () =
+  let op ?(iter = 0) ?(src_pos = 0) id =
+    Operation.make ~id ~iter ~src_pos (Operation.Copy (reg 1, imm 0))
+  in
+  let weight w = Grip.Rank.custom ~name:"weight" (fun _ -> w) in
+  let scheduling_error what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no error" what
+    | exception Grip_robust.Grip_error.Error e ->
+        Alcotest.(check string)
+          (what ^ ": stage") "scheduling"
+          (Grip_robust.Grip_error.stage_name e.Grip_robust.Grip_error.stage)
+  in
+  let key rank o () = rank.Grip.Rank.key o in
+  let src = Grip.Rank.source_order in
+  scheduling_error "iter 4095" (key src (op ~iter:4095 1));
+  scheduling_error "iter -2" (key src (op ~iter:(-2) 1));
+  scheduling_error "src_pos 4095" (key src (op ~src_pos:4095 1));
+  scheduling_error "src_pos -2" (key src (op ~src_pos:(-2) 1));
+  scheduling_error "id 2^26" (key src (op (1 lsl 26)));
+  scheduling_error "id -1" (key src (op (-1)));
+  scheduling_error "weight 4096" (key (weight 4096) (op 1));
+  scheduling_error "weight -1" (key (weight (-1)) (op 1));
+  let last = (1 lsl 26) - 1 in
+  let high = (weight 4095).Grip.Rank.key (op ~iter:4094 ~src_pos:4094 last) in
+  Alcotest.(check int) "largest fields give their id back" last
+    (high land Grip.Rank.id_mask);
+  Alcotest.(check bool) "largest fields stay non-negative" true (high > 0);
+  Alcotest.(check bool) "no_iter ranks first" true
+    (src.Grip.Rank.key (op ~iter:(-1) ~src_pos:(-1) last)
+    < src.Grip.Rank.key (op ~iter:0 0));
+  (* a hand-built rank whose key drops the id is refused at load *)
+  let bare = { Grip.Rank.name = "bare"; key = (fun _ -> 0) } in
+  let worklist = Iarr.create () in
+  Iarr.push worklist 1;
+  scheduling_error "key without its id" (fun () ->
+      Grip.Scheduler.Ranked.load (Grip.Scheduler.Ranked.create ()) ~rank:bare
+        ~record:(fun id -> Some (op id))
+        worklist)
 
 (* [Cache.schedule_digest] of every Livermore kernel at 4 FUs under two
    non-default ranks, recorded when choose-op still min-scanned every
@@ -214,7 +324,7 @@ let test_non_default_ranks_pinned () =
     rank_pins
 
 (* The ranked queue against the choose-op it replaced: a min-scan over
-   the worklist that keeps the incumbent on ties. *)
+   the worklist, ties broken by op id as the keys break them. *)
 let min_scan cmp (recs : Operation.t option array) worklist eligible =
   Array.fold_left
     (fun best id ->
@@ -234,10 +344,10 @@ let min_scan cmp (recs : Operation.t option array) worklist eligible =
    stop short, vanish or be suspended; a pick that is not suspended is
    retired; progress unsuspends everything (rule 2) and rewinds the
    queue.  The verdict holds suspended ids, which stay suspended until
-   rule 2.  The comparator has three classes, so most comparisons tie.
-   Invariants kept, as in the scheduler: an op in n never leaves it,
-   only the picked op is marked attempted or suspended, and only
-   suspended ops lose their attempted mark.  The queue must also never
+   rule 2.  The rank has three iteration classes, so most candidates
+   tie up to their id.  Invariants kept, as in the scheduler: an op in
+   n never leaves it, only the picked op is marked attempted or
+   suspended, and only suspended ops lose their attempted mark.  The queue must also never
    revisit a retired position, nor a held one before the next
    rewind. *)
 let prop_ranked_queue_is_min_scan =
@@ -256,7 +366,9 @@ let prop_ranked_queue_is_min_scan =
               Some (Operation.make ~id ~iter:(rand 3) (Operation.Copy (reg id, imm 0))))
       in
       let cmp (a : Operation.t) (b : Operation.t) =
-        Int.compare a.Operation.iter b.Operation.iter
+        match Int.compare a.Operation.iter b.Operation.iter with
+        | 0 -> Int.compare a.Operation.id b.Operation.id
+        | c -> c
       in
       let worklist = Array.init k Fun.id in
       for i = k - 1 downto 1 do
@@ -295,7 +407,7 @@ let prop_ranked_queue_is_min_scan =
       let q = R.create () in
       let ids = Iarr.create () in
       Array.iter (Iarr.push ids) worklist;
-      R.load q ~cmp ~record:(fun id -> recs.(id)) ids;
+      R.load q ~rank:Grip.Rank.source_order ~record:(fun id -> recs.(id)) ids;
       let agree = ref true and picking = ref true and steps = ref 0 in
       while !agree && !picking && !steps < 200 do
         incr steps;
@@ -846,6 +958,7 @@ let prop_suffix_enumeration =
       let next = Synthetic_gen.make_rng spec.Workloads.Synthetic.seed in
       let acc = Iarr.create () in
       let scratch = Grip.Scheduler.fresh_scratch p in
+      let chains = Vliw_analysis.Ddg.chains ddg ~horizon:4 in
       for step = 0 to 12 do
         if step > 0 then ignore (Synthetic_gen.migrate_random ctx next);
         let dom = Dom.compute p in
@@ -864,10 +977,7 @@ let prop_suffix_enumeration =
             if got <> full then
               QCheck2.Test.fail_reportf "step %d, n%d: %d op ids, want %d" step n
                 (List.length got) (List.length full);
-            if
-              not
-                (Grip.Scheduler.region_op_ids scratch.Grip.Scheduler.region n acc)
-            then
+            if not (Program.region_op_ids p n acc) then
               QCheck2.Test.fail_reportf "step %d, n%d: retreating edge reported"
                 step n;
             let region = Iarr.to_list acc in
@@ -876,7 +986,7 @@ let prop_suffix_enumeration =
                 "step %d, n%d: region lists %d op ids, want %d" step n
                 (List.length region) (List.length full);
             let ids = List.map (fun (o : Operation.t) -> o.Operation.id) in
-            let unifiable = ids (Grip.Unifiable.set ctx scratch ~ddg ~horizon:4 n)
+            let unifiable = ids (Grip.Unifiable.set ctx scratch chains n)
             and want = ids (unifiable_oracle p dom ~ddg ~horizon:4 n) in
             if unifiable <> want then
               QCheck2.Test.fail_reportf
@@ -945,11 +1055,11 @@ let test_region_cyclic () =
         ()
   in
   Alcotest.(check bool) "retreating edge reported below a" false
-    (Grip.Scheduler.region_op_ids scratch.Grip.Scheduler.region a acc);
+    (Program.region_op_ids p a acc);
   scheduling_error "node entry at a" (fun () ->
       Grip.Scheduler.entry_op_ids scratch a);
   Alcotest.(check bool) "no retreating edge below d" true
-    (Grip.Scheduler.region_op_ids scratch.Grip.Scheduler.region d acc);
+    (Program.region_op_ids p d acc);
   Alcotest.(check (list int)) "d dominates e" [ 7 ] (dom_ids d);
   Alcotest.(check (list int)) "node entry at d == Dom filter" [ 7 ]
     (Iarr.to_list (Grip.Scheduler.entry_op_ids scratch d));
@@ -963,8 +1073,7 @@ let test_region_cyclic () =
   let looped = entry_cycle_program () in
   let entry = looped.Program.entry in
   Alcotest.(check bool) "back edge into the entry reported" false
-    (Grip.Scheduler.region_op_ids
-       (Grip.Scheduler.fresh_scratch looped).Grip.Scheduler.region entry acc);
+    (Program.region_op_ids looped entry acc);
   scheduling_error "node entry at the entry of a cycle through it" (fun () ->
       Grip.Scheduler.entry_op_ids (Grip.Scheduler.fresh_scratch looped) entry);
   scheduling_error "Scheduler.run, cycle through the entry" (fun () ->
@@ -1197,7 +1306,11 @@ let test_unifiable_set_excludes_chained () =
   (* head of iteration 0 holds a0; b0 (depends on a0) must be excluded
      from Unifiable(head), d0 (independent chain) included *)
   let head = u.Grip.Unwind.heads.(0) in
-  let set = Grip.Unifiable.set ctx (Grip.Scheduler.fresh_scratch p) ~ddg ~horizon:2 head in
+  let set =
+    Grip.Unifiable.set ctx (Grip.Scheduler.fresh_scratch p)
+      (Vliw_analysis.Ddg.chains ddg ~horizon:2)
+      head
+  in
   let poss = List.map (fun (o : Operation.t) -> (o.Operation.src_pos, o.Operation.iter)) set in
   Alcotest.(check bool) "b0 excluded" false (List.mem (1, 0) poss);
   Alcotest.(check bool) "d0 included" true (List.mem (3, 0) poss);
@@ -1370,6 +1483,8 @@ let () =
           Alcotest.test_case "non-default ranks pinned" `Quick
             test_non_default_ranks_pinned;
           QCheck_alcotest.to_alcotest prop_ranked_queue_is_min_scan;
+          QCheck_alcotest.to_alcotest prop_key_order_is_oracle;
+          Alcotest.test_case "key fields out of range" `Quick test_key_range;
         ] );
       ( "scheduler",
         [

@@ -134,8 +134,8 @@ let prop_room_for_equiv =
    The model recomputes, from nothing but each node's tree, who points
    at whom; the maintained table (append + [-1] tombstones + occasional
    compaction) must agree after every batch of accepted moves — in
-   content for [preds_of] (live preds) and in multiset for the raw
-   [fold_preds] enumeration vs its snapshot list.  The same churn
+   content for [preds_of] (live preds), and the raw snapshot
+   [preds_raw] must list no tombstone.  The same churn
    checks the worklist collector: each batch runs with collections
    deferred, and every [Program.gc] after it must remove exactly the
    unreachable nodes. *)
@@ -395,16 +395,9 @@ let prop_preds_list_model =
                 "preds model mismatch at n%d: table [%s] vs model [%s]" id
                 (String.concat ";" (List.map string_of_int got))
                 (String.concat ";" (List.map string_of_int want));
-            (* the raw fold enumerates exactly its snapshot list,
-               newest-first — no tombstone may leak out as [-1] *)
-            let folded =
-              Program.fold_preds p id ~init:[] ~f:(fun acc q -> q :: acc)
-            in
-            if List.exists (fun q -> q < 0) folded then
-              QCheck2.Test.fail_reportf "tombstone leaked at n%d" id;
-            if List.rev folded <> Program.preds_raw p id then
-              QCheck2.Test.fail_reportf
-                "fold_preds order disagrees with raw snapshot at n%d" id)
+            (* no tombstone may leak out of the raw table as [-1] *)
+            if List.exists (fun q -> q < 0) (Program.preds_raw p id) then
+              QCheck2.Test.fail_reportf "tombstone leaked at n%d" id)
           (Program.rpo p)
       in
       let churn k =

@@ -547,6 +547,16 @@ let test_text_long_operands () =
       op (Operation.Store (a "b" 0, Operand.Imm (Value.I (-42))));
       op (Operation.Store (a "c" 9, Operand.Imm (Value.F Float.nan)));
       op (Operation.Copy (reg 3, Operand.Imm (Value.F Float.neg_infinity)));
+      (* integers at the ends of their range and at digit boundaries,
+         which the writer prints digit by digit *)
+      op (Operation.Copy (reg 0, Operand.Imm (Value.I max_int)));
+      op (Operation.Copy (reg 10, Operand.Imm (Value.I min_int)));
+      op (Operation.Copy (reg 100, Operand.Imm (Value.I 0)));
+      op (Operation.Copy (reg 9, Operand.Regoff (reg 1000, min_int)));
+      op (Operation.Copy (reg 99, Operand.Regoff (reg 19, 0)));
+      op
+        (Operation.Binop
+           (Opcode.Add, reg 8, Operand.Regoff (reg 7, -10), Operand.Imm (Value.I (-1))));
     ]
   in
   List.iter

@@ -907,7 +907,7 @@ let prop_fixed_target_deletions () =
   let name, speed, run =
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make
-         ~name:"chain memo == full walk (fixed target, deletions)" ~count:200
+         ~name:"chain memo == full walk (deletions, fixed target)" ~count:200
          ~print:Synthetic_gen.print_spec Synthetic_gen.spec_gen
          (walks_agree ~fixed_target:true ~deletions:true ~veto:true))
   in
