@@ -11,7 +11,6 @@ open Cmdliner
 module Machine = Vliw_machine.Machine
 module Pipeline = Grip.Pipeline
 module Grip_error = Grip_robust.Grip_error
-module Guard = Grip_robust.Guard
 module Obs = Grip_obs
 module Trace = Grip_obs.Trace
 module Metrics = Grip_obs.Metrics
@@ -90,31 +89,26 @@ let validate_queue queue =
   if queue < 1 then invalid "--queue must be at least 1 (got %d)" queue;
   queue
 
-(* resolve a kernel argument: a Livermore name, a paper example, or a
-   minic source file *)
+(* resolve a kernel argument: a built-in kernel or a minic source
+   file *)
 let resolve name =
-  match Workloads.Livermore.find name with
-  | Some e -> Ok (e.Workloads.Livermore.kernel, e.Workloads.Livermore.data)
-  | None -> (
-      match name with
-      | "abc" -> Ok (Workloads.Paper_examples.abc, Grip.Kernel.default_data)
-      | "abcdefg" ->
-          Ok (Workloads.Paper_examples.abcdefg, Grip.Kernel.default_data)
-      | file when Sys.file_exists file -> (
-          match read_file file with
-          | Error e -> Error e
-          | Ok src -> (
-              match Minic.Compile.kernel_of_string src with
-              | Ok out -> Ok (out.Minic.Compile.kernel, out.Minic.Compile.data)
-              | Error e -> Error e))
-      | other ->
-          Error
-            (Grip_error.make Grip_error.Io
-               (Grip_error.Message
-                  (Printf.sprintf
-                     "%S is neither a built-in kernel (LL1..LL14, abc, \
-                      abcdefg) nor a readable file"
-                     other))))
+  match Workloads.Builtin.find name with
+  | Some found -> Ok found
+  | None when Sys.file_exists name -> (
+      match read_file name with
+      | Error e -> Error e
+      | Ok src -> (
+          match Minic.Compile.kernel_of_string src with
+          | Ok out -> Ok (out.Minic.Compile.kernel, out.Minic.Compile.data)
+          | Error e -> Error e))
+  | None ->
+      Error
+        (Grip_error.make Grip_error.Io
+           (Grip_error.Message
+              (Printf.sprintf
+                 "%S is neither a built-in kernel (LL1..LL14, abc, abcdefg) \
+                  nor a readable file"
+                 name)))
 
 let kernel_arg =
   let doc = "Kernel: LL1..LL14, abc, abcdefg, or a minic source file." in
@@ -176,29 +170,6 @@ let table_arg =
   let doc = "Print the iteration/instruction schedule table." in
   Arg.(value & flag & info [ "table"; "t" ] ~doc)
 
-let strictness_arg =
-  let doc =
-    "Guard strictness for the guarded pipeline: off (skip intermediate \
-     guards), warn (report violations and continue) or strict (abandon the \
-     rung).  The final oracle check always runs."
-  in
-  let level =
-    Arg.conv
-      ( (fun s ->
-          match Guard.strictness_of_string s with
-          | Some v -> Ok v
-          | None -> Error (`Msg (Printf.sprintf "invalid strictness %S" s))),
-        fun ppf s -> Format.pp_print_string ppf (Guard.strictness_name s) )
-  in
-  Arg.(value & opt level Guard.Strict & info [ "strictness" ] ~docv:"LEVEL" ~doc)
-
-let no_fallback_arg =
-  let doc =
-    "Fail with the first rung's error instead of falling down the \
-     degradation ladder."
-  in
-  Arg.(value & flag & info [ "no-fallback" ] ~doc)
-
 let trace_arg =
   let doc =
     "Write a Chrome trace_event JSON trace of the run to $(docv) (open in \
@@ -240,42 +211,12 @@ let make_obs ~want_trace ~want_metrics =
   let registry = if want_metrics then Metrics.create () else Metrics.disabled in
   (Obs.make ~trace:tracer ~metrics:registry (), ring, registry)
 
-(* Deterministic Chrome tid scheme shared by every trace writer: tid 0
-   is the coordinating domain, [1 + worker] the pool workers, and
-   [100 + domain] the per-domain GC tracks from the runtime-events
-   consumer — so merged traces land on stable, labelled rows across
-   runs. *)
-let main_track events = { Trace.tid = 0; label = "main"; events }
-
-let worker_track w events =
-  {
-    Trace.tid = 1 + w;
-    label = (if w = 0 then "worker 0 (main)" else Printf.sprintf "worker %d" w);
-    events;
-  }
-
-let runtime_tracks rt =
-  List.map
-    (fun d ->
-      {
-        Trace.tid = 100 + d;
-        label = Printf.sprintf "gc domain %d" d;
-        events = Obs.Runtime.trace_events ~domain:d rt;
-      })
-    (Obs.Runtime.domains rt)
-
+(* The run's tracks (tid scheme: {!Obs.Trace_file}) written to [path],
+   migration hops drawn as flow arrows. *)
 let write_trace path tracks =
-  match
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc (Trace.chrome_tracks ~flows:true tracks);
-        output_char oc '\n')
-  with
-  | () -> Format.eprintf "grip: trace written to %s@." path
-  | exception Sys_error m ->
-      die (Grip_error.make Grip_error.Io (Grip_error.Io_failure m))
+  match Obs.Trace_file.write ~flows:true path tracks with
+  | Ok () -> Format.eprintf "grip: trace written to %s@." path
+  | Error m -> die (Grip_error.make Grip_error.Io (Grip_error.Io_failure m))
 
 (* -- compile ------------------------------------------------------------- *)
 
@@ -309,112 +250,81 @@ let compile_cmd =
 
 (* -- schedule ------------------------------------------------------------ *)
 
-let print_occupancy_on ppf kern machine
-    (pattern : Grip.Convergence.pattern option) program =
-  Format.fprintf ppf "%s@."
-    (Grip.Schedule_table.occupancy
-       ~jump_pos:(List.length kern.Grip.Kernel.body)
-       ?window:
-         (Option.map
-            (fun (p : Grip.Convergence.pattern) ->
-              (p.Grip.Convergence.start, p.Grip.Convergence.period,
-               p.Grip.Convergence.delta))
-            pattern)
-       ~machine program)
-
-(* Legacy unguarded path, kept for the Unifiable baseline (not a ladder
-   rung).  Renders into [ppf]; an oracle mismatch raises the structured
-   error instead of exiting, so batch mode reports it uniformly. *)
-let schedule_unifiable ~obs ~budget ?deadline ~digest ppf kern data machine
-    horizon table show_table =
-  let o =
-    Pipeline.run ~obs
-      ~budget:(Budget.sub budget ?deadline ())
-      kern ~machine ~method_:Pipeline.Unifiable ?horizon
-  in
+(* One kernel's schedule report, rendered into [ppf]: the tables asked
+   for, the abandoned rungs, the speedup of [program] (produced [how]),
+   its pattern ([no_pattern] when it has none), the oracle verdict, the
+   digest when asked and the scheduling time. *)
+let report ppf ~table ~show_table ~digest kern machine ~how ~no_pattern
+    ~descents ~pattern (m : Grip.Speedup.t) ~wall program =
+  let jump_pos = List.length kern.Grip.Kernel.body in
   if table then
-    Format.fprintf ppf "%s@."
-      (Grip.Schedule_table.render
-         ~jump_pos:(List.length kern.Grip.Kernel.body)
-         o.Pipeline.program);
+    Format.fprintf ppf "%s@." (Grip.Schedule_table.render ~jump_pos program);
   if show_table then
-    print_occupancy_on ppf kern machine o.Pipeline.pattern o.Pipeline.program;
-  let m = Pipeline.measure ~obs ~data o in
-  Format.fprintf ppf "%s on %a with %s: speedup %.2f (%.2f -> %.2f cycles/iter)@."
-    kern.Grip.Kernel.name Machine.pp machine
-    (Pipeline.method_name Pipeline.Unifiable)
-    m.Grip.Speedup.speedup m.Grip.Speedup.seq_per_iter
-    m.Grip.Speedup.sched_per_iter;
-  (match o.Pipeline.pattern with
+    Format.fprintf ppf "%s@."
+      (Grip.Schedule_table.occupancy ~jump_pos
+         ?window:
+           (Option.map
+              (fun (p : Grip.Convergence.pattern) ->
+                (p.Grip.Convergence.start, p.Grip.Convergence.period,
+                 p.Grip.Convergence.delta))
+              pattern)
+         ~machine program);
+  Pipeline.pp_descents ppf descents;
+  Format.fprintf ppf "%s on %a %s: speedup %.2f (%.2f -> %.2f cycles/iter)@."
+    kern.Grip.Kernel.name Machine.pp machine how m.Grip.Speedup.speedup
+    m.Grip.Speedup.seq_per_iter m.Grip.Speedup.sched_per_iter;
+  (match pattern with
   | Some p ->
       Format.fprintf ppf "converged: %d row(s) per %d iteration(s) from row %d@."
         p.Grip.Convergence.period p.Grip.Convergence.delta
         (p.Grip.Convergence.start + 1)
-  | None -> Format.fprintf ppf "no repeating pattern@.");
-  (match Pipeline.check ~data o with
-  | Ok _ -> Format.fprintf ppf "oracle: OK@."
-  | Error ms ->
-      let first =
-        match ms with
-        | m :: _ -> Format.asprintf "%a" Vliw_sim.Oracle.pp_mismatch m
-        | [] -> "unknown"
-      in
-      Grip_error.raise_ ~kernel:kern.Grip.Kernel.name
-        ~machine:(Format.asprintf "%a" Machine.pp machine)
-        Grip_error.Validation
-        (Grip_error.Oracle_mismatch { count = List.length ms; first }));
+  | None -> Format.fprintf ppf "%s@." no_pattern);
+  Format.fprintf ppf "oracle: OK@.";
   if digest then
-    Format.fprintf ppf "digest: %s@."
-      (Grip_serve.Cache.schedule_digest o.Pipeline.program);
-  Format.fprintf ppf "scheduling time: %.3fs@." o.Pipeline.wall_seconds
+    Format.fprintf ppf "digest: %s@." (Grip_serve.Cache.schedule_digest program);
+  Format.fprintf ppf "scheduling time: %.3fs@." wall
 
-(* One kernel through the guarded pipeline, report rendered into
-   [ppf]; failures raise [Grip_error.Error] for the pool to surface. *)
+(* One kernel through the guarded pipeline, or, for the Unifiable
+   baseline (not a ladder rung), through one unguarded run whose final
+   oracle is checked here; the report is rendered into [ppf].  Failures
+   raise [Grip_error.Error] for the pool to surface. *)
 let schedule_one ~obs ~budget ?deadline ~digest ppf (kern, data) machine
-    method_ horizon table strictness no_fallback show_table =
+    method_ horizon table show_table =
+  let report = report ppf ~table ~show_table ~digest kern machine in
   match method_ with
   | Pipeline.Unifiable ->
-      schedule_unifiable ~obs ~budget ?deadline ~digest ppf kern data machine
-        horizon table show_table
+      let o =
+        Pipeline.run ~obs
+          ~budget:(Budget.sub budget ?deadline ())
+          kern ~machine ~method_ ?horizon
+      in
+      let m = Pipeline.measure ~obs ~data o in
+      Result.iter_error
+        (fun e -> raise (Grip_error.Error e))
+        (Pipeline.oracle_final ~kernel:kern.Grip.Kernel.name
+           ~mstr:(Format.asprintf "%a" Machine.pp machine)
+           ~data ~n:(o.Pipeline.horizon - 2) kern o.Pipeline.program);
+      report
+        ~how:("with " ^ Pipeline.method_name method_)
+        ~no_pattern:"no repeating pattern" ~descents:[]
+        ~pattern:o.Pipeline.pattern m ~wall:o.Pipeline.wall_seconds
+        o.Pipeline.program
   | _ -> (
       match
-        Pipeline.run_robust ~obs ?horizon ~strictness
-          ~fallback:(not no_fallback) ?deadline ~budget ~data
+        Pipeline.run_robust ~obs ?horizon ?deadline ~budget ~data
           ~start:(Pipeline.rung_of_method method_) kern ~machine
       with
       | Error e -> raise (Grip_error.Error e)
       | Ok r ->
-          if table then
-            Format.fprintf ppf "%s@."
-              (Grip.Schedule_table.render
-                 ~jump_pos:(List.length kern.Grip.Kernel.body)
-                 r.Pipeline.program);
-          if show_table then
-            print_occupancy_on ppf kern machine r.Pipeline.pattern
-              r.Pipeline.program;
-          Pipeline.pp_descents ppf r.Pipeline.descents;
-          let m = Pipeline.measure_robust ~data r in
-          Format.fprintf ppf
-            "%s on %a at rung %s: speedup %.2f (%.2f -> %.2f cycles/iter)@."
-            kern.Grip.Kernel.name Machine.pp machine
-            (Pipeline.rung_name r.Pipeline.rung)
-            m.Grip.Speedup.speedup m.Grip.Speedup.seq_per_iter
-            m.Grip.Speedup.sched_per_iter;
-          (match r.Pipeline.pattern with
-          | Some p ->
-              Format.fprintf ppf
-                "converged: %d row(s) per %d iteration(s) from row %d@."
-                p.Grip.Convergence.period p.Grip.Convergence.delta
-                (p.Grip.Convergence.start + 1)
-          | None -> Format.fprintf ppf "no pipeline pattern (rolled-loop rung)@.");
-          Format.fprintf ppf "oracle: OK@.";
-          if digest then
-            Format.fprintf ppf "digest: %s@."
-              (Grip_serve.Cache.schedule_digest r.Pipeline.program);
-          Format.fprintf ppf "scheduling time: %.3fs@." r.Pipeline.wall_seconds)
+          report
+            ~how:("at rung " ^ Pipeline.rung_name r.Pipeline.rung)
+            ~no_pattern:"no pipeline pattern (rolled-loop rung)"
+            ~descents:r.Pipeline.descents ~pattern:r.Pipeline.pattern
+            (Pipeline.measure_robust ~data r)
+            ~wall:r.Pipeline.wall_seconds r.Pipeline.program)
 
-let schedule_run kernels fus method_ horizon table strictness no_fallback
-    trace_file metrics show_table digest jobs deadline_ms retries =
+let schedule_run kernels fus method_ horizon table trace_file metrics
+    show_table digest jobs deadline_ms retries =
   let jobs = validate_jobs jobs in
   let deadline = validate_deadline_ms deadline_ms in
   let retries = validate_retries retries in
@@ -436,7 +346,7 @@ let schedule_run kernels fus method_ horizon table strictness no_fallback
     let buf = Buffer.create 1024 in
     let ppf = Format.formatter_of_buffer buf in
     schedule_one ~obs ~budget ?deadline ~digest ppf resolved_kernel machine
-      method_ horizon table strictness no_fallback show_table;
+      method_ horizon table show_table;
     Format.pp_print_flush ppf ();
     (Buffer.contents buf, ring, registry, worker)
   in
@@ -487,29 +397,15 @@ let schedule_run kernels fus method_ horizon table strictness no_fallback
           "grip: warning: the trace ring overwrote %d event(s); %s is \
            truncated (earliest events lost)@."
           dropped path;
-      let worker_tracks =
-        let tbl = Hashtbl.create 8 in
-        List.iter
-          (fun (_, ring, _, w) ->
-            Option.iter
-              (fun r ->
-                let prev = Option.value (Hashtbl.find_opt tbl w) ~default:[] in
-                Hashtbl.replace tbl w (Trace.ring_events r :: prev))
-              ring)
-          results;
-        Hashtbl.fold
-          (fun w evss acc -> worker_track w (Trace.merge_events evss) :: acc)
-          tbl []
-        |> List.sort (fun a b -> compare a.Trace.tid b.Trace.tid)
-      in
-      let tracks =
-        (match sup_ring with
-        | Some r -> [ main_track (Trace.ring_events r) ]
-        | None -> [])
-        @ worker_tracks
-        @ (match rt with Some rt -> runtime_tracks rt | None -> [])
-      in
-      write_trace path tracks
+      write_trace path
+        (Obs.Trace_file.tracks
+           ?main:(Option.map (fun r -> ("main", Trace.ring_events r)) sup_ring)
+           ~workers:
+             (List.filter_map
+                (fun (_, ring, _, w) ->
+                  Option.map (fun r -> (w, Trace.ring_events r)) ring)
+                results)
+           rt)
   | None -> ()
 
 let schedule_cmd =
@@ -520,7 +416,7 @@ let schedule_cmd =
           report speedup")
     Term.(
       const schedule_run $ kernels_arg $ fus_arg $ method_arg $ horizon_arg
-      $ table_arg $ strictness_arg $ no_fallback_arg $ trace_arg $ metrics_arg
+      $ table_arg $ trace_arg $ metrics_arg
       $ show_table_arg $ digest_arg $ jobs_arg $ deadline_ms_arg
       $ retries_arg ~default:0)
 
@@ -675,8 +571,9 @@ let stress_run kernels fus tasks jobs deadline_ms retries queue fault every
       gap_ms;
     Format.printf "  trace_events_dropped=%d@." (Trace.ring_dropped ring);
     write_trace dump
-      (main_track (Trace.ring_events ring)
-      :: (match rt with Some rt -> runtime_tracks rt | None -> []))
+      (Obs.Trace_file.tracks
+         ~main:("main", Trace.ring_events ring)
+         ~workers:[] rt)
   end
 
 let stress_cmd =
@@ -820,25 +717,12 @@ let profile_run kernel fus jobs tasks trace_file max_schedule_alloc =
     Format.printf "  runtime events lost: %d@." (Obs.Runtime.lost rt);
   (match trace_file with
   | Some path ->
-      let worker_tracks =
-        let tbl = Hashtbl.create 8 in
-        List.iter
-          (fun (_, ring, _, w) ->
-            let prev = Option.value (Hashtbl.find_opt tbl w) ~default:[] in
-            Hashtbl.replace tbl w (Trace.ring_events ring :: prev))
-          results;
-        Hashtbl.fold
-          (fun w evss acc -> worker_track w (Trace.merge_events evss) :: acc)
-          tbl []
-        |> List.sort (fun a b -> compare a.Trace.tid b.Trace.tid)
-      in
-      let tracks =
-        (match sup_ring with
-        | Some r -> [ main_track (Trace.ring_events r) ]
-        | None -> [])
-        @ worker_tracks @ runtime_tracks rt
-      in
-      write_trace path tracks
+      write_trace path
+        (Obs.Trace_file.tracks
+           ?main:(Option.map (fun r -> ("main", Trace.ring_events r)) sup_ring)
+           ~workers:
+             (List.map (fun (_, ring, _, w) -> (w, Trace.ring_events ring)) results)
+           (Some rt))
   | None -> ());
   (* Allocation ceiling: an executable assertion on the flat-IR hot
      path.  The schedule phase is where per-query allocation would
@@ -906,12 +790,11 @@ let simulate_run kernel fus n =
       match Pipeline.run_robust ~horizon ~data kern ~machine with
       | Error e -> die e
       | Ok r ->
-          let rolled = (Grip.Kernel.rolled kern).Vliw_ir.Builder.program in
-          let cycles prog =
-            let st = Grip.Kernel.initial_state ~n kern ~data in
-            (Vliw_sim.Exec.run prog st).Vliw_sim.Exec.cycles
+          let c_seq, c_sched =
+            match Grip.Speedup.run ~data kern ~scheduled:r.Pipeline.program ~n with
+            | cycles -> cycles
+            | exception Grip_error.Error e -> die e
           in
-          let c_seq = cycles rolled and c_sched = cycles r.Pipeline.program in
           Format.printf
             "%s, %d iterations: sequential %d cycles, %s %d cycles (%.2fx)@."
             kern.Grip.Kernel.name n c_seq

@@ -16,7 +16,7 @@ module Bottleneck = Grip_obs.Bottleneck
 module Supervisor = Grip_parallel.Supervisor
 
 let schema_prefix = "grip.bench.table1/"
-let schema = schema_prefix ^ "14"
+let schema = schema_prefix ^ "15"
 
 (* -- rows ------------------------------------------------------------------ *)
 
@@ -76,7 +76,7 @@ let legality =
            (String.sub key (dot + 1) (String.length key - dot - 1))
            (fun m -> Metrics.counter m key))
        [
-         "ir.gc_deferred"; "ir.gc_runs"; "ir.gc_reclaimed"; "ir.gc_candidates";
+         "ir.gc_runs"; "ir.gc_reclaimed"; "ir.gc_candidates";
          "migrate.walk_nodes"; "migrate.chain_nodes";
          "scheduler.candidate_visits"; "scheduler.replays";
          "gapless.scan_nodes"; "ir.order_walks"; "ir.order_visits";

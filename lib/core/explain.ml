@@ -10,20 +10,8 @@
 
 open Vliw_ir
 module Machine = Vliw_machine.Machine
-module Ddg = Vliw_analysis.Ddg
 module Provenance = Grip_obs.Provenance
 module Bottleneck = Grip_obs.Bottleneck
-
-(* Only true (flow) and memory dependences bound the issue rate;
-   anti/output arcs are dissolved by the engine's renaming. *)
-let edges_of_ddg (ddg : Ddg.t) =
-  List.filter_map
-    (fun (a : Ddg.arc) ->
-      match a.Ddg.kind with
-      | Ddg.Flow | Ddg.Mem ->
-          Some { Bottleneck.src = a.Ddg.src; dst = a.Ddg.dst; dist = a.Ddg.dist }
-      | Ddg.Anti | Ddg.Output -> None)
-    ddg.Ddg.arcs
 
 (* The steady-state window's rows of the pressure listing, or the whole
    internal path when the schedule never converged. *)
@@ -39,15 +27,13 @@ let window_pressure (o : Pipeline.outcome) =
         all
 
 (** [input_of ?prov o] — the analyzer's input for a pipeline outcome.
-    With journals, suspension/barrier totals come from provenance
-    (equal to the Metrics counters by the replay invariant); without,
-    from the scheduler's own stats.  The resource bound uses the
-    slots actually issued per steady iteration — renaming copies
-    consume slots too, and redundancy removal may have deleted body
-    ops — falling back to the kernel's nominal op count when the
-    schedule never converged. *)
+    Suspension and barrier totals are the scheduler's own stats (the
+    journals' totals equal them by the replay invariant); the journals
+    give the blocking ops.  The resource bound uses the slots actually
+    issued per steady iteration — renaming copies consume slots too,
+    and redundancy removal may have deleted body ops — falling back to
+    the kernel's nominal op count when the schedule never converged. *)
 let input_of ?(prov = Provenance.null) (o : Pipeline.outcome) =
-  let ddg = Pipeline.ddg_of o.Pipeline.kernel in
   let positions = List.length o.Pipeline.kernel.Kernel.body + 1 in
   let pressure = window_pressure o in
   let iter_ops =
@@ -57,14 +43,10 @@ let input_of ?(prov = Provenance.null) (o : Pipeline.outcome) =
         /. float_of_int pat.Convergence.delta
     | _ -> float_of_int (Kernel.ops_per_iteration o.Pipeline.kernel)
   in
-  let suspensions, barriers =
-    if Provenance.enabled prov then
-      (Provenance.total_suspensions prov, Provenance.total_barriers prov)
-    else Pipeline.sched_totals o.Pipeline.stats
-  in
+  let suspensions, barriers = Pipeline.sched_totals o.Pipeline.stats in
   {
     Bottleneck.positions;
-    edges = edges_of_ddg ddg;
+    edges = Pipeline.rate_edges (Pipeline.ddg_of o.Pipeline.kernel);
     iter_ops;
     width =
       (if Machine.is_unlimited o.Pipeline.machine then 0

@@ -23,6 +23,7 @@
 
 module Ddg = Vliw_analysis.Ddg
 module Machine = Vliw_machine.Machine
+module Bottleneck = Grip_obs.Bottleneck
 
 type t = {
   ii : int;  (** achieved initiation interval (cycles per iteration) *)
@@ -38,28 +39,19 @@ let resource_mii ~machine n_ops =
   if Machine.is_unlimited machine then 1
   else (n_ops + Machine.width machine - 1) / Machine.width machine
 
-(* Recurrence-minimum II: for every elementary dependence cycle C,
-   ceil(latency(C) / distance(C)); latencies are all 1.  Found by a
-   bounded DFS over the dependence graph (kernels are small). *)
+(* Recurrence-minimum II: over every dependence cycle C,
+   ceil(latency(C) / distance(C)), latencies all 1, and at least 1.
+   The cycle is the bottleneck analyzer's critical recurrence, found
+   over the arcs that bound the rate ({!Pipeline.rate_edges}). *)
 let recurrence_mii (ddg : Ddg.t) =
-  let n = Array.length ddg.Ddg.ops in
-  let best = ref 1 in
-  let rec dfs start pos len dist visited =
-    List.iter
-      (fun (a : Ddg.arc) ->
-        if a.Ddg.kind = Ddg.Flow || a.Ddg.kind = Ddg.Mem then begin
-          let len' = len + 1 and dist' = dist + a.Ddg.dist in
-          if a.Ddg.dst = start && dist' > 0 then
-            best := max !best ((len' + dist' - 1) / dist')
-          else if (not (List.mem a.Ddg.dst visited)) && List.length visited < n
-          then dfs start a.Ddg.dst len' dist' (a.Ddg.dst :: visited)
-        end)
-      ddg.Ddg.succs.(pos)
-  in
-  for s = 0 to n - 1 do
-    dfs s s 0 0 [ s ]
-  done;
-  !best
+  match
+    snd
+      (Bottleneck.critical_chain ~positions:(Array.length ddg.Ddg.ops)
+         ~edges:(Pipeline.rate_edges ddg))
+  with
+  | Some { Bottleneck.chain_ops; chain_distance = d; _ } when d > 0 ->
+      max 1 ((chain_ops + d - 1) / d)
+  | Some _ | None -> 1
 
 (* Height-based priority (standard modulo scheduling order). *)
 let priorities (ddg : Ddg.t) =
@@ -157,21 +149,18 @@ let try_ii (ddg : Ddg.t) ~machine ~ii =
     kernel's body (its loop-control conditional included, as in the
     unwound comparison). *)
 let schedule (k : Kernel.t) ~machine =
-  let kinds = k.Kernel.body @ [ List.nth (Kernel.control k) 1 ] in
-  let ops =
-    List.mapi (fun i kind -> Vliw_ir.Operation.make ~id:i ~src_pos:i kind) kinds
-  in
-  let ddg = Ddg.build ~ivar:(k.Kernel.ivar, k.Kernel.step) ops in
-  let mii_resource = resource_mii ~machine (List.length kinds) in
+  let ddg = Pipeline.ddg_of k in
+  let n_ops = Array.length ddg.Ddg.ops in
+  let mii_resource = resource_mii ~machine n_ops in
   let mii_recurrence = recurrence_mii ddg in
   let rec go ii attempts =
-    if ii > 4 * (mii_resource + mii_recurrence) + List.length kinds then
+    if ii > 4 * (mii_resource + mii_recurrence) + n_ops then
       (* give up: sequential fallback *)
       {
         ii;
         mii_resource;
         mii_recurrence;
-        schedule = List.mapi (fun i _ -> (i, i)) kinds;
+        schedule = List.init n_ops (fun i -> (i, i));
         attempts;
       }
     else

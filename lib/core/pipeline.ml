@@ -71,6 +71,19 @@ let ddg_of (k : Kernel.t) =
   let ops = List.mapi (fun i kind -> Operation.make ~id:i ~src_pos:i kind) kinds in
   Ddg.build ~ivar:(k.Kernel.ivar, k.Kernel.step) ops
 
+(** [rate_edges ddg] — the arcs of [ddg] that bound the issue rate,
+    as the recurrence bound ({!Obs.Bottleneck.critical_chain}) reads
+    them: true (flow) and memory dependences.  Anti and output
+    arcs are dissolved by the engine's renaming. *)
+let rate_edges (ddg : Ddg.t) =
+  List.filter_map
+    (fun (a : Ddg.arc) ->
+      match a.Ddg.kind with
+      | Ddg.Flow | Ddg.Mem ->
+          Some { Obs.Bottleneck.src = a.Ddg.src; dst = a.Ddg.dst; dist = a.Ddg.dist }
+      | Ddg.Anti | Ddg.Output -> None)
+    ddg.Ddg.arcs
+
 (** [default_rank k] — the section 3.4 heuristic instantiated for
     [k]. *)
 let default_rank (k : Kernel.t) = Rank.section_3_4 ~ddg:(ddg_of k)
@@ -130,7 +143,6 @@ let publish_scheduler m (s : Scheduler.stats) =
 let publish_ctx m (c : Ctx.counts) =
   count m "ir.gc_runs" c.Ctx.gc_runs;
   count m "ir.gc_reclaimed" ~events:c.Ctx.gc_runs c.Ctx.gc_reclaimed;
-  count m "ir.gc_deferred" c.Ctx.gc_deferred;
   count m "migrate.chain_nodes" ~events:c.Ctx.chain_checks c.Ctx.chain_nodes;
   count m "migrate.walk_nodes" ~events:c.Ctx.walks c.Ctx.walk_nodes;
   count m "gapless.scan_nodes" ~events:c.Ctx.searches c.Ctx.scan_nodes
@@ -160,31 +172,19 @@ let publish m p stats ctxs =
 
 (** The checks a guarded run applies (each pipelining rung of
     {!run_robust}): structural / resource / oracle spot-checks after
-    every stage obey [g_strictness]; fuel, [g_deadline], convergence
-    and the final oracle check against [g_data] abandon the run
-    unconditionally. *)
-type guards = {
-  g_strictness : Guard.strictness;
-  g_deadline : float option;
-  g_data : string -> int -> Value.t;
-}
+    every stage, fuel, [g_deadline], convergence and the final oracle
+    check against [g_data]; any of them abandons the run. *)
+type guards = { g_deadline : float option; g_data : string -> int -> Value.t }
 
 let ( let* ) = Result.bind
 
-(* Unconditional semantic check against the rolled reference: a rung
-   may only win if the oracle agrees, whatever the strictness. *)
+(* The semantic check against the rolled reference: a rung may only
+   win if the oracle agrees. *)
 let oracle_final ~kernel ~mstr ~data ~n k p =
   match Speedup.verify ~data k ~scheduled:p ~n with
   | Ok _ -> Ok ()
   | Error ms ->
-      let first =
-        match ms with
-        | m :: _ -> Format.asprintf "%a" Vliw_sim.Oracle.pp_mismatch m
-        | [] -> "unknown"
-      in
-      Error
-        (Grip_error.make ~kernel ~machine:mstr Grip_error.Validation
-           (Grip_error.Oracle_mismatch { count = List.length ms; first }))
+      Error (Guard.oracle_error ~kernel ~machine:mstr Grip_error.Validation ms)
 
 (* The one unwind -> redundancy -> schedule -> converge sequence.  With
    [guards = None] ({!run}) no guard is evaluated, raised errors
@@ -210,7 +210,7 @@ let drive ~obs ~rank ~horizon ~redundancy ~speculation ~max_migrations
   let guarded named =
     match guards with
     | None -> Ok ()
-    | Some g -> Guard.all_named ~obs g.g_strictness (named g)
+    | Some g -> Guard.all_named ~obs (named g)
   in
   let structural stage p () =
     Guard.structural ~kernel ~machine:(Lazy.force mstr) stage p
@@ -383,14 +383,19 @@ let run ?(obs = Obs.null) ?rank ?horizon ?(redundancy = true)
   | Ok o -> o
   | Error e -> raise (Grip_error.Error e) (* unreachable: nothing abandons *)
 
+(* The trip counts (n1, n2) a schedule unwound [horizon] iterations
+   deep is measured at, in its steady state.  [n2 - n1] is a multiple
+   of 12, so exits land at the same phase of any repeating pattern
+   with delta in {1,2,3,4,6} and the pipeline-drain epilogues cancel in
+   the difference quotient. *)
+let trip_counts horizon =
+  let n2 = horizon - 2 in
+  ((if n2 > 13 then n2 - 12 else max 1 (n2 / 2)), n2)
+
 (** [measure outcome] — dynamic speedup from two trip counts deep in
-    the steady state.  [n2 - n1] is a multiple of 12, so exits land at
-    the same phase of any repeating pattern with delta in {1,2,3,4,6}
-    and the pipeline-drain epilogues cancel in the difference
-    quotient. *)
+    the steady state. *)
 let measure ?(obs = Obs.null) ?data (o : outcome) =
-  let n2 = o.horizon - 2 in
-  let n1 = if n2 > 13 then n2 - 12 else max 1 (n2 / 2) in
+  let n1, n2 = trip_counts o.horizon in
   (* steady-state differencing is only sound when the schedule
      converged (exits then drain through phase-equal epilogues); a
      non-convergent schedule is charged its full execution *)
@@ -447,7 +452,6 @@ type robust = {
   kernel : Kernel.t;
   machine : Machine.t;
   horizon : int;
-  strictness : Guard.strictness;
   rung : rung;  (** the rung that produced [program] *)
   descents : (rung * Grip_error.t) list;
       (** abandoned rungs with the error that abandoned each, top of
@@ -460,7 +464,7 @@ type robust = {
 
 (* The list-scheduled rolled loop: no unwinding, no percolation; still
    guarded and still oracle-checked. *)
-let attempt_list ~obs ~strictness ~horizon ~data (k : Kernel.t) ~machine =
+let attempt_list ~obs ~horizon ~data (k : Kernel.t) ~machine =
   let kernel = k.Kernel.name in
   let mstr = Format.asprintf "%a" Machine.pp machine in
   let* p =
@@ -473,7 +477,7 @@ let attempt_list ~obs ~strictness ~horizon ~data (k : Kernel.t) ~machine =
              (Grip_error.Message (Printexc.to_string e)))
   in
   let* () =
-    Guard.all_named ~obs strictness
+    Guard.all_named ~obs
       [
         ( "validation.structural",
           fun () ->
@@ -487,12 +491,12 @@ let attempt_list ~obs ~strictness ~horizon ~data (k : Kernel.t) ~machine =
 
 (** [run_robust k ~machine] — the guarded pipeline.  Starts at [start]
     (default: the top rung, full GRiP) and falls one rung down the
-    ladder whenever the current rung is abandoned: by an intermediate
-    guard under [Strict] strictness, or — regardless of strictness — by
-    fuel/deadline exhaustion, failure to converge, or a final oracle
-    mismatch.  With [fallback] (default), the result is always [Ok]:
-    the bottom rung is the sequential reference itself.  With
-    [~fallback:false] the first abandonment is returned as [Error].
+    ladder whenever the current rung is abandoned: by a structural,
+    resource or oracle guard after any stage, by fuel or deadline
+    exhaustion, by failure to converge, or by the final oracle check.
+    Each abandoned rung is reported in [descents] with its error.  The
+    bottom rung is the sequential reference itself, so the result is
+    [Ok] unless a cancelled [budget] abandons that rung too.
 
     [deadline] bounds each {e pipelining} rung: a per-rung child token
     ({!Budget.sub}) is polled live at the scheduler loop heads, so a
@@ -502,8 +506,7 @@ let attempt_list ~obs ~strictness ~horizon ~data (k : Kernel.t) ~machine =
     checked again before the list and sequential rungs, so a cancelled
     task stops descending the ladder rather than finishing cheaply. *)
 let run_robust ?(obs = Obs.null) ?rank ?horizon ?(redundancy = true)
-    ?(speculation = Scheduler.Always) ?(strictness = Guard.Strict)
-    ?(fallback = true) ?max_migrations ?deadline
+    ?(speculation = Scheduler.Always) ?max_migrations ?deadline
     ?(budget = Budget.unlimited) ?(data = Kernel.default_data)
     ?(start = R_grip) (k : Kernel.t) ~machine =
   let rank = match rank with Some r -> r | None -> default_rank k in
@@ -518,7 +521,6 @@ let run_robust ?(obs = Obs.null) ?rank ?horizon ?(redundancy = true)
       kernel = k;
       machine;
       horizon;
-      strictness;
       rung;
       descents = List.rev descents;
       scheduled;
@@ -526,9 +528,7 @@ let run_robust ?(obs = Obs.null) ?rank ?horizon ?(redundancy = true)
       wall_seconds = Unix.gettimeofday () -. t0;
     }
   in
-  let guards =
-    Some { g_strictness = strictness; g_deadline = deadline; g_data = data }
-  in
+  let guards = Some { g_deadline = deadline; g_data = data } in
   let attempt rung =
     match rung with
     | R_grip | R_grip_no_gap | R_post ->
@@ -546,7 +546,7 @@ let run_robust ?(obs = Obs.null) ?rank ?horizon ?(redundancy = true)
     | R_list -> (
         match
           Budget.guard budget (fun () ->
-              attempt_list ~obs ~strictness ~horizon ~data k ~machine)
+              attempt_list ~obs ~horizon ~data k ~machine)
         with
         | Ok r -> Result.map (fun p -> (p, None, None)) r
         | Error e -> Error e)
@@ -571,7 +571,7 @@ let run_robust ?(obs = Obs.null) ?rank ?horizon ?(redundancy = true)
             Trace.emit obs.Obs.trace
               (Trace.Descent
                  { rung = rung_name rung; reason = Grip_error.to_string e });
-            if fallback && rest <> [] then go ((rung, e) :: descents) rest
+            if rest <> [] then go ((rung, e) :: descents) rest
             else Error e)
   in
   go [] rungs
@@ -584,8 +584,7 @@ let measure_robust ?data (r : robust) =
   match r.scheduled with
   | Some o -> measure ?data o
   | None ->
-      let n2 = r.horizon - 2 in
-      let n1 = if n2 > 13 then n2 - 12 else max 1 (n2 / 2) in
+      let n1, n2 = trip_counts r.horizon in
       Speedup.measure ?data ~steady:false r.kernel ~scheduled:r.program ~n1 ~n2
 
 let pp_descents ppf ds =

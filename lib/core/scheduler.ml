@@ -582,7 +582,7 @@ let schedule_node ?on_move ?on_replay (config : config) (ctx : Ctx.t)
              as the walk would have reported it (DESIGN.md §27). *)
           let outcome = Ctx.replay_outcome ctx oid in
           stats.replays <- stats.replays + 1;
-          Migrate.replay r ~target:n ~op_id:oid outcome;
+          Migrate.replay r ~op_id:oid outcome;
           (match outcome with
           | Some Migrate.Suspended ->
               if proving then

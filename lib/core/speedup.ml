@@ -15,6 +15,7 @@
 open Vliw_ir
 module State = Vliw_sim.State
 module Exec = Vliw_sim.Exec
+module Grip_error = Grip_robust.Grip_error
 
 type t = {
   seq_per_iter : float;
@@ -30,12 +31,32 @@ type t = {
           schedule its prologue and drain *)
 }
 
+(* The cycles [program] takes from a copy of [st], [k]'s state at trip
+   count [n].  A simulator fault (an access past the end of an array:
+   [n] beyond the kernel's data) is a [Validation] error naming the
+   kernel, the trip count and the fault. *)
+let cycles (k : Kernel.t) ~n program st =
+  match Exec.run program (State.copy st) with
+  | r -> r.Exec.cycles
+  | exception State.Fault msg ->
+      Grip_error.raise_ ~kernel:k.Kernel.name Grip_error.Validation
+        (Grip_error.Message (Printf.sprintf "simulating %d iterations: %s" n msg))
+
+(** [run ?data k ~scheduled ~n] — the cycles the rolled loop and
+    [scheduled] take over [n] iterations, as (sequential, scheduled).
+    Raises a [Validation] [Grip_error.Error] on a simulator fault. *)
+let run ?(data = Kernel.default_data) (k : Kernel.t) ~scheduled ~n =
+  let st = Kernel.initial_state ~n k ~data in
+  ( cycles k ~n (Kernel.rolled k).Builder.program st,
+    cycles k ~n scheduled st )
+
 (** [measure ?steady k ~scheduled ~n1 ~n2] — [n2] must stay strictly
     below the unwind horizon of [scheduled].  With [steady] (default),
     per-iteration cost is the difference quotient between the two trip
     counts; without it, the total-execution ratio at [n2] is used (see
     {!t.steady}).  The four runs start from copies of one initial
-    state, the second trip count written into the bound register. *)
+    state, the second trip count written into the bound register.
+    Raises a [Validation] [Grip_error.Error] on a simulator fault. *)
 let measure ?(data = Kernel.default_data) ?(steady = true) (k : Kernel.t)
     ~scheduled ~n1 ~n2 =
   if n1 >= n2 then invalid_arg "Speedup.measure: n1 >= n2";
@@ -45,11 +66,10 @@ let measure ?(data = Kernel.default_data) ?(steady = true) (k : Kernel.t)
   (match k.Kernel.bound with
   | Operand.Reg r -> State.write_reg st2 r (Value.I n2)
   | Operand.Imm _ | Operand.Regoff _ -> ());
-  let cycles program st = (Exec.run program (State.copy st)).Exec.cycles in
-  let c_seq1 = cycles rolled st1
-  and c_seq2 = cycles rolled st2
-  and c_sch1 = cycles scheduled st1
-  and c_sch2 = cycles scheduled st2 in
+  let c_seq1 = cycles k ~n:n1 rolled st1
+  and c_seq2 = cycles k ~n:n2 rolled st2
+  and c_sch1 = cycles k ~n:n1 scheduled st1
+  and c_sch2 = cycles k ~n:n2 scheduled st2 in
   let seq_per_iter, sched_per_iter =
     if steady then
       let per a b = float_of_int (b - a) /. float_of_int (n2 - n1) in

@@ -17,6 +17,7 @@ module Metrics = Metrics
 module Provenance = Provenance
 module Bottleneck = Bottleneck
 module Runtime = Runtime
+module Trace_file = Trace_file
 module Profile = Profile
 module Hdr = Hdr
 module Openmetrics = Openmetrics

@@ -35,9 +35,9 @@
       searches nothing)
     - [migrate.walk_nodes] — nodes the plain post-order walk expanded
       (a migration that finds a chain climbs it and adds nothing)
-    - [ir.gc_runs / gc_deferred / gc_reclaimed / gc_candidates] —
-      graph collections, the requests batched into them, nodes
-      collected and worklist entries examined
+    - [ir.gc_runs / gc_reclaimed / gc_candidates] — graph
+      collections (one per committed move), nodes collected and
+      worklist entries examined
     - [ir.order_walks / order_visits] — graph-order walks of the
       scheduled program and the nodes they reached (one walk per shape
       version that something asked about), added once per pipeline run

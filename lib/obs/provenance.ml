@@ -50,8 +50,8 @@ type reason =
   | Suspended of string  (** gap prevention / speculation policy veto *)
   | Fuel  (** the migration budget ran out before this operation moved *)
   | Structural of string
-      (** anything else (guarded by a conditional, write-live with
-          renaming off, operation vanished mid-walk) *)
+      (** anything else (guarded by a conditional, operation vanished
+          mid-walk) *)
 
 let reason_name = function
   | Dep _ -> "dep"

@@ -372,9 +372,7 @@ let chrome_string ?(flows = false) events =
 
 (** One Chrome track: a deterministic [tid], a human label rendered
     via a [thread_name] metadata record, and that track's events with
-    absolute timestamps.  The CLI's tid scheme: 0 = main/coordinator,
-    [1 + worker] = pool workers, 90 = watchdog, [100 + ring] = runtime
-    (GC) tracks per OCaml domain. *)
+    absolute timestamps.  The tid scheme is {!Trace_file}'s. *)
 type track = { tid : int; label : string; events : (float * event) list }
 
 let thread_name_record ~tid label =
@@ -387,13 +385,13 @@ let thread_name_record ~tid label =
       ("args", Json.Obj [ ("name", Json.Str label) ]);
     ]
 
-(** [chrome_tracks ?flows tracks] — render a complete Chrome trace
+(** [chrome_tracks ~flows tracks] — render a complete Chrome trace
     document with each {!track}'s events on its own stable [tid] and a
     [thread_name] metadata record per track, so merged multi-domain
     traces land on consistently-labelled rows across runs.  With
     [~flows:true], Migrate_hop chains across all tracks are rendered
     as flow arrows (on tid 1, as in {!chrome_string}). *)
-let chrome_tracks ?(flows = false) tracks =
+let chrome_tracks ~flows tracks =
   let all = List.concat_map (fun tr -> tr.events) tracks in
   let t0 = List.fold_left (fun acc (ts, _) -> min acc ts) infinity all in
   let t0 = if t0 = infinity then 0.0 else t0 in

@@ -6,7 +6,7 @@
     task can wedge, poison or starve the harness:
 
     - {b budgets} — every attempt runs under its own
-      {!Grip_robust.Budget} token (wall-clock deadline and/or fuel),
+      {!Grip_robust.Budget} token (a wall-clock deadline),
       polled at the scheduler loop heads, so a runaway cell abandons
       itself with a structured error instead of hanging its domain;
     - {b retries} — a failed attempt is re-admitted with exponential
@@ -53,7 +53,6 @@ module Metrics = Grip_obs.Metrics
 
 type config = {
   deadline : float option;  (** per-attempt wall-clock budget, seconds *)
-  fuel : int option;  (** per-attempt poll budget *)
   retries : int;  (** extra attempts after the first *)
   backoff : float;  (** base backoff, seconds; doubles per attempt *)
   queue_limit : int;  (** admission wave size; [max_int] = one wave *)
@@ -66,7 +65,6 @@ type config = {
 let default_config =
   {
     deadline = None;
-    fuel = None;
     retries = 2;
     backoff = 0.005;
     queue_limit = max_int;
@@ -269,7 +267,7 @@ let supervise_worker ?(config = default_config) ?(obs = Obs.null) ?degrade
     let attempt ~worker (idx, att) =
       if att > 0 && config.backoff > 0.0 then
         Unix.sleepf (config.backoff *. (2.0 ** float_of_int (att - 1)));
-      let budget = Budget.make ?deadline:config.deadline ?fuel:config.fuel () in
+      let budget = Budget.make ?deadline:config.deadline () in
       let t0 = Unix.gettimeofday () in
       Atomic.set inflight.(worker) (Some (idx, budget, t0));
       let r =

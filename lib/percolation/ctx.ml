@@ -1,10 +1,9 @@
 (** Shared context for the percolation transformations: the program
     being transformed, the target machine (resource checks happen at
-    every hop), the renaming policy, the observability handle every
-    transformation emits through and the work counts of the run; plus
-    the scratch state that migrations reuse instead of allocating: the
-    replay slots, the walk's visit marks, the chain memo and the
-    deferred-GC region. *)
+    every hop), the observability handle every transformation emits
+    through and the work counts of the run; plus the scratch state that
+    migrations reuse instead of allocating: the replay slots, the
+    walk's visit marks and the chain memo. *)
 
 open Vliw_ir
 
@@ -15,9 +14,7 @@ open Vliw_ir
     [walks], [searches]) also decide whether the node counts beside
     them are published: a node count is, when its event happened. *)
 type counts = {
-  mutable gc_runs : int;  (** graph collections *)
-  mutable gc_deferred : int;
-      (** collection requests batched into a later collection *)
+  mutable gc_runs : int;  (** graph collections, one per committed move *)
   mutable gc_reclaimed : int;  (** nodes those collections removed *)
   mutable chain_checks : int;  (** chain checks: one per walked migration *)
   mutable chain_nodes : int;  (** nodes the chain checks followed *)
@@ -30,7 +27,6 @@ type counts = {
 type t = {
   program : Program.t;
   machine : Vliw_machine.Machine.t;
-  rename : bool;  (** repair write-live / move-past-read by renaming *)
   obs : Grip_obs.t;
       (** trace/metrics sink; [Grip_obs.null] (the default) makes every
           emission site a boolean test *)
@@ -63,27 +59,20 @@ type t = {
   mutable chain_target : int;
   mutable chain_version : int;
   mutable ticks : int;  (** legality checks {!sample_tick} has counted *)
-  mutable gc_depth : int;
-      (** > 0 inside {!defer_gc}: collections requested by committed
-          moves are batched until the region exits *)
-  mutable gc_pending : bool;
 }
 
-(** [make ?rename ?obs p ~machine ~exit_live] builds a context with
-    zero counts.  [exit_live] is unused: no transformation asks which
+(** [make ?obs p ~machine ~exit_live] builds a context with zero
+    counts.  [exit_live] is unused: no transformation asks which
     registers are live (legality repairs write-live conflicts by
     renaming), and the label stays only for the callers that pass it. *)
-let make ?(rename = true) ?(obs = Grip_obs.null) program ~machine
-    ~exit_live:_ =
+let make ?(obs = Grip_obs.null) program ~machine ~exit_live:_ =
   {
     program;
     machine;
-    rename;
     obs;
     counts =
       {
         gc_runs = 0;
-        gc_deferred = 0;
         gc_reclaimed = 0;
         chain_checks = 0;
         chain_nodes = 0;
@@ -107,8 +96,6 @@ let make ?(rename = true) ?(obs = Grip_obs.null) program ~machine
     chain_target = -1;
     chain_version = -1;
     ticks = 0;
-    gc_depth = 0;
-    gc_pending = false;
   }
 
 (* -- replay slots ----------------------------------------------------- *)
@@ -269,48 +256,13 @@ let chain_begin t ~target =
 let chain_known t id = Itbl.get t.chain_marks id = t.chain_stamp
 let chain_note t id = Itbl.set t.chain_marks id t.chain_stamp
 
-(* -- deferred garbage collection ----------------------------------------- *)
+(* -- garbage collection --------------------------------------------------- *)
 
-(* [Program.gc] only removes unreachable nodes, so batching several
-   committed moves' collections into one sweep cannot change what any
-   traversal of the *live* graph observes — consumers filter dead ids
-   with [Program.is_live].  Migration walks wrap themselves in
-   [defer_gc]; a commit outside such a region collects eagerly, as the
-   transformations always did. *)
-
-(* The worklist entries each collection examined are counted by the
-   program itself ([Program.gc_candidates]). *)
-let run_gc t =
-  t.gc_pending <- false;
+(** [gc t] — collect the nodes a committed move left unreachable,
+    at once: after every commit the table holds only live nodes.  The
+    worklist entries each collection examined are counted by the
+    program itself ([Program.gc_candidates]). *)
+let gc t =
   let c = t.counts in
   c.gc_runs <- c.gc_runs + 1;
   c.gc_reclaimed <- c.gc_reclaimed + Program.gc t.program
-
-(** [maybe_gc t] — request a collection: immediate outside a
-    {!defer_gc} region, batched (and counted in [gc_deferred]) inside
-    one. *)
-let maybe_gc t =
-  if t.gc_depth > 0 then begin
-    t.gc_pending <- true;
-    t.counts.gc_deferred <- t.counts.gc_deferred + 1
-  end
-  else run_gc t
-
-let gc_leave t =
-  t.gc_depth <- t.gc_depth - 1;
-  if t.gc_depth = 0 && t.gc_pending then run_gc t
-
-(** [defer_gc t f x] — [f x] with collections batched; any pending
-    sweep is flushed when the outermost region exits, also on an
-    exception.  [f] and its argument come apart, so a caller that
-    passes a top-level function builds no thunk. *)
-let defer_gc t f x =
-  t.gc_depth <- t.gc_depth + 1;
-  match f x with
-  | v ->
-      gc_leave t;
-      v
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      gc_leave t;
-      Printexc.raise_with_backtrace e bt

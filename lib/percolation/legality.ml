@@ -16,7 +16,6 @@ type failure =
   | Guarded  (** still under a conditional of [from_]'s tree *)
   | True_dependence of Operation.t
   | Mem_dependence of Operation.t
-  | Write_live of Reg.t
   | No_room
 
 let pp_failure ppf = function
@@ -28,7 +27,6 @@ let pp_failure ppf = function
       Format.fprintf ppf "true dependence on %a" Operation.pp op
   | Mem_dependence op ->
       Format.fprintf ppf "memory dependence on %a" Operation.pp op
-  | Write_live r -> Format.fprintf ppf "write-live conflict on %a" Reg.pp r
   | No_room -> Format.pp_print_string ppf "no free resources in to-node"
 
 (** Why [move-cj] rejects a move. *)

@@ -84,8 +84,6 @@ type outcome = {
 type walker = {
   w_ctx : Ctx.t;
   w_hooks : hooks;
-  mutable w_target : int;
-  mutable w_home : int;  (** the operation's home when the walk began *)
   mutable w_moved : int;
   mutable w_current : int;
   mutable w_failure : failure option;
@@ -97,8 +95,8 @@ type walker = {
     under [hooks]; each {!run} resets it, so a migration allocates
     nothing. *)
 let walker (ctx : Ctx.t) hooks =
-  { w_ctx = ctx; w_hooks = hooks; w_target = -1; w_home = -1; w_moved = 0;
-    w_current = -1; w_failure = None; w_visits = 0; w_reached = false }
+  { w_ctx = ctx; w_hooks = hooks; w_moved = 0; w_current = -1;
+    w_failure = None; w_visits = 0; w_reached = false }
 
 (* The trace of a successful hop of [op_id] from [s] into [n], now
    [op']: one [Migrate_hop] event each (attempts, suspensions and
@@ -121,9 +119,7 @@ let op_failure : Move_op.failure -> failure option = function
   | Move_op.Not_adjacent -> Some (Op Move_op.Not_adjacent)
   | Move_op.Op_not_found -> Some (Op Move_op.Op_not_found)
   | Move_op.Guarded -> Some (Op Move_op.Guarded)
-  | ( Move_op.True_dependence _ | Move_op.Mem_dependence _
-    | Move_op.Write_live _ ) as f ->
-      Some (Op f)
+  | (Move_op.True_dependence _ | Move_op.Mem_dependence _) as f -> Some (Op f)
 
 (* Attempt one hop of the walk's operation from [s] into [n]: on
    success the walk counts it and follows the op's (possibly new) id;
@@ -252,11 +248,6 @@ let rec climb w ~target below =
     end
   end
 
-(* The two walks as [Ctx.defer_gc] runs them, from the walk record
-   alone. *)
-let climb_walk w = climb w ~target:w.w_target w.w_home
-let plain_walk w = walk_go w w.w_target
-
 (** [run w ~target ~op_id] — migrate [op_id] toward [target] (see the
     module comment) with [w]'s context and hooks; how far it got is
     read off [w] with {!moved}, {!reached_target}, {!final_id} and
@@ -265,8 +256,6 @@ let run w ~target ~op_id =
   let ctx = w.w_ctx in
   let p = ctx.Ctx.program in
   let home = Program.home_int p op_id in
-  w.w_target <- target;
-  w.w_home <- home;
   w.w_moved <- 0;
   w.w_current <- op_id;
   w.w_failure <- None;
@@ -275,30 +264,22 @@ let run w ~target ~op_id =
   let c = ctx.Ctx.counts in
   c.chain_checks <- c.chain_checks + 1;
   c.chain_nodes <- c.chain_nodes + Iarr.length ctx.Ctx.chain_queue;
-  (* Garbage collection is deferred for the whole walk: commits mark
-     nodes dead without sweeping, so [node_opt] alone no longer proves
-     liveness — the [is_live] checks in the walker reproduce exactly
-     the view an eager collector would give.  The sweep is flushed
-     before the outcome is computed (a dead operation must report no
-     home). *)
-  if chain then Ctx.defer_gc ctx climb_walk w
+  if chain then climb w ~target home
   else begin
     (* Visited set: the context's epoch-stamped scratch table — one
        stamp bump instead of a fresh hash table per walk. *)
     Ctx.walk_begin ctx;
-    Ctx.defer_gc ctx plain_walk w;
+    walk_go w target;
     c.walks <- c.walks + 1;
     c.walk_nodes <- c.walk_nodes + w.w_visits
   end;
   w.w_reached <- Program.home_int p w.w_current = target
 
-(** [replay w ~target ~op_id outcome] — leave [w] as a {!run} of
-    [op_id] toward [target] leaves it when the attempt moves nothing
-    and ends in [outcome] (a [Some] failure): how a driver replays a
-    recorded attempt ({!Ctx.replay_hit}) without walking. *)
-let replay w ~target ~op_id outcome =
-  w.w_target <- target;
-  w.w_home <- Program.home_int w.w_ctx.Ctx.program op_id;
+(** [replay w ~op_id outcome] — leave [w] as a {!run} of [op_id]
+    leaves it when the attempt moves nothing and ends in [outcome] (a
+    [Some] failure): how a driver replays a recorded attempt
+    ({!Ctx.replay_hit}) without walking. *)
+let replay w ~op_id outcome =
   w.w_moved <- 0;
   w.w_current <- op_id;
   w.w_failure <- outcome;

@@ -119,7 +119,7 @@ let move (ctx : Ctx.t) ~from_ ~to_ ~cj_id =
      in
      let to_node = Program.node p to_ in
      Program.set_ctree p to_ (rewrite to_node.Node.ctree);
-     Ctx.maybe_gc ctx;
+     Ctx.gc ctx;
      { cj = moved_cj; true_copy = t_id; false_copy = f_id })
   with
   | r -> Ok r

@@ -18,9 +18,11 @@
       {e forwarded through} the copy, as in the paper's renaming
       discussion;
     - a memory dependence on a path-compatible load/store in [to_];
-    - a move-past-read or same-destination conflict when renaming is
-      disabled;
     - a resource (issue-width) violation at [to_].
+
+    A move-past-read or same-destination conflict does not fail it:
+    the operation lands writing a fresh register, and a copy back to
+    the old destination stays in [from_].
 
     When [from_] has predecessors other than [to_] — or [to_] reaches
     [from_] through several tree paths — the node is split: the moved
@@ -53,7 +55,6 @@ type failure = Legality.failure =
   | Guarded  (** still under a conditional of [from_]'s tree *)
   | True_dependence of Operation.t
   | Mem_dependence of Operation.t
-  | Write_live of Reg.t
   | No_room
 
 type report = {
@@ -241,11 +242,9 @@ let check (ctx : Ctx.t) ~from_ ~to_ ~op_id =
         || read_by_cjump d from_node.Node.ctree
         || defined_among p to_ops 0 d
       then
-        if ctx.Ctx.rename then
-          let fresh = Program.fresh_reg p in
-          ( Operation.with_def { op with Operation.guard = landing } fresh,
-            Some (d, fresh) )
-        else raise_notrace (Fail (Write_live d))
+        let fresh = Program.fresh_reg p in
+        ( Operation.with_def { op with Operation.guard = landing } fresh,
+          Some (d, fresh) )
       else ({ op with Operation.guard = landing }, None)
 
 (* Redirect every way into [from_] except the landing path to a fresh
@@ -316,7 +315,7 @@ let commit (ctx : Ctx.t) ~from_ ~to_ ~op_id (moved_op, renamed) =
     end
     else false
   in
-  Ctx.maybe_gc ctx;
+  Ctx.gc ctx;
   { op = moved_op; renamed; split; deleted_from }
 
 (** One legality check in [check_sample] is timed, and the

@@ -2,29 +2,14 @@
 
     A guard is a predicate over the program being transformed —
     structural well-formedness, resource fit, or semantic equivalence
-    against a reference — evaluated after a pipeline stage under a
-    configurable {!strictness}:
-
-    - [Off]: the guard is not evaluated at all;
-    - [Warn]: the guard runs; a violation is reported on stderr and the
-      pipeline continues;
-    - [Strict]: a violation is returned as a {!Grip_error.t} and the
-      caller abandons the stage (typically falling one rung down the
-      degradation ladder of [Grip.Pipeline.run_robust]). *)
+    against a reference — evaluated after a pipeline stage.  Every
+    guard always runs, and a violation is returned as a
+    {!Grip_error.t}: the caller abandons the stage, falling one rung
+    down the degradation ladder of [Grip.Pipeline.run_robust]. *)
 
 open Vliw_ir
 module Machine = Vliw_machine.Machine
 module Oracle = Vliw_sim.Oracle
-
-type strictness = Off | Warn | Strict
-
-let strictness_name = function Off -> "off" | Warn -> "warn" | Strict -> "strict"
-
-let strictness_of_string = function
-  | "off" -> Some Off
-  | "warn" -> Some Warn
-  | "strict" -> Some Strict
-  | _ -> None
 
 (** [structural ?kernel ?machine stage p] — [Wellformed.check] as a
     guard. *)
@@ -59,79 +44,53 @@ let resources ?kernel stage ~machine (p : Program.t) =
              (Grip_error.Resource_overflow
                 { node; demand; width = Machine.width machine }))
 
+(** [oracle_error ?kernel ?machine stage mismatches] — the
+    [Oracle_mismatch] error for a non-empty list of oracle
+    [mismatches]: how many, and the first rendered. *)
+let oracle_error ?kernel ?machine stage mismatches =
+  let first =
+    match mismatches with
+    | m :: _ -> Format.asprintf "%a" Oracle.pp_mismatch m
+    | [] -> "unknown"
+  in
+  Grip_error.make ?kernel ?machine stage
+    (Grip_error.Oracle_mismatch { count = List.length mismatches; first })
+
 (** [oracle ?kernel ?machine stage ~reference ~candidate ~init
     ~observable] — semantic spot-check of [candidate] against
     [reference] from [init]. *)
 let oracle ?kernel ?machine stage ~reference ~candidate ~init ~observable =
   match Oracle.equivalent ~observable ~init reference candidate with
   | Ok _ -> None
-  | Error mismatches ->
-      let first =
-        match mismatches with
-        | m :: _ -> Format.asprintf "%a" Oracle.pp_mismatch m
-        | [] -> "unknown"
-      in
-      Some
-        (Grip_error.make ?kernel ?machine stage
-           (Grip_error.Oracle_mismatch
-              { count = List.length mismatches; first }))
+  | Error mismatches -> Some (oracle_error ?kernel ?machine stage mismatches)
 
-(** [apply strictness check] — evaluate the (lazy) guard [check] under
-    [strictness]; see the module comment for the three behaviours. *)
-let apply strictness (check : unit -> Grip_error.t option) =
-  match strictness with
-  | Off -> Ok ()
-  | Warn -> (
-      match check () with
-      | None -> Ok ()
-      | Some e ->
-          Format.eprintf "grip: warning: %a@." Grip_error.pp e;
-          Ok ())
-  | Strict -> ( match check () with None -> Ok () | Some e -> Error e)
+(** [apply_named ?obs (name, check)] — run the guard [check]: [Error]
+    on a violation.  With [obs] enabled, every verdict is also a
+    {!Grip_obs.Trace.Guard_verdict} event and a [guard.pass] or
+    [guard.fail] count. *)
+let apply_named ?(obs = Grip_obs.null) (name, check) =
+  let verdict = check () in
+  (if Grip_obs.enabled obs then begin
+     let ok = verdict = None in
+     Grip_obs.Metrics.incr obs.Grip_obs.metrics
+       (if ok then "guard.pass" else "guard.fail");
+     Grip_obs.Trace.emit obs.Grip_obs.trace
+       (Grip_obs.Trace.Guard_verdict
+          {
+            guard = name;
+            ok;
+            detail =
+              (match verdict with
+              | None -> ""
+              | Some e -> Grip_error.to_string e);
+          })
+   end);
+  match verdict with None -> Ok () | Some e -> Error e
 
-(** [all strictness checks] — {!apply} each check in order, stopping at
-    the first strict violation. *)
-let all strictness checks =
-  List.fold_left
-    (fun acc check -> match acc with Error _ -> acc | Ok () -> apply strictness check)
-    (Ok ()) checks
-
-(** [apply_named ?obs strictness (name, check)] — {!apply} plus a
-    {!Grip_obs.Trace.Guard_verdict} event and [guard.pass]/[guard.fail]
-    counters for every guard that actually ran (under [Off] nothing is
-    evaluated, so nothing is emitted). *)
-let apply_named ?(obs = Grip_obs.null) strictness (name, check) =
-  match strictness with
-  | Off -> Ok ()
-  | Warn | Strict -> (
-      let verdict = check () in
-      (if Grip_obs.enabled obs then begin
-         let ok = verdict = None in
-         Grip_obs.Metrics.incr obs.Grip_obs.metrics
-           (if ok then "guard.pass" else "guard.fail");
-         Grip_obs.Trace.emit obs.Grip_obs.trace
-           (Grip_obs.Trace.Guard_verdict
-              {
-                guard = name;
-                ok;
-                detail =
-                  (match verdict with
-                  | None -> ""
-                  | Some e -> Grip_error.to_string e);
-              })
-       end);
-      match verdict with
-      | None -> Ok ()
-      | Some e when strictness = Warn ->
-          Format.eprintf "grip: warning: %a@." Grip_error.pp e;
-          Ok ()
-      | Some e -> Error e)
-
-(** [all_named ?obs strictness checks] — {!apply_named} each
-    [(name, check)] in order, stopping at the first strict
-    violation. *)
-let all_named ?obs strictness checks =
+(** [all_named ?obs checks] — {!apply_named} each [(name, check)] in
+    order, stopping at the first violation. *)
+let all_named ?obs checks =
   List.fold_left
     (fun acc check ->
-      match acc with Error _ -> acc | Ok () -> apply_named ?obs strictness check)
+      match acc with Error _ -> acc | Ok () -> apply_named ?obs check)
     (Ok ()) checks

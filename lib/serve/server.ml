@@ -71,9 +71,9 @@ let default_config ~addr =
 
 (* -- request resolution ----------------------------------------------------
 
-   Serve-side twin of the CLI's kernel resolution, minus the
-   filesystem: a request names a built-in workload or carries inline
-   minic source; anything else is a protocol violation. *)
+   A request names a built-in kernel ({!Workloads.Builtin}, as the CLI
+   resolves one) or carries inline minic source; anything else is a
+   protocol violation. *)
 
 let rung_of_method_name = function
   | "grip" -> Ok Pipeline.R_grip
@@ -93,14 +93,9 @@ type resolved =
 let resolve_kernel (r : Protocol.request) : resolved =
   match (r.Protocol.kernel, r.Protocol.source) with
   | Some name, None -> (
-      match Workloads.Livermore.find name with
-      | Some e -> Ok (e.Workloads.Livermore.kernel, e.Workloads.Livermore.data)
-      | None -> (
-          match name with
-          | "abc" -> Ok (Workloads.Paper_examples.abc, Grip.Kernel.default_data)
-          | "abcdefg" ->
-              Ok (Workloads.Paper_examples.abcdefg, Grip.Kernel.default_data)
-          | _ -> Error (protocol_error (Printf.sprintf "unknown kernel %S" name))))
+      match Workloads.Builtin.find name with
+      | Some found -> Ok found
+      | None -> Error (protocol_error (Printf.sprintf "unknown kernel %S" name)))
   | None, Some src -> (
       match Minic.Compile.kernel_of_string src with
       | Ok out -> Ok (out.Minic.Compile.kernel, out.Minic.Compile.data)
@@ -406,53 +401,14 @@ let render_metrics st =
     st.registry
 
 let write_trace_file st path =
-  let main =
-    { Trace.tid = 0; label = "serve"; events = Trace.ring_events st.ring }
+  let tracks =
+    Obs.Trace_file.tracks
+      ~main:("serve", Trace.ring_events st.ring)
+      ~workers:st.worker_events st.rt
   in
-  let worker_tracks =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (w, evs) ->
-        let prev = Option.value (Hashtbl.find_opt tbl w) ~default:[] in
-        Hashtbl.replace tbl w (evs :: prev))
-      st.worker_events;
-    Hashtbl.fold
-      (fun w evss acc ->
-        {
-          Trace.tid = 1 + w;
-          label =
-            (if w = 0 then "worker 0 (main)" else Printf.sprintf "worker %d" w);
-          events = Trace.merge_events evss;
-        }
-        :: acc)
-      tbl []
-    |> List.sort (fun a b -> compare a.Trace.tid b.Trace.tid)
-  in
-  let runtime_tracks =
-    match st.rt with
-    | None -> []
-    | Some rt ->
-        List.map
-          (fun d ->
-            {
-              Trace.tid = 100 + d;
-              label = Printf.sprintf "gc domain %d" d;
-              events = Obs.Runtime.trace_events ~domain:d rt;
-            })
-          (Obs.Runtime.domains rt)
-  in
-  match
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc
-          (Trace.chrome_tracks ~flows:false
-             ((main :: worker_tracks) @ runtime_tracks));
-        output_char oc '\n')
-  with
-  | () -> Format.eprintf "grip: serve trace written to %s@." path
-  | exception Sys_error m -> Format.eprintf "grip: trace write failed: %s@." m
+  match Obs.Trace_file.write ~flows:false path tracks with
+  | Ok () -> Format.eprintf "grip: serve trace written to %s@." path
+  | Error m -> Format.eprintf "grip: trace write failed: %s@." m
 
 let listen_socket addr =
   match addr with

@@ -51,11 +51,8 @@ let forward_sources_scan ?(landing = []) to_ops op =
    [Move_op.check].  The two find the op differently: [check] by its
    home ({!Program.home_int}), [check_scan] in [from_]'s op list.  So
    they give the identical decision and failure on every op whose home
-   is [from_], and only there: on a node that [Move_cj] left to die
-   (its true arm took the ops over under their ids, and collection is
-   deferred) [check] answers [Op_not_found] where [check_scan] goes on
-   to decide the move.  test_index.ml's oracle applies the home rule to
-   the other ops. *)
+   is [from_]; test_index.ml's oracle applies the home rule to the
+   other ops. *)
 let check_scan (ctx : Ctx.t) ~from_ ~to_ ~op_id =
   let p = ctx.Ctx.program in
   if from_ = to_ then raise (Move_op.Fail Move_op.Not_adjacent);
@@ -101,10 +98,8 @@ let check_scan (ctx : Ctx.t) ~from_ ~to_ ~op_id =
         List.exists (fun (o : Operation.t) -> Operation.defines_reg o d) to_ops
       in
       if past_read || output_conflict then
-        if ctx.Ctx.rename then
-          let fresh = Program.fresh_reg p in
-          (Operation.with_def op fresh, Some (d, fresh))
-        else raise (Move_op.Fail (Move_op.Write_live d))
+        let fresh = Program.fresh_reg p in
+        (Operation.with_def op fresh, Some (d, fresh))
       else (op, None)
 
 (** [would_move_scan ctx ~from_ ~to_ ~op_id] — the list-scanning

@@ -22,19 +22,6 @@ let supervise ?config ?obs ?degrade pool ~f items =
 
 (* -- budgets --------------------------------------------------------------- *)
 
-let test_budget_fuel () =
-  let b = Budget.make ~fuel:10 () in
-  for _ = 1 to 10 do
-    Budget.check b
-  done;
-  match Budget.check b with
-  | () -> Alcotest.fail "11th poll should exhaust the fuel"
-  | exception Grip_error.Error e -> (
-      match e.Grip_error.cause with
-      | Grip_error.Fuel_exhausted { budget; _ } ->
-          Alcotest.(check int) "fuel budget" 10 budget
-      | _ -> Alcotest.failf "wrong cause: %a" Grip_error.pp e)
-
 let test_budget_zero_deadline () =
   (* a zero deadline must trip on the very first poll: the token reads
      the clock on poll 1, not only every check_every polls *)
@@ -206,17 +193,24 @@ let test_deadline_descends_ladder () =
     (Format.asprintf "%a" Vliw_ir.Program.pp direct.Pipeline.program)
     (Format.asprintf "%a" Vliw_ir.Program.pp r.Pipeline.program)
 
-let test_no_fallback_reports_deadline () =
+(* The rung a zero deadline abandons first is reported with its
+   deadline error, at the head of [descents]. *)
+let test_first_descent_reports_deadline () =
   let e = List.hd Livermore.all in
   match
-    Pipeline.run_robust ~deadline:0.0 ~fallback:false ~data:e.Livermore.data
+    Pipeline.run_robust ~deadline:0.0 ~data:e.Livermore.data
       e.Livermore.kernel ~machine:(Machine.homogeneous 4)
   with
-  | Ok _ -> Alcotest.fail "a zero deadline with no fallback must fail"
-  | Error err -> (
-      match err.Grip_error.cause with
-      | Grip_error.Deadline_exceeded _ -> ()
-      | _ -> Alcotest.failf "wrong cause: %a" Grip_error.pp err)
+  | Error err -> Alcotest.failf "the ladder must win: %a" Grip_error.pp err
+  | Ok r -> (
+      match r.Pipeline.descents with
+      | (Pipeline.R_grip, { Grip_error.cause = Grip_error.Deadline_exceeded _; _ })
+        :: _ ->
+          ()
+      | (rung, err) :: _ ->
+          Alcotest.failf "first descent %s: %a" (Pipeline.rung_name rung)
+            Grip_error.pp err
+      | [] -> Alcotest.fail "a zero deadline must abandon GRiP")
 
 (* -- digest subset under faults -------------------------------------------- *)
 
@@ -405,7 +399,6 @@ let () =
     [
       ( "budget",
         [
-          Alcotest.test_case "fuel exhaustion" `Quick test_budget_fuel;
           Alcotest.test_case "zero deadline" `Quick test_budget_zero_deadline;
           Alcotest.test_case "cancel shared with sub" `Quick
             test_budget_cancel_shared;
@@ -424,7 +417,7 @@ let () =
           Alcotest.test_case "deadline descends ladder" `Quick
             test_deadline_descends_ladder;
           Alcotest.test_case "no-fallback reports deadline" `Quick
-            test_no_fallback_reports_deadline;
+            test_first_descent_reports_deadline;
         ] );
       ( "digests",
         [

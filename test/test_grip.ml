@@ -1335,6 +1335,47 @@ let test_modulo_recurrence_dominates () =
   Alcotest.(check int) "recurrence mii" 2 m.Grip.Modulo.mii_recurrence;
   Alcotest.(check bool) "ii = 2" true (m.Grip.Modulo.ii = 2)
 
+(* Modulo's recurrence bound and initiation interval on every built-in
+   kernel, at 1, 2, 4 and 8 FUs and unlimited, as the cycle search that
+   computed the bound before it came from the bottleneck analyzer's
+   critical chain gave them. *)
+let modulo_pins =
+  [
+    ("LL1", 1, [ 10; 5; 3; 2; 1 ]);
+    ("LL2", 1, [ 7; 4; 2; 1; 1 ]);
+    ("LL3", 1, [ 5; 3; 2; 1; 1 ]);
+    ("LL4", 1, [ 6; 3; 2; 1; 1 ]);
+    ("LL5", 4, [ 7; 4; 4; 4; 4 ]);
+    ("LL6", 4, [ 6; 4; 4; 4; 4 ]);
+    ("LL7", 1, [ 27; 14; 7; 4; 1 ]);
+    ("LL8", 1, [ 19; 10; 5; 3; 1 ]);
+    ("LL9", 1, [ 13; 7; 4; 2; 1 ]);
+    ("LL10", 1, [ 15; 8; 4; 2; 1 ]);
+    ("LL11", 3, [ 5; 3; 3; 3; 3 ]);
+    ("LL12", 1, [ 5; 3; 2; 1; 1 ]);
+    ("LL13", 6, [ 12; 7; 6; 6; 6 ]);
+    ("LL14", 1, [ 11; 6; 3; 2; 1 ]);
+    ("abc", 1, [ 4; 2; 1; 1; 1 ]);
+    ("abcdefg", 2, [ 8; 4; 2; 2; 2 ]);
+  ]
+
+let test_modulo_pins () =
+  List.iter
+    (fun (name, rec_mii, iis) ->
+      let kern, _ = Option.get (Workloads.Builtin.find name) in
+      List.iter2
+        (fun machine ii ->
+          let m = Grip.Modulo.schedule kern ~machine in
+          let at = Format.asprintf "%s on %a" name Machine.pp machine in
+          Alcotest.(check int) (at ^ ": recMII") rec_mii m.Grip.Modulo.mii_recurrence;
+          Alcotest.(check int) (at ^ ": II") ii m.Grip.Modulo.ii)
+        [
+          Machine.homogeneous 1; Machine.homogeneous 2; Machine.homogeneous 4;
+          Machine.homogeneous 8; Machine.unlimited;
+        ]
+        iis)
+    modulo_pins
+
 let test_modulo_schedule_legal () =
   (* every flow arc respected: t(dst) >= t(src) + 1 - II*dist *)
   let kern = abcdefg in
@@ -1537,6 +1578,7 @@ let () =
           Alcotest.test_case "resource bound" `Quick test_modulo_recurrence_bound;
           Alcotest.test_case "recurrence bound" `Quick test_modulo_recurrence_dominates;
           Alcotest.test_case "legal schedule" `Quick test_modulo_schedule_legal;
+          Alcotest.test_case "recMII and II pinned" `Quick test_modulo_pins;
           Alcotest.test_case "list no overlap" `Quick test_list_scheduler_no_overlap;
           Alcotest.test_case "locality ordering" `Slow test_locality_ordering;
         ] );

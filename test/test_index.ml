@@ -135,10 +135,10 @@ let prop_room_for_equiv =
    at whom; the maintained table (append + [-1] tombstones + occasional
    compaction) must agree after every batch of accepted moves — in
    content for [preds_of] (live preds), and the raw snapshot
-   [preds_raw] must list no tombstone.  The same churn
-   checks the worklist collector: each batch runs with collections
-   deferred, and every [Program.gc] after it must remove exactly the
-   unreachable nodes. *)
+   [preds_raw] must list no tombstone.  The same churn checks the
+   worklist collector: every [Program.gc] after a batch, and after the
+   dead nodes an orphaned chain and a restored snapshot leave, must
+   remove exactly the unreachable nodes. *)
 let naive_preds p id =
   Program.fold_nodes p
     (fun (n : Node.t) acc ->
@@ -335,9 +335,9 @@ let order_agrees what p =
     QCheck2.Test.fail_reportf "%s: reachable set differs" what
 
 (* On random programs with joins, through random committed migrations
-   (splits and [Move_cj] included): inside a deferred-collection region
-   with dead nodes still in the table, after the sweep, and after a
-   snapshot is restored over later moves. *)
+   (splits and [Move_cj] included): after each, with the dead nodes an
+   orphaned chain leaves still in the table, after the sweep, and after
+   a snapshot is restored over later moves. *)
 let prop_flat_order =
   QCheck2.Test.make ~name:"flat order == recursive DFS" ~count:100
     ~print:print_spec spec_gen (fun spec ->
@@ -349,18 +349,17 @@ let prop_flat_order =
       let dead_seen = ref false in
       order_agrees "start" p;
       for round = 1 to 6 do
-        Ctx.defer_gc ctx (fun () ->
-            for _ = 1 to 3 do
-              ignore (migrate_random ctx next);
-              order_agrees "deferred" p
-            done;
-            if round mod 2 = 0 then ignore (bypass_chain p next);
-            (* a deletion changes no node's reachability *)
-            Option.iter (delete_emptied p) (pick_deletable p next);
-            order_agrees "deferred, after a deletion" p;
-            if unreachable_nodes p <> [] then dead_seen := true;
-            order_agrees "deferred, dead nodes" p)
-          ();
+        for _ = 1 to 3 do
+          ignore (migrate_random ctx next);
+          order_agrees "migrated" p
+        done;
+        if round mod 2 = 0 then ignore (bypass_chain p next);
+        (* a deletion changes no node's reachability *)
+        Option.iter (delete_emptied p) (pick_deletable p next);
+        order_agrees "after a deletion" p;
+        if unreachable_nodes p <> [] then dead_seen := true;
+        order_agrees "dead nodes" p;
+        ignore (Program.gc p);
         order_agrees "after gc" p;
         if round mod 3 = 0 then begin
           let snap = Program.snapshot p in
@@ -416,28 +415,24 @@ let prop_preds_list_model =
       in
       check ();
       for round = 1 to 6 do
-        (* collections batched as in a migration walk, so the sweep
-           below finds the dead nodes the moves left behind *)
-        Ctx.defer_gc ctx (fun () ->
-            churn 8;
-            if round mod 2 = 0 then begin
-              (* snapshot with dead nodes still in the table, sweep
-                 them, churn on, then restore: the restored dead nodes
-                 must be queued for the next sweep again *)
-              delete_orphan p (bypass_chain p next);
-              let dead = List.length (unreachable_nodes p) in
-              let snap = Program.snapshot p in
-              ignore (gc_exactly p);
-              churn 4;
-              ignore (gc_exactly p);
-              Program.restore p snap;
-              let k = gc_exactly p in
-              if k <> dead then
-                QCheck2.Test.fail_reportf
-                  "restore re-queued %d dead node(s), %d were captured" k dead
-            end
-            else ignore (gc_exactly p))
-          ();
+        churn 8;
+        if round mod 2 = 0 then begin
+          (* snapshot with dead nodes still in the table, sweep them,
+             churn on, then restore: the restored dead nodes must be
+             queued for the next sweep again *)
+          delete_orphan p (bypass_chain p next);
+          let dead = List.length (unreachable_nodes p) in
+          let snap = Program.snapshot p in
+          ignore (gc_exactly p);
+          churn 4;
+          ignore (gc_exactly p);
+          Program.restore p snap;
+          let k = gc_exactly p in
+          if k <> dead then
+            QCheck2.Test.fail_reportf
+              "restore re-queued %d dead node(s), %d were captured" k dead
+        end
+        else ignore (gc_exactly p);
         check ();
         match Program.check_derived_state p with
         | None -> ()
@@ -523,13 +518,10 @@ let flat_accessors_agree () =
       ("LL7", 4, Grip.Pipeline.Grip_no_gap);
     ]
 
-(* 7. the legality check across edits, inside walks and with
-   collection deferred.  The oracle is the list-scanning check on the
-   op's home.  For an op placed elsewhere it is the home rule: [from_]
-   does not hold it, so the answer is [Not_adjacent] or [Op_not_found]
-   whatever [from_]'s op list still says (a node [Move_cj] leaves to
-   die keeps the records of the ops its true arm took over, under
-   their old ids). *)
+(* 7. the legality check across edits and inside walks.  The oracle is
+   the list-scanning check on the op's home.  For an op placed
+   elsewhere it is the home rule: [from_] does not hold it, so the
+   answer is [Not_adjacent] or [Op_not_found]. *)
 let oracle_verdict (ctx : Ctx.t) ~from_ ~to_ ~op_id =
   let p = ctx.Ctx.program in
   if Program.home_int p op_id = from_ then
@@ -572,6 +564,14 @@ let check_agrees what (ctx : Ctx.t) (from_, to_, op_id) =
         to_ op_id (show_verdict got) (show_verdict want)
   end
 
+(* After a committed move the collector has run: no node the entry
+   no longer reaches stays in the table. *)
+let collected what p =
+  match unreachable_nodes p with
+  | [] -> ()
+  | id :: _ ->
+      QCheck2.Test.fail_reportf "%s: unreachable n%d left in the table" what id
+
 (* [Move_op.move] against the oracle asked just before it. *)
 let move_agrees (ctx : Ctx.t) (from_, to_, op_id) =
   let want = oracle_verdict ctx ~from_ ~to_ ~op_id in
@@ -579,6 +579,7 @@ let move_agrees (ctx : Ctx.t) (from_, to_, op_id) =
     match Move_op.move ctx ~from_ ~to_ ~op_id with
     | Ok r ->
         if r.Move_op.split <> None then incr sweep_splits;
+        collected "after a move" ctx.Ctx.program;
         Ok ()
     | Error f -> Error f
   in
@@ -586,16 +587,7 @@ let move_agrees (ctx : Ctx.t) (from_, to_, op_id) =
     QCheck2.Test.fail_reportf "move (n%d -> n%d, op %d) = %s, check_scan %s"
       from_ to_ op_id (show_verdict got) (show_verdict want)
 
-(* Programs with joins, edited by migrations (splits and [Move_cj]
-   moves among their hops), direct moves and direct [Move_cj] moves.
-   Each round asks every live candidate and every candidate of the
-   round before (whose op may have left, or whose nodes may have been
-   edited since), and the migrations ask the hop at hand plus the old
-   candidates from inside their walks, where collection is deferred
-   and dead nodes stay in the table. *)
-(* Every (node, predecessor, op) triple in the table, dead nodes
-   included: a node [Move_cj] left to die still lists the ops its true
-   arm took over, and still points at its old successors. *)
+(* Every (node, predecessor, op) triple in the table. *)
 let table_candidates p =
   Program.fold_nodes p
     (fun (n : Node.t) acc ->
@@ -613,38 +605,42 @@ let table_candidates p =
           (Ctree.succs n.Node.ctree))
     []
 
-(* Two [Move_cj] moves with collection deferred: a node's root jump,
-   then, when that left the node to die, the root jump of one of its
-   successors.  Its ops move to the successor's true arm under their
-   ids, and neither the dead node nor the successor is edited: only
-   the op's home tells the check that the successor no longer holds
-   them.  Every triple in the table is asked before the sweep. *)
-let deferred_cj_pair (ctx : Ctx.t) pick =
-  let p = ctx.Ctx.program in
-  Ctx.defer_gc ctx
-    (fun () ->
-      match cj_candidates p with
-      | [] -> ()
-      | l ->
-          let from_, to_, cj_id = pick l in
-          if Result.is_ok (Move_cj.move ctx ~from_ ~to_ ~cj_id) then begin
-            incr sweep_cj_moves;
-            if not (Program.is_live p from_) then begin
-              let below = Ctree.succs (Program.node p from_).Node.ctree in
-              match
-                List.filter (fun (s, _, _) -> List.mem s below) (cj_candidates p)
-              with
-              | [] -> ()
-              | l ->
-                  let from_, to_, cj_id = pick l in
-                  if Result.is_ok (Move_cj.move ctx ~from_ ~to_ ~cj_id) then
-                    incr sweep_cj_moves
-            end
-          end;
-          List.iter (check_agrees "table, collection deferred" ctx)
-            (table_candidates p))
-    ()
+(* A committed [Move_cj] move, the table checked after it. *)
+let cj_move (ctx : Ctx.t) (from_, to_, cj_id) =
+  let moved = Result.is_ok (Move_cj.move ctx ~from_ ~to_ ~cj_id) in
+  if moved then begin
+    incr sweep_cj_moves;
+    collected "after Move_cj" ctx.Ctx.program
+  end;
+  moved
 
+(* Two [Move_cj] moves: a node's root jump, then, when that left the
+   node to die, the root jump of one of its old successors, whose ops
+   move to the successor's true arm under their ids.  Every triple in
+   the table is asked after the pair. *)
+let cj_pair (ctx : Ctx.t) pick =
+  let p = ctx.Ctx.program in
+  match cj_candidates p with
+  | [] -> ()
+  | l ->
+      let ((from_, _, _) as first) = pick l in
+      let below = Ctree.succs (Program.node p from_).Node.ctree in
+      if cj_move ctx first && not (Program.is_live p from_) then begin
+        match
+          List.filter (fun (s, _, _) -> List.mem s below) (cj_candidates p)
+        with
+        | [] -> ()
+        | l -> ignore (cj_move ctx (pick l))
+      end;
+      List.iter (check_agrees "table" ctx) (table_candidates p)
+
+(* Programs with joins, edited by migrations (splits and [Move_cj]
+   moves among their hops), direct moves and direct [Move_cj] moves.
+   Each round asks every live candidate and every candidate of the
+   round before (whose op may have left, or whose nodes may have been
+   edited since), and the migrations ask the hop at hand plus the old
+   candidates from inside their walks.  After every committed move,
+   inside a walk too, the table holds no unreachable node. *)
 let prop_check_sweep =
   QCheck2.Test.make ~name:"check == check_scan across edits" ~count:40
     ~print:print_spec spec_gen (fun spec ->
@@ -657,6 +653,7 @@ let prop_check_sweep =
           Vliw_percolation.Migrate.no_hooks with
           allow_hop =
             (fun ~from_ ~to_ ~op ->
+              collected "inside a walk" p;
               check_agrees "inside a walk" ctx (from_, to_, op.Operation.id);
               List.iteri
                 (fun i q -> if i land 7 = 0 then check_agrees "stale, in a walk" ctx q)
@@ -670,9 +667,10 @@ let prop_check_sweep =
         List.iter (check_agrees "stale" ctx) !old;
         List.iter (check_agrees "live" ctx) cands;
         old := cands;
-        deferred_cj_pair ctx pick;
+        cj_pair ctx pick;
         for _ = 1 to 3 do
-          ignore (migrate_random ~hooks ctx next)
+          ignore (migrate_random ~hooks ctx next);
+          collected "after a migration" p
         done;
         for _ = 1 to 3 do
           match all_candidates p with
@@ -681,10 +679,7 @@ let prop_check_sweep =
         done;
         (match cj_candidates p with
         | [] -> ()
-        | l ->
-            let from_, to_, cj_id = pick l in
-            if Result.is_ok (Move_cj.move ctx ~from_ ~to_ ~cj_id) then
-              incr sweep_cj_moves);
+        | l -> ignore (cj_move ctx (pick l)));
         List.iter (check_agrees "after edits" ctx) !old
       done;
       true)
@@ -761,7 +756,7 @@ let test_hop_path_no_alloc () =
     (Migrate.last_failure w) ~reads:(Grip.Gapless.reads memo);
   count "replayed attempt" (fun () ->
       if not (Ctx.replay_hit ctx rid) then Alcotest.fail "slot not replayed";
-      Migrate.replay w ~target:to_ ~op_id:rid (Ctx.replay_outcome ctx rid))
+      Migrate.replay w ~op_id:rid (Ctx.replay_outcome ctx rid))
 
 (* 4. full pipelines leave every maintained structure coherent *)
 let prop_pipeline_coherent =

@@ -704,7 +704,7 @@ let full_migrate (ctx : Ctx.t) hooks ~target ~op_id =
     { f_ctx = ctx; f_hooks = hooks; f_moved = 0; f_current = op_id;
       f_failure = None; f_visits = 0 }
   in
-  Ctx.defer_gc ctx (fun () -> full_go w target) ();
+  full_go w target;
   ( {
       Migrate.moved = w.f_moved;
       reached_target = Program.home_int p w.f_current = target;

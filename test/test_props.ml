@@ -166,6 +166,38 @@ let prop_modulo_legal =
              | _ -> true)
            ddg.Vliw_analysis.Ddg.arcs)
 
+(* 7b. Modulo's recurrence bound (the critical-chain DP over the rate
+   arcs) == the cycle search it replaced: a bounded DFS over every
+   elementary flow or memory cycle C, max ceil(|C| / distance(C)), at
+   least 1. *)
+let cycle_dfs_mii (ddg : Vliw_analysis.Ddg.t) =
+  let module Ddg = Vliw_analysis.Ddg in
+  let n = Array.length ddg.Ddg.ops in
+  let best = ref 1 in
+  let rec dfs start pos len dist visited =
+    List.iter
+      (fun (a : Ddg.arc) ->
+        if a.Ddg.kind = Ddg.Flow || a.Ddg.kind = Ddg.Mem then begin
+          let len' = len + 1 and dist' = dist + a.Ddg.dist in
+          if a.Ddg.dst = start && dist' > 0 then
+            best := max !best ((len' + dist' - 1) / dist')
+          else if (not (List.mem a.Ddg.dst visited)) && List.length visited < n
+          then dfs start a.Ddg.dst len' dist' (a.Ddg.dst :: visited)
+        end)
+      ddg.Ddg.succs.(pos)
+  in
+  for s = 0 to n - 1 do
+    dfs s s 0 0 [ s ]
+  done;
+  !best
+
+let prop_modulo_rec_mii =
+  QCheck2.Test.make ~name:"modulo recMII == cycle search" ~count:300
+    ~print:print_spec spec_gen (fun spec ->
+      let kern = Synthetic.generate spec in
+      let ddg = Grip.Pipeline.ddg_of kern in
+      Grip.Modulo.recurrence_mii ddg = cycle_dfs_mii ddg)
+
 (* 8. scheduling is deterministic *)
 let prop_deterministic =
   QCheck2.Test.make ~name:"scheduling is deterministic" ~count:10
@@ -195,6 +227,7 @@ let () =
         prop_post_sound;
         prop_random_moves_sound;
         prop_modulo_legal;
+        prop_modulo_rec_mii;
         prop_deterministic;
       ]
   in

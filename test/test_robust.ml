@@ -16,7 +16,7 @@ let abcdefg = Workloads.Paper_examples.abcdefg
 let scheduled ?(machine = Machine.homogeneous 2) k =
   (Pipeline.run k ~machine ~method_:Pipeline.Grip).Pipeline.program
 
-(* A corrupted program is "detected" when any Strict-mode guard fires:
+(* A corrupted program is "detected" when any guard fires:
    structural well-formedness, resource fit, or the oracle.  The oracle
    sweeps every supported trip count 2..n: an unwound program has
    per-iteration drain paths, so corruption of the exit arm of
@@ -48,23 +48,10 @@ let test_error_rendering () =
   | Error { Grip_error.stage = Grip_error.Io; _ } -> ()
   | Error _ | Ok _ -> Alcotest.fail "guard should capture the raised error"
 
-let test_strictness () =
-  let boom () =
-    Some (Grip_error.make Grip_error.Validation (Grip_error.Message "boom"))
-  in
-  Alcotest.(check bool) "off ignores" true (Guard.all Guard.Off [ boom ] = Ok ());
-  Alcotest.(check bool) "warn continues" true (Guard.all Guard.Warn [ boom ] = Ok ());
-  (match Guard.all Guard.Strict [ boom ] with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "strict must surface the violation");
-  Alcotest.(check bool)
-    "clean passes" true
-    (Guard.all Guard.Strict [ (fun () -> None) ] = Ok ())
-
 (* -- fault injection ----------------------------------------------------- *)
 
 (* Every applicable injection, over a spread of deterministic seeds,
-   must be caught by the Strict guards (the acceptance criterion of the
+   must be caught by the guards (the acceptance criterion of the
    robustness issue: no injected miscompile survives). *)
 let test_fault_caught mode () =
   let machine = Machine.homogeneous 2 in
@@ -150,14 +137,24 @@ let test_fuel_exhaustion_falls () =
         (r.Pipeline.rung <> Pipeline.R_grip
         && r.Pipeline.rung <> Pipeline.R_grip_no_gap)
 
-let test_no_fallback_reports () =
+(* The first rung's error is surfaced: at the head of [descents], and
+   in the first line [pp_descents] prints. *)
+let test_first_error_surfaces () =
   match
-    Pipeline.run_robust ~max_migrations:3 ~fallback:false abc
-      ~machine:(Machine.homogeneous 2)
+    Pipeline.run_robust ~max_migrations:3 abc ~machine:(Machine.homogeneous 2)
   with
-  | Error { Grip_error.cause = Grip_error.Fuel_exhausted _; _ } -> ()
-  | Error e -> Alcotest.failf "wrong error: %s" (Grip_error.to_string e)
-  | Ok _ -> Alcotest.fail "fallback disabled: the fuel error must surface"
+  | Error e -> Alcotest.failf "ladder should recover: %s" (Grip_error.to_string e)
+  | Ok r -> (
+      match r.Pipeline.descents with
+      | ((Pipeline.R_grip, { Grip_error.cause = Grip_error.Fuel_exhausted _; _ })
+         as first)
+        :: _ ->
+          let line = Format.asprintf "%a" Pipeline.pp_descents [ first ] in
+          Alcotest.(check bool)
+            ("printed first: " ^ line) true
+            (String.starts_with ~prefix:line
+               (Format.asprintf "%a" Pipeline.pp_descents r.Pipeline.descents))
+      | _ -> Alcotest.fail "first descent should be GRiP fuel exhaustion")
 
 (* Every rung — forced via [start] — must produce an oracle-equivalent,
    well-formed, resource-fitting program on every machine. *)
@@ -229,22 +226,20 @@ let test_list_rung_livermore () =
 let gen_setup =
   QCheck.Gen.(
     let* width = int_range 1 5 in
-    let* strictness = oneofl [ Guard.Off; Guard.Warn; Guard.Strict ] in
     let* start = oneofl Pipeline.ladder in
     let* k = oneofl [ abc; abcdefg ] in
-    return (width, strictness, start, k))
+    return (width, start, k))
 
-let print_setup (width, strictness, start, (k : Kernel.t)) =
-  Printf.sprintf "width=%d strictness=%s start=%s kernel=%s" width
-    (Guard.strictness_name strictness)
-    (Pipeline.rung_name start) k.Kernel.name
+let print_setup (width, start, (k : Kernel.t)) =
+  Printf.sprintf "width=%d start=%s kernel=%s" width (Pipeline.rung_name start)
+    k.Kernel.name
 
 let prop_ladder_never_miscompiles =
   QCheck.Test.make ~count:40 ~name:"run_robust result is always oracle-valid"
     (QCheck.make ~print:print_setup gen_setup)
-    (fun (width, strictness, start, k) ->
+    (fun (width, start, k) ->
       match
-        Pipeline.run_robust ~horizon:12 ~strictness ~start k
+        Pipeline.run_robust ~horizon:12 ~start k
           ~machine:(Machine.homogeneous width)
       with
       | Error _ -> false
@@ -295,8 +290,9 @@ let prop_injected_faults_caught =
    demotion out of one node renamed the op and left a repair copy
    behind, so the node never shrank, yet each round counted as progress
    and another empty node was spliced above it.  A round that lowers no
-   demand now raises [Resource_overflow], within the deadline, and the
-   ladder falls to the list rung at once. *)
+   demand now raises [Resource_overflow], within the deadline: the
+   POST rung's descent reports it, and the ladder falls to the list
+   rung at once. *)
 let livelock_kernel =
   Workloads.Synthetic.generate
     {
@@ -309,27 +305,58 @@ let livelock_kernel =
     }
 
 let test_post_break_livelock () =
-  let machine = Machine.homogeneous 2 in
-  let run ~fallback =
-    Pipeline.run_robust ~horizon:10 ~strictness:Guard.Off ~fallback
-      ~deadline:5.0 ~start:Pipeline.R_post ~data:Workloads.Synthetic.data
-      livelock_kernel ~machine
-  in
-  (match run ~fallback:false with
-  | Error
-      {
-        Grip_error.stage = Grip_error.Scheduling;
-        cause = Grip_error.Resource_overflow { width; _ };
-        _;
-      } ->
-      Alcotest.(check int) "width" 2 width
-  | Error e -> Alcotest.failf "wrong error: %s" (Grip_error.to_string e)
-  | Ok _ -> Alcotest.fail "POST must give up on this kernel");
-  match run ~fallback:true with
-  | Ok r ->
-      Alcotest.(check string) "lands on" "list-rolled"
-        (Pipeline.rung_name r.Pipeline.rung)
+  match
+    Pipeline.run_robust ~horizon:10 ~deadline:5.0 ~start:Pipeline.R_post
+      ~data:Workloads.Synthetic.data livelock_kernel
+      ~machine:(Machine.homogeneous 2)
+  with
   | Error e -> Alcotest.failf "ladder failed: %s" (Grip_error.to_string e)
+  | Ok r -> (
+      Alcotest.(check string) "lands on" "list-rolled"
+        (Pipeline.rung_name r.Pipeline.rung);
+      match r.Pipeline.descents with
+      | [
+       ( Pipeline.R_post,
+         {
+           Grip_error.stage = Grip_error.Scheduling;
+           cause = Grip_error.Resource_overflow { width; _ };
+           _;
+         } );
+      ] ->
+          Alcotest.(check int) "width" 2 width
+      | (_, e) :: _ ->
+          Alcotest.failf "POST must give up on this kernel: %s"
+            (Grip_error.to_string e)
+      | [] -> Alcotest.fail "POST must give up on this kernel")
+
+(* A horizon past the kernel's data: abc's arrays hold 64 elements, so
+   every rung's final oracle faults at 98 iterations and the
+   sequential rung wins.  Measuring it faults too, and must say so as a
+   [Validation] error naming the kernel, the trip count and the fault,
+   not as a simulator exception. *)
+let test_horizon_past_data () =
+  match
+    Pipeline.run_robust ~horizon:100 abc ~machine:(Machine.homogeneous 2)
+  with
+  | Error e -> Alcotest.failf "ladder failed: %s" (Grip_error.to_string e)
+  | Ok r -> (
+      Alcotest.(check string) "lands on" "sequential"
+        (Pipeline.rung_name r.Pipeline.rung);
+      match Pipeline.measure_robust r with
+      | _ -> Alcotest.fail "measuring past the data must fail"
+      | exception
+          Grip_error.Error
+            {
+              Grip_error.stage = Grip_error.Validation;
+              kernel = Some "abc";
+              cause = Grip_error.Message msg;
+              _;
+            } ->
+          Alcotest.(check bool)
+            ("trip count and fault named: " ^ msg)
+            true
+            (String.starts_with ~prefix:"simulating 86 iterations: out-of-bounds"
+               msg))
 
 (* The load-shed map: [level] rungs below the start, never past the
    sequential reference. *)
@@ -354,16 +381,16 @@ let test_descend_rung () =
     ]
 
 (* One driver: [Pipeline.run] is the unguarded case of the driver the
-   ladder's pipelining rungs run guarded.  Whenever a rung wins with its
-   guards off and no fallback, its schedule and scheduler counters must
-   be exactly what [run] produces for the same method.  Each rung still
-   runs under a 5 s deadline: POST's node breaking once looped forever
-   on a random kernel (the regression case above), and the deadline
-   keeps any such defect from hanging the suite.  An abandoned rung has
-   nothing to tie. *)
+   ladder's pipelining rungs run guarded.  Whenever the start rung wins
+   (no descents), its schedule and scheduler counters must be exactly
+   what [run] produces for the same method.  Each rung still runs under
+   a 5 s deadline: POST's node breaking once looped forever on a random
+   kernel (the regression case above), and the deadline keeps any such
+   defect from hanging the suite.  An abandoned start rung has nothing
+   to tie. *)
 let prop_run_is_unguarded_rung =
   QCheck2.Test.make ~count:10
-    ~name:"run == winning rung of run_robust (guards off)"
+    ~name:"run == winning rung of run_robust (guarded)"
     ~print:Synthetic_gen.print_spec Synthetic_gen.spec_gen (fun spec ->
       let kern = Workloads.Synthetic.generate spec in
       List.for_all
@@ -373,11 +400,12 @@ let prop_run_is_unguarded_rung =
             (fun method_ ->
               let start = Pipeline.rung_of_method method_ in
               match
-                Pipeline.run_robust ~horizon:10 ~strictness:Guard.Off
-                  ~fallback:false ~deadline:5.0 ~start
+                Pipeline.run_robust ~horizon:10 ~deadline:5.0 ~start
                   ~data:Workloads.Synthetic.data kern ~machine
               with
-              | Error _ -> true (* the rung was abandoned: nothing to tie *)
+              | Error _ -> false
+              | Ok { Pipeline.descents = _ :: _; _ } ->
+                  true (* the start rung was abandoned: nothing to tie *)
               | Ok r -> (
                   let o = Pipeline.run ~horizon:10 kern ~machine ~method_ in
                   match r.Pipeline.scheduled with
@@ -437,7 +465,6 @@ let () =
       ( "errors",
         [
           Alcotest.test_case "rendering and guard" `Quick test_error_rendering;
-          Alcotest.test_case "strictness semantics" `Quick test_strictness;
         ] );
       ( "faults",
         Alcotest.test_case "deterministic site" `Quick test_fault_deterministic
@@ -455,13 +482,15 @@ let () =
           Alcotest.test_case "fuel exhaustion falls" `Quick
             test_fuel_exhaustion_falls;
           Alcotest.test_case "no-fallback surfaces error" `Quick
-            test_no_fallback_reports;
+            test_first_error_surfaces;
           Alcotest.test_case "every rung sound" `Slow test_every_rung_sound;
           Alcotest.test_case "list rung on Livermore" `Quick
             test_list_rung_livermore;
           Alcotest.test_case "POST node-breaking livelock" `Quick
             test_post_break_livelock;
           Alcotest.test_case "descend_rung saturates" `Quick test_descend_rung;
+          Alcotest.test_case "horizon past the data" `Quick
+            test_horizon_past_data;
           Alcotest.test_case "non-finite kernels equal themselves" `Quick
             test_non_finite_self_equivalent;
           Alcotest.test_case "non-finite kernels served GRiP" `Quick
