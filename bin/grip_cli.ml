@@ -460,11 +460,9 @@ let stress_run kernels fus tasks jobs deadline_ms retries queue fault every
   let gap_threshold = if gap_ms = 0.0 then None else Some (gap_ms /. 1e3) in
   let config =
     {
-      Supervisor.default_config with
       Supervisor.deadline;
       retries;
       queue_limit = queue;
-      shed_grace = 1;
       gap_threshold;
       fault = plan;
     }
@@ -526,12 +524,12 @@ let stress_run kernels fus tasks jobs deadline_ms retries queue fault every
       | Error _ -> ())
     results;
   Hashtbl.iter (fun rung n -> Format.printf "  rung %-12s x%d@." rung n) census;
-  (* attempt latencies through the HDR surface (microseconds): same
-     bounded-error quantiles the serving plane reports *)
-  let lat = Obs.Hdr.create () in
-  List.iter
-    (fun s -> Obs.Hdr.record lat (int_of_float (s *. 1e6)))
-    stats.Supervisor.durations;
+  (* attempt latencies from the supervisor's [pool.task_us] histogram:
+     the same bounded-error quantiles the serving plane reports *)
+  let lat =
+    Option.value (Metrics.histogram registry "pool.task_us")
+      ~default:(Obs.Hdr.create ())
+  in
   let ms q = float_of_int (Obs.Hdr.quantile lat q) /. 1e3 in
   Format.printf "  latency/attempt p50=%.1fms p99=%.1fms p999=%.1fms max=%.1fms@."
     (ms 0.50) (ms 0.99) (ms 0.999)

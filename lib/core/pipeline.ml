@@ -100,8 +100,6 @@ let sched_totals = function
         s.Post.phase1.Scheduler.resource_barrier_events )
   | Unifiable_stats _ -> (0, 0)
 
-let occupancy_bounds = [| 0; 1; 2; 3; 4; 6; 8; 12; 16 |]
-
 (* Per-instruction slot occupancy of the final schedule, along the
    internal path (the utilization figure the paper argues GRiP wins). *)
 let observe_occupancy (obs : Obs.t) machine p rows =
@@ -111,8 +109,7 @@ let observe_occupancy (obs : Obs.t) machine p rows =
         match Program.node_opt p r.Schedule_table.node with
         | None -> ()
         | Some _ ->
-            Metrics.observe obs.Obs.metrics ~bounds:occupancy_bounds
-              "schedule.slot_occupancy"
+            Metrics.observe obs.Obs.metrics "schedule.slot_occupancy"
               (Machine.slot_demand_packed machine
                  (Program.counts_packed p r.Schedule_table.node)))
       rows

@@ -731,10 +731,12 @@ let n_nodes p =
   fresh p;
   p.ord_n
 
-(** [is_live p id] — is [id] reachable from the entry?  Deferred
-    garbage collection can leave dead nodes in the table between a
-    mutation and the next {!gc}; traversals that must behave as if
-    collection were eager filter on this.  While the sweep worklist is
+(** [is_live p id] — is [id] reachable from the entry?  The table
+    holds dead nodes between an edit and the next collection: inside a
+    move, until [Ctx.gc] runs {!gc} after its commit, and in the
+    programs unwinding and redundancy removal edit, since those never
+    collect.  Traversals that must see only reachable nodes filter on
+    this.  While the sweep worklist is
     empty no node has lost an in-edge or been created since the last
     sweep, which left only live nodes, so the table alone answers;
     otherwise the walk's stamp does.  The chain climb asks this for

@@ -1,5 +1,6 @@
-(** Observability for the GRiP stack: typed tracing ({!Trace}),
-    counters / histograms / timings ({!Metrics}), per-operation
+(** Observability for the GRiP stack: typed tracing into a ring
+    ({!Trace}), counters / HDR histograms ({!Hdr}) / timings
+    ({!Metrics}), per-operation
     provenance journals ({!Provenance}), the post-schedule bottleneck
     analyzer ({!Bottleneck}), and the minimal JSON layer they all
     share ({!Json}).

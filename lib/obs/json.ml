@@ -1,7 +1,7 @@
 (** Minimal JSON: a value type, a renderer, a recursive-descent
     parser and a shape checker.  Hand-rolled so the observability layer
     stays free of external dependencies; used for the Chrome trace
-    sink, the metrics dump, the [bench json] artifact and its
+    file, the metrics dump, the [bench json] artifact and its
     validator.
 
     Numbers are carried as [float].  Rendering emits integers without a

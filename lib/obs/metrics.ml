@@ -1,10 +1,12 @@
-(** Counters, fixed-bucket histograms and accumulated timings.
+(** Counters, histograms, gauges and accumulated timings.
 
     A {!t} is a named registry; the disabled registry makes every
     recording call a single boolean test, so instrumented code can be
     unconditional.  Everything is integer- or float-valued and
-    allocation-light: histograms use caller-fixed bucket bounds (no
-    rescaling), counters are [int ref]s behind one hash lookup.
+    allocation-light: counters are [int ref]s behind one hash lookup,
+    and every histogram is an {!Hdr.t} — one layout for all, exact for
+    values below 128, within 1/64 above — so no caller picks bucket
+    bounds and two registries always merge.
 
     Every recording call hashes its metric's name, so the registry
     serves cold sites.  A count taken per scheduling event lives in a
@@ -14,7 +16,8 @@
     returns ([Grip.Pipeline.drive]): under the name below, and only
     when its event happened at least once in the run, so the registry
     holds the names it held when every event wrote it (DESIGN.md §31).
-    A hit allocates nothing; a timer boxes a float each time it
+    A hit allocates nothing (a histogram only when a value first
+    reaches a higher power of two); a timer boxes a float each time it
     accumulates.
 
     Conventional names used by the scheduling stack:
@@ -44,6 +47,11 @@
     - [hist scheduler.travel_distance] — hops per migration
     - [hist schedule.slot_occupancy] — operations per instruction of
       the final schedule
+    - [hist pool.task_us / pool.worker_gap_ms] — wall time of every
+      supervised attempt, and the widest starvation gap per (worker,
+      task)
+    - [hist serve.latency_us / serve.latency.cold_us] — the daemon's
+      service time per request, and per scheduled miss
     - [time legality.check] — an estimate of the time inside move
       legality checks, from one timed check in 64
     - [time phase.<name>] — accumulated wall seconds per pipeline
@@ -55,30 +63,13 @@
       readings with set-within-a-registry, max-across-merge
       semantics. *)
 
-type hist = {
-  bounds : int array;  (** ascending inclusive upper bounds *)
-  counts : int array;  (** [length bounds + 1]; last is overflow *)
-  mutable n : int;
-  mutable sum : int;
-  mutable vmax : int;
-}
-
 type t = {
   enabled : bool;
   counters : (string, int ref) Hashtbl.t;
-  hists : (string, hist) Hashtbl.t;
+  hists : (string, Hdr.t) Hashtbl.t;
   times : (string, float ref) Hashtbl.t;
   gauges : (string, float ref) Hashtbl.t;
 }
-
-(** Raised by {!merge} when two histograms recorded under the same
-    name disagree on bucket bounds — a malformed worker report.
-    Deliberately its own exception (not a bare [Invalid_argument]):
-    merge sites catch it and degrade (drop the report, count it)
-    instead of letting a stray worker kill a long-running daemon;
-    [Grip_robust.Grip_error.of_merge_mismatch] is the structured
-    conversion. *)
-exception Merge_mismatch of { name : string }
 
 let create () =
   {
@@ -124,72 +115,23 @@ let counter t name =
 
 (* -- histograms ----------------------------------------------------------- *)
 
-let default_bounds = [| 0; 1; 2; 4; 8; 16; 32; 64 |]
-
-let hist_create bounds =
-  {
-    bounds;
-    counts = Array.make (Array.length bounds + 1) 0;
-    n = 0;
-    sum = 0;
-    vmax = min_int;
-  }
-
-let hist_cell t bounds name =
+let hist_cell t name =
   match Hashtbl.find t.hists name with
   | h -> h
   | exception Not_found ->
-      let h = hist_create bounds in
+      let h = Hdr.create () in
       Hashtbl.replace t.hists name h;
       h
 
-(* The first bucket whose bound admits [v], else the overflow bucket. *)
-let rec bucket bounds v i =
-  if i >= Array.length bounds || v <= Array.unsafe_get bounds i then i
-  else bucket bounds v (i + 1)
-
-(* [k] observations of [v]. *)
-let record h v k =
-  let i = bucket h.bounds v 0 in
-  h.counts.(i) <- h.counts.(i) + k;
-  h.n <- h.n + k;
-  h.sum <- h.sum + (k * v);
-  if v > h.vmax then h.vmax <- v
-
-(** [observe t ?bounds name v] — record [v] into histogram [name],
-    creating it with [bounds] (default powers of two up to 64) on
-    first use; later [bounds] are ignored. *)
-let observe t ?(bounds = default_bounds) name v =
-  if t.enabled then record (hist_cell t bounds name) v 1
+(** [observe t name v] — record [v] into histogram [name], created on
+    first use. *)
+let observe t name v = if t.enabled then Hdr.record (hist_cell t name) v
 
 (** [observe_n t name v k] — {!observe} [v] [k > 0] times, in one
-    bucket add: how a count kept per value outside the registry is
+    add: how a count kept per value outside the registry is
     published. *)
 let observe_n t name v k =
-  if t.enabled then record (hist_cell t default_bounds name) v k
-
-(** [add_hist t name h] — fold the observations of [h] into histogram
-    [name], created with [h]'s bounds when absent: how {!merge}
-    combines two registries' histograms.  Bounds that differ
-    from the existing histogram's raise {!Merge_mismatch}. *)
-let add_hist t name h =
-  if t.enabled then
-    match Hashtbl.find_opt t.hists name with
-    | None ->
-        Hashtbl.replace t.hists name
-          {
-            bounds = h.bounds;
-            counts = Array.copy h.counts;
-            n = h.n;
-            sum = h.sum;
-            vmax = h.vmax;
-          }
-    | Some h' when h'.bounds = h.bounds ->
-        Array.iteri (fun i c -> h'.counts.(i) <- h'.counts.(i) + c) h.counts;
-        h'.n <- h'.n + h.n;
-        h'.sum <- h'.sum + h.sum;
-        if h.vmax > h'.vmax then h'.vmax <- h.vmax
-    | Some _ -> raise (Merge_mismatch { name })
+  if t.enabled then Hdr.record_n (hist_cell t name) v k
 
 let histogram t name = Hashtbl.find_opt t.hists name
 
@@ -237,31 +179,26 @@ let gauge t name =
 (* -- merge ---------------------------------------------------------------- *)
 
 (** [merge ~into src] — fold [src] into [into]: counters and times
-    add, gauges keep the maximum, histograms combine bucket-wise.
-    Commutative and associative (up to the registry's sorted
-    rendering), so per-domain registries from a parallel run collapse
-    into one coherent report in any join order.  Histograms recorded
-    under the same name must share bucket bounds (they do when both
-    sides ran the same instrumented code); mismatched bounds raise
-    {!Merge_mismatch}.  Merging from or into a disabled registry is
-    a no-op. *)
+    add, gauges keep the maximum, histograms add their counts
+    ({!Hdr.merge}, exact).  Commutative and associative (up to the
+    registry's sorted rendering), so per-domain registries from a
+    parallel run collapse into one coherent report in any join order.
+    It cannot fail: every histogram has the same layout.  Merging from
+    or into a disabled registry is a no-op. *)
 let merge ~into src =
   if into.enabled && src.enabled then begin
     Hashtbl.iter (fun name r -> add into name !r) src.counters;
     Hashtbl.iter (fun name r -> add_time into name !r) src.times;
     Hashtbl.iter (fun name r -> gauge_max into name !r) src.gauges;
-    Hashtbl.iter (add_hist into) src.hists
+    Hashtbl.iter
+      (fun name h -> Hdr.merge ~into:(hist_cell into name) h)
+      src.hists
   end
 
 (* -- dumps ---------------------------------------------------------------- *)
 
 let sorted_keys tbl =
   Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort String.compare
-
-let bucket_label bounds i =
-  if i >= Array.length bounds then Printf.sprintf ">%d" bounds.(Array.length bounds - 1)
-  else if i = 0 then Printf.sprintf "<=%d" bounds.(0)
-  else Printf.sprintf "%d-%d" (bounds.(i - 1) + 1) bounds.(i)
 
 let pp ppf t =
   if not t.enabled then Format.fprintf ppf "(metrics disabled)@."
@@ -277,33 +214,27 @@ let pp ppf t =
       (sorted_keys t.gauges);
     List.iter
       (fun k ->
-        let h = Hashtbl.find t.hists k in
-        let mean =
-          if h.n = 0 then 0.0 else float_of_int h.sum /. float_of_int h.n
-        in
-        Format.fprintf ppf "%-40s n=%d mean=%.2f max=%d@." ("hist " ^ k) h.n
-          mean
-          (if h.n = 0 then 0 else h.vmax);
-        Array.iteri
-          (fun i c ->
-            if c > 0 then
-              Format.fprintf ppf "  %-10s %d@." (bucket_label h.bounds i) c)
-          h.counts)
+        Format.fprintf ppf "%-40s %a@." ("hist " ^ k) Hdr.pp
+          (Hashtbl.find t.hists k))
       (sorted_keys t.hists)
   end
 
+(* One entry per non-empty sub-bucket: "v" in the exact region,
+   "lo-hi" (inclusive) above it. *)
 let hist_to_json h =
+  let label lo hi =
+    if lo = hi then string_of_int lo else Printf.sprintf "%d-%d" lo hi
+  in
   Json.Obj
     [
-      ("n", Json.int h.n);
-      ("sum", Json.int h.sum);
-      ("max", Json.int (if h.n = 0 then 0 else h.vmax));
+      ("n", Json.int (Hdr.count h));
+      ("sum", Json.int h.Hdr.sum);
+      ("max", Json.int (Hdr.max_value h));
       ( "buckets",
         Json.Obj
-          (Array.to_list
-             (Array.mapi
-                (fun i c -> (bucket_label h.bounds i, Json.int c))
-                h.counts)) );
+          (List.map
+             (fun (lo, hi, c) -> (label lo hi, Json.int c))
+             (Hdr.buckets h)) );
     ]
 
 let to_json t =

@@ -1,13 +1,13 @@
 (** OpenMetrics / Prometheus text exposition of a {!Metrics} registry.
 
-    {!render} turns every counter, timing, gauge and fixed-bucket
-    histogram of a registry — plus any {!Hdr} latency histograms the
-    caller attaches — into the OpenMetrics text format: one
-    [# TYPE family kind] line per family, samples below it, and the
-    mandatory [# EOF] terminator.  Metric names are sanitized
-    ([a-zA-Z0-9_:] only) and prefixed (default ["grip"]); timings
-    render as [_seconds] counters, histograms as cumulative [le]
-    bucket series with [_sum]/[_count].
+    {!render} turns every counter, timing, gauge and histogram of a
+    registry into the OpenMetrics text format: one [# TYPE family kind]
+    line per family, samples below it, and the mandatory [# EOF]
+    terminator.  Metric names are sanitized ([a-zA-Z0-9_:] only) and
+    prefixed (default ["grip"]); timings render as [_seconds] counters,
+    histograms ({!Hdr}) as cumulative [le] bucket series, one bucket per
+    non-empty sub-bucket at its inclusive upper bound, with
+    [_sum]/[_count].
 
     {!parse} is the matching structural reader — enough of the format
     to validate an exposition end-to-end (the [@serve] smoke asserts
@@ -45,27 +45,27 @@ let add_sample buf name v =
 let add_type buf name kind =
   Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind)
 
-(* cumulative le-bucket series shared by Metrics.hist and Hdr *)
-let add_histogram buf fam ~bucket_bounds ~counts ~sum ~count =
+(* a histogram as cumulative le-bucket series *)
+let add_histogram buf fam h =
   add_type buf fam "histogram";
   let cum = ref 0 in
-  List.iter2
-    (fun le c ->
+  List.iter
+    (fun (_, le, c) ->
       cum := !cum + c;
       Buffer.add_string buf
-        (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" fam le !cum))
-    bucket_bounds counts;
-  Buffer.add_string buf (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" fam count);
+        (Printf.sprintf "%s_bucket{le=\"%d\"} %d\n" fam le !cum))
+    (Hdr.buckets h);
+  Buffer.add_string buf
+    (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" fam (Hdr.count h));
   Buffer.add_string buf fam;
   Buffer.add_string buf "_sum ";
-  add_float buf sum;
+  add_float buf (float_of_int h.Hdr.sum);
   Buffer.add_char buf '\n';
-  Buffer.add_string buf (Printf.sprintf "%s_count %d\n" fam count)
+  Buffer.add_string buf (Printf.sprintf "%s_count %d\n" fam (Hdr.count h))
 
-(** [render ?prefix ?hdrs metrics] — the full registry (and the named
-    HDR histograms) as an OpenMetrics text document ending in
-    [# EOF]. *)
-let render ?(prefix = "grip") ?(hdrs = []) (m : Metrics.t) =
+(** [render ?prefix metrics] — the full registry as an OpenMetrics text
+    document ending in [# EOF]. *)
+let render ?(prefix = "grip") (m : Metrics.t) =
   let buf = Buffer.create 4096 in
   let sorted tbl =
     Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort String.compare
@@ -90,24 +90,9 @@ let render ?(prefix = "grip") ?(hdrs = []) (m : Metrics.t) =
     (sorted m.Metrics.gauges);
   List.iter
     (fun k ->
-      let h = Hashtbl.find m.Metrics.hists k in
-      let fam = family_name ~prefix k in
-      add_histogram buf fam
-        ~bucket_bounds:(Array.to_list (Array.map string_of_int h.Metrics.bounds))
-        ~counts:
-          (Array.to_list
-             (Array.sub h.Metrics.counts 0 (Array.length h.Metrics.bounds)))
-        ~sum:(float_of_int h.Metrics.sum) ~count:h.Metrics.n)
+      add_histogram buf (family_name ~prefix k)
+        (Hashtbl.find m.Metrics.hists k))
     (sorted m.Metrics.hists);
-  List.iter
-    (fun (name, h) ->
-      let fam = family_name ~prefix name in
-      let bks = Hdr.buckets h in
-      add_histogram buf fam
-        ~bucket_bounds:(List.map (fun (ub, _) -> string_of_int ub) bks)
-        ~counts:(List.map snd bks)
-        ~sum:(float_of_int h.Hdr.sum) ~count:(Hdr.count h))
-    (List.sort (fun (a, _) (b, _) -> String.compare a b) hdrs);
   Buffer.add_string buf "# EOF\n";
   Buffer.contents buf
 
@@ -191,10 +176,9 @@ let parse text =
              { fname = name; ftype = kind; samples = List.rev !samples })
            !order)
 
-(** [covers ?prefix ?hdrs metrics text] — the registry entries (and
-    HDR names) that [text] fails to expose; [[]] means the exposition
-    covers everything. *)
-let covers ?(prefix = "grip") ?(hdrs = []) (m : Metrics.t) text =
+(** [covers ?prefix metrics text] — the registry entries that [text]
+    fails to expose; [[]] means the exposition covers everything. *)
+let covers ?(prefix = "grip") (m : Metrics.t) text =
   match parse text with
   | Error msg -> [ "unparseable: " ^ msg ]
   | Ok families ->
@@ -211,5 +195,4 @@ let covers ?(prefix = "grip") ?(hdrs = []) (m : Metrics.t) text =
       Hashtbl.iter (fun k _ -> check ~suffix:"_seconds" k) m.Metrics.times;
       Hashtbl.iter (fun k _ -> check k) m.Metrics.gauges;
       Hashtbl.iter (fun k _ -> check k) m.Metrics.hists;
-      List.iter (fun k -> check k) hdrs;
       List.sort String.compare !missing

@@ -5,7 +5,7 @@
     The recorder hangs off the shared observability handle
     ({!Grip_obs.t}); {!null} — the default — keeps [enabled] false so
     instrumented hot paths pay one boolean test per site, exactly like
-    the trace and metrics sinks.  Producers:
+    the null tracer and the disabled metrics registry.  Producers:
 
     - [Vliw_percolation.Migrate] records accepted hops (and follows
       operation renames across node splits, so a journal survives its
@@ -29,18 +29,13 @@ type fu_class = Alu | Mem | Branch
 
 let fu_class_name = function Alu -> "alu" | Mem -> "mem" | Branch -> "branch"
 
-(** The core transformation that performed a hop.  [Unification] is
-    reserved for the paper's unify rule (merging a moved operation with
-    an identical one already in the target); the current engine removes
-    duplicates during redundancy elimination instead, so journals never
-    carry it today, but the taxonomy — and the artifact schema — keep
-    the slot. *)
-type rule = Move_op | Move_cj | Unification
+(** The core transformation that performed a hop.  The paper's unify
+    rule (merging a moved operation with an identical one already in
+    the target) has no rule here: the engine removes duplicates during
+    redundancy elimination instead. *)
+type rule = Move_op | Move_cj
 
-let rule_name = function
-  | Move_op -> "move_op"
-  | Move_cj -> "move_cj"
-  | Unification -> "unification"
+let rule_name = function Move_op -> "move_op" | Move_cj -> "move_cj"
 
 (** Why a migration was stopped. *)
 type reason =

@@ -1,21 +1,22 @@
 (** Typed trace events for the GRiP scheduling stack.
 
     Producers (the percolation engine, the scheduler, the pipeline
-    driver, the robustness guards) emit {!event}s through a {!t}; the
-    sink decides what happens to them.  Four sinks are provided:
+    driver, the robustness guards, the supervisor and the daemon) emit
+    {!event}s through a {!t}, which is one of two things:
 
-    - {!null} — the default; [enabled] is false so producers skip even
+    - {!null} — the default; {!enabled} is false so producers skip even
       event construction (the hot paths guard on it), making the cost
-      of an untraced run a pointer test per emission site;
-    - {!ring} — a bounded in-memory ring buffer, the replay surface for
-      tests and for post-run rendering;
-    - {!log} — a human-readable line per event on a formatter;
-    - {!chrome} — incremental Chrome [trace_event] JSON (load the file
-      in chrome://tracing or ui.perfetto.dev).
+      of an untraced run a test per emission site;
+    - a {!ring} — a bounded in-memory ring buffer holding the newest
+      events with their timestamps, the replay surface for tests and
+      for post-run rendering.
 
+    {!chrome_tracks} renders collected events as one Chrome
+    [trace_event] JSON document (load the file in chrome://tracing or
+    ui.perfetto.dev); {!Trace_file} writes it for the CLI and the
+    daemon.
     Timestamps are wall-clock seconds from [Unix.gettimeofday],
-    converted to microseconds relative to the tracer's creation when
-    rendered for Chrome. *)
+    rendered in microseconds relative to the earliest event. *)
 
 (** Pipeline phases spanned with {!Span_begin}/{!Span_end}. *)
 type phase =
@@ -75,7 +76,6 @@ type event =
           [Stage "request N"] span the daemon wraps each request in,
           this correlates one request's frontend -> schedule -> respond
           path across the merged trace *)
-  | Note of string
 
 let event_name = function
   | Span_begin p -> "begin:" ^ phase_name p
@@ -94,79 +94,8 @@ let event_name = function
   | Runtime_span { kind; _ } -> "runtime." ^ kind
   | Runtime_mark { kind; _ } -> "runtime." ^ kind
   | Request_stage { stage; _ } -> "request." ^ stage
-  | Note _ -> "note"
 
-let pp_event ppf = function
-  | Span_begin p -> Format.fprintf ppf "begin %s" (phase_name p)
-  | Span_end p -> Format.fprintf ppf "end %s" (phase_name p)
-  | Migrate_attempt { op; target } ->
-      Format.fprintf ppf "migrate op%d -> n%d" op target
-  | Migrate_hop { op; from_; to_ } ->
-      Format.fprintf ppf "hop op%d n%d -> n%d" op from_ to_
-  | Migrate_suspend { op; node } ->
-      Format.fprintf ppf "suspend op%d at n%d" op node
-  | Migrate_barrier { op; node } ->
-      Format.fprintf ppf "barrier op%d at n%d" op node
-  | Guard_verdict { guard; ok; detail } ->
-      Format.fprintf ppf "guard %s: %s%s" guard
-        (if ok then "pass" else "FAIL")
-        (if detail = "" then "" else " (" ^ detail ^ ")")
-  | Descent { rung; reason } ->
-      Format.fprintf ppf "descend from %s: %s" rung reason
-  | Task_retry { task; attempt; reason } ->
-      Format.fprintf ppf "retry task %d (attempt %d): %s" task attempt reason
-  | Task_shed { task; rung } ->
-      Format.fprintf ppf "shed task %d to %s" task rung
-  | Task_quarantine { task; attempts; reason } ->
-      Format.fprintf ppf "quarantine task %d after %d attempts: %s" task
-        attempts reason
-  | Worker_restart { worker; generation } ->
-      Format.fprintf ppf "restart worker %d (generation %d)" worker generation
-  | Watchdog_gap { worker; task; gap; cause } ->
-      Format.fprintf ppf "worker %d starved %.3fs on task %d (%s)" worker gap
-        task cause
-  | Runtime_span { domain; kind; dur } ->
-      Format.fprintf ppf "runtime %s on domain %d (%.6fs)" kind domain dur
-  | Runtime_mark { domain; kind } ->
-      Format.fprintf ppf "runtime %s on domain %d" kind domain
-  | Request_stage { id; stage } ->
-      Format.fprintf ppf "request %d: %s" id stage
-  | Note s -> Format.pp_print_string ppf s
-
-(* -- sinks ---------------------------------------------------------------- *)
-
-type sink = {
-  emit : ts:float -> event -> unit;  (** [ts] is absolute seconds *)
-  flush : unit -> unit;
-}
-
-type t = {
-  enabled : bool;
-      (** producers must skip emission (and event construction)
-          entirely when false *)
-  sink : sink;
-  t0 : float;  (** creation time; Chrome timestamps are relative to it *)
-}
-
-let enabled t = t.enabled
-
-let null =
-  {
-    enabled = false;
-    sink = { emit = (fun ~ts:_ _ -> ()); flush = ignore };
-    t0 = 0.0;
-  }
-
-let make sink = { enabled = true; sink; t0 = Unix.gettimeofday () }
-
-(** [emit t ev] — timestamp and deliver [ev]; a no-op on a disabled
-    tracer (hot paths should additionally guard on {!enabled} to avoid
-    constructing [ev] at all). *)
-let emit t ev = if t.enabled then t.sink.emit ~ts:(Unix.gettimeofday ()) ev
-
-let flush t = if t.enabled then t.sink.flush ()
-
-(* ring buffer *)
+(* -- tracers -------------------------------------------------------------- *)
 
 type ring = {
   cap : int;
@@ -174,16 +103,30 @@ type ring = {
   mutable next : int;  (** total events seen; slot = next mod cap *)
 }
 
+type t = Null | Ring of ring
+
+let null = Null
+
+(** Producers must skip emission (and event construction) entirely
+    when false. *)
+let enabled = function Null -> false | Ring _ -> true
+
+(** [emit t ev] — timestamp [ev] into the ring; a no-op on {!null}
+    (hot paths should additionally guard on {!enabled} to avoid
+    constructing [ev] at all). *)
+let emit t ev =
+  match t with
+  | Null -> ()
+  | Ring r ->
+      r.buf.(r.next mod r.cap) <- Some (Unix.gettimeofday (), ev);
+      r.next <- r.next + 1
+
 (** [ring ~capacity ()] — a tracer recording the last [capacity]
     events; {!ring_events} returns them oldest-first and
     {!ring_dropped} how many were overwritten. *)
 let ring ?(capacity = 1 lsl 20) () =
   let r = { cap = capacity; buf = Array.make capacity None; next = 0 } in
-  let emit ~ts ev =
-    r.buf.(r.next mod r.cap) <- Some (ts, ev);
-    r.next <- r.next + 1
-  in
-  (r, make { emit; flush = ignore })
+  (r, Ring r)
 
 let ring_dropped r = max 0 (r.next - r.cap)
 
@@ -192,15 +135,6 @@ let ring_events r =
   List.filter_map
     (fun i -> r.buf.(i mod r.cap))
     (List.init (r.next - start) (fun i -> start + i))
-
-(* human log *)
-
-let log ppf =
-  make
-    {
-      emit = (fun ~ts ev -> Format.fprintf ppf "[%17.6f] %a@." ts pp_event ev);
-      flush = (fun () -> Format.pp_print_flush ppf ());
-    }
 
 (* Chrome trace_event JSON *)
 
@@ -237,13 +171,12 @@ let chrome_args = function
       [ ("domain", Json.int domain); ("kind", Json.Str kind) ]
   | Request_stage { id; stage } ->
       [ ("request", Json.int id); ("stage", Json.Str stage) ]
-  | Note s -> [ ("note", Json.Str s) ]
 
-(** [chrome_record ?tid ~t0 ts ev] — one [trace_event] object; [ts]
-    and [t0] in seconds, the record in microseconds since [t0], placed
-    on Chrome track [tid] (default 1).  {!Runtime_span} events render
-    as complete ("X") slices carrying their duration. *)
-let chrome_record ?(tid = 1) ~t0 ts ev =
+(* [chrome_record ~tid ~t0 ts ev] — one [trace_event] object; [ts]
+   and [t0] in seconds, the record in microseconds since [t0], placed
+   on Chrome track [tid].  [Runtime_span] events render as complete
+   ("X") slices carrying their duration. *)
+let chrome_record ~tid ~t0 ts ev =
   let us = (ts -. t0) *. 1e6 in
   let name, ph =
     match ev with
@@ -272,27 +205,6 @@ let chrome_record ?(tid = 1) ~t0 ts ev =
     match chrome_args ev with [] -> [] | a -> [ ("args", Json.Obj a) ]
   in
   Json.Obj (base @ dur @ scope @ args)
-
-(** [chrome buf] — a tracer streaming [trace_event] records into
-    [buf]; {!flush} completes the JSON array (idempotent). *)
-let chrome buf =
-  let first = ref true in
-  let closed = ref false in
-  let t0 = Unix.gettimeofday () in
-  let emit ~ts ev =
-    if not !closed then begin
-      Buffer.add_string buf (if !first then "[\n" else ",\n");
-      first := false;
-      Buffer.add_string buf (Json.to_string (chrome_record ~t0 ts ev))
-    end
-  in
-  let flush () =
-    if not !closed then begin
-      closed := true;
-      Buffer.add_string buf (if !first then "[]\n" else "\n]\n")
-    end
-  in
-  { enabled = true; sink = { emit; flush }; t0 }
 
 (** [merge_events buffers] — concatenate per-domain event buffers
     (e.g. one {!ring_events} listing per worker of a parallel run)
@@ -353,21 +265,6 @@ let flow_records ~t0 events =
             hops)
     (List.rev !order)
 
-(** [chrome_string ?flows events] — render already-collected (absolute
-    timestamp, event) pairs, e.g. from a ring buffer, as a complete
-    Chrome trace JSON document.  With [~flows:true] each multi-hop
-    operation's Migrate_hop sequence is additionally rendered as a
-    Chrome flow chain (phases "s"/"t"/"f") so its journey draws as
-    connected arrows. *)
-let chrome_string ?(flows = false) events =
-  let t0 =
-    List.fold_left (fun acc (ts, _) -> min acc ts) infinity events
-  in
-  let t0 = if t0 = infinity then 0.0 else t0 in
-  let base = List.map (fun (ts, ev) -> chrome_record ~t0 ts ev) events in
-  let extra = if flows then flow_records ~t0 events else [] in
-  Json.to_string ~pretty:true (Json.List (base @ extra))
-
 (* -- multi-track rendering ------------------------------------------------- *)
 
 (** One Chrome track: a deterministic [tid], a human label rendered
@@ -390,7 +287,7 @@ let thread_name_record ~tid label =
     [thread_name] metadata record per track, so merged multi-domain
     traces land on consistently-labelled rows across runs.  With
     [~flows:true], Migrate_hop chains across all tracks are rendered
-    as flow arrows (on tid 1, as in {!chrome_string}). *)
+    as flow arrows on tid 1. *)
 let chrome_tracks ~flows tracks =
   let all = List.concat_map (fun tr -> tr.events) tracks in
   let t0 = List.fold_left (fun acc (ts, _) -> min acc ts) infinity all in

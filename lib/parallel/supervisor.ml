@@ -10,7 +10,7 @@
       polled at the scheduler loop heads, so a runaway cell abandons
       itself with a structured error instead of hanging its domain;
     - {b retries} — a failed attempt is re-admitted with exponential
-      backoff ([backoff * 2^(attempt-1)]) up to [retries] extra tries;
+      backoff (5 ms, doubling per attempt) up to [retries] extra tries;
       a task that fails them all is {e quarantined}: its slot carries
       the final error, every other slot completes normally;
     - {b restart accounting} — an attempt that dies of a stray
@@ -23,14 +23,14 @@
       (by the watchdog), never reclaimed — see DESIGN.md;
     - {b backpressure} — admission happens in waves of at most
       [queue_limit] tasks; retries join the back of the queue.  Items
-      whose admission wave overflows the queue by more than
-      [shed_grace] waves are {e load-shed}: the [degrade] callback
-      maps them to a cheaper variant (one rung down the PR-1 ladder),
-      and the descent is recorded ([Task_shed]);
+      whose admission wave overflows the queue by more than one wave
+      are {e load-shed}: the [degrade] callback maps them to a cheaper
+      variant (one rung down the degradation ladder per wave past the
+      first), and the descent is recorded ([Task_shed]);
     - {b watchdog} — a dedicated domain samples every in-flight
-      attempt's heartbeat ({!Grip_robust.Budget.last_beat}).  A worker
-      silent past [gap_threshold] is a starvation gap: recorded
-      per-(worker, task) with its widest gap, surfaced as
+      attempt's heartbeat ({!Grip_robust.Budget.last_beat}) every
+      2 ms.  A worker silent past [gap_threshold] is a starvation gap:
+      recorded per-(worker, task) with its widest gap, surfaced as
       [Watchdog_gap] trace events and [gap_violations]/[max_gap] in
       {!stats}, and the run is {!flagged} so drivers dump the trace
       ring.  The watchdog also cancels budgets of attempts far past
@@ -54,11 +54,8 @@ module Metrics = Grip_obs.Metrics
 type config = {
   deadline : float option;  (** per-attempt wall-clock budget, seconds *)
   retries : int;  (** extra attempts after the first *)
-  backoff : float;  (** base backoff, seconds; doubles per attempt *)
   queue_limit : int;  (** admission wave size; [max_int] = one wave *)
-  shed_grace : int;  (** overflow waves tolerated before load-shed *)
   gap_threshold : float option;  (** starvation gap, seconds *)
-  watchdog_interval : float;  (** watchdog sampling period, seconds *)
   fault : Fault.pool_plan option;  (** chaos injection plan *)
 }
 
@@ -66,13 +63,19 @@ let default_config =
   {
     deadline = None;
     retries = 2;
-    backoff = 0.005;
     queue_limit = max_int;
-    shed_grace = 1;
     gap_threshold = None;
-    watchdog_interval = 0.002;
     fault = None;
   }
+
+(* base retry backoff, seconds; doubles per attempt *)
+let backoff = 0.005
+
+(* overflow waves admitted before load-shed *)
+let shed_grace = 1
+
+(* watchdog sampling period, seconds *)
+let watchdog_interval = 0.002
 
 type stats = {
   mutable attempts : int;  (** task executions, retries included *)
@@ -92,9 +95,6 @@ type stats = {
           cause).  Cause is "stall" unless the run's [gap_cause]
           classifier attributed the gap elsewhere (e.g. "gc_pause"
           when it overlaps a captured GC span) *)
-  mutable durations : float list;
-      (** wall seconds of every attempt, newest first (backoff
-          excluded); the stress driver's latency sample *)
 }
 
 let fresh_stats ~jobs =
@@ -110,7 +110,6 @@ let fresh_stats ~jobs =
     generations = Array.make (max 1 jobs) 0;
     busy = Array.make (max 1 jobs) 0.0;
     worker_gaps = [];
-    durations = [];
   }
 
 (** [flagged stats] — the watchdog saw at least one starvation gap;
@@ -232,7 +231,7 @@ let supervise_worker ?(config = default_config) ?(obs = Obs.null) ?degrade
           let wave =
             if config.queue_limit = max_int then 0 else i / config.queue_limit
           in
-          let level = wave - config.shed_grace + 1 in
+          let level = wave - shed_grace + 1 in
           if level <= 0 then item
           else
             match degrade with
@@ -257,7 +256,7 @@ let supervise_worker ?(config = default_config) ?(obs = Obs.null) ?degrade
         Some
           (Domain.spawn (fun () ->
                while not (Atomic.get stop) do
-                 Unix.sleepf config.watchdog_interval;
+                 Unix.sleepf watchdog_interval;
                  watchdog_tick config watch inflight
                done))
       else None
@@ -265,8 +264,7 @@ let supervise_worker ?(config = default_config) ?(obs = Obs.null) ?degrade
     (* one attempt, on a worker domain: register, inject, run, clear.
        Never raises — the pool only ever sees [Ok]. *)
     let attempt ~worker (idx, att) =
-      if att > 0 && config.backoff > 0.0 then
-        Unix.sleepf (config.backoff *. (2.0 ** float_of_int (att - 1)));
+      if att > 0 then Unix.sleepf (backoff *. (2.0 ** float_of_int (att - 1)));
       let budget = Budget.make ?deadline:config.deadline () in
       let t0 = Unix.gettimeofday () in
       Atomic.set inflight.(worker) (Some (idx, budget, t0));
@@ -306,11 +304,9 @@ let supervise_worker ?(config = default_config) ?(obs = Obs.null) ?degrade
           List.iter
             (fun (idx, att, worker, r, dt) ->
               stats.attempts <- stats.attempts + 1;
-              stats.durations <- dt :: stats.durations;
               stats.busy.(worker) <- stats.busy.(worker) +. dt;
-              Metrics.observe obs.Obs.metrics "pool.task_ms"
-                (int_of_float (dt *. 1e3))
-                ~bounds:[| 0; 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024 |];
+              Metrics.observe obs.Obs.metrics "pool.task_us"
+                (int_of_float (dt *. 1e6));
               match r with
               | Ok v -> results.(idx) <- Some (Ok v)
               | Error e ->
@@ -354,8 +350,7 @@ let supervise_worker ?(config = default_config) ?(obs = Obs.null) ?degrade
         stats.worker_gaps <- (worker, task, gap, cause) :: stats.worker_gaps;
         if gap > stats.max_gap then stats.max_gap <- gap;
         Metrics.observe obs.Obs.metrics "pool.worker_gap_ms"
-          (int_of_float (gap *. 1e3))
-          ~bounds:[| 0; 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024 |];
+          (int_of_float (gap *. 1e3));
         Metrics.incr obs.Obs.metrics ("pool.gap_cause." ^ cause);
         trace (Trace.Watchdog_gap { worker; task; gap; cause }))
       watch.gaps;

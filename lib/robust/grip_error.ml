@@ -55,11 +55,6 @@ type cause =
   | Protocol_violation of string
       (** a serve-protocol frame could not be decoded (bad magic,
           oversized payload, unknown kind, malformed request body) *)
-  | Obs_merge of { name : string }
-      (** per-worker observability registries failed to merge:
-          histogram [name] was recorded with mismatched bucket bounds
-          (a malformed worker report; see
-          {!Grip_obs.Metrics.Merge_mismatch}) *)
   | Message of string
 
 type t = {
@@ -100,9 +95,6 @@ let pp_cause ppf = function
   | Io_failure msg -> Format.fprintf ppf "%s" msg
   | Protocol_violation msg ->
       Format.fprintf ppf "protocol violation: %s" msg
-  | Obs_merge { name } ->
-      Format.fprintf ppf
-        "worker metrics merge: histogram %S bucket bounds mismatch" name
   | Message msg -> Format.pp_print_string ppf msg
 
 let pp ppf e =
@@ -121,19 +113,3 @@ let to_string e = Format.asprintf "%a" pp e
 
 (** [guard f] — run [f], capturing a raised {!Error} as [Error t]. *)
 let guard f = match f () with v -> Ok v | exception Error e -> Error e
-
-(** [of_merge_mismatch m] — the structured form of
-    {!Grip_obs.Metrics.Merge_mismatch}: a malformed worker report is a
-    [Parallel]-stage error a driver can count and drop, not an
-    [Invalid_argument] that kills the daemon. *)
-let of_merge_mismatch = function
-  | Grip_obs.Metrics.Merge_mismatch { name } -> make Parallel (Obs_merge { name })
-  | e -> make Parallel (Message (Printexc.to_string e))
-
-(** [merge_metrics ~into src] — {!Grip_obs.Metrics.merge} with the
-    mismatch exception converted to [Error]. *)
-let merge_metrics ~into src =
-  match Grip_obs.Metrics.merge ~into src with
-  | () -> Ok ()
-  | exception (Grip_obs.Metrics.Merge_mismatch _ as e) ->
-      Error (of_merge_mismatch e)

@@ -15,10 +15,12 @@
       already-scheduled problem answers from the cache without
       touching the pool, and duplicates {e within} a wave are
       coalesced onto one scheduling task;
-    - every request's service time lands in an {!Grip_obs.Hdr}
-      histogram, and the whole registry (cache hits/misses/evictions,
-      queue depth, shed counts, latency quantiles) is exposed in
-      OpenMetrics text via a [Metrics_req] frame;
+    - every request's service time lands in the registry's
+      [serve.latency_us] histogram (a scheduled miss also in
+      [serve.latency.cold_us]), each scheduling task's own registry is
+      merged into it, and the whole registry (cache hits/misses/
+      evictions, queue depth, shed counts, latency histograms) is
+      exposed in OpenMetrics text via a [Metrics_req] frame;
     - each request is correlated through the trace: the daemon emits
       [Request_stage] milestones (received / cache_hit / schedule /
       respond) carrying the request id, and each scheduling task runs
@@ -26,7 +28,9 @@
       merged Chrome trace shows one connected track per request;
     - the supervisor's starvation watchdog stays armed ([--gap-ms]):
       a flagged run dumps the trace ring at shutdown, with gaps
-      classified stall vs gc_pause by the runtime-events consumer. *)
+      classified stall vs gc_pause by the runtime-events consumer,
+      which also runs under [--trace] so the trace file carries each
+      domain's GC track. *)
 
 module Pipeline = Grip.Pipeline
 module Grip_error = Grip_robust.Grip_error
@@ -166,8 +170,6 @@ let send conn frame =
 type state = {
   config : config;
   registry : Metrics.t;
-  hdr : Hdr.t;  (** service-time surface, microseconds *)
-  hdr_cold : Hdr.t;  (** latency of scheduled misses *)
   ring : Trace.ring;
   tracer : Trace.t;
   cache : Cache.t;
@@ -211,9 +213,9 @@ let finish_request ?(miss = false) st conn ~id ~recv_at frame_or_err =
   ignore (send conn frame);
   st.served <- st.served + 1;
   let lat_us = int_of_float ((Unix.gettimeofday () -. recv_at) *. 1e6) in
-  Hdr.record st.hdr lat_us;
+  Metrics.observe st.registry "serve.latency_us" lat_us;
   (* scheduled misses also land in the cold-latency slice *)
-  if miss then Hdr.record st.hdr_cold lat_us
+  if miss then Metrics.observe st.registry "serve.latency.cold_us" lat_us
 
 (* A cache miss scheduled through the pool. *)
 type task = {
@@ -291,7 +293,6 @@ let process_wave st pool reqs =
         Supervisor.deadline = st.config.deadline;
         retries = st.config.retries;
         queue_limit = st.config.queue_limit;
-        shed_grace = 1;
         gap_threshold = st.config.gap_threshold;
       }
     in
@@ -353,11 +354,7 @@ let process_wave st pool reqs =
                 finish_request st conn ~id ~recv_at (Error e))
               waiters
         | Ok (rung, digest, speedup, worker, ring, obs) ->
-            (* a malformed worker registry degrades (counted, dropped)
-               instead of killing the daemon *)
-            (match Grip_error.merge_metrics ~into:st.registry obs.Obs.metrics with
-            | Ok () -> ()
-            | Error _ -> Metrics.incr st.registry "serve.errors.obs_merge");
+            Metrics.merge ~into:st.registry obs.Obs.metrics;
             Option.iter
               (fun r ->
                 st.worker_events <-
@@ -392,13 +389,7 @@ let render_metrics st =
   Metrics.gauge_set st.registry "serve.cache.age_seconds"
     (Cache.oldest_age st.cache ~now);
   Metrics.gauge_set st.registry "serve.uptime_seconds" (now -. st.t0);
-  Grip_obs.Openmetrics.render
-    ~hdrs:
-      [
-        ("serve.latency_us", st.hdr);
-        ("serve.latency.cold_us", st.hdr_cold);
-      ]
-    st.registry
+  Grip_obs.Openmetrics.render st.registry
 
 let write_trace_file st path =
   let tracks =
@@ -442,14 +433,13 @@ let run config =
         {
           config;
           registry = Metrics.create ();
-          hdr = Hdr.create ();
-          hdr_cold = Hdr.create ();
           ring;
           tracer;
           cache = Cache.create ~capacity:config.cache_capacity;
           resolve_memo = Hashtbl.create 64;
           rt =
-            (if config.gap_threshold <> None then Some (Obs.Runtime.start ())
+            (if config.gap_threshold <> None || config.trace_file <> None then
+               Some (Obs.Runtime.start ())
              else None);
           worker_events = [];
           flagged = false;
@@ -566,5 +556,8 @@ let run config =
           write_trace_file st "grip-serve.trace.json"
       | None, false -> ());
       Format.eprintf "grip: served %d request(s); latency %a@." st.served
-        Hdr.pp st.hdr;
+        Hdr.pp
+        (Option.value
+           (Metrics.histogram st.registry "serve.latency_us")
+           ~default:(Hdr.create ()));
       Ok st.served

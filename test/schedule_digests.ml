@@ -142,7 +142,6 @@ let chaos_lines () =
             {
               Supervisor.default_config with
               Supervisor.fault = Some (Fault.pool_plan ~every:4 fault);
-              Supervisor.backoff = 0.0;
             }
           in
           let results, stats =

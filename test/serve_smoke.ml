@@ -6,9 +6,11 @@
       compared byte-for-byte against the offline pipeline's digest;
    3. an open-loop loadgen burst of >= 1000 requests with zero
       protocol errors, a present p99 and a cache hit-rate over 50%;
-   4. the OpenMetrics exposition parses and carries the cache
-      hit/miss/eviction counters;
-   5. a shutdown frame drains the daemon, which must exit 0. *)
+   4. the OpenMetrics exposition parses, carries the cache
+      hit/miss/eviction counters, and its latency histogram counts
+      every request;
+   5. a shutdown frame drains the daemon, which must exit 0 and, since
+      it ran with [--trace], leave a trace with a GC track. *)
 
 module Protocol = Grip_serve.Protocol
 module Cache = Grip_serve.Cache
@@ -36,12 +38,15 @@ let fatal fmt =
 let () =
   if Array.length Sys.argv < 2 then fatal "usage: serve_smoke GRIP_CLI";
   let cli = Sys.argv.(1) in
-  let sock = Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "grip-smoke-%d.sock" (Unix.getpid ())) in
+  let tmp name =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "grip-smoke-%d.%s" (Unix.getpid ()) name)
+  in
+  let sock = tmp "sock" and trace = tmp "trace.json" in
   let pid =
     Unix.create_process cli
       [| cli; "serve"; "--socket"; sock; "--jobs"; "2"; "--queue"; "32";
-         "--cache"; "128" |]
+         "--cache"; "128"; "--trace"; trace |]
       Unix.stdin Unix.stdout Unix.stderr
   in
   let client =
@@ -148,6 +153,15 @@ let () =
                 f.Openmetrics.fname = name && f.Openmetrics.samples <> [])
               families
           in
+          let sample name =
+            List.find_map
+              (fun f -> List.assoc_opt name f.Openmetrics.samples)
+              families
+          in
+          check "every request counted in grip_serve_latency_us"
+            (sample "grip_serve_latency_us_count" <> None
+            && sample "grip_serve_latency_us_count"
+               = sample "grip_serve_requests_total");
           List.iter
             (fun name -> check ("exposes " ^ name) (have name))
             [
@@ -177,6 +191,16 @@ let () =
   Client.close client;
   let _, status = Unix.waitpid [] pid in
   check "daemon exits 0" (status = Unix.WEXITED 0);
+  (match In_channel.with_open_bin trace In_channel.input_all with
+  | text ->
+      Sys.remove trace;
+      let sub = "gc domain" in
+      let rec find i =
+        i + String.length sub <= String.length text
+        && (String.sub text i (String.length sub) = sub || find (i + 1))
+      in
+      check "trace holds a gc domain track" (find 0)
+  | exception Sys_error msg -> check ("trace file: " ^ msg) false);
   if !failures > 0 then begin
     Printf.eprintf "serve smoke: %d failure(s)\n%!" !failures;
     exit 1

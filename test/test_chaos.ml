@@ -59,13 +59,21 @@ let test_transient_crash_retries () =
         {
           Supervisor.default_config with
           Supervisor.fault = Some (Fault.pool_plan ~every:3 Fault.Crash);
-          Supervisor.backoff = 0.0;
         }
       in
       let items = List.init 12 Fun.id in
+      let metrics = Obs.Metrics.create () in
       let results, stats =
-        supervise ~config pool ~f:(fun ~budget:_ i -> i * i) items
+        supervise ~config ~obs:(Obs.make ~metrics ()) pool
+          ~f:(fun ~budget:_ i -> i * i)
+          items
       in
+      (* every attempt, retries included, lands once in pool.task_us *)
+      Alcotest.(check (option int))
+        "one pool.task_us observation per attempt"
+        (Some stats.Supervisor.attempts)
+        (Option.map Obs.Hdr.count
+           (Obs.Metrics.histogram metrics "pool.task_us"));
       Alcotest.(check (list int))
         "identical to fault-free"
         (List.map (fun i -> i * i) items)
@@ -86,7 +94,6 @@ let test_poison_quarantine () =
           Supervisor.fault =
             Some (Fault.pool_plan ~every:5 ~transient:false Fault.Crash);
           Supervisor.retries = 2;
-          Supervisor.backoff = 0.0;
         }
       in
       let results, stats =
@@ -133,7 +140,6 @@ let test_load_shed () =
         {
           Supervisor.default_config with
           Supervisor.queue_limit = 3;
-          Supervisor.shed_grace = 1;
         }
       in
       let results, stats =
@@ -240,7 +246,6 @@ let test_digest_subset_under_faults () =
             {
               Supervisor.default_config with
               Supervisor.fault = Some (Fault.pool_plan ~every:2 fault);
-              Supervisor.backoff = 0.0;
             }
           in
           let results, stats =
@@ -270,7 +275,6 @@ let test_stall_trips_watchdog () =
           Supervisor.default_config with
           Supervisor.fault = Some (Fault.pool_plan ~every:4 (Fault.Stall 0.15));
           Supervisor.gap_threshold = Some 0.03;
-          Supervisor.watchdog_interval = 0.005;
         }
       in
       let results, stats =
@@ -301,7 +305,10 @@ let test_stall_trips_watchdog () =
        events);
   (* the dump a flagged run produces: Chrome JSON of the ring, with the
      dropped-events count surfaced next to it *)
-  let dump = Trace.chrome_string events in
+  let dump =
+    Trace.chrome_tracks ~flows:false
+      [ { Trace.tid = 0; label = "main"; events } ]
+  in
   Alcotest.(check bool)
     "dump renders the gap events" true
     (let sub = "watchdog.gap" in
@@ -326,7 +333,6 @@ let test_gap_cause_classifier () =
           Supervisor.default_config with
           Supervisor.fault = Some (Fault.pool_plan ~every:4 (Fault.Stall 0.15));
           Supervisor.gap_threshold = Some 0.03;
-          Supervisor.watchdog_interval = 0.005;
         }
       in
       let gap_cause ~t0 ~t1 =

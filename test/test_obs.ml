@@ -132,17 +132,19 @@ let test_metrics_counters () =
 
 let test_metrics_histogram () =
   let m = Metrics.create () in
-  List.iter
-    (fun v -> Metrics.observe m ~bounds:[| 0; 1; 2; 4 |] "h" v)
-    [ 0; 1; 1; 3; 100 ];
+  List.iter (fun v -> Metrics.observe m "h" v) [ 0; 1; 1; 3; 100; 1000 ];
+  Metrics.observe_n m "h" 3 2;
   match Metrics.histogram m "h" with
   | None -> Alcotest.fail "histogram missing"
   | Some h ->
-      Alcotest.(check int) "n" 5 h.Metrics.n;
-      Alcotest.(check int) "sum" 105 h.Metrics.sum;
-      Alcotest.(check int) "max" 100 h.Metrics.vmax;
-      (* buckets: <=0, <=1, <=2, <=4, overflow *)
-      Alcotest.(check (array int)) "counts" [| 1; 2; 0; 1; 1 |] h.Metrics.counts
+      Alcotest.(check int) "n" 8 (Obs.Hdr.count h);
+      Alcotest.(check int) "sum" 1111 h.Obs.Hdr.sum;
+      Alcotest.(check int) "max" 1000 (Obs.Hdr.max_value h);
+      (* below 128 one bucket per value; 1000 in its 8-wide sub-bucket *)
+      Alcotest.(check (list (triple int int int)))
+        "buckets"
+        [ (0, 0, 1); (1, 1, 2); (3, 3, 3); (100, 100, 1); (1000, 1007, 1) ]
+        (Obs.Hdr.buckets h)
 
 let test_metrics_json () =
   let m = Metrics.create () in
@@ -180,9 +182,7 @@ let sample_registry seed =
   Metrics.add_time m (Printf.sprintf "t.%d" seed) 0.5;
   Metrics.gauge_set m "g.shared" (float_of_int seed);
   Metrics.gauge_max m (Printf.sprintf "g.%d" seed) 1.0;
-  List.iter
-    (fun v -> Metrics.observe m ~bounds:[| 0; 1; 2; 4 |] "h" v)
-    [ seed; seed * 2; 7 ];
+  List.iter (Metrics.observe m "h") [ seed; seed * 2; 7; 1000 * seed ];
   m
 
 let dump m = Json.to_string ~pretty:true (Metrics.to_json m)
@@ -205,8 +205,8 @@ let test_metrics_merge_commutative () =
   match Metrics.histogram ab "h" with
   | None -> Alcotest.fail "merged histogram missing"
   | Some h ->
-      Alcotest.(check int) "hist n adds" 6 h.Metrics.n;
-      Alcotest.(check int) "hist max" 7 h.Metrics.vmax
+      Alcotest.(check int) "hist n adds" 8 (Obs.Hdr.count h);
+      Alcotest.(check int) "hist max" 2000 (Obs.Hdr.max_value h)
 
 let test_metrics_merge_associative () =
   let a = sample_registry 1 and b = sample_registry 2 and c = sample_registry 3 in
@@ -214,14 +214,61 @@ let test_metrics_merge_associative () =
     (dump (merged [ merged [ a; b ]; c ]))
     (dump (merged [ a; merged [ b; c ] ]))
 
-let test_metrics_merge_bounds_mismatch () =
-  let a = Metrics.create () and b = Metrics.create () in
-  Metrics.observe a ~bounds:[| 0; 1 |] "h" 1;
-  Metrics.observe b ~bounds:[| 0; 2 |] "h" 1;
-  match Metrics.merge ~into:a b with
-  | () -> Alcotest.fail "expected Merge_mismatch"
-  | exception Metrics.Merge_mismatch { name; _ } ->
-      Alcotest.(check string) "offending histogram named" "h" name
+(* Registries drawn at random, merged in any order, dump the same as
+   one registry that recorded every observation.  Histogram values are
+   drawn inside the exact region, far above it and past the saturation
+   bound. *)
+type recorded = Count of string * int | Observe of string * int
+
+let record m = function
+  | Count (name, k) -> Metrics.add m name k
+  | Observe (name, v) -> Metrics.observe m name v
+
+let registry_of events =
+  let m = Metrics.create () in
+  List.iter (record m) events;
+  m
+
+let prop_metrics_merge_any_order =
+  let open QCheck2.Gen in
+  let name = oneofl [ "a"; "b"; "c" ] in
+  let value =
+    oneof [ int_range 0 127; int_range 128 100_000; int_range 0 (1 lsl 31) ]
+  in
+  let event =
+    oneof
+      [
+        map2 (fun n k -> Count (n, k)) name (int_range 1 5);
+        map2 (fun n v -> Observe (n, v)) name value;
+      ]
+  in
+  let gen =
+    let* groups = list_size (int_range 1 6) (list_size (int_range 0 20) event) in
+    let* order = shuffle_l groups in
+    return (groups, order)
+  in
+  let show groups =
+    String.concat " | "
+      (List.map
+         (fun g ->
+           String.concat ","
+             (List.map
+                (function
+                  | Count (n, k) -> Printf.sprintf "%s+%d" n k
+                  | Observe (n, v) -> Printf.sprintf "%s:%d" n v)
+                g))
+         groups)
+  in
+  let print (groups, order) = show groups ^ " merged as " ^ show order in
+  QCheck2.Test.make ~name:"merge in any order == one registry" ~count:200
+    ~print gen (fun (groups, order) ->
+      let whole = dump (registry_of (List.concat groups)) in
+      let regs = List.map registry_of order in
+      let half = List.length regs / 2 in
+      let front = List.filteri (fun i _ -> i < half) regs
+      and back = List.filteri (fun i _ -> i >= half) regs in
+      dump (merged regs) = whole
+      && dump (merged [ merged back; merged front ]) = whole)
 
 (* Gauge semantics: [gauge_set] is last-write-wins within a registry,
    [gauge_max] a high-water mark, merge keeps the max across
@@ -274,7 +321,8 @@ let test_metrics_no_alloc () =
   Alcotest.(check int) "named counter" 10_001
     (Metrics.counter m "test.alloc.named");
   match Metrics.histogram m "test.alloc.named_h" with
-  | Some hist -> Alcotest.(check int) "named histogram" 10_001 hist.Metrics.n
+  | Some hist ->
+      Alcotest.(check int) "named histogram" 10_001 (Obs.Hdr.count hist)
   | None -> Alcotest.fail "named histogram missing"
 
 (* -- trace replay invariant ----------------------------------------------- *)
@@ -555,21 +603,33 @@ let test_null_sink_purity () =
   Alcotest.(check (float 1e-9))
     "same speedup with journals" speedup_null speedup_prov
 
-(* -- Chrome sink ---------------------------------------------------------- *)
+(* -- Chrome rendering ------------------------------------------------------ *)
+
+(* One track of ring events as a complete Chrome document. *)
+let chrome ?(flows = false) events =
+  Trace.chrome_tracks ~flows [ { Trace.tid = 1; label = "main"; events } ]
+
+(* The trace-event records of a document, less its metadata ("M")
+   records. *)
+let event_records = function
+  | Json.List records ->
+      List.filter
+        (fun r -> Option.bind (Json.member "ph" r) Json.to_str <> Some "M")
+        records
+  | _ -> Alcotest.fail "chrome trace is not a JSON array"
 
 let test_chrome_sink_valid () =
-  let buf = Buffer.create 1024 in
-  let tracer = Trace.chrome buf in
+  let r, tracer = Trace.ring () in
   let obs = Obs.make ~trace:tracer () in
   let o =
     Pipeline.run ~obs (kernel "LL1") ~machine:(Machine.homogeneous 2)
       ~method_:Pipeline.Grip
   in
   ignore (Pipeline.measure ~obs o);
-  Trace.flush tracer;
-  match Json.parse (Buffer.contents buf) with
+  match Json.parse (chrome (Trace.ring_events r)) with
   | Error e -> Alcotest.failf "chrome trace unparseable: %s" e
-  | Ok (Json.List records) ->
+  | Ok doc ->
+      let records = event_records doc in
       Alcotest.(check bool) "non-empty" true (records <> []);
       let phases = Hashtbl.create 8 in
       List.iter
@@ -586,7 +646,6 @@ let test_chrome_sink_valid () =
         (fun ph ->
           Alcotest.(check bool) ("has ph=" ^ ph) true (Hashtbl.mem phases ph))
         [ "B"; "E" ]
-  | Ok _ -> Alcotest.fail "chrome trace is not a JSON array"
 
 (* -- ring truncation is observable ----------------------------------------- *)
 
@@ -594,21 +653,22 @@ let test_chrome_sink_valid () =
    this into a truncation warning) and keep exactly the newest
    [capacity] events, oldest-first. *)
 let test_ring_truncation () =
+  let stage id = Trace.Request_stage { id; stage = "received" } in
   let r, tracer = Trace.ring ~capacity:4 () in
   for i = 1 to 10 do
-    Trace.emit tracer (Trace.Note (string_of_int i))
+    Trace.emit tracer (stage i)
   done;
   Alcotest.(check int) "dropped" 6 (Trace.ring_dropped r);
   let survivors =
     List.filter_map
-      (function _, Trace.Note s -> Some s | _ -> None)
+      (function _, Trace.Request_stage { id; _ } -> Some id | _ -> None)
       (Trace.ring_events r)
   in
-  Alcotest.(check (list string)) "newest kept, oldest-first"
-    [ "7"; "8"; "9"; "10" ] survivors;
+  Alcotest.(check (list int)) "newest kept, oldest-first" [ 7; 8; 9; 10 ]
+    survivors;
   (* and an un-overflowed ring reports zero *)
   let r2, tracer2 = Trace.ring ~capacity:4 () in
-  Trace.emit tracer2 (Trace.Note "only");
+  Trace.emit tracer2 (stage 1);
   Alcotest.(check int) "no overflow" 0 (Trace.ring_dropped r2)
 
 (* -- Chrome flow chains ---------------------------------------------------- *)
@@ -619,9 +679,10 @@ let test_ring_truncation () =
 let test_chrome_flows () =
   let hop op from_ to_ ts = (ts, Trace.Migrate_hop { op; from_; to_ }) in
   let events = [ hop 7 1 2 0.0; hop 9 1 4 0.5; hop 7 2 3 1.0; hop 7 3 5 1.5 ] in
-  match Json.parse (Trace.chrome_string ~flows:true events) with
+  match Json.parse (chrome ~flows:true events) with
   | Error e -> Alcotest.failf "flow-enriched trace unparseable: %s" e
-  | Ok (Json.List records) ->
+  | Ok doc ->
+      let records = event_records doc in
       let flows =
         List.filter
           (fun r ->
@@ -641,7 +702,6 @@ let test_chrome_flows () =
             "flow id is the multi-hop op" (Some 7.0)
             (Option.bind (Json.member "id" r) Json.to_float))
         flows
-  | Ok _ -> Alcotest.fail "trace is not a JSON array"
 
 (* -- bench diff ------------------------------------------------------------ *)
 
@@ -1067,8 +1127,7 @@ let () =
             test_metrics_merge_commutative;
           Alcotest.test_case "merge associative" `Quick
             test_metrics_merge_associative;
-          Alcotest.test_case "merge bounds mismatch" `Quick
-            test_metrics_merge_bounds_mismatch;
+          QCheck_alcotest.to_alcotest prop_metrics_merge_any_order;
           Alcotest.test_case "merge disabled" `Quick
             test_metrics_merge_disabled;
           Alcotest.test_case "gauges" `Quick test_metrics_gauges;

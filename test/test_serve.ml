@@ -111,7 +111,7 @@ let prop_hdr_error_bound =
         (fun q ->
           let exact = Hdr.nearest_rank sorted q in
           let est = float_of_int (Hdr.quantile h q) in
-          exact <= est && est <= (exact *. (1.0 +. Hdr.rel_error h)) +. 1e-9)
+          exact <= est && est <= (exact *. (1.0 +. Hdr.rel_error)) +. 1e-9)
         [ 0.0; 0.25; 0.5; 0.9; 0.99; 0.999; 1.0 ])
 
 (* merging two histograms is indistinguishable from recording the
@@ -135,11 +135,28 @@ let prop_hdr_merge_law =
            (fun q -> Hdr.quantile ha q = Hdr.quantile hab q)
            [ 0.5; 0.99; 0.999; 1.0 ])
 
-let hdr_config_mismatch () =
-  let a = Hdr.create ~precision:7 () and b = Hdr.create ~precision:8 () in
-  match Hdr.merge ~into:a b with
-  | () -> Alcotest.fail "mismatched configs merged"
-  | exception Hdr.Config_mismatch _ -> ()
+(* The count array covers the exact region until a value needs more,
+   then exactly the buckets up to that value's; a merge widens the
+   target to the source. *)
+let hdr_growth () =
+  let h = Hdr.create () in
+  Alcotest.(check int) "exact region" 128 (Array.length h.Hdr.counts);
+  Hdr.record h 127;
+  Alcotest.(check int) "127 is exact" 128 (Array.length h.Hdr.counts);
+  Hdr.record h 1000;
+  (* 1000 lies in [512, 1024), the third 64-sub-bucket band *)
+  Alcotest.(check int) "grown to 1000's bucket" (128 + (3 * 64))
+    (Array.length h.Hdr.counts);
+  Hdr.record h (1 lsl 40);
+  Alcotest.(check int) "saturation caps the array" (128 + (24 * 64))
+    (Array.length h.Hdr.counts);
+  Alcotest.(check int) "true maximum kept" (1 lsl 40) (Hdr.max_value h);
+  let small = Hdr.create () in
+  Hdr.merge ~into:small h;
+  Alcotest.(check int) "merge widens" (Array.length h.Hdr.counts)
+    (Array.length small.Hdr.counts);
+  Alcotest.(check int) "merged quantile" (Hdr.quantile h 0.5)
+    (Hdr.quantile small 0.5)
 
 let nearest_rank_units () =
   let sorted = [| 10.0; 20.0; 30.0; 40.0 |] in
@@ -151,32 +168,23 @@ let nearest_rank_units () =
     (Hdr.nearest_rank sorted 0.0);
   Alcotest.(check (float 0.0)) "empty" 0.0 (Hdr.nearest_rank [||] 0.5)
 
-(* -- structured obs-merge degradation -------------------------------------- *)
+(* -- worker registry merge ------------------------------------------------ *)
 
-let metrics_merge_mismatch () =
-  let a = Metrics.create () and b = Metrics.create () in
-  Metrics.observe a ~bounds:[| 1; 2 |] "h" 1;
-  Metrics.observe b ~bounds:[| 1; 2; 4 |] "h" 1;
-  (match Metrics.merge ~into:a b with
-  | () -> Alcotest.fail "mismatched bounds merged"
-  | exception Metrics.Merge_mismatch { name } ->
-      Alcotest.(check string) "histogram name" "h" name);
-  match Grip_error.merge_metrics ~into:a b with
-  | Ok () -> Alcotest.fail "merge_metrics accepted mismatch"
-  | Error e -> (
-      match e.Grip_error.cause with
-      | Grip_error.Obs_merge { name } ->
-          Alcotest.(check string) "structured name" "h" name
-      | _ -> Alcotest.fail "wrong cause")
-
+(* A worker's registry folds into the daemon's: counters add, and
+   histograms whose values reach different magnitudes merge. *)
 let metrics_merge_ok () =
   let a = Metrics.create () and b = Metrics.create () in
   Metrics.incr a "c";
   Metrics.incr b "c";
-  (match Grip_error.merge_metrics ~into:a b with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "clean merge rejected");
-  Alcotest.(check int) "counters added" 2 (Metrics.counter a "c")
+  Metrics.observe a "h" 3;
+  Metrics.observe b "h" 5_000_000;
+  Metrics.merge ~into:a b;
+  Alcotest.(check int) "counters added" 2 (Metrics.counter a "c");
+  match Metrics.histogram a "h" with
+  | Some h ->
+      Alcotest.(check int) "histogram n" 2 (Hdr.count h);
+      Alcotest.(check int) "histogram max" 5_000_000 (Hdr.max_value h)
+  | None -> Alcotest.fail "merged histogram missing"
 
 (* -- OpenMetrics ------------------------------------------------------------ *)
 
@@ -185,17 +193,28 @@ let openmetrics_roundtrip () =
   Metrics.add m "serve.requests" 42;
   Metrics.add_time m "phase.schedule" 0.125;
   Metrics.gauge_set m "pool.queue_depth" 3.0;
-  Metrics.observe m ~bounds:[| 1; 2; 4 |] "pool.task_ms" 3;
-  Metrics.observe m ~bounds:[| 1; 2; 4 |] "pool.task_ms" 9 (* overflow *);
-  let h = Hdr.create () in
-  List.iter (Hdr.record h) [ 5; 50; 500; 5000 ];
-  let text = Openmetrics.render ~hdrs:[ ("serve.latency_us", h) ] m in
+  Metrics.observe m "pool.task_us" 3;
+  List.iter (Metrics.observe m "serve.latency_us") [ 5; 50; 500; 5000 ];
+  let text = Openmetrics.render m in
   (match Openmetrics.parse text with
   | Ok families -> Alcotest.(check bool) "families" true (families <> [])
   | Error msg -> Alcotest.fail ("exposition does not parse: " ^ msg));
   Alcotest.(check (list string))
     "exposition covers the registry" []
-    (Openmetrics.covers ~hdrs:[ "serve.latency_us" ] m text);
+    (Openmetrics.covers m text);
+  (* cumulative buckets at each sub-bucket's upper bound *)
+  List.iter
+    (fun sample ->
+      Alcotest.(check bool) sample true
+        (List.mem sample (String.split_on_char '\n' text)))
+    [
+      {|grip_serve_latency_us_bucket{le="5"} 1|};
+      {|grip_serve_latency_us_bucket{le="50"} 2|};
+      {|grip_serve_latency_us_bucket{le="503"} 3|};
+      {|grip_serve_latency_us_bucket{le="5055"} 4|};
+      {|grip_serve_latency_us_bucket{le="+Inf"} 4|};
+      "grip_serve_latency_us_count 4";
+    ];
   (* missing EOF and junk samples are rejected *)
   Alcotest.(check bool) "missing EOF rejected" true
     (Result.is_error (Openmetrics.parse "# TYPE grip_x counter\ngrip_x_total 1\n"));
@@ -423,14 +442,11 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_hdr_error_bound; prop_hdr_merge_law ]
         @ [
-            Alcotest.test_case "config mismatch raises" `Quick
-              hdr_config_mismatch;
+            Alcotest.test_case "counts grow on demand" `Quick hdr_growth;
             Alcotest.test_case "nearest-rank units" `Quick nearest_rank_units;
           ] );
       ( "metrics",
         [
-          Alcotest.test_case "merge mismatch is structured" `Quick
-            metrics_merge_mismatch;
           Alcotest.test_case "clean merge" `Quick metrics_merge_ok;
           Alcotest.test_case "openmetrics roundtrip" `Quick
             openmetrics_roundtrip;
