@@ -468,8 +468,12 @@ let stress_run kernels fus tasks jobs deadline_ms retries queue fault every
     }
   in
   (* the supervision story — retries, sheds, restarts, gaps — is the
-     trace this driver dumps; per-task scheduling traces stay off *)
-  let ring, tracer = Trace.ring () in
+     trace this driver dumps; per-task scheduling traces stay off, so
+     the ring holds what the supervisor can emit, up to the default
+     size *)
+  let ring, tracer =
+    Trace.ring ~capacity:(min (1 lsl 20) (Supervisor.trace_events config ~tasks)) ()
+  in
   let registry = Metrics.create () in
   let sup_obs = Obs.make ~trace:tracer ~metrics:registry () in
   let degrade ~level (i, rk, start) =

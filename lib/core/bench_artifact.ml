@@ -16,7 +16,7 @@ module Bottleneck = Grip_obs.Bottleneck
 module Supervisor = Grip_parallel.Supervisor
 
 let schema_prefix = "grip.bench.table1/"
-let schema = schema_prefix ^ "15"
+let schema = schema_prefix ^ "16"
 
 (* -- rows ------------------------------------------------------------------ *)
 
@@ -77,7 +77,6 @@ let legality =
            (fun m -> Metrics.counter m key))
        [
          "ir.gc_runs"; "ir.gc_reclaimed"; "ir.gc_candidates";
-         "migrate.walk_nodes"; "migrate.chain_nodes";
          "scheduler.candidate_visits"; "scheduler.replays";
          "gapless.scan_nodes"; "ir.order_walks"; "ir.order_visits";
        ]

@@ -140,8 +140,6 @@ let publish_scheduler m (s : Scheduler.stats) =
 let publish_ctx m (c : Ctx.counts) =
   count m "ir.gc_runs" c.Ctx.gc_runs;
   count m "ir.gc_reclaimed" ~events:c.Ctx.gc_runs c.Ctx.gc_reclaimed;
-  count m "migrate.chain_nodes" ~events:c.Ctx.chain_checks c.Ctx.chain_nodes;
-  count m "migrate.walk_nodes" ~events:c.Ctx.walks c.Ctx.walk_nodes;
   count m "gapless.scan_nodes" ~events:c.Ctx.searches c.Ctx.scan_nodes
 
 (** [publish m p stats ctxs] — add a schedule phase's counts to [m]:

@@ -29,16 +29,14 @@ type stats = {
   phase1 : Scheduler.stats;
 }
 
-(* Splice a fresh empty node above [n] (all predecessors redirected);
-   returns its id.  The entry never needs this: [break_node] first
-   pushes the entry's content down into a fresh node when the entry
-   itself overflows. *)
+(* Splice a fresh empty node between [n] and its parent; returns its
+   id.  The entry never needs this: [break_node] first pushes the
+   entry's content down into a fresh node when the entry itself
+   overflows. *)
 let splice_above (p : Program.t) n =
+  let q = Program.parent p n in
   let m = Program.fresh_node p ~ops:[] ~ctree:(Ctree.leaf n) in
-  List.iter
-    (fun q ->
-      if q <> m.Node.id then Program.redirect p ~from_:q ~old_:n ~new_:m.Node.id)
-    (Program.preds_of p n);
+  Program.redirect p ~from_:q ~old_:n ~new_:m.Node.id;
   m.Node.id
 
 let push_entry_down (p : Program.t) =

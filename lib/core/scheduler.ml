@@ -355,18 +355,27 @@ let fresh_scratch p =
 
 (** [entry_op_ids scratch n] — node entry's Moveable-ops set of [n]
     in [scratch]'s worklist buffer, by the region pass
-    ({!Program.region_op_ids}): every operation on the subgraph
-    dominated by [n], excluding those already in [n].  (Initialisation
-    per section 3.2; operations become unmoveable by being scheduled
-    into [n] or by failing their migration attempt, both of which the
-    scheduling loop tracks dynamically.)  Unwound programs are
-    acyclic; on a cyclic one the pass meets a retreating edge, and
-    node entry raises a [Scheduling] error. *)
+    ({!Program.region_op_ids}): every operation on the subtree below
+    [n], excluding those already in [n].  (Initialisation per section
+    3.2; operations become unmoveable by being scheduled into [n] or by
+    failing their migration attempt, both of which the scheduling loop
+    tracks dynamically.)  The schedulers take out-trees alone
+    (DESIGN.md §36): when a node other than the exit has two leaves
+    pointing at it, or the entry has one, node entry raises a
+    [Scheduling] error.  That also refuses every cycle but the exit's
+    self-loop. *)
 let entry_op_ids scratch n =
-  if not (Program.region_op_ids scratch.program n scratch.moveable) then
+  let p = scratch.program in
+  if not (Program.is_out_tree p) then
     Grip_robust.Grip_error.raise_ Grip_robust.Grip_error.Scheduling
       (Grip_robust.Grip_error.Malformed
-         [ Printf.sprintf "cyclic program: a retreating edge below n%d" n ]);
+         [
+           Printf.sprintf
+             "not an out-tree at the entry of n%d: a node other than the \
+              exit has two leaves pointing at it, or the entry has one"
+             n;
+         ]);
+  Program.region_op_ids p n scratch.moveable;
   scratch.moveable
 
 let mask_get b id = id < Bytes.length b && Bytes.unsafe_get b id <> '\000'
@@ -394,25 +403,25 @@ let reject pv p r reason =
     reason
 
 (* After a real attempt of [oid] that moved nothing: when it stopped
-   at its first hop, out of its home into that home's only live
-   predecessor, record the outcome and the read set of the hop's
-   [allow_hop] answer (empty unless the Gapless test was asked). *)
+   at its first hop, out of its home into that home's parent, record
+   the outcome and the read set of the hop's [allow_hop] answer (empty
+   unless the Gapless test was asked). *)
 let record_replay (ctx : Ctx.t) scratch r oid =
   match Migrate.last_failure r with
   | None | Some Migrate.Vanished -> ()
   | Some _ as outcome ->
       let p = ctx.Ctx.program in
       let from_ = Program.home_int p oid in
-      let to_ = if from_ >= 0 then Program.unique_live_pred p from_ else -1 in
+      let to_ = Program.parent p from_ in
       if to_ >= 0 then
         Ctx.replay_store ctx ~op_id:oid ~from_ ~to_ outcome
           ~reads:(Gapless.reads scratch.gapless)
 
 (* The journal reason of a replayed veto of [op]'s hop out of [from_],
    as [allow_hop] gave it: the speculation policy reads only [from_]'s
-   unique live predecessor, which the replay kept. *)
+   parent, which the replay kept. *)
 let veto_reason config (ctx : Ctx.t) ~from_ op =
-  let to_ = Program.unique_live_pred ctx.Ctx.program from_ in
+  let to_ = Program.parent ctx.Ctx.program from_ in
   if not (speculation_allows config ctx ~from_ ~to_ ~op) then
     "speculation policy veto"
   else Gapless.explain ~from_ ~op
@@ -652,17 +661,17 @@ let schedule_node ?on_move ?on_replay (config : config) (ctx : Ctx.t)
 
 (** [traverse p schedule] — the top-down traversal of both schedulers:
     [schedule n] once for each non-exit node [n] of [p], in reverse
-    postorder.  Nodes created during scheduling (splits,
-    conditional-arm copies) are offered when the traversal reaches
-    them. *)
+    postorder.  Nodes created during scheduling (conditional-arm
+    copies) are offered when the traversal reaches them. *)
 let traverse p schedule =
   let scheduled = ref (Bytes.make 256 '\000') in
   (* Worklist cursor: the next reverse-postorder position to offer.
      Consecutive calls resume from it instead of rescanning the full
      order for every scheduled node — the scheduled set only grows, so
-     the consumed prefix stays skippable.  Only a shape change (splits,
-     arm copies, a restored snapshot) restarts it at the top of the new
-     order, which also re-offers any node created above the cursor;
+     the consumed prefix stays skippable.  Only a shape change (arm
+     copies, deletions, a restored snapshot) restarts it at the top of
+     the new order, which also re-offers any node created above the
+     cursor;
      moves that touch no edge leave the order, and so the cursor,
      valid. *)
   let shape = ref (Program.shape_version p) and cursor = ref 0 in
@@ -692,8 +701,8 @@ let traverse p schedule =
   loop ()
 
 (** [run ?on_move ?on_replay config ctx] schedules the whole program
-    top-down ({!traverse}).  A retreating edge below a scheduled node
-    raises a [Scheduling] error ({!entry_op_ids}). *)
+    top-down ({!traverse}).  A program that is not an out-tree raises
+    a [Scheduling] error at the first node entry ({!entry_op_ids}). *)
 let run ?on_move ?on_replay (config : config) (ctx : Ctx.t) =
   let p = ctx.Ctx.program in
   Ctx.replay_forget ctx;

@@ -150,7 +150,8 @@ let schedule_node ?on_sched (config : config) (ctx : Ctx.t) scratch chains stats
     for the run;
     [on_sched] fires after each operation reaches the node being
     scheduled (used to render the Figure 8 trace).  Like GRiP's node
-    entry, a cyclic program raises a [Scheduling] error. *)
+    entry, a program that is not an out-tree raises a [Scheduling]
+    error. *)
 let run ?on_sched (config : config) (ctx : Ctx.t) =
   let p = ctx.Ctx.program in
   let stats = fresh_stats () in

@@ -117,14 +117,6 @@ let rec has_path_prefix t (g : (int * bool) list) =
       cj.Operation.id = c && has_path_prefix (if b then a else f) rest
   | _ :: _, Leaf _ -> false
 
-(** [all_paths_to t n] counts the leaves of [t] pointing at [n]. *)
-let all_paths_to t n =
-  let rec go = function
-    | Leaf m -> if m = n then 1 else 0
-    | Branch (_, a, b) -> go a + go b
-  in
-  go t
-
 (** [shape t] is a structural signature of [t] that ignores node ids and
     operation ids but keeps conditional lineage: used for pipelining
     convergence detection. *)

@@ -1,15 +1,15 @@
 (** Growable int arrays with explicit lengths.
 
-    The flat-IR stores ([Program]'s per-node op-id sequences and
-    predecessor lists) are [Iarr.t]s held in [Itbl]s: reads never
-    allocate, appends amortise to O(1), and a freed node's buffers go
-    back to an arena pool instead of the minor heap.
+    The flat-IR stores ([Program]'s per-node op-id sequences) are
+    [Iarr.t]s held in an [Itbl]: reads never allocate, appends amortise
+    to O(1), and a freed node's buffers go back to an arena pool
+    instead of the minor heap.
 
     A single shared {!sentinel} (empty, zero-capacity) serves as the
     [Itbl] default so absent entries can be iterated without an option
-    box.  The sentinel must never be mutated — [push]/[set] raise if
-    handed it; writers must install a real instance first (see
-    [Program]'s [seq_for] helpers). *)
+    box.  The sentinel must never be mutated — [push] raises if handed
+    it; writers must install a real instance first (see [Program]'s
+    [seq_for] helpers). *)
 
 type t = { mutable a : int array; mutable len : int }
 
@@ -20,18 +20,9 @@ let create ?(capacity = 8) () = { a = Array.make (max 1 capacity) 0; len = 0 }
 let length t = t.len
 let is_empty t = t.len = 0
 
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Iarr.get";
-  Array.unsafe_get t.a i
-
 (** [unsafe_get] skips the bounds check — for hot loops that already
     iterate [0 .. length - 1]. *)
 let unsafe_get t i = Array.unsafe_get t.a i
-
-let set t i v =
-  if t == sentinel then invalid_arg "Iarr.set: sentinel";
-  if i < 0 || i >= t.len then invalid_arg "Iarr.set";
-  Array.unsafe_set t.a i v
 
 let push t v =
   if t == sentinel then invalid_arg "Iarr.push: sentinel";
@@ -58,20 +49,6 @@ let remove_first t v =
     t.len <- n - 1;
     true
   end
-
-(** [compact_nonneg t] drops every negative element in place, keeping
-    the relative order of the rest — tombstone compaction for the
-    predecessor tables (tombstone = [-1]). *)
-let compact_nonneg t =
-  let j = ref 0 in
-  for i = 0 to t.len - 1 do
-    let v = Array.unsafe_get t.a i in
-    if v >= 0 then begin
-      Array.unsafe_set t.a !j v;
-      incr j
-    end
-  done;
-  t.len <- !j
 
 let mem t v =
   let n = t.len in

@@ -6,8 +6,8 @@
     stores (an op-id sequence per node, a record per op id), which are
     their only record.  All mutation goes through {!Program}, which
     also maintains the operation-location index, the packed slot-demand
-    counts, the successor and predecessor mirrors and the graph version
-    counter. *)
+    counts, the successor mirrors, the in-leaf counts and the graph
+    version counter. *)
 
 type t = { id : int; mutable ctree : Ctree.t }
 

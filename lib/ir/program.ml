@@ -4,6 +4,12 @@
     distinguished [entry] and a distinguished [exit_id] sentinel (an
     empty node whose only successor is itself; execution stops there).
 
+    The graph may hold joins (a rolled loop's header has two
+    predecessors), but the schedulers take {e out-trees} alone: no
+    leaf points at the entry, and every other node but the exit has
+    at most one tree leaf pointing at it, so it has one parent
+    ({!parent}, {!is_out_tree}; DESIGN.md §36).
+
     All structural mutation must go through this module: the functions
     below keep the derived state coherent:
     - [op_home]: operation id -> node id, for O(1) location queries
@@ -37,11 +43,13 @@
     keeps these mirrors, derived from the two homes, current:
     - [node_counts]: node id -> slot-demand counters packed as {!Node}
       lays them out, which machines answer resource queries from;
-    - [preds_tbl]: node id -> {!Iarr.t} of predecessor ids in append
-      order with [-1] tombstones (edge removal tombstones in place —
-      no [List.filter] copy per edge — and compacts when tombstones
-      outnumber survivors).  Reading backwards reproduces the
-      historical newest-first cons order;
+    - [in_leaves]/[in_xor]: node id -> the number of tree leaves of the
+      table's nodes that point at it, and the XOR of those leaves'
+      owners' ids, one term per leaf: when the count is 1 the XOR is
+      the one parent.  Leaves are counted, not the deduplicated
+      successor lists, so two leaves of one tree at one node make a
+      join; [joins] counts the nodes other than the exit with two or
+      more, so {!is_out_tree} answers in O(1);
     - [succ_a]/[succ_b]: node id -> the number of distinct successors
       (saturated at 3) packed with the first of them, and the second,
       in monomorphic [int array]s, so the graph-order walk steps
@@ -49,7 +57,7 @@
       successor).
 
     Freed nodes return their [Iarr] buffers to an arena pool ([spare])
-    that [fresh_node] draws from, so migration churn (clone, redirect,
+    that [fresh_node] draws from, so migration churn (copy, redirect,
     collect) recycles buffers instead of minting garbage.  Node and
     operation ids are never reused.
 
@@ -64,11 +72,8 @@
     {!n_nodes}; {!rpo} copies the same order into a new list on each
     call), and node entry's region pass ({!region_op_ids}) reads those
     arrays in place.  Every
-    edge edit goes through [link_node] (which bumps [shape] and
-    [chain]) or [delete_node] (which bumps only [shape]: removing an
-    empty single-successor node changes no other node's reachability
-    and cuts no unique-live-predecessor chain, see {!chain_version}).
-    {!gc} only removes nodes unreachable from the
+    edge edit goes through [link_edges] or [delete_node], and each
+    bumps [shape].  {!gc} only removes nodes unreachable from the
     entry — a semantic no-op for every reachable-set-derived analysis
     — so it bumps neither counter: the walk stays valid across
     collections.  It sweeps a worklist rather than the whole node
@@ -86,8 +91,13 @@ type t = {
           with [op_home]) *)
   ops_seq : Iarr.t Itbl.t;  (** node id -> plain op ids, instruction order *)
   node_counts : int Itbl.t;  (** node id -> packed slot-demand counters *)
-  preds_tbl : Iarr.t Itbl.t;
-      (** node id -> predecessor ids, append order, [-1] tombstones *)
+  mutable in_leaves : int array;
+      (** node id -> tree leaves pointing at it (the exit's self-leaf
+          not counted) *)
+  mutable in_xor : int array;
+      (** node id -> XOR of the owners of those leaves, once per leaf *)
+  mutable joins : int;
+      (** nodes other than the exit with two or more leaves into them *)
   succs_tbl : int list Itbl.t;
       (** node id -> distinct sorted successor ids — the
           [Ctree.succs] mirror, recomputed on every structural edit so
@@ -108,7 +118,6 @@ type t = {
       (** node id -> [version] right after the node's last edit of its
           ops, tree or leaves *)
   mutable shape : int;  (** bumped when an edge or a node comes or goes *)
-  mutable chain : int;  (** bumped by every edge edit but [delete_node] *)
   mutable ord_shape : int;  (** shape the graph-order walk speaks for *)
   mutable ord_stamp : int;  (** bumped per walk *)
   mutable ord_mark : int array;
@@ -170,18 +179,6 @@ let node_stamp p id = get p.node_stamp id
     {!version}. *)
 let shape_version p = p.shape
 
-(** [chain_version p] — changes with every edge edit except
-    {!delete_node}'s, so it moves at most as often as
-    {!shape_version}.  [delete_node s] removes an empty node with one
-    successor [t] and points every predecessor of [s] at [t].  That
-    changes no other node's reachability, and only [t]'s predecessors:
-    [t] trades [s] for [s]'s, so it is a join afterwards only if [s]
-    or [t] was one, and a chain of unique live predecessors through
-    [s] now goes from [s]'s predecessor straight to [t].  So a fact
-    "this node reaches that one by unique live predecessors" survives
-    it, and caches of such facts key on this counter. *)
-let chain_version p = p.chain
-
 let is_exit p id = id = p.exit_id
 
 (* -- flat-store primitives ---------------------------------------------- *)
@@ -210,9 +207,9 @@ let store_op p (op : Operation.t) = Itbl.set p.op_store op.Operation.id (Some op
 let op_of p op_id =
   match get p.op_store op_id with Some op -> op | None -> raise Not_found
 
-(* Buffer arena: [seq_for] installs a (possibly recycled) buffer in
-   place of the shared sentinel; [recycle_seq] sends a freed node's
-   buffer back to the pool. *)
+(* Buffer arena for the op-id sequences: [seq_for] installs a
+   (possibly recycled) buffer in place of the shared sentinel;
+   [recycle_seq] sends a freed node's buffer back to the pool. *)
 let alloc_seq p =
   match p.spare with
   | b :: rest ->
@@ -221,25 +218,25 @@ let alloc_seq p =
       b
   | [] -> Iarr.create ()
 
-let seq_for p tbl id =
-  let b = Itbl.get tbl id in
+let seq_for p id =
+  let b = Itbl.get p.ops_seq id in
   if b != Iarr.sentinel then b
   else begin
     let b = alloc_seq p in
-    Itbl.set tbl id b;
+    Itbl.set p.ops_seq id b;
     b
   end
 
-let recycle_seq p tbl id =
-  let b = Itbl.get tbl id in
+let recycle_seq p id =
+  let b = Itbl.get p.ops_seq id in
   if b != Iarr.sentinel then begin
-    Itbl.set tbl id Iarr.sentinel;
+    Itbl.set p.ops_seq id Iarr.sentinel;
     Iarr.clear b;
     p.spare <- b :: p.spare
   end
 
-let clear_seq tbl id =
-  let b = Itbl.get tbl id in
+let clear_seq p id =
+  let b = Itbl.get p.ops_seq id in
   if b != Iarr.sentinel then Iarr.clear b
 
 (* Queue node [id] for the next {!gc} sweep. *)
@@ -249,40 +246,9 @@ let gc_note p id =
     Iarr.push p.gc_work id
   end
 
-(* -- predecessor-table maintenance -------------------------------------- *)
-
-(* The table mirrors the deduplicated successor sets: [q] appears at
-   most once (live) in [preds_tbl.(s)] however many tree leaves of [q]
-   point at [s].  The exit sentinel's self-edge is not recorded,
-   matching the preds map this module always exposed.  Appends go at
-   the end; removal tombstones with [-1] so no list/array is copied
-   per edge. *)
-
-let pred_add p ~src ~dst =
-  if not (src = dst && is_exit p src) then
-    Iarr.push (seq_for p p.preds_tbl dst) src
-
-(* [note] queues [dst] for the collector; {!delete_node} passes
-   [false], since its edits change no node's reachability. *)
-let pred_remove p ~note ~src ~dst =
-  if not (src = dst && is_exit p src) then begin
-    let b = Itbl.get p.preds_tbl dst in
-    if b != Iarr.sentinel then begin
-      let live = ref 0 in
-      for i = 0 to Iarr.length b - 1 do
-        let v = Iarr.unsafe_get b i in
-        if v = src then Iarr.set b i (-1) else if v >= 0 then incr live
-      done;
-      (* keep redirect churn from growing the buffer without bound *)
-      if Iarr.length b - !live > !live + 8 then Iarr.compact_nonneg b;
-      (* [dst] may have lost its last path from the entry *)
-      if note then gc_note p dst
-    end
-  end
-
-(* Make the successor mirror cover ids below [need], keeping its
+(* Make the edge mirrors cover ids below [need], keeping their
    contents. *)
-let succ_grow p need =
+let edges_grow p need =
   let cap = Array.length p.succ_a in
   if need > cap then begin
     let cap' = max need (2 * cap) in
@@ -292,7 +258,9 @@ let succ_grow p need =
       b
     in
     p.succ_a <- grow p.succ_a;
-    p.succ_b <- grow p.succ_b
+    p.succ_b <- grow p.succ_b;
+    p.in_leaves <- grow p.in_leaves;
+    p.in_xor <- grow p.in_xor
   end
 
 (* Refresh node [n]'s successor mirrors from its tree.  Walks consume
@@ -302,7 +270,7 @@ let rebuild_succs p (n : Node.t) =
   let id = n.Node.id in
   let l = Ctree.succs n.Node.ctree in
   Itbl.set p.succs_tbl id l;
-  succ_grow p (id + 1);
+  edges_grow p (id + 1);
   match l with
   | [] -> p.succ_a.(id) <- 0
   | [ a ] -> p.succ_a.(id) <- (a lsl 2) lor 1
@@ -310,25 +278,36 @@ let rebuild_succs p (n : Node.t) =
       p.succ_a.(id) <- (a lsl 2) lor (match tl with [] -> 2 | _ -> 3);
       p.succ_b.(id) <- b
 
-(* The edge half of an edit: [link_edges] refreshes the mirrors first,
-   so the unlink/mutate/link bracket every structural edit already
-   follows keeps them current: [unlink_edges] reads the pre-edit
-   mirror, [link_edges] the new tree. *)
+(* Add [d] (1 or -1) to the in-leaf count of each leaf of [src]'s
+   tree [t], keeping [in_xor] and [joins]; the exit's self-leaf is not
+   counted.  [note] queues each target for the collector, since a
+   removed leaf may have been its last path from the entry. *)
+let rec count_leaves p ~note src d = function
+  | Ctree.Branch (_, a, b) ->
+      count_leaves p ~note src d a;
+      count_leaves p ~note src d b
+  | Ctree.Leaf dst ->
+      if not (src = dst && is_exit p src) then begin
+        edges_grow p (dst + 1);
+        let c = p.in_leaves.(dst) in
+        p.in_leaves.(dst) <- c + d;
+        p.in_xor.(dst) <- p.in_xor.(dst) lxor src;
+        if not (is_exit p dst) then
+          if d > 0 && c = 1 then p.joins <- p.joins + 1
+          else if d < 0 && c = 2 then p.joins <- p.joins - 1;
+        if note then gc_note p dst
+      end
+
+(* The edge half of an edit: the unlink/mutate/link bracket every
+   structural edit follows keeps the mirrors current: [unlink_edges]
+   reads the node's tree before the edit, [link_edges] after it. *)
 let link_edges p (n : Node.t) =
   p.shape <- p.shape + 1;
   rebuild_succs p n;
-  List.iter
-    (fun s -> pred_add p ~src:n.Node.id ~dst:s)
-    (Itbl.get p.succs_tbl n.Node.id)
+  count_leaves p ~note:false n.Node.id 1 n.Node.ctree
 
 let unlink_edges p ~note (n : Node.t) =
-  List.iter
-    (fun s -> pred_remove p ~note ~src:n.Node.id ~dst:s)
-    (Itbl.get p.succs_tbl n.Node.id)
-
-let link_node p n =
-  p.chain <- p.chain + 1;
-  link_edges p n
+  count_leaves p ~note n.Node.id (-1) n.Node.ctree
 
 (* -- construction ------------------------------------------------------ *)
 
@@ -373,7 +352,9 @@ let create ?(first_reg = 0) () =
       op_store = Itbl.create None;
       ops_seq = Itbl.create Iarr.sentinel;
       node_counts = Itbl.create 0;
-      preds_tbl = Itbl.create Iarr.sentinel;
+      in_leaves = Array.make 64 0;
+      in_xor = Array.make 64 0;
+      joins = 0;
       succs_tbl = Itbl.create [];
       succ_a = Array.make 64 0;
       succ_b = Array.make 64 0;
@@ -384,7 +365,6 @@ let create ?(first_reg = 0) () =
       version = 0;
       node_stamp = Itbl.create 0;
       shape = 0;
-      chain = 0;
       ord_shape = -1;
       ord_stamp = 0;
       ord_mark = [||];
@@ -404,7 +384,7 @@ let create ?(first_reg = 0) () =
     }
   in
   let seed id =
-    match Itbl.get nodes id with Some n -> link_node p n | None -> assert false
+    match Itbl.get nodes id with Some n -> link_edges p n | None -> assert false
   in
   seed exit_id;
   seed entry;
@@ -434,14 +414,14 @@ let fresh_node p ~ops ~ctree =
   p.next_node <- id + 1;
   let n = Node.make ~id ~ctree in
   Itbl.set p.nodes id (Some n);
-  let seq = seq_for p p.ops_seq id in
+  let seq = seq_for p id in
   List.iter
     (fun (op : Operation.t) ->
       place p id op;
       Iarr.push seq op.Operation.id)
     ops;
   Ctree.iter_cjumps (place p id) ctree;
-  link_node p n;
+  link_edges p n;
   gc_note p id;
   edited p id;
   n
@@ -487,7 +467,7 @@ let ops p nid =
 (** [fold_ops p nid ~init ~f] folds [f] over node [nid]'s plain ops in
     instruction order without building a list; [f] must not edit the
     node's ops.  The simulator steps with it, so it reads the buffer's
-    fields directly, as {!is_live} does. *)
+    fields directly. *)
 let fold_ops p nid ~init ~f =
   let b = plain_ids p nid in
   let acc = ref init in
@@ -499,7 +479,7 @@ let fold_ops p nid ~init ~f =
 (** [add_op p nid op] appends [op] to node [nid]'s plain ops. *)
 let add_op p nid (op : Operation.t) =
   place p nid op;
-  Iarr.push (seq_for p p.ops_seq nid) op.id;
+  Iarr.push (seq_for p nid) op.id;
   edited p nid
 
 (** [mem_plain_op p nid op_id] — is plain op [op_id] currently in node
@@ -538,7 +518,7 @@ let set_ctree p nid t =
   unlink_edges p ~note:true n;
   Ctree.iter_cjump_ids (fun id -> Itbl.set p.op_home id (-1)) n.Node.ctree;
   n.Node.ctree <- t;
-  link_node p n;
+  link_edges p n;
   Itbl.set p.node_counts nid (Itbl.get p.node_counts nid land lnot (0x7fff lsl 45));
   Ctree.iter_cjumps (place p nid) t;
   edited p nid
@@ -548,7 +528,7 @@ let set_ctree p nid t =
     placing them in a fresh node, as POST's entry push-down does). *)
 let take_ops p nid =
   let taken = ops p nid in
-  clear_seq p.ops_seq nid;
+  clear_seq p nid;
   Itbl.set p.node_counts nid (Itbl.get p.node_counts nid land (0x7fff lsl 45));
   edited p nid;
   taken
@@ -606,17 +586,6 @@ let counts_packed p nid = get p.node_counts nid
 let iter_op_ids p nid f =
   Iarr.iter f (plain_ids p nid);
   Ctree.iter_cjump_ids f (node p nid).Node.ctree
-
-(* Newest-first snapshot of the raw table (dead preds included) — the
-   list the old cons-list representation exposed. *)
-let preds_raw p id =
-  let b = Itbl.get p.preds_tbl id in
-  let acc = ref [] in
-  for i = 0 to Iarr.length b - 1 do
-    let q = Iarr.unsafe_get b i in
-    if q >= 0 then acc := q :: !acc
-  done;
-  !acc
 
 (* -- graph queries ------------------------------------------------------ *)
 
@@ -736,23 +705,10 @@ let n_nodes p =
     move, until [Ctx.gc] runs {!gc} after its commit, and in the
     programs unwinding and redundancy removal edit, since those never
     collect.  Traversals that must see only reachable nodes filter on
-    this.  While the sweep worklist is
-    empty no node has lost an in-edge or been created since the last
-    sweep, which left only live nodes, so the table alone answers;
-    otherwise the walk's stamp does.  The chain climb asks this for
-    every predecessor it steps over, so it reads the worklist and the
-    node table's array directly: under [-opaque] (dune's dev profile)
-    an [Iarr]/[Itbl] accessor is an indirect call. *)
-let[@inline] is_live p id =
-  if p.gc_work.Iarr.len = 0 then
-    let a = p.nodes.Itbl.arr in
-    id >= 0
-    && id < Array.length a
-    && match Array.unsafe_get a id with Some _ -> true | None -> false
-  else begin
-    fresh p;
-    marked p id
-  end
+    this; the walk's stamp answers. *)
+let is_live p id =
+  fresh p;
+  marked p id
 
 (** [rpo_index p id] — node [id]'s position in reverse postorder (the
     entry is [0]), or [max_int] when [id] is not reachable.  O(1) once
@@ -786,28 +742,45 @@ let rec push_cjump_ids acc = function
       push_cjump_ids acc a;
       push_cjump_ids acc b
 
-(** [region_op_ids p n acc] — node entry's region pass: fills [acc]
-    with the op ids of every node dominated by [n], [n] excluded, per
-    node in reverse postorder its plain ops in instruction order then
-    its tree's jumps pre-order ({!iter_op_ids}).  Answers [false] on a
-    cyclic program, and [acc] is then to be ignored.
+(** [parent p id] — the node whose tree has the one leaf pointing at
+    [id], or [-1] when [id] has no leaf or several pointing at it (the
+    entry, the exit, a join, or an id no node points at).  Leaves of
+    nodes left to die count until {!gc} collects them.  On an out-tree
+    whose table holds only live nodes, as after every committed move,
+    it is the node above [id] on the one path from the entry.
+    Allocation-free, two array reads. *)
+let parent p id =
+  if id >= 0 && id < Array.length p.in_leaves && Array.unsafe_get p.in_leaves id = 1
+  then Array.unsafe_get p.in_xor id
+  else -1
 
-    One pass over the RPO suffix after [n], with no dominator tree: a
-    node there is dominated by [n] exactly when every live predecessor
-    of it is [n] or dominated by [n].  In an acyclic graph every
-    predecessor precedes its node in RPO, so the pass, marking [n] and
-    then each node it finds dominated, has decided each predecessor
-    when it reaches the node.  A live predecessor at or after its node
-    — [n] itself included — is a retreating edge: the graph has a
-    cycle, and the pass stops (DESIGN.md §24).  It reads the walk's
-    arrays and the predecessor and op tables in place, so no
-    predecessor or op costs a call, only [acc]'s growth does
-    (DESIGN.md §33). *)
+(** [is_out_tree p] — does no leaf point at the entry, and no more than
+    one at any node but the exit, counting the leaves of every node in
+    the table?  Then the reachable graph has no cycle but the exit's
+    self-loop: a cycle through the entry gives it a leaf, and any other
+    reachable cycle is entered from off the cycle at a node that then
+    has two.  O(1). *)
+let is_out_tree p = p.joins = 0 && p.in_leaves.(p.entry) = 0
+
+(** [region_op_ids p n acc] — node entry's region pass: fills [acc]
+    with the op ids of every node below [n] in the out-tree [p], [n]
+    excluded, per node in reverse postorder its plain ops in
+    instruction order then its tree's jumps pre-order
+    ({!iter_op_ids}).
+
+    One pass over the RPO suffix after [n]: a node is below [n]
+    exactly when its parent is [n] or below [n], and a parent comes
+    before its children in RPO, so the pass, marking [n] and then each
+    node whose parent it marked, has decided the parent when it reaches
+    the node.  In an out-tree the nodes below [n] are the nodes it
+    dominates.  It reads the walk's arrays and the leaf and op tables
+    in place, so no node or op costs a call, only [acc]'s growth does
+    (DESIGN.md §33).  On a graph that is not an out-tree the answer is
+    meaningless: node entry checks {!is_out_tree} first. *)
 let region_op_ids p n acc =
   acc.Iarr.len <- 0;
   fresh p;
-  if not (marked p n) then true
-  else begin
+  if marked p n then begin
     if Array.length p.reg_mark < p.next_node then begin
       let m = Array.make (max p.next_node (2 * Array.length p.reg_mark)) 0 in
       Array.blit p.reg_mark 0 m 0 (Array.length p.reg_mark);
@@ -815,28 +788,12 @@ let region_op_ids p n acc =
     end;
     let stamp = p.reg_stamp + 1 in
     p.reg_stamp <- stamp;
-    let mark = p.reg_mark and pos = p.ord_pos and last = p.ord_n - 1 in
-    let at = last - pos.(n) in
+    let mark = p.reg_mark and last = p.ord_n - 1 in
     mark.(n) <- stamp;
-    (* a live predecessor of [n] at or after it closes a cycle through [n] *)
-    let retreat = ref false in
-    let b = get p.preds_tbl n in
-    for i = 0 to b.Iarr.len - 1 do
-      let q = Array.unsafe_get b.Iarr.a i in
-      if marked p q && last - Array.unsafe_get pos q >= at then retreat := true
-    done;
-    let k = ref (at + 1) in
-    while !k <= last && not !retreat do
-      let id = Array.unsafe_get p.ord_post (last - !k) in
-      let all = ref true in
-      let b = get p.preds_tbl id in
-      for i = 0 to b.Iarr.len - 1 do
-        let q = Array.unsafe_get b.Iarr.a i in
-        if marked p q then
-          if last - Array.unsafe_get pos q >= !k then retreat := true
-          else if Array.unsafe_get mark q <> stamp then all := false
-      done;
-      if !all && not !retreat then begin
+    for k = last - p.ord_pos.(n) + 1 to last do
+      let id = Array.unsafe_get p.ord_post (last - k) in
+      let q = parent p id in
+      if q >= 0 && Array.unsafe_get mark q = stamp then begin
         Array.unsafe_set mark id stamp;
         if not (is_exit p id) then begin
           let ops = get p.ops_seq id in
@@ -847,10 +804,8 @@ let region_op_ids p n acc =
           | Some nd -> push_cjump_ids acc nd.Node.ctree
           | None -> ()
         end
-      end;
-      incr k
-    done;
-    not !retreat
+      end
+    done
   end
 
 (** [order_walks p] / [order_visits p] — total graph-order walks on
@@ -868,54 +823,6 @@ let reachable p =
     if marked p id then Hashtbl.replace seen id ()
   done;
   seen
-
-(* Live predecessors of [id], newest-first — the filter the cons-list
-   table's accessors always applied. *)
-let live_preds_list p id =
-  let b = Itbl.get p.preds_tbl id in
-  let acc = ref [] in
-  for i = 0 to Iarr.length b - 1 do
-    let q = Iarr.unsafe_get b i in
-    if q >= 0 && is_live p q then acc := q :: !acc
-  done;
-  !acc
-
-(** [preds p] is the full predecessor map (node id -> predecessor ids),
-    over reachable nodes only. *)
-let preds p =
-  ignore (n_nodes p);
-  let tbl = Hashtbl.create 64 in
-  for id = 0 to Array.length p.ord_mark - 1 do
-    if marked p id then Hashtbl.replace tbl id (live_preds_list p id)
-  done;
-  tbl
-
-(** [preds_of p id] — the live predecessors of node [id], served from
-    the incrementally maintained table (no full-graph rebuild). *)
-let preds_of p id = live_preds_list p id
-
-(* The only live entry of [a.(0) .. a.(i)] scanned downwards, given
-   [found] so far; [-1] when there is a second. *)
-let rec unique_live_from p a i found =
-  if i < 0 then found
-  else
-    let q = Array.unsafe_get a i in
-    if q >= 0 && is_live p q then
-      if found >= 0 then -1 else unique_live_from p a (i - 1) q
-    else unique_live_from p a (i - 1) found
-
-(** [unique_live_pred p id] — the only live entry of node [id]'s
-    predecessor table, or [-1] when it has none or several.  It reads
-    only edges and reachability, so its answer changes only with
-    {!shape_version} — and, by {!chain_version}'s argument, along a
-    chain it changes only with that.  Allocation-free, and like
-    {!is_live} it reads the tables' arrays directly. *)
-let unique_live_pred p id =
-  let t = p.preds_tbl.Itbl.arr in
-  if id < 0 || id >= Array.length t then -1
-  else
-    let b = Array.unsafe_get t id in
-    unique_live_from p b.Iarr.a (b.Iarr.len - 1) (-1)
 
 (** [rpo p] is a reverse-postorder listing of the reachable nodes from
     the entry — the top-down scheduling order — as a fresh list built
@@ -938,9 +845,8 @@ let all_ops p =
 
 (* -- structural edits --------------------------------------------------- *)
 
-(* Point node [from_]'s leaves at [old_] to [new_]: the edge edit of
-   {!redirect} without its [chain] bump, with [note] passed on to the
-   predecessor tables. *)
+(* Point node [from_]'s leaves at [old_] to [new_]; [note] queues its
+   old successors for the collector. *)
 let relink p ~note ~from_ ~old_ ~new_ =
   let n = node p from_ in
   unlink_edges p ~note n;
@@ -951,40 +857,38 @@ let relink p ~note ~from_ ~old_ ~new_ =
 (** [redirect p ~from_ ~old_ ~new_] rewrites node [from_]'s tree leaves
     pointing at [old_] to point at [new_].  The jump records (and so
     the counts) are unchanged — only edges move. *)
-let redirect p ~from_ ~old_ ~new_ =
-  p.chain <- p.chain + 1;
-  relink p ~note:true ~from_ ~old_ ~new_
+let redirect p ~from_ ~old_ ~new_ = relink p ~note:true ~from_ ~old_ ~new_
 
 (* Drop node [id] from the table and its mirrors; its flat buffers go
-   back to the arena pool.  Its edges must be unlinked already. *)
+   back to the arena pool.  Its edges must be unlinked already; its
+   in-leaf count falls as the nodes still pointing at it are
+   collected. *)
 let free_node p id =
-  recycle_seq p p.preds_tbl id;
   Itbl.set p.succs_tbl id [];
   p.succ_a.(id) <- 0;
-  recycle_seq p p.ops_seq id;
+  recycle_seq p id;
   Itbl.set p.node_counts id 0;
   Itbl.set p.nodes id None
 
-(** [delete_node p id] removes the empty node [id], redirecting every
-    predecessor to its unique successor.  Raises [Invalid_argument] if
-    the node is not empty, is the entry, or is the exit sentinel.
+(** [delete_node p id] removes the empty node [id], pointing its one
+    parent (if it has one) at its unique successor.  Raises
+    [Invalid_argument] if the node is not empty, is the entry or the
+    exit sentinel, or has two or more leaves pointing at it.
 
-    No other node's reachability changes (see {!chain_version}), so
-    the edit queues no collector work and leaves [chain] alone.  The
-    collector's invariant — every dead node is queued or reachable
-    from a queued node — survives: paths through [id] now skip it,
-    and if [id] itself was queued its successor is queued in its
-    place. *)
+    No other node's reachability changes, so the edit queues no
+    collector work.  The collector's invariant — every dead node is
+    queued or reachable from a queued node — survives: paths through
+    [id] now skip it, and if [id] itself was queued its successor is
+    queued in its place. *)
 let delete_node p id =
   if id = p.entry || is_exit p id then
     invalid_arg "Program.delete_node: entry/exit";
   if not (is_empty p id) then invalid_arg "Program.delete_node: node not empty";
+  if p.in_leaves.(id) > 1 then invalid_arg "Program.delete_node: a join";
   let n = node p id in
   let succ = match succs p id with [ s ] -> s | _ -> assert false in
-  (* snapshot first: each relink tombstones this very table *)
-  List.iter
-    (fun q -> relink p ~note:false ~from_:q ~old_:id ~new_:succ)
-    (preds_raw p id);
+  let q = parent p id in
+  if q >= 0 then relink p ~note:false ~from_:q ~old_:id ~new_:succ;
   unlink_edges p ~note:false n;
   if Itbl.get p.gc_marks id = p.gc_epoch then gc_note p succ;
   free_node p id;
@@ -1066,7 +970,9 @@ let snapshot p =
 let restore p s =
   let limit = max p.next_node s.s_next_node in
   Itbl.reset p.nodes;
-  Itbl.reset p.preds_tbl;
+  Array.fill p.in_leaves 0 (Array.length p.in_leaves) 0;
+  Array.fill p.in_xor 0 (Array.length p.in_xor) 0;
+  p.joins <- 0;
   Itbl.reset p.succs_tbl;
   Itbl.reset p.ops_seq;
   Itbl.reset p.node_counts;
@@ -1083,7 +989,7 @@ let restore p s =
   List.iter
     (fun (id, plain, ctree) ->
       Itbl.set p.nodes id (Some (Node.make ~id ~ctree));
-      let seq = seq_for p p.ops_seq id in
+      let seq = seq_for p id in
       Array.iter (Iarr.push seq) plain;
       Itbl.set p.node_counts id
         (Array.fold_left
@@ -1092,7 +998,7 @@ let restore p s =
            plain))
     s.s_nodes;
   iter_nodes p (fun n ->
-      link_node p n;
+      link_edges p n;
       gc_note p n.Node.id);
   p.next_node <- s.s_next_node;
   p.next_reg <- s.s_next_reg;
@@ -1109,37 +1015,50 @@ let flat_succs p id =
   let rec go i = match succ_at p id i with -1 -> [] | s -> s :: go (i + 1) in
   go 0
 
-(** [check_derived_state p] — do the predecessor table and the flat
-    stores agree with a from-scratch recomputation?  [None] when coherent; [Some reason] otherwise.
-    Test-suite oracle for the incremental maintenance in this
-    module. *)
+(** [check_derived_state p] — do the in-leaf counts, the join count
+    and the flat stores agree with a from-scratch recomputation?
+    [None] when coherent; [Some reason] otherwise.  Test-suite oracle
+    for the incremental maintenance in this module. *)
 let check_derived_state p =
-  let norm l = List.sort Int.compare l in
-  let expected = Hashtbl.create 64 in
+  let size = max (Array.length p.in_leaves) p.next_node in
+  let leaves = Array.make size 0 and owners = Array.make size 0 in
   iter_nodes p (fun (n : Node.t) ->
-      List.iter
-        (fun s ->
-          if not (s = n.Node.id && is_exit p n.Node.id) then
-            Hashtbl.replace expected s
-              (n.Node.id
-              :: (match Hashtbl.find_opt expected s with
-                 | Some l -> l
-                 | None -> [])))
-        (Ctree.succs n.Node.ctree));
-  let pred_problem =
+      let src = n.Node.id in
+      let rec go = function
+        | Ctree.Branch (_, a, b) ->
+            go a;
+            go b
+        | Ctree.Leaf dst ->
+            if not (src = dst && is_exit p src) then begin
+              leaves.(dst) <- leaves.(dst) + 1;
+              owners.(dst) <- owners.(dst) lxor src
+            end
+      in
+      go n.Node.ctree);
+  let stored a id = if id < Array.length a then a.(id) else 0 in
+  let rec leaf_problem id joins =
+    if id >= size then
+      if joins <> p.joins then
+        Some (Printf.sprintf "join count %d, recounted %d" p.joins joins)
+      else None
+    else if stored p.in_leaves id <> leaves.(id) then
+      Some
+        (Printf.sprintf "in-leaf count %d at n%d, recounted %d"
+           (stored p.in_leaves id) id leaves.(id))
+    else if stored p.in_xor id <> owners.(id) then
+      Some (Printf.sprintf "in-leaf owners mismatch at n%d" id)
+    else
+      leaf_problem (id + 1)
+        (if leaves.(id) >= 2 && not (is_exit p id) then joins + 1 else joins)
+  in
+  let succ_problem =
     fold_nodes p
       (fun n acc ->
         match acc with
         | Some _ -> acc
         | None ->
             let id = n.Node.id in
-            let want =
-              match Hashtbl.find_opt expected id with Some l -> norm l | None -> []
-            in
-            let got = norm (preds_raw p id) in
-            if want <> got then
-              Some (Printf.sprintf "preds_tbl mismatch at n%d" id)
-            else if Itbl.get p.succs_tbl id <> Ctree.succs n.Node.ctree then
+            if Itbl.get p.succs_tbl id <> Ctree.succs n.Node.ctree then
               Some (Printf.sprintf "succs_tbl mismatch at n%d" id)
             else if flat_succs p id <> Ctree.succs n.Node.ctree then
               Some (Printf.sprintf "flat successor mismatch at n%d" id)
@@ -1197,10 +1116,13 @@ let check_derived_state p =
       (fun n acc -> match acc with Some _ -> acc | None -> node_problem n)
       None
   in
-  match pred_problem with
+  match leaf_problem 0 0 with
   | Some _ as r -> r
   | None -> (
-      match stale_succs () with Some _ as r -> r | None -> flat_problem ())
+      match succ_problem with
+      | Some _ as r -> r
+      | None -> (
+          match stale_succs () with Some _ as r -> r | None -> flat_problem ()))
 
 (* -- rendering ------------------------------------------------------------ *)
 

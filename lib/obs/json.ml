@@ -96,6 +96,14 @@ and to_string ?(pretty = false) v =
 
 exception Parse_error of string
 
+(** The deepest nesting {!parse} accepts: objects and arrays at most
+    [max_depth] levels inside one another.  The deepest document the
+    repository writes, the Table 1 artifact, nests 8 levels.  The bound
+    keeps the recursive descent's stack small, and with it the time a
+    hostile payload costs the daemon's select loop: deeper input is a
+    parse error, found at the first bracket past the bound. *)
+let max_depth = 64
+
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
@@ -208,10 +216,12 @@ let parse s =
     | Some x -> Num x
     | None -> fail "invalid number"
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
+    | Some ('{' | '[') when depth >= max_depth ->
+        fail (Printf.sprintf "nesting deeper than %d levels" max_depth)
     | Some '{' ->
         advance ();
         skip_ws ();
@@ -222,7 +232,7 @@ let parse s =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' -> advance (); fields ((k, v) :: acc)
@@ -237,7 +247,7 @@ let parse s =
         if peek () = Some ']' then begin advance (); List [] end
         else begin
           let rec items acc =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' -> advance (); items (v :: acc)
@@ -253,7 +263,7 @@ let parse s =
     | Some _ -> parse_number ()
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage";
     v

@@ -30,14 +30,9 @@
       op's replay slot instead of walked; each also counts in
       [scheduler.migrations] and the other per-attempt counters as the
       attempt it stands for
-    - [migrate.chain_nodes] — nodes each walked migration's chain
-      check followed, whether or not it found a chain (a replay checks
-      no chain)
     - [gapless.scan_nodes] — nodes the Gapless test's condition-3
       searches expanded (memoized nodes are not expanded; a replay
       searches nothing)
-    - [migrate.walk_nodes] — nodes the plain post-order walk expanded
-      (a migration that finds a chain climbs it and adds nothing)
     - [ir.gc_runs / gc_reclaimed / gc_candidates] — graph
       collections (one per committed move), nodes collected and
       worklist entries examined

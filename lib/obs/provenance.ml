@@ -97,9 +97,8 @@ let find_or_create t ~op ~home =
 
 (** [record_hop t ~op ~op' ~from_ ~to_ ~rule] — one accepted hop of
     [op] from node [from_] into [to_].  When the transformation renamed
-    the operation ([op' <> op], e.g. the landing path was isolated and
-    the clone kept the original id), the journal follows the new
-    identity and remembers the old one as an alias. *)
+    the operation ([op' <> op]), the journal follows the new identity
+    and remembers the old one as an alias. *)
 let record_hop t ~op ~op' ~from_ ~to_ ~rule =
   if t.enabled then begin
     let j = find_or_create t ~op ~home:from_ in

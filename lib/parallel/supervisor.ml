@@ -116,6 +116,14 @@ let fresh_stats ~jobs =
     drivers should dump the trace ring. *)
 let flagged stats = stats.gap_violations > 0
 
+(** [trace_events config ~tasks] — the most trace events a {!supervise}
+    of [tasks] items under [config] emits: a shed per item at
+    admission, and per attempt (at most [retries + 1] per item) a
+    worker restart, a retry or a quarantine, and one watchdog gap (gaps
+    are kept per (worker, task)).  A ring this large drops none. *)
+let trace_events (config : config) ~tasks =
+  tasks * (1 + (3 * (config.retries + 1)))
+
 let pp_stats ppf s =
   Format.fprintf ppf
     "attempts=%d retries=%d sheds=%d quarantined=%d restarts=%d \

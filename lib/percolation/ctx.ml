@@ -1,25 +1,20 @@
 (** Shared context for the percolation transformations: the program
     being transformed, the target machine (resource checks happen at
     every hop), the observability handle every transformation emits
-    through and the work counts of the run; plus the scratch state that
-    migrations reuse instead of allocating: the replay slots, the
-    walk's visit marks and the chain memo. *)
+    through and the work counts of the run; plus the replay slots,
+    which migrations reuse instead of allocating. *)
 
 open Vliw_ir
 
 (** The work a context's transformations did, one field per count,
     each event one add: the pipeline publishes them to the run's
     registry once the schedule phase returns ([Grip.Pipeline.drive];
-    DESIGN.md §31).  The event counts ([gc_runs], [chain_checks],
-    [walks], [searches]) also decide whether the node counts beside
-    them are published: a node count is, when its event happened. *)
+    DESIGN.md §31).  The event counts ([gc_runs], [searches]) also
+    decide whether the node counts beside them are published: a node
+    count is, when its event happened. *)
 type counts = {
   mutable gc_runs : int;  (** graph collections, one per committed move *)
   mutable gc_reclaimed : int;  (** nodes those collections removed *)
-  mutable chain_checks : int;  (** chain checks: one per walked migration *)
-  mutable chain_nodes : int;  (** nodes the chain checks followed *)
-  mutable walks : int;  (** plain post-order walks *)
-  mutable walk_nodes : int;  (** nodes the plain walks expanded *)
   mutable searches : int;  (** the Gapless test's condition-3 searches *)
   mutable scan_nodes : int;  (** nodes those searches expanded *)
 }
@@ -46,18 +41,6 @@ type t = {
       (** the read-set arena: at each entry's offset the op id, the
           node count, then the nodes *)
   mutable reads_len : int;  (** words of [reads] in use *)
-  walk_marks : int Itbl.t;
-      (** migration-walk visited set, epoch-stamped: a walk bumps
-          [walk_stamp] instead of allocating a fresh table *)
-  mutable walk_stamp : int;
-  chain_queue : Iarr.t;  (** the nodes the last chain check followed *)
-  chain_marks : int Itbl.t;
-      (** chain memo: [chain_stamp] on every node whose unique live
-          predecessors lead to [chain_target] under chain version
-          [chain_version] *)
-  mutable chain_stamp : int;
-  mutable chain_target : int;
-  mutable chain_version : int;
   mutable ticks : int;  (** legality checks {!sample_tick} has counted *)
 }
 
@@ -74,10 +57,6 @@ let make ?(obs = Grip_obs.null) program ~machine ~exit_live:_ =
       {
         gc_runs = 0;
         gc_reclaimed = 0;
-        chain_checks = 0;
-        chain_nodes = 0;
-        walks = 0;
-        walk_nodes = 0;
         searches = 0;
         scan_nodes = 0;
       };
@@ -88,29 +67,22 @@ let make ?(obs = Grip_obs.null) program ~machine ~exit_live:_ =
     slot_reads = [||];
     reads = [||];
     reads_len = 0;
-    walk_marks = Itbl.create 0;
-    walk_stamp = 0;
-    chain_queue = Iarr.create ();
-    chain_marks = Itbl.create 0;
-    chain_stamp = 0;
-    chain_target = -1;
-    chain_version = -1;
     ticks = 0;
   }
 
 (* -- replay slots ----------------------------------------------------- *)
 
 (* A migration attempt that moves nothing stops at its first hop
-   [from_] -> [to_] ([from_] the op's home, [to_] its unique live
-   predecessor).  Its outcome is a function of the op's record, of
-   [from_] and [to_], and of the nodes the [allow_hop] answer read (the
-   read set), so while the op is still at [from_], [to_] is still
-   [from_]'s only live predecessor, and no node among [from_], [to_]
-   and the read set has a stamp newer than the slot, the attempt would
-   end as it did (DESIGN.md §27).  One slot per op id keeps the latest
-   such attempt; its read set lives in one arena, entries appended and
-   compacted when the arena fills.  Lookups and stores hash nothing and
-   allocate nothing once the arrays have grown to the op ids in use. *)
+   [from_] -> [to_] ([from_] the op's home, [to_] its parent).  Its
+   outcome is a function of the op's record, of [from_] and [to_], and
+   of the nodes the [allow_hop] answer read (the read set), so while
+   the op is still at [from_], [to_] is still [from_]'s parent, and no
+   node among [from_], [to_] and the read set has a stamp newer than
+   the slot, the attempt would end as it did (DESIGN.md §27).  One slot
+   per op id keeps the latest such attempt; its read set lives in one
+   arena, entries appended and compacted when the arena fills.  Lookups
+   and stores hash nothing and allocate nothing once the arrays have
+   grown to the op ids in use. *)
 
 let slots_grow t op_id =
   let cap = Array.length t.slot_from in
@@ -170,9 +142,9 @@ let reads_append t op_id nodes =
 (** [replay_store t ~op_id ~from_ ~to_ outcome ~reads] — record that
     [op_id]'s attempt ended in [outcome] (the migration's
     [last_failure], never [None]) at its first hop [from_] -> [to_],
-    the op's home and that home's unique live predecessor, with
-    [allow_hop] having read [reads] besides the two nodes.  The slot
-    keeps [outcome] itself, so recording allocates nothing. *)
+    the op's home and that home's parent, with [allow_hop] having read
+    [reads] besides the two nodes.  The slot keeps [outcome] itself, so
+    recording allocates nothing. *)
 let replay_store t ~op_id ~from_ ~to_ outcome ~reads =
   slots_grow t op_id;
   Array.unsafe_set t.slot_from op_id from_;
@@ -189,11 +161,11 @@ let rec reads_fresh p a i stop time =
 
 (** [replay_hit t op_id] — does [op_id]'s replay slot still tell how an
     attempt to migrate it would end?  Its home must be the slot's
-    [from_], [from_]'s only live predecessor the slot's [to_] (so both
-    the chain climb and the plain walk try this hop first), and no node
-    of the two nor of the read set edited since the slot was
-    recorded.  Nothing else drops a slot: these checks alone make a
-    replay sound.  Hashes nothing and allocates nothing. *)
+    [from_], [from_]'s parent the slot's [to_] (so the climb tries this
+    hop first), and no node of the two nor of the read set edited
+    since the slot was recorded.  Nothing else drops a slot: these
+    checks alone make a replay sound.  Hashes nothing and allocates
+    nothing. *)
 let replay_hit t op_id =
   op_id < Array.length t.slot_outcome
   && Array.unsafe_get t.slot_outcome op_id != None
@@ -208,7 +180,7 @@ let replay_hit t op_id =
   && Program.node_stamp p to_ <= time
   && (let at = Array.unsafe_get t.slot_reads op_id in
       reads_fresh p t.reads (at + 2) (at + 2 + t.reads.(at + 1)) time)
-  && Program.unique_live_pred p from_ = to_
+  && Program.parent p from_ = to_
 
 (** [replay_outcome t op_id] — the outcome of the slot {!replay_hit}
     just confirmed, as the migration reported it. *)
@@ -228,33 +200,6 @@ let sample_tick t n =
   let k = t.ticks in
   t.ticks <- k + 1;
   k land (n - 1) = 0
-
-(* -- scratch visit sets -------------------------------------------------- *)
-
-(* Epoch-stamped membership: starting a traversal bumps the stamp;
-   membership is "mark equals current stamp".  No per-traversal table
-   allocation, no clearing.  The gap-prevention test, which runs
-   inside migration walks, keeps its own marks on the scheduling run's
-   memo ([Grip.Gapless.memo]). *)
-
-let walk_begin t = t.walk_stamp <- t.walk_stamp + 1
-let walk_seen t id = Itbl.get t.walk_marks id = t.walk_stamp
-let walk_mark t id = Itbl.set t.walk_marks id t.walk_stamp
-
-(* The chain memo (see {!Migrate}) speaks for one (target,
-   {!Program.chain_version}) key: a chain check under another key bumps
-   the stamp, which forgets every earlier mark.  Node deletion leaves
-   the key, and the marks, alone: it cuts no chain. *)
-let chain_begin t ~target =
-  let v = Program.chain_version t.program in
-  if target <> t.chain_target || v <> t.chain_version then begin
-    t.chain_stamp <- t.chain_stamp + 1;
-    t.chain_target <- target;
-    t.chain_version <- v
-  end
-
-let chain_known t id = Itbl.get t.chain_marks id = t.chain_stamp
-let chain_note t id = Itbl.set t.chain_marks id t.chain_stamp
 
 (* -- garbage collection --------------------------------------------------- *)
 

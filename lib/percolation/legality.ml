@@ -11,7 +11,7 @@
 open Vliw_ir
 
 type failure =
-  | Not_adjacent  (** [to_] is not a predecessor of [from_] *)
+  | Not_adjacent  (** [to_] is not [from_]'s parent *)
   | Op_not_found
   | Guarded  (** still under a conditional of [from_]'s tree *)
   | True_dependence of Operation.t
@@ -48,7 +48,7 @@ end
 
 (** Why the last attempted hop of a migration failed. *)
 type hop =
-  | Vanished  (** the operation disappeared mid-walk (clone renamed it) *)
+  | Vanished  (** the operation is not in the node it was to leave *)
   | Suspended  (** vetoed by the migration's [allow_hop] hook *)
   | Op of failure
   | Cj of Cj.failure

@@ -1,26 +1,29 @@
 (** The [move-cj] core transformation (paper Figure 3).
 
-    Moves the *root* conditional jump of node [from_] up into the
-    predecessor [to_]: every leaf of [to_]'s tree pointing at [from_]
-    is replaced by a branch on the jump whose two arms lead to copies
-    of [from_] specialised to the true and false sub-trees.
+    Moves the *root* conditional jump of node [from_] up into its
+    parent [to_]: the leaf of [to_]'s tree pointing at [from_] is
+    replaced by a branch on the jump whose two arms lead to copies of
+    [from_] specialised to the true and false sub-trees.
 
     Specialisation distributes [from_]'s operations by guard: an
     operation guarded by the moved conditional lands only on its arm
     (with that guard entry stripped — reaching the copy now implies
     the outcome), while unguarded operations are duplicated onto both
     arms, the code duplication inherent to Percolation Scheduling.
-    The original node survives untouched for any other predecessors.
+    [to_] must be [from_]'s parent, the one node with a leaf pointing
+    at it (the schedulers' programs are out-trees, DESIGN.md §36), so
+    [from_] is left to die and each of its successors keeps one
+    parent: the arm copy that now leads to it.
 
     Only the root of the conditional tree may move: deeper jumps
     execute under their ancestors' outcomes and become roots themselves
     once those ancestors have moved.
 
-    [from_]'s ops are read once, before either arm is built.  When
-    [from_] is left to die, the true arm takes its ops over under their
-    ids, and placing them there replaces their records in the program's
-    store: read after that, [from_]'s ops would come back with the true
-    arm's stripped guards. *)
+    [from_]'s ops are read once, before either arm is built.  The true
+    arm takes them over under their ids, and placing them there
+    replaces their records in the program's store: read after that,
+    [from_]'s ops would come back with the true arm's stripped
+    guards. *)
 
 open Vliw_ir
 module Machine = Vliw_machine.Machine
@@ -54,7 +57,8 @@ let move (ctx : Ctx.t) ~from_ ~to_ ~cj_id =
   let p = ctx.Ctx.program in
   match
     (let to_node = Program.node p to_ and from_node = Program.node p from_ in
-     if from_ = to_ then raise (Fail Not_adjacent);
+     if from_ = to_ || Program.parent p from_ <> to_ then
+       raise (Fail Not_adjacent);
      let landing =
        match Ctree.path_to to_node.Node.ctree from_ with
        | Some path -> path
@@ -71,15 +75,6 @@ let move (ctx : Ctx.t) ~from_ ~to_ ~cj_id =
          (Machine.room_for_packed ctx.Ctx.machine
             (Program.counts_packed p to_) cj)
      then raise (Fail No_room);
-     (* If from_ has predecessors other than to_, it must survive
-        intact for them, so every piece we build gets fresh operation
-        ids; otherwise the true-arm copy can reuse the originals (and
-        from_ is garbage-collected). *)
-     let retained =
-       List.exists (fun q -> q <> to_) (Program.preds_of p from_)
-     in
-     let retained = retained || Ctree.all_paths_to to_node.Node.ctree from_ > 1 in
-     let moved_cj = if retained then Program.copy_op p cj else cj in
      (* Specialise from_ to one arm of [cj]: keep the ops whose guard
         admits the arm (stripping the decided entry), duplicate the
         unguarded ones. *)
@@ -101,17 +96,15 @@ let move (ctx : Ctx.t) ~from_ ~to_ ~cj_id =
            in
            (Program.fresh_node p ~ops ~ctree:tree).Node.id
      in
-     let t_id = specialise tt ~taken:true ~fresh_ops:retained in
+     let t_id = specialise tt ~taken:true ~fresh_ops:false in
      let f_id = specialise tf ~taken:false ~fresh_ops:true in
-     (* Replace the first leaf of to_ pointing at from_ by the branch;
-        ops of to_ guarded along that path keep their guards (the new
+     (* Replace the leaf of to_ pointing at from_ by the branch; ops
+        of to_ guarded along that path keep their guards (the new
         branch extends the path below them, decisions above are
         unchanged). *)
-     let first = ref true in
      let rec rewrite = function
-       | Ctree.Leaf s when s = from_ && !first ->
-           first := false;
-           Ctree.Branch (moved_cj, Ctree.Leaf t_id, Ctree.Leaf f_id)
+       | Ctree.Leaf s when s = from_ ->
+           Ctree.Branch (cj, Ctree.Leaf t_id, Ctree.Leaf f_id)
        | Ctree.Leaf s -> Ctree.Leaf s
        | Ctree.Branch (j, a, b) ->
            let a = rewrite a in
@@ -120,7 +113,7 @@ let move (ctx : Ctx.t) ~from_ ~to_ ~cj_id =
      let to_node = Program.node p to_ in
      Program.set_ctree p to_ (rewrite to_node.Node.ctree);
      Ctx.gc ctx;
-     { cj = moved_cj; true_copy = t_id; false_copy = f_id })
+     { cj; true_copy = t_id; false_copy = f_id })
   with
   | r -> Ok r
   | exception Fail f -> Error f

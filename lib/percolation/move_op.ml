@@ -2,7 +2,7 @@
     VLIW store discipline.
 
     [move ctx ~from_ ~to_ ~op_id] moves the plain operation [op_id] up
-    one instruction, from node [from_] to its predecessor [to_].  The
+    one instruction, from node [from_] to its parent [to_].  The
     operation lands {e on the path} of [to_]'s conditional tree that
     leads to [from_] (its guard becomes that path), so it computes a
     cycle earlier but still commits exactly when control was headed to
@@ -10,6 +10,8 @@
     paths is needed and why stores may move above conditionals.
 
     The move fails (leaving the program untouched) on:
+    - [Not_adjacent]: [to_] is not [from_]'s parent ({!Program.parent}),
+      the one node with a leaf pointing at [from_];
     - [Guarded]: the operation still sits under a conditional of
       [from_]'s own tree; it can only move after that conditional does
       (node splitting then unguards it);
@@ -24,12 +26,10 @@
     the operation lands writing a fresh register, and a copy back to
     the old destination stays in [from_].
 
-    When [from_] has predecessors other than [to_] — or [to_] reaches
-    [from_] through several tree paths — the node is split: the moved
-    path keeps the original (now missing [op_id]) and every other way
-    into [from_] is redirected to a fresh clone that still contains
-    the operation.  When [from_] ends up empty it is deleted, as in
-    Figure 2.
+    The schedulers' programs are out-trees (DESIGN.md §36): the one
+    leaf of [to_] that points at [from_] is the only way into it, so
+    the operation leaves [from_] on every path and no node is split.
+    When [from_] ends up empty it is deleted, as in Figure 2.
 
     Legality reads the operation from the flat stores
     ({!Program.stored_op}, {!Program.home_int}) and resource room from
@@ -50,7 +50,7 @@ module Machine = Vliw_machine.Machine
 module Metrics = Grip_obs.Metrics
 
 type failure = Legality.failure =
-  | Not_adjacent  (** [to_] is not a predecessor of [from_] *)
+  | Not_adjacent  (** [to_] is not [from_]'s parent *)
   | Op_not_found
   | Guarded  (** still under a conditional of [from_]'s tree *)
   | True_dependence of Operation.t
@@ -60,7 +60,6 @@ type failure = Legality.failure =
 type report = {
   op : Operation.t;  (** the operation as it now appears in [to_] *)
   renamed : (Reg.t * Reg.t) option;  (** (old destination, fresh) *)
-  split : int option;  (** clone node id for the other ways into [from_] *)
   deleted_from : bool;  (** [from_] became empty and was removed *)
 }
 
@@ -202,7 +201,8 @@ let rec defined_among p (b : Iarr.t) i d =
    renaming performed, or raises [Fail]. *)
 let check (ctx : Ctx.t) ~from_ ~to_ ~op_id =
   let p = ctx.Ctx.program in
-  if from_ = to_ then raise_notrace fail_not_adjacent;
+  if from_ = to_ || Program.parent p from_ <> to_ then
+    raise_notrace fail_not_adjacent;
   let to_node = Program.node p to_ and from_node = Program.node p from_ in
   let landing =
     match Ctree.path_to to_node.Node.ctree from_ with
@@ -247,51 +247,10 @@ let check (ctx : Ctx.t) ~from_ ~to_ ~op_id =
           Some (d, fresh) )
       else ({ op with Operation.guard = landing }, None)
 
-(* Redirect every way into [from_] except the landing path to a fresh
-   clone still containing the operation; returns the clone id if one
-   was needed. *)
-let isolate_landing (ctx : Ctx.t) ~from_ ~to_ =
-  let p = ctx.Ctx.program in
-  let from_node = Program.node p from_ in
-  let other_preds =
-    Program.preds_of p from_
-    |> List.filter (fun q -> q <> to_)
-    |> List.sort_uniq Int.compare
-  in
-  let to_node = Program.node p to_ in
-  let extra_paths = Ctree.all_paths_to to_node.Node.ctree from_ > 1 in
-  if other_preds = [] && not extra_paths then None
-  else begin
-    let clone_ops, clone_tree =
-      Program.clone_instruction p ~ops:(Program.ops p from_)
-        ~ctree:from_node.Node.ctree
-    in
-    let clone = Program.fresh_node p ~ops:clone_ops ~ctree:clone_tree in
-    List.iter
-      (fun q -> Program.redirect p ~from_:q ~old_:from_ ~new_:clone.Node.id)
-      other_preds;
-    if extra_paths then begin
-      (* keep the first (pre-order) leaf on from_, clone the rest *)
-      let first = ref true in
-      let rec rewrite = function
-        | Ctree.Leaf s when s = from_ ->
-            if !first then (
-              first := false;
-              Ctree.Leaf s)
-            else Ctree.Leaf clone.Node.id
-        | Ctree.Leaf s -> Ctree.Leaf s
-        | Ctree.Branch (j, a, b) -> Ctree.Branch (j, rewrite a, rewrite b)
-      in
-      Program.set_ctree p to_ (rewrite (Program.node p to_).Node.ctree)
-    end;
-    Some clone.Node.id
-  end
-
 (* Apply a legality-checked move. *)
 let commit (ctx : Ctx.t) ~from_ ~to_ ~op_id (moved_op, renamed) =
   let p = ctx.Ctx.program in
   let op = Option.get (Program.stored_op p op_id) in
-  let split = isolate_landing ctx ~from_ ~to_ in
   (* remove from from_, repairing with a copy if renamed *)
   Program.remove_op p from_ op_id;
   (match renamed with
@@ -316,7 +275,7 @@ let commit (ctx : Ctx.t) ~from_ ~to_ ~op_id (moved_op, renamed) =
     else false
   in
   Ctx.gc ctx;
-  { op = moved_op; renamed; split; deleted_from }
+  { op = moved_op; renamed; deleted_from }
 
 (** One legality check in [check_sample] is timed, and the
     [legality.check] timer gains [check_sample] times its duration: an

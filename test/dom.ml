@@ -1,9 +1,10 @@
 (* Dominators by the Cooper–Harvey–Kennedy iterative algorithm, over
    the reachable part of a program, computed afresh on each call.  Node
    entry's region pass ([Program.region_op_ids]) finds "the
-   subgraph dominated by n" without a dominator tree; this is the
-   oracle it, and the Unifiable-ops set drawn from it, are checked
-   against (test_grip.ml, "suffix enumeration == full-RPO filter"). *)
+   subgraph dominated by n" as the subtree below n, without a
+   dominator tree; this is the oracle it, and the Unifiable-ops set
+   drawn from it, are checked against (test_grip.ml, "suffix
+   enumeration == full-RPO filter"). *)
 
 open Vliw_ir
 
@@ -14,11 +15,19 @@ type t = {
           [-1] for a node that is unreachable or newer than the tree *)
 }
 
-(* [compute p] — the dominator tree of [p]'s reachable nodes. *)
+(* [compute p] — the dominator tree of [p]'s reachable nodes, with
+   their predecessors taken from the successor lists. *)
 let compute (p : Program.t) =
   let order = Program.rpo p in
   let index = Array.make (Program.node_limit p) (-1) in
   List.iteri (fun i id -> index.(id) <- i) order;
+  let preds = Array.make (Program.node_limit p) [] in
+  List.iter
+    (fun q ->
+      List.iter
+        (fun s -> if s <> q then preds.(s) <- q :: preds.(s))
+        (Program.succs p q))
+    order;
   let entry = p.Program.entry in
   let idom = Array.make (Program.node_limit p) (-1) in
   idom.(entry) <- entry;
@@ -35,7 +44,7 @@ let compute (p : Program.t) =
     List.iter
       (fun id ->
         if id <> entry then
-          match List.filter (fun q -> idom.(q) >= 0) (Program.preds_of p id) with
+          match List.filter (fun q -> idom.(q) >= 0) preds.(id) with
           | [] -> ()
           | q :: rest ->
               let d = List.fold_left intersect q rest in

@@ -1,10 +1,12 @@
 (* Byte-identical-schedule oracle: digests of the rendered schedule of
    every Livermore kernel x {2,4,8} FUs x {GRiP, no-gap, POST}.  A cell
-   whose program turned cyclic would fail at node entry, which raises
-   on a retreating edge, and so fail the sweep.  Each final program
-   must also pass [Program.check_derived_state] (the mirrors kept
-   beside a node's ops and tree) and [Wellformed.check]: a cell with a
-   report renders it in place of its digest, and so mismatches.
+   whose program stopped being an out-tree would fail at node entry,
+   and so fail the sweep.  Each final program must also be an out-tree
+   ([Program.is_out_tree]) and pass [Program.check_derived_state] (the
+   mirrors kept beside a node's ops and tree, leaf counts included)
+   and [Wellformed.check]: a cell with a report renders it in place of
+   its digest, and so mismatches; a Unifiable run renders it in place
+   of its registry text.
 
    The expected file is the contract that performance work in the
    scheduling core must not change a single schedule: regenerate with
@@ -65,7 +67,8 @@ let run_cell ?horizon kernel ~fu ~method_ =
   let p = o.Grip.Pipeline.program in
   let schedule =
     match
-      Option.to_list (Vliw_ir.Program.check_derived_state p)
+      (if Vliw_ir.Program.is_out_tree p then [] else [ "not an out-tree" ])
+      @ Option.to_list (Vliw_ir.Program.check_derived_state p)
       @ Vliw_ir.Wellformed.check p
     with
     | _ :: _ as reports -> "invalid: " ^ String.concat "; " reports
@@ -111,7 +114,10 @@ let sweep () =
       (fun name ->
         let k = (Option.get (Workloads.Livermore.find name)).Workloads.Livermore.kernel in
         let m = Grip.Pipeline.Unifiable in
-        (label k ~fu:2 ~method_:m, snd (run_cell ~horizon:8 k ~fu:2 ~method_:m)))
+        let schedule, registry = run_cell ~horizon:8 k ~fu:2 ~method_:m in
+        ( label k ~fu:2 ~method_:m,
+          if String.starts_with ~prefix:"invalid: " schedule then schedule
+          else registry ))
       [ "LL1"; "LL3"; "LL5" ]
   in
   ( List.map

@@ -1,6 +1,6 @@
-(* Random [Synthetic] kernel specs and unwound random programs with
-   joins, shared by the property suites that drive the percolation
-   core, the scheduler and the analyses over them. *)
+(* Random [Synthetic] kernel specs and unwound random programs, out-trees
+   or with joins added, shared by the property suites that drive the
+   percolation core, the scheduler and the analyses over them. *)
 
 open Vliw_ir
 module Synthetic = Workloads.Synthetic
@@ -60,8 +60,9 @@ let add_join p (x, c) =
   Program.redirect p ~from_:x ~old_:p.Program.exit_id ~new_:c
 
 (* An unwound random kernel with [joins] extra edges from
-   {!pick_join}, so the graph gets multi-predecessor nodes — cones
-   wider than a path and moves that split. *)
+   {!pick_join}.  With [~joins:0] it is an out-tree, as every scheduler
+   input is; each join gives a node a second parent, which node entry
+   refuses. *)
 let joined_program spec ~joins =
   let kern = Synthetic.generate spec in
   let p = (Grip.Unwind.build kern ~horizon:4).Grip.Unwind.program in
@@ -71,33 +72,39 @@ let joined_program spec ~joins =
   done;
   (p, Grip.Kernel.exit_live kern)
 
-(* Migrate a random operation of [ctx]'s program toward a random node
-   above its home in RPO (its home when there is none), as the
-   scheduler's migrations do; [None] when no operation is left. *)
+(* A random ancestor of node [id] in an out-tree, [id] itself when it
+   has none: a target node entry could give an operation at [id]. *)
+let pick_ancestor p id next =
+  let rec up id acc =
+    match Program.parent p id with -1 -> acc | q -> up q (q :: acc)
+  in
+  match up id [] with
+  | [] -> id
+  | above -> List.nth above (next (List.length above))
+
+(* Migrate a random operation of [ctx]'s program toward a random
+   ancestor of its home ({!pick_ancestor}), as the scheduler's
+   migrations do; [None] when no operation is left. *)
 let migrate_random ?hooks (ctx : Vliw_percolation.Ctx.t) next =
   let p = ctx.Vliw_percolation.Ctx.program in
   match Program.all_ops p with
   | [] -> None
   | ops ->
       let op = List.nth ops (next (List.length ops)) in
-      let home = Program.home_int p op.Operation.id in
-      let order = Program.rpo p in
-      let rec index i = function
-        | [] -> 0
-        | id :: tl -> if id = home then i else index (i + 1) tl
-      in
-      let above = index 0 order in
-      let target = if above = 0 then home else List.nth order (next above) in
+      let target = pick_ancestor p (Program.home_int p op.Operation.id) next in
       Some
         (Vliw_percolation.Migrate.migrate ctx ?hooks ~target
            ~op_id:op.Operation.id ())
 
 (* A live node [delete_emptied] may remove: neither the entry nor the
-   exit, with a bare leaf for a tree; [None] when there is none. *)
+   exit nor a join (a node that dead nodes still point at counts as
+   one until the collector runs), with a bare leaf for a tree; [None]
+   when there is none. *)
 let pick_deletable p next =
   let ok id =
     id <> p.Program.entry
     && (not (Program.is_exit p id))
+    && Program.parent p id >= 0
     &&
     match (Program.node p id).Node.ctree with
     | Ctree.Leaf _ -> true

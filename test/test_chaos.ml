@@ -154,6 +154,42 @@ let test_load_shed () =
         [ 0; 1; 2; 1003; 1004; 1005; 2006; 2007 ]
         (List.map Result.get_ok results))
 
+(* The supervisor emits no more trace events than [trace_events]
+   bounds, which is what [grip stress] sizes its ring by: every task
+   poisoned, so each attempt emits a worker restart and a retry or a
+   quarantine, and most of them shed at admission.  A ring of exactly
+   that size drops nothing, and holds one event per counted
+   occurrence. *)
+let test_trace_events_bound () =
+  let config =
+    {
+      Supervisor.default_config with
+      Supervisor.fault =
+        Some (Fault.pool_plan ~every:1 ~transient:false Fault.Crash);
+      Supervisor.retries = 2;
+      Supervisor.queue_limit = 2;
+    }
+  in
+  let tasks = 7 in
+  let ring, tracer =
+    Trace.ring ~capacity:(Supervisor.trace_events config ~tasks) ()
+  in
+  let stats =
+    Pool.with_pool ~jobs:2 (fun pool ->
+        snd
+          (supervise ~config ~obs:(Obs.make ~trace:tracer ()) pool
+             ~degrade:(fun ~level i -> Some (i + (1000 * level), "cheaper"))
+             ~f:(fun ~budget:_ i -> i)
+             (List.init tasks Fun.id)))
+  in
+  Alcotest.(check int) "every task quarantined" tasks stats.Supervisor.quarantined;
+  Alcotest.(check bool) "tasks shed" true (stats.Supervisor.sheds > 0);
+  Alcotest.(check int) "no events dropped" 0 (Trace.ring_dropped ring);
+  Alcotest.(check int) "one event per shed, restart, retry and quarantine"
+    (stats.Supervisor.sheds + stats.Supervisor.worker_restarts
+   + stats.Supervisor.retries + stats.Supervisor.quarantined)
+    (List.length (Trace.ring_events ring))
+
 (* -- deadline-driven ladder descent ---------------------------------------- *)
 
 (* A GRiP-rung cell that blows its budget must land on a cheaper rung
@@ -417,6 +453,8 @@ let () =
           Alcotest.test_case "slow fault completes" `Quick
             test_slow_fault_completes;
           Alcotest.test_case "load shed" `Quick test_load_shed;
+          Alcotest.test_case "trace events bounded" `Quick
+            test_trace_events_bound;
         ] );
       ( "ladder",
         [

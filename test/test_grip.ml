@@ -548,8 +548,7 @@ let test_gapless_cond1_only_op () =
   (* first body node of iteration 0 holds only a0 *)
   let a0_home = u.Grip.Unwind.heads.(0) in
   let a0 = List.hd (Program.ops p a0_home) in
-  let preds = Program.preds p in
-  let pred = List.hd (Hashtbl.find preds a0_home) in
+  let pred = Program.parent p a0_home in
   Alcotest.(check bool) "cond 1 allows" true
     (Grip.Gapless.ok ctx memo ~from_:a0_home ~to_:pred ~op:a0)
 
@@ -680,14 +679,12 @@ let plain_ok ctx ~from_ ~(op : Operation.t) =
   op.Operation.iter = Operation.no_iter || plain_gapless ctx ~from_ ~op 0
 
 (* One memo kept across a run of random migrations over an unwound
-   random program with joins — splits and [Move_cj] included — the
-   Gapless test suspending hops as in the scheduler.  Every hop's
-   verdict, and after each migration the verdict for random operations
-   at their homes, must match the oracle's. *)
+   random program — [Move_cj] moves included — the Gapless test
+   suspending hops as in the scheduler.  Every hop's verdict, and after
+   each migration the verdict for random operations at their homes,
+   must match the oracle's. *)
 let memo_agrees spec =
-  let p, exit_live =
-    Synthetic_gen.joined_program spec ~joins:(spec.Workloads.Synthetic.n_ops mod 4)
-  in
+  let p, exit_live = Synthetic_gen.joined_program spec ~joins:0 in
   let width = if spec.Workloads.Synthetic.seed mod 2 = 0 then 2 else 4 in
   let ctx = Ctx.make p ~machine:(Machine.homogeneous width) ~exit_live in
   let memo = Grip.Gapless.create_memo () in
@@ -784,7 +781,7 @@ let test_memo_cyclic () =
 (* -- replayed attempts ---------------------------------------------------- *)
 
 (* Every replay against the attempt it stands for.  The scheduler runs
-   on Synthetic programs with joins under GRiP and GRiP(no-gap) at 2, 4
+   on unwound Synthetic programs under GRiP and GRiP(no-gap) at 2, 4
    and 8 FU, and as POST's phase 1 (gap prevention on the unlimited
    machine).  At each replay the observer makes the attempt for real,
    toward the same target, on a fresh context and a fresh Gapless
@@ -799,9 +796,8 @@ let replayed_fills = ref 0
 let replays_agree spec =
   let kern = Workloads.Synthetic.generate spec in
   let rank = Grip.Pipeline.default_rank kern in
-  let joins = 1 + (spec.Workloads.Synthetic.n_ops mod 3) in
   let run (machine, gap) =
-    let p, exit_live = Synthetic_gen.joined_program spec ~joins in
+    let p, exit_live = Synthetic_gen.joined_program spec ~joins:0 in
     let config =
       { (Grip.Scheduler.default_config ~rank) with
         Grip.Scheduler.gap_prevention = gap }
@@ -941,18 +937,14 @@ let unifiable_oracle p dom ~ddg ~horizon n =
 
 (* The RPO suffix after each node, filtered by dominance, lists exactly
    the op ids a filter over the whole RPO does, in the same order — on
-   random programs with joins, before and after random migrations
-   (splits and [Move_cj] included).  So does node entry's one-pass
-   region, which must never see a retreating edge on these acyclic
-   programs, and so does the Unifiable-ops set drawn from it, against
-   the dominator filter less the same chain filter. *)
+   random unwound programs, before and after random migrations
+   ([Move_cj] moves included).  So does node entry's one-pass region
+   over the subtree, and so does the Unifiable-ops set drawn from it,
+   against the dominator filter less the same chain filter. *)
 let prop_suffix_enumeration =
   QCheck2.Test.make ~name:"suffix enumeration == full-RPO filter" ~count:100
     ~print:Synthetic_gen.print_spec Synthetic_gen.spec_gen (fun spec ->
-      let p, exit_live =
-        Synthetic_gen.joined_program spec
-          ~joins:(1 + (spec.Workloads.Synthetic.n_ops mod 3))
-      in
+      let p, exit_live = Synthetic_gen.joined_program spec ~joins:0 in
       let ddg = Grip.Pipeline.ddg_of (Workloads.Synthetic.generate spec) in
       let ctx = Ctx.make p ~machine:(Machine.homogeneous 2) ~exit_live in
       let next = Synthetic_gen.make_rng spec.Workloads.Synthetic.seed in
@@ -977,9 +969,7 @@ let prop_suffix_enumeration =
             if got <> full then
               QCheck2.Test.fail_reportf "step %d, n%d: %d op ids, want %d" step n
                 (List.length got) (List.length full);
-            if not (Program.region_op_ids p n acc) then
-              QCheck2.Test.fail_reportf "step %d, n%d: retreating edge reported"
-                step n;
+            Program.region_op_ids p n acc;
             let region = Iarr.to_list acc in
             if region <> full then
               QCheck2.Test.fail_reportf
@@ -997,11 +987,10 @@ let prop_suffix_enumeration =
       true)
 
 (* A cyclic program: entry -> a -> h; h -> b -> c; c -> h (back edge)
-   and c -> d -> e -> exit.  From a, the pass meets the back edge below
-   it and reports it, and node entry raises a structured [Scheduling]
-   error, as does a whole GRiP or Unifiable run.  From d, below the
-   cycle, the pass sees no retreating edge and answers as the dominator
-   filter does. *)
+   and c -> d -> e -> exit.  h has two leaves pointing at it, a's and
+   c's, so the program is not an out-tree: node entry raises a
+   structured [Scheduling] error wherever it is entered, at a and at d
+   below the cycle alike, and so does a whole GRiP or Unifiable run. *)
 let cyclic_program () =
   let p = Program.create () in
   let exit_ = p.Program.exit_id in
@@ -1022,8 +1011,7 @@ let cyclic_program () =
   (p, a.Node.id, d.Node.id)
 
 (* A cycle through the entry: entry -> a -> b; b -> entry (back edge)
-   and b -> exit.  The back edge leads into the node being entered, so
-   the pass must fold that node's own predecessors to see it. *)
+   and b -> exit.  The back edge is a leaf pointing at the entry. *)
 let entry_cycle_program () =
   let p = Program.create () in
   let exit_ = p.Program.exit_id in
@@ -1037,57 +1025,204 @@ let entry_cycle_program () =
   Program.redirect p ~from_:p.Program.entry ~old_:exit_ ~new_:a.Node.id;
   p
 
+(* [f ()] raises node entry's structured [Scheduling] error. *)
+let scheduling_error what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: no error on a graph that is not an out-tree" what
+  | exception
+      Grip_robust.Grip_error.Error
+        {
+          Grip_robust.Grip_error.stage = Grip_robust.Grip_error.Scheduling;
+          cause = Grip_robust.Grip_error.Malformed [ _ ];
+          _;
+        } ->
+      ()
+
+let run_grip p =
+  Grip.Scheduler.run
+    (Grip.Scheduler.default_config ~rank:Grip.Rank.source_order)
+    (Ctx.make p ~machine:Machine.unlimited ~exit_live:Reg.Set.empty)
+
+let run_unifiable p =
+  Grip.Unifiable.run
+    (Grip.Unifiable.default_config ~rank:Grip.Rank.source_order
+       ~ddg:(Vliw_analysis.Ddg.build []) ~horizon:1)
+    (Ctx.make p ~machine:Machine.unlimited ~exit_live:Reg.Set.empty)
+
+let run_post p =
+  Grip.Post.run
+    (Ctx.make p ~machine:Machine.unlimited ~exit_live:Reg.Set.empty)
+    (Ctx.make p ~machine:(Machine.homogeneous 2) ~exit_live:Reg.Set.empty)
+    ~rank:Grip.Rank.source_order
+
 let test_region_cyclic () =
   let p, a, d = cyclic_program () in
   let scratch = Grip.Scheduler.fresh_scratch p in
-  let acc = Iarr.create () in
-  let dom_ids n = Iarr.to_list (moveable_op_ids p (Dom.compute p) n acc) in
-  let scheduling_error what f =
-    match f () with
-    | _ -> Alcotest.failf "%s: no error on a cyclic program" what
-    | exception
-        Grip_robust.Grip_error.Error
-          {
-            Grip_robust.Grip_error.stage = Grip_robust.Grip_error.Scheduling;
-            cause = Grip_robust.Grip_error.Malformed [ _ ];
-            _;
-          } ->
-        ()
-  in
-  Alcotest.(check bool) "retreating edge reported below a" false
-    (Program.region_op_ids p a acc);
+  Alcotest.(check bool) "not an out-tree" false (Program.is_out_tree p);
   scheduling_error "node entry at a" (fun () ->
       Grip.Scheduler.entry_op_ids scratch a);
-  Alcotest.(check bool) "no retreating edge below d" true
-    (Program.region_op_ids p d acc);
-  Alcotest.(check (list int)) "d dominates e" [ 7 ] (dom_ids d);
-  Alcotest.(check (list int)) "node entry at d == Dom filter" [ 7 ]
-    (Iarr.to_list (Grip.Scheduler.entry_op_ids scratch d));
-  let run p =
-    Grip.Scheduler.run
-      (Grip.Scheduler.default_config ~rank:Grip.Rank.source_order)
-      (Ctx.make p ~machine:Machine.unlimited ~exit_live:Reg.Set.empty)
-  in
+  scheduling_error "node entry at d, below the cycle" (fun () ->
+      Grip.Scheduler.entry_op_ids scratch d);
   let fresh, _, _ = cyclic_program () in
-  scheduling_error "Scheduler.run" (fun () -> run fresh);
+  scheduling_error "Scheduler.run" (fun () -> run_grip fresh);
   let looped = entry_cycle_program () in
   let entry = looped.Program.entry in
-  Alcotest.(check bool) "back edge into the entry reported" false
-    (Program.region_op_ids looped entry acc);
   scheduling_error "node entry at the entry of a cycle through it" (fun () ->
       Grip.Scheduler.entry_op_ids (Grip.Scheduler.fresh_scratch looped) entry);
   scheduling_error "Scheduler.run, cycle through the entry" (fun () ->
-      run (entry_cycle_program ()));
-  let unifiable p =
-    Grip.Unifiable.run
-      (Grip.Unifiable.default_config ~rank:Grip.Rank.source_order
-         ~ddg:(Vliw_analysis.Ddg.build []) ~horizon:1)
-      (Ctx.make p ~machine:Machine.unlimited ~exit_live:Reg.Set.empty)
-  in
+      run_grip (entry_cycle_program ()));
   let fresh, _, _ = cyclic_program () in
-  scheduling_error "Unifiable.run" (fun () -> unifiable fresh);
+  scheduling_error "Unifiable.run" (fun () -> run_unifiable fresh);
   scheduling_error "Unifiable.run, cycle through the entry" (fun () ->
-      unifiable (entry_cycle_program ()))
+      run_unifiable (entry_cycle_program ()))
+
+(* -- out-trees ------------------------------------------------------------- *)
+
+(* The schedulers' input (DESIGN.md §36): no leaf points at the entry,
+   and at most one at any node but the exit.  Three graphs that break
+   it, each acyclic or not, each refused by GRiP, POST and Unifiable at
+   their first node entry. *)
+let not_out_trees () =
+  let op id = Operation.make ~id (Operation.Copy (reg id, imm id)) in
+  let cj id = Operation.make ~id (Operation.Cjump (Opcode.Lt, Operand.Reg (reg 9), imm 0)) in
+  let program build =
+    let p = Program.create () in
+    let top = build p p.Program.exit_id in
+    Program.redirect p ~from_:p.Program.entry ~old_:p.Program.exit_id ~new_:top;
+    p
+  in
+  (* two nodes, one parent each, whose leaves meet at [shared] *)
+  let join () =
+    program (fun p exit_ ->
+        let shared = Program.fresh_node p ~ops:[ op 1 ] ~ctree:(Ctree.leaf exit_) in
+        let side id =
+          (Program.fresh_node p ~ops:[ op id ] ~ctree:(Ctree.leaf shared.Node.id))
+            .Node.id
+        in
+        let l = side 2 and r = side 3 in
+        (Program.fresh_node p ~ops:[]
+           ~ctree:(Ctree.Branch (cj 4, Ctree.Leaf l, Ctree.Leaf r)))
+          .Node.id)
+  in
+  (* one tree whose two leaves both point at [a] *)
+  let double_leaf () =
+    program (fun p exit_ ->
+        let a = Program.fresh_node p ~ops:[ op 1 ] ~ctree:(Ctree.leaf exit_) in
+        (Program.fresh_node p ~ops:[ op 2 ]
+           ~ctree:(Ctree.Branch (cj 3, Ctree.Leaf a.Node.id, Ctree.Leaf a.Node.id)))
+          .Node.id)
+  in
+  (* a leaf back to the entry *)
+  let entry_leaf () =
+    program (fun p exit_ ->
+        (Program.fresh_node p ~ops:[ op 1 ]
+           ~ctree:(Ctree.Branch (cj 2, Ctree.Leaf p.Program.entry, Ctree.Leaf exit_)))
+          .Node.id)
+  in
+  [ ("a join", join); ("two leaves at one node", double_leaf);
+    ("a leaf into the entry", entry_leaf) ]
+
+let test_refuses_non_out_trees () =
+  List.iter
+    (fun (what, build) ->
+      Alcotest.(check bool) (what ^ ": not an out-tree") false
+        (Program.is_out_tree (build ()));
+      scheduling_error (what ^ ", Scheduler.run") (fun () -> run_grip (build ()));
+      scheduling_error (what ^ ", Post.run") (fun () -> run_post (build ()));
+      scheduling_error (what ^ ", Unifiable.run") (fun () ->
+          run_unifiable (build ())))
+    (not_out_trees ())
+
+(* Assert that [p] is an out-tree, with its derived state (leaf counts
+   and join count included) as a recount finds it. *)
+let assert_out_tree what p =
+  (match Program.check_derived_state p with
+  | None -> ()
+  | Some reason -> Alcotest.failf "%s: %s" what reason);
+  if not (Program.is_out_tree p) then Alcotest.failf "%s: not an out-tree" what
+
+(* Kernel [k] unwound and cleaned as the pipeline does, then scheduled
+   by GRiP, GRiP(no-gap) and POST at 2, 4 and 8 FU, each on its own
+   copy.  Every program must be an out-tree: the input, the program
+   after every move [Scheduler.run] reports, and the final program,
+   POST's too.  POST may give up on a node it cannot break (ROADMAP
+   item 3); the program it leaves is checked all the same.  Returns the
+   moves checked. *)
+let out_tree_runs ~horizon what k =
+  let exit_live = Grip.Kernel.exit_live k and rank = Grip.Pipeline.default_rank k in
+  let moves = ref 0 in
+  List.iter
+    (fun fu ->
+      let machine = Machine.homogeneous fu in
+      let horizon = horizon machine in
+      let fresh () =
+        let p = (Grip.Unwind.build k ~horizon).Grip.Unwind.program in
+        ignore (Vliw_percolation.Redundant.cleanup p ~exit_live);
+        assert_out_tree (what ^ " input") p;
+        p
+      in
+      List.iter
+        (fun gap ->
+          let p = fresh () in
+          let label =
+            Printf.sprintf "%s %s %d FU" what (if gap then "GRiP" else "GRiP(no-gap)") fu
+          in
+          let on_move ~op:_ ~outcome:_ =
+            incr moves;
+            assert_out_tree label p
+          in
+          ignore
+            (Grip.Scheduler.run ~on_move
+               { (Grip.Scheduler.default_config ~rank) with
+                 Grip.Scheduler.gap_prevention = gap }
+               (Ctx.make p ~machine ~exit_live));
+          assert_out_tree label p)
+        [ true; false ];
+      let p = fresh () in
+      (match
+         Grip.Post.run
+           (Ctx.make p ~machine:Machine.unlimited ~exit_live)
+           (Ctx.make p ~machine ~exit_live) ~rank
+       with
+      | _ -> ()
+      | exception
+          Grip_robust.Grip_error.Error
+            { Grip_robust.Grip_error.cause = Grip_robust.Grip_error.Resource_overflow _; _ }
+        ->
+          ());
+      assert_out_tree (Printf.sprintf "%s POST %d FU" what fu) p)
+    [ 2; 4; 8 ];
+  !moves
+
+(* Synthetic kernels of 8 to 64 ops, unwound only 6 deep: the check
+   after every move is linear in the program, so the sizes stay
+   small. *)
+let prop_out_tree_synthetic =
+  QCheck2.Test.make ~name:"Synthetic schedules stay out-trees" ~count:20
+    ~print:Synthetic_gen.print_spec
+    QCheck2.Gen.(
+      let* seed = int_range 1 1_000_000 and* n_ops = int_range 8 64 in
+      return { Workloads.Synthetic.default_spec with Workloads.Synthetic.seed; n_ops })
+    (fun spec ->
+      out_tree_runs
+        ~horizon:(fun _ -> 6)
+        (Printf.sprintf "Synthetic %s" (Synthetic_gen.print_spec spec))
+        (Workloads.Synthetic.generate spec)
+      > 0)
+
+(* test_minic's 18 cold-request sources at the pipeline's horizons. *)
+let test_out_tree_minic () =
+  List.iter
+    (fun (name, params, stmts, _) ->
+      match Minic.Compile.kernel_of_string (Cold_sources.generated ~name params stmts) with
+      | Error e -> Alcotest.failf "%s: %s" name (Grip_robust.Grip_error.to_string e)
+      | Ok out ->
+          if
+            out_tree_runs ~horizon:Grip.Pipeline.default_horizon name
+              out.Minic.Compile.kernel
+            = 0
+          then Alcotest.failf "%s: no move checked" name)
+    Cold_sources.cold_pins
 
 (* -- convergence detection ---------------------------------------------- *)
 
@@ -1542,6 +1677,14 @@ let () =
           prop_replays_agree ();
           Alcotest.test_case "region pass on a cyclic program" `Quick
             test_region_cyclic;
+        ] );
+      ( "out-tree",
+        [
+          Alcotest.test_case "node entry refuses non-trees" `Quick
+            test_refuses_non_out_trees;
+          QCheck_alcotest.to_alcotest prop_out_tree_synthetic;
+          Alcotest.test_case "minic cold sources stay out-trees" `Quick
+            test_out_tree_minic;
         ] );
       ( "gapless",
         [

@@ -130,25 +130,25 @@ let prop_room_for_equiv =
             (Program.rpo p))
         machines)
 
-(* 5. tombstoned int-array predecessor table == a naive list model.
-   The model recomputes, from nothing but each node's tree, who points
-   at whom; the maintained table (append + [-1] tombstones + occasional
-   compaction) must agree after every batch of accepted moves — in
-   content for [preds_of] (live preds), and the raw snapshot
-   [preds_raw] must list no tombstone.  The same churn checks the
-   worklist collector: every [Program.gc] after a batch, and after the
-   dead nodes an orphaned chain and a restored snapshot leave, must
-   remove exactly the unreachable nodes. *)
-let naive_preds p id =
-  Program.fold_nodes p
-    (fun (n : Node.t) acc ->
-      if
-        Program.is_live p n.Node.id
-        && (not (n.Node.id = id && Program.is_exit p id))
-        && List.mem id (Ctree.succs n.Node.ctree)
-      then n.Node.id :: acc
-      else acc)
-    []
+(* 5. the parent and the collector against naive scans.  The parent of
+   a node is the owner of the one tree leaf in the table pointing at
+   it, by a scan of every node's tree; the worklist collector must
+   remove exactly the unreachable nodes, after migrations, after the
+   dead nodes an orphaned chain leaves, and after a restored snapshot
+   brings dead nodes back. *)
+let naive_parent p id =
+  let owners =
+    Program.fold_nodes p
+      (fun (n : Node.t) acc ->
+        let self_loop = n.Node.id = id && Program.is_exit p id in
+        let rec go acc = function
+          | Ctree.Leaf s -> if s = id && not self_loop then n.Node.id :: acc else acc
+          | Ctree.Branch (_, a, b) -> go (go acc a) b
+        in
+        go acc n.Node.ctree)
+      []
+  in
+  match owners with [ q ] -> q | _ -> -1
 
 (* Every (from_, to_, cj) move of a root conditional jump. *)
 let cj_candidates p =
@@ -216,7 +216,7 @@ let bypass_chain p next =
   let single id =
     id <> p.Program.entry
     && (not (Program.is_exit p id))
-    && List.length (Program.preds_of p id) = 1
+    && Program.parent p id >= 0
     && List.length (Program.succs p id) = 1
   in
   match List.filter single (Program.rpo p) with
@@ -227,8 +227,7 @@ let bypass_chain p next =
         let s = List.hd (Program.succs p id) in
         if k > 1 && single s then past s (k - 1) else s
       in
-      let q = List.hd (Program.preds_of p id) in
-      Program.redirect p ~from_:q ~old_:id ~new_:(past id 3);
+      Program.redirect p ~from_:(Program.parent p id) ~old_:id ~new_:(past id 3);
       id
 
 (* Delete an orphaned chain's head, which lost its in-edge and so is
@@ -334,16 +333,16 @@ let order_agrees what p =
   if got <> List.sort Int.compare want then
     QCheck2.Test.fail_reportf "%s: reachable set differs" what
 
-(* On random programs with joins, through random committed migrations
-   (splits and [Move_cj] included): after each, with the dead nodes an
-   orphaned chain leaves still in the table, after the sweep, and after
-   a snapshot is restored over later moves. *)
+(* On random unwound programs, through random committed migrations
+   ([Move_cj] included): after each, with the dead nodes an orphaned
+   chain leaves still in the table, after the sweep, and after a
+   snapshot is restored over later moves.  Each sweep must remove
+   exactly the unreachable nodes, and a snapshot captured with dead
+   nodes in the table must give them back to the next sweep. *)
 let prop_flat_order =
   QCheck2.Test.make ~name:"flat order == recursive DFS" ~count:100
     ~print:print_spec spec_gen (fun spec ->
-      let p, exit_live =
-        joined_program spec ~joins:(1 + (spec.Synthetic.n_ops mod 3))
-      in
+      let p, exit_live = joined_program spec ~joins:0 in
       let ctx = Ctx.make p ~machine:(Machine.homogeneous 2) ~exit_live in
       let next = make_rng (spec.Synthetic.seed + 23) in
       let dead_seen = ref false in
@@ -353,14 +352,35 @@ let prop_flat_order =
           ignore (migrate_random ctx next);
           order_agrees "migrated" p
         done;
-        if round mod 2 = 0 then ignore (bypass_chain p next);
+        if round mod 2 = 0 then begin
+          (* snapshot with dead nodes still in the table, sweep them,
+             migrate on, then restore: the restored dead nodes must be
+             queued for the next sweep again *)
+          delete_orphan p (bypass_chain p next);
+          let dead = List.length (unreachable_nodes p) in
+          let snap = Program.snapshot p in
+          ignore (gc_exactly p);
+          ignore (migrate_random ctx next);
+          ignore (gc_exactly p);
+          Program.restore p snap;
+          order_agrees "restored with dead nodes" p;
+          let k = gc_exactly p in
+          if k <> dead then
+            QCheck2.Test.fail_reportf
+              "restore re-queued %d dead node(s), %d were captured" k dead;
+          ignore (bypass_chain p next)
+        end;
         (* a deletion changes no node's reachability *)
         Option.iter (delete_emptied p) (pick_deletable p next);
         order_agrees "after a deletion" p;
         if unreachable_nodes p <> [] then dead_seen := true;
         order_agrees "dead nodes" p;
-        ignore (Program.gc p);
+        ignore (gc_exactly p);
         order_agrees "after gc" p;
+        (match Program.check_derived_state p with
+        | None -> ()
+        | Some reason ->
+            QCheck2.Test.fail_reportf "derived state incoherent: %s" reason);
         if round mod 3 = 0 then begin
           let snap = Program.snapshot p in
           ignore (migrate_random ctx next);
@@ -372,82 +392,13 @@ let prop_flat_order =
       done;
       if not !dead_seen then QCheck2.assume_fail () else true)
 
-let prop_preds_list_model =
-  QCheck2.Test.make ~name:"int-array preds == naive list model" ~count:30
-    ~print:print_spec spec_gen (fun spec ->
-      let kern = Synthetic.generate spec in
-      let u = Grip.Unwind.build kern ~horizon:4 in
-      let p = u.Grip.Unwind.program in
-      let ctx =
-        Ctx.make p ~machine:(Machine.homogeneous 3)
-          ~exit_live:(Grip.Kernel.exit_live kern)
-      in
-      let next = make_rng (spec.Synthetic.seed + 17) in
-      let norm l = List.sort Int.compare l in
-      let check () =
-        List.iter
-          (fun id ->
-            let got = norm (Program.preds_of p id) in
-            let want = norm (naive_preds p id) in
-            if got <> want then
-              QCheck2.Test.fail_reportf
-                "preds model mismatch at n%d: table [%s] vs model [%s]" id
-                (String.concat ";" (List.map string_of_int got))
-                (String.concat ";" (List.map string_of_int want));
-            (* no tombstone may leak out of the raw table as [-1] *)
-            if List.exists (fun q -> q < 0) (Program.preds_raw p id) then
-              QCheck2.Test.fail_reportf "tombstone leaked at n%d" id)
-          (Program.rpo p)
-      in
-      let churn k =
-        for _ = 1 to k do
-          if next 4 = 0 then Option.iter (delete_emptied p) (pick_deletable p next);
-          match all_candidates p, cj_candidates p with
-          | [], [] -> ()
-          | cands, cjs ->
-              if cjs <> [] && (cands = [] || next 4 = 0) then
-                let from_, to_, cj_id = List.nth cjs (next (List.length cjs)) in
-                ignore (Move_cj.move ctx ~from_ ~to_ ~cj_id)
-              else
-                let from_, to_, op_id = List.nth cands (next (List.length cands)) in
-                ignore (Move_op.move ctx ~from_ ~to_ ~op_id)
-        done
-      in
-      check ();
-      for round = 1 to 6 do
-        churn 8;
-        if round mod 2 = 0 then begin
-          (* snapshot with dead nodes still in the table, sweep them,
-             churn on, then restore: the restored dead nodes must be
-             queued for the next sweep again *)
-          delete_orphan p (bypass_chain p next);
-          let dead = List.length (unreachable_nodes p) in
-          let snap = Program.snapshot p in
-          ignore (gc_exactly p);
-          churn 4;
-          ignore (gc_exactly p);
-          Program.restore p snap;
-          let k = gc_exactly p in
-          if k <> dead then
-            QCheck2.Test.fail_reportf
-              "restore re-queued %d dead node(s), %d were captured" k dead
-        end
-        else ignore (gc_exactly p);
-        check ();
-        match Program.check_derived_state p with
-        | None -> ()
-        | Some reason ->
-            QCheck2.Test.fail_reportf "derived state incoherent: %s" reason
-      done;
-      true)
-
 (* 6. flat accessors == naive node scans on migration-heavy schedules.
    A node's plain ops and its jumps each have one home (its op-id
    sequence with the record store, and its tree), so what is checked
    here is what is still derived from them, against a fresh scan after
    real GRiP runs over the Livermore digest subset: the packed counts,
-   the op-id enumeration, op homes, the jumps' stored records, and the
-   successor and predecessor mirrors. *)
+   the op-id enumeration, op homes, the jumps' stored records, the
+   successor mirror and the parent. *)
 let flat_accessors_agree () =
   List.iter
     (fun (name, fu, method_) ->
@@ -505,11 +456,10 @@ let flat_accessors_agree () =
             (Printf.sprintf "%s fu%d n%d: succs mirror" name fu nid)
             (if Program.is_exit p nid then [] else Ctree.succs n.Node.ctree)
             (Program.succs p nid);
-          (* predecessor table vs the naive list model *)
-          Alcotest.(check (list int))
-            (Printf.sprintf "%s fu%d n%d: preds" name fu nid)
-            (List.sort Int.compare (naive_preds p nid))
-            (List.sort Int.compare (Program.preds_of p nid)))
+          (* the parent vs a scan of every tree's leaves *)
+          Alcotest.(check int)
+            (Printf.sprintf "%s fu%d n%d: parent" name fu nid)
+            (naive_parent p nid) (Program.parent p nid))
         (Program.rpo p))
     [
       ("LL1", 2, Grip.Pipeline.Grip);
@@ -577,8 +527,7 @@ let move_agrees (ctx : Ctx.t) (from_, to_, op_id) =
   let want = oracle_verdict ctx ~from_ ~to_ ~op_id in
   let got =
     match Move_op.move ctx ~from_ ~to_ ~op_id with
-    | Ok r ->
-        if r.Move_op.split <> None then incr sweep_splits;
+    | Ok _ ->
         collected "after a move" ctx.Ctx.program;
         Ok ()
     | Error f -> Error f
@@ -605,11 +554,14 @@ let table_candidates p =
           (Ctree.succs n.Node.ctree))
     []
 
-(* A committed [Move_cj] move, the table checked after it. *)
+(* A committed [Move_cj] move, the table checked after it; a move
+   that split [from_] into a copy per arm counts as a split. *)
 let cj_move (ctx : Ctx.t) (from_, to_, cj_id) =
+  let limit = Program.node_limit ctx.Ctx.program in
   let moved = Result.is_ok (Move_cj.move ctx ~from_ ~to_ ~cj_id) in
   if moved then begin
     incr sweep_cj_moves;
+    if Program.node_limit ctx.Ctx.program = limit + 2 then incr sweep_splits;
     collected "after Move_cj" ctx.Ctx.program
   end;
   moved
@@ -634,8 +586,8 @@ let cj_pair (ctx : Ctx.t) pick =
       end;
       List.iter (check_agrees "table" ctx) (table_candidates p)
 
-(* Programs with joins, edited by migrations (splits and [Move_cj]
-   moves among their hops), direct moves and direct [Move_cj] moves.
+(* Unwound programs, edited by migrations ([Move_cj] moves among their
+   hops), direct moves and direct [Move_cj] moves.
    Each round asks every live candidate and every candidate of the
    round before (whose op may have left, or whose nodes may have been
    edited since), and the migrations ask the hop at hand plus the old
@@ -644,7 +596,7 @@ let cj_pair (ctx : Ctx.t) pick =
 let prop_check_sweep =
   QCheck2.Test.make ~name:"check == check_scan across edits" ~count:40
     ~print:print_spec spec_gen (fun spec ->
-      let p, exit_live = joined_program spec ~joins:3 in
+      let p, exit_live = joined_program spec ~joins:0 in
       let ctx = Ctx.make p ~machine:(Machine.homogeneous 3) ~exit_live in
       let next = make_rng (spec.Synthetic.seed + 41) in
       let old = ref [] in
@@ -685,12 +637,13 @@ let prop_check_sweep =
       true)
 
 (* The sweep above must have asked about ops that left [from_], and
-   its edits must have split nodes and moved conditional jumps. *)
+   its edits must have moved conditional jumps, splitting a node into
+   a copy per arm. *)
 let test_sweep_reach () =
   Alcotest.(check bool) "queries asked" true (!sweep_queries > 0);
   Alcotest.(check bool) "ops asked about after leaving from_" true
     (!sweep_moved_home > 0);
-  Alcotest.(check bool) "moves split a node" true (!sweep_splits > 0);
+  Alcotest.(check bool) "Move_cj split a node" true (!sweep_splits > 0);
   Alcotest.(check bool) "Move_cj moves" true (!sweep_cj_moves > 0)
 
 (* 8. allocation pins: the Gapless test, the alias test, the
@@ -746,7 +699,7 @@ let test_hop_path_no_alloc () =
   let _, to_, rid =
     List.find
       (fun (s, q, oid) ->
-        Program.unique_live_pred p s = q
+        Program.parent p s = q
         && Result.is_error (Move_op.would_move ctx ~from_:s ~to_:q ~op_id:oid))
       (all_candidates p)
   in
@@ -836,7 +789,6 @@ let () =
       [
         prop_legality_equiv;
         prop_room_for_equiv;
-        prop_preds_list_model;
         prop_flat_order;
         prop_pipeline_coherent;
       ]

@@ -1,6 +1,6 @@
 (* Percolation core transformations: move-op, move-cj, renaming,
-   splitting, migrate, redundancy removal — including semantic
-   preservation through the oracle. *)
+   migrate, redundancy removal — including semantic preservation
+   through the oracle. *)
 
 open Vliw_ir
 module Machine = Vliw_machine.Machine
@@ -391,9 +391,10 @@ let test_move_cj_distributes_guarded_ops () =
   | None, Some (Value.I 2), Some (Value.I 3) -> ()
   | _ -> Alcotest.fail "false path commits on_false + always only"
 
-let test_split_on_second_predecessor () =
-  (* from_ has two predecessors; moving an op up along one path must
-     leave a clone for the other *)
+(* [shared] has two parents, so the graph is not an out-tree there:
+   moving its op up along one of them would leave the other path
+   without it, and the move is refused with the program untouched. *)
+let test_refuses_join () =
   let p = Program.create () in
   let exit_ = p.Program.exit_id in
   let shared =
@@ -418,20 +419,16 @@ let test_split_on_second_predecessor () =
   in
   Program.redirect p ~from_:p.Program.entry ~old_:exit_ ~new_:top.Node.id;
   check_wf p;
+  Alcotest.(check bool) "not an out-tree" false (Program.is_out_tree p);
+  Alcotest.(check int) "no parent" (-1) (Program.parent p shared.Node.id);
+  let before = Format.asprintf "%a" Program.pp p in
   let ctx = mk_ctx ~exit_live:[ reg 1; reg 2; reg 3 ] p in
   (match Move_op.move ctx ~from_:shared.Node.id ~to_:left.Node.id ~op_id:80 with
-  | Ok r -> Alcotest.(check bool) "split happened" true (r.Move_op.split <> None)
-  | Error f -> Alcotest.failf "move failed: %a" Move_op.pp_failure f);
-  check_wf p;
-  (* both paths still set r1 = 7 *)
-  List.iter
-    (fun r9 ->
-      let st = State.init ~regs:[ (reg 9, Value.I r9) ] ~arrays:[] in
-      ignore (Vliw_sim.Exec.run p st);
-      match State.reg_opt st (reg 1) with
-      | Some (Value.I 7) -> ()
-      | _ -> Alcotest.failf "r1 lost on r9=%d" r9)
-    [ 0; 50 ]
+  | Ok _ -> Alcotest.fail "moved out of a join"
+  | Error Move_op.Not_adjacent -> ()
+  | Error f -> Alcotest.failf "refused as %a" Move_op.pp_failure f);
+  Alcotest.(check string) "program untouched" before
+    (Format.asprintf "%a" Program.pp p)
 
 let test_redundant_dead_copy () =
   let p =
@@ -643,18 +640,20 @@ let test_redundant_self_reads () =
       Operation.Binop (Opcode.Add, reg 2, Operand.Reg (reg 1), imm 0);
     ]
 
-(* -- walk exactness: the chain climb and the walk against a full walk -- *)
+(* -- walk exactness: the climb against Figure 4's full walk ------------ *)
 
 (* The migration walk of Figure 4, on the public [Migrate.hop]: a
    post-order descent over every live node below the target, pulling
-   the operation across each level on the way back up. *)
+   the operation across each level on the way back up.  It is defined
+   on any graph; {!Migrate.run} is the climb it becomes on an
+   out-tree. *)
 type full_walk = {
   f_ctx : Ctx.t;
   f_hooks : Migrate.hooks;
+  f_seen : (int, unit) Hashtbl.t;
   mutable f_moved : int;
   mutable f_current : int;
   mutable f_failure : Migrate.failure option;
-  mutable f_visits : int;
 }
 
 let full_dead p nid =
@@ -664,11 +663,10 @@ let full_dead p nid =
 
 let rec full_go w nid =
   let p = w.f_ctx.Ctx.program in
-  if w.f_hooks.Migrate.early_stop ~moved:w.f_moved || Ctx.walk_seen w.f_ctx nid
+  if w.f_hooks.Migrate.early_stop ~moved:w.f_moved || Hashtbl.mem w.f_seen nid
   then ()
   else begin
-    Ctx.walk_mark w.f_ctx nid;
-    w.f_visits <- w.f_visits + 1;
+    Hashtbl.replace w.f_seen nid ();
     if not (full_dead p nid) then begin
       full_descend w (Program.succs p nid);
       if w.f_hooks.Migrate.early_stop ~moved:w.f_moved then ()
@@ -699,19 +697,17 @@ and full_pull w nid = function
 
 let full_migrate (ctx : Ctx.t) hooks ~target ~op_id =
   let p = ctx.Ctx.program in
-  Ctx.walk_begin ctx;
   let w =
-    { f_ctx = ctx; f_hooks = hooks; f_moved = 0; f_current = op_id;
-      f_failure = None; f_visits = 0 }
+    { f_ctx = ctx; f_hooks = hooks; f_seen = Hashtbl.create 16; f_moved = 0;
+      f_current = op_id; f_failure = None }
   in
   full_go w target;
-  ( {
-      Migrate.moved = w.f_moved;
-      reached_target = Program.home_int p w.f_current = target;
-      final_id = w.f_current;
-      last_failure = w.f_failure;
-    },
-    w.f_visits )
+  {
+    Migrate.moved = w.f_moved;
+    reached_target = Program.home_int p w.f_current = target;
+    final_id = w.f_current;
+    last_failure = w.f_failure;
+  }
 
 (* A deterministic veto: suspends a fixed subset of hops, journals
    every query, and stops early like the scheduler (something moved
@@ -735,57 +731,20 @@ let veto_hooks () =
 
 let render p = Format.asprintf "%a" Program.pp p
 
-(* Migrations the walk properties sent down each path, told apart by
-   the metrics deltas: a plain walk counts the nodes it expands, a
-   climb counts none. *)
-let chain_walks = ref 0
-let plain_walks = ref 0
+(* Hops and [Move_cj] hops the walk properties made, over a run. *)
+let hops_seen = ref 0
+let cj_hops_seen = ref 0
 
-(* Every node the chain memo knows, while its key is current for
-   [target], still reaches [target] by unique live predecessors, by a
-   follow that consults no memo.  Returns how many nodes it checked. *)
-let memo_sound what (ctx : Ctx.t) ~target =
-  let p = ctx.Ctx.program in
-  let rec follow id fuel =
-    id = target
-    || (fuel > 0
-       &&
-       let q = Program.unique_live_pred p id in
-       q >= 0 && follow q (fuel - 1))
-  in
-  let checked = ref 0 in
-  if
-    ctx.Ctx.chain_target = target
-    && ctx.Ctx.chain_version = Program.chain_version p
-  then
-    Program.iter_nodes p (fun (n : Node.t) ->
-        let id = n.Node.id in
-        if Ctx.chain_known ctx id && Program.is_live p id then begin
-          incr checked;
-          if not (follow id (Program.node_limit p)) then
-            QCheck2.Test.fail_reportf
-              "%s: memo knows n%d, which no longer chains to n%d" what id
-              target
-        end);
-  !checked
-
-(* Memo entries [memo_sound] checked right after an explicit deletion,
-   over a property run. *)
-let kept_across_deletion = ref 0
-
-(* Two copies of one program, one migrated by [Migrate.migrate] and one
-   by the full walk, step by step over random (target, op) pairs drawn
-   from the identical graphs: outcomes, hook journals and renderings
-   must agree, and a plain walk must visit what the full walk does.  With
-   [fixed_target] every step migrates toward the entry and every third
-   step adds the same join to both copies, so the chain memo is reused
-   across migrations while joins appear under it.  With [deletions]
-   every step also empties and deletes the same random node in both
-   copies, and the memo must stay sound across each deletion. *)
-let walks_agree ?(fixed_target = false) ?(deletions = false) ~veto spec =
-  let joins = if fixed_target then 0 else spec.Synthetic.n_ops mod 4 in
-  let pa, exit_live = Synthetic_gen.joined_program spec ~joins in
-  let pb, _ = Synthetic_gen.joined_program spec ~joins in
+(* Two copies of one out-tree (an unwound random program, branching
+   once [Move_cj] moves its latches up), one migrated by
+   [Migrate.migrate] and one by the full walk, step by step over random
+   (op, target) pairs drawn from the identical graphs, each target an
+   ancestor of the op's home as node entry's are: outcomes, hook
+   journals and renderings must agree, and the program must stay an
+   out-tree. *)
+let walks_agree ~veto spec =
+  let pa, exit_live = Synthetic_gen.joined_program spec ~joins:0 in
+  let pb, _ = Synthetic_gen.joined_program spec ~joins:0 in
   let width = if spec.Synthetic.seed mod 2 = 0 then 2 else 4 in
   let machine = Machine.homogeneous width in
   let ca = Ctx.make pa ~machine ~exit_live in
@@ -797,51 +756,18 @@ let walks_agree ?(fixed_target = false) ?(deletions = false) ~veto spec =
         (Migrate.no_hooks, ref [], ref 0) )
   in
   let next = Synthetic_gen.make_rng spec.Synthetic.seed in
-  let next_join = Synthetic_gen.make_rng (spec.Synthetic.seed + 7) in
   if render pa <> render pb then
     QCheck2.Test.fail_report "copies differ before migrating";
   for step = 1 to 24 do
-    if fixed_target && step mod 3 = 0 then
-      Option.iter
-        (fun j ->
-          Synthetic_gen.add_join pa j;
-          Synthetic_gen.add_join pb j)
-        (Synthetic_gen.pick_join pa next_join);
-    if deletions then
-      Option.iter
-        (fun id ->
-          Synthetic_gen.delete_emptied pa id;
-          Synthetic_gen.delete_emptied pb id;
-          kept_across_deletion :=
-            !kept_across_deletion
-            + memo_sound (Printf.sprintf "step %d, n%d deleted" step id) ca
-                ~target:pa.Program.entry)
-        (Synthetic_gen.pick_deletable pa next_join);
     let ops = Program.all_ops pa in
     if ops <> [] then begin
       let op = List.nth ops (next (List.length ops)) in
-      let target =
-        if fixed_target then pa.Program.entry
-        else begin
-          let order = Program.rpo pa in
-          let home = Program.home_int pa op.Operation.id in
-          let rec index i = function
-            | [] -> 0
-            | id :: tl -> if id = home then i else index (i + 1) tl
-          in
-          let above = index 0 order in
-          if above = 0 then home else List.nth order (next above)
-        end
-      in
       let op_id = op.Operation.id in
-      let counts = ca.Ctx.counts in
-      let walked0 = counts.Ctx.walk_nodes in
-      let chain0 = counts.Ctx.chain_nodes in
+      let target =
+        Synthetic_gen.pick_ancestor pa (Program.home_int pa op_id) next
+      in
       let ra = Migrate.migrate ca ~hooks:ha ~target ~op_id () in
-      let rb, full_visits = full_migrate cb hb ~target ~op_id in
-      let walked = counts.Ctx.walk_nodes - walked0 in
-      if walked > 0 then incr plain_walks
-      else if counts.Ctx.chain_nodes > chain0 then incr chain_walks;
+      let rb = full_migrate cb hb ~target ~op_id in
       if ra <> rb then
         QCheck2.Test.fail_reportf
           "step %d (op %d -> n%d): outcomes differ (moved %d vs %d)" step op_id
@@ -851,16 +777,13 @@ let walks_agree ?(fixed_target = false) ?(deletions = false) ~veto spec =
       if render pa <> render pb then
         QCheck2.Test.fail_reportf "step %d (op %d -> n%d): programs differ" step
           op_id target;
-      if walked > 0 && walked <> full_visits then
-        QCheck2.Test.fail_reportf "step %d: plain walk visited %d, full walk %d"
-          step walked full_visits;
       (match Program.check_derived_state pa with
       | None -> ()
       | Some reason -> QCheck2.Test.fail_reportf "step %d: %s" step reason);
-      if fixed_target then
-        ignore
-          (memo_sound (Printf.sprintf "step %d" step) ca
-             ~target:pa.Program.entry);
+      if not (Program.is_out_tree pa) then
+        QCheck2.Test.fail_reportf "step %d: no longer an out-tree" step;
+      hops_seen := !hops_seen + ra.Migrate.moved;
+      if ra.Migrate.moved > 0 && Operation.is_cjump op then incr cj_hops_seen;
       (* progress lifts every suspension, as in the scheduler *)
       if ra.Migrate.moved > 0 then begin
         sa := 0;
@@ -870,54 +793,28 @@ let walks_agree ?(fixed_target = false) ?(deletions = false) ~veto spec =
   done;
   true
 
-(* Run a walk property and require that its cases took both paths: a
-   run where every migration climbed (or every one walked) would leave
-   the other path unchecked. *)
-let both_paths prop =
-  let name, speed, run = QCheck_alcotest.to_alcotest prop in
-  ( name,
-    speed,
-    fun () ->
-      chain_walks := 0;
-      plain_walks := 0;
-      run ();
-      if !chain_walks = 0 || !plain_walks = 0 then
-        Alcotest.failf "%s: %d chain climbs, %d plain walks" name !chain_walks
-          !plain_walks )
-
-let prop_walk_exact ~veto =
-  QCheck2.Test.make
-    ~name:
-      (if veto then "cone walk == full walk (veto hooks)"
-       else "cone walk == full walk (no hooks)")
-    ~count:40 ~print:Synthetic_gen.print_spec Synthetic_gen.spec_gen
-    (walks_agree ~veto)
-
-let prop_fixed_target =
-  QCheck2.Test.make ~name:"chain memo == full walk (fixed target, new joins)"
-    ~count:200 ~print:Synthetic_gen.print_spec Synthetic_gen.spec_gen
-    (walks_agree ~fixed_target:true ~veto:true)
-
-(* Node deletion keeps the chain memo: deleted nodes are explicit here
-   as well as those the migrations empty.  The run fails unless the
-   memo held entries across some deletion.  Built by the suite list,
-   after the [QCHECK_SEED] default is in place: qcheck-alcotest reads
-   the seed once, at its first test. *)
-let prop_fixed_target_deletions () =
+(* Run a walk property and require that its migrations hopped, and
+   moved conditional jumps among them, so that the full walk met
+   branching trees. *)
+let walk_prop ~veto =
   let name, speed, run =
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make
-         ~name:"chain memo == full walk (deletions, fixed target)" ~count:200
-         ~print:Synthetic_gen.print_spec Synthetic_gen.spec_gen
-         (walks_agree ~fixed_target:true ~deletions:true ~veto:true))
+         ~name:
+           (if veto then "cone walk == full walk (veto hooks)"
+            else "cone walk == full walk (no hooks)")
+         ~count:40 ~print:Synthetic_gen.print_spec Synthetic_gen.spec_gen
+         (walks_agree ~veto))
   in
   ( name,
     speed,
     fun () ->
-      kept_across_deletion := 0;
+      hops_seen := 0;
+      cj_hops_seen := 0;
       run ();
-      if !kept_across_deletion = 0 then
-        Alcotest.fail "no memo entry survived a deletion" )
+      if !hops_seen = 0 || !cj_hops_seen = 0 then
+        Alcotest.failf "%s: %d hops, %d of conditional jumps" name !hops_seen
+          !cj_hops_seen )
 
 (* Hooks that record every call they get, with a fixed [early_stop]
    answer. *)
@@ -937,121 +834,51 @@ let journal_hooks ~stop =
     },
     journal )
 
-(* Migrate [op_id] toward [target] in [build ()] with [Migrate.migrate]
-   and, in a second copy, with the full walk; both must agree and call
-   no hook.  Returns the (chain_nodes, walk_nodes) the first spent. *)
-let migrate_quietly ~stop build ~target ~op_id =
-  let pa = build () and pb = build () in
-  let ca =
-    Ctx.make pa ~machine:Machine.unlimited
-      ~exit_live:(Reg.Set.of_list [ reg 1 ])
-  in
-  let cb = mk_ctx ~exit_live:[ reg 1 ] pb in
-  let ha, ja = journal_hooks ~stop and hb, jb = journal_hooks ~stop in
+(* On a straight chain, an [early_stop] already true before anything
+   moved stops the climb before its first attempt: no hook is called,
+   as the full walk calls none, and nothing moves. *)
+let test_climb_early_stop () =
+  let pa = indep_program () and pb = indep_program () in
+  let op_id = (op_of pa (nth_node pa 3)).Operation.id in
+  let target = pa.Program.entry in
+  let ca = mk_ctx ~exit_live:[ reg 1 ] pa and cb = mk_ctx ~exit_live:[ reg 1 ] pb in
+  let ha, ja = journal_hooks ~stop:true and hb, jb = journal_hooks ~stop:true in
   let ra = Migrate.migrate ca ~hooks:ha ~target ~op_id () in
-  let rb, _ = full_migrate cb hb ~target ~op_id in
+  let rb = full_migrate cb hb ~target ~op_id in
   Alcotest.(check (list string)) "no hook called" [] !ja;
   Alcotest.(check (list string)) "full walk calls none either" [] !jb;
   Alcotest.(check int) "nothing moved" 0 ra.Migrate.moved;
   Alcotest.(check bool) "same outcome as the full walk" true (ra = rb);
-  Alcotest.(check string) "program untouched" (render pb) (render pa);
-  (ca.Ctx.counts.Ctx.chain_nodes, ca.Ctx.counts.Ctx.walk_nodes)
+  Alcotest.(check string) "program untouched" (render pb) (render pa)
 
-(* entry -> f; f forks to a (-> h, the home of op 90) and to b.
-   Returns the program and b. *)
-let fork_program () =
-  let p = Program.create () in
-  let exit_ = p.Program.exit_id in
-  let h =
-    Program.fresh_node p
-      ~ops:[ Operation.make ~id:90 (Operation.Copy (reg 1, imm 7)) ]
-      ~ctree:(Ctree.leaf exit_)
-  in
-  let a = Program.fresh_node p ~ops:[] ~ctree:(Ctree.leaf h.Node.id) in
-  let b = Program.fresh_node p ~ops:[] ~ctree:(Ctree.leaf exit_) in
-  let cj =
-    Operation.make ~id:91 (Operation.Cjump (Opcode.Lt, Operand.Reg (reg 9), imm 5))
-  in
-  let f =
-    Program.fresh_node p ~ops:[]
-      ~ctree:(Ctree.Branch (cj, Ctree.Leaf a.Node.id, Ctree.Leaf b.Node.id))
-  in
-  Program.redirect p ~from_:p.Program.entry ~old_:exit_ ~new_:f.Node.id;
-  (p, b.Node.id)
-
-(* Toward b, unique live predecessors lead from h to the entry without
-   meeting it: the check must reject the chain, and the plain walk,
-   which never reaches h's side, tries nothing. *)
-let test_chain_misses_target () =
-  let _, b = fork_program () in
-  let chain, walked =
-    migrate_quietly ~stop:false
-      (fun () -> fst (fork_program ()))
-      ~target:b ~op_id:90
-  in
-  Alcotest.(check int) "chain check followed h, a, f and the entry" 4 chain;
-  Alcotest.(check bool) "fell back to the plain walk" true (walked > 0)
-
-(* A tree rewrite can make a join under a chain the memo knows:
-   [set_ctree] must move [chain_version], so the next check toward the
-   same target forgets the chain.  In fork_program, a check from h
-   toward f confirms h, a, f (an [early_stop] already true keeps the op
-   in h); then b is pointed at h as well.  The memo must not vouch for
-   h any more, and the next migration must try what the full walk
-   tries. *)
-let test_memo_forgets_set_ctree_join () =
-  let edit p =
-    let f = List.hd (Program.succs p p.Program.entry) in
-    let b = List.nth (Program.succs p f) 1 in
-    Program.set_ctree p b (Ctree.leaf (Program.home_int p 90));
-    f
-  in
-  let pa, _ = fork_program () and pb, _ = fork_program () in
-  let ca = mk_ctx ~exit_live:[ reg 1 ] pa and cb = mk_ctx ~exit_live:[ reg 1 ] pb in
-  let f = List.hd (Program.succs pa pa.Program.entry) in
-  let stopped, _ = journal_hooks ~stop:true in
-  ignore (Migrate.migrate ca ~hooks:stopped ~target:f ~op_id:90 ());
-  Alcotest.(check bool) "the check confirmed h" true
-    (Ctx.chain_known ca (Program.home_int pa 90));
-  ignore (edit pa);
-  ignore (edit pb);
-  Alcotest.(check int) "nothing vouched for after the join" 0
-    (memo_sound "after set_ctree" ca ~target:f);
-  let ha, ja = journal_hooks ~stop:false and hb, jb = journal_hooks ~stop:false in
-  let ra = Migrate.migrate ca ~hooks:ha ~target:f ~op_id:90 () in
-  let rb, _ = full_migrate cb hb ~target:f ~op_id:90 in
-  Alcotest.(check (list string)) "same attempts as the full walk" !jb !ja;
-  Alcotest.(check bool) "same outcome as the full walk" true (ra = rb);
-  Alcotest.(check bool) "the op moved" true (ra.Migrate.moved > 0)
-
-(* On a straight chain, an [early_stop] already true before anything
-   moved stops the climb before its first attempt. *)
-let test_climb_early_stop () =
-  let p = indep_program () in
-  let op_id = (op_of p (nth_node p 3)).Operation.id in
-  let chain, walked =
-    migrate_quietly ~stop:true indep_program ~target:p.Program.entry ~op_id
-  in
-  Alcotest.(check bool) "took the chain path" true (chain > 0 && walked = 0)
-
-(* On the Livermore loops every migration finds a chain, so a GRiP
-   schedule must never fall back to the plain walk.  The fall-back
-   would still be correct, only slower: no schedule digest would notice
-   it. *)
+(* On the Livermore loops a GRiP schedule climbs out-trees: after every
+   committed move the program is still one, with its leaf counts as a
+   recount finds them. *)
 let test_livermore_climbs () =
   List.iter
     (fun (e : Workloads.Livermore.entry) ->
-      let metrics = Grip_obs.Metrics.create () in
-      let obs = Grip_obs.make ~metrics () in
       let kern = e.Workloads.Livermore.kernel in
-      ignore
-        (Grip.Pipeline.run ~obs kern ~machine:(Machine.homogeneous 4)
-           ~method_:Grip.Pipeline.Grip);
       let name = kern.Grip.Kernel.name in
-      let c = Grip_obs.Metrics.counter metrics in
-      Alcotest.(check int) (name ^ " walk_nodes") 0 (c "migrate.walk_nodes");
-      Alcotest.(check bool) (name ^ " chain_nodes > 0") true
-        (c "migrate.chain_nodes" > 0))
+      let machine = Machine.homogeneous 4 in
+      let horizon = Grip.Pipeline.default_horizon machine in
+      let p = (Grip.Unwind.build kern ~horizon).Grip.Unwind.program in
+      let ctx = Ctx.make p ~machine ~exit_live:(Grip.Kernel.exit_live kern) in
+      let moves = ref 0 in
+      let on_move ~op:_ ~outcome:_ =
+        incr moves;
+        if not (Program.is_out_tree p) then
+          Alcotest.failf "%s: not an out-tree after move %d" name !moves;
+        match Program.check_derived_state p with
+        | None -> ()
+        | Some reason -> Alcotest.failf "%s, move %d: %s" name !moves reason
+      in
+      ignore
+        (Grip.Scheduler.run ~on_move
+           { (Grip.Scheduler.default_config
+                ~rank:(Grip.Pipeline.default_rank kern)) with
+             Grip.Scheduler.gap_prevention = true }
+           ctx);
+      Alcotest.(check bool) (name ^ " moved") true (!moves > 0))
     Workloads.Livermore.all
 
 let () =
@@ -1068,6 +895,7 @@ let () =
           Alcotest.test_case "guarded store hoist" `Quick
             test_store_moves_above_branch_guarded;
           Alcotest.test_case "resource limit" `Quick test_resource_limit_blocks;
+          Alcotest.test_case "refuses a join" `Quick test_refuses_join;
         ] );
       ( "move-cj",
         [
@@ -1075,8 +903,6 @@ let () =
           Alcotest.test_case "independent" `Quick test_move_cj_up_independent;
           Alcotest.test_case "guard distribution" `Quick
             test_move_cj_distributes_guarded_ops;
-          Alcotest.test_case "splits second pred" `Quick
-            test_split_on_second_predecessor;
         ] );
       ( "migrate",
         [
@@ -1084,20 +910,14 @@ let () =
           Alcotest.test_case "respects dependence" `Quick test_migrate_respects_dependence;
         ] );
       ( "walk",
-        List.map both_paths
-          [ prop_walk_exact ~veto:false; prop_walk_exact ~veto:true ]
-        @ [
-            QCheck_alcotest.to_alcotest prop_fixed_target;
-            prop_fixed_target_deletions ();
-            Alcotest.test_case "chain misses the target" `Quick
-              test_chain_misses_target;
-            Alcotest.test_case "memo forgets a join set_ctree makes" `Quick
-              test_memo_forgets_set_ctree_join;
-            Alcotest.test_case "climb honours early_stop" `Quick
-              test_climb_early_stop;
-            Alcotest.test_case "Livermore GRiP climbs chains" `Quick
-              test_livermore_climbs;
-          ] );
+        [
+          walk_prop ~veto:false;
+          walk_prop ~veto:true;
+          Alcotest.test_case "climb honours early_stop" `Quick
+            test_climb_early_stop;
+          Alcotest.test_case "Livermore GRiP climbs chains" `Quick
+            test_livermore_climbs;
+        ] );
       ( "redundant",
         [
           Alcotest.test_case "dead copy" `Quick test_redundant_dead_copy;

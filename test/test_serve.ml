@@ -91,6 +91,106 @@ let request_roundtrip () =
   Alcotest.(check bool) "both kernel and source rejected" true
     (Result.is_error both)
 
+(* -- malformed wire input ---------------------------------------------------- *)
+
+(* Frames of every kind with the payloads the daemon and its clients
+   exchange: what the mutation property starts from. *)
+let valid_frames =
+  let request r = Grip_obs.Json.to_string (Protocol.request_to_json r) in
+  List.mapi
+    (fun id (kind, payload) -> Protocol.encode { Protocol.id; kind; payload })
+    [
+      ( Protocol.Schedule_req,
+        request { Protocol.kernel = Some "LL3"; source = None; fus = 4; method_ = "grip" } );
+      ( Protocol.Schedule_req,
+        request
+          {
+            Protocol.kernel = None;
+            source = Some "kernel k { array x[64]; for k = 1 to n { x[k] = x[k] + 1.0; } }";
+            fus = 2;
+            method_ = "post";
+          } );
+      ( Protocol.Schedule_resp,
+        Grip_obs.Json.to_string
+          (Protocol.reply_to_json
+             {
+               Protocol.rkernel = "LL3";
+               rung = "GRiP";
+               digest = "0123456789abcdef0123456789abcdef";
+               cache = "miss";
+               speedup = 4.8;
+               wall_ms = 1.25;
+             }) );
+      (Protocol.Error_resp, Protocol.error_payload ~stage:"serve" "bad \"frame\"");
+      (Protocol.Metrics_resp, {|{"text":"# TYPE x counter\nx_total 1\n"}|});
+      (Protocol.Ping_req, "");
+    ]
+
+(* One byte of [s] replaced, inserted or deleted at [i] (modulo its
+   length). *)
+let mutate s (i, c, how) =
+  let n = String.length s in
+  match how with
+  | 0 when n > 0 -> String.mapi (fun j d -> if j = i mod n then c else d) s
+  | 1 ->
+      let i = i mod (n + 1) in
+      String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+  | _ when n > 0 ->
+      let i = i mod n in
+      String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+  | _ -> s
+
+(* Random bytes, or a valid frame with one to four bytes mutated. *)
+let wire_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        string_size ~gen:char (int_range 0 64);
+        (let* frame = oneofl valid_frames
+         and* edits =
+           list_size (int_range 1 4) (triple (int_bound 4096) char (int_bound 2))
+         in
+         return (List.fold_left mutate frame edits));
+      ])
+
+(* The wire boundary answers every input without raising: [decode]
+   returns [Ok] or [Error], and so do the payload readers, on a decoded
+   frame's payload and on the raw bytes alike ([error_of_payload]
+   always answers a pair). *)
+let prop_malformed_wire =
+  QCheck2.Test.make ~name:"malformed wire input: Ok or Error" ~count:3000
+    ~print:String.escaped wire_gen (fun s ->
+      let payloads =
+        match Protocol.decode s with
+        | Ok f -> [ f.Protocol.payload; s ]
+        | Error _ -> [ s ]
+      in
+      List.for_all
+        (fun p ->
+          ignore (Protocol.error_of_payload p);
+          (match Protocol.request_of_payload p with Ok _ | Error _ -> true)
+          && match Protocol.reply_of_payload p with Ok _ | Error _ -> true)
+        payloads)
+
+(* A payload of nothing but [[], as long as a frame may carry: the
+   parser stops at the first bracket past [Json.max_depth], and the
+   error names the depth.  Nesting [max_depth] deep still parses. *)
+let deep_payload_rejected () =
+  let deep = String.make Protocol.max_payload '[' in
+  (match Protocol.request_of_payload deep with
+  | Ok _ -> Alcotest.fail "a 1 MiB nest was accepted"
+  | Error msg ->
+      Alcotest.(check string) "stopped at the bound"
+        (Printf.sprintf
+           "request payload is not JSON: nesting deeper than %d levels at offset %d"
+           Grip_obs.Json.max_depth Grip_obs.Json.max_depth)
+        msg);
+  let nest k = String.make k '[' ^ String.make k ']' in
+  Alcotest.(check bool) "max_depth levels parse" true
+    (Result.is_ok (Grip_obs.Json.parse (nest Grip_obs.Json.max_depth)));
+  Alcotest.(check bool) "one more does not" true
+    (Result.is_error (Grip_obs.Json.parse (nest (Grip_obs.Json.max_depth + 1))))
+
 (* -- HDR histogram ---------------------------------------------------------- *)
 
 let samples_gen =
@@ -431,8 +531,10 @@ let () =
     [
       ( "protocol",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_frame_roundtrip; prop_frame_truncated ]
+          [ prop_frame_roundtrip; prop_frame_truncated; prop_malformed_wire ]
         @ [
+            Alcotest.test_case "deep payload rejected" `Quick
+              deep_payload_rejected;
             Alcotest.test_case "oversized/bad header rejected" `Quick
               oversized_rejected;
             Alcotest.test_case "request json roundtrip" `Quick
