@@ -250,7 +250,7 @@ let fig11 () =
     incr steps;
     if !steps <= 10 then begin
       let target =
-        match Vliw_ir.Program.home p outcome.Vliw_percolation.Migrate.final_id with
+        match Vliw_ir.Program.home p op.Vliw_ir.Operation.id with
         | Some h -> h
         | None -> -1
       in

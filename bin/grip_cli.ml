@@ -211,10 +211,9 @@ let make_obs ~want_trace ~want_metrics =
   let registry = if want_metrics then Metrics.create () else Metrics.disabled in
   (Obs.make ~trace:tracer ~metrics:registry (), ring, registry)
 
-(* The run's tracks (tid scheme: {!Obs.Trace_file}) written to [path],
-   migration hops drawn as flow arrows. *)
+(* The run's tracks (tid scheme: {!Obs.Trace_file}) written to [path]. *)
 let write_trace path tracks =
-  match Obs.Trace_file.write ~flows:true path tracks with
+  match Obs.Trace_file.write path tracks with
   | Ok () -> Format.eprintf "grip: trace written to %s@." path
   | Error m -> die (Grip_error.make Grip_error.Io (Grip_error.Io_failure m))
 
@@ -392,11 +391,7 @@ let schedule_run kernels fus method_ horizon table trace_file metrics
   end;
   match trace_file with
   | Some path ->
-      if dropped > 0 then
-        Format.eprintf
-          "grip: warning: the trace ring overwrote %d event(s); %s is \
-           truncated (earliest events lost)@."
-          dropped path;
+      Obs.Trace_file.warn_dropped ~dropped path;
       write_trace path
         (Obs.Trace_file.tracks
            ?main:(Option.map (fun r -> ("main", Trace.ring_events r)) sup_ring)
@@ -469,8 +464,7 @@ let stress_run kernels fus tasks jobs deadline_ms retries queue fault every
   in
   (* the supervision story — retries, sheds, restarts, gaps — is the
      trace this driver dumps; per-task scheduling traces stay off, so
-     the ring holds what the supervisor can emit, up to the default
-     size *)
+     the ring holds what the supervisor can emit, up to 2^20 events *)
   let ring, tracer =
     Trace.ring ~capacity:(min (1 lsl 20) (Supervisor.trace_events config ~tasks)) ()
   in

@@ -95,11 +95,12 @@ let gc =
   ]
 
 (** [measure_gc f] — [f ()] and the artifact's gc block for the call:
-    this domain's allocated bytes, collections and promoted bytes over
-    it.  A cell runs on one domain, so the domain-local counters
-    delimit exactly its work. *)
+    this domain's allocated bytes (read by {!Grip_obs.allocated_bytes},
+    as [Grip_obs.timed] reads a phase's), collections and promoted
+    bytes over it.  A cell runs on one domain, so the domain-local
+    counters delimit exactly its work. *)
 let measure_gc f =
-  let sample () = (Gc.allocated_bytes (), Gc.quick_stat ()) in
+  let sample () = (Grip_obs.allocated_bytes (), Gc.quick_stat ()) in
   let before = sample () in
   let r = f () in
   (r, obj gc (before, sample ()))

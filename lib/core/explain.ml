@@ -120,12 +120,8 @@ let why_not_rows prov =
     [ "dep"; "resource_barrier"; "suspended"; "structural"; "fuel" ]
 
 let render_journal ppf (o : Pipeline.outcome) (j : Provenance.journal) =
-  Format.fprintf ppf "op%d (%s): origin n%d" j.Provenance.id
+  Format.fprintf ppf "op%d (%s): origin n%d@." j.Provenance.id
     (op_name o j.Provenance.id) j.Provenance.origin;
-  List.iter
-    (fun a -> Format.fprintf ppf " (was op%d)" a)
-    (List.rev j.Provenance.aliases);
-  Format.pp_print_newline ppf ();
   List.iter
     (fun (h : Provenance.hop) ->
       Format.fprintf ppf "  hop n%d -> n%d (%s)@." h.Provenance.from_

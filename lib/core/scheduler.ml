@@ -26,7 +26,6 @@ module Ctx = Vliw_percolation.Ctx
 module Migrate = Vliw_percolation.Migrate
 module Move_op = Vliw_percolation.Move_op
 module Move_cj = Vliw_percolation.Move_cj
-module Trace = Grip_obs.Trace
 module Provenance = Grip_obs.Provenance
 
 (* Machine FU class -> the observability layer's mirror of it (kept
@@ -393,14 +392,10 @@ let mask_set b id =
   Bytes.unsafe_set b id '\001';
   b
 
-(* Where the migration [r] left its operation, and the journal entry
-   for why it stopped there (top level: a migration builds no closure
-   for them). *)
-let stop_node p r = Program.home_int p (Migrate.final_id r)
-
-let reject pv p r reason =
-  Provenance.record_reject pv ~op:(Migrate.final_id r) ~node:(stop_node p r)
-    reason
+(* The journal entry for why the migration of [oid] stopped where it
+   did (top level: a migration builds no closure for it). *)
+let reject pv p oid reason =
+  Provenance.record_reject pv ~op:oid ~node:(Program.home_int p oid) reason
 
 (* After a real attempt of [oid] that moved nothing: when it stopped
    at its first hop, out of its home into that home's parent, record
@@ -408,7 +403,7 @@ let reject pv p r reason =
    unless the Gapless test was asked). *)
 let record_replay (ctx : Ctx.t) scratch r oid =
   match Migrate.last_failure r with
-  | None | Some Migrate.Vanished -> ()
+  | None -> ()
   | Some _ as outcome ->
       let p = ctx.Ctx.program in
       let from_ = Program.home_int p oid in
@@ -433,10 +428,7 @@ let veto_reason config (ctx : Ctx.t) ~from_ op =
 let schedule_node ?on_move ?on_replay (config : config) (ctx : Ctx.t)
     (scratch : scratch) stats n =
   let p = ctx.Ctx.program in
-  let obs = ctx.Ctx.obs in
-  let tr = obs.Grip_obs.trace in
-  let tracing = Grip_obs.Trace.enabled tr in
-  let pv = obs.Grip_obs.prov in
+  let pv = ctx.Ctx.obs.Grip_obs.prov in
   let proving = Provenance.enabled pv in
   (* why the most recent allow_hop veto happened; read by on_suspend,
      which Migrate calls synchronously right after the veto *)
@@ -543,11 +535,9 @@ let schedule_node ?on_move ?on_replay (config : config) (ctx : Ctx.t)
       Migrate.on_suspend =
         (fun op ->
           stats.suspensions <- stats.suspensions + 1;
-          let node = Program.home_int p op.Operation.id in
-          if tracing then
-            Trace.emit tr (Trace.Migrate_suspend { op = op.Operation.id; node });
           if proving then
-            Provenance.record_reject pv ~op:op.Operation.id ~node
+            Provenance.record_reject pv ~op:op.Operation.id
+              ~node:(Program.home_int p op.Operation.id)
               (Provenance.Suspended !suspend_reason);
           suspend op.Operation.id);
       Migrate.early_stop = (fun ~moved -> moved > 0 && !suspended_count > 0);
@@ -582,16 +572,13 @@ let schedule_node ?on_move ?on_replay (config : config) (ctx : Ctx.t)
       else begin
         scratch.att_mask <- mask_set scratch.att_mask best.Operation.id;
         stats.migrations <- stats.migrations + 1;
-        if tracing then
-          Trace.emit tr
-            (Trace.Migrate_attempt { op = best.Operation.id; target = n });
         let r = walker and oid = best.Operation.id in
         if Ctx.replay_hit ctx oid then begin
           (* The recorded attempt provably ends as it did: replay it,
              as the walk would have reported it (DESIGN.md §27). *)
           let outcome = Ctx.replay_outcome ctx oid in
           stats.replays <- stats.replays + 1;
-          Migrate.replay r ~op_id:oid outcome;
+          Migrate.replay r outcome;
           (match outcome with
           | Some Migrate.Suspended ->
               if proving then
@@ -624,12 +611,8 @@ let schedule_node ?on_move ?on_replay (config : config) (ctx : Ctx.t)
                barrier (section 3.2) *)
             stats.resource_barrier_events <-
               stats.resource_barrier_events + 1;
-            if tracing then
-              Trace.emit tr
-                (Trace.Migrate_barrier
-                   { op = Migrate.final_id r; node = stop_node p r });
             if proving then
-              reject pv p r (Provenance.Resource_barrier (prov_class best))
+              reject pv p oid (Provenance.Resource_barrier (prov_class best))
         | Some
             ( Migrate.Op
                 ( Move_op.True_dependence o
@@ -638,13 +621,13 @@ let schedule_node ?on_move ?on_replay (config : config) (ctx : Ctx.t)
             (* the why-not table only charges a dependence when it
                actually kept the op short of its target *)
             if proving && not (Migrate.reached_target r) then
-              reject pv p r (Provenance.Dep o.Operation.id)
+              reject pv p oid (Provenance.Dep o.Operation.id)
         | Some Migrate.Suspended | None ->
             (* suspensions were journalled by on_suspend already *)
             ()
         | Some f ->
             if proving && not (Migrate.reached_target r) then
-              reject pv p r
+              reject pv p oid
                 (Provenance.Structural
                    (Format.asprintf "%a" Migrate.pp_failure f)));
         (match on_move with

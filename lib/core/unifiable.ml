@@ -127,14 +127,12 @@ let schedule_node ?on_sched (config : config) (ctx : Ctx.t) scratch chains stats
                     (Format.asprintf "%a" Migrate.pp_failure f)
               | None -> Provenance.Structural "short of target"
             in
-            Provenance.record_reject pv ~op:r.Migrate.final_id
-              ~node:
-                (Option.value ~default:(-1)
-                   (Program.home p r.Migrate.final_id))
+            let op = best.Operation.id in
+            Provenance.record_reject pv ~op
+              ~node:(Option.value ~default:(-1) (Program.home p op))
               reason;
             if r.Migrate.moved > 0 then
-              Provenance.record_reject pv ~op:r.Migrate.final_id
-                ~node:n
+              Provenance.record_reject pv ~op ~node:n
                 (Provenance.Structural "rolled back (short of target)")
           end;
           if r.Migrate.moved > 0 then begin

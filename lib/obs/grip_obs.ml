@@ -36,23 +36,39 @@ let enabled t =
   Trace.enabled t.trace || Metrics.enabled t.metrics
   || Provenance.enabled t.prov
 
+(** [allocated_bytes ()] — the bytes this domain has allocated so
+    far, exact to the word: the minor words from [Gc.minor_words], plus
+    the words allocated directly in the major heap, less those promoted
+    there from the minor heap (counted twice otherwise).  The major and
+    promoted terms come from [Gc.counters], which counts a direct major
+    allocation at once ([Gc.quick_stat]'s major term does not).  On
+    OCaml 5.1, [Gc.counters]' own minor term and [Gc.allocated_bytes]
+    count the part of the minor heap allocated since the last minor
+    collection at one eighth and make up the rest at the next one, so a
+    span read through them follows where collections fall, not what it
+    allocated (DESIGN.md §37). *)
+let allocated_bytes () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+
 (** [timed t phase f] — run [f] inside a [phase] span, accumulate its
     wall time under [phase.<name>], and return (result, seconds).  The
     timing pair is returned even when [t] is {!null}, so drivers can
     report per-phase seconds without enabling observability.
 
     When metrics are enabled, the span boundaries also sample the
-    domain-local GC ([Gc.allocated_bytes] / [Gc.quick_stat]) and
-    accumulate the deltas under [gc.alloc_bytes.phase.<name>],
-    [gc.minor.phase.<name>] and [gc.major.phase.<name>], plus the
-    [gc.top_heap_words] high-water gauge.  Valid per phase because a
-    task runs entirely on one domain; on the null registry the extra
-    cost is the existing boolean test. *)
+    domain-local GC and accumulate the deltas under
+    [gc.alloc_bytes.phase.<name>] (read by {!allocated_bytes}),
+    [gc.minor.phase.<name>] and [gc.major.phase.<name>] (collections,
+    from [Gc.quick_stat]), plus the [gc.top_heap_words] high-water
+    gauge.  Valid per phase because a task runs entirely on one domain;
+    on the null registry the extra cost is the existing boolean
+    test. *)
 let timed t phase f =
   Trace.emit t.trace (Trace.Span_begin phase);
   let sample = Metrics.enabled t.metrics in
-  let a0 = if sample then Gc.allocated_bytes () else 0.0 in
   let q0 = if sample then Some (Gc.quick_stat ()) else None in
+  let a0 = if sample then allocated_bytes () else 0.0 in
   let t0 = Unix.gettimeofday () in
   let finish () = Unix.gettimeofday () -. t0 in
   let record dt =
@@ -62,7 +78,7 @@ let timed t phase f =
     match q0 with
     | None -> ()
     | Some q0 ->
-        let a1 = Gc.allocated_bytes () in
+        let a1 = allocated_bytes () in
         let q1 = Gc.quick_stat () in
         Metrics.add t.metrics ("gc.alloc_bytes.phase." ^ name)
           (int_of_float (a1 -. a0));

@@ -7,16 +7,18 @@
     instrumented hot paths pay one boolean test per site, exactly like
     the null tracer and the disabled metrics registry.  Producers:
 
-    - [Vliw_percolation.Migrate] records accepted hops (and follows
-      operation renames across node splits, so a journal survives its
-      operation being cloned);
+    - [Vliw_percolation.Migrate] records accepted hops;
     - the GRiP scheduler records one rejection per migration from the
       migration's last failure, suspensions (with the gap-prevention /
       speculation reason), and fuel exhaustion;
     - the Unifiable baseline records rollbacks and the failures that
       caused them.
 
-    The journal totals are, by construction, the scheduler's own
+    A journal is keyed by its operation's id, which no migration
+    changes: [Move_op] lands the operation under its id and [Move_cj]
+    moves the jump itself.  The journal is the one record of what a
+    migration did; the trace carries no migration events (DESIGN.md
+    §37).  Its totals are, by construction, the scheduler's own
     counters: [total_hops] equals [scheduler.hops],
     [total_suspensions] equals [scheduler.suspensions] and
     [total_barriers] equals [scheduler.barriers] for the same run — the
@@ -45,8 +47,8 @@ type reason =
   | Suspended of string  (** gap prevention / speculation policy veto *)
   | Fuel  (** the migration budget ran out before this operation moved *)
   | Structural of string
-      (** anything else (guarded by a conditional, operation vanished
-          mid-walk) *)
+      (** anything else (guarded by a conditional, nodes not adjacent,
+          a Unifiable rollback) *)
 
 let reason_name = function
   | Dep _ -> "dep"
@@ -67,9 +69,8 @@ type hop = { from_ : int; to_ : int; rule : rule }
 type rejection = { node : int; reason : reason }
 
 type journal = {
+  id : int;  (** the operation's id *)
   origin : int;  (** node where the operation was first observed *)
-  mutable id : int;  (** current operation id (clones rename it) *)
-  mutable aliases : int list;  (** former ids, newest first *)
   mutable hops : hop list;  (** newest first *)
   mutable rejections : rejection list;  (** newest first *)
 }
@@ -78,7 +79,7 @@ type t = {
   enabled : bool;
       (** producers must skip recording (and payload construction)
           entirely when false *)
-  journals : (int, journal) Hashtbl.t;  (** keyed by current op id *)
+  journals : (int, journal) Hashtbl.t;  (** keyed by op id *)
 }
 
 let null = { enabled = false; journals = Hashtbl.create 0 }
@@ -89,26 +90,16 @@ let find_or_create t ~op ~home =
   match Hashtbl.find_opt t.journals op with
   | Some j -> j
   | None ->
-      let j =
-        { origin = home; id = op; aliases = []; hops = []; rejections = [] }
-      in
+      let j = { id = op; origin = home; hops = []; rejections = [] } in
       Hashtbl.replace t.journals op j;
       j
 
-(** [record_hop t ~op ~op' ~from_ ~to_ ~rule] — one accepted hop of
-    [op] from node [from_] into [to_].  When the transformation renamed
-    the operation ([op' <> op]), the journal follows the new identity
-    and remembers the old one as an alias. *)
-let record_hop t ~op ~op' ~from_ ~to_ ~rule =
+(** [record_hop t ~op ~from_ ~to_ ~rule] — one accepted hop of [op]
+    from node [from_] into [to_]. *)
+let record_hop t ~op ~from_ ~to_ ~rule =
   if t.enabled then begin
     let j = find_or_create t ~op ~home:from_ in
-    j.hops <- { from_; to_; rule } :: j.hops;
-    if op' <> op then begin
-      Hashtbl.remove t.journals op;
-      j.aliases <- op :: j.aliases;
-      j.id <- op';
-      Hashtbl.replace t.journals op' j
-    end
+    j.hops <- { from_; to_; rule } :: j.hops
   end
 
 (** [record_reject t ~op ~node reason] — [op], currently at [node], was
@@ -121,7 +112,7 @@ let record_reject t ~op ~node reason =
 
 let journal t op = Hashtbl.find_opt t.journals op
 
-(** All journals, ordered by current operation id. *)
+(** All journals, ordered by operation id. *)
 let journals t =
   Hashtbl.fold (fun _ j acc -> j :: acc) t.journals []
   |> List.sort (fun a b -> compare a.id b.id)

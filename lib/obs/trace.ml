@@ -1,15 +1,23 @@
 (** Typed trace events for the GRiP scheduling stack.
 
-    Producers (the percolation engine, the scheduler, the pipeline
-    driver, the robustness guards, the supervisor and the daemon) emit
-    {!event}s through a {!t}, which is one of two things:
+    Producers (the pipeline driver, the robustness guards, the
+    supervisor and the daemon) emit {!event}s through a {!t}, which is
+    one of two things:
 
     - {!null} — the default; {!enabled} is false so producers skip even
-      event construction (the hot paths guard on it), making the cost
-      of an untraced run a test per emission site;
+      event construction, making the cost of an untraced run a test per
+      emission site;
     - a {!ring} — a bounded in-memory ring buffer holding the newest
       events with their timestamps, the replay surface for tests and
       for post-run rendering.
+
+    The trace answers where a run's time went: phase and stage spans,
+    guard verdicts, ladder descents, supervisor and runtime events and
+    request milestones.  What a migration did (each hop, suspension,
+    barrier and rejection) is recorded once, in the {!Provenance}
+    journal keyed by the operation's id (DESIGN.md §37), so a run emits
+    a few dozen events and the default ring of 4,096 slots holds a
+    traced cell or a served request whole.
 
     {!chrome_tracks} renders collected events as one Chrome
     [trace_event] JSON document (load the file in chrome://tracing or
@@ -38,14 +46,6 @@ let phase_name = function
 type event =
   | Span_begin of phase
   | Span_end of phase
-  | Migrate_attempt of { op : int; target : int }
-      (** the scheduler launched a migration of [op] toward [target] *)
-  | Migrate_hop of { op : int; from_ : int; to_ : int }
-      (** one successful one-node move *)
-  | Migrate_suspend of { op : int; node : int }
-      (** gap prevention vetoed the hop; [op] suspended at [node] *)
-  | Migrate_barrier of { op : int; node : int }
-      (** a full node short of the target blocked [op] (section 3.2) *)
   | Guard_verdict of { guard : string; ok : bool; detail : string }
   | Descent of { rung : string; reason : string }
       (** the degradation ladder abandoned [rung] *)
@@ -80,10 +80,6 @@ type event =
 let event_name = function
   | Span_begin p -> "begin:" ^ phase_name p
   | Span_end p -> "end:" ^ phase_name p
-  | Migrate_attempt _ -> "migrate.attempt"
-  | Migrate_hop _ -> "migrate.hop"
-  | Migrate_suspend _ -> "migrate.suspend"
-  | Migrate_barrier _ -> "migrate.barrier"
   | Guard_verdict _ -> "guard"
   | Descent _ -> "descent"
   | Task_retry _ -> "supervise.retry"
@@ -107,13 +103,10 @@ type t = Null | Ring of ring
 
 let null = Null
 
-(** Producers must skip emission (and event construction) entirely
-    when false. *)
+(** Producers skip event construction when false. *)
 let enabled = function Null -> false | Ring _ -> true
 
-(** [emit t ev] — timestamp [ev] into the ring; a no-op on {!null}
-    (hot paths should additionally guard on {!enabled} to avoid
-    constructing [ev] at all). *)
+(** [emit t ev] — timestamp [ev] into the ring; a no-op on {!null}. *)
 let emit t ev =
   match t with
   | Null -> ()
@@ -122,9 +115,10 @@ let emit t ev =
       r.next <- r.next + 1
 
 (** [ring ~capacity ()] — a tracer recording the last [capacity]
-    events; {!ring_events} returns them oldest-first and
-    {!ring_dropped} how many were overwritten. *)
-let ring ?(capacity = 1 lsl 20) () =
+    events (by default 4,096, a 32 KB slot array: a traced Table 1
+    cell emits at most a few dozen); {!ring_events} returns them
+    oldest-first and {!ring_dropped} how many were overwritten. *)
+let ring ?(capacity = 4096) () =
   let r = { cap = capacity; buf = Array.make capacity None; next = 0 } in
   (r, Ring r)
 
@@ -140,12 +134,6 @@ let ring_events r =
 
 let chrome_args = function
   | Span_begin _ | Span_end _ -> []
-  | Migrate_attempt { op; target } ->
-      [ ("op", Json.int op); ("target", Json.int target) ]
-  | Migrate_hop { op; from_; to_ } ->
-      [ ("op", Json.int op); ("from", Json.int from_); ("to", Json.int to_) ]
-  | Migrate_suspend { op; node } | Migrate_barrier { op; node } ->
-      [ ("op", Json.int op); ("node", Json.int node) ]
   | Guard_verdict { guard; ok; detail } ->
       [ ("guard", Json.Str guard); ("ok", Json.Bool ok);
         ("detail", Json.Str detail) ]
@@ -217,54 +205,6 @@ let merge_events buffers =
     (fun ((a : float), _) ((b : float), _) -> compare a b)
     (List.concat buffers)
 
-(* Flow enrichment: one Chrome flow chain ("s" start, "t" steps, "f"
-   finish, sharing an id) per operation with at least two recorded
-   hops, derived from the Migrate_hop events so viewers draw each
-   operation's journey as connected arrows.  Renames split an
-   operation across ids, so a cloned op contributes one chain per
-   identity — journals in [Provenance] are the authoritative
-   cross-rename view. *)
-let flow_records ~t0 events =
-  let tbl = Hashtbl.create 32 in
-  let order = ref [] in
-  List.iter
-    (fun (ts, ev) ->
-      match ev with
-      | Migrate_hop { op; from_; to_ } ->
-          (match Hashtbl.find_opt tbl op with
-          | Some hops -> hops := (ts, from_, to_) :: !hops
-          | None ->
-              Hashtbl.replace tbl op (ref [ (ts, from_, to_) ]);
-              order := op :: !order)
-      | _ -> ())
-    events;
-  let record ~ph ~op ~ts ~from_ ~to_ =
-    Json.Obj
-      [
-        ("name", Json.Str (Printf.sprintf "op%d journey" op));
-        ("cat", Json.Str "grip.flow");
-        ("ph", Json.Str ph);
-        ("id", Json.int op);
-        ("ts", Json.Num ((ts -. t0) *. 1e6));
-        ("pid", Json.int 1);
-        ("tid", Json.int 1);
-        ( "args",
-          Json.Obj [ ("from", Json.int from_); ("to", Json.int to_) ] );
-      ]
-  in
-  List.concat_map
-    (fun op ->
-      match List.rev !(Hashtbl.find tbl op) with
-      | [] | [ _ ] -> []
-      | hops ->
-          let last = List.length hops - 1 in
-          List.mapi
-            (fun i (ts, from_, to_) ->
-              let ph = if i = 0 then "s" else if i = last then "f" else "t" in
-              record ~ph ~op ~ts ~from_ ~to_)
-            hops)
-    (List.rev !order)
-
 (* -- multi-track rendering ------------------------------------------------- *)
 
 (** One Chrome track: a deterministic [tid], a human label rendered
@@ -282,13 +222,11 @@ let thread_name_record ~tid label =
       ("args", Json.Obj [ ("name", Json.Str label) ]);
     ]
 
-(** [chrome_tracks ~flows tracks] — render a complete Chrome trace
-    document with each {!track}'s events on its own stable [tid] and a
+(** [chrome_tracks tracks] — render a complete Chrome trace document
+    with each {!track}'s events on its own stable [tid] and a
     [thread_name] metadata record per track, so merged multi-domain
-    traces land on consistently-labelled rows across runs.  With
-    [~flows:true], Migrate_hop chains across all tracks are rendered
-    as flow arrows on tid 1. *)
-let chrome_tracks ~flows tracks =
+    traces land on consistently-labelled rows across runs. *)
+let chrome_tracks tracks =
   let all = List.concat_map (fun tr -> tr.events) tracks in
   let t0 = List.fold_left (fun acc (ts, _) -> min acc ts) infinity all in
   let t0 = if t0 = infinity then 0.0 else t0 in
@@ -304,7 +242,4 @@ let chrome_tracks ~flows tracks =
           tr.events)
       tracks
   in
-  let extra =
-    if flows then flow_records ~t0 (merge_events [ all ]) else []
-  in
-  Json.to_string ~pretty:true (Json.List (meta @ records @ extra))
+  Json.to_string ~pretty:true (Json.List (meta @ records))

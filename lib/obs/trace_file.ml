@@ -49,16 +49,26 @@ let tracks ?main ~workers rt =
   in
   main @ workers @ gc
 
-(** [write ~flows path tracks] — [tracks] as one Chrome trace document
+(** [warn_dropped ~dropped path] — on stderr, that [dropped] events
+    were overwritten before the trace in [path] was written (nothing
+    when none were). *)
+let warn_dropped ~dropped path =
+  if dropped > 0 then
+    Format.eprintf
+      "grip: warning: the trace ring overwrote %d event(s); %s is truncated \
+       (earliest events lost)@."
+      dropped path
+
+(** [write path tracks] — [tracks] as one Chrome trace document
     ({!Trace.chrome_tracks}) in [path]; [Error] carries the
     [Sys_error] message. *)
-let write ~flows path tracks =
+let write path tracks =
   match
     let oc = open_out path in
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
-        output_string oc (Trace.chrome_tracks ~flows tracks);
+        output_string oc (Trace.chrome_tracks tracks);
         output_char oc '\n')
   with
   | () -> Ok ()

@@ -48,13 +48,11 @@ end
 
 (** Why the last attempted hop of a migration failed. *)
 type hop =
-  | Vanished  (** the operation is not in the node it was to leave *)
   | Suspended  (** vetoed by the migration's [allow_hop] hook *)
   | Op of failure
   | Cj of Cj.failure
 
 let pp_hop ppf = function
-  | Vanished -> Format.pp_print_string ppf "operation vanished"
   | Suspended -> Format.pp_print_string ppf "gap prevention"
   | Op f -> pp_failure ppf f
   | Cj f -> Cj.pp_failure ppf f

@@ -22,6 +22,12 @@
     node entry's region makes it for every scheduler; toward any other
     node the climb would go on to the entry.
 
+    A hop never renames the operation: [Move_op] lands it under its id
+    and [Move_cj] moves the jump itself, so the climb follows one id
+    from its home up, and the operation is in the node each hop leaves.
+    Each accepted hop is journalled ({!Grip_obs.Provenance}, under that
+    id); the trace records no migration events (DESIGN.md §37).
+
     The gap-prevention behaviour of Figure 12 is injected through
     [hooks]:
     - [allow_hop] is the Gapless-move test (always true by default);
@@ -56,7 +62,6 @@ let no_hooks =
     depending on diagnostic text.  Declared in {!Legality}, so that a
     {!Ctx} replay slot can hold it. *)
 type failure = Legality.hop =
-  | Vanished  (** the operation is not in the node it was to leave *)
   | Suspended  (** vetoed by the gap-prevention hook *)
   | Op of Move_op.failure
   | Cj of Move_cj.failure
@@ -66,7 +71,6 @@ let pp_failure = Legality.pp_hop
 type outcome = {
   moved : int;  (** number of successful one-node hops *)
   reached_target : bool;
-  final_id : int;  (** operation id after the climb *)
   last_failure : failure option;
 }
 
@@ -77,7 +81,7 @@ type walker = {
   w_ctx : Ctx.t;
   w_hooks : hooks;
   mutable w_moved : int;
-  mutable w_current : int;
+  mutable w_op : int;  (** the operation being migrated *)
   mutable w_failure : failure option;
   mutable w_reached : bool;  (** the climb ended with the op at the target *)
 }
@@ -86,22 +90,16 @@ type walker = {
     under [hooks]; each {!run} resets it, so a migration allocates
     nothing. *)
 let walker (ctx : Ctx.t) hooks =
-  { w_ctx = ctx; w_hooks = hooks; w_moved = 0; w_current = -1;
+  { w_ctx = ctx; w_hooks = hooks; w_moved = 0; w_op = -1;
     w_failure = None; w_reached = false }
 
-(* The trace of a successful hop of [op_id] from [s] into [n], now
-   [op']: one [Migrate_hop] event each (attempts, suspensions and
-   barriers are emitted by the driving scheduler, which owns that
-   bookkeeping). *)
-let record_hop (ctx : Ctx.t) ~rule ~op_id ~from_:s ~to_:n op' =
-  let obs = ctx.Ctx.obs in
-  let tr = obs.Grip_obs.trace in
-  if Grip_obs.Trace.enabled tr then
-    Grip_obs.Trace.emit tr
-      (Grip_obs.Trace.Migrate_hop { op = op'; from_ = s; to_ = n });
-  let pv = obs.Grip_obs.prov in
+(* The journal entry of a successful hop of [op_id] from [s] into
+   [n] (attempts, suspensions and barriers are journalled by the
+   driving scheduler, which owns that bookkeeping). *)
+let record_hop (ctx : Ctx.t) ~rule ~op_id ~from_:s ~to_:n =
+  let pv = ctx.Ctx.obs.Grip_obs.prov in
   if Grip_obs.Provenance.enabled pv then
-    Grip_obs.Provenance.record_hop pv ~op:op_id ~op' ~from_:s ~to_:n ~rule
+    Grip_obs.Provenance.record_hop pv ~op:op_id ~from_:s ~to_:n ~rule
 
 (* [Some (Op f)], shared for the failures without a payload: most hop
    attempts fail, and these record their cause without allocating. *)
@@ -112,48 +110,37 @@ let op_failure : Move_op.failure -> failure option = function
   | Move_op.Guarded -> Some (Op Move_op.Guarded)
   | (Move_op.True_dependence _ | Move_op.Mem_dependence _) as f -> Some (Op f)
 
-(* Attempt one hop of the climb's operation from [s] into [n]: on
-   success the climb counts it and follows the op's id; on failure it
-   records why. *)
+(* Attempt one hop of the climb's operation, which is in [s], into
+   [n]: on success the climb counts it; on failure it records why. *)
 let hop_step w ~from_:s ~to_:n =
   let ctx = w.w_ctx in
-  let p = ctx.Ctx.program in
-  let op_id = w.w_current in
-  match (if Program.home_int p op_id = s then Program.stored_op p op_id else None)
-  with
-  | None -> w.w_failure <- Some Vanished
-  | Some op ->
-      if not (w.w_hooks.allow_hop ~from_:s ~to_:n ~op) then begin
-        w.w_hooks.on_suspend op;
-        w.w_failure <- Some Suspended
-      end
-      else if Operation.is_cjump op then
-        match Move_cj.move ctx ~from_:s ~to_:n ~cj_id:op_id with
-        | Ok r ->
-            let id' = r.Move_cj.cj.Operation.id in
-            record_hop ctx ~rule:Grip_obs.Provenance.Move_cj ~op_id ~from_:s
-              ~to_:n id';
-            w.w_moved <- w.w_moved + 1;
-            w.w_current <- id'
-        | Error f -> w.w_failure <- Some (Cj f)
-      else
-        match Move_op.attempt ctx ~from_:s ~to_:n ~op_id with
-        | r ->
-            let id' = r.Move_op.op.Operation.id in
-            record_hop ctx ~rule:Grip_obs.Provenance.Move_op ~op_id ~from_:s
-              ~to_:n id';
-            w.w_moved <- w.w_moved + 1;
-            w.w_current <- id'
-        | exception Move_op.Fail f -> w.w_failure <- op_failure f
+  let op_id = w.w_op in
+  let op = Program.op_of ctx.Ctx.program op_id in
+  if not (w.w_hooks.allow_hop ~from_:s ~to_:n ~op) then begin
+    w.w_hooks.on_suspend op;
+    w.w_failure <- Some Suspended
+  end
+  else if Operation.is_cjump op then
+    match Move_cj.move ctx ~from_:s ~to_:n ~cj_id:op_id with
+    | Ok _ ->
+        record_hop ctx ~rule:Grip_obs.Provenance.Move_cj ~op_id ~from_:s ~to_:n;
+        w.w_moved <- w.w_moved + 1
+    | Error f -> w.w_failure <- Some (Cj f)
+  else
+    match Move_op.attempt ctx ~from_:s ~to_:n ~op_id with
+    | _ ->
+        record_hop ctx ~rule:Grip_obs.Provenance.Move_op ~op_id ~from_:s ~to_:n;
+        w.w_moved <- w.w_moved + 1
+    | exception Move_op.Fail f -> w.w_failure <- op_failure f
 
 (** [hop ctx hooks ~from_ ~to_ ~op_id] — one hop attempt outside a
-    climb, as the climb makes it: the operation's id, or why it did not
-    move. *)
+    climb, as the climb makes it: [Ok ()], or why the operation did not
+    move.  The operation must be in [from_]. *)
 let hop (ctx : Ctx.t) hooks ~from_ ~to_ ~op_id =
   let w = walker ctx hooks in
-  w.w_current <- op_id;
+  w.w_op <- op_id;
   hop_step w ~from_ ~to_;
-  if w.w_moved > 0 then Ok w.w_current else Error (Option.get w.w_failure)
+  if w.w_moved > 0 then Ok () else Error (Option.get w.w_failure)
 
 (* From [below], the op's home, up to [target]: at each parent,
    [early_stop], then the one hop out of the home.  An attempt that
@@ -170,23 +157,22 @@ let rec climb w ~target below =
 
 (** [run w ~target ~op_id] — migrate [op_id] toward [target] (see the
     module comment) with [w]'s context and hooks; how far it got is
-    read off [w] with {!moved}, {!reached_target}, {!final_id} and
-    {!last_failure}, or as an {!outcome}. *)
+    read off [w] with {!moved}, {!reached_target} and {!last_failure},
+    or as an {!outcome}. *)
 let run w ~target ~op_id =
   let p = w.w_ctx.Ctx.program in
   w.w_moved <- 0;
-  w.w_current <- op_id;
+  w.w_op <- op_id;
   w.w_failure <- None;
   climb w ~target (Program.home_int p op_id);
-  w.w_reached <- Program.home_int p w.w_current = target
+  w.w_reached <- Program.home_int p op_id = target
 
-(** [replay w ~op_id outcome] — leave [w] as a {!run} of [op_id]
-    leaves it when the attempt moves nothing and ends in [outcome] (a
-    [Some] failure): how a driver replays a recorded attempt
-    ({!Ctx.replay_hit}) without climbing. *)
-let replay w ~op_id outcome =
+(** [replay w outcome] — leave [w] as a {!run} leaves it when the
+    attempt moves nothing and ends in [outcome] (a [Some] failure): how
+    a driver replays a recorded attempt ({!Ctx.replay_hit}) without
+    climbing. *)
+let replay w outcome =
   w.w_moved <- 0;
-  w.w_current <- op_id;
   w.w_failure <- outcome;
   w.w_reached <- false
 
@@ -196,9 +182,6 @@ let moved w = w.w_moved
 (** Did the last {!run} leave the operation at its target? *)
 let reached_target w = w.w_reached
 
-(** The operation's id after the last {!run}. *)
-let final_id w = w.w_current
-
 (** Why the last attempted hop of the last {!run} failed. *)
 let last_failure w = w.w_failure
 
@@ -207,7 +190,6 @@ let outcome w =
   {
     moved = w.w_moved;
     reached_target = w.w_reached;
-    final_id = w.w_current;
     last_failure = w.w_failure;
   }
 

@@ -25,7 +25,9 @@
       [Request_stage] milestones (received / cache_hit / schedule /
       respond) carrying the request id, and each scheduling task runs
       inside a [Stage "request N"] span on its worker's ring, so a
-      merged Chrome trace shows one connected track per request;
+      merged Chrome trace shows one connected track per request; the
+      events a ring overwrote are counted in [trace_events_dropped]
+      and reported when the trace is written;
     - the supervisor's starvation watchdog stays armed ([--gap-ms]):
       a flagged run dumps the trace ring at shutdown, with gaps
       classified stall vs gc_pause by the runtime-events consumer,
@@ -313,7 +315,7 @@ let process_wave st pool reqs =
       in
       let ring, tracer =
         if want_trace then
-          let r, t = Trace.ring ~capacity:4096 () in
+          let r, t = Trace.ring () in
           (Some r, t)
         else (None, Trace.null)
       in
@@ -357,6 +359,8 @@ let process_wave st pool reqs =
             Metrics.merge ~into:st.registry obs.Obs.metrics;
             Option.iter
               (fun r ->
+                Metrics.add st.registry "trace_events_dropped"
+                  (Trace.ring_dropped r);
                 st.worker_events <-
                   (worker, Trace.ring_events r) :: st.worker_events)
               ring;
@@ -391,13 +395,20 @@ let render_metrics st =
   Metrics.gauge_set st.registry "serve.uptime_seconds" (now -. st.t0);
   Grip_obs.Openmetrics.render st.registry
 
+(* The trace file at shutdown, with a warning when a ring overwrote
+   events: the main ring's drops join the workers' in
+   [trace_events_dropped]. *)
 let write_trace_file st path =
+  Metrics.add st.registry "trace_events_dropped" (Trace.ring_dropped st.ring);
+  Obs.Trace_file.warn_dropped
+    ~dropped:(Metrics.counter st.registry "trace_events_dropped")
+    path;
   let tracks =
     Obs.Trace_file.tracks
       ~main:("serve", Trace.ring_events st.ring)
       ~workers:st.worker_events st.rt
   in
-  match Obs.Trace_file.write ~flows:false path tracks with
+  match Obs.Trace_file.write path tracks with
   | Ok () -> Format.eprintf "grip: serve trace written to %s@." path
   | Error m -> Format.eprintf "grip: trace write failed: %s@." m
 

@@ -10,7 +10,10 @@
       hit/miss/eviction counters, and its latency histogram counts
       every request;
    5. a shutdown frame drains the daemon, which must exit 0 and, since
-      it ran with [--trace], leave a trace with a GC track. *)
+      it ran with [--trace], leave a trace with a GC track in which
+      every served request's [request N] span kept both its begin and
+      its end record, and no record is a migration event or a flow
+      arrow (the journal is their one home). *)
 
 module Protocol = Grip_serve.Protocol
 module Cache = Grip_serve.Cache
@@ -18,6 +21,7 @@ module Server = Grip_serve.Server
 module Client = Grip_serve.Client
 module Loadgen = Grip_serve.Loadgen
 module Hdr = Grip_obs.Hdr
+module Json = Grip_obs.Json
 module Openmetrics = Grip_obs.Openmetrics
 
 let failures = ref 0
@@ -192,14 +196,50 @@ let () =
   let _, status = Unix.waitpid [] pid in
   check "daemon exits 0" (status = Unix.WEXITED 0);
   (match In_channel.with_open_bin trace In_channel.input_all with
-  | text ->
+  | text -> (
       Sys.remove trace;
       let sub = "gc domain" in
       let rec find i =
         i + String.length sub <= String.length text
         && (String.sub text i (String.length sub) = sub || find (i + 1))
       in
-      check "trace holds a gc domain track" (find 0)
+      check "trace holds a gc domain track" (find 0);
+      match Json.parse text with
+      | Ok (Json.List records) ->
+          let str key r = Option.bind (Json.member key r) Json.to_str in
+          let named prefix r =
+            match str "name" r with
+            | Some n -> String.starts_with ~prefix n
+            | None -> false
+          in
+          (* begin and end records per request span *)
+          let edges = Hashtbl.create 64 in
+          List.iter
+            (fun r ->
+              match (str "name" r, str "ph" r) with
+              | Some name, Some (("B" | "E") as ph)
+                when String.starts_with ~prefix:"request " name ->
+                  let b, e =
+                    Option.value ~default:(0, 0) (Hashtbl.find_opt edges name)
+                  in
+                  Hashtbl.replace edges name
+                    (if ph = "B" then (b + 1, e) else (b, e + 1))
+              | _ -> ())
+            records;
+          check "trace holds request spans" (Hashtbl.length edges > 0);
+          Hashtbl.iter
+            (fun name (b, e) ->
+              check
+                (Printf.sprintf "%s: %d begin and %d end records" name b e)
+                (b = e && b > 0))
+            edges;
+          check "no migrate.* record"
+            (not (List.exists (named "migrate.") records));
+          check "no grip.flow record"
+            (not
+               (List.exists (fun r -> str "cat" r = Some "grip.flow") records))
+      | Ok _ -> check "trace is a JSON array" false
+      | Error msg -> check ("trace parse: " ^ msg) false)
   | exception Sys_error msg -> check ("trace file: " ^ msg) false);
   if !failures > 0 then begin
     Printf.eprintf "serve smoke: %d failure(s)\n%!" !failures;

@@ -342,8 +342,7 @@ let test_stall_trips_watchdog () =
   (* the dump a flagged run produces: Chrome JSON of the ring, with the
      dropped-events count surfaced next to it *)
   let dump =
-    Trace.chrome_tracks ~flows:false
-      [ { Trace.tid = 0; label = "main"; events } ]
+    Trace.chrome_tracks [ { Trace.tid = 0; label = "main"; events } ]
   in
   Alcotest.(check bool)
     "dump renders the gap events" true

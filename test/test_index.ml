@@ -709,7 +709,7 @@ let test_hop_path_no_alloc () =
     (Migrate.last_failure w) ~reads:(Grip.Gapless.reads memo);
   count "replayed attempt" (fun () ->
       if not (Ctx.replay_hit ctx rid) then Alcotest.fail "slot not replayed";
-      Migrate.replay w ~op_id:rid (Ctx.replay_outcome ctx rid))
+      Migrate.replay w (Ctx.replay_outcome ctx rid))
 
 (* 4. full pipelines leave every maintained structure coherent *)
 let prop_pipeline_coherent =

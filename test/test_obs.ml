@@ -1,7 +1,10 @@
 (* Observability subsystem: JSON encoding/parsing, metrics, trace
    sinks, and the invariant that ties them to the schedulers — the
-   migration events recorded during the Schedule phase replay exactly
-   to the scheduler's own counters.  Also the bench artifact diff
+   provenance journal's hops, suspensions and barriers replay exactly
+   to the scheduler's own counters and to the registry, across ladder
+   descents too — and the trace budget: every Table 1 cell, traced
+   through the guarded pipeline, fits the default ring.  Also the
+   bench artifact diff
    (regressions, missing cells, work and counter-skew reports), the
    artifact's validator on mutated artifacts, and
    the work counters the pipeline reports: one graph-order walk per
@@ -325,142 +328,53 @@ let test_metrics_no_alloc () =
       Alcotest.(check int) "named histogram" 10_001 (Obs.Hdr.count hist)
   | None -> Alcotest.fail "named histogram missing"
 
-(* -- trace replay invariant ----------------------------------------------- *)
-
-(* Events recorded between the Schedule span's begin and end. *)
-let schedule_events events =
-  let rec skip = function
-    | (_, Trace.Span_begin Trace.Schedule) :: rest -> take [] rest
-    | _ :: rest -> skip rest
-    | [] -> []
-  and take acc = function
-    | (_, Trace.Span_end Trace.Schedule) :: _ -> List.rev acc
-    | e :: rest -> take (e :: acc) rest
-    | [] -> List.rev acc
-  in
-  skip events
-
-type replay = { attempts : int; hops : int; suspends : int; barriers : int }
-
-let tally events =
-  List.fold_left
-    (fun r (_, ev) ->
-      match ev with
-      | Trace.Migrate_attempt _ -> { r with attempts = r.attempts + 1 }
-      | Trace.Migrate_hop _ -> { r with hops = r.hops + 1 }
-      | Trace.Migrate_suspend _ -> { r with suspends = r.suspends + 1 }
-      | Trace.Migrate_barrier _ -> { r with barriers = r.barriers + 1 }
-      | _ -> r)
-    { attempts = 0; hops = 0; suspends = 0; barriers = 0 }
-    events
-
-let replay_of events = tally (schedule_events events)
-
-(* Scheduling a kernel while recording to a ring buffer, then replaying
-   the migration events, must reconstruct the scheduler's own counters:
-   the trace is a faithful, lossless account of what the scheduler did.
-   POST's phase 2 (break/repair) moves operations directly rather than
-   through Migrate, so its replay matches the phase-1 counters. *)
-let check_replay name method_ fu =
-  let ring, tracer = Trace.ring () in
-  let obs = Obs.make ~trace:tracer () in
-  let o =
-    Pipeline.run ~obs (kernel name) ~machine:(Machine.homogeneous fu) ~method_
-  in
-  Alcotest.(check int) "ring did not overflow" 0 (Trace.ring_dropped ring);
-  let r = replay_of (Trace.ring_events ring) in
-  let ctx = Printf.sprintf "%s/%s/%dFU" name (Pipeline.method_name method_) fu in
-  let expect (s : Scheduler.stats) =
-    Alcotest.(check int) (ctx ^ " migrations") s.Scheduler.migrations r.attempts;
-    Alcotest.(check int) (ctx ^ " hops") s.Scheduler.hops r.hops;
-    Alcotest.(check int) (ctx ^ " suspensions") s.Scheduler.suspensions
-      r.suspends;
-    Alcotest.(check int)
-      (ctx ^ " barriers") s.Scheduler.resource_barrier_events r.barriers;
-    Alcotest.(check bool) (ctx ^ " did work") true (s.Scheduler.migrations > 0)
-  in
-  match o.Pipeline.stats with
-  | Pipeline.Grip_stats s -> expect s
-  | Pipeline.Post_stats s -> expect s.Post.phase1
-  | Pipeline.Unifiable_stats _ -> Alcotest.fail "unexpected Unifiable stats"
-
-let replay_cases =
-  List.concat_map
-    (fun name ->
-      List.concat_map
-        (fun fu ->
-          List.map
-            (fun m ->
-              let label =
-                Printf.sprintf "replay %s %s %dFU" name
-                  (Pipeline.method_name m) fu
-              in
-              Alcotest.test_case label `Slow (fun () -> check_replay name m fu))
-            [ Pipeline.Grip; Pipeline.Grip_no_gap; Pipeline.Post ])
-        [ 2; 4 ])
-    [ "LL1"; "LL5" ]
-
-(* A rung that a guard abandons after its schedule phase has published
-   its counts: over a guarded run whose GRiP and no-gap rungs run out
-   of fuel, the registry's scheduling counters equal the trace's tally
-   of every rung's migration events. *)
-let test_registry_across_descents () =
-  let ring, tracer = Trace.ring () in
-  let m = Metrics.create () in
-  let obs = Obs.make ~trace:tracer ~metrics:m () in
-  let r =
-    Result.get_ok
-      (Pipeline.run_robust ~obs ~max_migrations:50 (kernel "LL1")
-         ~machine:(Machine.homogeneous 2))
-  in
-  Alcotest.(check int) "ring did not overflow" 0 (Trace.ring_dropped ring);
-  Alcotest.(check (list string)) "fuel abandoned GRiP and no-gap"
-    [ "GRiP"; "GRiP(no-gap)" ]
-    (List.map (fun (rung, _) -> Pipeline.rung_name rung) r.Pipeline.descents);
-  let t = tally (Trace.ring_events ring) in
-  Alcotest.(check int) "migrations" t.attempts
-    (Metrics.counter m "scheduler.migrations");
-  Alcotest.(check int) "hops" t.hops (Metrics.counter m "scheduler.hops");
-  Alcotest.(check int) "suspensions" t.suspends
-    (Metrics.counter m "scheduler.suspensions");
-  Alcotest.(check int) "barriers" t.barriers
-    (Metrics.counter m "scheduler.barriers")
-
 (* -- provenance journals --------------------------------------------------- *)
 
 module Provenance = Obs.Provenance
 
-(* Recorder mechanics, in isolation: renames carry the journal to the
-   new identity, views come back oldest-first, and the blocker ranking
-   counts Dep rejections per blamed operation. *)
-let test_provenance_rename_follows () =
+(* Recorder mechanics, in isolation: a journal is keyed by its
+   operation's id and keeps the node it was first seen at, views come
+   back oldest-first, and the blocker ranking counts Dep rejections per
+   blamed operation. *)
+let test_provenance_journal_by_id () =
   let p = Provenance.create () in
-  Provenance.record_hop p ~op:5 ~op':5 ~from_:1 ~to_:2 ~rule:Provenance.Move_op;
-  Provenance.record_hop p ~op:5 ~op':9 ~from_:2 ~to_:3 ~rule:Provenance.Move_cj;
-  Provenance.record_reject p ~op:9 ~node:3 (Provenance.Dep 4);
-  Provenance.record_reject p ~op:9 ~node:3 (Provenance.Dep 4);
-  Provenance.record_reject p ~op:9 ~node:3 (Provenance.Dep 2);
-  Alcotest.(check bool) "old id unbound" true (Provenance.journal p 5 = None);
-  (match Provenance.journal p 9 with
-  | None -> Alcotest.fail "journal lost across rename"
+  Provenance.record_hop p ~op:5 ~from_:1 ~to_:2 ~rule:Provenance.Move_op;
+  Provenance.record_hop p ~op:5 ~from_:2 ~to_:3 ~rule:Provenance.Move_cj;
+  Provenance.record_reject p ~op:5 ~node:3 (Provenance.Dep 4);
+  Provenance.record_reject p ~op:5 ~node:3 (Provenance.Dep 4);
+  Provenance.record_reject p ~op:9 ~node:7 (Provenance.Dep 2);
+  Alcotest.(check (list int)) "one journal per op id, by id" [ 5; 9 ]
+    (List.map (fun j -> j.Provenance.id) (Provenance.journals p));
+  (match Provenance.journal p 5 with
+  | None -> Alcotest.fail "journal of op 5 missing"
   | Some j ->
       Alcotest.(check int) "origin" 1 j.Provenance.origin;
-      Alcotest.(check (list int)) "aliases" [ 5 ] j.Provenance.aliases;
       (match Provenance.journey j with
       | [ h1; h2 ] ->
-          Alcotest.(check int) "first hop source" 1 h1.Provenance.from_;
+          Alcotest.(check (list (pair int int)))
+            "hops oldest-first" [ (1, 2); (2, 3) ]
+            [ (h1.Provenance.from_, h1.Provenance.to_);
+              (h2.Provenance.from_, h2.Provenance.to_) ];
           Alcotest.(check bool)
             "rules recorded" true
             (h1.Provenance.rule = Provenance.Move_op
             && h2.Provenance.rule = Provenance.Move_cj)
-      | hops -> Alcotest.failf "expected 2 hops, got %d" (List.length hops)));
+      | hops -> Alcotest.failf "expected 2 hops, got %d" (List.length hops));
+      Alcotest.(check int) "rejections" 2
+        (List.length (Provenance.rejections j)));
+  (match Provenance.journal p 9 with
+  | None -> Alcotest.fail "journal of op 9 missing"
+  | Some j ->
+      Alcotest.(check int) "origin of a rejection-only journal" 7
+        j.Provenance.origin;
+      Alcotest.(check int) "no hops" 0 (List.length (Provenance.journey j)));
   Alcotest.(check int) "total hops" 2 (Provenance.total_hops p);
   Alcotest.(check int) "total deps" 3 (Provenance.total_deps p);
   Alcotest.(check (list (pair int int)))
     "blockers ranked" [ (4, 2); (2, 1) ] (Provenance.blockers p)
 
 let test_provenance_null_inert () =
-  Provenance.record_hop Provenance.null ~op:1 ~op':1 ~from_:0 ~to_:1
+  Provenance.record_hop Provenance.null ~op:1 ~from_:0 ~to_:1
     ~rule:Provenance.Move_op;
   Provenance.record_reject Provenance.null ~op:1 ~node:0 Provenance.Fuel;
   Alcotest.(check bool) "disabled" false (Provenance.enabled Provenance.null);
@@ -475,7 +389,7 @@ let test_provenance_null_inert () =
    suspensions and resource barriers are recorded at the very sites
    that bump the counters, so any divergence is a lost or duplicated
    record.  POST's phase 2 moves operations outside Migrate, so its
-   journals account for phase 1 exactly like the trace replay. *)
+   journals account for phase 1. *)
 let check_prov_replay name method_ fu =
   let prov = Provenance.create () in
   let m = Metrics.create () in
@@ -533,27 +447,60 @@ let prov_replay_cases =
         [ 2; 4 ])
     [ "LL1"; "LL5" ]
 
+(* A rung that a guard abandons after its schedule phase has published
+   its counts: over a guarded run whose GRiP and no-gap rungs run out
+   of fuel, the registry's hops, suspensions and barriers equal the
+   journal's totals over every rung, and its migrations those of
+   standalone runs of each rung under the same budget. *)
+let test_registry_across_descents () =
+  let prov = Provenance.create () in
+  let m = Metrics.create () in
+  let obs = Obs.make ~metrics:m ~prov () in
+  let k = kernel "LL1" and machine = Machine.homogeneous 2 in
+  let r =
+    Result.get_ok (Pipeline.run_robust ~obs ~max_migrations:50 k ~machine)
+  in
+  Alcotest.(check (list string)) "fuel abandoned GRiP and no-gap"
+    [ "GRiP"; "GRiP(no-gap)" ]
+    (List.map (fun (rung, _) -> Pipeline.rung_name rung) r.Pipeline.descents);
+  Alcotest.(check string) "POST won" "POST" (Pipeline.rung_name r.Pipeline.rung);
+  let migrations method_ =
+    match (Pipeline.run ~max_migrations:50 k ~machine ~method_).Pipeline.stats with
+    | Pipeline.Grip_stats s -> s.Scheduler.migrations
+    | Pipeline.Post_stats s -> s.Post.phase1.Scheduler.migrations
+    | Pipeline.Unifiable_stats _ -> Alcotest.fail "unexpected Unifiable stats"
+  in
+  Alcotest.(check int) "migrations"
+    (List.fold_left
+       (fun acc m -> acc + migrations m)
+       0
+       [ Pipeline.Grip; Pipeline.Grip_no_gap; Pipeline.Post ])
+    (Metrics.counter m "scheduler.migrations");
+  Alcotest.(check int) "hops" (Provenance.total_hops prov)
+    (Metrics.counter m "scheduler.hops");
+  Alcotest.(check int) "suspensions" (Provenance.total_suspensions prov)
+    (Metrics.counter m "scheduler.suspensions");
+  Alcotest.(check int) "barriers" (Provenance.total_barriers prov)
+    (Metrics.counter m "scheduler.barriers")
+
 (* -- merged-trace replay (the parallel-harness invariant) ------------------ *)
 
 (* Each task of a parallel batch records into a private ring buffer;
    the harness concatenates and time-sorts them.  The merged timeline
-   must still be a lossless account: tallying every migration event in
-   it reconstructs the sum of the individual schedulers' counters. *)
+   must still be a lossless account: it holds every event of both
+   rings, in time order, and its spans reconstruct each phase's count
+   over the runs, each begin matched by its end. *)
 let test_merged_trace_replay () =
   let run name =
     let ring, tracer = Trace.ring () in
     let obs = Obs.make ~trace:tracer () in
-    let o =
-      Pipeline.run ~obs (kernel name) ~machine:(Machine.homogeneous 2)
-        ~method_:Pipeline.Grip
-    in
+    ignore
+      (Pipeline.run ~obs (kernel name) ~machine:(Machine.homogeneous 2)
+         ~method_:Pipeline.Grip);
     Alcotest.(check int) "ring did not overflow" 0 (Trace.ring_dropped ring);
-    match o.Pipeline.stats with
-    | Pipeline.Grip_stats s -> (Trace.ring_events ring, s)
-    | _ -> Alcotest.fail "expected Grip stats"
+    Trace.ring_events ring
   in
-  let e1, s1 = run "LL1" in
-  let e2, s2 = run "LL5" in
+  let e1 = run "LL1" and e2 = run "LL5" in
   let merged = Trace.merge_events [ e1; e2 ] in
   Alcotest.(check int)
     "merge loses nothing"
@@ -564,18 +511,21 @@ let test_merged_trace_replay () =
     | _ -> true
   in
   Alcotest.(check bool) "merged timeline is time-ordered" true (sorted merged);
-  let r = tally merged in
-  let sum f = f s1 + f s2 in
-  Alcotest.(check int) "migrations"
-    (sum (fun s -> s.Scheduler.migrations))
-    r.attempts;
-  Alcotest.(check int) "hops" (sum (fun s -> s.Scheduler.hops)) r.hops;
-  Alcotest.(check int) "suspensions"
-    (sum (fun s -> s.Scheduler.suspensions))
-    r.suspends;
-  Alcotest.(check int) "barriers"
-    (sum (fun s -> s.Scheduler.resource_barrier_events))
-    r.barriers
+  let spans p edge events =
+    List.length
+      (List.filter
+         (fun (_, ev) ->
+           match (edge, ev) with
+           | `B, Trace.Span_begin q | `E, Trace.Span_end q -> q = p
+           | _ -> false)
+         events)
+  in
+  List.iter
+    (fun p ->
+      let name = Trace.phase_name p in
+      Alcotest.(check int) (name ^ " spans") 2 (spans p `B merged);
+      Alcotest.(check int) (name ^ " spans closed") 2 (spans p `E merged))
+    [ Trace.Unwind; Trace.Redundancy; Trace.Schedule; Trace.Converge ]
 
 (* -- null sink changes nothing -------------------------------------------- *)
 
@@ -606,8 +556,8 @@ let test_null_sink_purity () =
 (* -- Chrome rendering ------------------------------------------------------ *)
 
 (* One track of ring events as a complete Chrome document. *)
-let chrome ?(flows = false) events =
-  Trace.chrome_tracks ~flows [ { Trace.tid = 1; label = "main"; events } ]
+let chrome events =
+  Trace.chrome_tracks [ { Trace.tid = 1; label = "main"; events } ]
 
 (* The trace-event records of a document, less its metadata ("M")
    records. *)
@@ -671,37 +621,46 @@ let test_ring_truncation () =
   Trace.emit tracer2 (stage 1);
   Alcotest.(check int) "no overflow" 0 (Trace.ring_dropped r2)
 
-(* -- Chrome flow chains ---------------------------------------------------- *)
+(* -- trace budget ------------------------------------------------------------ *)
 
-(* Flow enrichment: an operation with >= 2 hops yields an s/t*/f chain
-   sharing its id; single-hop operations yield nothing.  The enriched
-   document must still be valid JSON. *)
-let test_chrome_flows () =
-  let hop op from_ to_ ts = (ts, Trace.Migrate_hop { op; from_; to_ }) in
-  let events = [ hop 7 1 2 0.0; hop 9 1 4 0.5; hop 7 2 3 1.0; hop 7 3 5 1.5 ] in
-  match Json.parse (chrome ~flows:true events) with
-  | Error e -> Alcotest.failf "flow-enriched trace unparseable: %s" e
-  | Ok doc ->
-      let records = event_records doc in
-      let flows =
-        List.filter
-          (fun r ->
-            Option.bind (Json.member "cat" r) Json.to_str = Some "grip.flow")
-          records
-      in
-      Alcotest.(check int) "base + flow records" (4 + 3) (List.length records);
-      Alcotest.(check (list string))
-        "flow phases"
-        [ "s"; "t"; "f" ]
-        (List.filter_map
-           (fun r -> Option.bind (Json.member "ph" r) Json.to_str)
-           flows);
+(* Every Table 1 cell (each kernel at 2, 4 and 8 FUs, GRiP and POST),
+   traced through the guarded pipeline into a ring of the default
+   capacity, loses no event: the trace holds spans, guard verdicts and
+   descents, never an event per migration attempt or hop, so a cell,
+   descents included, emits a few dozen events. *)
+let test_trace_budget () =
+  let largest = ref (0, "") in
+  List.iter
+    (fun (e : Livermore.entry) ->
+      let k = e.Livermore.kernel in
       List.iter
-        (fun r ->
-          Alcotest.(check (option (float 1e-9)))
-            "flow id is the multi-hop op" (Some 7.0)
-            (Option.bind (Json.member "id" r) Json.to_float))
-        flows
+        (fun fu ->
+          List.iter
+            (fun method_ ->
+              let ring, tracer = Trace.ring () in
+              let obs = Obs.make ~trace:tracer () in
+              let cell =
+                Printf.sprintf "%s %s %dFU" k.Kernel.name
+                  (Pipeline.method_name method_) fu
+              in
+              (match
+                 Pipeline.run_robust ~obs ~data:e.Livermore.data
+                   ~start:(Pipeline.rung_of_method method_) k
+                   ~machine:(Machine.homogeneous fu)
+               with
+              | Ok _ -> ()
+              | Error err ->
+                  Alcotest.failf "%s: %s" cell
+                    (Grip_robust.Grip_error.to_string err));
+              Alcotest.(check int) (cell ^ " dropped") 0
+                (Trace.ring_dropped ring);
+              let n = List.length (Trace.ring_events ring) in
+              if n > fst !largest then largest := (n, cell))
+            [ Pipeline.Grip; Pipeline.Post ])
+        [ 2; 4; 8 ])
+    Livermore.all;
+  Printf.printf "largest cell trace: %d events (%s)\n" (fst !largest)
+    (snd !largest)
 
 (* -- bench diff ------------------------------------------------------------ *)
 
@@ -1135,12 +1094,13 @@ let () =
             test_metrics_no_alloc;
         ] );
       ( "replay",
-        Alcotest.test_case "registry == trace across descents" `Quick
-          test_registry_across_descents
-        :: replay_cases );
+        [
+          Alcotest.test_case "registry == journal across descents" `Quick
+            test_registry_across_descents;
+        ] );
       ( "provenance",
-        Alcotest.test_case "rename follows identity" `Quick
-          test_provenance_rename_follows
+        Alcotest.test_case "journal keyed by op id" `Quick
+          test_provenance_journal_by_id
         :: Alcotest.test_case "null recorder is inert" `Quick
              test_provenance_null_inert
         :: prov_replay_cases );
@@ -1155,7 +1115,8 @@ let () =
           Alcotest.test_case "chrome JSON valid" `Quick test_chrome_sink_valid;
           Alcotest.test_case "ring truncation observable" `Quick
             test_ring_truncation;
-          Alcotest.test_case "chrome flow chains" `Quick test_chrome_flows;
+          Alcotest.test_case "default ring holds every Table 1 cell" `Slow
+            test_trace_budget;
         ] );
       ( "bench-diff",
         [

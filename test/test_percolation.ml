@@ -651,8 +651,8 @@ type full_walk = {
   f_ctx : Ctx.t;
   f_hooks : Migrate.hooks;
   f_seen : (int, unit) Hashtbl.t;
+  f_op : int;
   mutable f_moved : int;
-  mutable f_current : int;
   mutable f_failure : Migrate.failure option;
 }
 
@@ -685,27 +685,22 @@ and full_pull w nid = function
   | [] -> ()
   | s :: tl ->
       let p = w.f_ctx.Ctx.program in
-      (if (not (Program.is_exit p s)) && Program.home_int p w.f_current = s then
-         match
-           Migrate.hop w.f_ctx w.f_hooks ~from_:s ~to_:nid ~op_id:w.f_current
-         with
-         | Ok id' ->
-             w.f_moved <- w.f_moved + 1;
-             w.f_current <- id'
+      (if (not (Program.is_exit p s)) && Program.home_int p w.f_op = s then
+         match Migrate.hop w.f_ctx w.f_hooks ~from_:s ~to_:nid ~op_id:w.f_op with
+         | Ok () -> w.f_moved <- w.f_moved + 1
          | Error f -> w.f_failure <- Some f);
       full_pull w nid tl
 
 let full_migrate (ctx : Ctx.t) hooks ~target ~op_id =
   let p = ctx.Ctx.program in
   let w =
-    { f_ctx = ctx; f_hooks = hooks; f_seen = Hashtbl.create 16; f_moved = 0;
-      f_current = op_id; f_failure = None }
+    { f_ctx = ctx; f_hooks = hooks; f_seen = Hashtbl.create 16; f_op = op_id;
+      f_moved = 0; f_failure = None }
   in
   full_go w target;
   {
     Migrate.moved = w.f_moved;
-    reached_target = Program.home_int p w.f_current = target;
-    final_id = w.f_current;
+    reached_target = Program.home_int p op_id = target;
     last_failure = w.f_failure;
   }
 

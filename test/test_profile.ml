@@ -2,7 +2,10 @@
    Grip_obs.timed):
 
    - per-phase allocation/collection deltas reconcile with the
-     whole-run [Gc] counters (the `grip profile` sum law);
+     whole-run [Gc] counters (the `grip profile` sum law), every
+     allocation read by the one exact reader
+     ([Grip_obs.allocated_bytes]), which a phase of known allocation
+     reads to within a few words;
    - a null observability handle records nothing (telemetry is pure
      on the default path);
    - the runtime-events consumer is an idempotent singleton, captures
@@ -37,11 +40,11 @@ let test_phase_deltas_reconcile () =
   let machine = Machine.homogeneous 4 in
   let metrics = Metrics.create () in
   let obs = Obs.make ~metrics () in
-  let a0 = Gc.allocated_bytes () in
   let q0 = Gc.quick_stat () in
+  let a0 = Obs.allocated_bytes () in
   let o = Pipeline.run ~obs e.Livermore.kernel ~machine ~method_:Pipeline.Grip in
   let _ = Pipeline.measure ~obs ~data:e.Livermore.data o in
-  let a1 = Gc.allocated_bytes () in
+  let a1 = Obs.allocated_bytes () in
   let q1 = Gc.quick_stat () in
   let sum name =
     List.fold_left
@@ -72,6 +75,25 @@ let test_phase_deltas_reconcile () =
   Alcotest.(check bool)
     "top-heap gauge sampled" true
     (Metrics.gauge metrics "gc.top_heap_words" > 0.0)
+
+(* A [timed] phase that allocates 1,000 conses (three words each,
+   24,000 bytes) reads that much, give or take the reader's own few
+   words, wherever the minor collections fall. *)
+let test_timed_alloc_exact () =
+  let metrics = Metrics.create () in
+  let obs = Obs.make ~metrics () in
+  let keep = ref [] in
+  ignore
+    (Obs.timed obs (Trace.Stage "conses") (fun () ->
+         for i = 1 to 1000 do
+           keep := i :: !keep
+         done));
+  Alcotest.(check int) "kept" 1000 (List.length !keep);
+  let got = Metrics.counter metrics "gc.alloc_bytes.phase.conses" in
+  Alcotest.(check bool)
+    (Printf.sprintf "1,000 conses read %d bytes, within 1 KB of 24,000" got)
+    true
+    (abs (got - 24_000) <= 1024)
 
 (* The default (null) handle must stay pure: no counters, no gauges,
    no per-phase GC entries appear anywhere. *)
@@ -282,6 +304,8 @@ let () =
         [
           Alcotest.test_case "phase deltas reconcile" `Quick
             test_phase_deltas_reconcile;
+          Alcotest.test_case "timed allocation is exact" `Quick
+            test_timed_alloc_exact;
           Alcotest.test_case "null obs records nothing" `Quick
             test_null_obs_records_nothing;
         ] );
